@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModelError, ResourceLimitError
-from .hamiltonian import HamiltonianLCU, canonicalize, l1_norm, pauli_mul
+from .hamiltonian import HamiltonianLCU, canonicalize, l1_norm, mask_sum_letters, to_matrix
+from .statevector import TOTAL_QUBIT_CAP
 
 FERMION_DENSE_CAP = 12
 
@@ -74,47 +75,37 @@ def _ladder_strings(j: int, n: int, dagger: bool) -> list[tuple[complex, str]]:
     return [(0.5, zs + "X" + tail), (y_coeff, zs + "Y" + tail)]
 
 
-def _accumulate_product(
-    acc: dict[str, complex], factor: complex, ops: list[tuple[int, bool]], n: int
-) -> None:
-    """Add factor * product of ladder operators (index, dagger) into acc."""
-    terms: list[tuple[complex, str]] = [(factor, "I" * n)]
-    for idx, dag in ops:
-        new_terms = []
-        for coeff, letters in terms:
-            for lc, ls in _ladder_strings(idx, n, dag):
-                phase, prod = pauli_mul(letters, ls)
-                new_terms.append((coeff * lc * phase, prod))
-        terms = new_terms
-    for coeff, letters in terms:
-        acc[letters] = acc.get(letters, 0j) + coeff
+def _accumulate_product(acc: dict[tuple[int, int], complex], factor: complex, indices) -> None:
+    """Add factor * a_i^dag a_j (a_k^dag a_l) into acc, keyed by the (x, z) masks of X^x Z^z.
+
+    a_j^dag, a_j = Z_{<j} X_j (I +- Z_j) / 2 and
+    X^x1 Z^z1 X^x2 Z^z2 = (-1)^{popcount(z1 & x2)} X^{x1^x2} Z^{z1^z2}.
+    """
+    terms = [(factor, 0, 0)]
+    for pos, j in enumerate(indices):
+        lx, below = 1 << j, (1 << j) - 1
+        ladder = ((0.5, below), (-0.5 if pos % 2 else 0.5, below | lx))
+        terms = [
+            (c * lc * (-1 if (z & lx).bit_count() & 1 else 1), x ^ lx, z ^ lz)
+            for c, x, z in terms
+            for lc, lz in ladder
+        ]
+    for c, x, z in terms:
+        acc[x, z] = acc.get((x, z), 0j) + c
 
 
 def fermionic_to_pauli_dict(F: FermionicOperator) -> dict[str, complex]:
     """Raw Jordan-Wigner coefficient dictionary (no canonicalization)."""
-    n = F.n_orb
-    acc: dict[str, complex] = {}
-    if F.constant != 0.0:
-        acc["I" * n] = complex(F.constant)
-    h = F.one_body
-    for i in range(n):
-        for j in range(n):
-            if h[i, j] != 0:
-                _accumulate_product(acc, h[i, j], [(i, True), (j, False)], n)
-    if F.two_body is not None:
-        g = F.two_body
-        for idx in np.argwhere(np.abs(g) > 0):
-            i, j, k, l = (int(x) for x in idx)
-            _accumulate_product(
-                acc, g[i, j, k, l], [(i, True), (j, False), (k, True), (l, False)], n
-            )
-    return acc
+    acc = {(0, 0): complex(F.constant)} if F.constant != 0.0 else {}
+    bodies = (F.one_body,) if F.two_body is None else (F.one_body, F.two_body)
+    for g in bodies:
+        for idx in np.argwhere(g != 0).tolist():
+            _accumulate_product(acc, g[tuple(idx)], idx)
+    return mask_sum_letters(acc, F.n_orb)
 
 
-def jordan_wigner(F: FermionicOperator, *, cap: int = FERMION_DENSE_CAP) -> HamiltonianLCU:
+def jordan_wigner(F: FermionicOperator) -> HamiltonianLCU:
     """Canonicalized Pauli-string Hamiltonian of a fermionic operator."""
-    if F.n_orb > cap:
-        raise ResourceLimitError(f"{F.n_orb} orbitals exceeds cap {cap}")
     acc = fermionic_to_pauli_dict(F)
     return canonicalize(F.n_orb, [(coeff, letters) for letters, coeff in acc.items()])
 
@@ -180,8 +171,6 @@ def sector_spectrum(op, n_electrons: int) -> np.ndarray:
         mat = fock_matrix(op)
         n = op.n_orb
     else:
-        from .hamiltonian import to_matrix
-
         mat = to_matrix(op)
         n = op.n
     if n_electrons < 0 or n_electrons > n:
@@ -329,30 +318,31 @@ def load_fermionic(path) -> tuple[FermionicOperator, int]:
     operator.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header = dict(part.split("=") for part in lines[0].replace(",", " ").split())
-    N = int(header["NORB"])
-    ne = int(header["NELEC"])
-    const = 0.0
-    h = np.zeros((N, N))
-    g = np.zeros((N, N, N, N))
-    seen_two = False
-    for ln in lines[1:]:
+        lines = [ln.strip() for ln in fh if ln.strip()] or [""]
+    header = dict(part.partition("=")[::2] for part in lines[0].replace(",", " ").split())
+    try:
+        N, ne = int(header["NORB"]), int(header["NELEC"])
+    except (KeyError, ValueError):
+        raise InvalidModelError("header must read NORB=<int> NELEC=<int>") from None
+    if not 1 <= N <= TOTAL_QUBIT_CAP:
+        raise InvalidModelError(f"NORB={N} is outside 1..{TOTAL_QUBIT_CAP}")
+    const, h, g = 0.0, np.zeros((N, N)), np.zeros((N,) * 4)
+    for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
-        v = float(parts[0])
-        i, j, k, l = (int(p) for p in parts[1:5])
-        if i == j == k == l == 0:
+        try:
+            v, (i, j, k, l) = float(parts[0]), (int(p) for p in parts[1:5])
+        except ValueError:
+            raise InvalidModelError(f"line {lineno}: expected 'value i j k l'") from None
+        body = (i, j) if k == l == 0 else (i, j, k, l)
+        if not math.isfinite(v) or (any(body) and not all(1 <= q <= N for q in body)):
+            raise InvalidModelError(f"line {lineno}: need a finite value and indices in 1..{N}")
+        if not any(body):
             const += v
-        elif k == 0 and l == 0:
-            h[i - 1, j - 1] = v
-            h[j - 1, i - 1] = v
+        elif len(body) == 2:
+            h[i - 1, j - 1] = h[j - 1, i - 1] = v
         else:
-            seen_two = True
             g[i - 1, j - 1, k - 1, l - 1] = v
-    return (
-        FermionicOperator(N, constant=const, one_body=h, two_body=g if seen_two else None),
-        ne,
-    )
+    return FermionicOperator(N, constant=const, one_body=h, two_body=g if g.any() else None), ne
 
 
 def save_fermionic(F: FermionicOperator, n_electrons: int, path) -> None:

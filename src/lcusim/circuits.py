@@ -36,12 +36,12 @@ class TaylorCoefficients:
     kappa: int
 
     def __post_init__(self):
-        if self.alpha_norm <= 0:
-            raise InvalidModelError("alpha_norm must be positive")
+        if not 0 < self.alpha_norm < math.inf:
+            raise InvalidModelError("alpha_norm must be positive and finite")
         if self.kappa < 1:
             raise InvalidModelError("kappa must be at least 1")
-        if self.tau < 0:
-            raise InvalidModelError("tau must be nonnegative")
+        if not 0 <= self.tau < math.inf:
+            raise InvalidModelError("tau must be nonnegative and finite")
 
     @property
     def K(self) -> int:
@@ -59,6 +59,11 @@ class TaylorCoefficients:
     @property
     def beta_norm(self) -> float:
         return float(self.beta.sum())
+
+
+def kappa_for(K: int) -> int:
+    """Taylor-register width of the binary encoding for order K: ceil(log2(K + 1)), minimum 1."""
+    return max(1, math.ceil(math.log2(K + 1)))
 
 
 def taylor_prepare_amplitudes(tau: float, alpha_norm: float, kappa: int) -> np.ndarray:
@@ -217,8 +222,7 @@ def build_w_unary(H: HamiltonianLCU, tau: float, K: int) -> CircuitPlan:
     regs.append(Register("unary", K, unary_offset))
     layout = RegisterLayout(tuple(regs))
 
-    kappa = max(1, math.ceil(math.log2(K + 1)))
-    beta = TaylorCoefficients(tau, l1_norm(H), kappa).beta[: K + 1]
+    beta = TaylorCoefficients(tau, l1_norm(H), kappa_for(K)).beta[: K + 1]
     unary_amps = np.zeros(1 << K)
     norm = beta.sum()
     for k in range(K + 1):

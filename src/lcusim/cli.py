@@ -22,11 +22,12 @@ import numpy as np
 
 from . import oracle
 from .bliss import jordan_wigner, load_fermionic, optimize_bliss
-from .circuits import build_w_hk, build_w_tilde, build_w_unary
+from .circuits import build_w_tilde, build_w_unary, kappa_for
 from .errors import LcusimError
 from .hamiltonian import HamiltonianLCU, build_ising, l1_norm, load_hamiltonian
 from .resources import count
 from .sampler import CostModel, estimate, mean_cost_per_shot, run_shots
+from .statevector import check_width
 
 
 class UsageError(Exception):
@@ -36,6 +37,18 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 for usage problems, not argparse's 2
         raise UsageError(message)
+
+
+def _int_in(lo: int, hi: float = math.inf):
+    """argparse type for an integer in [lo, hi)."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if not lo <= value < hi:
+            raise argparse.ArgumentTypeError(f"{value} is outside [{lo}, {hi})")
+        return value
+
+    return integer
 
 
 def _add_hamiltonian_args(p: _Parser) -> None:
@@ -48,8 +61,8 @@ def _add_hamiltonian_args(p: _Parser) -> None:
 
 def _add_circuit_args(p: _Parser) -> None:
     p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--kappa", type=int, help="Taylor register width (K = 2^kappa - 1)")
-    p.add_argument("--K", type=int, dest="K", help="truncation order")
+    p.add_argument("--kappa", type=_int_in(1), help="Taylor register width (K = 2^kappa - 1)")
+    p.add_argument("--K", type=_int_in(1), dest="K", help="truncation order")
     p.add_argument("--circuit", choices=["wtilde", "wunary"], default="wtilde")
     p.add_argument("--state", help="file of 2^n system amplitudes, two reals per line")
 
@@ -75,7 +88,7 @@ def build_parser() -> _Parser:
     _add_cost_args(p_sim)
     _add_output_args(p_sim)
     p_sim.add_argument("--shots", type=int, default=10_000)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_int_in(0, 2**64), default=0)
 
     p_an = sub.add_parser("analytic", help="closed-form oracle values")
     _add_hamiltonian_args(p_an)
@@ -88,15 +101,15 @@ def build_parser() -> _Parser:
     _add_circuit_args(p_sw)
     _add_cost_args(p_sw)
     _add_output_args(p_sw)
-    p_sw.add_argument("--kappa-max", type=int, default=3)
+    p_sw.add_argument("--kappa-max", type=_int_in(1), default=3)
     p_sw.add_argument("--shots", type=int, default=10_000)
-    p_sw.add_argument("--seed", type=int, default=0)
+    p_sw.add_argument("--seed", type=_int_in(0, 2**64), default=0)
 
     p_res = sub.add_parser("resources", help="gate and qubit counts")
     _add_hamiltonian_args(p_res)
     _add_circuit_args(p_res)
     _add_output_args(p_res)
-    p_res.add_argument("--K-max", type=int, default=7)
+    p_res.add_argument("--K-max", type=_int_in(1), default=7)
 
     p_bl = sub.add_parser("bliss", help="l1-norm optimization of a fermionic operator")
     p_bl.add_argument("--fermion-file", required=True, help="FCIDUMP-like text file")
@@ -116,34 +129,33 @@ def _resolve_hamiltonian(args) -> HamiltonianLCU:
     raise UsageError("a Hamiltonian source is required (--hamiltonian or --model ising)")
 
 
-def _resolve_kappa(args) -> int:
+def _resolve_order(args) -> tuple[int, int]:
+    """(K, kappa) from --K or --kappa: K defaults to 2^kappa - 1, kappa to 2."""
     if args.kappa is not None and args.K is not None:
         raise UsageError("give either --kappa or --K, not both")
-    if args.kappa is not None:
-        if args.kappa < 1:
-            raise UsageError("--kappa must be at least 1")
-        return args.kappa
     if args.K is not None:
-        if args.K < 1:
-            raise UsageError("--K must be at least 1")
-        return max(1, math.ceil(math.log2(args.K + 1)))
-    return 2
+        return args.K, kappa_for(args.K)
+    kappa = args.kappa if args.kappa is not None else 2
+    return (1 << kappa) - 1, kappa
+
+
+def _basis_state(n: int, index: int = 0) -> np.ndarray:
+    check_width(n)
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[index] = 1.0
+    return psi
 
 
 def _resolve_state(args, n: int) -> np.ndarray:
     if args.state:
         rows = np.loadtxt(args.state, ndmin=2)
-        psi = rows[:, 0] + 1j * rows[:, 1]
-    else:
-        psi = np.zeros(1 << n, dtype=complex)
-        psi[0] = 1.0
-    return psi
+        return rows[:, 0] + 1j * rows[:, 1]
+    return _basis_state(n)
 
 
 def _build_plan(args, H: HamiltonianLCU):
-    kappa = _resolve_kappa(args)
+    K, kappa = _resolve_order(args)
     if args.circuit == "wunary":
-        K = args.K if args.K is not None else (1 << kappa) - 1
         return build_w_unary(H, args.tau, K)
     return build_w_tilde(H, args.tau, kappa)
 
@@ -174,9 +186,9 @@ def cmd_simulate(args) -> list[dict]:
 
 def cmd_analytic(args) -> list[dict]:
     H = _resolve_hamiltonian(args)
-    kappa = _resolve_kappa(args)
-    K = args.K if args.K is not None else (1 << kappa) - 1
+    K, kappa = _resolve_order(args)
     psi = _resolve_state(args, H.n)
+    cost = CostModel(d=args.d, d_ctrl=args.d_ctrl, m=args.m)
     p_w = oracle.success_prob_wtilde(H, psi, args.tau, K)
     p_chain = oracle.chain_probabilities(H, psi, K)
     return [
@@ -187,9 +199,9 @@ def cmd_analytic(args) -> list[dict]:
             "l1_norm": l1_norm(H),
             "p_wtilde": p_w,
             "p_hk": oracle.success_prob_hk(H, psi, K),
-            "expected_runtime_hk": oracle.expected_runtime_midmeasure(p_chain, args.d),
-            "total_runtime_hk": oracle.total_runtime_success(p_chain, args.d),
-            "runtime_upper_bound": oracle.runtime_upper_bound(H, psi, args.tau, K, args.d_ctrl),
+            "expected_runtime_hk": oracle.expected_runtime_midmeasure(p_chain, cost.d),
+            "total_runtime_hk": oracle.total_runtime_success(p_chain, cost.d),
+            "runtime_upper_bound": oracle.runtime_upper_bound(H, psi, args.tau, K, cost.d_ctrl),
         }
     ]
 
@@ -214,7 +226,7 @@ def cmd_resources(args) -> list[dict]:
     H = _resolve_hamiltonian(args)
     rows = []
     for K in range(1, args.K_max + 1):
-        kappa = max(1, math.ceil(math.log2(K + 1)))
+        kappa = kappa_for(K)
         for family, plan in (
             ("wtilde", build_w_tilde(H, args.tau, kappa)),
             ("wunary", build_w_unary(H, args.tau, K)),
@@ -243,9 +255,7 @@ def cmd_bliss(args) -> list[dict]:
     def block_success(H):
         # <psi| Htilde^dag Htilde |psi> on the JW particle-number state
         # occupying the lowest ne orbitals
-        psi = np.zeros(1 << H.n, dtype=complex)
-        psi[(1 << ne) - 1] = 1.0
-        return oracle.success_prob_hk(H, psi, 1)
+        return oracle.success_prob_hk(H, _basis_state(H.n, (1 << ne) - 1), 1)
 
     return [
         {
@@ -294,15 +304,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        rows = _COMMANDS[args.command](args)
-        emit(rows, args.format, args.out)
+        args = build_parser().parse_args(argv)
+        emit(_COMMANDS[args.command](args), args.format, args.out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

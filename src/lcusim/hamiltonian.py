@@ -7,6 +7,10 @@ the weights can feed directly into a PREPARE amplitude vector.
 
 Qubit convention: letter ``j`` of a term acts on qubit ``j``, and qubit 0 is
 the least-significant bit of computational-basis indices.
+
+Only this module knows the Pauli format. Besides letters, a string has the
+bit-mask form ``P = i^{#Y} X^x Z^z`` (bit j of x / z set where letter j is X
+or Y / Z or Y), in which products and matvecs are XORs and popcount signs.
 """
 from __future__ import annotations
 
@@ -14,11 +18,12 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidHamiltonianError, InvalidModelError, ResourceLimitError
+from .errors import InvalidHamiltonianError, InvalidModelError, LayoutError, ResourceLimitError
 
 DENSE_QUBIT_CAP = 12
 
@@ -28,27 +33,6 @@ PAULI_MATRICES = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-# (phase, letter) for the product left * right of single-qubit Paulis.
-_PAULI_MUL = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),
-    ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
-    ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
-}
-
-
-def pauli_mul(left: str, right: str) -> tuple[complex, str]:
-    """Product of two Pauli strings: returns (phase, letters)."""
-    if len(left) != len(right):
-        raise ValueError("Pauli strings must have equal length")
-    phase = 1 + 0j
-    out = []
-    for a, b in zip(left, right):
-        p, c = _PAULI_MUL[(a, b)]
-        phase *= p
-        out.append(c)
-    return phase, "".join(out)
 
 
 @dataclass(frozen=True)
@@ -60,8 +44,8 @@ class PauliTerm:
     letters: str
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise InvalidHamiltonianError("term weight must be nonnegative")
+        if not (0 <= self.weight < math.inf and math.isfinite(self.phase)):
+            raise InvalidHamiltonianError(f"term {self.letters!r}: bad weight or phase")
         if any(c not in "IXYZ" for c in self.letters):
             raise InvalidHamiltonianError(f"bad Pauli letters {self.letters!r}")
 
@@ -100,6 +84,16 @@ class HamiltonianLCU:
     def l_width(self) -> int:
         """Qubits needed to index the terms (minimum 1)."""
         return max(1, math.ceil(math.log2(self.num_terms)))
+
+    @cached_property
+    def masks(self) -> tuple[tuple[int, int, complex], ...]:
+        """Per term ``(x, z, u)``: the term is ``weight * u * X^x Z^z``, u = exp(i phase) i^{#Y}."""
+        out = []
+        for t in self.terms:
+            x = sum(1 << j for j, c in enumerate(t.letters) if c in "XY")
+            z = sum(1 << j for j, c in enumerate(t.letters) if c in "ZY")
+            out.append((x, z, np.exp(1j * t.phase) * 1j ** t.letters.count("Y")))
+        return tuple(out)
 
 
 def l1_norm(H: HamiltonianLCU) -> float:
@@ -150,6 +144,32 @@ def build_ising(n_sites: int, J: float, h: float) -> HamiltonianLCU:
         letters = "".join("X" if j == i else "I" for j in range(n_sites))
         raw.append((h, letters))
     return canonicalize(n_sites, raw)
+
+
+def mask_sum_letters(coeffs: dict[tuple[int, int], complex], n: int) -> dict[str, complex]:
+    """Rewrite ``sum c X^x Z^z``, given as ``{(x, z): c}`` in order, as letter coefficients."""
+    out = {}
+    for (x, z), c in coeffs.items():
+        letters = "".join("IXZY"[(x >> j & 1) | (z >> j & 1) << 1] for j in range(n))
+        out[letters] = c * (-1j) ** ((x & z).bit_count() % 4)
+    return out
+
+
+def apply_pauli(v: np.ndarray, x: int, z: int, factor: complex) -> np.ndarray:
+    """``factor * X^x Z^z`` applied along the last axis of ``v``; bit j of an index is qubit j."""
+    src = np.arange(v.shape[-1]) ^ x
+    return v[..., src] * np.where(np.bitwise_count(src & z) & 1, -factor, factor)
+
+
+def pauli_sum_apply(H: HamiltonianLCU, v: np.ndarray) -> np.ndarray:
+    """``H v`` without a matrix; ``v`` holds 2^n amplitudes along its last axis."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape[-1:] != (1 << H.n,):
+        raise LayoutError(f"{H.n}-qubit Hamiltonian needs {1 << H.n} amplitudes")
+    out = np.zeros_like(v)
+    for t, (x, z, u) in zip(H.terms, H.masks):
+        out += apply_pauli(v, x, z, t.weight * u)
+    return out
 
 
 def pauli_string_matrix(letters: str) -> np.ndarray:

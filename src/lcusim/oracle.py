@@ -1,8 +1,9 @@
-"""Dense-matrix reference values: truncated propagator, success probabilities,
-expected runtimes and bounds.
+"""Closed-form references: success probabilities, expected runtimes and bounds.
 
-Everything here is double-precision linear algebra behind the dense qubit
-cap; these are correctness references, not performance paths.
+The success probabilities and the runtime bound are squared norms of
+H~^k psi or sum_k beta_k H~^k psi, H~ = (-i / l1) H, so they take Pauli-sum
+matvecs and no 2^n x 2^n matrix. The dense builders and the eigensolve stay
+behind the dense qubit cap as references.
 """
 from __future__ import annotations
 
@@ -11,9 +12,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .circuits import TaylorCoefficients
-from .errors import DomainError, NormalizationError
-from .hamiltonian import DENSE_QUBIT_CAP, HamiltonianLCU, l1_norm, to_matrix
+from .circuits import TaylorCoefficients, kappa_for
+from .errors import DomainError, LayoutError, NormalizationError
+from .hamiltonian import DENSE_QUBIT_CAP, HamiltonianLCU, l1_norm, pauli_sum_apply, to_matrix
 
 _NORM_TOL = 1e-10
 
@@ -39,20 +40,25 @@ def truncated_taylor_matrix(
     return out
 
 
-def _check_normalized(psi: np.ndarray) -> np.ndarray:
+def _check_normalized(psi: np.ndarray, n: int | None = None) -> np.ndarray:
+    """psi as a normalized flat vector; with ``n`` it must hold exactly 2^n amplitudes."""
+    if n is not None and np.shape(psi) != (1 << n,):
+        raise LayoutError(f"{n}-qubit state needs shape ({1 << n},), got {np.shape(psi)}")
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(psi) - 1.0) > _NORM_TOL:
         raise NormalizationError("state is not normalized")
     return psi
 
 
+def _apply_rescaled(H: HamiltonianLCU, v: np.ndarray) -> np.ndarray:
+    return (-1j / l1_norm(H)) * pauli_sum_apply(H, v)
+
+
 def success_prob_hk(H: HamiltonianLCU, psi: np.ndarray, k: int) -> float:
     """<psi| (Htilde^k)^dag Htilde^k |psi>."""
-    psi = _check_normalized(psi)
-    ht = rescaled_matrix(H)
-    v = psi
+    v = _check_normalized(psi, H.n)
     for _ in range(k):
-        v = ht @ v
+        v = _apply_rescaled(H, v)
     return float(np.vdot(v, v).real)
 
 
@@ -62,12 +68,10 @@ def chain_probabilities(H: HamiltonianLCU, psi: np.ndarray, k: int) -> list[floa
     p_i = <psi_{i-1}| Htilde^dag Htilde |psi_{i-1}> with psi_i the normalized
     post-block state. A dead branch yields zeros for the remaining steps.
     """
-    psi = _check_normalized(psi)
-    ht = rescaled_matrix(H)
+    v = _check_normalized(psi, H.n)
     probs = []
-    v = psi
     for _ in range(k):
-        v = ht @ v
+        v = _apply_rescaled(H, v)
         p = float(np.vdot(v, v).real)
         probs.append(p)
         if p < 1e-300:
@@ -78,13 +82,16 @@ def chain_probabilities(H: HamiltonianLCU, psi: np.ndarray, k: int) -> list[floa
 
 
 def success_prob_wtilde(H: HamiltonianLCU, psi: np.ndarray, tau: float, K: int) -> float:
-    """<psi| U^dag U |psi> / ||beta||_1^2 for the truncated propagator U."""
-    psi = _check_normalized(psi)
-    U = truncated_taylor_matrix(H, tau, K)
-    kappa = max(1, math.ceil(math.log2(K + 1)))
-    beta = TaylorCoefficients(tau, l1_norm(H), kappa).beta[: K + 1]
-    v = U @ psi
-    return float(np.vdot(v, v).real) / float(beta.sum()) ** 2
+    """<psi| U^dag U |psi> / ||beta||_1^2 for the truncated propagator U.
+
+    U psi in Horner form, K matvecs: v <- psi + (x / k) Htilde v for k = K..1, x = tau l1.
+    """
+    psi = _check_normalized(psi, H.n)
+    beta_norm = float(TaylorCoefficients(tau, l1_norm(H), kappa_for(K)).beta[: K + 1].sum())
+    v = psi
+    for k in range(K, 0, -1):
+        v = psi + (tau * l1_norm(H) / k) * _apply_rescaled(H, v)
+    return float(np.vdot(v, v).real) / beta_norm**2
 
 
 def expected_runtime_midmeasure(p_chain: Sequence[float], d: float) -> float:
@@ -123,13 +130,9 @@ def runtime_upper_bound(
 ) -> float:
     """First-order upper bound on the average successful-run cost of the
     shorter-width circuit: (K d / p) [1 - (tau l1 / ||beta||_1) (1 - p1)]."""
-    psi = _check_normalized(psi)
     p_w = success_prob_wtilde(H, psi, tau, K)
-    kappa = max(1, math.ceil(math.log2(K + 1)))
-    beta_norm = float(TaylorCoefficients(tau, l1_norm(H), kappa).beta[: K + 1].sum())
-    ht = rescaled_matrix(H)
-    v = ht @ psi
-    p1 = float(np.vdot(v, v).real)
+    p1 = success_prob_hk(H, psi, 1)
+    beta_norm = float(TaylorCoefficients(tau, l1_norm(H), kappa_for(K)).beta[: K + 1].sum())
     correction = (tau * l1_norm(H) / beta_norm) * (1.0 - p1)
     return (K * d_ctrl / p_w) * (1.0 - correction)
 

@@ -37,8 +37,8 @@ class CostModel:
     prep: float = 0.0  # one prepare / adjoint-prepare
 
     def __post_init__(self):
-        if min(self.d, self.d_ctrl, self.m, self.prep) < 0:
-            raise ValueError("costs must be nonnegative")
+        if not all(math.isfinite(c) and c >= 0 for c in (self.d, self.d_ctrl, self.m, self.prep)):
+            raise ValueError("costs must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

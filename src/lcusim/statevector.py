@@ -18,7 +18,7 @@ from .errors import (
     NormalizationError,
     ResourceLimitError,
 )
-from .hamiltonian import HamiltonianLCU
+from .hamiltonian import HamiltonianLCU, apply_pauli
 
 TOTAL_QUBIT_CAP = 24
 _NORM_TOL = 1e-10
@@ -102,12 +102,15 @@ class StateVector:
         return sys_part
 
 
+def check_width(qubits: int) -> None:
+    """Refuse a state wider than the simulation cap, before anything is allocated."""
+    if qubits > TOTAL_QUBIT_CAP:
+        raise ResourceLimitError(f"{qubits} qubits exceeds simulation cap {TOTAL_QUBIT_CAP}")
+
+
 def init_state(layout: RegisterLayout, psi: np.ndarray) -> StateVector:
     """All-zero ancillas with the system register carrying psi."""
-    if layout.total > TOTAL_QUBIT_CAP:
-        raise ResourceLimitError(
-            f"{layout.total} qubits exceeds simulation cap {TOTAL_QUBIT_CAP}"
-        )
+    check_width(layout.total)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     n = layout.n
     if psi.shape[0] != (1 << n):
@@ -161,20 +164,6 @@ def apply_prepare(
     return apply_register_unitary(state, register, U)
 
 
-def _pauli_masks(letters: str) -> tuple[int, int, complex]:
-    """(x_mask, z_mask, i^{#Y}) for a Pauli string; letter j maps to bit j."""
-    x = z = 0
-    phase = 1 + 0j
-    for j, c in enumerate(letters):
-        if c in "XY":
-            x |= 1 << j
-        if c in "ZY":
-            z |= 1 << j
-        if c == "Y":
-            phase *= 1j
-    return x, z, phase
-
-
 def apply_select(
     state: StateVector,
     H: HamiltonianLCU,
@@ -193,26 +182,15 @@ def apply_select(
         raise LayoutError("l-register too narrow for the Hamiltonian")
     if control is not None and control < n:
         raise LayoutError("control qubit must lie outside the system register")
-    dim_sys = 1 << n
-    view = state.amplitudes.reshape(-1, dim_sys)
+    view = state.amplitudes.reshape(-1, 1 << n)
     rows = np.arange(view.shape[0])
-    l_shift = reg.offset - n
-    l_mask = (1 << reg.width) - 1
-    row_l = (rows >> l_shift) & l_mask
+    row_l = (rows >> (reg.offset - n)) & ((1 << reg.width) - 1)
     if control is not None:
-        ctrl_on = ((rows >> (control - n)) & 1) == 1
-    cols = np.arange(dim_sys)
-    for li, term in enumerate(H.terms):
+        row_l[(rows >> (control - n)) & 1 == 0] = -1  # control off: identity
+    for li, (x, z, u) in enumerate(H.masks):
         sel = row_l == li
-        if control is not None:
-            sel &= ctrl_on
-        if not sel.any():
-            continue
-        xm, zm, yphase = _pauli_masks(term.letters)
-        src = cols ^ xm
-        signs = 1 - 2 * (np.bitwise_count(src & zm) & 1).astype(np.int64)
-        factor = (-1j) * np.exp(1j * term.phase) * yphase
-        view[sel] = view[np.ix_(np.flatnonzero(sel), src)] * (factor * signs)[np.newaxis, :]
+        if sel.any():
+            view[sel] = apply_pauli(view[sel], x, z, -1j * u)
     return state
 
 

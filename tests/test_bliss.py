@@ -19,7 +19,7 @@ from lcusim.bliss import (
     sector_spectrum,
     shift_operator,
 )
-from lcusim.errors import InvalidModelError, ResourceLimitError
+from lcusim.errors import InvalidModelError
 from lcusim.hamiltonian import l1_norm, pauli_string_matrix, to_matrix
 
 
@@ -80,9 +80,24 @@ class TestJordanWigner:
         F = _random_hermitian_operator(3, rng, two_body=True)
         assert np.abs(_jw_matrix(F) - fock_matrix(F)).max() < 1e-12
 
-    def test_orbital_cap(self):
-        with pytest.raises(ResourceLimitError):
-            jordan_wigner(FermionicOperator(13), cap=12)
+    def test_matches_fock_matrix_general_two_body(self):
+        # every index pattern of a_i^dag a_j a_k^dag a_l, complex coefficients
+        rng = np.random.default_rng(8)
+        n = 5
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        g = rng.normal(size=(n,) * 4) + 1j * rng.normal(size=(n,) * 4)
+        g *= rng.random((n,) * 4) < 0.2
+        F = FermionicOperator(n, constant=0.3, one_body=h + h.conj().T, two_body=g)
+        assert np.abs(_jw_matrix(F) - fock_matrix(F)).max() < 1e-12
+
+    def test_hubbard_chain_past_dense_cap(self):
+        # S sites, 2S orbitals: 2(S-1) hops give XZ..ZX and YZ..ZY strings (t/2 each);
+        # U n_up n_dn = U/4 (I - Z_up - Z_dn + Z_up Z_dn) per site.
+        S, t, U = 7, 1.5, 4.0
+        H = jordan_wigner(build_hubbard_chain(S, t, U))
+        assert H.n == 14
+        assert H.num_terms == 4 * (S - 1) + 3 * S + 1
+        assert l1_norm(H) == pytest.approx(2 * (S - 1) * t + S * U, rel=1e-14)
 
     def test_hubbard_reference_values(self):
         H = jordan_wigner(build_hubbard_chain(4, 1.0, 4.0))
@@ -223,6 +238,27 @@ class TestFileFormat:
             F, ne = load_fermionic(path)
         assert ne == 4
         assert l1_norm(jordan_wigner(F)) == pytest.approx(22.0)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "NORB=2\n1.0 1 1 0 0\n",  # no NELEC
+            "NELEC=1\n1.0 1 1 0 0\n",  # no NORB
+            "NORB=2 NELEC=1\n1.0 3 1 0 0\n",  # index above NORB
+            "NORB=2 NELEC=1\n1.0 1 1 2 -1\n",  # negative index
+            "NORB=2 NELEC=1\n1.0 0 1 0 0\n",  # index 0 in a one-body line
+            "NORB=2 NELEC=1\n1.0 1 1 0\n",  # four fields
+            "NORB=2 NELEC=1\nnan 1 1 0 0\n",  # non-finite value
+            "NORB=0 NELEC=0\n",
+            "NORB=25 NELEC=1\n",  # over the qubit cap, rejected before the N^4 array
+            "",
+        ],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidModelError):
+            load_fermionic(path)
 
     def test_constant_line(self, tmp_path):
         path = tmp_path / "c.txt"

@@ -52,6 +52,8 @@ class TestTaylorCoefficients:
             TaylorCoefficients(0.1, 1.0, 0)
         with pytest.raises(InvalidModelError):
             TaylorCoefficients(-0.1, 1.0, 2)
+        with pytest.raises(InvalidModelError):
+            TaylorCoefficients(math.nan, 1.0, 2)
 
     @given(st.floats(0.01, 2.0), st.integers(1, 4))
     def test_beta_norm_below_exponential(self, x, kappa):

@@ -157,6 +157,47 @@ class TestOutput:
         assert json.loads(out.read_text())[0]["kappa"] == 1
 
 
+class TestMatrixFreeAnalytic:
+    def test_beyond_dense_cap_matches_sparse_reference(self, capsys, tmp_path):
+        import scipy.sparse as sp
+
+        n, tau, K = 14, 0.05, 3
+        rng = np.random.default_rng(14)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        path = tmp_path / "psi.txt"
+        np.savetxt(path, np.column_stack([psi.real, psi.imag]), fmt="%.17g")
+        code, out, _ = _run(
+            capsys, "analytic", "--model", "ising", "--n", str(n), "--tau", str(tau),
+            "--K", str(K), "--state", str(path),
+        )
+        assert code == 0
+        (row,) = _csv_rows(out)
+
+        # Reference from Kronecker products of 2x2 matrices, qubit 0 rightmost;
+        # it shares no code with the bit-mask kernel.
+        paulis = {"I": sp.identity(2), "X": sp.csr_matrix([[0, 1], [1, 0]]),
+                  "Z": sp.csr_matrix([[1, 0], [0, -1]])}
+        H = build_ising(n, 1.0, 0.5)
+        mat = sp.csr_matrix((1 << n, 1 << n), dtype=complex)
+        for t in H.terms:
+            term = sp.identity(1)
+            for c in t.letters:
+                term = sp.kron(paulis[c], term, format="csr")
+            mat = mat + t.coefficient * term
+        l1 = 0.5 * n + (n - 1)
+        ht = (-1j / l1) * mat
+        powers = [psi]
+        for _ in range(K):
+            powers.append(ht @ powers[-1])
+        beta = [(tau * l1) ** k / math.factorial(k) for k in range(K + 1)]
+        u_psi = sum(b * v for b, v in zip(beta, powers))
+        p_hk = np.vdot(powers[-1], powers[-1]).real
+        p_wtilde = np.vdot(u_psi, u_psi).real / sum(beta) ** 2
+        assert float(row["p_hk"]) == pytest.approx(p_hk, rel=1e-10)
+        assert float(row["p_wtilde"]) == pytest.approx(p_wtilde, rel=1e-12)
+
+
 class TestErrors:
     def test_missing_hamiltonian(self, capsys):
         code, _, err = _run(capsys, "analytic", "--kappa", "1")
@@ -187,3 +228,32 @@ class TestErrors:
         code, _, err = _run(capsys, "analytic", "--hamiltonian", str(bad), "--kappa", "1")
         assert code == 2
         assert err
+
+    @pytest.mark.parametrize("flag", ["--tau", "--J", "--h", "--d"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_input_exit_2(self, capsys, flag, value):
+        code, out, err = _run(capsys, "analytic", "--model", "ising", "--K", "3", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resources", "--model", "ising", "--K-max", "0"],
+            ["sweep", "--model", "ising", "--kappa-max", "0"],
+            ["simulate", "--model", "ising", "--seed", "-1"],
+            ["sweep", "--model", "ising", "--seed", str(2**64)],
+        ],
+    )
+    def test_out_of_range_counts_are_usage_errors(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ")
+
+    def test_width_checked_before_allocating_a_state(self, capsys):
+        code, out, err = _run(capsys, "analytic", "--model", "ising", "--n", "25", "--K", "1")
+        assert code == 2
+        assert out == ""
+        assert "25 qubits exceeds simulation cap 24" in err

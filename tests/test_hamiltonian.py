@@ -1,18 +1,26 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from lcusim.errors import InvalidHamiltonianError, InvalidModelError, ResourceLimitError
+from lcusim.errors import (
+    InvalidHamiltonianError,
+    InvalidModelError,
+    LayoutError,
+    ResourceLimitError,
+)
 from lcusim.hamiltonian import (
+    PAULI_MATRICES,
     HamiltonianLCU,
     PauliTerm,
     build_ising,
     canonicalize,
     l1_norm,
     load_hamiltonian,
-    pauli_mul,
+    mask_sum_letters,
+    pauli_sum_apply,
     prepare_amplitudes,
     save_hamiltonian,
     to_matrix,
@@ -143,14 +151,41 @@ class TestToMatrix:
 
 
 class TestPauliMul:
-    @pytest.mark.parametrize("a,b", [("X", "Y"), ("Y", "Z"), ("Z", "X"), ("Y", "Y")])
+    @pytest.mark.parametrize("a,b", list(itertools.product("IXYZ", repeat=2)))
     def test_matches_matrix_product(self, a, b):
-        phase, letters = pauli_mul(a, b)
-        from lcusim.hamiltonian import PAULI_MATRICES
-
+        # a b = i^{#Y_a + #Y_b} X^x1 Z^z1 X^x2 Z^z2 = i^{..} (-1)^{|z1 & x2|} X^{x1^x2} Z^{z1^z2}
+        ((x1, z1, y1),) = HamiltonianLCU(1, (PauliTerm(1.0, 0.0, a),)).masks
+        ((x2, z2, y2),) = HamiltonianLCU(1, (PauliTerm(1.0, 0.0, b),)).masks
+        coeff = y1 * y2 * (-1) ** (z1 & x2).bit_count()
+        ((letters, phase),) = mask_sum_letters({(x1 ^ x2, z1 ^ z2): coeff}, 1).items()
         assert np.allclose(
-            phase * PAULI_MATRICES[letters], PAULI_MATRICES[a] @ PAULI_MATRICES[b]
+            phase * PAULI_MATRICES[letters], PAULI_MATRICES[a] @ PAULI_MATRICES[b], atol=0
         )
+
+
+def _random_terms(n):
+    letters = st.text("IXYZ", min_size=n, max_size=n)
+    coeff = st.tuples(st.floats(0.01, 2.0), st.floats(-math.pi, math.pi))
+    return st.dictionaries(letters, coeff, min_size=1, max_size=12)
+
+
+class TestPauliSumApply:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), _random_terms(n))),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_matrix(self, n_terms, seed):
+        n, terms = n_terms
+        H = HamiltonianLCU(n, tuple(PauliTerm(w, ph, s) for s, (w, ph) in terms.items()))
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        err = np.abs(pauli_sum_apply(H, v) - to_matrix(H) @ v).max()
+        assert err < 1e-12 * l1_norm(H) * np.abs(v).sum()
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(LayoutError):
+            pauli_sum_apply(build_ising(3, 1.0, 0.5), np.ones(4))
 
 
 class TestFileFormat:
@@ -177,6 +212,11 @@ class TestInvariants:
     def test_weight_nonnegative_enforced(self):
         with pytest.raises(InvalidHamiltonianError):
             PauliTerm(-1.0, 0.0, "X")
+
+    @pytest.mark.parametrize("weight,phase", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan)])
+    def test_non_finite_rejected(self, weight, phase):
+        with pytest.raises(InvalidHamiltonianError):
+            PauliTerm(weight, phase, "X")
 
     def test_duplicate_terms_rejected(self):
         with pytest.raises(InvalidHamiltonianError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from lcusim.errors import DomainError, NormalizationError
+from lcusim.errors import DomainError, LayoutError, NormalizationError
 from lcusim.hamiltonian import build_ising, canonicalize, l1_norm, to_matrix
 from lcusim.oracle import (
     chain_probabilities,
@@ -109,6 +109,19 @@ class TestSuccessProbabilities:
     def test_unnormalized_state_rejected(self, ising4):
         with pytest.raises(NormalizationError):
             success_prob_hk(ising4, np.ones(16), 1)
+
+    @pytest.mark.parametrize("shape", [(8,), (32,), (16, 1)])
+    def test_wrong_length_state_rejected(self, ising4, shape):
+        psi = np.zeros(shape, dtype=complex)
+        psi.flat[0] = 1.0
+        for call in (
+            lambda: success_prob_hk(ising4, psi, 2),
+            lambda: chain_probabilities(ising4, psi, 2),
+            lambda: success_prob_wtilde(ising4, psi, 0.05, 3),
+            lambda: runtime_upper_bound(ising4, psi, 0.05, 3, 1.0),
+        ):
+            with pytest.raises(LayoutError):
+                call()
 
 
 class TestRuntimes:

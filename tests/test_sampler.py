@@ -199,3 +199,5 @@ class TestStatsHelpers:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             CostModel(d=-1.0)
+        with pytest.raises(ValueError):
+            CostModel(m=math.nan)
