@@ -87,7 +87,7 @@ def build_parser() -> _Parser:
     _add_circuit_args(p_sim)
     _add_cost_args(p_sim)
     _add_output_args(p_sim)
-    p_sim.add_argument("--shots", type=int, default=10_000)
+    p_sim.add_argument("--shots", type=_int_in(1), default=10_000)
     p_sim.add_argument("--seed", type=_int_in(0, 2**64), default=0)
 
     p_an = sub.add_parser("analytic", help="closed-form oracle values")
@@ -102,7 +102,7 @@ def build_parser() -> _Parser:
     _add_cost_args(p_sw)
     _add_output_args(p_sw)
     p_sw.add_argument("--kappa-max", type=_int_in(1), default=3)
-    p_sw.add_argument("--shots", type=int, default=10_000)
+    p_sw.add_argument("--shots", type=_int_in(1), default=10_000)
     p_sw.add_argument("--seed", type=_int_in(0, 2**64), default=0)
 
     p_res = sub.add_parser("resources", help="gate and qubit counts")

@@ -5,9 +5,11 @@ consecutive zero outcomes does not depend on the shot, so the conditional
 zero-probability of every measurement can be traced once. Each shot then
 reduces to a sequence of Bernoulli draws against those cached
 probabilities, which is statistically identical to re-simulating the state
-per shot. Per-shot randomness comes from a counter-based Philox stream
-keyed by (seed, shot index), so shots are order-independent and stats from
-disjoint shot ranges merge additively.
+per shot. Shot i's draws are the first doubles of ``shot_rng(seed, i)``,
+numpy's Philox-4x64-10 keyed by (seed, i), so shots are order-independent
+and stats from disjoint shot ranges merge additively. Philox is
+counter-based (Salmon et al., SC'11): ``run_shots`` computes that stream for
+a block of shot indices at once in uint64 numpy arithmetic.
 """
 from __future__ import annotations
 
@@ -143,6 +145,38 @@ def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_CHUNK = 4096  # shots per block: bounds the draws array to 32 kB per measurement
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit halves of a * b, from 32-bit partial products."""
+    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    b_lo, b_hi = b & 0xFFFFFFFF, b >> 32
+    lh = a_lo * b_hi
+    mid = a_hi * b_lo + ((a_lo * b_lo) >> 32) + (lh & 0xFFFFFFFF)  # at most 2^64 - 1
+    return a_hi * b_hi + (lh >> 32) + (mid >> 32), np.uint64(a) * b
+
+
+def _shot_uniforms(seed: int, first: int, count: int, M: int) -> np.ndarray:
+    """Row j is ``shot_rng(seed, first + j).random(M)``: Philox block c = 1, 2, ...
+    is counter (c, 0, 0, 0) under key (seed, i), four uint64 per block, and
+    a double is ``(x >> 11) * 2^-53``."""
+    nb = -(-M // 4)
+    k0 = np.full(1, seed, dtype=np.uint64)
+    k1 = (np.uint64(first) + np.arange(count, dtype=np.uint64))[:, None]
+    c0, c1 = np.arange(1, nb + 1, dtype=np.uint64), np.zeros(1, dtype=np.uint64)
+    c2 = c3 = c1
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+    x = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1).reshape(count, 4 * nb)
+    return (x[:, :M] >> 11) * 2.0**-53
+
+
 def run_shots(
     plan: CircuitPlan,
     psi: np.ndarray,
@@ -159,9 +193,14 @@ def run_shots(
     the first nonzero outcome and pays only for the instructions executed up
     to and including the failing measurement. ``shot_offset`` selects the
     range of shot indices so disjoint ranges merge into the same totals.
+    Costs and fidelities are summed shot by shot, in index order.
     """
-    if N < 1:
-        raise ValueError("need at least one shot")
+    ints = all(isinstance(v, int) for v in (N, seed, shot_offset))
+    if not (ints and N >= 1 and 0 <= seed < 2**64 and 0 <= shot_offset <= 2**64 - N):
+        raise ValueError(
+            "need integers N >= 1, 0 <= seed < 2^64 and 0 <= shot_offset <= 2^64 - N; "
+            f"got N={N!r}, seed={seed!r}, shot_offset={shot_offset!r}"
+        )
     trace = trace_plan(plan, psi, cost)
     q = np.array(trace.cond_probs)
     M = q.shape[0]
@@ -170,23 +209,26 @@ def run_shots(
         ref = np.asarray(reference, dtype=complex).reshape(-1)
         fid = float(abs(np.vdot(ref, trace.final_system_state)) ** 2)
 
-    stats = RunStats()
-    hist: dict[int, int] = {}
-    for i in range(shot_offset, shot_offset + N):
-        rng = shot_rng(seed, i)
-        us = rng.random(M)
-        fails = np.flatnonzero(us >= q)
-        if fails.size == 0:
-            stats.successes += 1
-            stats.total_cost += trace.success_cost
-            stats.fidelity_sum += fid
-        else:
-            step = int(fails[0]) + 1
-            hist[step] = hist.get(step, 0) + 1
-            stats.total_cost += trace.abort_costs[step - 1]
-    stats.shots = N
-    stats.abort_histogram = dict(sorted(hist.items()))
-    return stats
+    # Outcome j < M: abort at measurement j + 1; outcome M: success.
+    outcome_cost = np.array(trace.abort_costs + (trace.success_cost,))
+    tally = np.zeros(M + 1, dtype=np.int64)
+    total_cost = fidelity_sum = 0.0
+    for first in range(shot_offset, shot_offset + N, _CHUNK):
+        count = min(_CHUNK, shot_offset + N - first)
+        fail = np.ones((count, M + 1), dtype=bool)
+        fail[:, :M] = _shot_uniforms(seed, first, count, M) >= q
+        outcome = fail.argmax(1)
+        counts = np.bincount(outcome, minlength=M + 1)
+        tally += counts
+        total_cost = np.add.accumulate(np.r_[total_cost, outcome_cost[outcome]])[-1]
+        fidelity_sum = np.add.accumulate(np.r_[fidelity_sum, np.full(counts[M], fid)])[-1]
+    return RunStats(
+        shots=N,
+        successes=int(tally[M]),
+        abort_histogram={j + 1: int(c) for j, c in enumerate(tally[:M]) if c},
+        total_cost=float(total_cost),
+        fidelity_sum=float(fidelity_sum),
+    )
 
 
 def estimate(stats: RunStats) -> tuple[float, float]:

@@ -97,6 +97,22 @@ class TestSweep:
         for r in rows:
             assert abs(float(r["p_hat"]) - float(r["p_analytic"])) < 3 * float(r["stderr"])
 
+    def test_shot_stream_is_pinned(self, capsys):
+        # Rows printed by the per-shot shot_rng loop before the block sampler
+        # replaced it; a change to the (seed, shot index) stream shows here.
+        code, out, _ = _run(
+            capsys,
+            "sweep", "--model", "ising", "--n", "4", "--tau", "0.05",
+            "--kappa-max", "3", "--shots", "20000", "--seed", "7",
+        )
+        assert code == 0
+        rows = {r["kappa"]: (r["successes"], r["abort_histogram"]) for r in _csv_rows(out)}
+        assert rows == {
+            "1": ("13053", "1:2455;2:4492"),
+            "2": ("12139", "1:2413;2:303;3:103;4:5042"),
+            "3": ("12120", "1:2413;2:303;3:103;4:3;5:1;8:5057"),
+        }
+
 
 class TestResources:
     def test_table(self, capsys):
@@ -244,6 +260,8 @@ class TestErrors:
             ["sweep", "--model", "ising", "--kappa-max", "0"],
             ["simulate", "--model", "ising", "--seed", "-1"],
             ["sweep", "--model", "ising", "--seed", str(2**64)],
+            ["simulate", "--model", "ising", "--shots", "0"],
+            ["sweep", "--model", "ising", "--shots", "-5"],
         ],
     )
     def test_out_of_range_counts_are_usage_errors(self, capsys, argv):

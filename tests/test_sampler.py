@@ -21,9 +21,39 @@ from lcusim.sampler import (
     mean_cost_per_shot,
     run_shots,
     shot_rng,
+    _shot_uniforms,
     trace_plan,
 )
 from conftest import random_hamiltonian, random_state
+
+
+def per_shot_run_shots(plan, psi, N, seed, cost=CostModel(), *, shot_offset=0, reference=None):
+    """The per-shot loop that the block sampler replaced: one shot_rng per shot."""
+    trace = trace_plan(plan, psi, cost)
+    q = np.array(trace.cond_probs)
+    fid = 0.0
+    if reference is not None and trace.final_system_state is not None:
+        fid = float(abs(np.vdot(reference, trace.final_system_state)) ** 2)
+    stats = RunStats(shots=N)
+    hist = {}
+    for i in range(shot_offset, shot_offset + N):
+        fails = np.flatnonzero(shot_rng(seed, i).random(q.shape[0]) >= q)
+        if fails.size == 0:
+            stats.successes += 1
+            stats.total_cost += trace.success_cost
+            stats.fidelity_sum += fid
+        else:
+            step = int(fails[0]) + 1
+            hist[step] = hist.get(step, 0) + 1
+            stats.total_cost += trace.abort_costs[step - 1]
+    stats.abort_histogram = dict(sorted(hist.items()))
+    return stats
+
+
+def assert_bitwise_equal(new, old):
+    assert new == old
+    assert new.total_cost.hex() == old.total_cost.hex()
+    assert new.fidelity_sum.hex() == old.fidelity_sum.hex()
 
 
 class TestTracePlan:
@@ -138,6 +168,11 @@ class TestRunShots:
         first = run_shots(plan, psi0_4, 600, seed=5)
         second = run_shots(plan, psi0_4, 400, seed=5, shot_offset=600)
         assert first.merge(second) == whole
+        # splits at 5000 and 9000 fall inside the second and third 4096-shot blocks
+        whole = run_shots(plan, psi0_4, 10_000, seed=5)
+        parts = [run_shots(plan, psi0_4, n, seed=5, shot_offset=o)
+                 for o, n in ((0, 5000), (5000, 4000), (9000, 1000))]
+        assert parts[0].merge(parts[1]).merge(parts[2]) == whole
 
     def test_abort_histogram_totals(self, ising4, psi0_4):
         plan = build_w_tilde(ising4, 0.05, 2)
@@ -181,6 +216,74 @@ class TestRunShots:
         plan = build_w_tilde(ising4, 0.05, 1)
         with pytest.raises(ValueError):
             run_shots(plan, psi0_4, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"seed": -1},
+            {"seed": 2**64},
+            {"seed": 1.5},
+            {"shot_offset": -1},
+            {"shot_offset": 2**64 - 1},
+            {"shot_offset": 0.0},
+            {"N": 3.0},
+            {"N": -2},
+        ],
+    )
+    def test_bad_arguments_rejected(self, ising4, psi0_4, kwargs):
+        plan = build_w_tilde(ising4, 0.05, 1)
+        with pytest.raises(ValueError):
+            run_shots(plan, psi0_4, **{"N": 3, "seed": 0, **kwargs})
+
+    def test_last_shot_index(self, ising4, psi0_4):
+        plan = build_w_tilde(ising4, 0.05, 2)
+        last = 2**64 - 1
+        stats = run_shots(plan, psi0_4, 1, seed=last, shot_offset=last)
+        assert stats == per_shot_run_shots(plan, psi0_4, 1, seed=last, shot_offset=last)
+
+
+class TestBlockSampler:
+    """The block Philox stream and shot loop against the per-shot reference."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("first", [0, 1, 4095, 4096, 2**63, 2**64 - 1])
+    def test_stream_matches_shot_rng(self, seed, first):
+        count = min(3, 2**64 - first)
+        for M in range(1, 10):
+            u = _shot_uniforms(seed, first, count, M)
+            assert u.shape == (count, M)
+            for j in range(count):
+                assert np.array_equal(u[j], shot_rng(seed, first + j).random(M))
+
+    @pytest.mark.parametrize("kappa", [1, 2, 3])
+    def test_run_shots_matches_per_shot_loop(self, ising4, kappa):
+        rng = np.random.default_rng(kappa)
+        psi = random_state(4, rng)
+        ref = truncated_taylor_matrix(ising4, 0.06, 7) @ psi
+        ref /= np.linalg.norm(ref)
+        plan = build_w_tilde(ising4, 0.05, kappa)
+        cost = CostModel(d=0.3, d_ctrl=0.7, m=0.1, prep=0.05)
+        args = (plan, psi, 2 * 4096 + 123, 2**40 + kappa, cost)
+        kwargs = {"shot_offset": 777, "reference": ref}
+        new = run_shots(*args, **kwargs)
+        assert new.abort_histogram and 0 < new.mean_fidelity < 1
+        assert_bitwise_equal(new, per_shot_run_shots(*args, **kwargs))
+
+    def test_dead_branch_matches_per_shot_loop(self):
+        # H = (I - Z)/2 annihilates |0>: every q is 0.0, every shot aborts at step 1
+        H = canonicalize(1, [(0.5, "I"), (-0.5, "Z")])
+        psi = np.array([1.0, 0.0], dtype=complex)
+        args = (build_w_hk(H, 2), psi, 4096 + 5, 3, CostModel(d=0.3, m=0.1))
+        new = run_shots(*args, shot_offset=11, reference=psi)
+        assert new.abort_histogram == {1: 4096 + 5}
+        assert_bitwise_equal(new, per_shot_run_shots(*args, shot_offset=11, reference=psi))
+
+    def test_tau_zero_matches_per_shot_loop(self, ising4, psi0_4):
+        # at tau = 0 every q is 1.0, every shot succeeds
+        args = (build_w_tilde(ising4, 0.0, 2), psi0_4, 4096 + 5, 3, CostModel(d=0.3, m=0.1))
+        new = run_shots(*args, shot_offset=11, reference=psi0_4)
+        assert new.successes == 4096 + 5
+        assert_bitwise_equal(new, per_shot_run_shots(*args, shot_offset=11, reference=psi0_4))
 
 
 class TestStatsHelpers:
