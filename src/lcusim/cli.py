@@ -154,9 +154,12 @@ def _resolve_state(args, n: int) -> np.ndarray:
 
 
 def _build_plan(args, H: HamiltonianLCU):
+    """The plan, after checking its traced width (n + K or n + kappa) against the cap."""
     K, kappa = _resolve_order(args)
     if args.circuit == "wunary":
+        check_width(H.n + K)
         return build_w_unary(H, args.tau, K)
+    check_width(H.n + kappa)
     return build_w_tilde(H, args.tau, kappa)
 
 
@@ -210,6 +213,7 @@ def cmd_sweep(args) -> list[dict]:
     H = _resolve_hamiltonian(args)
     psi = _resolve_state(args, H.n)
     cost = CostModel(d=args.d, d_ctrl=args.d_ctrl, m=args.m)
+    check_width(H.n + args.kappa_max)
     rows = []
     for kappa in range(1, args.kappa_max + 1):
         K = (1 << kappa) - 1

@@ -2,14 +2,17 @@
 
 A plan's success path is deterministic: the quantum state after j
 consecutive zero outcomes does not depend on the shot, so the conditional
-zero-probability of every measurement can be traced once. Each shot then
-reduces to a sequence of Bernoulli draws against those cached
-probabilities, which is statistically identical to re-simulating the state
-per shot. Shot i's draws are the first doubles of ``shot_rng(seed, i)``,
-numpy's Philox-4x64-10 keyed by (seed, i), so shots are order-independent
-and stats from disjoint shot ranges merge additively. Philox is
-counter-based (Salmon et al., SC'11): ``run_shots`` computes that stream for
-a block of shot indices at once in uint64 numpy arithmetic.
+zero-probability of every measurement can be traced once. On that path a
+Prepare-Select-Prepare^dag block whose l-register is measured |0> acts as
+(singly controlled) H~ = (-i / l1) H (Berry et al., PRL 114, 090502, 2015),
+so the trace carries only the system and Taylor registers: n + kappa qubits
+for W-tilde, n + K for the unary circuit. Each shot then reduces to a
+sequence of Bernoulli draws against those cached probabilities, which is
+statistically identical to re-simulating the state per shot. Shot i's draws
+are the first doubles of ``shot_rng(seed, i)``, numpy's Philox-4x64-10 keyed
+by (seed, i), so shots are order-independent. Philox is counter-based
+(Salmon et al., SC'11): ``run_shots`` computes that stream for a block of
+shot indices at once in uint64 numpy arithmetic.
 """
 from __future__ import annotations
 
@@ -26,7 +29,9 @@ from .circuits import (
     Prepare,
     Select,
 )
-from .statevector import StateVector, apply_prepare, apply_select, init_state, project_zero
+from .errors import LayoutError
+from .statevector import Register, RegisterLayout, apply_lcu_block, apply_prepare, init_state
+from .statevector import apply_select, project_zero  # noqa: F401 (bench resolves apply_select here)
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,9 @@ class RunStats:
     fidelity_sum: float = 0.0
 
     def merge(self, other: "RunStats") -> "RunStats":
+        """Stats of two disjoint shot ranges. Shots, successes and the histogram add
+        exactly; cost and fidelity sums match one run over both ranges up to
+        rounding, and exactly only when every cost is integer-valued."""
         hist = dict(self.abort_histogram)
         for step, count in other.abort_histogram.items():
             hist[step] = hist.get(step, 0) + count
@@ -88,6 +96,9 @@ class RunStats:
         return self.fidelity_sum / self.successes if self.successes else 0.0
 
 
+_CYCLE = (Prepare, Select, AdjointPrepare, (MeasureExpectZero, FinalMeasure))
+
+
 def _instruction_cost(ins, cost: CostModel) -> float:
     if isinstance(ins, Select):
         return cost.d_ctrl if ins.control is not None else cost.d
@@ -98,36 +109,64 @@ def _instruction_cost(ins, cost: CostModel) -> float:
     raise TypeError(f"unknown instruction {ins!r}")
 
 
-def apply_unitary_instruction(state: StateVector, ins, plan: CircuitPlan) -> StateVector:
-    if isinstance(ins, Prepare):
-        return apply_prepare(state, ins.register, ins.amps)
-    if isinstance(ins, AdjointPrepare):
-        return apply_prepare(state, ins.register, ins.amps, adjoint=True)
-    if isinstance(ins, Select):
-        return apply_select(state, plan.hamiltonian, ins.l_register, ins.control)
-    raise TypeError(f"not a unitary instruction: {ins!r}")
-
-
 def trace_plan(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()) -> PlanTrace:
-    """Execute the success path once, recording conditional probabilities and costs."""
-    state = init_state(plan.layout, psi)
+    """Execute the success path once, recording conditional probabilities and costs.
+
+    Each l-register (one a Select indexes) must run cycles of Prepare(a), Select,
+    AdjointPrepare(a) and a measurement, measured in Select order with no other
+    measurement in between; else ``LayoutError``. Such a cycle is then exactly
+    ``apply_lcu_block`` at the Select, so the state omits the l-registers.
+    """
+    l_regs = {ins.l_register for ins in plan.instructions if isinstance(ins, Select)}
+    kept = [r for r in plan.layout.registers if r.name not in l_regs]
+    at = np.cumsum([0] + [r.width for r in kept]).tolist()  # offsets in the collapsed layout
+    layout = RegisterLayout(tuple(Register(r.name, r.width, o) for r, o in zip(kept, at)))
+    state = init_state(layout, psi)
+    moved = {None: None}  # control qubit -> collapsed index, for non-system registers
+    moved.update({r.offset + j: o + j for r, o in zip(kept[1:], at[1:]) for j in range(r.width)})
+    step = dict.fromkeys(l_regs, 0)  # index into _CYCLE of each l-register's next instruction
+    prepared: dict[str, np.ndarray] = {}
+    pending: list[tuple[str, float]] = []  # Select probabilities awaiting their measurement
     cond: list[float] = []
     abort_costs: list[float] = []
     running_cost = 0.0
     dead = False
-    for ins in plan.instructions:
+    for i, ins in enumerate(plan.instructions):
         running_cost += _instruction_cost(ins, cost)
-        if isinstance(ins, (MeasureExpectZero, FinalMeasure)):
+        name = ins.l_register if isinstance(ins, Select) else ins.register
+        measure = isinstance(ins, (MeasureExpectZero, FinalMeasure))
+        if measure:
             abort_costs.append(running_cost)
-            if dead:
-                cond.append(0.0)
-                continue
-            p0 = project_zero(state, ins.register)
-            cond.append(p0)
-            if p0 == 0.0:
-                dead = True
+        if name in l_regs:
+            if not isinstance(ins, _CYCLE[step[name]]):
+                raise LayoutError(f"instruction {i}: out of the l-register cycle of {name}")
+            step[name] = (step[name] + 1) % len(_CYCLE)
+            if isinstance(ins, Prepare):
+                if len(ins.amps) != 1 << plan.layout.register(name).width:
+                    raise LayoutError(f"instruction {i}: amplitudes do not fit register {name}")
+                prepared[name] = ins.amps
+            elif isinstance(ins, AdjointPrepare) and not np.array_equal(ins.amps, prepared[name]):
+                raise LayoutError(f"instruction {i}: amplitudes differ from the prepare of {name}")
+            elif isinstance(ins, Select):
+                if ins.control not in moved:
+                    raise LayoutError(f"instruction {i}: control in system or an l-register")
+                H, control = plan.hamiltonian, moved[ins.control]
+                p = 0.0 if dead else apply_lcu_block(state, H, prepared[name], control)
+                dead = p == 0.0
+                pending.append((name, p))
+            elif measure:
+                if pending[0][0] != name:
+                    raise LayoutError(f"instruction {i}: {name} is measured out of Select order")
+                cond.append(pending.pop(0)[1])
+        elif measure:
+            if pending:
+                raise LayoutError(f"instruction {i}: {name} measured before an l-register")
+            cond.append(0.0 if dead else project_zero(state, name))
+            dead = cond[-1] == 0.0
         elif not dead:
-            apply_unitary_instruction(state, ins, plan)
+            apply_prepare(state, name, ins.amps, adjoint=isinstance(ins, AdjointPrepare))
+    if any(step.values()):
+        raise LayoutError("plan ends inside an l-register cycle")
     success_prob = float(np.prod(cond)) if cond else 1.0
     final = None if dead else state.system_state()
     return PlanTrace(
@@ -192,7 +231,7 @@ def run_shots(
     One uniform draw is consumed per executed measurement; a shot aborts at
     the first nonzero outcome and pays only for the instructions executed up
     to and including the failing measurement. ``shot_offset`` selects the
-    range of shot indices so disjoint ranges merge into the same totals.
+    range of shot indices, so disjoint ranges merge (``RunStats.merge``).
     Costs and fidelities are summed shot by shot, in index order.
     """
     ints = all(isinstance(v, int) for v in (N, seed, shot_offset))

@@ -122,25 +122,24 @@ def init_state(layout: RegisterLayout, psi: np.ndarray) -> StateVector:
     return StateVector(layout, amps)
 
 
-def completion_unitary(amps: np.ndarray) -> np.ndarray:
-    """Deterministic unitary whose first column is ``amps``.
-
-    Householder construction: with v = a + e^{i theta} e0 (theta = arg a0),
-    H = I - 2 v v^dag / |v|^2 maps a to -e^{i theta} e0, so H * diag(-e^{i
-    theta}, 1, ..) sends e0 to a.
-    """
+def _householder(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v, d) with completion unitary (I - 2 v v^dag) diag(d): for theta = arg a0,
+    v ~ a + e^{i theta} e0 reflects a to -e^{i theta} e0 and d = (-e^{i theta}, 1, ..)."""
     a = np.asarray(amps, dtype=complex).reshape(-1)
-    dim = a.shape[0]
     if abs(np.linalg.norm(a) - 1.0) > _NORM_TOL:
         raise NormalizationError("prepare amplitudes are not normalized")
     theta = math.atan2(a[0].imag, a[0].real)
     v = a.copy()
     v[0] += np.exp(1j * theta)
-    v /= np.linalg.norm(v)
-    house = np.eye(dim, dtype=complex) - 2.0 * np.outer(v, v.conj())
-    diag = np.ones(dim, dtype=complex)
-    diag[0] = -np.exp(1j * theta)
-    return house * diag[np.newaxis, :]
+    d = np.ones(a.shape[0], dtype=complex)
+    d[0] = -np.exp(1j * theta)
+    return v / np.linalg.norm(v), d
+
+
+def completion_unitary(amps: np.ndarray) -> np.ndarray:
+    """Deterministic unitary whose first column is ``amps``, as a dense matrix."""
+    v, d = _householder(amps)
+    return (np.eye(v.shape[0], dtype=complex) - 2.0 * np.outer(v, v.conj())) * d[np.newaxis, :]
 
 
 def apply_register_unitary(state: StateVector, register: str, U: np.ndarray) -> StateVector:
@@ -157,11 +156,20 @@ def apply_register_unitary(state: StateVector, register: str, U: np.ndarray) -> 
 def apply_prepare(
     state: StateVector, register: str, amps: np.ndarray, adjoint: bool = False
 ) -> StateVector:
-    """Apply the PREPARE completion unitary (or its inverse) to a register."""
-    U = completion_unitary(np.asarray(amps))
+    """Apply the PREPARE completion unitary (or its inverse) to a register, in place, as
+    diag(d) and the reflection I - 2 v v^dag: O(2^total) time, no 2^w x 2^w matrix."""
+    reg = state.layout.register(register)
+    v, d = _householder(amps)
+    if v.shape[0] != 1 << reg.width:
+        raise LayoutError("prepare amplitudes do not match register width")
+    block = state.amplitudes.reshape(-1, v.shape[0], 1 << reg.offset)
+    if not adjoint:
+        block *= d[:, np.newaxis]
+    overlap = np.tensordot(v.conj(), block, axes=(0, 1))  # v^dag along the register axis
+    block -= 2.0 * v[:, np.newaxis] * overlap[:, np.newaxis, :]
     if adjoint:
-        U = U.conj().T
-    return apply_register_unitary(state, register, U)
+        block *= d.conj()[:, np.newaxis]
+    return state
 
 
 def apply_select(
@@ -192,6 +200,34 @@ def apply_select(
         if sel.any():
             view[sel] = apply_pauli(view[sel], x, z, -1j * u)
     return state
+
+
+def apply_lcu_block(
+    state: StateVector, H: HamiltonianLCU, amps: np.ndarray, control: int | None = None
+) -> float:
+    """Prepare(amps), Select and Prepare^dag with the l-register post-selected on |0>, without
+    the l-register: F = sum_{l<L} |a_l|^2 (-i u_l) P_l + (sum_{l>=L} |a_l|^2) I on the system
+    (H~ = (-i / l1) H for ``prepare_amplitudes(H)``), on the control's |1> branch if given.
+    Renormalizes and returns the branch probability; 0.0 below 1e-14, like ``project_zero``."""
+    n = state.layout.n
+    w = np.abs(np.asarray(amps)) ** 2
+    if abs(w.sum() - 1.0) > _NORM_TOL:
+        raise NormalizationError("prepare amplitudes are not normalized")
+    if w.shape[0] < H.num_terms or (control is not None and control < n):
+        raise LayoutError("amplitudes miss a term, or the control is a system qubit")
+    if control is None:
+        view = state.amplitudes.reshape(-1, 1 << n)
+    else:
+        view = state.amplitudes.reshape(-1, 2, 1 << (control - n), 1 << n)[:, 1]
+    out = w[H.num_terms :].sum() * view
+    for wl, (x, z, u) in zip(w, H.masks):
+        out += apply_pauli(view, x, z, -1j * u * wl)
+    view[...] = out
+    p = float(np.vdot(state.amplitudes, state.amplitudes).real)
+    if p < 1e-14:
+        return 0.0
+    state.amplitudes /= math.sqrt(p)
+    return p
 
 
 def register_probabilities(state: StateVector, register: str) -> np.ndarray:

@@ -84,6 +84,29 @@ def test_2_circuit_equivalence():
     _report("2 circuit equivalence (binary / unary / dense)")
 
 
+def test_2_circuit_equivalence_at_K7():
+    """At the paper's K = 7 the unary circuit (up to a 31-qubit layout) equals
+    binary kappa = 3 and the dense truncated propagator."""
+    rng = np.random.default_rng(2027)
+    for n, L in ((1, 3), (2, 5), (2, 8), (3, 6), (3, 8)):
+        H = random_hamiltonian(n, L, rng)
+        psi = random_state(n, rng)
+        tau = 0.3 / l1_norm(H)
+        t_bin = trace_plan(build_w_tilde(H, tau, 3), psi)
+        plan_un = build_w_unary(H, tau, 7)
+        t_un = trace_plan(plan_un, psi)
+        ref = truncated_taylor_matrix(H, tau, 7) @ psi
+        p = float(np.vdot(ref, ref).real) / sum((tau * l1_norm(H)) ** k / math.factorial(k)
+                                                for k in range(8)) ** 2
+        ref /= np.linalg.norm(ref)
+        assert plan_un.layout.total == n + 7 * H.l_width + 7
+        assert 1 - fidelity(t_un.final_system_state, ref) <= 1e-9
+        assert 1 - fidelity(t_bin.final_system_state, ref) <= 1e-9
+        assert t_un.success_prob == pytest.approx(p, rel=1e-9)
+        assert t_bin.success_prob == pytest.approx(p, rel=1e-9)
+    _report("2 circuit equivalence at K = 7 (binary / unary / dense)")
+
+
 def test_3_binary_power_identity():
     """sum_k |k><k| (x) U^k equals the product of singly-controlled U^{2^i}."""
     rng = np.random.default_rng(3)

@@ -275,3 +275,30 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "25 qubits exceeds simulation cap 24" in err
+
+    @pytest.mark.parametrize(
+        "argv, width",
+        [
+            (["simulate", "--kappa", "43"], 47),
+            (["simulate", "--circuit", "wunary", "--K", "43"], 47),
+            (["simulate", "--circuit", "wunary", "--K", "21"], 25),
+            (["sweep", "--kappa-max", "43"], 47),
+        ],
+    )
+    def test_traced_width_checked_before_building_the_plan(self, capsys, argv, width):
+        code, out, err = _run(capsys, *argv, "--model", "ising", "--shots", "10")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {width} qubits exceeds simulation cap 24\n"
+
+    def test_unary_K7_is_traceable(self, capsys):
+        # the 32-qubit unary layout traces on system + unary register, 11 qubits
+        code, out, _ = _run(
+            capsys, "simulate", "--model", "ising", "--circuit", "wunary", "--K", "7",
+            "--shots", "2000", "--seed", "3",
+        )
+        assert code == 0
+        (row,) = _csv_rows(out)
+        assert row["K"] == "7"
+        p = oracle.success_prob_wtilde(build_ising(4, 1.0, 0.5), np.eye(16)[0], 0.05, 7)
+        assert abs(float(row["p_hat"]) - p) < 3 * float(row["stderr"])

@@ -173,6 +173,16 @@ class TestRunShots:
         parts = [run_shots(plan, psi0_4, n, seed=5, shot_offset=o)
                  for o, n in ((0, 5000), (5000, 4000), (9000, 1000))]
         assert parts[0].merge(parts[1]).merge(parts[2]) == whole
+        # non-integer costs: counts merge exactly, the cost sum only to rounding
+        plan = build_w_tilde(ising4, 0.05, 3)
+        cost = CostModel(d=0.3, d_ctrl=0.7, m=0.1)
+        whole = run_shots(plan, psi0_4, 10_000, seed=5, cost=cost)
+        merged = run_shots(plan, psi0_4, 6000, seed=5, cost=cost).merge(
+            run_shots(plan, psi0_4, 4000, seed=5, cost=cost, shot_offset=6000)
+        )
+        assert (merged.shots, merged.successes) == (whole.shots, whole.successes)
+        assert merged.abort_histogram == whole.abort_histogram
+        assert merged.total_cost == pytest.approx(whole.total_cost, rel=1e-12)
 
     def test_abort_histogram_totals(self, ising4, psi0_4):
         plan = build_w_tilde(ising4, 0.05, 2)

@@ -8,12 +8,20 @@ from lcusim.errors import (
     NormalizationError,
     ResourceLimitError,
 )
-from lcusim.hamiltonian import build_ising, canonicalize, pauli_string_matrix, to_matrix
+from lcusim.hamiltonian import (
+    build_ising,
+    canonicalize,
+    l1_norm,
+    pauli_string_matrix,
+    prepare_amplitudes,
+    to_matrix,
+)
 from lcusim.statevector import (
     Register,
     RegisterLayout,
     apply_1q,
     apply_cx,
+    apply_lcu_block,
     apply_prepare,
     apply_register_unitary,
     apply_select,
@@ -128,6 +136,93 @@ class TestRegisterOps:
         state = init_state(lay, np.eye(4)[0])
         with pytest.raises(LayoutError):
             apply_register_unitary(state, "l", np.eye(2))
+
+
+class TestPrepareReflection:
+    """``apply_prepare`` (reflection, no matrix) against the dense ``completion_unitary``."""
+
+    LAYOUT = RegisterLayout((Register("a", 2, 0), Register("b", 3, 2), Register("c", 2, 5)))
+
+    @pytest.mark.parametrize("register", ["a", "b", "c"])  # bottom, middle, top
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_matches_completion_unitary(self, register, adjoint):
+        from lcusim.statevector import StateVector
+
+        rng = np.random.default_rng(2 * ord(register) + adjoint)
+        reg = self.LAYOUT.register(register)
+        amps = random_state(reg.width, rng)
+        psi = random_state(self.LAYOUT.total, rng)
+        U = completion_unitary(amps)
+        U = U.conj().T if adjoint else U
+        ref = StateVector(self.LAYOUT, psi.copy())
+        apply_register_unitary(ref, register, U)
+        state = StateVector(self.LAYOUT, psi.copy())
+        apply_prepare(state, register, amps, adjoint=adjoint)
+        assert np.abs(state.amplitudes - ref.amplitudes).max() < 1e-14
+
+    def test_real_amplitudes_with_zero_first_entry(self):
+        from lcusim.statevector import StateVector
+
+        amps = np.array([0.0, 0.0, 0.6, 0.8])
+        lay = RegisterLayout((Register("system", 1, 0), Register("l", 2, 1)))
+        state = StateVector(lay, np.eye(8, dtype=complex)[0])
+        apply_prepare(state, "l", amps)
+        assert np.abs(state.amplitudes.reshape(4, 2)[:, 0] - amps).max() < 1e-15
+
+    def test_wrong_width_rejected(self):
+        lay = _layout(2, 2)
+        state = init_state(lay, np.eye(4)[0])
+        with pytest.raises(LayoutError):
+            apply_prepare(state, "l", np.array([0.6, 0.8]))
+        with pytest.raises(NormalizationError):
+            apply_prepare(state, "l", np.ones(4))
+
+
+class TestLcuBlock:
+    def test_matches_dense_rescaled_hamiltonian(self):
+        rng = np.random.default_rng(21)
+        H = canonicalize(2, [(0.5, "XZ"), (-0.25, "YI"), (0.3j, "ZZ")])
+        psi = random_state(2, rng)
+        state = init_state(RegisterLayout((Register("system", 2, 0),)), psi)
+        p = apply_lcu_block(state, H, prepare_amplitudes(H))
+        v = (-1j / l1_norm(H)) * to_matrix(H) @ psi
+        assert p == pytest.approx(np.vdot(v, v).real, rel=1e-13)
+        assert np.abs(state.amplitudes - v / np.linalg.norm(v)).max() < 1e-14
+
+    def test_control_and_padding(self):
+        # control on the middle qubit of a (system, c, t) layout; a 4-entry
+        # amplitude vector for 3 terms puts |a_3|^2 on the identity
+        rng = np.random.default_rng(22)
+        H = canonicalize(1, [(1.0, "X"), (0.5, "Z"), (0.25, "Y")])
+        a = random_state(2, rng)
+        lay = RegisterLayout((Register("system", 1, 0), Register("c", 1, 1), Register("t", 1, 2)))
+        psi = random_state(3, rng)
+        from lcusim.statevector import StateVector
+
+        state = StateVector(lay, psi.copy())
+        p = apply_lcu_block(state, H, a, control=1)
+        F = np.abs(a[3]) ** 2 * np.eye(2, dtype=complex)
+        for w, t in zip(np.abs(a) ** 2, H.terms):
+            F += w * (-1j) * np.exp(1j * t.phase) * pauli_string_matrix(t.letters)
+        on = np.diag([0.0, 1.0])
+        full = np.kron(np.eye(2), np.kron(on, F) + np.kron(np.eye(2) - on, np.eye(2)))
+        v = full @ psi
+        assert p == pytest.approx(np.vdot(v, v).real, rel=1e-13)
+        assert np.abs(state.amplitudes - v / np.linalg.norm(v)).max() < 1e-14
+
+    def test_vanishing_branch_returns_zero(self):
+        H = canonicalize(1, [(0.5, "I"), (-0.5, "Z")])
+        state = init_state(RegisterLayout((Register("system", 1, 0),)), np.eye(2)[0])
+        assert apply_lcu_block(state, H, prepare_amplitudes(H)) == 0.0
+
+    def test_bad_arguments(self, ising4):
+        state = init_state(_layout(4, 3), np.eye(16)[0])
+        with pytest.raises(LayoutError):
+            apply_lcu_block(state, ising4, prepare_amplitudes(ising4), control=3)
+        with pytest.raises(LayoutError):
+            apply_lcu_block(state, ising4, np.array([0.6, 0.8]))
+        with pytest.raises(NormalizationError):
+            apply_lcu_block(state, ising4, np.ones(8))
 
 
 class TestSelect:

@@ -1,0 +1,174 @@
+"""The collapsed success-path trace against the register-level reference."""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lcusim.circuits import (
+    AdjointPrepare,
+    CircuitPlan,
+    FinalMeasure,
+    MeasureExpectZero,
+    Prepare,
+    Select,
+    build_w_hk,
+    build_w_tilde,
+    build_w_unary,
+)
+from lcusim.errors import LayoutError
+from lcusim.hamiltonian import canonicalize, prepare_amplitudes
+from lcusim.oracle import fidelity
+from lcusim.sampler import CostModel, trace_plan
+from lcusim.statevector import Register, RegisterLayout
+from conftest import random_hamiltonian, random_state, register_trace
+
+COST = CostModel(d=0.3, d_ctrl=0.7, m=0.1, prep=0.05)
+
+
+def assert_same_trace(plan, psi):
+    new, ref = trace_plan(plan, psi, COST), register_trace(plan, psi, COST)
+    assert len(new.cond_probs) == len(ref.cond_probs)
+    assert np.abs(np.subtract(new.cond_probs, ref.cond_probs)).max() <= 1e-12
+    assert new.abort_costs == ref.abort_costs
+    assert new.success_cost == ref.success_cost
+    if ref.final_system_state is None:
+        assert new.final_system_state is None
+    else:
+        assert fidelity(new.final_system_state, ref.final_system_state) > 1 - 1e-12
+    return new
+
+
+class TestAgainstRegisterTrace:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["w_hk", "wtilde", "wunary"]),
+        st.integers(1, 4),
+    )
+    def test_random_plans(self, seed, family, order):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        H = random_hamiltonian(n, int(rng.integers(1, min(5, 4**n))), rng)
+        psi = random_state(n, rng)
+        tau = float(rng.uniform(0.01, 0.5)) / sum(t.weight for t in H.terms)
+        if family == "w_hk":
+            plan = build_w_hk(H, order)
+        elif family == "wtilde":
+            plan = build_w_tilde(H, tau, min(order, 3))
+        else:
+            plan = build_w_unary(H, tau, order)
+        assert_same_trace(plan, psi)
+
+    @pytest.mark.parametrize(
+        "raw, basis, cond",
+        [
+            ([(0.5, "I"), (-0.5, "Z")], 0, (0.0, 0.0, 0.0)),  # (I - Z)/2 annihilates |0>
+            ([(0.5, "X"), (0.5j, "Y")], 1, (1.0, 0.0, 0.0)),  # |0><1| maps |1> to |0>, then to 0
+        ],
+    )
+    def test_dead_branch(self, raw, basis, cond):
+        H = canonicalize(1, raw)
+        trace = assert_same_trace(build_w_hk(H, 3), np.eye(2, dtype=complex)[basis])
+        assert trace.cond_probs == pytest.approx(cond, abs=1e-15)
+        assert trace.final_system_state is None
+
+    @pytest.mark.parametrize("family", ["w_hk", "wtilde", "wunary"])
+    def test_tau_zero(self, family, ising4):
+        rng = np.random.default_rng(4)
+        psi = random_state(4, rng)
+        plan = {
+            "w_hk": build_w_hk(ising4, 2),
+            "wtilde": build_w_tilde(ising4, 0.0, 2),
+            "wunary": build_w_unary(ising4, 0.0, 2),
+        }[family]
+        trace = assert_same_trace(plan, psi)
+        if family != "w_hk":
+            assert trace.success_prob == pytest.approx(1.0, abs=1e-12)
+
+    def test_collapsed_width(self, ising4, psi0_4, monkeypatch):
+        import lcusim.sampler as sampler
+
+        widths = []
+        init_state = sampler.init_state
+        monkeypatch.setattr(
+            sampler, "init_state", lambda lay, psi: widths.append(lay.total) or init_state(lay, psi)
+        )
+        trace_plan(build_w_tilde(ising4, 0.05, 3), psi0_4)
+        trace_plan(build_w_unary(ising4, 0.05, 7), psi0_4)  # a 32-qubit layout
+        trace_plan(build_w_hk(ising4, 2), psi0_4)
+        assert widths == [4 + 3, 4 + 7, 4]
+
+
+def _one_block(H, *ins, extra=()):
+    """A W_{H^k}-style plan on system + l (+ extra registers) with the given instructions."""
+    n, lw = H.n, H.l_width
+    regs = [Register("system", n, 0), Register("l", lw, n)]
+    for name, width in extra:
+        regs.append(Register(name, width, sum(r.width for r in regs)))
+    return CircuitPlan(RegisterLayout(tuple(regs)), H, tuple(ins), family="w_hk")
+
+
+class TestPlanShape:
+    H = canonicalize(1, [(1.0, "X"), (0.5, "Z")])
+    a = prepare_amplitudes(H)
+    psi = np.array([0.6, 0.8], dtype=complex)
+
+    def _raises(self, plan, match):
+        with pytest.raises(LayoutError, match=match):
+            trace_plan(plan, self.psi)
+
+    def test_builder_shape_accepted(self):
+        plan = _one_block(self.H, Prepare("l", self.a), Select("l"),
+                          AdjointPrepare("l", self.a), MeasureExpectZero("l"))
+        assert_same_trace(plan, self.psi)
+
+    def test_select_without_prepare(self):
+        plan = _one_block(self.H, Select("l"), AdjointPrepare("l", self.a), MeasureExpectZero("l"))
+        self._raises(plan, "instruction 0")
+
+    def test_mismatched_amplitudes(self):
+        b = np.array([0.6, 0.8])
+        plan = _one_block(self.H, Prepare("l", self.a), Select("l"),
+                          AdjointPrepare("l", b), MeasureExpectZero("l"))
+        self._raises(plan, "instruction 2")
+
+    def test_control_inside_l_register(self):
+        plan = _one_block(self.H, Prepare("l", self.a), Select("l", control=1),
+                          AdjointPrepare("l", self.a), MeasureExpectZero("l"))
+        self._raises(plan, "instruction 1")
+
+    def test_control_inside_system(self):
+        plan = _one_block(self.H, Prepare("l", self.a), Select("l", control=0),
+                          AdjointPrepare("l", self.a), MeasureExpectZero("l"))
+        self._raises(plan, "instruction 1")
+
+    def test_measure_before_unprepare(self):
+        plan = _one_block(self.H, Prepare("l", self.a), Select("l"), MeasureExpectZero("l"))
+        self._raises(plan, "instruction 2")
+
+    def test_plan_ends_inside_cycle(self):
+        plan = _one_block(self.H, Prepare("l", self.a), Select("l"), AdjointPrepare("l", self.a))
+        self._raises(plan, "ends inside")
+
+    def test_wrong_amplitude_length(self):
+        a4 = np.array([0.8, 0.6, 0.0, 0.0])
+        plan = _one_block(self.H, Prepare("l", a4), Select("l"),
+                          AdjointPrepare("l", a4), MeasureExpectZero("l"))
+        self._raises(plan, "instruction 0")
+
+    def test_other_register_measured_while_a_select_is_pending(self):
+        c = np.array([0.6, 0.8])
+        plan = _one_block(
+            self.H, Prepare("c", c), Prepare("l", self.a), Select("l", control=2),
+            AdjointPrepare("l", self.a), AdjointPrepare("c", c), FinalMeasure("c"),
+            MeasureExpectZero("l"), extra=[("c", 1)],
+        )
+        self._raises(plan, "instruction 5")
+
+    def test_l_registers_measured_out_of_select_order(self, ising4):
+        plan = build_w_unary(ising4, 0.05, 2)
+        ins = list(plan.instructions)
+        i0 = ins.index(MeasureExpectZero("l0"))
+        ins[i0], ins[i0 + 1] = ins[i0 + 1], ins[i0]
+        swapped = CircuitPlan(plan.layout, plan.hamiltonian, tuple(ins), plan.family)
+        with pytest.raises(LayoutError, match=f"instruction {i0}"):
+            trace_plan(swapped, np.eye(16)[0])
