@@ -17,13 +17,14 @@ import csv
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
 from . import oracle
 from .bliss import jordan_wigner, load_fermionic, optimize_bliss
 from .circuits import build_w_tilde, build_w_unary, kappa_for
-from .errors import LcusimError
+from .errors import LayoutError, LcusimError
 from .hamiltonian import HamiltonianLCU, build_ising, l1_norm, load_hamiltonian
 from .resources import count
 from .sampler import CostModel, estimate, mean_cost_per_shot, run_shots
@@ -59,8 +60,12 @@ def _add_hamiltonian_args(p: _Parser) -> None:
     p.add_argument("--h", type=float, default=0.5)
 
 
-def _add_circuit_args(p: _Parser) -> None:
+def _add_tau_arg(p: _Parser) -> None:
     p.add_argument("--tau", type=float, default=0.05)
+
+
+def _add_circuit_args(p: _Parser) -> None:
+    _add_tau_arg(p)
     p.add_argument("--kappa", type=_int_in(1), help="Taylor register width (K = 2^kappa - 1)")
     p.add_argument("--K", type=_int_in(1), dest="K", help="truncation order")
     p.add_argument("--circuit", choices=["wtilde", "wunary"], default="wtilde")
@@ -105,9 +110,10 @@ def build_parser() -> _Parser:
     p_sw.add_argument("--shots", type=_int_in(1), default=10_000)
     p_sw.add_argument("--seed", type=_int_in(0, 2**64), default=0)
 
-    p_res = sub.add_parser("resources", help="gate and qubit counts")
+    # no abbreviations: --K would be read as --K-max
+    p_res = sub.add_parser("resources", help="gate and qubit counts", allow_abbrev=False)
     _add_hamiltonian_args(p_res)
-    _add_circuit_args(p_res)
+    _add_tau_arg(p_res)
     _add_output_args(p_res)
     p_res.add_argument("--K-max", type=_int_in(1), default=7)
 
@@ -148,7 +154,11 @@ def _basis_state(n: int, index: int = 0) -> np.ndarray:
 
 def _resolve_state(args, n: int) -> np.ndarray:
     if args.state:
-        rows = np.loadtxt(args.state, ndmin=2)
+        with warnings.catch_warnings():  # an empty file is reported below, not warned about
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(args.state, ndmin=2)
+        if rows.shape[0] == 0 or rows.shape[1] != 2:
+            raise LayoutError(f"--state needs lines of two reals, got shape {rows.shape}")
         return rows[:, 0] + 1j * rows[:, 1]
     return _basis_state(n)
 
@@ -190,6 +200,7 @@ def cmd_simulate(args) -> list[dict]:
 def cmd_analytic(args) -> list[dict]:
     H = _resolve_hamiltonian(args)
     K, kappa = _resolve_order(args)
+    check_width(kappa)  # the Taylor coefficients have 2^kappa entries
     psi = _resolve_state(args, H.n)
     cost = CostModel(d=args.d, d_ctrl=args.d_ctrl, m=args.m)
     p_w = oracle.success_prob_wtilde(H, psi, args.tau, K)
@@ -228,25 +239,23 @@ def cmd_sweep(args) -> list[dict]:
 
 def cmd_resources(args) -> list[dict]:
     H = _resolve_hamiltonian(args)
-    rows = []
-    for K in range(1, args.K_max + 1):
-        kappa = kappa_for(K)
-        for family, plan in (
-            ("wtilde", build_w_tilde(H, args.tau, kappa)),
-            ("wunary", build_w_unary(H, args.tau, K)),
-        ):
-            c = count(plan)
-            rows.append(
-                {
-                    "family": family,
-                    "K": K,
-                    "kappa": kappa,
-                    "qubits": c.qubits,
-                    "two_qubit": c.two_qubit,
-                    "measurements": c.measurements,
-                }
-            )
-    return rows
+    check_width(args.K_max)  # a unary plan holds 2^K amplitudes
+    keys = [(f, K, kappa_for(K)) for K in range(1, args.K_max + 1) for f in ("wtilde", "wunary")]
+    plans = (  # built one at a time as count consumes them
+        build_w_tilde(H, args.tau, kappa) if family == "wtilde" else build_w_unary(H, args.tau, K)
+        for family, K, kappa in keys
+    )
+    return [
+        {
+            "family": family,
+            "K": K,
+            "kappa": kappa,
+            "qubits": c.qubits,
+            "two_qubit": c.two_qubit,
+            "measurements": c.measurements,
+        }
+        for (family, K, kappa), c in zip(keys, count(plans))
+    ]
 
 
 def cmd_bliss(args) -> list[dict]:

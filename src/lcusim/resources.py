@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .circuits import (
     AdjointPrepare,
     CircuitPlan,
     FinalMeasure,
-    MeasureExpectZero,
     Prepare,
     Select,
 )
@@ -75,20 +75,28 @@ class CompiledCircuit:
     ops: tuple[CompiledOp, ...]
 
     def counts(self) -> GateCounts:
-        one = sum(1 for op in self.ops if isinstance(op, Gate1Q))
-        two = sum(1 for op in self.ops if isinstance(op, GateCX))
-        meas = sum(
-            self.plan.layout.register(op.register).width
-            for op in self.ops
-            if isinstance(op, MeasureZero)
-        )
-        return GateCounts(
-            qubits=self.plan.layout.total,
-            one_qubit=one,
-            two_qubit=two,
-            measurements=meas,
-            select_blocks=self.plan.select_count,
-        )
+        return _gate_counts(self.plan, _tally(self.plan, self.ops))
+
+
+def _tally(plan: CircuitPlan, ops) -> tuple[int, int, int]:
+    """(single-qubit gates, CX gates, measured qubits) of a list of compiled ops."""
+    one = sum(1 for op in ops if isinstance(op, Gate1Q))
+    two = sum(1 for op in ops if isinstance(op, GateCX))
+    meas = sum(
+        plan.layout.register(op.register).width for op in ops if isinstance(op, MeasureZero)
+    )
+    return one, two, meas
+
+
+def _gate_counts(plan: CircuitPlan, tally: tuple[int, int, int]) -> GateCounts:
+    one, two, meas = tally
+    return GateCounts(
+        qubits=plan.layout.total,
+        one_qubit=one,
+        two_qubit=two,
+        measurements=meas,
+        select_blocks=plan.select_count,
+    )
 
 
 def _ry(theta: float) -> np.ndarray:
@@ -295,29 +303,60 @@ def _select_gates(plan: CircuitPlan, ins: Select) -> list[CompiledOp]:
     return ops
 
 
+def _compile_instruction(plan: CircuitPlan, ins) -> list[CompiledOp]:
+    """{1q unitary, CX} gates or the measurement event of one instruction."""
+    if isinstance(ins, (Prepare, AdjointPrepare)):
+        reg = plan.layout.register(ins.register)
+        if ins.style == "unary":
+            gates = _prep_unary_gates(reg, ins.amps)
+        else:
+            gates = _prep_dense_gates(reg, ins.amps)
+        return _dagger(gates) if isinstance(ins, AdjointPrepare) else gates
+    if isinstance(ins, Select):
+        return _select_gates(plan, ins)
+    return [MeasureZero(ins.register, final=isinstance(ins, FinalMeasure))]
+
+
 def compile_plan(plan: CircuitPlan) -> CompiledCircuit:
     """Compile every instruction to {1q unitary, CX} gates plus measurement events."""
-    ops: list[CompiledOp] = []
-    for ins in plan.instructions:
-        if isinstance(ins, (Prepare, AdjointPrepare)):
-            reg = plan.layout.register(ins.register)
-            if ins.style == "unary":
-                gates = _prep_unary_gates(reg, ins.amps)
-            else:
-                gates = _prep_dense_gates(reg, ins.amps)
-            ops += _dagger(gates) if isinstance(ins, AdjointPrepare) else gates
-        elif isinstance(ins, Select):
-            ops += _select_gates(plan, ins)
-        elif isinstance(ins, MeasureExpectZero):
-            ops.append(MeasureZero(ins.register, final=False))
-        elif isinstance(ins, FinalMeasure):
-            ops.append(MeasureZero(ins.register, final=True))
+    ops = [op for ins in plan.instructions for op in _compile_instruction(plan, ins)]
     return CompiledCircuit(plan, tuple(ops))
 
 
-def count(plan: CircuitPlan) -> GateCounts:
-    """Exact structural tallies of the compiled plan."""
-    return compile_plan(plan).counts()
+def _gate_key(plan: CircuitPlan, ins) -> tuple | None:
+    """All that the gate list of ``ins`` depends on apart from qubit labels, or None for
+    an instruction compiled every time: a measurement, or a unary staircase (O(K) gates,
+    while its amplitude vector has 2^K entries)."""
+    if isinstance(ins, Select):
+        width = plan.layout.register(ins.l_register).width
+        return (Select, plan.hamiltonian, plan.layout.n, width, ins.control is not None)
+    if isinstance(ins, (Prepare, AdjointPrepare)) and ins.style != "unary":
+        amps = np.asarray(ins.amps)
+        width = plan.layout.register(ins.register).width
+        return (type(ins), ins.style, width, amps.dtype.str, amps.shape, amps.tobytes())
+    return None
+
+
+def count(plans: Iterable[CircuitPlan]) -> list[GateCounts]:
+    """``compile_plan(plan).counts()`` for each plan, compiling each distinct block once.
+
+    Counts do not change when qubits are relabelled, so instructions with equal
+    ``_gate_key`` share one compile, within a plan and across plans.
+    """
+    memo: dict[tuple, tuple[int, int, int]] = {}
+    out = []
+    for plan in plans:
+        one = two = meas = 0
+        for ins in plan.instructions:
+            key = _gate_key(plan, ins)
+            tally = memo.get(key)
+            if tally is None:
+                tally = _tally(plan, _compile_instruction(plan, ins))
+                if key is not None:
+                    memo[key] = tally
+            one, two, meas = one + tally[0], two + tally[1], meas + tally[2]
+        out.append(_gate_counts(plan, (one, two, meas)))
+    return out
 
 
 def simulate_compiled(circ: CompiledCircuit, psi: np.ndarray) -> tuple[np.ndarray, float]:

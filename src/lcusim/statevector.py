@@ -115,7 +115,7 @@ def init_state(layout: RegisterLayout, psi: np.ndarray) -> StateVector:
     n = layout.n
     if psi.shape[0] != (1 << n):
         raise LayoutError(f"system state needs {1 << n} amplitudes")
-    if abs(np.linalg.norm(psi) - 1.0) > _NORM_TOL:
+    if not abs(np.linalg.norm(psi) - 1.0) <= _NORM_TOL:  # NaN fails too
         raise NormalizationError("system state is not normalized")
     amps = np.zeros(1 << layout.total, dtype=complex)
     amps[: 1 << n] = psi
@@ -126,7 +126,7 @@ def _householder(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(v, d) with completion unitary (I - 2 v v^dag) diag(d): for theta = arg a0,
     v ~ a + e^{i theta} e0 reflects a to -e^{i theta} e0 and d = (-e^{i theta}, 1, ..)."""
     a = np.asarray(amps, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(a) - 1.0) > _NORM_TOL:
+    if not abs(np.linalg.norm(a) - 1.0) <= _NORM_TOL:  # NaN fails too
         raise NormalizationError("prepare amplitudes are not normalized")
     theta = math.atan2(a[0].imag, a[0].real)
     v = a.copy()
@@ -211,7 +211,7 @@ def apply_lcu_block(
     Renormalizes and returns the branch probability; 0.0 below 1e-14, like ``project_zero``."""
     n = state.layout.n
     w = np.abs(np.asarray(amps)) ** 2
-    if abs(w.sum() - 1.0) > _NORM_TOL:
+    if not abs(w.sum() - 1.0) <= _NORM_TOL:  # NaN fails too
         raise NormalizationError("prepare amplitudes are not normalized")
     if w.shape[0] < H.num_terms or (control is not None and control < n):
         raise LayoutError("amplitudes miss a term, or the control is a system qubit")

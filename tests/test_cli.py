@@ -128,6 +128,35 @@ class TestResources:
         wu = [int(r["two_qubit"]) for r in rows if r["family"] == "wunary"]
         assert wu[2] - wu[1] == wu[3] - wu[2]
 
+    def test_readme_table_is_pinned(self, capsys):
+        # (family, K, kappa, qubits, two_qubit, measurements) as printed when
+        # every block of every plan was compiled gate by gate.
+        pinned = [
+            ("wtilde", 1, 1, 8, 260, 4), ("wunary", 1, 1, 8, 260, 4),
+            ("wtilde", 2, 2, 9, 784, 11), ("wunary", 2, 2, 12, 524, 8),
+            ("wtilde", 3, 2, 9, 784, 11), ("wunary", 3, 2, 16, 788, 12),
+            ("wtilde", 4, 3, 10, 1832, 24), ("wunary", 4, 3, 20, 1052, 16),
+            ("wtilde", 5, 3, 10, 1832, 24), ("wunary", 5, 3, 24, 1316, 20),
+            ("wtilde", 6, 3, 10, 1832, 24), ("wunary", 6, 3, 28, 1580, 24),
+            ("wtilde", 7, 3, 10, 1832, 24), ("wunary", 7, 3, 32, 1844, 28),
+        ]
+        keys = ("family", "K", "kappa", "qubits", "two_qubit", "measurements")
+        expected = json.dumps([dict(zip(keys, row)) for row in pinned], sort_keys=True, indent=1)
+        code, out, _ = _run(
+            capsys, "resources", "--model", "ising", "--n", "4", "--K-max", "7", "--format", "json"
+        )
+        assert code == 0
+        assert out == expected + "\n"
+
+    @pytest.mark.parametrize(
+        "flag", [["--state", "psi.txt"], ["--kappa", "2"], ["--K", "3"], ["--circuit", "wunary"]]
+    )
+    def test_circuit_flags_other_than_tau_are_usage_errors(self, capsys, flag):
+        code, out, err = _run(capsys, "resources", "--model", "ising", "--K-max", "2", *flag)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
 
 class TestBliss:
     def test_bundled_hubbard(self, capsys):
@@ -290,6 +319,37 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err == f"error: {width} qubits exceeds simulation cap 24\n"
+
+    @pytest.mark.parametrize(
+        "argv, width",
+        [
+            (["analytic", "--kappa", "43"], 43),
+            (["analytic", "--K", str(2**40)], 41),
+            (["resources", "--K-max", "25"], 25),
+            (["resources", "--K-max", "30"], 30),
+        ],
+    )
+    def test_taylor_register_width_checked_before_allocating(self, capsys, argv, width):
+        # 2^kappa Taylor coefficients, or 2^K amplitudes per unary plan
+        code, out, err = _run(capsys, *argv, "--model", "ising")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {width} qubits exceeds simulation cap 24\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analytic", "--K", "3"], ["simulate", "--shots", "10"], ["sweep", "--shots", "10"]],
+    )
+    @pytest.mark.parametrize(
+        "text", ["", "1\n0\n", "nan 0\n" + "0 0\n" * 15], ids=["empty", "one-column", "nan"]
+    )
+    def test_bad_state_file_exit_2(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "psi.txt"
+        path.write_text(text)
+        code, out, err = _run(capsys, *argv, "--model", "ising", "--state", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unary_K7_is_traceable(self, capsys):
         # the 32-qubit unary layout traces on system + unary register, 11 qubits

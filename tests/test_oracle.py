@@ -109,6 +109,8 @@ class TestSuccessProbabilities:
     def test_unnormalized_state_rejected(self, ising4):
         with pytest.raises(NormalizationError):
             success_prob_hk(ising4, np.ones(16), 1)
+        with pytest.raises(NormalizationError):
+            success_prob_hk(ising4, np.full(16, np.nan), 1)
 
     @pytest.mark.parametrize("shape", [(8,), (32,), (16, 1)])
     def test_wrong_length_state_rejected(self, ising4, shape):

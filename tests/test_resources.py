@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcusim.circuits import build_w_hk, build_w_tilde, build_w_unary
-from lcusim.hamiltonian import build_ising, canonicalize
+from lcusim import resources
+from lcusim.circuits import (
+    AdjointPrepare,
+    CircuitPlan,
+    Prepare,
+    Select,
+    build_w_hk,
+    build_w_tilde,
+    build_w_unary,
+)
+from lcusim.hamiltonian import build_ising, canonicalize, prepare_amplitudes
 from lcusim.oracle import fidelity
 from lcusim.resources import (
     Gate1Q,
@@ -22,6 +31,7 @@ from lcusim.resources import (
     _rz,
 )
 from lcusim.sampler import trace_plan
+from lcusim.statevector import Register, RegisterLayout
 from conftest import random_state
 
 
@@ -165,27 +175,32 @@ class TestCompiledSoundness:
         assert fidelity(out, trace.final_system_state) == pytest.approx(1.0, abs=1e-10)
 
 
+def _count(plan):
+    (c,) = count([plan])
+    return c
+
+
 class TestCounts:
     def test_qubit_formulas(self, ising4):
         # binary: kappa + ceil(log L) + n; unary: K + K ceil(log L) + n
         for kappa in (1, 2, 3):
-            assert count(build_w_tilde(ising4, 0.05, kappa)).qubits == kappa + 3 + 4
+            assert _count(build_w_tilde(ising4, 0.05, kappa)).qubits == kappa + 3 + 4
         for K in (1, 2, 3):
-            assert count(build_w_unary(ising4, 0.05, K)).qubits == K + 3 * K + 4
+            assert _count(build_w_unary(ising4, 0.05, K)).qubits == K + 3 * K + 4
 
     def test_wtilde_counts_depend_only_on_kappa(self, ising4):
-        a = count(build_w_tilde(ising4, 0.05, 3))
-        b = count(build_w_tilde(ising4, 0.11, 3))
+        a = _count(build_w_tilde(ising4, 0.05, 3))
+        b = _count(build_w_tilde(ising4, 0.11, 3))
         assert a == b
 
     def test_unary_counts_affine_in_K(self, ising4):
-        twos = [count(build_w_unary(ising4, 0.05, K)).two_qubit for K in (2, 3, 4, 5)]
+        twos = [c.two_qubit for c in count(build_w_unary(ising4, 0.05, K) for K in (2, 3, 4, 5))]
         diffs = [b - a for a, b in zip(twos, twos[1:])]
         assert diffs[0] == diffs[1] == diffs[2]
 
     def test_measurement_tally(self, ising4):
         # K mid-circuit l measurements (3 qubits each) + final k measurement
-        counts = count(build_w_tilde(ising4, 0.05, 3))
+        counts = _count(build_w_tilde(ising4, 0.05, 3))
         assert counts.measurements == 7 * 3 + 3
         assert counts.select_blocks == 7
 
@@ -195,6 +210,74 @@ class TestCounts:
         only_prep = type(plan)(
             plan.layout, plan.hamiltonian, plan.instructions[:1], plan.family
         )
-        c = count(only_prep)
+        c = _count(only_prep)
         assert c.select_blocks == 0
         assert c.two_qubit == 0  # width-1 l register: single Ry, no CX
+
+
+def _plans(H, K):
+    kappa = max(1, math.ceil(math.log2(K + 1)))
+    return [build_w_hk(H, K), build_w_tilde(H, 0.05, kappa), build_w_unary(H, 0.05, K)]
+
+
+# Same n, L and term weights; the phase of XI makes the Select diagonal need
+# one more single-qubit gate.
+_H_REAL = canonicalize(2, [(1.0, "ZX"), (0.5, "XI"), (0.25, "YZ")])
+_H_NEG = canonicalize(2, [(1.0, "ZX"), (-0.5, "XI"), (0.25, "YZ")])
+
+
+class TestCountCompilesEachBlockOnce:
+    """``count`` against the reference ``compile_plan(plan).counts()``."""
+
+    @pytest.mark.parametrize("K", range(1, 8))
+    def test_each_family_matches_reference(self, ising4, K):
+        for plan in _plans(ising4, K):
+            assert count([plan]) == [compile_plan(plan).counts()]
+
+    def test_hamiltonians_differing_only_in_phases(self):
+        plans = [build_w_hk(_H_REAL, 1), build_w_hk(_H_NEG, 1)]
+        reference = [compile_plan(p).counts() for p in plans]
+        assert reference[0].one_qubit != reference[1].one_qubit
+        assert count(plans) == reference
+        assert count(plans[::-1]) == reference[::-1]
+
+    def test_mixed_batch_matches_reference(self, ising4):
+        plans = [p for H in (ising4, _H_REAL, _H_NEG) for K in range(1, 8) for p in _plans(H, K)]
+        assert count(iter(plans)) == [compile_plan(p).counts() for p in plans]
+
+    def test_each_distinct_block_is_compiled_once(self, monkeypatch):
+        compiled = []
+        original = resources._compile_instruction
+
+        def recording(plan, ins):
+            compiled.append(type(ins).__name__)
+            return original(plan, ins)
+
+        monkeypatch.setattr(resources, "_compile_instruction", recording)
+        count([build_w_hk(_H_REAL, 3), build_w_hk(_H_REAL, 2), build_w_hk(_H_NEG, 2)])
+        # Prepare and its adjoint once, one Select per Hamiltonian, every measurement
+        assert sorted(compiled) == sorted(
+            ["Prepare", "AdjointPrepare", "Select", "Select"] + ["MeasureExpectZero"] * 7
+        )
+
+    def test_wider_l_register_is_a_distinct_select(self):
+        plans = []
+        for width in (_H_REAL.l_width, _H_REAL.l_width + 1):
+            layout = RegisterLayout((Register("system", 2, 0), Register("l", width, 2)))
+            amps = prepare_amplitudes(_H_REAL, width)
+            block = (Prepare("l", amps), Select("l"), AdjointPrepare("l", amps))
+            plans.append(CircuitPlan(layout, _H_REAL, block, "w_hk"))
+        reference = [compile_plan(p).counts() for p in plans]
+        assert reference[0].two_qubit != reference[1].two_qubit
+        assert count(plans) == reference
+
+    def test_unary_staircase_is_not_memoized(self):
+        # its key would hold all 2^K amplitudes; compiling it is O(K)
+        plan = build_w_unary(_H_REAL, 0.05, 3)
+        assert resources._gate_key(plan, plan.instructions[0]) is None
+
+    def test_each_distinct_prepare_vector_is_validated(self, ising4):
+        plan = build_w_tilde(ising4, 0.05, 2)
+        bad = [Prepare("k", -plan.instructions[0].amps)] + list(plan.instructions[1:])
+        with pytest.raises(ValueError, match="nonnegative"):
+            count([plan, type(plan)(plan.layout, ising4, tuple(bad), plan.family)])

@@ -66,6 +66,8 @@ class TestLayout:
         lay = _layout(2, 1)
         with pytest.raises(NormalizationError):
             init_state(lay, np.array([1.0, 1.0, 0.0, 0.0]))
+        with pytest.raises(NormalizationError):
+            init_state(lay, np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
 class TestCompletionUnitary:
@@ -91,6 +93,8 @@ class TestCompletionUnitary:
     def test_unnormalized_rejected(self):
         with pytest.raises(NormalizationError):
             completion_unitary(np.array([1.0, 1.0]))
+        with pytest.raises(NormalizationError):
+            completion_unitary(np.array([np.nan, 0.0]))
 
 
 class TestRegisterOps:
@@ -176,6 +180,8 @@ class TestPrepareReflection:
             apply_prepare(state, "l", np.array([0.6, 0.8]))
         with pytest.raises(NormalizationError):
             apply_prepare(state, "l", np.ones(4))
+        with pytest.raises(NormalizationError):
+            apply_prepare(state, "l", np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
 class TestLcuBlock:
@@ -223,6 +229,8 @@ class TestLcuBlock:
             apply_lcu_block(state, ising4, np.array([0.6, 0.8]))
         with pytest.raises(NormalizationError):
             apply_lcu_block(state, ising4, np.ones(8))
+        with pytest.raises(NormalizationError):
+            apply_lcu_block(state, ising4, np.full(8, np.nan))
 
 
 class TestSelect:
