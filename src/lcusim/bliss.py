@@ -10,6 +10,13 @@ leaves the fixed-particle-number sector spectrum unchanged while the
 Jordan-Wigner-encoded Pauli coefficients change. The optimizer picks the
 shift parameters minimizing the l1 norm of those coefficients.
 
+The coefficients are affine in the parameters: a - B x. Column m of B is the
+encoding of U_m (N_hat - N_e) for the unit shift U_m (the identity,
+a_i^dag a_i, a_i^dag a_j + a_j^dag a_i, i(a_i^dag a_j - a_j^dag a_i)).
+N_hat - N_e = (N/2 - N_e) I - 1/2 sum_k Z_k is pure Z, so every product
+X^x Z^z1 Z^z2 = X^x Z^(z1 ^ z2) has sign +1, and one encoding of each U_m
+gives its whole column.
+
 Jordan-Wigner convention: a_j = (prod_{m<j} Z_m) (X_j + i Y_j)/2 with qubit
 j carrying orbital j's occupation and qubit 0 the least-significant bit.
 """
@@ -94,14 +101,19 @@ def _accumulate_product(acc: dict[tuple[int, int], complex], factor: complex, in
         acc[x, z] = acc.get((x, z), 0j) + c
 
 
-def fermionic_to_pauli_dict(F: FermionicOperator) -> dict[str, complex]:
-    """Raw Jordan-Wigner coefficient dictionary (no canonicalization)."""
+def _jw_masks(F: FermionicOperator) -> dict[tuple[int, int], complex]:
+    """Jordan-Wigner coefficients ``{(x, z): c}`` of ``sum c X^x Z^z``."""
     acc = {(0, 0): complex(F.constant)} if F.constant != 0.0 else {}
     bodies = (F.one_body,) if F.two_body is None else (F.one_body, F.two_body)
     for g in bodies:
         for idx in np.argwhere(g != 0).tolist():
             _accumulate_product(acc, g[tuple(idx)], idx)
-    return mask_sum_letters(acc, F.n_orb)
+    return acc
+
+
+def fermionic_to_pauli_dict(F: FermionicOperator) -> dict[str, complex]:
+    """Raw Jordan-Wigner coefficient dictionary (no canonicalization)."""
+    return mask_sum_letters(_jw_masks(F), F.n_orb)
 
 
 def jordan_wigner(F: FermionicOperator) -> HamiltonianLCU:
@@ -110,30 +122,19 @@ def jordan_wigner(F: FermionicOperator) -> HamiltonianLCU:
     return canonicalize(F.n_orb, [(coeff, letters) for letters, coeff in acc.items()])
 
 
-def shift_operator(params: BlissParams, n_orb: int) -> FermionicOperator:
-    """(xi0 + sum xi_ij a_i^dag a_j)(N_hat - N_e) as coefficient updates."""
-    xi0, xi, ne = params.xi0, params.xi, params.n_electrons
-    const = -xi0 * ne
-    one = xi0 * np.eye(n_orb, dtype=complex) - ne * xi
-    two = np.zeros((n_orb, n_orb, n_orb, n_orb), dtype=complex)
-    for k in range(n_orb):
-        two[:, :, k, k] += xi
-    return FermionicOperator(n_orb, constant=const, one_body=one, two_body=two)
-
-
 def apply_bliss(F: FermionicOperator, params: BlissParams) -> FermionicOperator:
-    """H - (xi0 + sum xi_ij a_i^dag a_j)(N_hat - N_e)."""
-    if params.xi.shape[0] != F.n_orb:
+    """H - (xi0 + sum xi_ij a_i^dag a_j)(N_hat - N_e), as coefficient updates."""
+    n, xi0, xi, ne = F.n_orb, params.xi0, params.xi, params.n_electrons
+    if xi.shape[0] != n:
         raise InvalidModelError("xi dimension does not match the operator")
-    shift = shift_operator(params, F.n_orb)
     two = None
-    if F.two_body is not None or np.abs(shift.two_body).max() > 0:
+    if F.two_body is not None or xi.any():
         base = F.two_body if F.two_body is not None else 0.0
-        two = base - shift.two_body
+        two = base - np.multiply.outer(xi, np.eye(n))  # xi_ij a_i^dag a_j a_k^dag a_k
     return FermionicOperator(
-        F.n_orb,
-        constant=F.constant - shift.constant,
-        one_body=F.one_body - shift.one_body,
+        n,
+        constant=F.constant + xi0 * ne,
+        one_body=F.one_body - (xi0 * np.eye(n, dtype=complex) - ne * xi),
         two_body=two,
     )
 
@@ -180,24 +181,73 @@ def sector_spectrum(op, n_electrons: int) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(sub))
 
 
-def _param_basis(n_orb: int, include_offdiag: bool) -> list[BlissParams]:
-    """Unit-parameter shifts spanning (xi0, Hermitian xi)."""
-    basis = [BlissParams(1.0, np.zeros((n_orb, n_orb)), 0)]
-    for i in range(n_orb):
-        xi = np.zeros((n_orb, n_orb))
-        xi[i, i] = 1.0
-        basis.append(BlissParams(0.0, xi, 0))
+def _unit_shifts(n_orb: int, include_offdiag: bool) -> list[dict[tuple[int, int], complex]]:
+    """The unit shifts U_m in parameter order, each as ``{(x, z): c}``: the
+    identity, a_i^dag a_i, then per i < j a_i^dag a_j + a_j^dag a_i and
+    i(a_i^dag a_j - a_j^dag a_i)."""
+    terms = [[(1.0, (i, i))] for i in range(n_orb)]
     if include_offdiag:
         for i in range(n_orb):
             for j in range(i + 1, n_orb):
-                xr = np.zeros((n_orb, n_orb))
-                xr[i, j] = xr[j, i] = 1.0
-                basis.append(BlissParams(0.0, xr, 0))
-                xm = np.zeros((n_orb, n_orb), dtype=complex)
-                xm[i, j] = 1j
-                xm[j, i] = -1j
-                basis.append(BlissParams(0.0, xm, 0))
-    return basis
+                terms += [[(1.0, (i, j)), (1.0, (j, i))], [(1j, (i, j)), (-1j, (j, i))]]
+    units = [{(0, 0): 1 + 0j}]
+    for unit in terms:
+        units.append({})
+        for factor, indices in unit:
+            _accumulate_product(units[-1], factor, indices)
+    return units
+
+
+def _letter_keys(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """The letter string of X^x Z^z (qubit 0 first) read as a base-4 number
+    over I < X < Y < Z, so the keys sort like the strings."""
+    key = np.zeros_like(x)
+    for j in range(n):
+        xj, zj = (x >> j) & 1, (z >> j) & 1
+        key = (key << 2) | (zj << 1) | (xj ^ zj)
+    return key
+
+
+_LETTER_PHASE = np.array([(-1j) ** k for k in range(4)])  # c X^x Z^z = c (-i)^popcount(x & z) letters
+
+
+def _shift_matrix(F: FermionicOperator, n_electrons: int, include_offdiag: bool):
+    """``(keys, a, columns)`` of the objective ||a - B x||_1.
+
+    Rows are the Pauli strings of F and of every U_m (N_hat - N_e), in letter
+    order, as ``_letter_keys``; ``a`` is dense and each column of B is
+    ``(row indices, values)`` over its entries with |v| > 1e-14, the cut the
+    line search makes. B's entries are multiples of 1/4, so the cut drops only
+    exact zeros, which leave the residual unchanged.
+    """
+    n = F.n_orb
+    base = _jw_masks(F)
+    units = _unit_shifts(n, include_offdiag)
+    number_z = np.array([0] + [1 << k for k in range(n)], dtype=np.int64)
+    number_c = np.array([n / 2 - n_electrons] + [-0.5] * n)
+    bx, bz = np.array(list(base), dtype=np.int64).reshape(-1, 2).T
+    ux, uz = np.array([k for u in units for k in u], dtype=np.int64).T
+    uc = np.array([c for u in units for c in u.values()])
+    ucol = np.repeat(np.arange(len(units)), [len(u) for u in units])
+    x = np.concatenate([bx, np.repeat(ux, n + 1)])
+    z = np.concatenate([bz, (uz[:, None] ^ number_z).ravel()])
+    c = np.concatenate([np.array(list(base.values()), dtype=complex), (uc[:, None] * number_c).ravel()])
+    col = np.concatenate([np.full(len(base), -1), np.repeat(ucol, n + 1)])  # column -1 is a
+    keys, row = np.unique(_letter_keys(x, z, n), return_inverse=True)
+    pairs, entry = np.unique((col + 1) * len(keys) + row, return_inverse=True)
+    vals = np.zeros(len(pairs), dtype=complex)
+    np.add.at(vals, entry, c * _LETTER_PHASE[np.bitwise_count(x & z) % 4])
+    if np.abs(vals.imag).max() > 1e-10:
+        raise InvalidModelError("expected real Pauli coefficients (Hermitian operator)")
+    vals = vals.real
+    pair_col, pair_row = np.divmod(pairs, len(keys))
+    in_a = pair_col == 0
+    a = np.zeros(len(keys))
+    a[pair_row[in_a]] = vals[in_a]
+    keep = ~in_a & (np.abs(vals) > 1e-14)
+    ends = np.searchsorted(pair_col[keep], np.arange(1, len(units) + 2))
+    rows, vals = pair_row[keep], vals[keep]
+    return keys, a, [(rows[lo:hi], vals[lo:hi]) for lo, hi in zip(ends, ends[1:])]
 
 
 def _weighted_median(breaks: np.ndarray, weights: np.ndarray) -> float:
@@ -207,6 +257,16 @@ def _weighted_median(breaks: np.ndarray, weights: np.ndarray) -> float:
     half = w.sum() / 2.0
     cum = np.cumsum(w)
     return float(b[np.searchsorted(cum, half)])
+
+
+def _params_from_vector(x: np.ndarray, n: int, n_electrons: int, include_offdiag: bool) -> BlissParams:
+    """The shift whose parameters, in ``_unit_shifts`` order, are ``x``."""
+    xi = np.diag(x[1 : n + 1]).astype(complex)
+    if include_offdiag:
+        i, j = np.triu_indices(n, 1)
+        xi[i, j] = x[n + 1 :: 2] + 1j * x[n + 2 :: 2]
+        xi[j, i] = x[n + 1 :: 2] - 1j * x[n + 2 :: 2]
+    return BlissParams(float(x[0]), xi, n_electrons)
 
 
 @dataclass(frozen=True)
@@ -235,35 +295,22 @@ def optimize_bliss(
     after ``max_sweeps`` returns the best iterate with a warning.
     """
     n = F.n_orb
-    basis = _param_basis(n, include_offdiag)
-    base_dict = fermionic_to_pauli_dict(F)
-    col_dicts = []
-    for unit in basis:
-        shift = shift_operator(
-            BlissParams(unit.xi0, unit.xi, n_electrons), n
-        )
-        col_dicts.append(fermionic_to_pauli_dict(shift))
-    strings = sorted(set(base_dict) | set().union(*[set(d) for d in col_dicts]))
-    a = np.array([base_dict.get(s, 0j) for s in strings])
-    B = np.array([[d.get(s, 0j) for d in col_dicts] for s in strings])
-    if max(np.abs(a.imag).max(), np.abs(B.imag).max()) > 1e-10:
-        raise InvalidModelError("expected real Pauli coefficients (Hermitian operator)")
-    a, B = a.real, B.real
+    if n_electrons < 0 or n_electrons > n:
+        raise InvalidModelError("n_electrons out of range")
+    _, a, cols = _shift_matrix(F, n_electrons, include_offdiag)
 
-    x = np.zeros(len(basis))
+    x = np.zeros(len(cols))
     resid = a.copy()  # a - B x
     history = [float(np.abs(resid).sum())]
     converged = False
     for _ in range(max_sweeps):
-        for m in range(len(basis)):
-            col = B[:, m]
-            nz = np.abs(col) > 1e-14
-            if not nz.any():
+        for m, (rows, vals) in enumerate(cols):
+            if not len(vals):
                 continue
-            partial = resid[nz] + col[nz] * x[m]  # residual excluding coordinate m
-            t = _weighted_median(partial / col[nz], np.abs(col[nz]))
+            partial = resid[rows] + vals * x[m]  # residual excluding coordinate m
+            t = _weighted_median(partial / vals, np.abs(vals))
             if t != x[m]:
-                resid += col * (x[m] - t)
+                resid[rows] += vals * (x[m] - t)
                 x[m] = t
         obj = float(np.abs(resid).sum())
         history.append(obj)
@@ -273,19 +320,7 @@ def optimize_bliss(
     if not converged:
         warnings.warn("BLISS optimizer hit the sweep limit; returning best iterate")
 
-    xi = np.zeros((n, n), dtype=complex)
-    xi0 = x[0]
-    pos = 1
-    for i in range(n):
-        xi[i, i] = x[pos]
-        pos += 1
-    if include_offdiag:
-        for i in range(n):
-            for j in range(i + 1, n):
-                xi[i, j] += x[pos] + 1j * x[pos + 1]
-                xi[j, i] += x[pos] - 1j * x[pos + 1]
-                pos += 2
-    params = BlissParams(float(xi0), xi, n_electrons)
+    params = _params_from_vector(x, n, n_electrons, include_offdiag)
     shifted = apply_bliss(F, params)
     return BlissResult(params, jordan_wigner(shifted), tuple(history), converged)
 

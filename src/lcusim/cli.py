@@ -64,12 +64,16 @@ def _add_tau_arg(p: _Parser) -> None:
     p.add_argument("--tau", type=float, default=0.05)
 
 
+def _add_state_arg(p: _Parser) -> None:
+    p.add_argument("--state", help="file of 2^n system amplitudes, two reals per line")
+
+
 def _add_circuit_args(p: _Parser) -> None:
     _add_tau_arg(p)
     p.add_argument("--kappa", type=_int_in(1), help="Taylor register width (K = 2^kappa - 1)")
     p.add_argument("--K", type=_int_in(1), dest="K", help="truncation order")
     p.add_argument("--circuit", choices=["wtilde", "wunary"], default="wtilde")
-    p.add_argument("--state", help="file of 2^n system amplitudes, two reals per line")
+    _add_state_arg(p)
 
 
 def _add_cost_args(p: _Parser) -> None:
@@ -101,9 +105,11 @@ def build_parser() -> _Parser:
     _add_cost_args(p_an)
     _add_output_args(p_an)
 
-    p_sw = sub.add_parser("sweep", help="sampled vs analytic success per kappa")
+    # every W-tilde kappa up to --kappa-max; no abbreviations: --kappa would be read as --kappa-max
+    p_sw = sub.add_parser("sweep", help="sampled vs analytic success per kappa", allow_abbrev=False)
     _add_hamiltonian_args(p_sw)
-    _add_circuit_args(p_sw)
+    _add_tau_arg(p_sw)
+    _add_state_arg(p_sw)
     _add_cost_args(p_sw)
     _add_output_args(p_sw)
     p_sw.add_argument("--kappa-max", type=_int_in(1), default=3)

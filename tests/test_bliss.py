@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from lcusim import bliss
 from lcusim.bliss import (
     BlissParams,
     FermionicOperator,
@@ -17,7 +19,6 @@ from lcusim.bliss import (
     optimize_bliss,
     save_fermionic,
     sector_spectrum,
-    shift_operator,
 )
 from lcusim.errors import InvalidModelError
 from lcusim.hamiltonian import l1_norm, pauli_string_matrix, to_matrix
@@ -25,6 +26,64 @@ from lcusim.hamiltonian import l1_norm, pauli_string_matrix, to_matrix
 
 def _jw_matrix(F):
     return to_matrix(jordan_wigner(F))
+
+
+# --- per-unit reference: one shift operator and one Jordan-Wigner pass per parameter ---
+
+
+def shift_operator(params: BlissParams, n_orb: int) -> FermionicOperator:
+    """(xi0 + sum xi_ij a_i^dag a_j)(N_hat - N_e) as coefficient updates."""
+    xi0, xi, ne = params.xi0, params.xi, params.n_electrons
+    const = -xi0 * ne
+    one = xi0 * np.eye(n_orb, dtype=complex) - ne * xi
+    two = np.zeros((n_orb, n_orb, n_orb, n_orb), dtype=complex)
+    for k in range(n_orb):
+        two[:, :, k, k] += xi
+    return FermionicOperator(n_orb, constant=const, one_body=one, two_body=two)
+
+
+def _param_basis(n_orb: int, include_offdiag: bool, ne: int) -> list[BlissParams]:
+    """Unit-parameter shifts spanning (xi0, Hermitian xi)."""
+    basis = [BlissParams(1.0, np.zeros((n_orb, n_orb)), ne)]
+    for i in range(n_orb):
+        xi = np.zeros((n_orb, n_orb))
+        xi[i, i] = 1.0
+        basis.append(BlissParams(0.0, xi, ne))
+    if include_offdiag:
+        for i in range(n_orb):
+            for j in range(i + 1, n_orb):
+                xr = np.zeros((n_orb, n_orb))
+                xr[i, j] = xr[j, i] = 1.0
+                basis.append(BlissParams(0.0, xr, ne))
+                xm = np.zeros((n_orb, n_orb), dtype=complex)
+                xm[i, j] = 1j
+                xm[j, i] = -1j
+                basis.append(BlissParams(0.0, xm, ne))
+    return basis
+
+
+def _per_unit_matrix(F, ne, include_offdiag=True):
+    """(sorted letter strings, a, B) from one JW pass per unit shift operator."""
+    base = fermionic_to_pauli_dict(F)
+    cols = [
+        fermionic_to_pauli_dict(shift_operator(u, F.n_orb))
+        for u in _param_basis(F.n_orb, include_offdiag, ne)
+    ]
+    strings = sorted(set(base) | set().union(*[set(c) for c in cols]))
+    a = np.array([base.get(s, 0j) for s in strings])
+    B = np.array([[c.get(s, 0j) for c in cols] for s in strings])
+    return strings, a, B
+
+
+def _mask_space_matrix(F, ne, include_offdiag=True):
+    """(letter strings, a, dense B) from ``bliss._shift_matrix``."""
+    n = F.n_orb
+    keys, a, cols = bliss._shift_matrix(F, ne, include_offdiag)
+    strings = ["".join("IXYZ"[int(k) >> 2 * (n - 1 - j) & 3] for j in range(n)) for k in keys]
+    B = np.zeros((len(keys), len(cols)))
+    for m, (rows, vals) in enumerate(cols):
+        B[rows, m] = vals
+    return strings, a, B
 
 
 def _random_hermitian_operator(n, rng, two_body=False):
@@ -157,19 +216,10 @@ class TestOptimizer:
 
     def test_matches_linear_program(self):
         # independent oracle: minimize ||a - B x||_1 as an LP
-        from lcusim.bliss import _param_basis
-
         F = build_hubbard_chain(4, 1.0, 4.0)
         ne = 4
-        basis = _param_basis(8, True)
-        base = fermionic_to_pauli_dict(F)
-        cols = [
-            fermionic_to_pauli_dict(shift_operator(BlissParams(u.xi0, u.xi, ne), 8))
-            for u in basis
-        ]
-        strings = sorted(set(base) | set().union(*[set(c) for c in cols]))
-        a = np.array([base.get(s, 0j) for s in strings]).real
-        B = np.array([[c.get(s, 0j) for c in cols] for s in strings]).real
+        _, a, B = _per_unit_matrix(F, ne)
+        a, B = a.real, B.real
         m, k = B.shape
         # variables: x (free), t >= |a - Bx| elementwise
         c = np.concatenate([np.zeros(k), np.ones(m)])
@@ -204,6 +254,89 @@ class TestOptimizer:
         result = optimize_bliss(F, 3)
         shifted = apply_bliss(F, result.params)
         assert np.abs(sector_spectrum(F, 3) - sector_spectrum(shifted, 3)).max() < 1e-8
+
+
+def _random_operator(n, seed, density):
+    """Hermitian one-body with complex off-diagonal entries and a Hermitian
+    two-body part, g_ijkl = conj(g_lkji), with about ``density`` of its entries set."""
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    g = (rng.normal(size=(n,) * 4) + 1j * rng.normal(size=(n,) * 4)) * (rng.random((n,) * 4) < density)
+    return FermionicOperator(
+        n,
+        constant=float(rng.normal()),
+        one_body=h + h.conj().T,
+        two_body=(g + g.conj().transpose(3, 2, 1, 0)) / 2,
+    )
+
+
+class TestShiftMatrix:
+    """The mask-space (a, B) against one JW pass per unit shift operator."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.05, 0.3]),
+        st.booleans(),
+    )
+    def test_matches_per_unit_construction(self, n_ne, seed, density, include_offdiag):
+        n, ne = n_ne
+        F = _random_operator(n, seed, density)
+        strings, a, B = _mask_space_matrix(F, ne, include_offdiag)
+        ref_strings, ref_a, ref_B = _per_unit_matrix(F, ne, include_offdiag)
+        assert strings == ref_strings
+        assert np.array_equal(a, ref_a.real)
+        assert np.array_equal(B, ref_B.real)
+
+        # ||a - B x||_1 is the l1 norm of the shifted operator's encoding
+        x = np.random.default_rng(seed + 1).normal(size=B.shape[1])
+        params = bliss._params_from_vector(x, n, ne, include_offdiag)
+        l1 = l1_norm(jordan_wigner(apply_bliss(F, params)))
+        assert np.abs(a - B @ x).sum() == pytest.approx(l1, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("include_offdiag, rows", [(True, 821), (False, 61)])
+    def test_bundled_file_matches_per_unit_construction(self, include_offdiag, rows):
+        import importlib.resources as res
+
+        with res.as_file(res.files("lcusim.data") / "hubbard_4site.txt") as path:
+            F, ne = load_fermionic(path)
+        strings, a, B = _mask_space_matrix(F, ne, include_offdiag)
+        ref_strings, ref_a, ref_B = _per_unit_matrix(F, ne, include_offdiag)
+        assert len(strings) == rows
+        assert strings == ref_strings
+        assert np.array_equal(a, ref_a.real) and np.array_equal(B, ref_B.real)
+
+    def test_one_jordan_wigner_pass_before_the_final_encoding(self, monkeypatch):
+        # the per-unit path built one operator and ran one JW pass per parameter
+        events = []
+
+        def recording(name, fn):
+            def wrapped(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(bliss, "_jw_masks", recording("encode", bliss._jw_masks))
+        monkeypatch.setattr(bliss, "jordan_wigner", recording("jordan_wigner", bliss.jordan_wigner))
+        monkeypatch.setattr(
+            FermionicOperator, "__post_init__", recording("operator", FermionicOperator.__post_init__)
+        )
+        F = build_hubbard_chain(4, 1.0, 4.0)
+        events.clear()
+        optimize_bliss(F, 4)
+        # the base encoding, then jordan_wigner(apply_bliss(F, params)) on one shifted operator
+        assert events == ["encode", "operator", "jordan_wigner", "encode"]
+
+    @pytest.mark.parametrize("ne", [-1, 9, 99])
+    def test_electron_count_checked_before_any_work(self, monkeypatch, ne):
+        def fail(F):
+            raise AssertionError("encoded before checking n_electrons")
+
+        monkeypatch.setattr(bliss, "_jw_masks", fail)
+        with pytest.raises(InvalidModelError, match="n_electrons out of range"):
+            optimize_bliss(build_hubbard_chain(4, 1.0, 4.0), ne)
 
 
 class TestHubbardModel:

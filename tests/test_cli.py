@@ -97,6 +97,16 @@ class TestSweep:
         for r in rows:
             assert abs(float(r["p_hat"]) - float(r["p_analytic"])) < 3 * float(r["stderr"])
 
+    @pytest.mark.parametrize("flag", [["--circuit", "wunary"], ["--K", "3"], ["--kappa", "2"]])
+    def test_single_circuit_flags_are_usage_errors(self, capsys, flag):
+        # a sweep runs W-tilde at every kappa up to --kappa-max
+        code, out, err = _run(
+            capsys, "sweep", "--model", "ising", "--kappa-max", "1", "--shots", "100", *flag
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
     def test_shot_stream_is_pinned(self, capsys):
         # Rows printed by the per-shot shot_rng loop before the block sampler
         # replaced it; a change to the (seed, shot index) stream shows here.
@@ -158,17 +168,57 @@ class TestResources:
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+def _bundled_hubbard(capsys, *flags):
+    import importlib.resources as res
+
+    with res.as_file(res.files("lcusim.data") / "hubbard_4site.txt") as path:
+        return _run(capsys, "bliss", "--fermion-file", str(path), *flags)
+
+
+_BLISS_HEADER = "n_orb,n_electrons,l1_before,l1_after,L_before,L_after,p_before,p_after,xi0,converged\n"
+_BLISS_HALF_FILLED = "8,4,22.0,14.0,25,17,0.13636363636363635,0.336734693877551,2.0,True\n"
+
+
 class TestBliss:
     def test_bundled_hubbard(self, capsys):
-        import importlib.resources as res
-
-        with res.as_file(res.files("lcusim.data") / "hubbard_4site.txt") as path:
-            code, out, _ = _run(capsys, "bliss", "--fermion-file", str(path))
+        code, out, _ = _bundled_hubbard(capsys)
         assert code == 0
         (row,) = _csv_rows(out)
         assert float(row["l1_after"]) < float(row["l1_before"])
         assert float(row["p_after"]) > float(row["p_before"])
         assert float(row["l1_before"]) == pytest.approx(22.0)
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ([], _BLISS_HEADER + _BLISS_HALF_FILLED),
+            (["--diagonal-only"], _BLISS_HEADER + _BLISS_HALF_FILLED),
+            (
+                ["--nelec", "2"],
+                _BLISS_HEADER + "8,2,22.0,10.0,25,16,0.0371900826446281,0.18000000000000005,2.0,True\n",
+            ),
+            (
+                ["--format", "json"],
+                '[\n {\n  "L_after": 17,\n  "L_before": 25,\n  "converged": true,\n'
+                '  "l1_after": 14.0,\n  "l1_before": 22.0,\n  "n_electrons": 4,\n  "n_orb": 8,\n'
+                '  "p_after": 0.336734693877551,\n  "p_before": 0.13636363636363635,\n'
+                '  "xi0": 2.0\n }\n]\n',
+            ),
+        ],
+        ids=["defaults", "diagonal-only", "nelec-2", "json"],
+    )
+    def test_output_is_pinned(self, capsys, flags, expected):
+        # bytes printed when B was built from one JW pass per unit shift
+        code, out, _ = _bundled_hubbard(capsys, *flags)
+        assert code == 0
+        assert out == expected
+
+    @pytest.mark.parametrize("nelec", ["99", "-1"])
+    def test_electron_count_out_of_range_exit_2(self, capsys, nelec):
+        code, out, err = _bundled_hubbard(capsys, "--nelec", nelec)
+        assert code == 2
+        assert out == ""
+        assert err == "error: n_electrons out of range\n"
 
 
 class TestOutput:
