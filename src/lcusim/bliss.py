@@ -74,14 +74,6 @@ class BlissParams:
             raise InvalidModelError("n_electrons out of range")
 
 
-def _ladder_strings(j: int, n: int, dagger: bool) -> list[tuple[complex, str]]:
-    """Pauli expansion of a_j (or a_j^dag): Z-string below, (X -+ i Y)/2 at j."""
-    zs = "Z" * j
-    tail = "I" * (n - j - 1)
-    y_coeff = -0.5j if dagger else 0.5j
-    return [(0.5, zs + "X" + tail), (y_coeff, zs + "Y" + tail)]
-
-
 def _accumulate_product(acc: dict[tuple[int, int], complex], factor: complex, indices) -> None:
     """Add factor * a_i^dag a_j (a_k^dag a_l) into acc, keyed by the (x, z) masks of X^x Z^z.
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,18 +43,24 @@ class TaylorCoefficients:
             raise InvalidModelError("kappa must be at least 1")
         if not 0 <= self.tau < math.inf:
             raise InvalidModelError("tau must be nonnegative and finite")
+        if not (np.isfinite(self.beta).all() and math.isfinite(self.beta_norm * self.beta_norm)):
+            raise InvalidModelError(
+                f"Taylor weights overflow at tau * alpha_norm = {self.tau * self.alpha_norm!r}"
+            )
 
     @property
     def K(self) -> int:
         return (1 << self.kappa) - 1
 
-    @property
+    @cached_property
     def beta(self) -> np.ndarray:
+        """Read-only weights, built in Python floats, which overflow to inf without a warning."""
         x = self.tau * self.alpha_norm
         out = np.empty(self.K + 1)
-        out[0] = 1.0
+        out[0] = b = 1.0
         for k in range(1, self.K + 1):
-            out[k] = out[k - 1] * x / k
+            out[k] = b = b * x / k
+        out.flags.writeable = False
         return out
 
     @property

@@ -87,47 +87,55 @@ def _add_output_args(p: _Parser) -> None:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
-def build_parser() -> _Parser:
+def _analytic_args(p: _Parser) -> None:
+    _add_hamiltonian_args(p)
+    _add_circuit_args(p)
+    _add_cost_args(p)
+    _add_output_args(p)
+
+
+def _simulate_args(p: _Parser) -> None:
+    _analytic_args(p)
+    p.add_argument("--shots", type=_int_in(1), default=10_000)
+    p.add_argument("--seed", type=_int_in(0, 2**64), default=0)
+
+
+def _sweep_args(p: _Parser) -> None:  # every W-tilde kappa up to --kappa-max
+    _add_hamiltonian_args(p)
+    _add_tau_arg(p)
+    _add_state_arg(p)
+    _add_cost_args(p)
+    _add_output_args(p)
+    p.add_argument("--kappa-max", type=_int_in(1), default=3)
+    p.add_argument("--shots", type=_int_in(1), default=10_000)
+    p.add_argument("--seed", type=_int_in(0, 2**64), default=0)
+
+
+def _resources_args(p: _Parser) -> None:
+    _add_hamiltonian_args(p)
+    _add_tau_arg(p)
+    _add_output_args(p)
+    p.add_argument("--K-max", type=_int_in(1), default=7)
+
+
+def _bliss_args(p: _Parser) -> None:
+    p.add_argument("--fermion-file", required=True, help="FCIDUMP-like text file")
+    p.add_argument("--nelec", type=int, help="electron count (default: file header)")
+    p.add_argument("--diagonal-only", action="store_true", help="restrict xi to its diagonal")
+    _add_output_args(p)
+
+
+def build_parser(argv: list[str] | None = None) -> _Parser:
+    """The parser with all five command names, but the flags only of the command that
+    ``argv`` names (the first argument not starting with '-'), or of all five without argv."""
+    named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
     parser = _Parser(prog="lcusim")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", parents=[], help="run shots of one circuit")
-    _add_hamiltonian_args(p_sim)
-    _add_circuit_args(p_sim)
-    _add_cost_args(p_sim)
-    _add_output_args(p_sim)
-    p_sim.add_argument("--shots", type=_int_in(1), default=10_000)
-    p_sim.add_argument("--seed", type=_int_in(0, 2**64), default=0)
-
-    p_an = sub.add_parser("analytic", help="closed-form oracle values")
-    _add_hamiltonian_args(p_an)
-    _add_circuit_args(p_an)
-    _add_cost_args(p_an)
-    _add_output_args(p_an)
-
-    # every W-tilde kappa up to --kappa-max; no abbreviations: --kappa would be read as --kappa-max
-    p_sw = sub.add_parser("sweep", help="sampled vs analytic success per kappa", allow_abbrev=False)
-    _add_hamiltonian_args(p_sw)
-    _add_tau_arg(p_sw)
-    _add_state_arg(p_sw)
-    _add_cost_args(p_sw)
-    _add_output_args(p_sw)
-    p_sw.add_argument("--kappa-max", type=_int_in(1), default=3)
-    p_sw.add_argument("--shots", type=_int_in(1), default=10_000)
-    p_sw.add_argument("--seed", type=_int_in(0, 2**64), default=0)
-
-    # no abbreviations: --K would be read as --K-max
-    p_res = sub.add_parser("resources", help="gate and qubit counts", allow_abbrev=False)
-    _add_hamiltonian_args(p_res)
-    _add_tau_arg(p_res)
-    _add_output_args(p_res)
-    p_res.add_argument("--K-max", type=_int_in(1), default=7)
-
-    p_bl = sub.add_parser("bliss", help="l1-norm optimization of a fermionic operator")
-    p_bl.add_argument("--fermion-file", required=True, help="FCIDUMP-like text file")
-    p_bl.add_argument("--nelec", type=int, help="electron count (default: file header)")
-    p_bl.add_argument("--diagonal-only", action="store_true", help="restrict xi to its diagonal")
-    _add_output_args(p_bl)
+    for name, (help_text, add_flags, _) in _COMMANDS.items():
+        # no abbreviations where one flag prefixes another: --kappa(-max), --K(-max)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=name not in ("sweep", "resources"))
+        if named in (None, name):
+            add_flags(p)
     return parser
 
 
@@ -209,6 +217,7 @@ def cmd_analytic(args) -> list[dict]:
     check_width(kappa)  # the Taylor coefficients have 2^kappa entries
     psi = _resolve_state(args, H.n)
     cost = CostModel(d=args.d, d_ctrl=args.d_ctrl, m=args.m)
+    # 2K matvecs: one Horner pass and one chain pass, with p1 = p_chain[0], p_hk = prod(p_chain)
     p_w = oracle.success_prob_wtilde(H, psi, args.tau, K)
     p_chain = oracle.chain_probabilities(H, psi, K)
     return [
@@ -218,10 +227,12 @@ def cmd_analytic(args) -> list[dict]:
             "tau": args.tau,
             "l1_norm": l1_norm(H),
             "p_wtilde": p_w,
-            "p_hk": oracle.success_prob_hk(H, psi, K),
+            "p_hk": math.prod(p_chain),
             "expected_runtime_hk": oracle.expected_runtime_midmeasure(p_chain, cost.d),
             "total_runtime_hk": oracle.total_runtime_success(p_chain, cost.d),
-            "runtime_upper_bound": oracle.runtime_upper_bound(H, psi, args.tau, K, cost.d_ctrl),
+            "runtime_upper_bound": oracle.runtime_bound(
+                p_w, p_chain[0], args.tau, l1_norm(H), K, cost.d_ctrl
+            ),
         }
     ]
 
@@ -313,19 +324,20 @@ def emit(rows: list[dict], fmt: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "analytic": cmd_analytic,
-    "sweep": cmd_sweep,
-    "resources": cmd_resources,
-    "bliss": cmd_bliss,
+_COMMANDS = {  # name: (help, flag definitions, command)
+    "simulate": ("run shots of one circuit", _simulate_args, cmd_simulate),
+    "analytic": ("closed-form oracle values", _analytic_args, cmd_analytic),
+    "sweep": ("sampled vs analytic success per kappa", _sweep_args, cmd_sweep),
+    "resources": ("gate and qubit counts", _resources_args, cmd_resources),
+    "bliss": ("l1-norm optimization of a fermionic operator", _bliss_args, cmd_bliss),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
-        emit(_COMMANDS[args.command](args), args.format, args.out)
+        args = build_parser(argv).parse_args(argv)
+        emit(_COMMANDS[args.command][2](args), args.format, args.out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

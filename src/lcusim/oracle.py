@@ -81,13 +81,17 @@ def chain_probabilities(H: HamiltonianLCU, psi: np.ndarray, k: int) -> list[floa
     return probs
 
 
+def _beta_norm(tau: float, l1: float, K: int) -> float:
+    return float(TaylorCoefficients(tau, l1, kappa_for(K)).beta[: K + 1].sum())
+
+
 def success_prob_wtilde(H: HamiltonianLCU, psi: np.ndarray, tau: float, K: int) -> float:
     """<psi| U^dag U |psi> / ||beta||_1^2 for the truncated propagator U.
 
     U psi in Horner form, K matvecs: v <- psi + (x / k) Htilde v for k = K..1, x = tau l1.
     """
     psi = _check_normalized(psi, H.n)
-    beta_norm = float(TaylorCoefficients(tau, l1_norm(H), kappa_for(K)).beta[: K + 1].sum())
+    beta_norm = _beta_norm(tau, l1_norm(H), K)
     v = psi
     for k in range(K, 0, -1):
         v = psi + (tau * l1_norm(H) / k) * _apply_rescaled(H, v)
@@ -125,16 +129,19 @@ def total_runtime_success(p_chain: Sequence[float], d: float) -> float:
     return d * numerator / running
 
 
+def runtime_bound(p_w: float, p1: float, tau: float, l1: float, K: int, d_ctrl: float) -> float:
+    """``runtime_upper_bound`` from p_wtilde and p1 = <psi| Htilde^dag Htilde |psi>."""
+    correction = (tau * l1 / _beta_norm(tau, l1, K)) * (1.0 - p1)
+    return (K * d_ctrl / p_w) * (1.0 - correction)
+
+
 def runtime_upper_bound(
     H: HamiltonianLCU, psi: np.ndarray, tau: float, K: int, d_ctrl: float
 ) -> float:
     """First-order upper bound on the average successful-run cost of the
     shorter-width circuit: (K d / p) [1 - (tau l1 / ||beta||_1) (1 - p1)]."""
     p_w = success_prob_wtilde(H, psi, tau, K)
-    p1 = success_prob_hk(H, psi, 1)
-    beta_norm = float(TaylorCoefficients(tau, l1_norm(H), kappa_for(K)).beta[: K + 1].sum())
-    correction = (tau * l1_norm(H) / beta_norm) * (1.0 - p1)
-    return (K * d_ctrl / p_w) * (1.0 - correction)
+    return runtime_bound(p_w, success_prob_hk(H, psi, 1), tau, l1_norm(H), K, d_ctrl)
 
 
 def spectral_lower_bound(H: HamiltonianLCU, k: int) -> float:

@@ -18,7 +18,7 @@ from .errors import (
     NormalizationError,
     ResourceLimitError,
 )
-from .hamiltonian import HamiltonianLCU, apply_pauli
+from .hamiltonian import HamiltonianLCU, apply_pauli, apply_pauli_groups
 
 TOTAL_QUBIT_CAP = 24
 _NORM_TOL = 1e-10
@@ -219,10 +219,7 @@ def apply_lcu_block(
         view = state.amplitudes.reshape(-1, 1 << n)
     else:
         view = state.amplitudes.reshape(-1, 2, 1 << (control - n), 1 << n)[:, 1]
-    out = w[H.num_terms :].sum() * view
-    for wl, (x, z, u) in zip(w, H.masks):
-        out += apply_pauli(view, x, z, -1j * u * wl)
-    view[...] = out
+    view[...] = apply_pauli_groups(H, view, -1j * w[: H.num_terms], w[H.num_terms :].sum())
     p = float(np.vdot(state.amplitudes, state.amplitudes).real)
     if p < 1e-14:
         return 0.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lcusim.circuits import AdjointPrepare, FinalMeasure, MeasureExpectZero, Select
-from lcusim.hamiltonian import build_ising, canonicalize
+from lcusim.hamiltonian import build_ising, canonicalize, pauli_string_matrix
 from lcusim.sampler import CostModel, PlanTrace, _instruction_cost
 from lcusim.statevector import (
     apply_register_unitary,
@@ -34,6 +34,14 @@ def basis_state(n, index=0):
 def random_state(n, rng):
     v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return v / np.linalg.norm(v)
+
+
+def ladder_matrix(j, n, dagger=False):
+    """Dense a_j (or a_j^dag) from its Jordan-Wigner letters: Z on qubits below j,
+    (X + i Y) / 2 (or (X - i Y) / 2) on qubit j; a reference independent of ``bliss``."""
+    zs, tail = "Z" * j, "I" * (n - j - 1)
+    y_coeff = -0.5j if dagger else 0.5j
+    return 0.5 * pauli_string_matrix(zs + "X" + tail) + y_coeff * pauli_string_matrix(zs + "Y" + tail)
 
 
 def random_hamiltonian(n, L, rng, hermitian=True):

@@ -10,7 +10,6 @@ import pytest
 
 from lcusim.bliss import (
     BlissParams,
-    _ladder_strings,
     apply_bliss,
     build_hubbard_chain,
     jordan_wigner,
@@ -19,7 +18,7 @@ from lcusim.bliss import (
 )
 from lcusim.circuits import build_w_hk, build_w_tilde, build_w_unary, power_schedule
 from lcusim.cli import main as cli_main
-from lcusim.hamiltonian import build_ising, l1_norm, pauli_string_matrix
+from lcusim.hamiltonian import build_ising, l1_norm
 from lcusim.oracle import (
     chain_probabilities,
     expected_runtime_midmeasure,
@@ -33,7 +32,7 @@ from lcusim.oracle import (
 )
 from lcusim.resources import count
 from lcusim.sampler import CostModel, estimate, mean_cost_per_shot, run_shots, trace_plan
-from conftest import random_hamiltonian, random_state
+from conftest import ladder_matrix, random_hamiltonian, random_state
 
 
 def _report(name: str) -> None:
@@ -251,12 +250,7 @@ def test_7_bliss():
     assert np.abs(spec_before - spec_after).max() <= 1e-8
 
     n = 4
-    ladders = []
-    for j in range(n):
-        mat = np.zeros((1 << n, 1 << n), dtype=complex)
-        for coeff, letters in _ladder_strings(j, n, dagger=False):
-            mat += coeff * pauli_string_matrix(letters)
-        ladders.append(mat)
+    ladders = [ladder_matrix(j, n) for j in range(n)]
     eye = np.eye(1 << n)
     for i in range(n):
         for j in range(n):

@@ -21,11 +21,21 @@ from lcusim.bliss import (
     sector_spectrum,
 )
 from lcusim.errors import InvalidModelError
-from lcusim.hamiltonian import l1_norm, pauli_string_matrix, to_matrix
+from lcusim.hamiltonian import l1_norm, to_matrix
+from conftest import ladder_matrix
 
 
 def _jw_matrix(F):
     return to_matrix(jordan_wigner(F))
+
+
+def _mask_matrix(masks, n):
+    """Dense sum c X^x Z^z of ``{(x, z): c}``: column b holds c (-1)^popcount(b & z) at row b ^ x."""
+    b = np.arange(1 << n)
+    mat = np.zeros((1 << n, 1 << n), dtype=complex)
+    for (x, z), c in masks.items():
+        mat[b ^ x, b] += c * (-1.0) ** np.bitwise_count(b & z)
+    return mat
 
 
 # --- per-unit reference: one shift operator and one Jordan-Wigner pass per parameter ---
@@ -115,17 +125,9 @@ class TestJordanWigner:
         assert d["YY"] == pytest.approx(0.5)
 
     def test_anticommutators(self):
-        # {a_i, a_j^dag} = delta_ij, {a_i, a_j} = 0, via the Pauli encoding
+        # {a_i, a_j^dag} = delta_ij, {a_i, a_j} = 0 for the reference ladder matrices
         n = 3
-        mats = []
-        for j in range(n):
-            d = {}
-            from lcusim.bliss import _ladder_strings
-
-            mat = np.zeros((1 << n, 1 << n), dtype=complex)
-            for coeff, letters in _ladder_strings(j, n, dagger=False):
-                mat += coeff * pauli_string_matrix(letters)
-            mats.append(mat)
+        mats = [ladder_matrix(j, n) for j in range(n)]
         for i in range(n):
             for j in range(n):
                 anti = mats[i] @ mats[j].conj().T + mats[j].conj().T @ mats[i]
@@ -133,6 +135,29 @@ class TestJordanWigner:
                 assert np.abs(anti - expected).max() < 1e-12
                 anti2 = mats[i] @ mats[j] + mats[j] @ mats[i]
                 assert np.abs(anti2).max() < 1e-12
+
+    def test_encoder_matches_ladder_products(self):
+        # the live encoder against products of the reference ladder matrices, at N = 3:
+        # every a_i^dag a_j (as Hermitian pairs, since one_body must be Hermitian) and
+        # every single-entry a_i^dag a_j a_k^dag a_l
+        n = 3
+        up = [ladder_matrix(j, n, dagger=True) for j in range(n)]
+        dn = [ladder_matrix(j, n) for j in range(n)]
+        for i, j in itertools.product(range(n), repeat=2):
+            for phase in (1.0, 1j):
+                h = np.zeros((n, n), dtype=complex)
+                h[i, j] += phase
+                h[j, i] += np.conj(phase)
+                ref = phase * up[i] @ dn[j] + np.conj(phase) * up[j] @ dn[i]
+                got = _mask_matrix(bliss._jw_masks(FermionicOperator(n, one_body=h)), n)
+                assert np.abs(got - ref).max() < 1e-12, (i, j, phase)
+        for idx in itertools.product(range(n), repeat=4):
+            g = np.zeros((n,) * 4)
+            g[idx] = 1.0
+            i, j, k, m = idx
+            ref = up[i] @ dn[j] @ up[k] @ dn[m]
+            got = _mask_matrix(bliss._jw_masks(FermionicOperator(n, two_body=g)), n)
+            assert np.abs(got - ref).max() < 1e-12, idx
 
     def test_matches_fock_matrix(self):
         rng = np.random.default_rng(31)

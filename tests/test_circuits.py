@@ -55,6 +55,22 @@ class TestTaylorCoefficients:
         with pytest.raises(InvalidModelError):
             TaylorCoefficients(math.nan, 1.0, 2)
 
+    @pytest.mark.parametrize(
+        "tau, kappa",
+        [(1e100, 2), (1e300, 1), (1e308, 1), (1e77, 3)],
+        ids=["norm-squared", "weight", "tau-l1", "fourth-weight"],
+    )
+    def test_overflow_rejected(self, tau, kappa):
+        # tau l1 = 5e100: every weight is finite but ||beta||_1^2 is not; tau l1 = 5e77
+        # overflows at beta_4 = (5e77)^4 / 4!
+        with pytest.raises(InvalidModelError, match="overflow"):
+            TaylorCoefficients(tau, 5.0, kappa)
+
+    def test_largest_finite_weights_kept(self):
+        coeffs = TaylorCoefficients(1e50, 5.0, 2)  # beta_3 ~ 2e151, ||beta||_1^2 ~ 4e302
+        assert math.isfinite(coeffs.beta_norm**2)
+        assert not coeffs.beta.flags.writeable
+
     @given(st.floats(0.01, 2.0), st.integers(1, 4))
     def test_beta_norm_below_exponential(self, x, kappa):
         coeffs = TaylorCoefficients(x, 1.0, kappa)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lcusim import oracle
+from lcusim import cli, hamiltonian, oracle
 from lcusim.cli import main
 from lcusim.hamiltonian import build_ising, save_hamiltonian
 
@@ -412,3 +412,266 @@ class TestErrors:
         assert row["K"] == "7"
         p = oracle.success_prob_wtilde(build_ising(4, 1.0, 0.5), np.eye(16)[0], 0.05, 7)
         assert abs(float(row["p_hat"]) - p) < 3 * float(row["stderr"])
+
+
+# Bytes printed while every command's flags were built on each call; COLUMNS=80 fixes
+# argparse's line width.
+PARSER_PINS = {
+    "--help": (0, """\
+usage: lcusim [-h] {simulate,analytic,sweep,resources,bliss} ...
+
+positional arguments:
+  {simulate,analytic,sweep,resources,bliss}
+    simulate            run shots of one circuit
+    analytic            closed-form oracle values
+    sweep               sampled vs analytic success per kappa
+    resources           gate and qubit counts
+    bliss               l1-norm optimization of a fermionic operator
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    "simulate --help": (0, """\
+usage: lcusim simulate [-h] [--hamiltonian HAMILTONIAN] [--model {ising}]
+                       [--n N] [--J J] [--h H] [--tau TAU] [--kappa KAPPA]
+                       [--K K] [--circuit {wtilde,wunary}] [--state STATE]
+                       [--d D] [--d-ctrl D_CTRL] [--m M] [--out OUT]
+                       [--format {csv,json}] [--shots SHOTS] [--seed SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --hamiltonian HAMILTONIAN
+                        Hamiltonian JSON file
+  --model {ising}       built-in model preset
+  --n N                 ising sites
+  --J J
+  --h H
+  --tau TAU
+  --kappa KAPPA         Taylor register width (K = 2^kappa - 1)
+  --K K                 truncation order
+  --circuit {wtilde,wunary}
+  --state STATE         file of 2^n system amplitudes, two reals per line
+  --d D                 cost per uncontrolled select
+  --d-ctrl D_CTRL       cost per controlled select
+  --m M                 cost per measurement
+  --out OUT             output path (default stdout)
+  --format {csv,json}
+  --shots SHOTS
+  --seed SEED
+""", ""),
+    "analytic --help": (0, """\
+usage: lcusim analytic [-h] [--hamiltonian HAMILTONIAN] [--model {ising}]
+                       [--n N] [--J J] [--h H] [--tau TAU] [--kappa KAPPA]
+                       [--K K] [--circuit {wtilde,wunary}] [--state STATE]
+                       [--d D] [--d-ctrl D_CTRL] [--m M] [--out OUT]
+                       [--format {csv,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --hamiltonian HAMILTONIAN
+                        Hamiltonian JSON file
+  --model {ising}       built-in model preset
+  --n N                 ising sites
+  --J J
+  --h H
+  --tau TAU
+  --kappa KAPPA         Taylor register width (K = 2^kappa - 1)
+  --K K                 truncation order
+  --circuit {wtilde,wunary}
+  --state STATE         file of 2^n system amplitudes, two reals per line
+  --d D                 cost per uncontrolled select
+  --d-ctrl D_CTRL       cost per controlled select
+  --m M                 cost per measurement
+  --out OUT             output path (default stdout)
+  --format {csv,json}
+""", ""),
+    "sweep --help": (0, """\
+usage: lcusim sweep [-h] [--hamiltonian HAMILTONIAN] [--model {ising}] [--n N]
+                    [--J J] [--h H] [--tau TAU] [--state STATE] [--d D]
+                    [--d-ctrl D_CTRL] [--m M] [--out OUT]
+                    [--format {csv,json}] [--kappa-max KAPPA_MAX]
+                    [--shots SHOTS] [--seed SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --hamiltonian HAMILTONIAN
+                        Hamiltonian JSON file
+  --model {ising}       built-in model preset
+  --n N                 ising sites
+  --J J
+  --h H
+  --tau TAU
+  --state STATE         file of 2^n system amplitudes, two reals per line
+  --d D                 cost per uncontrolled select
+  --d-ctrl D_CTRL       cost per controlled select
+  --m M                 cost per measurement
+  --out OUT             output path (default stdout)
+  --format {csv,json}
+  --kappa-max KAPPA_MAX
+  --shots SHOTS
+  --seed SEED
+""", ""),
+    "resources --help": (0, """\
+usage: lcusim resources [-h] [--hamiltonian HAMILTONIAN] [--model {ising}]
+                        [--n N] [--J J] [--h H] [--tau TAU] [--out OUT]
+                        [--format {csv,json}] [--K-max K_MAX]
+
+options:
+  -h, --help            show this help message and exit
+  --hamiltonian HAMILTONIAN
+                        Hamiltonian JSON file
+  --model {ising}       built-in model preset
+  --n N                 ising sites
+  --J J
+  --h H
+  --tau TAU
+  --out OUT             output path (default stdout)
+  --format {csv,json}
+  --K-max K_MAX
+""", ""),
+    "bliss --help": (0, """\
+usage: lcusim bliss [-h] --fermion-file FERMION_FILE [--nelec NELEC]
+                    [--diagonal-only] [--out OUT] [--format {csv,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --fermion-file FERMION_FILE
+                        FCIDUMP-like text file
+  --nelec NELEC         electron count (default: file header)
+  --diagonal-only       restrict xi to its diagonal
+  --out OUT             output path (default stdout)
+  --format {csv,json}
+""", ""),
+    "frobnicate": (
+        1,
+        "",
+        "usage error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'simulate', 'analytic', 'sweep', 'resources', 'bliss')\n",
+    ),
+    "": (
+        1,
+        "",
+        "usage error: the following arguments are required: command\n",
+    ),
+    "-5 simulate": (
+        1,
+        "",
+        "usage error: argument command: invalid choice: '-5' "
+        "(choose from 'simulate', 'analytic', 'sweep', 'resources', 'bliss')\n",
+    ),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", list(PARSER_PINS))
+    def test_help_and_unknown_command_bytes_are_pinned(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:  # argparse prints the help, then exits 0
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == PARSER_PINS[argv]
+
+    def test_only_the_named_command_defines_flags(self, capsys, monkeypatch):
+        built = []
+        commands = {
+            name: (help_text, lambda p, name=name, add=add: built.append(name) or add(p), run)
+            for name, (help_text, add, run) in cli._COMMANDS.items()
+        }
+        monkeypatch.setattr(cli, "_COMMANDS", commands)
+        code, _, _ = _run(capsys, "resources", "--model", "ising", "--n", "2", "--K-max", "1")
+        assert code == 0
+        assert built == ["resources"]
+
+
+class TestHugeTau:
+    # beta_k = (tau l1)^k / k! or ||beta||_1^2 overflows: one line and exit 2, never a
+    # traceback or a NaN row
+    @pytest.mark.parametrize("tau", ["1e100", "1e300", "1e308"])
+    @pytest.mark.parametrize(
+        "argv", [["analytic"], ["simulate", "--shots", "10"], ["sweep", "--shots", "10"]]
+    )
+    def test_exit_2_with_one_line(self, capsys, argv, tau):
+        code, out, err = _run(capsys, *argv, "--model", "ising", "--tau", tau)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: Taylor weights overflow") and err.count("\n") == 1
+
+
+class TestMalformedHamiltonianFile:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{}",
+            '{"n": 2}',
+            '{"n": 2, "terms": 5}',
+            '{"n": 2, "terms": [{"coeff": 1.0}]}',
+            "[1]",
+            '{"n": 2, "terms": [{"coeff": null, "paulis": "ZZ"}]}',
+        ],
+    )
+    def test_exit_2_with_one_line(self, capsys, tmp_path, text):
+        path = tmp_path / "h.json"
+        path.write_text(text)
+        code, out, err = _run(capsys, "analytic", "--hamiltonian", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ``analytic --model ising --n 9 --tau 0.05 --K 7`` on the seeded state of
+# ``test_values_are_pinned``, as printed when every value had its own matvec passes
+ANALYTIC_N9_PIN = {
+    "K": 7,
+    "expected_runtime_hk": 1.090254831438661,
+    "kappa": 3,
+    "l1_norm": 12.5,
+    "p_hk": 7.575744433105355e-05,
+    "p_wtilde": 0.2865049867228017,
+    "runtime_upper_bound": 16.84455041412345,
+    "tau": 0.05,
+    "total_runtime_hk": 14391.388741604584,
+}
+
+
+class TestAnalyticPasses:
+    ARGV = ["analytic", "--model", "ising", "--n", "9", "--tau", "0.05", "--K", "7"]
+
+    def _state(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        v = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+        v /= np.linalg.norm(v)
+        path = tmp_path / "psi.txt"
+        np.savetxt(path, np.column_stack([v.real, v.imag]), fmt="%.17g")
+        return str(path)
+
+    def test_values_are_pinned(self, capsys, tmp_path):
+        code, out, _ = _run(
+            capsys, *self.ARGV, "--state", self._state(tmp_path), "--format", "json"
+        )
+        assert code == 0
+        (row,) = json.loads(out)
+        assert row.keys() == ANALYTIC_N9_PIN.keys()
+        for key, pinned in ANALYTIC_N9_PIN.items():
+            assert row[key] == pytest.approx(pinned, rel=1e-14, abs=0), key
+
+    def test_each_value_is_computed_once(self, capsys, monkeypatch, tmp_path):
+        # one Horner pass (p_wtilde) and one chain pass (p1, p_hk, runtimes): 2K matvecs
+        calls = {"matvec": 0, "diagonals": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(oracle, "pauli_sum_apply", counting("matvec", oracle.pauli_sum_apply))
+        monkeypatch.setattr(
+            hamiltonian, "_group_diagonals", counting("diagonals", hamiltonian._group_diagonals)
+        )
+        code, _, _ = _run(capsys, *self.ARGV, "--state", self._state(tmp_path))
+        assert code == 0
+        assert calls["matvec"] <= 3 * 7
+        assert calls["diagonals"] == 1

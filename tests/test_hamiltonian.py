@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcusim import hamiltonian
 from lcusim.errors import (
     InvalidHamiltonianError,
     InvalidModelError,
@@ -169,23 +170,47 @@ def _random_terms(n):
     return st.dictionaries(letters, coeff, min_size=1, max_size=12)
 
 
+@st.composite
+def _shared_x_terms(draw, n):
+    """Up to three X masks (0 allowed), up to four Z masks each: groups of several terms,
+    Y letters where x and z overlap."""
+    coeff = st.tuples(st.floats(0.01, 2.0), st.floats(-math.pi, math.pi))
+    terms = {}
+    for x in draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3, unique=True)):
+        for z in draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4, unique=True)):
+            terms["".join("IXZY"[(x >> j & 1) | (z >> j & 1) << 1] for j in range(n))] = draw(coeff)
+    return terms
+
+
 class TestPauliSumApply:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
-        st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), _random_terms(n))),
+        st.integers(1, 8).flatmap(
+            lambda n: st.tuples(st.just(n), st.one_of(_random_terms(n), _shared_x_terms(n)))
+        ),
+        st.sampled_from([(), (3,), (2, 2)]),
         st.integers(0, 2**32 - 1),
     )
-    def test_matches_dense_matrix(self, n_terms, seed):
+    def test_matches_dense_matrix(self, n_terms, batch, seed):
         n, terms = n_terms
         H = HamiltonianLCU(n, tuple(PauliTerm(w, ph, s) for s, (w, ph) in terms.items()))
         rng = np.random.default_rng(seed)
-        v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        err = np.abs(pauli_sum_apply(H, v) - to_matrix(H) @ v).max()
-        assert err < 1e-12 * l1_norm(H) * np.abs(v).sum()
+        v = rng.normal(size=batch + (1 << n,)) + 1j * rng.normal(size=batch + (1 << n,))
+        err = np.abs(pauli_sum_apply(H, v) - v @ to_matrix(H).T)
+        assert (err < 1e-12 * l1_norm(H) * np.abs(v).sum(axis=-1, keepdims=True)).all()
 
     def test_wrong_length_rejected(self):
         with pytest.raises(LayoutError):
             pauli_sum_apply(build_ising(3, 1.0, 0.5), np.ones(4))
+
+    @pytest.mark.parametrize("budget, cached", [(16 << 3, 1), ((16 << 3) - 1, 0)])
+    def test_cache_budget_counts_diagonal_bytes(self, monkeypatch, budget, cached):
+        # the 3-site chain's x = 0 diagonal takes 2^3 complex entries, its X fields are
+        # scalars: it fits a budget of exactly 128 bytes (n = 22 against 64 MiB)
+        monkeypatch.setattr(hamiltonian, "_DIAGONAL_BUDGET", budget)
+        H = build_ising(3, 1.0, 0.5)
+        assert np.allclose(pauli_sum_apply(H, np.eye(8)[5]), to_matrix(H)[:, 5], atol=1e-15)
+        assert len(H._diagonals) == cached
 
 
 class TestFileFormat:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcusim import hamiltonian
 from lcusim.errors import (
     LayoutError,
     MeasurementDegenerateError,
@@ -19,6 +20,7 @@ from lcusim.hamiltonian import (
 from lcusim.statevector import (
     Register,
     RegisterLayout,
+    StateVector,
     apply_1q,
     apply_cx,
     apply_lcu_block,
@@ -215,6 +217,47 @@ class TestLcuBlock:
         v = full @ psi
         assert p == pytest.approx(np.vdot(v, v).real, rel=1e-13)
         assert np.abs(state.amplitudes - v / np.linalg.norm(v)).max() < 1e-14
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "over-budget"])
+    @pytest.mark.parametrize("control", [None, 3])
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [(0.7, "ZZI"), (-0.4, "IZZ"), (0.3j, "ZII"), (0.5, "XIZ"), (0.2 - 0.1j, "YII"),
+             (0.9, "XYI")],
+            [(0.6, "III"), (0.5, "XIZ"), (0.2 - 0.1j, "YII"), (0.9, "XYI"), (-0.3, "IXI")],
+        ],
+        ids=["z-groups", "identity-term"],
+    )
+    def test_grouped_kernel_matches_dense(self, monkeypatch, cached, control, raw):
+        # terms sharing X masks (x = 0, Y letters, complex phases; an identity term, which
+        # shares the scalar x = 0 group with the padding), amplitudes that are not
+        # prepare_amplitudes(H) with weight on the padding entries, a control qubit, and
+        # the diagonals cached or rebuilt on every call
+        if not cached:
+            monkeypatch.setattr(hamiltonian, "_DIAGONAL_BUDGET", 0)
+        rng = np.random.default_rng(23)
+        H = canonicalize(3, raw)
+        a = random_state(3, rng)
+        lay = RegisterLayout(
+            (Register("system", 3, 0), Register("c", 1, 3), Register("t", 1, 4))
+        )
+        F = (np.abs(a[H.num_terms :]) ** 2).sum() * np.eye(8, dtype=complex)
+        for w, t in zip(np.abs(a) ** 2, H.terms):
+            F += w * (-1j) * np.exp(1j * t.phase) * pauli_string_matrix(t.letters)
+        if control is None:
+            full = np.kron(np.eye(4), F)
+        else:
+            on = np.diag([0.0, 1.0])
+            full = np.kron(np.eye(2), np.kron(on, F) + np.kron(np.eye(2) - on, np.eye(8)))
+        for _ in range(3):  # repeated blocks reuse (or rebuild) the diagonals
+            psi = random_state(5, rng)
+            state = StateVector(lay, psi.copy())
+            p = apply_lcu_block(state, H, a, control=control)
+            v = full @ psi
+            assert p == pytest.approx(np.vdot(v, v).real, rel=1e-13)
+            assert np.abs(state.amplitudes - v / np.linalg.norm(v)).max() < 1e-14
+        assert len(H._diagonals) == (1 if cached else 0)
 
     def test_vanishing_branch_returns_zero(self):
         H = canonicalize(1, [(0.5, "I"), (-0.5, "Z")])

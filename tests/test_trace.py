@@ -14,8 +14,9 @@ from lcusim.circuits import (
     build_w_tilde,
     build_w_unary,
 )
+from lcusim import hamiltonian, statevector
 from lcusim.errors import LayoutError
-from lcusim.hamiltonian import canonicalize, prepare_amplitudes
+from lcusim.hamiltonian import build_ising, canonicalize, prepare_amplitudes
 from lcusim.oracle import fidelity
 from lcusim.sampler import CostModel, trace_plan
 from lcusim.statevector import Register, RegisterLayout
@@ -172,3 +173,29 @@ class TestPlanShape:
         swapped = CircuitPlan(plan.layout, plan.hamiltonian, tuple(ins), plan.family)
         with pytest.raises(LayoutError, match=f"instruction {i0}"):
             trace_plan(swapped, np.eye(16)[0])
+
+
+class TestGroupedKernel:
+    def test_trace_builds_each_group_diagonal_once(self, monkeypatch):
+        # the 15 blocks of a W-tilde kappa = 4 trace share one factor vector: one build of
+        # the n + 1 group diagonals, then one pass per group and block, no per-term gather
+        H = build_ising(6, 1.0, 0.5)
+        plan, psi = build_w_tilde(H, 0.05, 4), random_state(6, np.random.default_rng(4))
+        build, builds = hamiltonian._group_diagonals, []
+
+        def recording(*args):
+            builds.append(build(*args))
+            return builds[-1]
+
+        def no_gather(*args):
+            raise AssertionError("per-term apply_pauli on the trace path")
+
+        with monkeypatch.context() as m:
+            m.setattr(hamiltonian, "_group_diagonals", recording)
+            m.setattr(statevector, "apply_pauli", no_gather)
+            trace = trace_plan(plan, psi, COST)
+        assert len(builds) == 1
+        assert len(builds[0]) == H.n + 1  # x = 0 (the ZZ couplings) and one X field per site
+        ref = register_trace(plan, psi, COST)
+        assert len(trace.cond_probs) == len(ref.cond_probs) == 15 + 1  # l-registers, then k
+        assert np.abs(np.subtract(trace.cond_probs, ref.cond_probs)).max() <= 1e-12
