@@ -125,16 +125,16 @@ def _bliss_args(p: _Parser) -> None:
     _add_output_args(p)
 
 
-def build_parser(argv: list[str] | None = None) -> _Parser:
+def build_parser(argv: list[str]) -> _Parser:
     """The parser with all five command names, but the flags only of the command that
-    ``argv`` names (the first argument not starting with '-'), or of all five without argv."""
-    named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
+    ``argv`` names: its first argument not starting with '-'."""
+    named = next((a for a in argv if not a.startswith("-")), None)
     parser = _Parser(prog="lcusim")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_flags, _) in _COMMANDS.items():
         # no abbreviations where one flag prefixes another: --kappa(-max), --K(-max)
         p = sub.add_parser(name, help=help_text, allow_abbrev=name not in ("sweep", "resources"))
-        if named in (None, name):
+        if name == named:
             add_flags(p)
     return parser
 

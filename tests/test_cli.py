@@ -575,9 +575,17 @@ class TestParser:
 
     def test_only_the_named_command_defines_flags(self, capsys, monkeypatch):
         built = []
+
+        def recording(name, add_flags):
+            def add(p):
+                built.append(name)
+                add_flags(p)
+
+            return add
+
         commands = {
-            name: (help_text, lambda p, name=name, add=add: built.append(name) or add(p), run)
-            for name, (help_text, add, run) in cli._COMMANDS.items()
+            name: (help_text, recording(name, add_flags), run)
+            for name, (help_text, add_flags, run) in cli._COMMANDS.items()
         }
         monkeypatch.setattr(cli, "_COMMANDS", commands)
         code, _, _ = _run(capsys, "resources", "--model", "ising", "--n", "2", "--K-max", "1")
