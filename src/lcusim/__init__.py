@@ -54,6 +54,7 @@ from .sampler import (
     estimate,
     mean_cost_per_shot,
     run_shots,
+    run_shots_many,
     trace_plan,
 )
 from .statevector import (
@@ -103,6 +104,7 @@ __all__ = [
     "optimize_bliss",
     "power_schedule",
     "run_shots",
+    "run_shots_many",
     "runtime_upper_bound",
     "save_hamiltonian",
     "sector_spectrum",

@@ -24,10 +24,10 @@ import numpy as np
 from . import oracle
 from .bliss import jordan_wigner, load_fermionic, optimize_bliss
 from .circuits import build_w_tilde, build_w_unary, kappa_for
-from .errors import LayoutError, LcusimError
+from .errors import LayoutError, LcusimError, NormalizationError
 from .hamiltonian import HamiltonianLCU, build_ising, l1_norm, load_hamiltonian
 from .resources import count
-from .sampler import CostModel, estimate, mean_cost_per_shot, run_shots
+from .sampler import CostModel, estimate, mean_cost_per_shot, run_shots, run_shots_many
 from .statevector import check_width
 
 
@@ -68,17 +68,19 @@ def _add_state_arg(p: _Parser) -> None:
     p.add_argument("--state", help="file of 2^n system amplitudes, two reals per line")
 
 
-def _add_circuit_args(p: _Parser) -> None:
+def _add_order_args(p: _Parser) -> None:
     _add_tau_arg(p)
     p.add_argument("--kappa", type=_int_in(1), help="Taylor register width (K = 2^kappa - 1)")
     p.add_argument("--K", type=_int_in(1), dest="K", help="truncation order")
-    p.add_argument("--circuit", choices=["wtilde", "wunary"], default="wtilde")
-    _add_state_arg(p)
+
+
+def _add_select_cost_args(p: _Parser) -> None:
+    p.add_argument("--d", type=float, default=1.0, help="cost per uncontrolled select")
+    p.add_argument("--d-ctrl", type=float, default=1.0, help="cost per controlled select")
 
 
 def _add_cost_args(p: _Parser) -> None:
-    p.add_argument("--d", type=float, default=1.0, help="cost per uncontrolled select")
-    p.add_argument("--d-ctrl", type=float, default=1.0, help="cost per controlled select")
+    _add_select_cost_args(p)
     p.add_argument("--m", type=float, default=0.0, help="cost per measurement")
 
 
@@ -89,13 +91,19 @@ def _add_output_args(p: _Parser) -> None:
 
 def _analytic_args(p: _Parser) -> None:
     _add_hamiltonian_args(p)
-    _add_circuit_args(p)
-    _add_cost_args(p)
+    _add_order_args(p)
+    _add_state_arg(p)
+    _add_select_cost_args(p)
     _add_output_args(p)
 
 
 def _simulate_args(p: _Parser) -> None:
-    _analytic_args(p)
+    _add_hamiltonian_args(p)
+    _add_order_args(p)
+    p.add_argument("--circuit", choices=["wtilde", "wunary"], default="wtilde")
+    _add_state_arg(p)
+    _add_cost_args(p)
+    _add_output_args(p)
     p.add_argument("--shots", type=_int_in(1), default=10_000)
     p.add_argument("--seed", type=_int_in(0, 2**64), default=0)
 
@@ -132,8 +140,10 @@ def build_parser(argv: list[str]) -> _Parser:
     parser = _Parser(prog="lcusim")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_flags, _) in _COMMANDS.items():
-        # no abbreviations where one flag prefixes another: --kappa(-max), --K(-max)
-        p = sub.add_parser(name, help=help_text, allow_abbrev=name not in ("sweep", "resources"))
+        # no abbreviations where a flag prefixes another (--kappa(-max), --K(-max)), or
+        # where simulate's --m would read as analytic's --model
+        abbrev = name not in ("sweep", "resources", "analytic")
+        p = sub.add_parser(name, help=help_text, allow_abbrev=abbrev)
         if name == named:
             add_flags(p)
     return parser
@@ -173,6 +183,8 @@ def _resolve_state(args, n: int) -> np.ndarray:
             rows = np.loadtxt(args.state, ndmin=2)
         if rows.shape[0] == 0 or rows.shape[1] != 2:
             raise LayoutError(f"--state needs lines of two reals, got shape {rows.shape}")
+        if not np.isfinite(rows).all():
+            raise NormalizationError("--state holds a non-finite amplitude")
         return rows[:, 0] + 1j * rows[:, 1]
     return _basis_state(n)
 
@@ -216,7 +228,7 @@ def cmd_analytic(args) -> list[dict]:
     K, kappa = _resolve_order(args)
     check_width(kappa)  # the Taylor coefficients have 2^kappa entries
     psi = _resolve_state(args, H.n)
-    cost = CostModel(d=args.d, d_ctrl=args.d_ctrl, m=args.m)
+    cost = CostModel(d=args.d, d_ctrl=args.d_ctrl)
     # 2K matvecs: one Horner pass and one chain pass, with p1 = p_chain[0], p_hk = prod(p_chain)
     p_w = oracle.success_prob_wtilde(H, psi, args.tau, K)
     p_chain = oracle.chain_probabilities(H, psi, K)
@@ -242,11 +254,11 @@ def cmd_sweep(args) -> list[dict]:
     psi = _resolve_state(args, H.n)
     cost = CostModel(d=args.d, d_ctrl=args.d_ctrl, m=args.m)
     check_width(H.n + args.kappa_max)
+    kappas = range(1, args.kappa_max + 1)
+    plans = [build_w_tilde(H, args.tau, kappa) for kappa in kappas]
     rows = []
-    for kappa in range(1, args.kappa_max + 1):
+    for kappa, stats in zip(kappas, run_shots_many(plans, psi, args.shots, args.seed, cost)):
         K = (1 << kappa) - 1
-        plan = build_w_tilde(H, args.tau, kappa)
-        stats = run_shots(plan, psi, args.shots, args.seed, cost)
         row = {"K": K, "kappa": kappa}
         row.update(_stats_row(stats))
         row["p_analytic"] = oracle.success_prob_wtilde(H, psi, args.tau, K)

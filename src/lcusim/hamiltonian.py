@@ -257,14 +257,17 @@ def load_hamiltonian(path) -> HamiltonianLCU:
     coefficients and duplicates are fine.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        text = fh.read()
     try:
-        n = int(data["n"])
+        data = json.loads(text)
+        n = data["n"]
+        if type(n) is not int:
+            raise TypeError(f"n must be an integer, got {n!r}")
         raw = []
         for entry in data["terms"]:
             coeff = float(entry["coeff"]) * cmath.exp(1j * float(entry.get("phase", 0.0)))
             raw.append((coeff, entry["paulis"]))
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError, RecursionError) as exc:
         raise InvalidHamiltonianError(
             f"{path}: not a Hamiltonian file ({type(exc).__name__}: {exc})"
         ) from None

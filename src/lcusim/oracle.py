@@ -45,7 +45,9 @@ def _check_normalized(psi: np.ndarray, n: int | None = None) -> np.ndarray:
     if n is not None and np.shape(psi) != (1 << n,):
         raise LayoutError(f"{n}-qubit state needs shape ({1 << n},), got {np.shape(psi)}")
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if not abs(np.linalg.norm(psi) - 1.0) <= _NORM_TOL:  # NaN fails too
+    with np.errstate(over="ignore"):  # an overflowing norm is inf and fails below
+        norm = np.linalg.norm(psi)
+    if not abs(norm - 1.0) <= _NORM_TOL:  # NaN fails too
         raise NormalizationError("state is not normalized")
     return psi
 

@@ -11,8 +11,10 @@ sequence of Bernoulli draws against those cached probabilities, which is
 statistically identical to re-simulating the state per shot. Shot i's draws
 are the first doubles of ``shot_rng(seed, i)``, numpy's Philox-4x64-10 keyed
 by (seed, i), so shots are order-independent. Philox is counter-based
-(Salmon et al., SC'11): ``run_shots`` computes that stream for a block of
-shot indices at once in uint64 numpy arithmetic.
+(Salmon et al., SC'11): the shot loop computes that stream for a chunk of
+shot indices at once in uint64 numpy arithmetic, only the counter blocks whose
+draws can change an outcome, and each block once for all the plans of
+``run_shots_many``.
 """
 from __future__ import annotations
 
@@ -186,7 +188,9 @@ def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
 
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-_CHUNK = 4096  # shots per block: bounds the draws array to 32 kB per measurement
+# Entries per chunk: shots x max(drawn columns, outcome columns), so every per-chunk
+# array (draws, fail matrix, Philox words) stays within about 0.5 MB whatever M is.
+_CHUNK_ENTRIES = 1 << 16
 
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,22 +202,91 @@ def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a_hi * b_hi + (lh >> 32) + (mid >> 32), np.uint64(a) * b
 
 
-def _shot_uniforms(seed: int, first: int, count: int, M: int) -> np.ndarray:
-    """Row j is ``shot_rng(seed, first + j).random(M)``: Philox block c = 1, 2, ...
-    is counter (c, 0, 0, 0) under key (seed, i), four uint64 per block, and
-    a double is ``(x >> 11) * 2^-53``."""
-    nb = -(-M // 4)
+def _shot_uniforms(seed: int, first: int, count: int, counters: np.ndarray) -> np.ndarray:
+    """Columns 4p .. 4p + 3 of row j are the doubles of Philox block ``counters[p]``
+    of ``shot_rng(seed, first + j)``. Block c = 1, 2, ... is counter (c, 0, 0, 0)
+    under key (seed, i), four uint64 per block, and a double is ``(x >> 11) * 2^-53``;
+    so counters 1 .. ceil(M / 4) give ``.random(M)`` in the first M columns."""
     k0 = np.full(1, seed, dtype=np.uint64)
     k1 = (np.uint64(first) + np.arange(count, dtype=np.uint64))[:, None]
-    c0, c1 = np.arange(1, nb + 1, dtype=np.uint64), np.zeros(1, dtype=np.uint64)
+    c0, c1 = np.asarray(counters, dtype=np.uint64), np.zeros(1, dtype=np.uint64)
     c2 = c3 = c1
     for _ in range(10):
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
         k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-    x = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1).reshape(count, 4 * nb)
-    return (x[:, :M] >> 11) * 2.0**-53
+    x = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1).reshape(count, -1)
+    return (x >> 11) * 2.0**-53
+
+
+class _Tally:
+    """One trace's outcome rule and running sums over the shot loop.
+
+    A draw u lies in [0, 1 - 2^-53], so ``u >= q`` is never true for q >= 1 and
+    always true for q <= 0. The first measurement with q <= 0 (``stop``) therefore
+    ends every shot that reaches it, and only the draws of ``live``, the measurements
+    before it with q < 1, can change an outcome. Column k of the fail matrix is
+    outcome ``ends[k]``: abort at measurement ends[k] + 1, or success when it is M.
+    """
+
+    def __init__(self, trace: PlanTrace, reference: np.ndarray | None):
+        q = np.array(trace.cond_probs)
+        self.M = q.shape[0]
+        certain = np.flatnonzero(q <= 0.0)
+        stop = int(certain[0]) if certain.size else self.M
+        self.live = np.flatnonzero(~(q[:stop] >= 1.0))
+        self.q = q[self.live]
+        self.ends = np.append(self.live, stop)
+        self.cost = np.array(trace.abort_costs + (trace.success_cost,))[self.ends]
+        self.fid = 0.0
+        if reference is not None and trace.final_system_state is not None:
+            ref = np.asarray(reference, dtype=complex).reshape(-1)
+            self.fid = float(abs(np.vdot(ref, trace.final_system_state)) ** 2)
+        self.tally = np.zeros(self.ends.shape[0], dtype=np.int64)
+        self.total_cost = 0.0
+
+    def add(self, draws: np.ndarray) -> None:
+        """Tally one chunk of shots, given their draws for the live measurements."""
+        fail = np.ones((draws.shape[0], self.ends.shape[0]), dtype=bool)
+        fail[:, :-1] = draws >= self.q
+        outcome = fail.argmax(1)
+        self.tally += np.bincount(outcome, minlength=self.ends.shape[0])
+        self.total_cost = np.add.accumulate(np.r_[self.total_cost, self.cost[outcome]])[-1]
+
+    def stats(self, N: int) -> RunStats:
+        aborts = {int(e) + 1: int(c) for e, c in zip(self.ends, self.tally) if c and e < self.M}
+        successes = N - sum(aborts.values())
+        return RunStats(
+            shots=N,
+            successes=successes,
+            abort_histogram=aborts,
+            total_cost=float(self.total_cost),
+            # one fid per success, added in turn as the shot loop would
+            fidelity_sum=float(np.add.accumulate(np.r_[0.0, np.full(successes, self.fid)])[-1]),
+        )
+
+
+def _run_plans(plans, psi, N, seed, cost, shot_offset, reference) -> list[RunStats]:
+    """The shot loop of ``run_shots_many``: each chunk of shot indices computes each
+    Philox block that some plan's live measurement reads once, for all plans."""
+    ints = all(isinstance(v, int) for v in (N, seed, shot_offset))
+    if not (ints and N >= 1 and 0 <= seed < 2**64 and 0 <= shot_offset <= 2**64 - N):
+        raise ValueError(
+            "need integers N >= 1, 0 <= seed < 2^64 and 0 <= shot_offset <= 2^64 - N; "
+            f"got N={N!r}, seed={seed!r}, shot_offset={shot_offset!r}"
+        )
+    tallies = [_Tally(trace_plan(plan, psi, cost), reference) for plan in plans]
+    blocks = np.array(sorted({int(j) // 4 for t in tallies for j in t.live}), dtype=np.int64)
+    columns = [4 * np.searchsorted(blocks, t.live // 4) + t.live % 4 for t in tallies]
+    width = max([1, 4 * blocks.shape[0]] + [t.ends.shape[0] for t in tallies])
+    chunk = max(1, _CHUNK_ENTRIES // width)
+    for first in range(shot_offset, shot_offset + N, chunk):
+        count = min(chunk, shot_offset + N - first)
+        u = _shot_uniforms(seed, first, count, blocks + 1)
+        for t, cols in zip(tallies, columns):
+            t.add(u[:, cols])
+    return [t.stats(N) for t in tallies]
 
 
 def run_shots(
@@ -234,40 +307,25 @@ def run_shots(
     range of shot indices, so disjoint ranges merge (``RunStats.merge``).
     Costs and fidelities are summed shot by shot, in index order.
     """
-    ints = all(isinstance(v, int) for v in (N, seed, shot_offset))
-    if not (ints and N >= 1 and 0 <= seed < 2**64 and 0 <= shot_offset <= 2**64 - N):
-        raise ValueError(
-            "need integers N >= 1, 0 <= seed < 2^64 and 0 <= shot_offset <= 2^64 - N; "
-            f"got N={N!r}, seed={seed!r}, shot_offset={shot_offset!r}"
-        )
-    trace = trace_plan(plan, psi, cost)
-    q = np.array(trace.cond_probs)
-    M = q.shape[0]
-    fid = 0.0
-    if reference is not None and trace.final_system_state is not None:
-        ref = np.asarray(reference, dtype=complex).reshape(-1)
-        fid = float(abs(np.vdot(ref, trace.final_system_state)) ** 2)
+    return _run_plans([plan], psi, N, seed, cost, shot_offset, reference)[0]
 
-    # Outcome j < M: abort at measurement j + 1; outcome M: success.
-    outcome_cost = np.array(trace.abort_costs + (trace.success_cost,))
-    tally = np.zeros(M + 1, dtype=np.int64)
-    total_cost = fidelity_sum = 0.0
-    for first in range(shot_offset, shot_offset + N, _CHUNK):
-        count = min(_CHUNK, shot_offset + N - first)
-        fail = np.ones((count, M + 1), dtype=bool)
-        fail[:, :M] = _shot_uniforms(seed, first, count, M) >= q
-        outcome = fail.argmax(1)
-        counts = np.bincount(outcome, minlength=M + 1)
-        tally += counts
-        total_cost = np.add.accumulate(np.r_[total_cost, outcome_cost[outcome]])[-1]
-        fidelity_sum = np.add.accumulate(np.r_[fidelity_sum, np.full(counts[M], fid)])[-1]
-    return RunStats(
-        shots=N,
-        successes=int(tally[M]),
-        abort_histogram={j + 1: int(c) for j, c in enumerate(tally[:M]) if c},
-        total_cost=float(total_cost),
-        fidelity_sum=float(fidelity_sum),
-    )
+
+def run_shots_many(
+    plans: list[CircuitPlan],
+    psi: np.ndarray,
+    N: int,
+    seed: int,
+    cost: CostModel = CostModel(),
+    *,
+    shot_offset: int = 0,
+    reference: np.ndarray | None = None,
+) -> list[RunStats]:
+    """``[run_shots(plan, psi, N, seed, cost, ...) for plan in plans]``, bit for bit.
+
+    Shot i of every plan reads the same stream ``shot_rng(seed, i)``, so each
+    chunk of shots computes the Philox blocks the plans read once for all of them.
+    """
+    return _run_plans(list(plans), psi, N, seed, cost, shot_offset, reference)
 
 
 def estimate(stats: RunStats) -> tuple[float, float]:

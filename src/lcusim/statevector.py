@@ -115,7 +115,9 @@ def init_state(layout: RegisterLayout, psi: np.ndarray) -> StateVector:
     n = layout.n
     if psi.shape[0] != (1 << n):
         raise LayoutError(f"system state needs {1 << n} amplitudes")
-    if not abs(np.linalg.norm(psi) - 1.0) <= _NORM_TOL:  # NaN fails too
+    with np.errstate(over="ignore"):  # an overflowing norm is inf and fails below
+        norm = np.linalg.norm(psi)
+    if not abs(norm - 1.0) <= _NORM_TOL:  # NaN fails too
         raise NormalizationError("system state is not normalized")
     amps = np.zeros(1 << layout.total, dtype=complex)
     amps[: 1 << n] = psi

@@ -317,6 +317,16 @@ class TestErrors:
         code, _, _ = _run(capsys, "analytic", "--model", "ising", "--frobnicate")
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [["--circuit", "wunary"], ["--m", "5"], ["--m", "ising"]])
+    def test_analytic_rejects_flags_it_does_not_read(self, capsys, flags):
+        # simulate's --circuit and --m; analytic takes no abbreviation, so --m is not --model
+        code, out, err = _run(capsys, "analytic", "--model", "ising", "--K", "3", *flags)
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: unrecognized arguments: {' '.join(flags)}\n"
+        code, _, _ = _run(capsys, "simulate", "--model", "ising", "--K", "3", "--shots", "5", *flags)
+        assert code == (1 if flags[1] == "ising" else 0)
+
     def test_runtime_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 1, "terms": []}')
@@ -462,9 +472,8 @@ options:
     "analytic --help": (0, """\
 usage: lcusim analytic [-h] [--hamiltonian HAMILTONIAN] [--model {ising}]
                        [--n N] [--J J] [--h H] [--tau TAU] [--kappa KAPPA]
-                       [--K K] [--circuit {wtilde,wunary}] [--state STATE]
-                       [--d D] [--d-ctrl D_CTRL] [--m M] [--out OUT]
-                       [--format {csv,json}]
+                       [--K K] [--state STATE] [--d D] [--d-ctrl D_CTRL]
+                       [--out OUT] [--format {csv,json}]
 
 options:
   -h, --help            show this help message and exit
@@ -477,11 +486,9 @@ options:
   --tau TAU
   --kappa KAPPA         Taylor register width (K = 2^kappa - 1)
   --K K                 truncation order
-  --circuit {wtilde,wunary}
   --state STATE         file of 2^n system amplitudes, two reals per line
   --d D                 cost per uncontrolled select
   --d-ctrl D_CTRL       cost per controlled select
-  --m M                 cost per measurement
   --out OUT             output path (default stdout)
   --format {csv,json}
 """, ""),
@@ -617,6 +624,8 @@ class TestMalformedHamiltonianFile:
             '{"n": 2, "terms": [{"coeff": 1.0}]}',
             "[1]",
             '{"n": 2, "terms": [{"coeff": null, "paulis": "ZZ"}]}',
+            "[" * 100_000 + "]" * 100_000,  # json's RecursionError
+            "{",
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, text):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -19,17 +21,24 @@ from lcusim.sampler import (
     RunStats,
     estimate,
     mean_cost_per_shot,
+    PlanTrace,
     run_shots,
+    run_shots_many,
     shot_rng,
     _shot_uniforms,
     trace_plan,
 )
+import lcusim.sampler as sampler
+from lcusim.cli import main
 from conftest import random_hamiltonian, random_state
 
 
 def per_shot_run_shots(plan, psi, N, seed, cost=CostModel(), *, shot_offset=0, reference=None):
     """The per-shot loop that the block sampler replaced: one shot_rng per shot."""
-    trace = trace_plan(plan, psi, cost)
+    return per_shot_stats(trace_plan(plan, psi, cost), N, seed, shot_offset, reference)
+
+
+def per_shot_stats(trace, N, seed, shot_offset=0, reference=None):
     q = np.array(trace.cond_probs)
     fid = 0.0
     if reference is not None and trace.final_system_state is not None:
@@ -168,7 +177,7 @@ class TestRunShots:
         first = run_shots(plan, psi0_4, 600, seed=5)
         second = run_shots(plan, psi0_4, 400, seed=5, shot_offset=600)
         assert first.merge(second) == whole
-        # splits at 5000 and 9000 fall inside the second and third 4096-shot blocks
+        # splits at 5000 and 9000, which no chunk of the whole run starts at
         whole = run_shots(plan, psi0_4, 10_000, seed=5)
         parts = [run_shots(plan, psi0_4, n, seed=5, shot_offset=o)
                  for o, n in ((0, 5000), (5000, 4000), (9000, 1000))]
@@ -260,10 +269,18 @@ class TestBlockSampler:
     def test_stream_matches_shot_rng(self, seed, first):
         count = min(3, 2**64 - first)
         for M in range(1, 10):
-            u = _shot_uniforms(seed, first, count, M)
+            u = _shot_uniforms(seed, first, count, np.arange(1, -(-M // 4) + 1))[:, :M]
             assert u.shape == (count, M)
             for j in range(count):
                 assert np.array_equal(u[j], shot_rng(seed, first + j).random(M))
+        # any subset of counters, in any order: block c holds draws 4(c - 1) .. 4c - 1
+        counters = [5, 2, 9]
+        u = _shot_uniforms(seed, first, count, np.array(counters))
+        assert u.shape == (count, 12)
+        for j in range(count):
+            stream = shot_rng(seed, first + j).random(36)
+            for p, c in enumerate(counters):
+                assert np.array_equal(u[j, 4 * p:4 * p + 4], stream[4 * (c - 1):4 * c])
 
     @pytest.mark.parametrize("kappa", [1, 2, 3])
     def test_run_shots_matches_per_shot_loop(self, ising4, kappa):
@@ -294,6 +311,84 @@ class TestBlockSampler:
         new = run_shots(*args, shot_offset=11, reference=psi0_4)
         assert new.successes == 4096 + 5
         assert_bitwise_equal(new, per_shot_run_shots(*args, shot_offset=11, reference=psi0_4))
+
+
+class TestSharedStream:
+    """run_shots_many: one Philox stream for many plans, and only the live blocks."""
+
+    @staticmethod
+    def record_kernel(monkeypatch):
+        calls = []  # (first, count, counters) per kernel call
+
+        def recorder(seed, first, count, counters):
+            calls.append((first, count, [int(c) for c in counters]))
+            return kernel(seed, first, count, counters)
+
+        kernel = sampler._shot_uniforms
+        monkeypatch.setattr(sampler, "_shot_uniforms", recorder)
+        return calls
+
+    @pytest.mark.parametrize("entries", [None, 64])
+    def test_each_plan_matches_per_shot_loop(self, ising4, psi0_4, monkeypatch, entries):
+        if entries:  # a chunk of 7 shots: many chunk boundaries at a small N
+            monkeypatch.setattr(sampler, "_CHUNK_ENTRIES", entries)
+        dead = canonicalize(4, [(0.5, "IIII"), (-0.5, "ZIII")])  # annihilates |0000>
+        plans = [build_w_tilde(ising4, 0.3, kappa) for kappa in (1, 2, 3)] + [
+            build_w_unary(ising4, 0.3, 3),
+            build_w_hk(ising4, 3),
+            build_w_hk(dead, 2),
+            build_w_tilde(ising4, 0.0, 2),
+        ]
+        ref = truncated_taylor_matrix(ising4, 0.35, 7) @ psi0_4
+        ref /= np.linalg.norm(ref)
+        cost = CostModel(d=0.3, d_ctrl=0.7, m=0.1, prep=0.05)
+        chunk = sampler._CHUNK_ENTRIES // 9  # 2 blocks of draws, at most 8 + 1 outcomes
+        N = 2 * chunk + 123 if entries is None else 100
+        args = (psi0_4, N, 2**40 + 1, cost)
+        kwargs = {"shot_offset": 777, "reference": ref}
+        calls = self.record_kernel(monkeypatch)
+        many = run_shots_many(plans, *args, **kwargs)
+        assert [c[0] for c in calls] == list(range(777, 777 + N, chunk))
+        assert all(c[2] == [1, 2] for c in calls)
+        for plan, new in zip(plans, many):
+            assert_bitwise_equal(new, per_shot_run_shots(plan, *args, **kwargs))
+        assert all(s.abort_histogram for s in many[:6]) and 0 < many[2].mean_fidelity < 1
+        assert many[5].abort_histogram == {1: N} and many[6].successes == N
+        assert run_shots_many([], *args) == []
+
+    def test_readme_sweep_computes_each_block_once(self, monkeypatch):
+        calls = self.record_kernel(monkeypatch)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", "--model", "ising", "--n", "4", "--tau", "0.05",
+                         "--kappa-max", "3", "--shots", "20000", "--seed", "7"]) == 0
+        pairs = [(first + j, c) for first, count, cs in calls for j in range(count) for c in cs]
+        assert len(pairs) == len(set(pairs)) == 2 * 20000  # kappa = 3 reads 8 draws
+        assert sorted({p[0] for p in pairs}) == list(range(20000))
+
+    def test_only_live_blocks_are_computed(self, monkeypatch):
+        # draws 0-3 meet q = 1 (never fail), draw 4 is live, draw 5 has q = 0 and
+        # fails every shot that reaches it, so draws 6-19 are never read: only
+        # counter 2 (draws 4-7) is computed
+        q = (1.0,) * 4 + (0.5, 0.0) + (1.0,) * 2 + (0.25,) * 12
+        trace = PlanTrace(q, 0.0, None, tuple(0.5 + j for j in range(20)), 21.0)
+        monkeypatch.setattr(sampler, "trace_plan", lambda plan, psi, cost: trace)
+        calls = self.record_kernel(monkeypatch)
+        new = run_shots(None, None, 1000, 9, shot_offset=5)
+        assert {tuple(c[2]) for c in calls} == {(2,)}
+        assert new.abort_histogram.keys() == {5, 6}
+        assert_bitwise_equal(new, per_shot_stats(trace, 1000, 9, shot_offset=5))
+
+    def test_ising_high_order_reads_few_blocks(self, monkeypatch):
+        # kappa = 10: 1024 measurements, most with q exactly 1.0
+        H = build_ising(2, 1.0, 0.5)
+        psi = np.array([1, 0, 0, 0], dtype=complex)
+        plan = build_w_tilde(H, 0.05, 10)
+        q = np.array(trace_plan(plan, psi).cond_probs)
+        live_blocks = sorted({j // 4 + 1 for j in np.flatnonzero((q > 0) & (q < 1))})
+        calls = self.record_kernel(monkeypatch)
+        new = run_shots(plan, psi, 300, 1)
+        assert len(live_blocks) == 5 and {tuple(c[2]) for c in calls} == {tuple(live_blocks)}
+        assert_bitwise_equal(new, per_shot_run_shots(plan, psi, 300, 1))
 
 
 class TestStatsHelpers:
