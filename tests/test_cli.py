@@ -692,3 +692,78 @@ class TestAnalyticPasses:
         assert code == 0
         assert calls["matvec"] <= 3 * 7
         assert calls["diagonals"] == 1
+
+
+# Full stdout of each command as printed while every LCU block was three plan
+# instructions (Prepare, Select, AdjointPrepare): a change to the plan IR, the cost
+# model or the emitter shows here.
+STDOUT_PINS = {
+    'simulate --model ising --circuit wunary --K 3 --d 0.3 --d-ctrl 0.7 --m 0.1': (
+        'circuit,K,tau,shots,successes,p_hat,stderr,abort_histogram,mean_cost\n'
+        'wunary,3,0.05,10000,6139,0.6139,0.0048685397194641435,1:1288;2:66;3:2;4:2505,2.4600200000000534\n'
+    ),
+    'simulate --model ising --circuit wunary --K 3 --d 0.3 --d-ctrl 0.7 --m 0.1 --format json': (
+        '[\n'
+        ' {\n'
+        '  "K": 3,\n'
+        '  "abort_histogram": "1:1288;2:66;3:2;4:2505",\n'
+        '  "circuit": "wunary",\n'
+        '  "mean_cost": 2.4600200000000534,\n'
+        '  "p_hat": 0.6139,\n'
+        '  "shots": 10000,\n'
+        '  "stderr": 0.0048685397194641435,\n'
+        '  "successes": 6139,\n'
+        '  "tau": 0.05\n'
+        ' }\n'
+        ']\n'
+    ),
+    'simulate --model ising --kappa 2 --d 0.3 --d-ctrl 0.7 --m 0.1': (
+        'circuit,K,tau,shots,successes,p_hat,stderr,abort_histogram,mean_cost\n'
+        'wtilde,3,0.05,10000,6135,0.6135,0.004869473790873096,1:1137;2:163;3:60;4:2505,2.2914399999999513\n'
+    ),
+    'simulate --model ising --kappa 2 --d 0.3 --d-ctrl 0.7 --m 0.1 --format json': (
+        '[\n'
+        ' {\n'
+        '  "K": 3,\n'
+        '  "abort_histogram": "1:1137;2:163;3:60;4:2505",\n'
+        '  "circuit": "wtilde",\n'
+        '  "mean_cost": 2.2914399999999513,\n'
+        '  "p_hat": 0.6135,\n'
+        '  "shots": 10000,\n'
+        '  "stderr": 0.004869473790873096,\n'
+        '  "successes": 6135,\n'
+        '  "tau": 0.05\n'
+        ' }\n'
+        ']\n'
+    ),
+    'sweep --model ising --m 0.25 --kappa-max 3': (
+        'K,kappa,shots,successes,p_hat,stderr,abort_histogram,mean_cost,p_analytic\n'
+        '1,1,10000,6627,0.6627,0.004727882295489176,1:1165;2:2208,1.470875,0.6559999999999999\n'
+        '3,2,10000,6135,0.6135,0.004869473790873096,1:1137;2:163;3:60;4:2505,3.661375,0.6066575788750416\n'
+        '7,3,10000,6120,0.612,0.004872945721019269,1:1137;2:163;3:60;8:2520,7.981375,0.606530660063536\n'
+    ),
+    'resources --model ising --K-max 7': (
+        'family,K,kappa,qubits,two_qubit,measurements\n'
+        'wtilde,1,1,8,260,4\n'
+        'wunary,1,1,8,260,4\n'
+        'wtilde,2,2,9,784,11\n'
+        'wunary,2,2,12,524,8\n'
+        'wtilde,3,2,9,784,11\n'
+        'wunary,3,2,16,788,12\n'
+        'wtilde,4,3,10,1832,24\n'
+        'wunary,4,3,20,1052,16\n'
+        'wtilde,5,3,10,1832,24\n'
+        'wunary,5,3,24,1316,20\n'
+        'wtilde,6,3,10,1832,24\n'
+        'wunary,6,3,28,1580,24\n'
+        'wtilde,7,3,10,1832,24\n'
+        'wunary,7,3,32,1844,28\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_PINS))
+def test_stdout_is_pinned(capsys, argv):
+    code, out, err = _run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert out == STDOUT_PINS[argv]
