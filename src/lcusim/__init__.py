@@ -15,7 +15,6 @@ from .bliss import (
     jordan_wigner,
     load_fermionic,
     optimize_bliss,
-    sector_spectrum,
 )
 from .circuits import (
     CircuitPlan,
@@ -35,19 +34,16 @@ from .hamiltonian import (
     l1_norm,
     load_hamiltonian,
     save_hamiltonian,
-    to_matrix,
 )
 from .oracle import (
     expected_runtime_midmeasure,
     fidelity,
     runtime_upper_bound,
-    spectral_lower_bound,
     success_prob_hk,
     success_prob_wtilde,
     total_runtime_success,
-    truncated_taylor_matrix,
 )
-from .resources import GateCounts, compile_plan, count
+from .resources import GateCounts, count
 from .sampler import (
     CostModel,
     RunStats,
@@ -61,9 +57,7 @@ from .statevector import (
     RegisterLayout,
     StateVector,
     apply_prepare,
-    apply_select,
     init_state,
-    measure_register,
 )
 
 __all__ = [
@@ -81,7 +75,6 @@ __all__ = [
     "TaylorCoefficients",
     "apply_bliss",
     "apply_prepare",
-    "apply_select",
     "build_hubbard_chain",
     "build_ising",
     "build_w_hk",
@@ -89,7 +82,6 @@ __all__ = [
     "build_w_unary",
     "canonicalize",
     "choose_K",
-    "compile_plan",
     "count",
     "estimate",
     "expected_runtime_midmeasure",
@@ -100,22 +92,17 @@ __all__ = [
     "load_fermionic",
     "load_hamiltonian",
     "mean_cost_per_shot",
-    "measure_register",
     "optimize_bliss",
     "power_schedule",
     "run_shots",
     "run_shots_many",
     "runtime_upper_bound",
     "save_hamiltonian",
-    "sector_spectrum",
-    "spectral_lower_bound",
     "success_prob_hk",
     "success_prob_wtilde",
     "taylor_prepare_amplitudes",
-    "to_matrix",
     "total_runtime_success",
     "trace_plan",
-    "truncated_taylor_matrix",
 ]
 
 __version__ = "0.1.0"

@@ -28,11 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidModelError, ResourceLimitError
-from .hamiltonian import HamiltonianLCU, canonicalize, l1_norm, mask_sum_letters, to_matrix
+from .errors import InvalidModelError
+from .hamiltonian import HamiltonianLCU, canonicalize, mask_sum_letters
 from .statevector import TOTAL_QUBIT_CAP
-
-FERMION_DENSE_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -129,48 +127,6 @@ def apply_bliss(F: FermionicOperator, params: BlissParams) -> FermionicOperator:
         one_body=F.one_body - (xi0 * np.eye(n, dtype=complex) - ne * xi),
         two_body=two,
     )
-
-
-def fock_matrix(F: FermionicOperator) -> np.ndarray:
-    """Dense matrix on the occupation-number basis, built directly from
-    ladder-operator matrix elements (independent of the Pauli encoding)."""
-    n = F.n_orb
-    if n > FERMION_DENSE_CAP:
-        raise ResourceLimitError(f"{n} orbitals exceeds cap {FERMION_DENSE_CAP}")
-    dim = 1 << n
-    ann = []
-    for j in range(n):
-        mat = np.zeros((dim, dim))
-        for s in range(dim):
-            if (s >> j) & 1:
-                sign = (-1) ** (bin(s & ((1 << j) - 1)).count("1"))
-                mat[s ^ (1 << j), s] = sign
-        ann.append(mat)
-    out = np.eye(dim, dtype=complex) * F.constant
-    for i in range(n):
-        for j in range(n):
-            if F.one_body[i, j] != 0:
-                out += F.one_body[i, j] * (ann[i].T @ ann[j])
-    if F.two_body is not None:
-        for idx in np.argwhere(np.abs(F.two_body) > 0):
-            i, j, k, l = (int(x) for x in idx)
-            out += F.two_body[i, j, k, l] * (ann[i].T @ ann[j] @ ann[k].T @ ann[l])
-    return out
-
-
-def sector_spectrum(op, n_electrons: int) -> np.ndarray:
-    """Ascending eigenvalues restricted to the fixed-particle-number sector."""
-    if isinstance(op, FermionicOperator):
-        mat = fock_matrix(op)
-        n = op.n_orb
-    else:
-        mat = to_matrix(op)
-        n = op.n
-    if n_electrons < 0 or n_electrons > n:
-        raise InvalidModelError("n_electrons out of range")
-    idx = [s for s in range(1 << n) if bin(s).count("1") == n_electrons]
-    sub = mat[np.ix_(idx, idx)]
-    return np.sort(np.linalg.eigvalsh(sub))
 
 
 def _unit_shifts(n_orb: int, include_offdiag: bool) -> list[dict[tuple[int, int], complex]]:

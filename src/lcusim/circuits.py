@@ -10,10 +10,13 @@ Three builders are provided:
 * ``build_w_unary`` -- the unary-encoded reference circuit with K separate
   l-registers and a single terminal post-selection.
 
-Only the Select instruction of each block carries the control: on the
-control-|0> branch Prepare followed by AdjointPrepare is the identity and
-the l-measurement succeeds with certainty, so post-selected results match a
-fully controlled block at lower cost.
+A plan is a sequence of three instruction kinds: ``Prepare`` (or its
+adjoint) on a register, ``LcuBlock`` -- PREPARE, SELECT and PREPARE^dag on an
+l-register, a block-encoding of H~ = (-i / l1) H (Berry et al., PRL 114,
+090502, 2015) -- and ``Measure``, an all-zero post-selection. Only the SELECT
+of a block carries the control: on the control-|0> branch Prepare followed by
+its adjoint is the identity and the l-measurement succeeds with certainty, so
+post-selected results match a fully controlled block at lower cost.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, InvalidModelError
-from .hamiltonian import HamiltonianLCU, l1_norm, prepare_amplitudes
+from .hamiltonian import HamiltonianLCU, l1_norm
 from .statevector import Register, RegisterLayout
 
 
@@ -83,7 +86,7 @@ def taylor_prepare_amplitudes(tau: float, alpha_norm: float, kappa: int) -> np.n
 
 
 def power_schedule(kappa: int) -> tuple[int, ...]:
-    """Select-block sizes (2^0, ..., 2^{kappa-1}); block i is controlled by k-qubit i."""
+    """LCU-block counts (2^0, ..., 2^{kappa-1}); the blocks of run i are controlled by k-qubit i."""
     if kappa < 1:
         raise InvalidModelError("kappa must be at least 1")
     return tuple(1 << i for i in range(kappa))
@@ -101,35 +104,32 @@ def choose_K(T: float, epsilon: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Prepare:
+    """PREPARE of ``amps`` on a register from |0..0>, or its adjoint."""
+
     register: str
     amps: np.ndarray = field(repr=False)
     style: str = "dense"  # "dense" or "unary" (staircase compilation)
-
-
-@dataclass(frozen=True, eq=False)
-class AdjointPrepare:
-    register: str
-    amps: np.ndarray = field(repr=False)
-    style: str = "dense"
+    adjoint: bool = False
 
 
 @dataclass(frozen=True)
-class Select:
+class LcuBlock:
+    """PREPARE, SELECT and PREPARE^dag on ``l_register`` with the amplitudes
+    ``prepare_amplitudes(H, width)``; ``control`` (a global qubit index) gates the SELECT."""
+
     l_register: str = "l"
-    control: int | None = None  # global qubit index
+    control: int | None = None
 
 
 @dataclass(frozen=True)
-class MeasureExpectZero:
+class Measure:
+    """All-zero post-selection of a register, mid-circuit or ``final``."""
+
     register: str
+    final: bool = False
 
 
-@dataclass(frozen=True)
-class FinalMeasure:
-    register: str
-
-
-Instruction = Prepare | AdjointPrepare | Select | MeasureExpectZero | FinalMeasure
+Instruction = Prepare | LcuBlock | Measure
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,74 +141,34 @@ class CircuitPlan:
 
     @property
     def select_count(self) -> int:
-        return sum(1 for ins in self.instructions if isinstance(ins, Select))
+        return sum(1 for ins in self.instructions if isinstance(ins, LcuBlock))
 
     @property
     def mid_measure_count(self) -> int:
-        return sum(1 for ins in self.instructions if isinstance(ins, MeasureExpectZero))
+        return sum(1 for ins in self.instructions if isinstance(ins, Measure) and not ins.final)
 
     @property
     def measure_count(self) -> int:
-        return sum(
-            1 for ins in self.instructions if isinstance(ins, (MeasureExpectZero, FinalMeasure))
-        )
-
-    def describe(self) -> str:
-        """Human-readable instruction listing for golden-file checks."""
-        lines = [
-            f"family={self.family} qubits={self.layout.total} "
-            f"selects={self.select_count} mid_measures={self.mid_measure_count}"
-        ]
-        for reg in self.layout.registers:
-            lines.append(f"register {reg.name}: width={reg.width} offset={reg.offset}")
-        for i, ins in enumerate(self.instructions):
-            if isinstance(ins, Prepare):
-                lines.append(f"{i:3d} prepare {ins.register} ({ins.style})")
-            elif isinstance(ins, AdjointPrepare):
-                lines.append(f"{i:3d} adjoint-prepare {ins.register} ({ins.style})")
-            elif isinstance(ins, Select):
-                ctrl = "none" if ins.control is None else f"q{ins.control}"
-                lines.append(f"{i:3d} select via {ins.l_register} control={ctrl}")
-            elif isinstance(ins, MeasureExpectZero):
-                lines.append(f"{i:3d} measure-expect-zero {ins.register}")
-            else:
-                lines.append(f"{i:3d} final-measure {ins.register}")
-        return "\n".join(lines)
+        return sum(1 for ins in self.instructions if isinstance(ins, Measure))
 
 
 def build_w_hk(H: HamiltonianLCU, k: int) -> CircuitPlan:
-    """k repetitions of [Prepare, Select, AdjointPrepare, MeasureExpectZero]."""
+    """k repetitions of [LcuBlock, Measure] on one l-register."""
     if k < 1:
         raise InvalidModelError("k must be at least 1")
-    lw = H.l_width
-    layout = RegisterLayout((Register("system", H.n, 0), Register("l", lw, H.n)))
-    amps = prepare_amplitudes(H, lw)
-    block = (
-        Prepare("l", amps),
-        Select("l", None),
-        AdjointPrepare("l", amps),
-        MeasureExpectZero("l"),
-    )
-    return CircuitPlan(layout, H, block * k, family="w_hk")
+    layout = RegisterLayout((Register("system", H.n, 0), Register("l", H.l_width, H.n)))
+    return CircuitPlan(layout, H, (LcuBlock("l"), Measure("l")) * k, family="w_hk")
 
 
 def build_w_tilde(H: HamiltonianLCU, tau: float, kappa: int) -> CircuitPlan:
-    """Shorter-width plan: kappa + ceil(log2 L) + n qubits, K = 2^kappa - 1 selects."""
-    lw = H.l_width
-    layout = RegisterLayout.standard(kappa, lw, H.n)
+    """Shorter-width plan: kappa + ceil(log2 L) + n qubits, K = 2^kappa - 1 blocks."""
+    layout = RegisterLayout.standard(kappa, H.l_width, H.n)
     k_amps = taylor_prepare_amplitudes(tau, l1_norm(H), kappa)
-    l_amps = prepare_amplitudes(H, lw)
     instructions: list[Instruction] = [Prepare("k", k_amps)]
     for i, size in enumerate(power_schedule(kappa)):
         control = layout.register("k").offset + i
-        for _ in range(size):
-            instructions += [
-                Prepare("l", l_amps),
-                Select("l", control),
-                AdjointPrepare("l", l_amps),
-                MeasureExpectZero("l"),
-            ]
-    instructions += [AdjointPrepare("k", k_amps), FinalMeasure("k")]
+        instructions += [LcuBlock("l", control), Measure("l")] * size
+    instructions += [Prepare("k", k_amps, adjoint=True), Measure("k", final=True)]
     return CircuitPlan(layout, H, tuple(instructions), family="wtilde")
 
 
@@ -217,7 +177,8 @@ def build_w_unary(H: HamiltonianLCU, tau: float, K: int) -> CircuitPlan:
 
     Registers: system, then K l-registers, then a K-qubit unary Taylor
     register holding sqrt(beta_k/||beta||_1) on the one-hot-prefix states
-    |1^k 0^{K-k}>.
+    |1^k 0^{K-k}>. The K blocks act on distinct l-registers and all come
+    before the measurements.
     """
     if K < 1:
         raise InvalidModelError("K must be at least 1")
@@ -234,17 +195,10 @@ def build_w_unary(H: HamiltonianLCU, tau: float, K: int) -> CircuitPlan:
     norm = beta.sum()
     for k in range(K + 1):
         unary_amps[(1 << k) - 1] = math.sqrt(beta[k] / norm)
-    l_amps = prepare_amplitudes(H, lw)
 
     instructions: list[Instruction] = [Prepare("unary", unary_amps, style="unary")]
-    for j in range(K):
-        instructions.append(Prepare(f"l{j}", l_amps))
-    for j in range(K):
-        instructions.append(Select(f"l{j}", control=unary_offset + j))
-    for j in range(K):
-        instructions.append(AdjointPrepare(f"l{j}", l_amps))
-    instructions.append(AdjointPrepare("unary", unary_amps, style="unary"))
-    for j in range(K):
-        instructions.append(MeasureExpectZero(f"l{j}"))
-    instructions.append(FinalMeasure("unary"))
+    instructions += [LcuBlock(f"l{j}", control=unary_offset + j) for j in range(K)]
+    instructions.append(Prepare("unary", unary_amps, style="unary", adjoint=True))
+    instructions += [Measure(f"l{j}") for j in range(K)]
+    instructions.append(Measure("unary", final=True))
     return CircuitPlan(layout, H, tuple(instructions), family="wunary")

@@ -316,9 +316,12 @@ def cmd_bliss(args) -> list[dict]:
 
 
 def emit(rows: list[dict], fmt: str, path: str | None) -> None:
-    """Write homogeneous records as RFC-4180 CSV or a JSON array; byte-stable."""
+    """Write homogeneous records as RFC-4180 CSV or a JSON array; byte-stable. JSON holds
+    an infinite value as null and refuses a NaN (ValueError), as the JSON grammar has neither."""
     if fmt == "json":
-        text = json.dumps(rows, sort_keys=True, indent=1) + "\n"
+        rows = [{k: None if isinstance(v, float) and math.isinf(v) else v for k, v in r.items()}
+                for r in rows]
+        text = json.dumps(rows, sort_keys=True, indent=1, allow_nan=False) + "\n"
     else:
         import io
 

@@ -26,9 +26,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidHamiltonianError, InvalidModelError, LayoutError, ResourceLimitError
+from .errors import InvalidHamiltonianError, InvalidModelError, LayoutError
 
-DENSE_QUBIT_CAP = 12
 _DIAGONAL_BUDGET = 64 << 20  # bytes of group diagonals one HamiltonianLCU keeps cached
 
 PAULI_MATRICES = {
@@ -164,12 +163,6 @@ def mask_sum_letters(coeffs: dict[tuple[int, int], complex], n: int) -> dict[str
     return out
 
 
-def apply_pauli(v: np.ndarray, x: int, z: int, factor: complex) -> np.ndarray:
-    """``factor * X^x Z^z`` applied along the last axis of ``v``; bit j of an index is qubit j."""
-    src = np.arange(v.shape[-1]) ^ x
-    return v[..., src] * np.where(np.bitwise_count(src & z) & 1, -factor, factor)
-
-
 def _group_diagonals(H: HamiltonianLCU, factors: np.ndarray, identity: complex) -> list:
     """Per distinct x, in order of first appearance, ``(index, D_x)``. On the (2,)*n view of
     the last axis (qubit n-1 first), ``index`` reverses the axes of the set bits of x, which
@@ -228,25 +221,6 @@ def pauli_sum_apply(H: HamiltonianLCU, v: np.ndarray) -> np.ndarray:
     if v.shape[-1:] != (1 << H.n,):
         raise LayoutError(f"{H.n}-qubit Hamiltonian needs {1 << H.n} amplitudes")
     return apply_pauli_groups(H, v, [t.weight for t in H.terms])
-
-
-def pauli_string_matrix(letters: str) -> np.ndarray:
-    """Dense matrix of a Pauli string; letter 0 acts on the least-significant qubit."""
-    mat = np.array([[1]], dtype=complex)
-    for c in letters:  # qubit 0 is LSB, so it goes rightmost in the kron chain
-        mat = np.kron(PAULI_MATRICES[c], mat)
-    return mat
-
-
-def to_matrix(H: HamiltonianLCU, *, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of the Hamiltonian."""
-    if H.n > cap:
-        raise ResourceLimitError(f"{H.n} qubits exceeds dense cap {cap}")
-    dim = 1 << H.n
-    mat = np.zeros((dim, dim), dtype=complex)
-    for t in H.terms:
-        mat += t.coefficient * pauli_string_matrix(t.letters)
-    return mat
 
 
 def load_hamiltonian(path) -> HamiltonianLCU:

@@ -2,8 +2,7 @@
 
 The success probabilities and the runtime bound are squared norms of
 H~^k psi or sum_k beta_k H~^k psi, H~ = (-i / l1) H, so they take Pauli-sum
-matvecs and no 2^n x 2^n matrix. The dense builders and the eigensolve stay
-behind the dense qubit cap as references.
+matvecs and no 2^n x 2^n matrix.
 """
 from __future__ import annotations
 
@@ -13,31 +12,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from .circuits import TaylorCoefficients, kappa_for
-from .errors import DomainError, LayoutError, NormalizationError
-from .hamiltonian import DENSE_QUBIT_CAP, HamiltonianLCU, l1_norm, pauli_sum_apply, to_matrix
+from .errors import LayoutError, NormalizationError
+from .hamiltonian import HamiltonianLCU, l1_norm, pauli_sum_apply
 
 _NORM_TOL = 1e-10
-
-
-def rescaled_matrix(H: HamiltonianLCU, *, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-    """(-i / l1) times the dense Hamiltonian matrix."""
-    return (-1j / l1_norm(H)) * to_matrix(H, cap=cap)
-
-
-def truncated_taylor_matrix(
-    H: HamiltonianLCU, tau: float, K: int, *, cap: int = DENSE_QUBIT_CAP
-) -> np.ndarray:
-    """sum_{k<=K} beta_k * Htilde^k; converges to exp(-i H tau) as K grows."""
-    ht = rescaled_matrix(H, cap=cap)
-    x = tau * l1_norm(H)
-    out = np.eye(ht.shape[0], dtype=complex)
-    power = np.eye(ht.shape[0], dtype=complex)
-    coeff = 1.0
-    for k in range(1, K + 1):
-        power = power @ ht
-        coeff *= x / k
-        out += coeff * power
-    return out
 
 
 def _check_normalized(psi: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -144,17 +122,6 @@ def runtime_upper_bound(
     shorter-width circuit: (K d / p) [1 - (tau l1 / ||beta||_1) (1 - p1)]."""
     p_w = success_prob_wtilde(H, psi, tau, K)
     return runtime_bound(p_w, success_prob_hk(H, psi, 1), tau, l1_norm(H), K, d_ctrl)
-
-
-def spectral_lower_bound(H: HamiltonianLCU, k: int) -> float:
-    """(lambda0 / l1)^{2k} with lambda0 the smallest-magnitude eigenvalue of H."""
-    mat = to_matrix(H)
-    if np.linalg.norm(mat - mat.conj().T) > 1e-10:
-        raise DomainError("spectral bound requires a Hermitian Hamiltonian")
-    eigs = np.linalg.eigvalsh(mat)
-    # magnitude ordering, ties broken toward the nonnegative eigenvalue
-    lam0 = float(min(eigs, key=lambda e: (abs(e), e < 0)))
-    return (abs(lam0) / l1_norm(H)) ** (2 * k)
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

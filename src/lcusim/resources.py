@@ -1,10 +1,11 @@
 """Compilation to a {single-qubit unitary, CX} basis and resource counting.
 
 Prepare instructions compile to the multiplexed-Ry state-preparation
-recursion (PREPARE amplitudes are always real and nonnegative here), Select
-to one multiplexed single-qubit gate per system qubit via ZYZ-split
-uniformly controlled rotations plus a diagonal phase correction, and the
-unary Taylor register to a staircase of controlled Ry rotations.
+recursion (PREPARE amplitudes are always real and nonnegative here), and
+the unary Taylor register to a staircase of controlled Ry rotations. An LCU
+block compiles to its l-register Prepare, then the SELECT as one multiplexed
+single-qubit gate per system qubit via ZYZ-split uniformly controlled
+rotations plus a diagonal phase correction, then the adjoint Prepare.
 
 Absolute gate counts are decomposition-dependent; what is stable across
 decompositions - qubit totals, piecewise-linear growth in K, count equality
@@ -19,22 +20,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuits import (
-    AdjointPrepare,
-    CircuitPlan,
-    FinalMeasure,
-    Prepare,
-    Select,
-)
-from .hamiltonian import PAULI_MATRICES
-from .statevector import (
-    Register,
-    StateVector,
-    apply_1q,
-    apply_cx,
-    init_state,
-    project_zero,
-)
+from .circuits import CircuitPlan, LcuBlock, Measure, Prepare
+from .hamiltonian import PAULI_MATRICES, prepare_amplitudes
+from .statevector import Register
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,15 +37,7 @@ class GateCX:
     target: int
 
 
-@dataclass(frozen=True)
-class MeasureZero:
-    """Terminal or mid-circuit all-zero post-selection of one register."""
-
-    register: str
-    final: bool
-
-
-CompiledOp = Gate1Q | GateCX | MeasureZero
+CompiledOp = Gate1Q | GateCX | Measure  # a measurement compiles to itself
 
 
 @dataclass(frozen=True)
@@ -69,34 +49,12 @@ class GateCounts:
     select_blocks: int
 
 
-@dataclass(frozen=True, eq=False)
-class CompiledCircuit:
-    plan: CircuitPlan
-    ops: tuple[CompiledOp, ...]
-
-    def counts(self) -> GateCounts:
-        return _gate_counts(self.plan, _tally(self.plan, self.ops))
-
-
 def _tally(plan: CircuitPlan, ops) -> tuple[int, int, int]:
     """(single-qubit gates, CX gates, measured qubits) of a list of compiled ops."""
     one = sum(1 for op in ops if isinstance(op, Gate1Q))
     two = sum(1 for op in ops if isinstance(op, GateCX))
-    meas = sum(
-        plan.layout.register(op.register).width for op in ops if isinstance(op, MeasureZero)
-    )
+    meas = sum(plan.layout.register(op.register).width for op in ops if isinstance(op, Measure))
     return one, two, meas
-
-
-def _gate_counts(plan: CircuitPlan, tally: tuple[int, int, int]) -> GateCounts:
-    one, two, meas = tally
-    return GateCounts(
-        qubits=plan.layout.total,
-        one_qubit=one,
-        two_qubit=two,
-        measurements=meas,
-        select_blocks=plan.select_count,
-    )
 
 
 def _ry(theta: float) -> np.ndarray:
@@ -267,7 +225,7 @@ def _dagger(ops: list[CompiledOp]) -> list[CompiledOp]:
     return out
 
 
-def _select_gates(plan: CircuitPlan, ins: Select) -> list[CompiledOp]:
+def _select_gates(plan: CircuitPlan, ins: LcuBlock) -> list[CompiledOp]:
     """One multiplexed single-qubit gate per system qubit.
 
     The multiplex controls are the l-register qubits plus, when present, the
@@ -305,40 +263,33 @@ def _select_gates(plan: CircuitPlan, ins: Select) -> list[CompiledOp]:
 
 def _compile_instruction(plan: CircuitPlan, ins) -> list[CompiledOp]:
     """{1q unitary, CX} gates or the measurement event of one instruction."""
-    if isinstance(ins, (Prepare, AdjointPrepare)):
-        reg = plan.layout.register(ins.register)
-        if ins.style == "unary":
-            gates = _prep_unary_gates(reg, ins.amps)
-        else:
-            gates = _prep_dense_gates(reg, ins.amps)
-        return _dagger(gates) if isinstance(ins, AdjointPrepare) else gates
-    if isinstance(ins, Select):
-        return _select_gates(plan, ins)
-    return [MeasureZero(ins.register, final=isinstance(ins, FinalMeasure))]
-
-
-def compile_plan(plan: CircuitPlan) -> CompiledCircuit:
-    """Compile every instruction to {1q unitary, CX} gates plus measurement events."""
-    ops = [op for ins in plan.instructions for op in _compile_instruction(plan, ins)]
-    return CompiledCircuit(plan, tuple(ops))
+    if isinstance(ins, Measure):
+        return [ins]
+    if isinstance(ins, LcuBlock):
+        reg = plan.layout.register(ins.l_register)
+        prep = _prep_dense_gates(reg, prepare_amplitudes(plan.hamiltonian, reg.width))
+        return prep + _select_gates(plan, ins) + _dagger(prep)
+    reg = plan.layout.register(ins.register)
+    gates = (_prep_unary_gates if ins.style == "unary" else _prep_dense_gates)(reg, ins.amps)
+    return _dagger(gates) if ins.adjoint else gates
 
 
 def _gate_key(plan: CircuitPlan, ins) -> tuple | None:
     """All that the gate list of ``ins`` depends on apart from qubit labels, or None for
     an instruction compiled every time: a measurement, or a unary staircase (O(K) gates,
     while its amplitude vector has 2^K entries)."""
-    if isinstance(ins, Select):
+    if isinstance(ins, LcuBlock):
         width = plan.layout.register(ins.l_register).width
-        return (Select, plan.hamiltonian, plan.layout.n, width, ins.control is not None)
-    if isinstance(ins, (Prepare, AdjointPrepare)) and ins.style != "unary":
+        return (plan.hamiltonian, plan.layout.n, width, ins.control is not None)
+    if isinstance(ins, Prepare) and ins.style != "unary":
         amps = np.asarray(ins.amps)
         width = plan.layout.register(ins.register).width
-        return (type(ins), ins.style, width, amps.dtype.str, amps.shape, amps.tobytes())
+        return (ins.adjoint, width, amps.dtype.str, amps.shape, amps.tobytes())
     return None
 
 
 def count(plans: Iterable[CircuitPlan]) -> list[GateCounts]:
-    """``compile_plan(plan).counts()`` for each plan, compiling each distinct block once.
+    """Gate, qubit and measurement counts of each plan, compiling each distinct block once.
 
     Counts do not change when qubits are relabelled, so instructions with equal
     ``_gate_key`` share one compile, within a plan and across plans.
@@ -355,26 +306,5 @@ def count(plans: Iterable[CircuitPlan]) -> list[GateCounts]:
                 if key is not None:
                     memo[key] = tally
             one, two, meas = one + tally[0], two + tally[1], meas + tally[2]
-        out.append(_gate_counts(plan, (one, two, meas)))
+        out.append(GateCounts(plan.layout.total, one, two, meas, plan.select_count))
     return out
-
-
-def simulate_compiled(circ: CompiledCircuit, psi: np.ndarray) -> tuple[np.ndarray, float]:
-    """Post-selected execution of the compiled gates.
-
-    Returns (final system state, overall all-zero probability); used to
-    check compilation soundness against the uncompiled plan.
-    """
-    state: StateVector = init_state(circ.plan.layout, psi)
-    prob = 1.0
-    for op in circ.ops:
-        if isinstance(op, Gate1Q):
-            apply_1q(state, op.qubit, op.matrix)
-        elif isinstance(op, GateCX):
-            apply_cx(state, op.control, op.target)
-        else:
-            p0 = project_zero(state, op.register)
-            prob *= p0
-            if p0 == 0.0:
-                return np.zeros(1 << circ.plan.layout.n, dtype=complex), 0.0
-    return state.system_state(), prob

@@ -2,8 +2,8 @@
 
 A plan's success path is deterministic: the quantum state after j
 consecutive zero outcomes does not depend on the shot, so the conditional
-zero-probability of every measurement can be traced once. On that path a
-Prepare-Select-Prepare^dag block whose l-register is measured |0> acts as
+zero-probability of every measurement can be traced once. On that path an
+LCU block (PREPARE, SELECT, PREPARE^dag) whose l-register is measured |0> acts as
 (singly controlled) H~ = (-i / l1) H (Berry et al., PRL 114, 090502, 2015),
 so the trace carries only the system and Taylor registers: n + kappa qubits
 for W-tilde, n + K for the unary circuit. Each shot then reduces to a
@@ -23,30 +23,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import (
-    AdjointPrepare,
-    CircuitPlan,
-    FinalMeasure,
-    MeasureExpectZero,
-    Prepare,
-    Select,
-)
+from .circuits import CircuitPlan, LcuBlock, Measure
 from .errors import LayoutError
-from .statevector import Register, RegisterLayout, apply_lcu_block, apply_prepare, init_state
-from .statevector import apply_select, project_zero  # noqa: F401 (bench resolves apply_select here)
+from .hamiltonian import prepare_amplitudes
+from .statevector import (
+    Register,
+    RegisterLayout,
+    apply_lcu_block,
+    apply_prepare,
+    init_state,
+    project_zero,
+)
 
 
 @dataclass(frozen=True)
 class CostModel:
-    """Cost units per instruction kind."""
+    """Cost units per instruction kind; a ``Prepare`` costs nothing."""
 
-    d: float = 1.0  # uncontrolled block-encoding application
-    d_ctrl: float = 1.0  # controlled application
+    d: float = 1.0  # uncontrolled LCU block
+    d_ctrl: float = 1.0  # controlled LCU block
     m: float = 0.0  # one register measurement
-    prep: float = 0.0  # one prepare / adjoint-prepare
 
     def __post_init__(self):
-        if not all(math.isfinite(c) and c >= 0 for c in (self.d, self.d_ctrl, self.m, self.prep)):
+        if not all(math.isfinite(c) and c >= 0 for c in (self.d, self.d_ctrl, self.m)):
             raise ValueError("costs must be finite and nonnegative")
 
 
@@ -98,77 +97,56 @@ class RunStats:
         return self.fidelity_sum / self.successes if self.successes else 0.0
 
 
-_CYCLE = (Prepare, Select, AdjointPrepare, (MeasureExpectZero, FinalMeasure))
-
-
-def _instruction_cost(ins, cost: CostModel) -> float:
-    if isinstance(ins, Select):
-        return cost.d_ctrl if ins.control is not None else cost.d
-    if isinstance(ins, (MeasureExpectZero, FinalMeasure)):
-        return cost.m
-    if isinstance(ins, (Prepare, AdjointPrepare)):
-        return cost.prep
-    raise TypeError(f"unknown instruction {ins!r}")
-
-
 def trace_plan(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()) -> PlanTrace:
     """Execute the success path once, recording conditional probabilities and costs.
 
-    Each l-register (one a Select indexes) must run cycles of Prepare(a), Select,
-    AdjointPrepare(a) and a measurement, measured in Select order with no other
-    measurement in between; else ``LayoutError``. Such a cycle is then exactly
-    ``apply_lcu_block`` at the Select, so the state omits the l-registers.
+    Each l-register (one an ``LcuBlock`` uses) must be measured after each of its blocks
+    and before the next, the l-registers in block order, and no other register while a
+    block is pending; else ``LayoutError``. A block is then exactly ``apply_lcu_block``,
+    so the state omits the l-registers.
     """
-    l_regs = {ins.l_register for ins in plan.instructions if isinstance(ins, Select)}
+    H = plan.hamiltonian
+    l_regs = {ins.l_register for ins in plan.instructions if isinstance(ins, LcuBlock)}
     kept = [r for r in plan.layout.registers if r.name not in l_regs]
     at = np.cumsum([0] + [r.width for r in kept]).tolist()  # offsets in the collapsed layout
     layout = RegisterLayout(tuple(Register(r.name, r.width, o) for r, o in zip(kept, at)))
     state = init_state(layout, psi)
     moved = {None: None}  # control qubit -> collapsed index, for non-system registers
     moved.update({r.offset + j: o + j for r, o in zip(kept[1:], at[1:]) for j in range(r.width)})
-    step = dict.fromkeys(l_regs, 0)  # index into _CYCLE of each l-register's next instruction
-    prepared: dict[str, np.ndarray] = {}
-    pending: list[tuple[str, float]] = []  # Select probabilities awaiting their measurement
+    amps = {name: prepare_amplitudes(H, plan.layout.register(name).width) for name in l_regs}
+    pending: list[tuple[str, float]] = []  # block probabilities awaiting their measurement
     cond: list[float] = []
     abort_costs: list[float] = []
     running_cost = 0.0
     dead = False
     for i, ins in enumerate(plan.instructions):
-        running_cost += _instruction_cost(ins, cost)
-        name = ins.l_register if isinstance(ins, Select) else ins.register
-        measure = isinstance(ins, (MeasureExpectZero, FinalMeasure))
-        if measure:
+        if isinstance(ins, LcuBlock):
+            name = ins.l_register
+            if ins.control not in moved:
+                raise LayoutError(f"instruction {i}: control in system or an l-register")
+            if any(r == name for r, _ in pending):
+                raise LayoutError(f"instruction {i}: {name} still holds an unmeasured block")
+            running_cost += cost.d if ins.control is None else cost.d_ctrl
+            p = 0.0 if dead else apply_lcu_block(state, H, amps[name], moved[ins.control])
+            dead = p == 0.0
+            pending.append((name, p))
+        elif isinstance(ins, Measure):
+            name = ins.register
+            running_cost += cost.m
             abort_costs.append(running_cost)
-        if name in l_regs:
-            if not isinstance(ins, _CYCLE[step[name]]):
-                raise LayoutError(f"instruction {i}: out of the l-register cycle of {name}")
-            step[name] = (step[name] + 1) % len(_CYCLE)
-            if isinstance(ins, Prepare):
-                if len(ins.amps) != 1 << plan.layout.register(name).width:
-                    raise LayoutError(f"instruction {i}: amplitudes do not fit register {name}")
-                prepared[name] = ins.amps
-            elif isinstance(ins, AdjointPrepare) and not np.array_equal(ins.amps, prepared[name]):
-                raise LayoutError(f"instruction {i}: amplitudes differ from the prepare of {name}")
-            elif isinstance(ins, Select):
-                if ins.control not in moved:
-                    raise LayoutError(f"instruction {i}: control in system or an l-register")
-                H, control = plan.hamiltonian, moved[ins.control]
-                p = 0.0 if dead else apply_lcu_block(state, H, prepared[name], control)
-                dead = p == 0.0
-                pending.append((name, p))
-            elif measure:
-                if pending[0][0] != name:
-                    raise LayoutError(f"instruction {i}: {name} is measured out of Select order")
+            if name in l_regs:
+                if not pending or pending[0][0] != name:
+                    raise LayoutError(f"instruction {i}: {name} measured out of block order")
                 cond.append(pending.pop(0)[1])
-        elif measure:
-            if pending:
-                raise LayoutError(f"instruction {i}: {name} measured before an l-register")
-            cond.append(0.0 if dead else project_zero(state, name))
-            dead = cond[-1] == 0.0
+            elif pending:
+                raise LayoutError(f"instruction {i}: {name} measured while a block is pending")
+            else:
+                cond.append(0.0 if dead else project_zero(state, name))
+                dead = cond[-1] == 0.0
         elif not dead:
-            apply_prepare(state, name, ins.amps, adjoint=isinstance(ins, AdjointPrepare))
-    if any(step.values()):
-        raise LayoutError("plan ends inside an l-register cycle")
+            apply_prepare(state, ins.register, ins.amps, adjoint=ins.adjoint)
+    if pending:
+        raise LayoutError(f"a block on {pending[0][0]} is never measured")
     success_prob = float(np.prod(cond)) if cond else 1.0
     final = None if dead else state.system_state()
     return PlanTrace(

@@ -12,13 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    LayoutError,
-    MeasurementDegenerateError,
-    NormalizationError,
-    ResourceLimitError,
-)
-from .hamiltonian import HamiltonianLCU, apply_pauli, apply_pauli_groups
+from .errors import LayoutError, NormalizationError, ResourceLimitError
+from .hamiltonian import HamiltonianLCU, apply_pauli_groups
 
 TOTAL_QUBIT_CAP = 24
 _NORM_TOL = 1e-10
@@ -50,10 +45,8 @@ class RegisterLayout:
     @classmethod
     def standard(cls, kappa: int, l_width: int, n: int) -> "RegisterLayout":
         """System, l-register, k-register layout used by the binary-encoded circuit."""
-        regs = [Register("system", n, 0), Register("l", l_width, n)]
-        if kappa > 0:
-            regs.append(Register("k", kappa, n + l_width))
-        return cls(tuple(regs))
+        k = Register("k", kappa, n + l_width)
+        return cls((Register("system", n, 0), Register("l", l_width, n), k))
 
     @property
     def total(self) -> int:
@@ -69,17 +62,6 @@ class RegisterLayout:
     def n(self) -> int:
         return self.register("system").width
 
-    @property
-    def l_width(self) -> int:
-        return self.register("l").width
-
-    @property
-    def kappa(self) -> int:
-        try:
-            return self.register("k").width
-        except LayoutError:
-            return 0
-
 
 @dataclass
 class StateVector:
@@ -88,9 +70,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.layout, self.amplitudes.copy())
 
     def system_state(self) -> np.ndarray:
         """System-register amplitudes, assuming all ancillas are in |0..0>."""
@@ -138,23 +117,6 @@ def _householder(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v / np.linalg.norm(v), d
 
 
-def completion_unitary(amps: np.ndarray) -> np.ndarray:
-    """Deterministic unitary whose first column is ``amps``, as a dense matrix."""
-    v, d = _householder(amps)
-    return (np.eye(v.shape[0], dtype=complex) - 2.0 * np.outer(v, v.conj())) * d[np.newaxis, :]
-
-
-def apply_register_unitary(state: StateVector, register: str, U: np.ndarray) -> StateVector:
-    """Apply a 2^w x 2^w unitary to one register, in place."""
-    reg = state.layout.register(register)
-    dim = 1 << reg.width
-    if U.shape != (dim, dim):
-        raise LayoutError("unitary dimension does not match register width")
-    block = state.amplitudes.reshape(-1, dim, 1 << reg.offset)
-    state.amplitudes = np.einsum("ab,ibj->iaj", U, block).reshape(-1)
-    return state
-
-
 def apply_prepare(
     state: StateVector, register: str, amps: np.ndarray, adjoint: bool = False
 ) -> StateVector:
@@ -174,40 +136,10 @@ def apply_prepare(
     return state
 
 
-def apply_select(
-    state: StateVector,
-    H: HamiltonianLCU,
-    l_register: str = "l",
-    control: int | None = None,
-) -> StateVector:
-    """Multiplexed (-i) * exp(i phase_l) * Pauli_l on the system register.
-
-    For l-register values >= L the map is the identity. If ``control`` is a
-    global qubit index, the whole map acts only on that qubit's |1> branch.
-    """
-    layout = state.layout
-    n = layout.n
-    reg = layout.register(l_register)
-    if reg.width < H.l_width:
-        raise LayoutError("l-register too narrow for the Hamiltonian")
-    if control is not None and control < n:
-        raise LayoutError("control qubit must lie outside the system register")
-    view = state.amplitudes.reshape(-1, 1 << n)
-    rows = np.arange(view.shape[0])
-    row_l = (rows >> (reg.offset - n)) & ((1 << reg.width) - 1)
-    if control is not None:
-        row_l[(rows >> (control - n)) & 1 == 0] = -1  # control off: identity
-    for li, (x, z, u) in enumerate(H.masks):
-        sel = row_l == li
-        if sel.any():
-            view[sel] = apply_pauli(view[sel], x, z, -1j * u)
-    return state
-
-
 def apply_lcu_block(
     state: StateVector, H: HamiltonianLCU, amps: np.ndarray, control: int | None = None
 ) -> float:
-    """Prepare(amps), Select and Prepare^dag with the l-register post-selected on |0>, without
+    """PREPARE(amps), SELECT and PREPARE^dag with the l-register post-selected on |0>, without
     the l-register: F = sum_{l<L} |a_l|^2 (-i u_l) P_l + (sum_{l>=L} |a_l|^2) I on the system
     (H~ = (-i / l1) H for ``prepare_amplitudes(H)``), on the control's |1> branch if given.
     Renormalizes and returns the branch probability; 0.0 below 1e-14, like ``project_zero``."""
@@ -236,28 +168,6 @@ def register_probabilities(state: StateVector, register: str) -> np.ndarray:
     return (np.abs(block) ** 2).sum(axis=(0, 2))
 
 
-def _project(state: StateVector, register: str, outcome: int, prob: float) -> None:
-    reg = state.layout.register(register)
-    block = state.amplitudes.reshape(-1, 1 << reg.width, 1 << reg.offset)
-    keep = block[:, outcome, :].copy()
-    block[:] = 0
-    block[:, outcome, :] = keep
-    state.amplitudes /= math.sqrt(prob)
-
-
-def measure_register(state: StateVector, register: str, rng) -> tuple[int, StateVector]:
-    """Sample one register's outcome by the Born rule, project, renormalize."""
-    probs = register_probabilities(state, register)
-    total = probs.sum()
-    if total < 1e-14:
-        raise MeasurementDegenerateError("all branches have vanishing probability")
-    cum = np.cumsum(probs / total)
-    outcome = int(np.searchsorted(cum, rng.random(), side="right"))
-    outcome = min(outcome, probs.shape[0] - 1)
-    _project(state, register, outcome, probs[outcome])
-    return outcome, state
-
-
 def project_zero(state: StateVector, register: str) -> float:
     """Project a register onto all-zero, renormalize, return the branch probability.
 
@@ -267,22 +177,7 @@ def project_zero(state: StateVector, register: str) -> float:
     p0 = float(probs[0])
     if p0 < 1e-14:
         return 0.0
-    _project(state, register, 0, p0)
+    offset = state.layout.register(register).offset
+    state.amplitudes.reshape(-1, probs.shape[0], 1 << offset)[:, 1:, :] = 0
+    state.amplitudes /= math.sqrt(p0)
     return p0
-
-
-def apply_1q(state: StateVector, qubit: int, U: np.ndarray) -> StateVector:
-    """Apply a single-qubit unitary to one global qubit, in place."""
-    block = state.amplitudes.reshape(-1, 2, 1 << qubit)
-    state.amplitudes = np.einsum("ab,ibj->iaj", U, block).reshape(-1)
-    return state
-
-
-def apply_cx(state: StateVector, control: int, target: int) -> StateVector:
-    """Apply a CNOT between two global qubits, in place."""
-    idx = np.arange(state.amplitudes.shape[0])
-    src = idx.copy()
-    on = ((idx >> control) & 1) == 1
-    src[on] ^= 1 << target
-    state.amplitudes = state.amplitudes[src]
-    return state

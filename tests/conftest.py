@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from lcusim.circuits import AdjointPrepare, FinalMeasure, MeasureExpectZero, Select
-from lcusim.hamiltonian import build_ising, canonicalize, pauli_string_matrix
-from lcusim.sampler import CostModel, PlanTrace, _instruction_cost
-from lcusim.statevector import (
-    apply_register_unitary,
-    apply_select,
-    completion_unitary,
-    init_state,
-    project_zero,
-)
+from lcusim.hamiltonian import build_ising, canonicalize
+from reference import pauli_string_matrix
 
 
 @pytest.fixture
@@ -58,41 +50,3 @@ def random_hamiltonian(n, L, rng, hermitian=True):
             coeff = coeff * np.exp(1j * rng.uniform(0, 2 * np.pi))
         raw.append((coeff, letters))
     return canonicalize(n, raw)
-
-
-def register_trace(plan, psi, cost=CostModel()):
-    """The success path with every register simulated, measurements projected in
-    plan order: the independent reference for ``sampler.trace_plan``."""
-    state = init_state(plan.layout, psi)
-    cond = []
-    abort_costs = []
-    running_cost = 0.0
-    dead = False
-    for ins in plan.instructions:
-        running_cost += _instruction_cost(ins, cost)
-        if isinstance(ins, (MeasureExpectZero, FinalMeasure)):
-            abort_costs.append(running_cost)
-            if dead:
-                cond.append(0.0)
-                continue
-            p0 = project_zero(state, ins.register)
-            cond.append(p0)
-            if p0 == 0.0:
-                dead = True
-        elif dead:
-            continue
-        elif isinstance(ins, Select):
-            apply_select(state, plan.hamiltonian, ins.l_register, ins.control)
-        else:  # Prepare as the dense completion unitary, not the reflection trace_plan uses
-            U = completion_unitary(ins.amps)
-            U = U.conj().T if isinstance(ins, AdjointPrepare) else U
-            apply_register_unitary(state, ins.register, U)
-    success_prob = float(np.prod(cond)) if cond else 1.0
-    final = None if dead else state.system_state()
-    return PlanTrace(
-        cond_probs=tuple(cond),
-        success_prob=success_prob,
-        final_system_state=final,
-        abort_costs=tuple(abort_costs),
-        success_cost=running_cost,
-    )

@@ -14,7 +14,6 @@ from lcusim.bliss import (
     build_hubbard_chain,
     jordan_wigner,
     optimize_bliss,
-    sector_spectrum,
 )
 from lcusim.circuits import build_w_hk, build_w_tilde, build_w_unary, power_schedule
 from lcusim.cli import main as cli_main
@@ -24,15 +23,14 @@ from lcusim.oracle import (
     expected_runtime_midmeasure,
     fidelity,
     runtime_upper_bound,
-    spectral_lower_bound,
     success_prob_hk,
     success_prob_wtilde,
     total_runtime_success,
-    truncated_taylor_matrix,
 )
 from lcusim.resources import count
 from lcusim.sampler import CostModel, estimate, mean_cost_per_shot, run_shots, trace_plan
 from conftest import ladder_matrix, random_hamiltonian, random_state
+from reference import sector_spectrum, spectral_lower_bound, truncated_taylor_matrix
 
 
 def _report(name: str) -> None:

@@ -13,16 +13,15 @@ from lcusim.bliss import (
     apply_bliss,
     build_hubbard_chain,
     fermionic_to_pauli_dict,
-    fock_matrix,
     jordan_wigner,
     load_fermionic,
     optimize_bliss,
     save_fermionic,
-    sector_spectrum,
 )
 from lcusim.errors import InvalidModelError
-from lcusim.hamiltonian import l1_norm, to_matrix
+from lcusim.hamiltonian import l1_norm
 from conftest import ladder_matrix
+from reference import fock_matrix, sector_spectrum, to_matrix
 
 
 def _jw_matrix(F):

@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lcusim.circuits import (
-    AdjointPrepare,
-    CircuitPlan,
-    FinalMeasure,
-    MeasureExpectZero,
+    LcuBlock,
+    Measure,
     Prepare,
-    Select,
     TaylorCoefficients,
     build_w_hk,
     build_w_tilde,
@@ -116,24 +113,24 @@ class TestWtildePlan:
 
     def test_controls_follow_power_schedule(self, ising4):
         plan = build_w_tilde(ising4, 0.05, 3)
-        controls = [ins.control for ins in plan.instructions if isinstance(ins, Select)]
+        controls = [ins.control for ins in plan.instructions if isinstance(ins, LcuBlock)]
         k_offset = plan.layout.register("k").offset
         assert controls == [k_offset, k_offset + 1, k_offset + 1] + [k_offset + 2] * 4
 
     def test_block_structure(self, ising4):
         plan = build_w_tilde(ising4, 0.05, 2)
-        kinds = [type(ins).__name__ for ins in plan.instructions]
-        expected = ["Prepare"]
-        for _ in range(3):
-            expected += ["Prepare", "Select", "AdjointPrepare", "MeasureExpectZero"]
-        expected += ["AdjointPrepare", "FinalMeasure"]
-        assert kinds == expected
-
-    def test_describe_stable(self, ising4):
-        plan = build_w_tilde(ising4, 0.05, 1)
-        text = plan.describe()
-        assert "family=wtilde qubits=8 selects=1 mid_measures=1" in text
-        assert text == build_w_tilde(ising4, 0.05, 1).describe()
+        k = plan.layout.register("k").offset
+        assert plan.instructions[1:-2] == (
+            LcuBlock("l", k), Measure("l"), LcuBlock("l", k + 1), Measure("l"),
+            LcuBlock("l", k + 1), Measure("l"),
+        )
+        first, unprepare, last = plan.instructions[0], plan.instructions[-2], plan.instructions[-1]
+        assert (first.register, first.adjoint, unprepare.register, unprepare.adjoint) == (
+            "k", False, "k", True
+        )
+        assert np.array_equal(first.amps, unprepare.amps)
+        assert last == Measure("k", final=True)
+        assert plan.measure_count == 4
 
 
 class TestUnaryPlan:
@@ -144,7 +141,7 @@ class TestUnaryPlan:
         assert plan.layout.total == 16
         assert plan.select_count == 3
         assert plan.mid_measure_count == 3  # deferred l measurements
-        assert isinstance(plan.instructions[-1], FinalMeasure)
+        assert plan.instructions[-1] == Measure("unary", final=True)
 
     def test_unary_amplitudes_one_hot_prefix(self, ising4):
         plan = build_w_unary(ising4, 0.05, 3)
@@ -159,9 +156,9 @@ class TestUnaryPlan:
     def test_measurements_deferred_to_end(self, ising4):
         plan = build_w_unary(ising4, 0.05, 2)
         kinds = [type(ins).__name__ for ins in plan.instructions]
-        first_measure = kinds.index("MeasureExpectZero")
-        assert "Select" not in kinds[first_measure:]
-        assert "Prepare" not in kinds[first_measure:]
+        assert kinds == ["Prepare", "LcuBlock", "LcuBlock", "Prepare"] + ["Measure"] * 3
+        assert plan.instructions[3].adjoint
+        assert plan.instructions[4:] == (Measure("l0"), Measure("l1"), Measure("unary", final=True))
 
 
 class TestWhkPlan:
@@ -170,7 +167,7 @@ class TestWhkPlan:
         assert plan.select_count == 3
         assert plan.mid_measure_count == 3
         assert plan.layout.total == 7  # n + ceil(log L)
-        controls = [ins.control for ins in plan.instructions if isinstance(ins, Select)]
+        controls = [ins.control for ins in plan.instructions if isinstance(ins, LcuBlock)]
         assert controls == [None, None, None]
 
     def test_invalid_k(self, ising4):

@@ -7,7 +7,7 @@ import pytest
 
 from lcusim import cli, hamiltonian, oracle
 from lcusim.cli import main
-from lcusim.hamiltonian import build_ising, save_hamiltonian
+from lcusim.hamiltonian import build_ising, canonicalize, save_hamiltonian
 
 
 def _run(capsys, *argv):
@@ -18,6 +18,10 @@ def _run(capsys, *argv):
 
 def _csv_rows(text):
     return list(csv.DictReader(text.splitlines()))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 class TestSimulate:
@@ -239,6 +243,27 @@ class TestOutput:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_json_writes_infinity_as_null(self, capsys, tmp_path):
+        # H = Z0 + Z1 annihilates |01>, so W_{H^k} never succeeds and its runtime is infinite
+        ham, state = tmp_path / "zz.json", tmp_path / "s1.txt"
+        save_hamiltonian(canonicalize(2, [(1.0, "ZI"), (1.0, "IZ")]), ham)
+        np.savetxt(state, np.column_stack([np.eye(4)[1], np.zeros(4)]))
+        argv = ["analytic", "--hamiltonian", str(ham), "--state", str(state), "--K", "3"]
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0 and _csv_rows(out)[0]["total_runtime_hk"] == "inf"
+        code, out, err = _run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        (row,) = json.loads(out, parse_constant=_reject_constant)
+        assert row["total_runtime_hk"] is None and row["p_hk"] == 0.0
+
+    def test_json_refuses_nan(self, capsys, monkeypatch):
+        commands = dict(cli._COMMANDS)
+        commands["analytic"] = (*commands["analytic"][:2], lambda args: [{"K": 1, "p": math.nan}])
+        monkeypatch.setattr(cli, "_COMMANDS", commands)
+        code, out, err = _run(capsys, "analytic", "--model", "ising", "--format", "json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_out_file_json(self, tmp_path):
         out = tmp_path / "r.json"

@@ -24,8 +24,8 @@ from lcusim.hamiltonian import (
     pauli_sum_apply,
     prepare_amplitudes,
     save_hamiltonian,
-    to_matrix,
 )
+from reference import to_matrix
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)

@@ -6,20 +6,18 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from lcusim.errors import DomainError, LayoutError, NormalizationError
-from lcusim.hamiltonian import build_ising, canonicalize, l1_norm, to_matrix
+from lcusim.hamiltonian import canonicalize
 from lcusim.oracle import (
     chain_probabilities,
     expected_runtime_midmeasure,
     fidelity,
-    rescaled_matrix,
     runtime_upper_bound,
-    spectral_lower_bound,
     success_prob_hk,
     success_prob_wtilde,
     total_runtime_success,
-    truncated_taylor_matrix,
 )
 from conftest import basis_state, random_hamiltonian, random_state
+from reference import rescaled_matrix, spectral_lower_bound, to_matrix, truncated_taylor_matrix
 
 
 class TestTruncatedPropagator:

@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from lcusim import resources
 from lcusim.circuits import (
-    AdjointPrepare,
     CircuitPlan,
+    LcuBlock,
     Prepare,
-    Select,
     build_w_hk,
     build_w_tilde,
     build_w_unary,
@@ -19,10 +18,8 @@ from lcusim.oracle import fidelity
 from lcusim.resources import (
     Gate1Q,
     GateCX,
-    compile_plan,
     count,
     diagonal_gates,
-    simulate_compiled,
     uc_ry,
     uc_rz,
     uc_single_qubit,
@@ -33,6 +30,7 @@ from lcusim.resources import (
 from lcusim.sampler import trace_plan
 from lcusim.statevector import Register, RegisterLayout
 from conftest import random_state
+from reference import compile_plan, simulate_compiled
 
 
 def _random_unitary(rng, dim=2):
@@ -119,12 +117,12 @@ class TestDecompositions:
 
 class TestPrepareCompilation:
     def test_width_one_no_cx(self, ising4):
-        plan = build_w_hk(canonicalize(1, [(1.0, "X"), (0.5, "Z")]), 1)
-        prep_ins = plan.instructions[0]
+        H = canonicalize(1, [(1.0, "X"), (0.5, "Z")])
+        plan = build_w_hk(H, 1)
         from lcusim.resources import _prep_dense_gates
 
         reg = plan.layout.register("l")
-        ops = _prep_dense_gates(reg, prep_ins.amps)
+        ops = _prep_dense_gates(reg, prepare_amplitudes(H, reg.width))
         assert sum(isinstance(op, GateCX) for op in ops) == 0
 
     @pytest.mark.parametrize("w", [1, 2, 3])
@@ -208,7 +206,7 @@ class TestCounts:
         H = canonicalize(1, [(1.0, "X"), (0.5, "Z")])
         plan = build_w_hk(H, 1)
         only_prep = type(plan)(
-            plan.layout, plan.hamiltonian, plan.instructions[:1], plan.family
+            plan.layout, plan.hamiltonian, (Prepare("l", prepare_amplitudes(H)),), plan.family
         )
         c = _count(only_prep)
         assert c.select_blocks == 0
@@ -255,18 +253,14 @@ class TestCountCompilesEachBlockOnce:
 
         monkeypatch.setattr(resources, "_compile_instruction", recording)
         count([build_w_hk(_H_REAL, 3), build_w_hk(_H_REAL, 2), build_w_hk(_H_NEG, 2)])
-        # Prepare and its adjoint once, one Select per Hamiltonian, every measurement
-        assert sorted(compiled) == sorted(
-            ["Prepare", "AdjointPrepare", "Select", "Select"] + ["MeasureExpectZero"] * 7
-        )
+        # one block per Hamiltonian, every measurement
+        assert sorted(compiled) == ["LcuBlock", "LcuBlock"] + ["Measure"] * 7
 
     def test_wider_l_register_is_a_distinct_select(self):
         plans = []
         for width in (_H_REAL.l_width, _H_REAL.l_width + 1):
             layout = RegisterLayout((Register("system", 2, 0), Register("l", width, 2)))
-            amps = prepare_amplitudes(_H_REAL, width)
-            block = (Prepare("l", amps), Select("l"), AdjointPrepare("l", amps))
-            plans.append(CircuitPlan(layout, _H_REAL, block, "w_hk"))
+            plans.append(CircuitPlan(layout, _H_REAL, (LcuBlock("l"),), "w_hk"))
         reference = [compile_plan(p).counts() for p in plans]
         assert reference[0].two_qubit != reference[1].two_qubit
         assert count(plans) == reference

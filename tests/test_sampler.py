@@ -14,7 +14,6 @@ from lcusim.oracle import (
     fidelity,
     success_prob_hk,
     success_prob_wtilde,
-    truncated_taylor_matrix,
 )
 from lcusim.sampler import (
     CostModel,
@@ -31,6 +30,7 @@ from lcusim.sampler import (
 import lcusim.sampler as sampler
 from lcusim.cli import main
 from conftest import random_hamiltonian, random_state
+from reference import truncated_taylor_matrix
 
 
 def per_shot_run_shots(plan, psi, N, seed, cost=CostModel(), *, shot_offset=0, reference=None):
@@ -139,13 +139,13 @@ class TestTracePlan:
         assert trace.final_system_state is None
 
     def test_cost_accounting(self, ising4, psi0_4):
-        cost = CostModel(d=1.0, d_ctrl=2.0, m=0.25, prep=0.5)
+        cost = CostModel(d=1.0, d_ctrl=2.0, m=0.25)
         plan = build_w_tilde(ising4, 0.05, 2)
         trace = trace_plan(plan, psi0_4, cost)
-        # first abort point: prepare(k) + [prep, select, adj-prep, measure]
-        assert trace.abort_costs[0] == pytest.approx(0.5 + 0.5 + 2.0 + 0.5 + 0.25)
-        # success cost: 1 k-prep + 3 blocks + k-unprep + final measure
-        expected = 0.5 + 3 * (0.5 + 2.0 + 0.5 + 0.25) + 0.5 + 0.25
+        # first abort point: the first controlled block and its measurement
+        assert trace.abort_costs[0] == pytest.approx(2.0 + 0.25)
+        # success cost: 3 controlled blocks and their measurements, then the final measure
+        expected = 3 * (2.0 + 0.25) + 0.25
         assert trace.success_cost == pytest.approx(expected)
 
     def test_expected_shot_cost_matches_runtime_formula(self, ising4, psi0_4):
@@ -289,7 +289,7 @@ class TestBlockSampler:
         ref = truncated_taylor_matrix(ising4, 0.06, 7) @ psi
         ref /= np.linalg.norm(ref)
         plan = build_w_tilde(ising4, 0.05, kappa)
-        cost = CostModel(d=0.3, d_ctrl=0.7, m=0.1, prep=0.05)
+        cost = CostModel(d=0.3, d_ctrl=0.7, m=0.1)
         args = (plan, psi, 2 * 4096 + 123, 2**40 + kappa, cost)
         kwargs = {"shot_offset": 777, "reference": ref}
         new = run_shots(*args, **kwargs)
@@ -341,7 +341,7 @@ class TestSharedStream:
         ]
         ref = truncated_taylor_matrix(ising4, 0.35, 7) @ psi0_4
         ref /= np.linalg.norm(ref)
-        cost = CostModel(d=0.3, d_ctrl=0.7, m=0.1, prep=0.05)
+        cost = CostModel(d=0.3, d_ctrl=0.7, m=0.1)
         chunk = sampler._CHUNK_ENTRIES // 9  # 2 blocks of draws, at most 8 + 1 outcomes
         N = 2 * chunk + 123 if entries is None else 100
         args = (psi0_4, N, 2**40 + 1, cost)

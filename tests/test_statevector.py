@@ -9,35 +9,32 @@ from lcusim.errors import (
     NormalizationError,
     ResourceLimitError,
 )
-from lcusim.hamiltonian import (
-    build_ising,
-    canonicalize,
-    l1_norm,
-    pauli_string_matrix,
-    prepare_amplitudes,
-    to_matrix,
-)
+from lcusim.hamiltonian import canonicalize, l1_norm, prepare_amplitudes
 from lcusim.statevector import (
     Register,
     RegisterLayout,
     StateVector,
-    apply_1q,
-    apply_cx,
     apply_lcu_block,
     apply_prepare,
-    apply_register_unitary,
-    apply_select,
-    completion_unitary,
     init_state,
-    measure_register,
     project_zero,
     register_probabilities,
 )
 from conftest import random_state
+from reference import (
+    apply_1q,
+    apply_cx,
+    apply_register_unitary,
+    apply_select,
+    completion_unitary,
+    measure_register,
+    pauli_string_matrix,
+    to_matrix,
+)
 
 
-def _layout(n, l_width, kappa=0):
-    return RegisterLayout.standard(kappa, l_width, n)
+def _layout(n, l_width):
+    return RegisterLayout((Register("system", n, 0), Register("l", l_width, n)))
 
 
 class TestLayout:
@@ -47,13 +44,7 @@ class TestLayout:
         assert lay.register("system").offset == 0
         assert lay.register("l").offset == 4
         assert lay.register("k").offset == 6
-        assert (lay.n, lay.l_width, lay.kappa) == (4, 2, 3)
-
-    def test_no_k_register_when_kappa_zero(self):
-        lay = RegisterLayout.standard(0, 2, 3)
-        assert lay.kappa == 0
-        with pytest.raises(LayoutError):
-            lay.register("k")
+        assert (lay.n, lay.register("l").width, lay.register("k").width) == (4, 2, 3)
 
     def test_gap_rejected(self):
         with pytest.raises(LayoutError):

@@ -4,25 +4,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcusim.circuits import (
-    AdjointPrepare,
     CircuitPlan,
-    FinalMeasure,
-    MeasureExpectZero,
+    LcuBlock,
+    Measure,
     Prepare,
-    Select,
     build_w_hk,
     build_w_tilde,
     build_w_unary,
 )
-from lcusim import hamiltonian, statevector
-from lcusim.errors import LayoutError
-from lcusim.hamiltonian import build_ising, canonicalize, prepare_amplitudes
+from lcusim import hamiltonian
+from lcusim.errors import LayoutError, LcusimError
+from lcusim.hamiltonian import build_ising, canonicalize
 from lcusim.oracle import fidelity
 from lcusim.sampler import CostModel, trace_plan
 from lcusim.statevector import Register, RegisterLayout
-from conftest import random_hamiltonian, random_state, register_trace
+from conftest import random_hamiltonian, random_state
+from reference import register_trace
 
-COST = CostModel(d=0.3, d_ctrl=0.7, m=0.1, prep=0.05)
+COST = CostModel(d=0.3, d_ctrl=0.7, m=0.1)
 
 
 def assert_same_trace(plan, psi):
@@ -110,65 +109,53 @@ def _one_block(H, *ins, extra=()):
 
 class TestPlanShape:
     H = canonicalize(1, [(1.0, "X"), (0.5, "Z")])
-    a = prepare_amplitudes(H)
     psi = np.array([0.6, 0.8], dtype=complex)
 
-    def _raises(self, plan, match):
-        with pytest.raises(LayoutError, match=match):
+    def _raises(self, plan, match, error=LayoutError):
+        with pytest.raises(error, match=match):
             trace_plan(plan, self.psi)
 
     def test_builder_shape_accepted(self):
-        plan = _one_block(self.H, Prepare("l", self.a), Select("l"),
-                          AdjointPrepare("l", self.a), MeasureExpectZero("l"))
+        plan = _one_block(self.H, LcuBlock("l"), Measure("l"))
         assert_same_trace(plan, self.psi)
 
-    def test_select_without_prepare(self):
-        plan = _one_block(self.H, Select("l"), AdjointPrepare("l", self.a), MeasureExpectZero("l"))
-        self._raises(plan, "instruction 0")
-
-    def test_mismatched_amplitudes(self):
-        b = np.array([0.6, 0.8])
-        plan = _one_block(self.H, Prepare("l", self.a), Select("l"),
-                          AdjointPrepare("l", b), MeasureExpectZero("l"))
-        self._raises(plan, "instruction 2")
-
     def test_control_inside_l_register(self):
-        plan = _one_block(self.H, Prepare("l", self.a), Select("l", control=1),
-                          AdjointPrepare("l", self.a), MeasureExpectZero("l"))
-        self._raises(plan, "instruction 1")
+        self._raises(_one_block(self.H, LcuBlock("l", control=1), Measure("l")), "instruction 0")
 
     def test_control_inside_system(self):
-        plan = _one_block(self.H, Prepare("l", self.a), Select("l", control=0),
-                          AdjointPrepare("l", self.a), MeasureExpectZero("l"))
-        self._raises(plan, "instruction 1")
-
-    def test_measure_before_unprepare(self):
-        plan = _one_block(self.H, Prepare("l", self.a), Select("l"), MeasureExpectZero("l"))
-        self._raises(plan, "instruction 2")
+        self._raises(_one_block(self.H, LcuBlock("l", control=0), Measure("l")), "instruction 0")
 
     def test_plan_ends_inside_cycle(self):
-        plan = _one_block(self.H, Prepare("l", self.a), Select("l"), AdjointPrepare("l", self.a))
-        self._raises(plan, "ends inside")
+        # a block whose l-register is never measured
+        plan = _one_block(self.H, LcuBlock("l"), Measure("l"), LcuBlock("l"))
+        self._raises(plan, "never measured")
+
+    def test_second_block_before_the_first_is_measured(self):
+        plan = _one_block(self.H, LcuBlock("l"), LcuBlock("l"), Measure("l"), Measure("l"))
+        self._raises(plan, "instruction 1")
+
+    def test_l_register_measured_with_no_block_pending(self):
+        self._raises(_one_block(self.H, Measure("l"), LcuBlock("l"), Measure("l")), "instruction 0")
 
     def test_wrong_amplitude_length(self):
-        a4 = np.array([0.8, 0.6, 0.0, 0.0])
-        plan = _one_block(self.H, Prepare("l", a4), Select("l"),
-                          AdjointPrepare("l", a4), MeasureExpectZero("l"))
-        self._raises(plan, "instruction 0")
+        # three terms need a 2-qubit l-register; prepare_amplitudes refuses a 1-qubit one
+        H = canonicalize(1, [(1.0, "X"), (0.5, "Z"), (0.25, "Y")])
+        layout = RegisterLayout((Register("system", 1, 0), Register("l", 1, 1)))
+        plan = CircuitPlan(layout, H, (LcuBlock("l"), Measure("l")), family="w_hk")
+        self._raises(plan, "too narrow", LcusimError)
 
     def test_other_register_measured_while_a_select_is_pending(self):
         c = np.array([0.6, 0.8])
         plan = _one_block(
-            self.H, Prepare("c", c), Prepare("l", self.a), Select("l", control=2),
-            AdjointPrepare("l", self.a), AdjointPrepare("c", c), FinalMeasure("c"),
-            MeasureExpectZero("l"), extra=[("c", 1)],
+            self.H, Prepare("c", c), LcuBlock("l", control=2), Prepare("c", c, adjoint=True),
+            Measure("c", final=True), Measure("l"), extra=[("c", 1)],
         )
-        self._raises(plan, "instruction 5")
+        self._raises(plan, "instruction 3")
 
     def test_l_registers_measured_out_of_select_order(self, ising4):
         plan = build_w_unary(ising4, 0.05, 2)
         ins = list(plan.instructions)
-        i0 = ins.index(MeasureExpectZero("l0"))
+        i0 = ins.index(Measure("l0"))
         ins[i0], ins[i0 + 1] = ins[i0 + 1], ins[i0]
         swapped = CircuitPlan(plan.layout, plan.hamiltonian, tuple(ins), plan.family)
         with pytest.raises(LayoutError, match=f"instruction {i0}"):
@@ -187,12 +174,8 @@ class TestGroupedKernel:
             builds.append(build(*args))
             return builds[-1]
 
-        def no_gather(*args):
-            raise AssertionError("per-term apply_pauli on the trace path")
-
         with monkeypatch.context() as m:
             m.setattr(hamiltonian, "_group_diagonals", recording)
-            m.setattr(statevector, "apply_pauli", no_gather)
             trace = trace_plan(plan, psi, COST)
         assert len(builds) == 1
         assert len(builds[0]) == H.n + 1  # x = 0 (the ZZ couplings) and one X field per site
