@@ -186,8 +186,8 @@ def register_trace(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostMod
     order: the independent reference for ``sampler.trace_plan``.
 
     Each run of consecutive ``LcuBlock``s is expanded in the paper's deferred order: the
-    Prepares of all its l-registers (dense completion unitaries), then its Selects, then
-    the adjoint Prepares. A ``Prepare`` is its dense completion unitary (or the adjoint).
+    PREPAREs of all its l-registers (dense completion unitaries), then its SELECTs, then
+    the adjoint PREPAREs. A ``Prepare`` is its dense completion unitary (or the adjoint).
     """
     H = plan.hamiltonian
     state = init_state(plan.layout, psi)

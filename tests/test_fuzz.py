@@ -188,7 +188,6 @@ def test_fermion_file(tmp_path_factory, text):
 # --- command lines drawn from each command's real flags ------------------------------
 
 
-
 def mostly(valid, invalid):
     """``valid`` about four draws in five, else ``invalid``."""
     return st.integers(0, 4).flatmap(lambda i: invalid if i == 4 else valid)
@@ -283,10 +282,8 @@ def test_command_line(argv):
     ],
 )
 def test_drawn_width_above_the_cap_reaches_check_width(monkeypatch, argv):
-    from lcusim import statevector
-
     checked = []
-    check = statevector.check_width
+    check = cli.check_width
     monkeypatch.setattr(cli, "check_width", lambda q: checked.append(q) or check(q))
     code, out, err = run_cli(argv)
     assert (code, out) == (2, "")
