@@ -26,9 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InvalidModelError
+from .errors import DomainError, InvalidModelError, LayoutError, NormalizationError
 from .hamiltonian import HamiltonianLCU, l1_norm
-from .statevector import Register, RegisterLayout
+from .statevector import _NORM_TOL, RegisterLayout
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,10 @@ class Prepare:
 @dataclass(frozen=True)
 class LcuBlock:
     """PREPARE, SELECT and PREPARE^dag on ``l_register`` with the amplitudes
-    ``prepare_amplitudes(H, width)``; ``control`` (a global qubit index) gates the SELECT."""
+    ``prepare_amplitudes(H, width)``; ``control``, a (register, bit), gates the SELECT."""
 
     l_register: str = "l"
-    control: int | None = None
+    control: tuple[str, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -134,10 +134,62 @@ Instruction = Prepare | LcuBlock | Measure
 
 @dataclass(frozen=True, eq=False)
 class CircuitPlan:
+    """A plan that every consumer can run; any other raises ``LayoutError`` (unnormalized
+    Prepare amplitudes ``NormalizationError``), naming the first offending instruction.
+
+    An l-register (one an ``LcuBlock`` uses) is neither the system nor prepared, and is
+    measured after each of its blocks and before the next; pending blocks are measured in
+    block order and before any other register. A control is a bit of a register that is
+    neither the system nor an l-register. A Prepare holds 2^width normalized amplitudes,
+    and a register it acts on, other than the system, is measured after it.
+    """
+
     layout: RegisterLayout
     hamiltonian: HamiltonianLCU
     instructions: tuple[Instruction, ...]
     family: str  # "w_hk", "wtilde", or "wunary"
+    l_registers: frozenset[str] = field(init=False, repr=False)  # the registers blocks use
+
+    def __post_init__(self):
+        layout, H = self.layout, self.hamiltonian
+        if layout.n != H.n:
+            raise LayoutError(f"a {H.n}-qubit Hamiltonian needs a {H.n}-qubit system register")
+        l_regs = frozenset(ins.l_register for ins in self.instructions if isinstance(ins, LcuBlock))
+        object.__setattr__(self, "l_registers", l_regs)
+        pending: list[str] = []  # l-registers of the blocks awaiting their measurement
+        prepared: set[str] = set()  # ancillas prepared since their last measurement
+        for i, ins in enumerate(self.instructions):
+            if isinstance(ins, LcuBlock):
+                name, control = ins.l_register, ins.control
+                if name == "system" or (1 << layout.register(name).width) < H.num_terms:
+                    raise LayoutError(f"instruction {i}: {name} is the system or too narrow")
+                if control is not None and (
+                    control[0] == "system" or control[0] in l_regs
+                    or not 0 <= control[1] < layout.register(control[0]).width
+                ):
+                    raise LayoutError(f"instruction {i}: control {control} is not an ancilla bit")
+                if name in pending:
+                    raise LayoutError(f"instruction {i}: {name} still holds an unmeasured block")
+                pending.append(name)
+            elif isinstance(ins, Measure):
+                name = layout.register(ins.register).name  # an unknown register raises
+                if pending[:1] != ([name] if name in l_regs else []):
+                    raise LayoutError(f"instruction {i}: {name} measured, pending: {pending}")
+                pending = pending[1:]
+                prepared.discard(name)
+            else:
+                width = layout.register(ins.register).width
+                if ins.register in l_regs:
+                    raise LayoutError(f"instruction {i}: {ins.register} is an l-register")
+                if np.shape(ins.amps) != (1 << width,):
+                    raise LayoutError(f"instruction {i}: {ins.register} needs 2^{width} amplitudes")
+                if not abs(np.linalg.norm(ins.amps) - 1.0) <= _NORM_TOL:  # NaN fails too
+                    raise NormalizationError(f"instruction {i}: amplitudes are not normalized")
+                if ins.register != "system":
+                    prepared.add(ins.register)
+        if pending or prepared:
+            name = (pending or sorted(prepared))[0]
+            raise LayoutError(f"{name} is never measured after its last block or Prepare")
 
     @property
     def select_count(self) -> int:
@@ -156,18 +208,17 @@ def build_w_hk(H: HamiltonianLCU, k: int) -> CircuitPlan:
     """k repetitions of [LcuBlock, Measure] on one l-register."""
     if k < 1:
         raise InvalidModelError("k must be at least 1")
-    layout = RegisterLayout((Register("system", H.n, 0), Register("l", H.l_width, H.n)))
+    layout = RegisterLayout([("system", H.n), ("l", H.l_width)])
     return CircuitPlan(layout, H, (LcuBlock("l"), Measure("l")) * k, family="w_hk")
 
 
 def build_w_tilde(H: HamiltonianLCU, tau: float, kappa: int) -> CircuitPlan:
     """Shorter-width plan: kappa + ceil(log2 L) + n qubits, K = 2^kappa - 1 blocks."""
-    layout = RegisterLayout.standard(kappa, H.l_width, H.n)
+    layout = RegisterLayout([("system", H.n), ("l", H.l_width), ("k", kappa)])
     k_amps = taylor_prepare_amplitudes(tau, l1_norm(H), kappa)
     instructions: list[Instruction] = [Prepare("k", k_amps)]
     for i, size in enumerate(power_schedule(kappa)):
-        control = layout.register("k").offset + i
-        instructions += [LcuBlock("l", control), Measure("l")] * size
+        instructions += [LcuBlock("l", ("k", i)), Measure("l")] * size
     instructions += [Prepare("k", k_amps, adjoint=True), Measure("k", final=True)]
     return CircuitPlan(layout, H, tuple(instructions), family="wtilde")
 
@@ -182,13 +233,9 @@ def build_w_unary(H: HamiltonianLCU, tau: float, K: int) -> CircuitPlan:
     """
     if K < 1:
         raise InvalidModelError("K must be at least 1")
-    lw = H.l_width
-    regs = [Register("system", H.n, 0)]
-    for j in range(K):
-        regs.append(Register(f"l{j}", lw, H.n + j * lw))
-    unary_offset = H.n + K * lw
-    regs.append(Register("unary", K, unary_offset))
-    layout = RegisterLayout(tuple(regs))
+    layout = RegisterLayout(
+        [("system", H.n)] + [(f"l{j}", H.l_width) for j in range(K)] + [("unary", K)]
+    )
 
     beta = TaylorCoefficients(tau, l1_norm(H), kappa_for(K)).beta[: K + 1]
     unary_amps = np.zeros(1 << K)
@@ -197,7 +244,7 @@ def build_w_unary(H: HamiltonianLCU, tau: float, K: int) -> CircuitPlan:
         unary_amps[(1 << k) - 1] = math.sqrt(beta[k] / norm)
 
     instructions: list[Instruction] = [Prepare("unary", unary_amps, style="unary")]
-    instructions += [LcuBlock(f"l{j}", control=unary_offset + j) for j in range(K)]
+    instructions += [LcuBlock(f"l{j}", ("unary", j)) for j in range(K)]
     instructions.append(Prepare("unary", unary_amps, style="unary", adjoint=True))
     instructions += [Measure(f"l{j}") for j in range(K)]
     instructions.append(Measure("unary", final=True))

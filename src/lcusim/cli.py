@@ -52,85 +52,41 @@ def _int_in(lo: int, hi: float = math.inf):
     return integer
 
 
-def _add_hamiltonian_args(p: _Parser) -> None:
-    p.add_argument("--hamiltonian", help="Hamiltonian JSON file")
-    p.add_argument("--model", choices=["ising"], help="built-in model preset")
-    p.add_argument("--n", type=int, default=4, help="ising sites")
-    p.add_argument("--J", type=float, default=1.0)
-    p.add_argument("--h", type=float, default=0.5)
+_FLAGS = {  # each flag's definition, for every command that reads it
+    "--hamiltonian": {"help": "Hamiltonian JSON file"},
+    "--model": {"choices": ["ising"], "help": "built-in model preset"},
+    "--n": {"type": int, "default": 4, "help": "ising sites"},
+    "--J": {"type": float, "default": 1.0},
+    "--h": {"type": float, "default": 0.5},
+    "--tau": {"type": float, "default": 0.05},
+    "--kappa": {"type": _int_in(1), "help": "Taylor register width (K = 2^kappa - 1)"},
+    "--K": {"type": _int_in(1), "help": "truncation order"},
+    "--circuit": {"choices": ["wtilde", "wunary"], "default": "wtilde"},
+    "--state": {"help": "file of 2^n system amplitudes, two reals per line"},
+    "--d": {"type": float, "default": 1.0, "help": "cost per uncontrolled select"},
+    "--d-ctrl": {"type": float, "default": 1.0, "help": "cost per controlled select"},
+    "--m": {"type": float, "default": 0.0, "help": "cost per measurement"},
+    "--out": {"help": "output path (default stdout)"},
+    "--format": {"choices": ["csv", "json"], "default": "csv"},
+    "--shots": {"type": _int_in(1), "default": 10_000},
+    "--seed": {"type": _int_in(0, 2**64), "default": 0},
+    "--kappa-max": {"type": _int_in(1), "default": 3},
+    "--K-max": {"type": _int_in(1), "default": 7},
+    "--fermion-file": {"required": True, "help": "FCIDUMP-like text file"},
+    "--nelec": {"type": int, "help": "electron count (default: file header)"},
+    "--diagonal-only": {"action": "store_true", "help": "restrict xi to its diagonal"},
+}
+_MODEL = "--hamiltonian --model --n --J --h --tau"
 
 
-def _add_tau_arg(p: _Parser) -> None:
-    p.add_argument("--tau", type=float, default=0.05)
+def _flags(*names: str):
+    """Define the named ``_FLAGS`` on a parser, in the order given (the help order)."""
 
+    def add(p: _Parser) -> None:
+        for name in " ".join(names).split():
+            p.add_argument(name, **_FLAGS[name])
 
-def _add_state_arg(p: _Parser) -> None:
-    p.add_argument("--state", help="file of 2^n system amplitudes, two reals per line")
-
-
-def _add_order_args(p: _Parser) -> None:
-    _add_tau_arg(p)
-    p.add_argument("--kappa", type=_int_in(1), help="Taylor register width (K = 2^kappa - 1)")
-    p.add_argument("--K", type=_int_in(1), dest="K", help="truncation order")
-
-
-def _add_select_cost_args(p: _Parser) -> None:
-    p.add_argument("--d", type=float, default=1.0, help="cost per uncontrolled select")
-    p.add_argument("--d-ctrl", type=float, default=1.0, help="cost per controlled select")
-
-
-def _add_cost_args(p: _Parser) -> None:
-    _add_select_cost_args(p)
-    p.add_argument("--m", type=float, default=0.0, help="cost per measurement")
-
-
-def _add_output_args(p: _Parser) -> None:
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-
-
-def _analytic_args(p: _Parser) -> None:
-    _add_hamiltonian_args(p)
-    _add_order_args(p)
-    _add_state_arg(p)
-    _add_select_cost_args(p)
-    _add_output_args(p)
-
-
-def _simulate_args(p: _Parser) -> None:
-    _add_hamiltonian_args(p)
-    _add_order_args(p)
-    p.add_argument("--circuit", choices=["wtilde", "wunary"], default="wtilde")
-    _add_state_arg(p)
-    _add_cost_args(p)
-    _add_output_args(p)
-    p.add_argument("--shots", type=_int_in(1), default=10_000)
-    p.add_argument("--seed", type=_int_in(0, 2**64), default=0)
-
-
-def _sweep_args(p: _Parser) -> None:  # every W-tilde kappa up to --kappa-max
-    _add_hamiltonian_args(p)
-    _add_tau_arg(p)
-    _add_state_arg(p)
-    _add_cost_args(p)
-    _add_output_args(p)
-    p.add_argument("--kappa-max", type=_int_in(1), default=3)
-    p.add_argument("--shots", type=_int_in(1), default=10_000)
-    p.add_argument("--seed", type=_int_in(0, 2**64), default=0)
-
-
-def _resources_args(p: _Parser) -> None:
-    _add_hamiltonian_args(p)
-    _add_tau_arg(p)
-    _add_output_args(p)
-    p.add_argument("--K-max", type=_int_in(1), default=7)
-
-
-def _bliss_args(p: _Parser) -> None:
-    p.add_argument("--fermion-file", required=True, help="FCIDUMP-like text file")
-    p.add_argument("--nelec", type=int, help="electron count (default: file header)")
-    p.add_argument("--diagonal-only", action="store_true", help="restrict xi to its diagonal")
-    _add_output_args(p)
+    return add
 
 
 def build_parser(argv: list[str]) -> _Parser:
@@ -140,10 +96,7 @@ def build_parser(argv: list[str]) -> _Parser:
     parser = _Parser(prog="lcusim")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_flags, _) in _COMMANDS.items():
-        # no abbreviations where a flag prefixes another (--kappa(-max), --K(-max)), or
-        # where simulate's --m would read as analytic's --model
-        abbrev = name not in ("sweep", "resources", "analytic")
-        p = sub.add_parser(name, help=help_text, allow_abbrev=abbrev)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)  # flags are spelled out
         if name == named:
             add_flags(p)
     return parser
@@ -256,12 +209,12 @@ def cmd_sweep(args) -> list[dict]:
     check_width(H.n + args.kappa_max)
     kappas = range(1, args.kappa_max + 1)
     plans = [build_w_tilde(H, args.tau, kappa) for kappa in kappas]
+    runs = run_shots_many(plans, psi, args.shots, args.seed, cost)
     rows = []
-    for kappa, stats in zip(kappas, run_shots_many(plans, psi, args.shots, args.seed, cost)):
-        K = (1 << kappa) - 1
-        row = {"K": K, "kappa": kappa}
+    for kappa, plan, stats in zip(kappas, plans, runs):
+        row = {"K": plan.select_count, "kappa": kappa}
         row.update(_stats_row(stats))
-        row["p_analytic"] = oracle.success_prob_wtilde(H, psi, args.tau, K)
+        row["p_analytic"] = oracle.success_prob_wtilde(H, psi, args.tau, plan.select_count)
         rows.append(row)
     return rows
 
@@ -340,11 +293,28 @@ def emit(rows: list[dict], fmt: str, path: str | None) -> None:
 
 
 _COMMANDS = {  # name: (help, flag definitions, command)
-    "simulate": ("run shots of one circuit", _simulate_args, cmd_simulate),
-    "analytic": ("closed-form oracle values", _analytic_args, cmd_analytic),
-    "sweep": ("sampled vs analytic success per kappa", _sweep_args, cmd_sweep),
-    "resources": ("gate and qubit counts", _resources_args, cmd_resources),
-    "bliss": ("l1-norm optimization of a fermionic operator", _bliss_args, cmd_bliss),
+    "simulate": (
+        "run shots of one circuit",
+        _flags(_MODEL, "--kappa --K --circuit --state --d --d-ctrl --m --out --format",
+               "--shots --seed"),
+        cmd_simulate,
+    ),
+    "analytic": (
+        "closed-form oracle values",
+        _flags(_MODEL, "--kappa --K --state --d --d-ctrl --out --format"),
+        cmd_analytic,
+    ),
+    "sweep": (  # every W-tilde kappa up to --kappa-max
+        "sampled vs analytic success per kappa",
+        _flags(_MODEL, "--state --d --d-ctrl --m --out --format --kappa-max --shots --seed"),
+        cmd_sweep,
+    ),
+    "resources": ("gate and qubit counts", _flags(_MODEL, "--out --format --K-max"), cmd_resources),
+    "bliss": (
+        "l1-norm optimization of a fermionic operator",
+        _flags("--fermion-file --nelec --diagonal-only --out --format"),
+        cmd_bliss,
+    ),
 }
 
 

@@ -12,7 +12,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .circuits import TaylorCoefficients, kappa_for
-from .errors import LayoutError, NormalizationError
+from .errors import DomainError, LayoutError, NormalizationError
 from .hamiltonian import HamiltonianLCU, l1_norm, pauli_sum_apply
 
 _NORM_TOL = 1e-10
@@ -78,6 +78,13 @@ def success_prob_wtilde(H: HamiltonianLCU, psi: np.ndarray, tau: float, K: int) 
     return float(np.vdot(v, v).real) / beta_norm**2
 
 
+def _finite_cost(cost: float) -> float:
+    """``cost``, or ``DomainError`` where a sum or product of finite costs overflowed."""
+    if math.isinf(cost):
+        raise DomainError("a runtime overflows: the cost units are too large")
+    return cost
+
+
 def expected_runtime_midmeasure(p_chain: Sequence[float], d: float) -> float:
     """Average per-shot cost of the abort-and-restart protocol.
 
@@ -93,26 +100,23 @@ def expected_runtime_midmeasure(p_chain: Sequence[float], d: float) -> float:
         total += (1.0 - p[j - 1]) * running * j * d
         running *= p[j - 1]
     total += running * k * d
-    return total
+    return _finite_cost(total)
 
 
 def total_runtime_success(p_chain: Sequence[float], d: float) -> float:
     """d (1 + p1 + p1 p2 + ... + p1..p_{k-1}) / (p1..p_k); inf on a zero branch."""
-    p = list(p_chain)
-    if any(pi == 0.0 for pi in p):
-        return math.inf
     numerator = 0.0
     running = 1.0
-    for pi in p:
+    for pi in p_chain:
         numerator += running
         running *= pi
-    return d * numerator / running
+    return math.inf if running == 0.0 else _finite_cost(d * numerator / running)
 
 
 def runtime_bound(p_w: float, p1: float, tau: float, l1: float, K: int, d_ctrl: float) -> float:
     """``runtime_upper_bound`` from p_wtilde and p1 = <psi| Htilde^dag Htilde |psi>."""
     correction = (tau * l1 / _beta_norm(tau, l1, K)) * (1.0 - p1)
-    return (K * d_ctrl / p_w) * (1.0 - correction)
+    return _finite_cost((K * d_ctrl / p_w) * (1.0 - correction))
 
 
 def runtime_upper_bound(

@@ -238,7 +238,7 @@ def _select_gates(plan: CircuitPlan, ins: LcuBlock) -> list[CompiledOp]:
     reg = layout.register(ins.l_register)
     controls = [reg.offset + i for i in range(reg.width)]
     if ins.control is not None:
-        controls.append(ins.control)
+        controls.append(layout.qubit(*ins.control))
     size = 1 << len(controls)
     identity = np.eye(2, dtype=complex)
     ops: list[CompiledOp] = []

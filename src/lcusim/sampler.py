@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import CircuitPlan, LcuBlock, Measure
-from .errors import LayoutError
+from .errors import DomainError
 from .hamiltonian import prepare_amplitudes
 from .statevector import (
-    Register,
     RegisterLayout,
     apply_lcu_block,
     apply_prepare,
@@ -100,53 +99,37 @@ class RunStats:
 def trace_plan(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()) -> PlanTrace:
     """Execute the success path once, recording conditional probabilities and costs.
 
-    Each l-register (one an ``LcuBlock`` uses) must be measured after each of its blocks
-    and before the next, the l-registers in block order, and no other register while a
-    block is pending; else ``LayoutError``. A block is then exactly ``apply_lcu_block``,
-    so the state omits the l-registers.
+    ``CircuitPlan`` measures each block's l-register before the next block there and
+    before any other register, so a block is exactly ``apply_lcu_block`` and the state
+    omits the l-registers.
     """
-    H = plan.hamiltonian
-    l_regs = {ins.l_register for ins in plan.instructions if isinstance(ins, LcuBlock)}
-    kept = [r for r in plan.layout.registers if r.name not in l_regs]
-    at = np.cumsum([0] + [r.width for r in kept]).tolist()  # offsets in the collapsed layout
-    layout = RegisterLayout(tuple(Register(r.name, r.width, o) for r, o in zip(kept, at)))
+    H, l_regs = plan.hamiltonian, plan.l_registers
+    kept = [(r.name, r.width) for r in plan.layout.registers if r.name not in l_regs]
+    layout = RegisterLayout(kept)
     state = init_state(layout, psi)
-    moved = {None: None}  # control qubit -> collapsed index, for non-system registers
-    moved.update({r.offset + j: o + j for r, o in zip(kept[1:], at[1:]) for j in range(r.width)})
     amps = {name: prepare_amplitudes(H, plan.layout.register(name).width) for name in l_regs}
-    pending: list[tuple[str, float]] = []  # block probabilities awaiting their measurement
+    pending: list[float] = []  # block probabilities awaiting their measurement
     cond: list[float] = []
     abort_costs: list[float] = []
     running_cost = 0.0
     dead = False
-    for i, ins in enumerate(plan.instructions):
+    for ins in plan.instructions:
         if isinstance(ins, LcuBlock):
-            name = ins.l_register
-            if ins.control not in moved:
-                raise LayoutError(f"instruction {i}: control in system or an l-register")
-            if any(r == name for r, _ in pending):
-                raise LayoutError(f"instruction {i}: {name} still holds an unmeasured block")
             running_cost += cost.d if ins.control is None else cost.d_ctrl
-            p = 0.0 if dead else apply_lcu_block(state, H, amps[name], moved[ins.control])
+            control = None if ins.control is None else layout.qubit(*ins.control)
+            p = 0.0 if dead else apply_lcu_block(state, H, amps[ins.l_register], control)
             dead = p == 0.0
-            pending.append((name, p))
+            pending.append(p)
         elif isinstance(ins, Measure):
-            name = ins.register
             running_cost += cost.m
             abort_costs.append(running_cost)
-            if name in l_regs:
-                if not pending or pending[0][0] != name:
-                    raise LayoutError(f"instruction {i}: {name} measured out of block order")
-                cond.append(pending.pop(0)[1])
-            elif pending:
-                raise LayoutError(f"instruction {i}: {name} measured while a block is pending")
+            if ins.register in l_regs:
+                cond.append(pending.pop(0))
             else:
-                cond.append(0.0 if dead else project_zero(state, name))
+                cond.append(0.0 if dead else project_zero(state, ins.register))
                 dead = cond[-1] == 0.0
         elif not dead:
             apply_prepare(state, ins.register, ins.amps, adjoint=ins.adjoint)
-    if pending:
-        raise LayoutError(f"a block on {pending[0][0]} is never measured")
     success_prob = float(np.prod(cond)) if cond else 1.0
     final = None if dead else state.system_state()
     return PlanTrace(
@@ -230,9 +213,12 @@ class _Tally:
         fail[:, :-1] = draws >= self.q
         outcome = fail.argmax(1)
         self.tally += np.bincount(outcome, minlength=self.ends.shape[0])
-        self.total_cost = np.add.accumulate(np.r_[self.total_cost, self.cost[outcome]])[-1]
+        with np.errstate(over="ignore"):  # an overflow is inf and refused in ``stats``
+            self.total_cost = np.add.accumulate(np.r_[self.total_cost, self.cost[outcome]])[-1]
 
     def stats(self, N: int) -> RunStats:
+        if math.isinf(self.total_cost):
+            raise DomainError("the summed shot costs overflow: the cost units are too large")
         aborts = {int(e) + 1: int(c) for e, c in zip(self.ends, self.tally) if c and e < self.M}
         successes = N - sum(aborts.values())
         return RunStats(

@@ -1,14 +1,15 @@
 """Exact complex-amplitude simulation over named qubit registers.
 
-The global state is a flat array of 2^total amplitudes. Registers occupy
-contiguous qubit ranges; qubit ``offset + i`` of a register is bit ``i`` of
-that register's value, and qubit 0 is the least-significant bit of the
-global basis index.
+The global state is a flat array of 2^total amplitudes. A layout stacks its
+registers from qubit 0 in the order given; qubit ``offset + i`` of a
+register is bit ``i`` of that register's value, and qubit 0 is the
+least-significant bit of the global basis index.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -26,37 +27,27 @@ class Register:
     offset: int  # global index of the register's least-significant qubit
 
 
-@dataclass(frozen=True)
 class RegisterLayout:
-    """Ordered, contiguous registers covering qubits 0..total-1."""
+    """Named registers stacked from qubit 0 in the order of the ``(name, width)`` pairs given."""
 
-    registers: tuple[Register, ...]
-
-    def __post_init__(self):
-        expected = 0
-        for reg in self.registers:
-            if reg.offset != expected or reg.width < 1:
-                raise LayoutError("registers must be contiguous from qubit 0")
-            expected += reg.width
-        names = [r.name for r in self.registers]
-        if len(set(names)) != len(names):
-            raise LayoutError("register names must be unique")
-
-    @classmethod
-    def standard(cls, kappa: int, l_width: int, n: int) -> "RegisterLayout":
-        """System, l-register, k-register layout used by the binary-encoded circuit."""
-        k = Register("k", kappa, n + l_width)
-        return cls((Register("system", n, 0), Register("l", l_width, n), k))
-
-    @property
-    def total(self) -> int:
-        return sum(r.width for r in self.registers)
+    def __init__(self, widths: Iterable[tuple[str, int]]):
+        self._by_name: dict[str, Register] = {}
+        self.total = 0
+        for name, width in widths:
+            if width < 1 or name in self._by_name:
+                raise LayoutError(f"register {name!r}: widths must be positive, names unique")
+            self._by_name[name] = Register(name, width, self.total)
+            self.total += width
+        self.registers = tuple(self._by_name.values())
 
     def register(self, name: str) -> Register:
-        for r in self.registers:
-            if r.name == name:
-                return r
-        raise LayoutError(f"no register named {name!r}")
+        if name not in self._by_name:
+            raise LayoutError(f"no register named {name!r}")
+        return self._by_name[name]
+
+    def qubit(self, name: str, bit: int) -> int:
+        """Global index of bit ``bit`` of a register."""
+        return self.register(name).offset + bit
 
     @property
     def n(self) -> int:

@@ -212,7 +212,8 @@ def register_trace(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostMod
             for ins in run:
                 apply_register_unitary(state, ins.l_register, U[ins.l_register])
             for ins in run:
-                apply_select(state, H, ins.l_register, ins.control)
+                control = None if ins.control is None else plan.layout.qubit(*ins.control)
+                apply_select(state, H, ins.l_register, control)
             for ins in run:
                 apply_register_unitary(state, ins.l_register, U[ins.l_register].conj().T)
             continue

@@ -114,15 +114,13 @@ class TestWtildePlan:
     def test_controls_follow_power_schedule(self, ising4):
         plan = build_w_tilde(ising4, 0.05, 3)
         controls = [ins.control for ins in plan.instructions if isinstance(ins, LcuBlock)]
-        k_offset = plan.layout.register("k").offset
-        assert controls == [k_offset, k_offset + 1, k_offset + 1] + [k_offset + 2] * 4
+        assert controls == [("k", 0), ("k", 1), ("k", 1)] + [("k", 2)] * 4
 
     def test_block_structure(self, ising4):
         plan = build_w_tilde(ising4, 0.05, 2)
-        k = plan.layout.register("k").offset
         assert plan.instructions[1:-2] == (
-            LcuBlock("l", k), Measure("l"), LcuBlock("l", k + 1), Measure("l"),
-            LcuBlock("l", k + 1), Measure("l"),
+            LcuBlock("l", ("k", 0)), Measure("l"), LcuBlock("l", ("k", 1)), Measure("l"),
+            LcuBlock("l", ("k", 1)), Measure("l"),
         )
         first, unprepare, last = plan.instructions[0], plan.instructions[-2], plan.instructions[-1]
         assert (first.register, first.adjoint, unprepare.register, unprepare.adjoint) == (

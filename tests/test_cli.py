@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -637,6 +638,51 @@ class TestHugeTau:
         assert code == 2
         assert out == ""
         assert err.startswith("error: Taylor weights overflow") and err.count("\n") == 1
+
+
+class TestCostOverflow:
+    # finite cost units whose runtimes or summed shot costs overflow: one line and exit 2,
+    # no numpy warning; an infinite runtime on a zero branch stays (test_json_writes_...)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analytic", "--K", "8", "--d-ctrl", "1e308"],  # runtime_upper_bound
+            ["analytic", "--K", "3", "--d", "1e308"],  # total_runtime_hk
+            ["simulate", "--kappa", "2", "--d-ctrl", "1e308", "--shots", "10"],  # one shot's cost
+            ["simulate", "--kappa", "2", "--d-ctrl", "1e305", "--shots", "10000"],  # their sum
+            ["sweep", "--m", "1e307", "--shots", "10"],
+        ],
+    )
+    def test_exit_2_with_one_line(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, *argv, "--model", "ising")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "overflow" in err and err.count("\n") == 1
+
+    def test_large_finite_costs_pass(self, capsys):
+        code, out, _ = _run(
+            capsys, "simulate", "--model", "ising", "--kappa", "2", "--d-ctrl", "1e300",
+            "--shots", "10",
+        )
+        assert code == 0 and math.isfinite(float(_csv_rows(out)[0]["mean_cost"]))
+
+
+class TestNoAbbreviations:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--model", "ising", "--sho", "10"],
+            ["bliss", "--fermion", "src/lcusim/data/hubbard_4site.txt"],
+            ["analytic", "--mod", "ising"],
+            ["sweep", "--model", "ising", "--kappa-m", "2"],
+            ["resources", "--model", "ising", "--K-m", "2"],
+        ],
+    )
+    def test_every_command_refuses_a_prefix(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ")
 
 
 class TestMalformedHamiltonianFile:

@@ -154,6 +154,17 @@ class TestRuntimes:
         assert total_runtime_success(p, 3.0) == pytest.approx(3.0 * 1.5 / 0.4)
         assert total_runtime_success([0.5, 0.0], 1.0) == math.inf
 
+    def test_overflowing_runtimes_are_refused(self, ising4, psi0_4):
+        # finite cost units, infinite products: refused, where a zero branch is inf
+        with pytest.raises(DomainError, match="overflow"):
+            total_runtime_success([0.5, 0.8], 1e308)
+        with pytest.raises(DomainError, match="overflow"):
+            expected_runtime_midmeasure([1.0, 1.0], 1e308)
+        with pytest.raises(DomainError, match="overflow"):
+            runtime_upper_bound(ising4, psi0_4, 0.05, 8, 1e308)
+        # a success probability that underflows to 0 is a zero branch, not a ZeroDivisionError
+        assert total_runtime_success([1e-200, 1e-200], 1.0) == math.inf
+
     def test_geometric_restart_identity(self):
         # expected total cost to success = E[shot cost] / P(success) when every
         # shot is independent; check the algebraic identity on random chains

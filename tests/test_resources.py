@@ -8,6 +8,7 @@ from lcusim import resources
 from lcusim.circuits import (
     CircuitPlan,
     LcuBlock,
+    Measure,
     Prepare,
     build_w_hk,
     build_w_tilde,
@@ -28,7 +29,7 @@ from lcusim.resources import (
     _rz,
 )
 from lcusim.sampler import trace_plan
-from lcusim.statevector import Register, RegisterLayout
+from lcusim.statevector import RegisterLayout
 from conftest import random_state
 from reference import compile_plan, simulate_compiled
 
@@ -205,8 +206,9 @@ class TestCounts:
     def test_no_select_plan(self):
         H = canonicalize(1, [(1.0, "X"), (0.5, "Z")])
         plan = build_w_hk(H, 1)
-        only_prep = type(plan)(
-            plan.layout, plan.hamiltonian, (Prepare("l", prepare_amplitudes(H)),), plan.family
+        only_prep = type(plan)(  # a prepared register is measured after, or refused
+            plan.layout, plan.hamiltonian, (Prepare("l", prepare_amplitudes(H)), Measure("l")),
+            plan.family,
         )
         c = _count(only_prep)
         assert c.select_blocks == 0
@@ -259,8 +261,8 @@ class TestCountCompilesEachBlockOnce:
     def test_wider_l_register_is_a_distinct_select(self):
         plans = []
         for width in (_H_REAL.l_width, _H_REAL.l_width + 1):
-            layout = RegisterLayout((Register("system", 2, 0), Register("l", width, 2)))
-            plans.append(CircuitPlan(layout, _H_REAL, (LcuBlock("l"),), "w_hk"))
+            layout = RegisterLayout([("system", 2), ("l", width)])
+            plans.append(CircuitPlan(layout, _H_REAL, (LcuBlock("l"), Measure("l")), "w_hk"))
         reference = [compile_plan(p).counts() for p in plans]
         assert reference[0].two_qubit != reference[1].two_qubit
         assert count(plans) == reference

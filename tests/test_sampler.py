@@ -1,12 +1,14 @@
 import contextlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcusim.circuits import build_w_hk, build_w_tilde, build_w_unary
+from lcusim.errors import DomainError
 from lcusim.hamiltonian import build_ising, canonicalize
 from lcusim.oracle import (
     chain_probabilities,
@@ -409,3 +411,13 @@ class TestStatsHelpers:
             CostModel(d=-1.0)
         with pytest.raises(ValueError):
             CostModel(m=math.nan)
+
+    def test_overflowing_cost_sum_rejected_without_a_warning(self, ising4, psi0_4):
+        # each shot costs at most 3e305, but 10000 of them sum past the largest float
+        plan = build_w_tilde(ising4, 0.05, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                run_shots(plan, psi0_4, 10_000, 0, CostModel(d_ctrl=1e305))
+            stats = run_shots(plan, psi0_4, 10, 0, CostModel(d_ctrl=1e305))
+        assert math.isfinite(mean_cost_per_shot(stats))

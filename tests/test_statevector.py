@@ -34,24 +34,29 @@ from reference import (
 
 
 def _layout(n, l_width):
-    return RegisterLayout((Register("system", n, 0), Register("l", l_width, n)))
+    return RegisterLayout([("system", n), ("l", l_width)])
 
 
 class TestLayout:
     def test_standard(self):
-        lay = RegisterLayout.standard(3, 2, 4)
+        # the W-tilde layout: each register starts where the one before it ends
+        lay = RegisterLayout([("system", 4), ("l", 2), ("k", 3)])
         assert lay.total == 9
-        assert lay.register("system").offset == 0
-        assert lay.register("l").offset == 4
-        assert lay.register("k").offset == 6
-        assert (lay.n, lay.register("l").width, lay.register("k").width) == (4, 2, 3)
+        assert [(r.name, r.width, r.offset) for r in lay.registers] == [
+            ("system", 4, 0), ("l", 2, 4), ("k", 3, 6)
+        ]
+        assert (lay.n, lay.qubit("k", 1)) == (4, 7)
 
-    def test_gap_rejected(self):
+    @pytest.mark.parametrize(
+        "widths", [[("system", 2), ("l", 0)], [("system", 2), ("l", 1), ("l", 1)]],
+        ids=["zero-width", "duplicate-name"],
+    )
+    def test_bad_registers_rejected(self, widths):
         with pytest.raises(LayoutError):
-            RegisterLayout((Register("system", 2, 0), Register("l", 1, 3)))
+            RegisterLayout(widths)
 
     def test_simulation_cap_enforced(self):
-        lay = RegisterLayout.standard(10, 10, 10)  # layouts themselves are fine
+        lay = RegisterLayout([("system", 10), ("l", 10), ("k", 10)])  # layouts themselves are fine
         with pytest.raises(ResourceLimitError):
             init_state(lay, np.eye(1 << 10)[0])
 
@@ -138,7 +143,7 @@ class TestRegisterOps:
 class TestPrepareReflection:
     """``apply_prepare`` (reflection, no matrix) against the dense ``completion_unitary``."""
 
-    LAYOUT = RegisterLayout((Register("a", 2, 0), Register("b", 3, 2), Register("c", 2, 5)))
+    LAYOUT = RegisterLayout([("a", 2), ("b", 3), ("c", 2)])
 
     @pytest.mark.parametrize("register", ["a", "b", "c"])  # bottom, middle, top
     @pytest.mark.parametrize("adjoint", [False, True])
@@ -161,7 +166,7 @@ class TestPrepareReflection:
         from lcusim.statevector import StateVector
 
         amps = np.array([0.0, 0.0, 0.6, 0.8])
-        lay = RegisterLayout((Register("system", 1, 0), Register("l", 2, 1)))
+        lay = RegisterLayout([("system", 1), ("l", 2)])
         state = StateVector(lay, np.eye(8, dtype=complex)[0])
         apply_prepare(state, "l", amps)
         assert np.abs(state.amplitudes.reshape(4, 2)[:, 0] - amps).max() < 1e-15
@@ -182,7 +187,7 @@ class TestLcuBlock:
         rng = np.random.default_rng(21)
         H = canonicalize(2, [(0.5, "XZ"), (-0.25, "YI"), (0.3j, "ZZ")])
         psi = random_state(2, rng)
-        state = init_state(RegisterLayout((Register("system", 2, 0),)), psi)
+        state = init_state(RegisterLayout([("system", 2)]), psi)
         p = apply_lcu_block(state, H, prepare_amplitudes(H))
         v = (-1j / l1_norm(H)) * to_matrix(H) @ psi
         assert p == pytest.approx(np.vdot(v, v).real, rel=1e-13)
@@ -194,7 +199,7 @@ class TestLcuBlock:
         rng = np.random.default_rng(22)
         H = canonicalize(1, [(1.0, "X"), (0.5, "Z"), (0.25, "Y")])
         a = random_state(2, rng)
-        lay = RegisterLayout((Register("system", 1, 0), Register("c", 1, 1), Register("t", 1, 2)))
+        lay = RegisterLayout([("system", 1), ("c", 1), ("t", 1)])
         psi = random_state(3, rng)
         from lcusim.statevector import StateVector
 
@@ -230,9 +235,7 @@ class TestLcuBlock:
         rng = np.random.default_rng(23)
         H = canonicalize(3, raw)
         a = random_state(3, rng)
-        lay = RegisterLayout(
-            (Register("system", 3, 0), Register("c", 1, 3), Register("t", 1, 4))
-        )
+        lay = RegisterLayout([("system", 3), ("c", 1), ("t", 1)])
         F = (np.abs(a[H.num_terms :]) ** 2).sum() * np.eye(8, dtype=complex)
         for w, t in zip(np.abs(a) ** 2, H.terms):
             F += w * (-1j) * np.exp(1j * t.phase) * pauli_string_matrix(t.letters)
@@ -252,7 +255,7 @@ class TestLcuBlock:
 
     def test_vanishing_branch_returns_zero(self):
         H = canonicalize(1, [(0.5, "I"), (-0.5, "Z")])
-        state = init_state(RegisterLayout((Register("system", 1, 0),)), np.eye(2)[0])
+        state = init_state(RegisterLayout([("system", 1)]), np.eye(2)[0])
         assert apply_lcu_block(state, H, prepare_amplitudes(H)) == 0.0
 
     def test_bad_arguments(self, ising4):
@@ -302,9 +305,7 @@ class TestSelect:
 
     def test_control_off_is_identity(self):
         H = canonicalize(1, [(1.0, "X")])
-        lay = RegisterLayout(
-            (Register("system", 1, 0), Register("l", 1, 1), Register("c", 1, 2))
-        )
+        lay = RegisterLayout([("system", 1), ("l", 1), ("c", 1)])
         from lcusim.statevector import StateVector
 
         amps = np.zeros(8, dtype=complex)
@@ -315,9 +316,7 @@ class TestSelect:
 
     def test_control_on_applies(self):
         H = canonicalize(1, [(1.0, "X")])
-        lay = RegisterLayout(
-            (Register("system", 1, 0), Register("l", 1, 1), Register("c", 1, 2))
-        )
+        lay = RegisterLayout([("system", 1), ("l", 1), ("c", 1)])
         from lcusim.statevector import StateVector
 
         amps = np.zeros(8, dtype=complex)
@@ -398,7 +397,7 @@ class TestMeasurement:
 
 class TestLowLevelGates:
     def test_cx_truth_table(self):
-        lay = RegisterLayout((Register("system", 2, 0),))
+        lay = RegisterLayout([("system", 2)])
         for basis in range(4):
             amps = np.zeros(4, dtype=complex)
             amps[basis] = 1.0
@@ -411,7 +410,7 @@ class TestLowLevelGates:
 
     def test_1q_on_middle_qubit(self):
         rng = np.random.default_rng(9)
-        lay = RegisterLayout((Register("system", 3, 0),))
+        lay = RegisterLayout([("system", 3)])
         psi = random_state(3, rng)
         from lcusim.statevector import StateVector
 

@@ -1,7 +1,7 @@
 """The collapsed success-path trace against the register-level reference."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lcusim.circuits import (
     CircuitPlan,
@@ -13,13 +13,14 @@ from lcusim.circuits import (
     build_w_unary,
 )
 from lcusim import hamiltonian
-from lcusim.errors import LayoutError, LcusimError
+from lcusim.errors import LayoutError, NormalizationError
 from lcusim.hamiltonian import build_ising, canonicalize
 from lcusim.oracle import fidelity
 from lcusim.sampler import CostModel, trace_plan
-from lcusim.statevector import Register, RegisterLayout
+from lcusim.statevector import RegisterLayout
+from lcusim.resources import count
 from conftest import random_hamiltonian, random_state
-from reference import register_trace
+from reference import compile_plan, register_trace
 
 COST = CostModel(d=0.3, d_ctrl=0.7, m=0.1)
 
@@ -27,7 +28,7 @@ COST = CostModel(d=0.3, d_ctrl=0.7, m=0.1)
 def assert_same_trace(plan, psi):
     new, ref = trace_plan(plan, psi, COST), register_trace(plan, psi, COST)
     assert len(new.cond_probs) == len(ref.cond_probs)
-    assert np.abs(np.subtract(new.cond_probs, ref.cond_probs)).max() <= 1e-12
+    assert np.abs(np.subtract(new.cond_probs, ref.cond_probs)).max(initial=0.0) <= 1e-12
     assert new.abort_costs == ref.abort_costs
     assert new.success_cost == ref.success_cost
     if ref.final_system_state is None:
@@ -100,66 +101,144 @@ class TestAgainstRegisterTrace:
 
 def _one_block(H, *ins, extra=()):
     """A W_{H^k}-style plan on system + l (+ extra registers) with the given instructions."""
-    n, lw = H.n, H.l_width
-    regs = [Register("system", n, 0), Register("l", lw, n)]
-    for name, width in extra:
-        regs.append(Register(name, width, sum(r.width for r in regs)))
-    return CircuitPlan(RegisterLayout(tuple(regs)), H, tuple(ins), family="w_hk")
+    layout = RegisterLayout([("system", H.n), ("l", H.l_width), *extra])
+    return CircuitPlan(layout, H, tuple(ins), family="w_hk")
 
 
 class TestPlanShape:
+    """``CircuitPlan`` refuses every plan that no success-path trace can run."""
+
     H = canonicalize(1, [(1.0, "X"), (0.5, "Z")])
     psi = np.array([0.6, 0.8], dtype=complex)
 
-    def _raises(self, plan, match, error=LayoutError):
-        with pytest.raises(error, match=match):
-            trace_plan(plan, self.psi)
+    def _raises(self, *ins, match, extra=(), H=None):
+        with pytest.raises(LayoutError, match=match):
+            _one_block(H or self.H, *ins, extra=extra)
 
     def test_builder_shape_accepted(self):
         plan = _one_block(self.H, LcuBlock("l"), Measure("l"))
         assert_same_trace(plan, self.psi)
 
     def test_control_inside_l_register(self):
-        self._raises(_one_block(self.H, LcuBlock("l", control=1), Measure("l")), "instruction 0")
+        self._raises(LcuBlock("l", control=("l", 0)), Measure("l"), match="instruction 0")
 
     def test_control_inside_system(self):
-        self._raises(_one_block(self.H, LcuBlock("l", control=0), Measure("l")), "instruction 0")
+        self._raises(LcuBlock("l", control=("system", 0)), Measure("l"), match="instruction 0")
+
+    def test_system_controlled_block_is_refused_before_count(self):
+        # a plan the trace cannot run is refused before count can compile it
+        H = build_ising(2, 1.0, 0.5)
+        self._raises(LcuBlock("l", control=("system", 0)), Measure("l"), match="control", H=H)
+
+    def test_block_on_the_system_register(self):
+        self._raises(LcuBlock("system"), Measure("system"), match="instruction 0")
+
+    def test_control_bit_outside_its_register(self):
+        self._raises(LcuBlock("l", ("c", 1)), Measure("l"), match="instruction 0", extra=[("c", 1)])
 
     def test_plan_ends_inside_cycle(self):
         # a block whose l-register is never measured
-        plan = _one_block(self.H, LcuBlock("l"), Measure("l"), LcuBlock("l"))
-        self._raises(plan, "never measured")
+        self._raises(LcuBlock("l"), Measure("l"), LcuBlock("l"), match="never measured")
 
     def test_second_block_before_the_first_is_measured(self):
-        plan = _one_block(self.H, LcuBlock("l"), LcuBlock("l"), Measure("l"), Measure("l"))
-        self._raises(plan, "instruction 1")
+        self._raises(
+            LcuBlock("l"), LcuBlock("l"), Measure("l"), Measure("l"), match="instruction 1"
+        )
 
     def test_l_register_measured_with_no_block_pending(self):
-        self._raises(_one_block(self.H, Measure("l"), LcuBlock("l"), Measure("l")), "instruction 0")
+        self._raises(Measure("l"), LcuBlock("l"), Measure("l"), match="instruction 0")
 
     def test_wrong_amplitude_length(self):
-        # three terms need a 2-qubit l-register; prepare_amplitudes refuses a 1-qubit one
+        # three terms need a 2-qubit l-register; a 4-entry Prepare does not fit a 1-qubit one
         H = canonicalize(1, [(1.0, "X"), (0.5, "Z"), (0.25, "Y")])
-        layout = RegisterLayout((Register("system", 1, 0), Register("l", 1, 1)))
-        plan = CircuitPlan(layout, H, (LcuBlock("l"), Measure("l")), family="w_hk")
-        self._raises(plan, "too narrow", LcusimError)
+        with pytest.raises(LayoutError, match="too narrow"):
+            CircuitPlan(RegisterLayout([("system", 1), ("l", 1)]), H,
+                        (LcuBlock("l"), Measure("l")), family="w_hk")
+        self._raises(Prepare("c", np.full(4, 0.5)), Measure("c"), match="2\\^1", extra=[("c", 1)])
+
+    def test_prepare_on_an_l_register(self):
+        c = np.array([0.6, 0.8])
+        self._raises(Prepare("l", c), LcuBlock("l"), Measure("l"), match="is an l-register")
+
+    def test_unnormalized_prepare(self):
+        with pytest.raises(NormalizationError, match="instruction 0"):
+            _one_block(self.H, Prepare("c", np.array([0.6, 0.6])), Measure("c"), extra=[("c", 1)])
+
+    def test_system_register_of_another_width(self):
+        with pytest.raises(LayoutError, match="2-qubit system"):
+            CircuitPlan(RegisterLayout([("system", 1), ("l", 1)]), build_ising(2, 1.0, 0.5),
+                        (), family="w_hk")
+
+    def test_prepared_ancilla_never_measured(self):
+        self._raises(Prepare("c", np.array([0.6, 0.8])), match="c is never", extra=[("c", 1)])
 
     def test_other_register_measured_while_a_select_is_pending(self):
         c = np.array([0.6, 0.8])
-        plan = _one_block(
-            self.H, Prepare("c", c), LcuBlock("l", control=2), Prepare("c", c, adjoint=True),
-            Measure("c", final=True), Measure("l"), extra=[("c", 1)],
+        self._raises(
+            Prepare("c", c), LcuBlock("l", ("c", 0)), Prepare("c", c, adjoint=True),
+            Measure("c", final=True), Measure("l"), extra=[("c", 1)], match="instruction 3",
         )
-        self._raises(plan, "instruction 3")
 
     def test_l_registers_measured_out_of_select_order(self, ising4):
         plan = build_w_unary(ising4, 0.05, 2)
         ins = list(plan.instructions)
         i0 = ins.index(Measure("l0"))
         ins[i0], ins[i0 + 1] = ins[i0 + 1], ins[i0]
-        swapped = CircuitPlan(plan.layout, plan.hamiltonian, tuple(ins), plan.family)
         with pytest.raises(LayoutError, match=f"instruction {i0}"):
-            trace_plan(swapped, np.eye(16)[0])
+            CircuitPlan(plan.layout, plan.hamiltonian, tuple(ins), plan.family)
+
+
+_REGISTERS = ["system", "l0", "l1", "c"]
+_C = np.array([0.6, 0.8])
+_CONTROLS = [None, ("c", 0), ("c", 1), ("system", 1), ("l0", 0), ("l1", 1)]
+_INSTRUCTION = st.one_of(
+    st.builds(LcuBlock, st.sampled_from(_REGISTERS), st.sampled_from(_CONTROLS)),
+    st.builds(Measure, st.sampled_from(_REGISTERS), st.booleans()),
+    st.builds(
+        Prepare,
+        st.sampled_from(_REGISTERS),
+        st.sampled_from([np.sqrt([0.4, 0.3, 0.2, 0.1]), _C]),
+        st.just("dense"),
+        st.booleans(),
+    ),
+)
+# single instructions, blocks followed by their measurement, and whole W-tilde-style
+# cycles on the control register, so that many draws are plans that run
+_INSTRUCTIONS = st.lists(
+    st.one_of(
+        _INSTRUCTION.map(lambda ins: [ins]),
+        st.builds(
+            lambda name, control: [LcuBlock(name, control), Measure(name)],
+            st.sampled_from(["l0", "l1"]),
+            st.sampled_from(_CONTROLS),
+        ),
+        st.builds(
+            lambda name: [Prepare("c", _C), LcuBlock(name, ("c", 0)), Measure(name),
+                          Prepare("c", _C, adjoint=True), Measure("c")],
+            st.sampled_from(["l0", "l1"]),
+        ),
+    ),
+    max_size=5,
+).map(lambda units: [ins for unit in units for ins in unit])
+
+
+class TestPlanValidity:
+    """A plan is refused by ``CircuitPlan`` or run alike by the trace, the register-level
+    reference and ``count``."""
+
+    H = canonicalize(2, [(0.7, "XZ"), (-0.4, "ZI"), (0.3, "YY")])  # 2-qubit l-registers
+    LAYOUT = RegisterLayout([("system", 2), ("l0", 2), ("l1", 2), ("c", 1)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_INSTRUCTIONS, st.integers(0, 2**32 - 1))
+    @example([LcuBlock("l0", ("system", 0)), Measure("l0")], 0)
+    def test_refused_or_run_by_every_consumer(self, instructions, seed):
+        try:
+            plan = CircuitPlan(self.LAYOUT, self.H, tuple(instructions), family="fuzz")
+        except LayoutError:
+            return
+        assert_same_trace(plan, random_state(2, np.random.default_rng(seed)))
+        assert count([plan]) == [compile_plan(plan).counts()]
 
 
 class TestGroupedKernel:
