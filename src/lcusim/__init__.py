@@ -2,7 +2,7 @@
 
 Statevector simulation of the binary-encoded mid-circuit-measurement
 circuit and its unary-encoded reference, closed-form success-probability
-and runtime oracles, gate-level resource estimation, and BLISS l1-norm
+and runtime oracles, closed-form gate counts, and BLISS l1-norm
 optimization of Jordan-Wigner-encoded fermionic Hamiltonians.
 """
 
@@ -22,7 +22,6 @@ from .circuits import (
     build_w_hk,
     build_w_tilde,
     build_w_unary,
-    choose_K,
     power_schedule,
     taylor_prepare_amplitudes,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "build_w_tilde",
     "build_w_unary",
     "canonicalize",
-    "choose_K",
     "count",
     "estimate",
     "expected_runtime_midmeasure",

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InvalidModelError, LayoutError, NormalizationError
+from .errors import InvalidModelError, LayoutError, NormalizationError
 from .hamiltonian import HamiltonianLCU, l1_norm
 from .statevector import _NORM_TOL, RegisterLayout
 
@@ -90,16 +90,6 @@ def power_schedule(kappa: int) -> tuple[int, ...]:
     if kappa < 1:
         raise InvalidModelError("kappa must be at least 1")
     return tuple(1 << i for i in range(kappa))
-
-
-def choose_K(T: float, epsilon: float) -> int:
-    """Advisory truncation order ceil(log(T/eps) / log log(T/eps)), minimum 1."""
-    if T <= 0 or not 0 < epsilon < 1:
-        raise DomainError("need T > 0 and epsilon in (0,1)")
-    x = math.log(T / epsilon)
-    if x <= 1.0:
-        raise DomainError("T/epsilon must exceed e")
-    return max(1, math.ceil(x / math.log(x)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,11 +12,10 @@ from lcusim.circuits import (
     build_w_hk,
     build_w_tilde,
     build_w_unary,
-    choose_K,
     power_schedule,
     taylor_prepare_amplitudes,
 )
-from lcusim.errors import DomainError, InvalidModelError
+from lcusim.errors import InvalidModelError
 from lcusim.hamiltonian import build_ising
 
 
@@ -72,24 +71,6 @@ class TestTaylorCoefficients:
     def test_beta_norm_below_exponential(self, x, kappa):
         coeffs = TaylorCoefficients(x, 1.0, kappa)
         assert coeffs.beta_norm <= math.exp(x) + 1e-12
-
-
-class TestChooseK:
-    def test_reference_points(self):
-        assert choose_K(1.0, 1e-6) == 6
-        assert choose_K(10.0, 1e-10) == 8
-
-    def test_monotone_in_precision(self):
-        ks = [choose_K(1.0, 10.0**-p) for p in range(2, 14)]
-        assert ks == sorted(ks)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            choose_K(-1.0, 1e-6)
-        with pytest.raises(DomainError):
-            choose_K(1.0, 2.0)
-        with pytest.raises(DomainError):
-            choose_K(1.0, 0.9)  # log(T/eps) barely above 0, below 1
 
 
 class TestPowerSchedule:

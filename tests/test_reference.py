@@ -9,6 +9,7 @@ FAST_PATHS = {
     "pauli_sum_apply",
     "trace_plan",
     "count",
+    "_cx_count",
     "_jw_masks",
 }
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcusim import resources
 from lcusim.circuits import (
     CircuitPlan,
     LcuBlock,
@@ -15,23 +14,27 @@ from lcusim.circuits import (
     build_w_unary,
 )
 from lcusim.hamiltonian import build_ising, canonicalize, prepare_amplitudes
+from lcusim.errors import LcusimError
 from lcusim.oracle import fidelity
-from lcusim.resources import (
+from lcusim.resources import count
+from lcusim.sampler import trace_plan
+from lcusim.statevector import Register, RegisterLayout
+from conftest import random_state
+from reference import (
     Gate1Q,
     GateCX,
-    count,
+    compile_plan,
     diagonal_gates,
+    simulate_compiled,
     uc_ry,
     uc_rz,
     uc_single_qubit,
     zyz_decompose,
+    _prep_dense_gates,
+    _prep_unary_gates,
     _ry,
     _rz,
 )
-from lcusim.sampler import trace_plan
-from lcusim.statevector import RegisterLayout
-from conftest import random_state
-from reference import compile_plan, simulate_compiled
 
 
 def _random_unitary(rng, dim=2):
@@ -120,17 +123,12 @@ class TestPrepareCompilation:
     def test_width_one_no_cx(self, ising4):
         H = canonicalize(1, [(1.0, "X"), (0.5, "Z")])
         plan = build_w_hk(H, 1)
-        from lcusim.resources import _prep_dense_gates
-
         reg = plan.layout.register("l")
         ops = _prep_dense_gates(reg, prepare_amplitudes(H, reg.width))
         assert sum(isinstance(op, GateCX) for op in ops) == 0
 
     @pytest.mark.parametrize("w", [1, 2, 3])
     def test_cx_count_and_state(self, w):
-        from lcusim.resources import _prep_dense_gates
-        from lcusim.statevector import Register
-
         rng = np.random.default_rng(w)
         a = np.abs(rng.normal(size=1 << w))
         a /= np.linalg.norm(a)
@@ -140,9 +138,6 @@ class TestPrepareCompilation:
         assert np.abs(dense[:, 0] - a).max() < 1e-12
 
     def test_unary_staircase(self):
-        from lcusim.resources import _prep_unary_gates
-        from lcusim.statevector import Register
-
         K = 3
         c = np.sqrt(np.array([0.4, 0.3, 0.2, 0.1]))
         amps = np.zeros(1 << K)
@@ -201,7 +196,6 @@ class TestCounts:
         # K mid-circuit l measurements (3 qubits each) + final k measurement
         counts = _count(build_w_tilde(ising4, 0.05, 3))
         assert counts.measurements == 7 * 3 + 3
-        assert counts.select_blocks == 7
 
     def test_no_select_plan(self):
         H = canonicalize(1, [(1.0, "X"), (0.5, "Z")])
@@ -210,9 +204,7 @@ class TestCounts:
             plan.layout, plan.hamiltonian, (Prepare("l", prepare_amplitudes(H)), Measure("l")),
             plan.family,
         )
-        c = _count(only_prep)
-        assert c.select_blocks == 0
-        assert c.two_qubit == 0  # width-1 l register: single Ry, no CX
+        assert _count(only_prep).two_qubit == 0  # width-1 l register: single Ry, no CX
 
 
 def _plans(H, K):
@@ -220,43 +212,31 @@ def _plans(H, K):
     return [build_w_hk(H, K), build_w_tilde(H, 0.05, kappa), build_w_unary(H, 0.05, K)]
 
 
-# Same n, L and term weights; the phase of XI makes the Select diagonal need
-# one more single-qubit gate.
+# Same n, L and term weights, different phases: the same counts.
 _H_REAL = canonicalize(2, [(1.0, "ZX"), (0.5, "XI"), (0.25, "YZ")])
 _H_NEG = canonicalize(2, [(1.0, "ZX"), (-0.5, "XI"), (0.25, "YZ")])
+_HAMILTONIANS = {f"ising{n}": build_ising(n, 1.0, 0.5) for n in range(2, 6)}
+_HAMILTONIANS.update(real=_H_REAL, neg=_H_NEG)
 
 
-class TestCountCompilesEachBlockOnce:
+class TestCountMatchesReference:
     """``count`` against the reference ``compile_plan(plan).counts()``."""
 
-    @pytest.mark.parametrize("K", range(1, 8))
-    def test_each_family_matches_reference(self, ising4, K):
-        for plan in _plans(ising4, K):
+    @pytest.mark.parametrize("K", range(1, 9))
+    @pytest.mark.parametrize("H", _HAMILTONIANS.values(), ids=_HAMILTONIANS.keys())
+    def test_each_family_matches_reference(self, H, K):
+        for plan in _plans(H, K):
             assert count([plan]) == [compile_plan(plan).counts()]
 
     def test_hamiltonians_differing_only_in_phases(self):
         plans = [build_w_hk(_H_REAL, 1), build_w_hk(_H_NEG, 1)]
         reference = [compile_plan(p).counts() for p in plans]
-        assert reference[0].one_qubit != reference[1].one_qubit
         assert count(plans) == reference
         assert count(plans[::-1]) == reference[::-1]
 
     def test_mixed_batch_matches_reference(self, ising4):
         plans = [p for H in (ising4, _H_REAL, _H_NEG) for K in range(1, 8) for p in _plans(H, K)]
         assert count(iter(plans)) == [compile_plan(p).counts() for p in plans]
-
-    def test_each_distinct_block_is_compiled_once(self, monkeypatch):
-        compiled = []
-        original = resources._compile_instruction
-
-        def recording(plan, ins):
-            compiled.append(type(ins).__name__)
-            return original(plan, ins)
-
-        monkeypatch.setattr(resources, "_compile_instruction", recording)
-        count([build_w_hk(_H_REAL, 3), build_w_hk(_H_REAL, 2), build_w_hk(_H_NEG, 2)])
-        # one block per Hamiltonian, every measurement
-        assert sorted(compiled) == ["LcuBlock", "LcuBlock"] + ["Measure"] * 7
 
     def test_wider_l_register_is_a_distinct_select(self):
         plans = []
@@ -267,13 +247,10 @@ class TestCountCompilesEachBlockOnce:
         assert reference[0].two_qubit != reference[1].two_qubit
         assert count(plans) == reference
 
-    def test_unary_staircase_is_not_memoized(self):
-        # its key would hold all 2^K amplitudes; compiling it is O(K)
-        plan = build_w_unary(_H_REAL, 0.05, 3)
-        assert resources._gate_key(plan, plan.instructions[0]) is None
-
     def test_each_distinct_prepare_vector_is_validated(self, ising4):
         plan = build_w_tilde(ising4, 0.05, 2)
-        bad = [Prepare("k", -plan.instructions[0].amps)] + list(plan.instructions[1:])
-        with pytest.raises(ValueError, match="nonnegative"):
-            count([plan, type(plan)(plan.layout, ising4, tuple(bad), plan.family)])
+        amps = plan.instructions[0].amps
+        for bad_amps in (-amps, 1j * amps):
+            bad = (Prepare("k", bad_amps),) + plan.instructions[1:]
+            with pytest.raises(LcusimError, match="nonnegative"):
+                count([plan, type(plan)(plan.layout, ising4, bad, plan.family)])
