@@ -18,12 +18,12 @@ from .bliss import (
 )
 from .circuits import (
     CircuitPlan,
-    TaylorCoefficients,
     build_w_hk,
     build_w_tilde,
     build_w_unary,
     power_schedule,
     taylor_prepare_amplitudes,
+    taylor_weights,
 )
 from .hamiltonian import (
     HamiltonianLCU,
@@ -71,7 +71,6 @@ __all__ = [
     "RegisterLayout",
     "RunStats",
     "StateVector",
-    "TaylorCoefficients",
     "apply_bliss",
     "apply_prepare",
     "build_hubbard_chain",
@@ -99,6 +98,7 @@ __all__ = [
     "success_prob_hk",
     "success_prob_wtilde",
     "taylor_prepare_amplitudes",
+    "taylor_weights",
     "total_runtime_success",
     "trace_plan",
 ]

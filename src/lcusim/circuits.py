@@ -10,6 +10,10 @@ Three builders are provided:
 * ``build_w_unary`` -- the unary-encoded reference circuit with K separate
   l-registers and a single terminal post-selection.
 
+Both Taylor-weighted builders, and the oracle's ||beta||_1, take the weights
+beta_0..beta_K from ``taylor_weights``, which builds and overflow-checks those
+K + 1 and no more.
+
 A plan is a sequence of three instruction kinds: ``Prepare`` (or its
 adjoint) on a register, ``LcuBlock`` -- PREPARE, SELECT and PREPARE^dag on an
 l-register, a block-encoding of H~ = (-i / l1) H (Berry et al., PRL 114,
@@ -22,53 +26,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidModelError, LayoutError, NormalizationError
+from .errors import InvalidModelError, LayoutError
 from .hamiltonian import HamiltonianLCU, l1_norm
-from .statevector import _NORM_TOL, RegisterLayout
+from .statevector import RegisterLayout, check_norm
 
 
-@dataclass(frozen=True)
-class TaylorCoefficients:
-    """Truncated-Taylor weights (tau * l1)^k / k! for k = 0..K, K = 2^kappa - 1."""
-
-    tau: float
-    alpha_norm: float
-    kappa: int
-
-    def __post_init__(self):
-        if not 0 < self.alpha_norm < math.inf:
-            raise InvalidModelError("alpha_norm must be positive and finite")
-        if self.kappa < 1:
-            raise InvalidModelError("kappa must be at least 1")
-        if not 0 <= self.tau < math.inf:
-            raise InvalidModelError("tau must be nonnegative and finite")
-        if not (np.isfinite(self.beta).all() and math.isfinite(self.beta_norm * self.beta_norm)):
-            raise InvalidModelError(
-                f"Taylor weights overflow at tau * alpha_norm = {self.tau * self.alpha_norm!r}"
-            )
-
-    @property
-    def K(self) -> int:
-        return (1 << self.kappa) - 1
-
-    @cached_property
-    def beta(self) -> np.ndarray:
-        """Read-only weights, built in Python floats, which overflow to inf without a warning."""
-        x = self.tau * self.alpha_norm
-        out = np.empty(self.K + 1)
-        out[0] = b = 1.0
-        for k in range(1, self.K + 1):
-            out[k] = b = b * x / k
-        out.flags.writeable = False
-        return out
-
-    @property
-    def beta_norm(self) -> float:
-        return float(self.beta.sum())
+def taylor_weights(tau: float, alpha_norm: float, K: int) -> np.ndarray:
+    """Truncated-Taylor weights beta_k = (tau * alpha_norm)^k / k! for k = 0..K, built in
+    Python floats, which overflow to inf without a warning; refused where a weight or
+    ||beta||_1^2 is not finite."""
+    if not 0 < alpha_norm < math.inf:
+        raise InvalidModelError("alpha_norm must be positive and finite")
+    if K < 1:
+        raise InvalidModelError("K must be at least 1")
+    if not 0 <= tau < math.inf:
+        raise InvalidModelError("tau must be nonnegative and finite")
+    x = tau * alpha_norm
+    beta = np.empty(K + 1)
+    beta[0] = b = 1.0
+    for k in range(1, K + 1):
+        beta[k] = b = b * x / k
+    s = float(beta.sum())
+    if not (np.isfinite(beta).all() and math.isfinite(s * s)):
+        raise InvalidModelError(f"Taylor weights overflow at tau * alpha_norm = {x!r}")
+    return beta
 
 
 def kappa_for(K: int) -> int:
@@ -77,12 +61,11 @@ def kappa_for(K: int) -> int:
 
 
 def taylor_prepare_amplitudes(tau: float, alpha_norm: float, kappa: int) -> np.ndarray:
-    """Length-2^kappa amplitude vector sqrt(beta_k / ||beta||_1)."""
-    coeffs = TaylorCoefficients(tau, alpha_norm, kappa)
-    beta = coeffs.beta
-    amps = np.zeros(1 << kappa)
-    amps[: beta.shape[0]] = np.sqrt(beta / beta.sum())
-    return amps
+    """Length-2^kappa amplitude vector sqrt(beta_k / ||beta||_1), K = 2^kappa - 1."""
+    if kappa < 1:
+        raise InvalidModelError("kappa must be at least 1")
+    beta = taylor_weights(tau, alpha_norm, (1 << kappa) - 1)
+    return np.sqrt(beta / beta.sum())
 
 
 def power_schedule(kappa: int) -> tuple[int, ...]:
@@ -113,10 +96,9 @@ class LcuBlock:
 
 @dataclass(frozen=True)
 class Measure:
-    """All-zero post-selection of a register, mid-circuit or ``final``."""
+    """All-zero post-selection of a register."""
 
     register: str
-    final: bool = False
 
 
 Instruction = Prepare | LcuBlock | Measure
@@ -130,8 +112,9 @@ class CircuitPlan:
     An l-register (one an ``LcuBlock`` uses) is neither the system nor prepared, and is
     measured after each of its blocks and before the next; pending blocks are measured in
     block order and before any other register. A control is a bit of a register that is
-    neither the system nor an l-register. A Prepare holds 2^width normalized amplitudes,
-    and a register it acts on, other than the system, is measured after it.
+    neither the system nor an l-register. A Prepare is dense or unary and holds 2^width
+    normalized amplitudes, a unary one only on the values |1^k 0^(w-k)>; a register it acts
+    on, other than the system, is measured after it.
     """
 
     layout: RegisterLayout
@@ -171,10 +154,15 @@ class CircuitPlan:
                 width = layout.register(ins.register).width
                 if ins.register in l_regs:
                     raise LayoutError(f"instruction {i}: {ins.register} is an l-register")
+                if ins.style not in ("dense", "unary"):
+                    raise LayoutError(f"instruction {i}: style {ins.style!r} is not dense or unary")
                 if np.shape(ins.amps) != (1 << width,):
                     raise LayoutError(f"instruction {i}: {ins.register} needs 2^{width} amplitudes")
-                if not abs(np.linalg.norm(ins.amps) - 1.0) <= _NORM_TOL:  # NaN fails too
-                    raise NormalizationError(f"instruction {i}: amplitudes are not normalized")
+                norm = np.linalg.norm(ins.amps)
+                check_norm(norm, f"instruction {i}: amplitudes are not normalized")
+                support = np.flatnonzero(ins.amps)  # a unary value 1^k 0^(w-k) is 2^k - 1
+                if ins.style == "unary" and (support & (support + 1)).any():
+                    raise LayoutError(f"instruction {i}: unary amplitudes off |1^k 0^(w-k)>")
                 if ins.register != "system":
                     prepared.add(ins.register)
         if pending or prepared:
@@ -184,10 +172,6 @@ class CircuitPlan:
     @property
     def select_count(self) -> int:
         return sum(1 for ins in self.instructions if isinstance(ins, LcuBlock))
-
-    @property
-    def mid_measure_count(self) -> int:
-        return sum(1 for ins in self.instructions if isinstance(ins, Measure) and not ins.final)
 
     @property
     def measure_count(self) -> int:
@@ -209,7 +193,7 @@ def build_w_tilde(H: HamiltonianLCU, tau: float, kappa: int) -> CircuitPlan:
     instructions: list[Instruction] = [Prepare("k", k_amps)]
     for i, size in enumerate(power_schedule(kappa)):
         instructions += [LcuBlock("l", ("k", i)), Measure("l")] * size
-    instructions += [Prepare("k", k_amps, adjoint=True), Measure("k", final=True)]
+    instructions += [Prepare("k", k_amps, adjoint=True), Measure("k")]
     return CircuitPlan(layout, H, tuple(instructions), family="wtilde")
 
 
@@ -221,21 +205,16 @@ def build_w_unary(H: HamiltonianLCU, tau: float, K: int) -> CircuitPlan:
     |1^k 0^{K-k}>. The K blocks act on distinct l-registers and all come
     before the measurements.
     """
-    if K < 1:
-        raise InvalidModelError("K must be at least 1")
+    beta = taylor_weights(tau, l1_norm(H), K)  # refuses K < 1
     layout = RegisterLayout(
         [("system", H.n)] + [(f"l{j}", H.l_width) for j in range(K)] + [("unary", K)]
     )
-
-    beta = TaylorCoefficients(tau, l1_norm(H), kappa_for(K)).beta[: K + 1]
     unary_amps = np.zeros(1 << K)
-    norm = beta.sum()
-    for k in range(K + 1):
-        unary_amps[(1 << k) - 1] = math.sqrt(beta[k] / norm)
+    unary_amps[(1 << np.arange(K + 1)) - 1] = np.sqrt(beta / beta.sum())
 
     instructions: list[Instruction] = [Prepare("unary", unary_amps, style="unary")]
     instructions += [LcuBlock(f"l{j}", ("unary", j)) for j in range(K)]
     instructions.append(Prepare("unary", unary_amps, style="unary", adjoint=True))
     instructions += [Measure(f"l{j}") for j in range(K)]
-    instructions.append(Measure("unary", final=True))
+    instructions.append(Measure("unary"))
     return CircuitPlan(layout, H, tuple(instructions), family="wunary")

@@ -179,7 +179,7 @@ def cmd_simulate(args) -> list[dict]:
 def cmd_analytic(args) -> list[dict]:
     H = _resolve_hamiltonian(args)
     K, kappa = _resolve_order(args)
-    check_width(kappa)  # the Taylor coefficients have 2^kappa entries
+    check_width(kappa)  # capped as the W-tilde Taylor register of order K would be
     psi = _resolve_state(args, H.n)
     cost = CostModel(d=args.d, d_ctrl=args.d_ctrl)
     # 2K matvecs: one Horner pass and one chain pass, with p1 = p_chain[0], p_hk = prod(p_chain)

@@ -30,13 +30,6 @@ from .errors import InvalidHamiltonianError, InvalidModelError, LayoutError
 
 _DIAGONAL_BUDGET = 64 << 20  # bytes of group diagonals one HamiltonianLCU keeps cached
 
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 @dataclass(frozen=True)
 class PauliTerm:

@@ -11,11 +11,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .circuits import TaylorCoefficients, kappa_for
-from .errors import DomainError, LayoutError, NormalizationError
+from .circuits import taylor_weights
+from .errors import DomainError, LayoutError
 from .hamiltonian import HamiltonianLCU, l1_norm, pauli_sum_apply
-
-_NORM_TOL = 1e-10
+from .statevector import check_norm
 
 
 def _check_normalized(psi: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -25,8 +24,7 @@ def _check_normalized(psi: np.ndarray, n: int | None = None) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     with np.errstate(over="ignore"):  # an overflowing norm is inf and fails below
         norm = np.linalg.norm(psi)
-    if not abs(norm - 1.0) <= _NORM_TOL:  # NaN fails too
-        raise NormalizationError("state is not normalized")
+    check_norm(norm, "state is not normalized")
     return psi
 
 
@@ -62,7 +60,7 @@ def chain_probabilities(H: HamiltonianLCU, psi: np.ndarray, k: int) -> list[floa
 
 
 def _beta_norm(tau: float, l1: float, K: int) -> float:
-    return float(TaylorCoefficients(tau, l1, kappa_for(K)).beta[: K + 1].sum())
+    return float(taylor_weights(tau, l1, K).sum())
 
 
 def success_prob_wtilde(H: HamiltonianLCU, psi: np.ndarray, tau: float, K: int) -> float:

@@ -9,12 +9,12 @@ so the trace carries only the system and Taylor registers: n + kappa qubits
 for W-tilde, n + K for the unary circuit. Each shot then reduces to a
 sequence of Bernoulli draws against those cached probabilities, which is
 statistically identical to re-simulating the state per shot. Shot i's draws
-are the first doubles of ``shot_rng(seed, i)``, numpy's Philox-4x64-10 keyed
-by (seed, i), so shots are order-independent. Philox is counter-based
-(Salmon et al., SC'11): the shot loop computes that stream for a chunk of
-shot indices at once in uint64 numpy arithmetic, only the counter blocks whose
-draws can change an outcome, and each block once for all the plans of
-``run_shots_many``.
+are the first doubles of numpy's Philox-4x64-10 keyed by (seed, i) (``shot_rng``
+in ``tests/reference.py``), so shots are order-independent. Philox is
+counter-based (Salmon et al., SC'11): the shot loop computes that stream for a
+chunk of shot indices at once in uint64 numpy arithmetic, only the counter
+blocks whose draws can change an outcome, and each block once for all the
+plans of ``run_shots_many``.
 """
 from __future__ import annotations
 
@@ -74,26 +74,6 @@ class RunStats:
     successes: int = 0
     abort_histogram: dict[int, int] = field(default_factory=dict)
     total_cost: float = 0.0
-    fidelity_sum: float = 0.0
-
-    def merge(self, other: "RunStats") -> "RunStats":
-        """Stats of two disjoint shot ranges. Shots, successes and the histogram add
-        exactly; cost and fidelity sums match one run over both ranges up to
-        rounding, and exactly only when every cost is integer-valued."""
-        hist = dict(self.abort_histogram)
-        for step, count in other.abort_histogram.items():
-            hist[step] = hist.get(step, 0) + count
-        return RunStats(
-            shots=self.shots + other.shots,
-            successes=self.successes + other.successes,
-            abort_histogram=hist,
-            total_cost=self.total_cost + other.total_cost,
-            fidelity_sum=self.fidelity_sum + other.fidelity_sum,
-        )
-
-    @property
-    def mean_fidelity(self) -> float:
-        return self.fidelity_sum / self.successes if self.successes else 0.0
 
 
 def trace_plan(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()) -> PlanTrace:
@@ -141,12 +121,6 @@ def trace_plan(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()
     )
 
 
-def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
-    """Counter-based per-shot stream: Philox keyed by (seed, shot index)."""
-    key = np.array([seed, shot_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 # Entries per chunk: shots x max(drawn columns, outcome columns), so every per-chunk
@@ -165,7 +139,7 @@ def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _shot_uniforms(seed: int, first: int, count: int, counters: np.ndarray) -> np.ndarray:
     """Columns 4p .. 4p + 3 of row j are the doubles of Philox block ``counters[p]``
-    of ``shot_rng(seed, first + j)``. Block c = 1, 2, ... is counter (c, 0, 0, 0)
+    of shot ``first + j``'s stream. Block c = 1, 2, ... is counter (c, 0, 0, 0)
     under key (seed, i), four uint64 per block, and a double is ``(x >> 11) * 2^-53``;
     so counters 1 .. ceil(M / 4) give ``.random(M)`` in the first M columns."""
     k0 = np.full(1, seed, dtype=np.uint64)
@@ -191,7 +165,7 @@ class _Tally:
     outcome ``ends[k]``: abort at measurement ends[k] + 1, or success when it is M.
     """
 
-    def __init__(self, trace: PlanTrace, reference: np.ndarray | None):
+    def __init__(self, trace: PlanTrace):
         q = np.array(trace.cond_probs)
         self.M = q.shape[0]
         certain = np.flatnonzero(q <= 0.0)
@@ -200,10 +174,6 @@ class _Tally:
         self.q = q[self.live]
         self.ends = np.append(self.live, stop)
         self.cost = np.array(trace.abort_costs + (trace.success_cost,))[self.ends]
-        self.fid = 0.0
-        if reference is not None and trace.final_system_state is not None:
-            ref = np.asarray(reference, dtype=complex).reshape(-1)
-            self.fid = float(abs(np.vdot(ref, trace.final_system_state)) ** 2)
         self.tally = np.zeros(self.ends.shape[0], dtype=np.int64)
         self.total_cost = 0.0
 
@@ -221,75 +191,51 @@ class _Tally:
             raise DomainError("the summed shot costs overflow: the cost units are too large")
         aborts = {int(e) + 1: int(c) for e, c in zip(self.ends, self.tally) if c and e < self.M}
         successes = N - sum(aborts.values())
-        return RunStats(
-            shots=N,
-            successes=successes,
-            abort_histogram=aborts,
-            total_cost=float(self.total_cost),
-            # one fid per success, added in turn as the shot loop would
-            fidelity_sum=float(np.add.accumulate(np.r_[0.0, np.full(successes, self.fid)])[-1]),
-        )
+        return RunStats(N, successes, aborts, float(self.total_cost))
 
 
-def _run_plans(plans, psi, N, seed, cost, shot_offset, reference) -> list[RunStats]:
+def _run_plans(plans, psi, N, seed, cost) -> list[RunStats]:
     """The shot loop of ``run_shots_many``: each chunk of shot indices computes each
     Philox block that some plan's live measurement reads once, for all plans."""
-    ints = all(isinstance(v, int) for v in (N, seed, shot_offset))
-    if not (ints and N >= 1 and 0 <= seed < 2**64 and 0 <= shot_offset <= 2**64 - N):
+    ints = all(isinstance(v, int) for v in (N, seed))
+    if not (ints and 1 <= N <= 2**64 and 0 <= seed < 2**64):
         raise ValueError(
-            "need integers N >= 1, 0 <= seed < 2^64 and 0 <= shot_offset <= 2^64 - N; "
-            f"got N={N!r}, seed={seed!r}, shot_offset={shot_offset!r}"
+            f"need integers 1 <= N <= 2^64 and 0 <= seed < 2^64; got N={N!r}, seed={seed!r}"
         )
-    tallies = [_Tally(trace_plan(plan, psi, cost), reference) for plan in plans]
+    tallies = [_Tally(trace_plan(plan, psi, cost)) for plan in plans]
     blocks = np.array(sorted({int(j) // 4 for t in tallies for j in t.live}), dtype=np.int64)
     columns = [4 * np.searchsorted(blocks, t.live // 4) + t.live % 4 for t in tallies]
     width = max([1, 4 * blocks.shape[0]] + [t.ends.shape[0] for t in tallies])
     chunk = max(1, _CHUNK_ENTRIES // width)
-    for first in range(shot_offset, shot_offset + N, chunk):
-        count = min(chunk, shot_offset + N - first)
-        u = _shot_uniforms(seed, first, count, blocks + 1)
+    for first in range(0, N, chunk):
+        u = _shot_uniforms(seed, first, min(chunk, N - first), blocks + 1)
         for t, cols in zip(tallies, columns):
             t.add(u[:, cols])
     return [t.stats(N) for t in tallies]
 
 
 def run_shots(
-    plan: CircuitPlan,
-    psi: np.ndarray,
-    N: int,
-    seed: int,
-    cost: CostModel = CostModel(),
-    *,
-    shot_offset: int = 0,
-    reference: np.ndarray | None = None,
+    plan: CircuitPlan, psi: np.ndarray, N: int, seed: int, cost: CostModel = CostModel()
 ) -> RunStats:
-    """Run N shots of the abort-and-restart protocol.
+    """Run shots 0 .. N - 1 of the abort-and-restart protocol.
 
     One uniform draw is consumed per executed measurement; a shot aborts at
     the first nonzero outcome and pays only for the instructions executed up
-    to and including the failing measurement. ``shot_offset`` selects the
-    range of shot indices, so disjoint ranges merge (``RunStats.merge``).
-    Costs and fidelities are summed shot by shot, in index order.
+    to and including the failing measurement. Costs are summed shot by shot,
+    in index order.
     """
-    return _run_plans([plan], psi, N, seed, cost, shot_offset, reference)[0]
+    return _run_plans([plan], psi, N, seed, cost)[0]
 
 
 def run_shots_many(
-    plans: list[CircuitPlan],
-    psi: np.ndarray,
-    N: int,
-    seed: int,
-    cost: CostModel = CostModel(),
-    *,
-    shot_offset: int = 0,
-    reference: np.ndarray | None = None,
+    plans: list[CircuitPlan], psi: np.ndarray, N: int, seed: int, cost: CostModel = CostModel()
 ) -> list[RunStats]:
-    """``[run_shots(plan, psi, N, seed, cost, ...) for plan in plans]``, bit for bit.
+    """``[run_shots(plan, psi, N, seed, cost) for plan in plans]``, bit for bit.
 
-    Shot i of every plan reads the same stream ``shot_rng(seed, i)``, so each
-    chunk of shots computes the Philox blocks the plans read once for all of them.
+    Shot i of every plan reads the same Philox stream, so each chunk of shots
+    computes the Philox blocks the plans read once for all of them.
     """
-    return _run_plans(list(plans), psi, N, seed, cost, shot_offset, reference)
+    return _run_plans(list(plans), psi, N, seed, cost)
 
 
 def estimate(stats: RunStats) -> tuple[float, float]:

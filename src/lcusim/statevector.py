@@ -59,9 +59,6 @@ class StateVector:
     layout: RegisterLayout
     amplitudes: np.ndarray = field(repr=False)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def system_state(self) -> np.ndarray:
         """System-register amplitudes, assuming all ancillas are in |0..0>."""
         n = self.layout.n
@@ -78,6 +75,13 @@ def check_width(qubits: int) -> None:
         raise ResourceLimitError(f"{qubits} qubits exceeds simulation cap {TOTAL_QUBIT_CAP}")
 
 
+def check_norm(norm: float, message: str) -> None:
+    """Raise ``NormalizationError(message)`` unless ``norm`` is within ``_NORM_TOL`` of 1;
+    a NaN fails too."""
+    if not abs(norm - 1.0) <= _NORM_TOL:
+        raise NormalizationError(message)
+
+
 def init_state(layout: RegisterLayout, psi: np.ndarray) -> StateVector:
     """All-zero ancillas with the system register carrying psi."""
     check_width(layout.total)
@@ -87,8 +91,7 @@ def init_state(layout: RegisterLayout, psi: np.ndarray) -> StateVector:
         raise LayoutError(f"system state needs {1 << n} amplitudes")
     with np.errstate(over="ignore"):  # an overflowing norm is inf and fails below
         norm = np.linalg.norm(psi)
-    if not abs(norm - 1.0) <= _NORM_TOL:  # NaN fails too
-        raise NormalizationError("system state is not normalized")
+    check_norm(norm, "system state is not normalized")
     amps = np.zeros(1 << layout.total, dtype=complex)
     amps[: 1 << n] = psi
     return StateVector(layout, amps)
@@ -98,8 +101,7 @@ def _householder(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(v, d) with completion unitary (I - 2 v v^dag) diag(d): for theta = arg a0,
     v ~ a + e^{i theta} e0 reflects a to -e^{i theta} e0 and d = (-e^{i theta}, 1, ..)."""
     a = np.asarray(amps, dtype=complex).reshape(-1)
-    if not abs(np.linalg.norm(a) - 1.0) <= _NORM_TOL:  # NaN fails too
-        raise NormalizationError("prepare amplitudes are not normalized")
+    check_norm(np.linalg.norm(a), "prepare amplitudes are not normalized")
     theta = math.atan2(a[0].imag, a[0].real)
     v = a.copy()
     v[0] += np.exp(1j * theta)
@@ -136,8 +138,7 @@ def apply_lcu_block(
     Renormalizes and returns the branch probability; 0.0 below 1e-14, like ``project_zero``."""
     n = state.layout.n
     w = np.abs(np.asarray(amps)) ** 2
-    if not abs(w.sum() - 1.0) <= _NORM_TOL:  # NaN fails too
-        raise NormalizationError("prepare amplitudes are not normalized")
+    check_norm(w.sum(), "prepare amplitudes are not normalized")
     if w.shape[0] < H.num_terms or (control is not None and control < n):
         raise LayoutError("amplitudes miss a term, or the control is a system qubit")
     if control is None:

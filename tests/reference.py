@@ -3,7 +3,8 @@
 Each function here is the obvious dense or register-level construction of
 something the package computes another way: full registers instead of the
 collapsed trace, dense matrices instead of Pauli-mask matvecs, gate-by-gate
-compilation and execution instead of closed-form counts. None of them imports the fast
+compilation and execution instead of closed-form counts, numpy's Philox
+generator per shot instead of the block stream. None of them imports the fast
 path it checks (``test_reference_imports_no_fast_path`` enforces that).
 """
 import cmath
@@ -23,7 +24,7 @@ from lcusim.errors import (
     NormalizationError,
     ResourceLimitError,
 )
-from lcusim.hamiltonian import PAULI_MATRICES, HamiltonianLCU, l1_norm, prepare_amplitudes
+from lcusim.hamiltonian import HamiltonianLCU, l1_norm, prepare_amplitudes
 from lcusim.resources import GateCounts
 from lcusim.sampler import CostModel, PlanTrace
 from lcusim.statevector import Register, StateVector, init_state, project_zero
@@ -31,6 +32,13 @@ from lcusim.statevector import register_probabilities
 
 DENSE_QUBIT_CAP = 12
 FERMION_DENSE_CAP = 12
+
+PAULI_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 # --- Pauli strings and Hamiltonians ---------------------------------------------------
@@ -237,6 +245,13 @@ def register_trace(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostMod
         abort_costs=tuple(abort_costs),
         success_cost=running_cost,
     )
+
+
+def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
+    """Shot ``shot_index``'s stream, Philox keyed by (seed, shot index): the definition
+    that ``sampler._shot_uniforms`` computes for many shots at once."""
+    key = np.array([seed, shot_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 # --- gate-level compilation -----------------------------------------------------------

@@ -16,12 +16,27 @@ from lcusim.bliss import (
     jordan_wigner,
     load_fermionic,
     optimize_bliss,
-    save_fermionic,
 )
 from lcusim.errors import InvalidModelError
 from lcusim.hamiltonian import l1_norm
 from conftest import ladder_matrix
 from reference import fock_matrix, sector_spectrum, to_matrix
+
+
+def save_fermionic(F: FermionicOperator, n_electrons: int, path) -> None:
+    """Write the FCIDUMP-like text format read by load_fermionic."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"NORB={F.n_orb} NELEC={n_electrons}\n")
+        if F.two_body is not None:
+            for idx in np.argwhere(np.abs(F.two_body) > 0):
+                i, j, k, l = (int(x) for x in idx)
+                fh.write(f"{float(F.two_body[i, j, k, l].real)!r} {i + 1} {j + 1} {k + 1} {l + 1}\n")
+        for i in range(F.n_orb):
+            for j in range(i, F.n_orb):
+                if F.one_body[i, j] != 0:
+                    fh.write(f"{float(F.one_body[i, j].real)!r} {i + 1} {j + 1} 0 0\n")
+        if F.constant != 0.0:
+            fh.write(f"{float(F.constant)!r} 0 0 0 0\n")
 
 
 def _jw_matrix(F):

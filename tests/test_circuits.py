@@ -8,12 +8,12 @@ from lcusim.circuits import (
     LcuBlock,
     Measure,
     Prepare,
-    TaylorCoefficients,
     build_w_hk,
     build_w_tilde,
     build_w_unary,
     power_schedule,
     taylor_prepare_amplitudes,
+    taylor_weights,
 )
 from lcusim.errors import InvalidModelError
 from lcusim.hamiltonian import build_ising
@@ -21,11 +21,11 @@ from lcusim.hamiltonian import build_ising
 
 class TestTaylorCoefficients:
     def test_values(self):
-        coeffs = TaylorCoefficients(0.05, 5.0, 2)
+        beta = taylor_weights(0.05, 5.0, 3)
         x = 0.25
-        assert coeffs.K == 3
-        assert np.allclose(coeffs.beta, [1.0, x, x**2 / 2, x**3 / 6])
-        assert coeffs.beta_norm == pytest.approx(1 + x + x**2 / 2 + x**3 / 6)
+        assert np.allclose(beta, [1.0, x, x**2 / 2, x**3 / 6])
+        assert beta.sum() == pytest.approx(1 + x + x**2 / 2 + x**3 / 6)
+        assert taylor_weights(0.05, 5.0, 5).shape == (6,)  # K + 1 weights, any K
 
     def test_kappa_one_amplitudes(self):
         # tau*l1 = 0.25: amplitudes proportional to sqrt([1, 0.25]) -> sqrt(0.8), sqrt(0.2)
@@ -43,34 +43,42 @@ class TestTaylorCoefficients:
 
     def test_bad_inputs(self):
         with pytest.raises(InvalidModelError):
-            TaylorCoefficients(0.1, 0.0, 2)
+            taylor_weights(0.1, 0.0, 3)
         with pytest.raises(InvalidModelError):
-            TaylorCoefficients(0.1, 1.0, 0)
+            taylor_weights(0.1, 1.0, 0)
         with pytest.raises(InvalidModelError):
-            TaylorCoefficients(-0.1, 1.0, 2)
+            taylor_weights(-0.1, 1.0, 3)
         with pytest.raises(InvalidModelError):
-            TaylorCoefficients(math.nan, 1.0, 2)
+            taylor_weights(math.nan, 1.0, 3)
+        with pytest.raises(InvalidModelError):
+            taylor_prepare_amplitudes(0.1, 1.0, 0)
 
     @pytest.mark.parametrize(
-        "tau, kappa",
-        [(1e100, 2), (1e300, 1), (1e308, 1), (1e77, 3)],
+        "tau, K",
+        [(1e100, 3), (1e300, 1), (1e308, 1), (1e77, 7)],
         ids=["norm-squared", "weight", "tau-l1", "fourth-weight"],
     )
-    def test_overflow_rejected(self, tau, kappa):
+    def test_overflow_rejected(self, tau, K):
         # tau l1 = 5e100: every weight is finite but ||beta||_1^2 is not; tau l1 = 5e77
         # overflows at beta_4 = (5e77)^4 / 4!
         with pytest.raises(InvalidModelError, match="overflow"):
-            TaylorCoefficients(tau, 5.0, kappa)
+            taylor_weights(tau, 5.0, K)
 
     def test_largest_finite_weights_kept(self):
-        coeffs = TaylorCoefficients(1e50, 5.0, 2)  # beta_3 ~ 2e151, ||beta||_1^2 ~ 4e302
-        assert math.isfinite(coeffs.beta_norm**2)
-        assert not coeffs.beta.flags.writeable
+        s = taylor_weights(1e50, 5.0, 3).sum()  # beta_3 ~ 2e151, ||beta||_1^2 ~ 4e302
+        assert math.isfinite(s * s)
 
-    @given(st.floats(0.01, 2.0), st.integers(1, 4))
-    def test_beta_norm_below_exponential(self, x, kappa):
-        coeffs = TaylorCoefficients(x, 1.0, kappa)
-        assert coeffs.beta_norm <= math.exp(x) + 1e-12
+    def test_only_the_used_weights_are_checked(self):
+        # tau l1 = 5e25: beta_5 ~ 3e126 and ||beta||_1^2 ~ 1e253 are finite, though
+        # beta_7 ~ 2e176 would square past the largest float
+        beta = taylor_weights(1e25, 5.0, 5)
+        assert np.isfinite(beta).all() and math.isfinite(beta.sum() * beta.sum())
+        with pytest.raises(InvalidModelError, match="overflow"):
+            taylor_weights(1e25, 5.0, 7)
+
+    @given(st.floats(0.01, 2.0), st.integers(1, 15))
+    def test_beta_norm_below_exponential(self, x, K):
+        assert taylor_weights(x, 1.0, K).sum() <= math.exp(x) + 1e-12
 
 
 class TestPowerSchedule:
@@ -90,7 +98,6 @@ class TestWtildePlan:
         # kappa + ceil(log L) + n = 3 + 3 + 4
         assert plan.layout.total == 10
         assert plan.select_count == 7
-        assert plan.mid_measure_count == 7
 
     def test_controls_follow_power_schedule(self, ising4):
         plan = build_w_tilde(ising4, 0.05, 3)
@@ -108,7 +115,7 @@ class TestWtildePlan:
             "k", False, "k", True
         )
         assert np.array_equal(first.amps, unprepare.amps)
-        assert last == Measure("k", final=True)
+        assert last == Measure("k")
         assert plan.measure_count == 4
 
 
@@ -119,8 +126,7 @@ class TestUnaryPlan:
         # n + K ceil(log L) + K = 4 + 9 + 3
         assert plan.layout.total == 16
         assert plan.select_count == 3
-        assert plan.mid_measure_count == 3  # deferred l measurements
-        assert plan.instructions[-1] == Measure("unary", final=True)
+        assert plan.instructions[-1] == Measure("unary")
 
     def test_unary_amplitudes_one_hot_prefix(self, ising4):
         plan = build_w_unary(ising4, 0.05, 3)
@@ -129,7 +135,7 @@ class TestUnaryPlan:
         amps = prep.amps
         support = np.flatnonzero(np.abs(amps) > 0)
         assert list(support) == [0, 1, 3, 7]
-        beta = TaylorCoefficients(0.05, 5.0, 2).beta
+        beta = taylor_weights(0.05, 5.0, 3)
         assert np.allclose(amps[support] ** 2, beta / beta.sum(), atol=1e-12)
 
     def test_measurements_deferred_to_end(self, ising4):
@@ -137,14 +143,13 @@ class TestUnaryPlan:
         kinds = [type(ins).__name__ for ins in plan.instructions]
         assert kinds == ["Prepare", "LcuBlock", "LcuBlock", "Prepare"] + ["Measure"] * 3
         assert plan.instructions[3].adjoint
-        assert plan.instructions[4:] == (Measure("l0"), Measure("l1"), Measure("unary", final=True))
+        assert plan.instructions[4:] == (Measure("l0"), Measure("l1"), Measure("unary"))
 
 
 class TestWhkPlan:
     def test_shape(self, ising4):
         plan = build_w_hk(ising4, 3)
         assert plan.select_count == 3
-        assert plan.mid_measure_count == 3
         assert plan.layout.total == 7  # n + ceil(log L)
         controls = [ins.control for ins in plan.instructions if isinstance(ins, LcuBlock)]
         assert controls == [None, None, None]

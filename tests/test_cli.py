@@ -639,6 +639,19 @@ class TestHugeTau:
         assert out == ""
         assert err.startswith("error: Taylor weights overflow") and err.count("\n") == 1
 
+    def test_only_the_weights_up_to_K_are_checked(self, capsys):
+        # tau l1 = 5e25: beta_0..beta_5 and ||beta||_1^2 are finite; beta_6 and beta_7,
+        # which a 3-qubit Taylor register could hold, are never used
+        model = ("--model", "ising", "--n", "4", "--K", "5", "--tau", "1e25")
+        code, out, err = _run(capsys, "analytic", *model)
+        assert (code, err) == (0, "")
+        (row,) = _csv_rows(out)
+        # beta_5 H~^5 dominates the truncated series, so p_wtilde is p_hk
+        assert float(row["p_wtilde"]) == pytest.approx(float(row["p_hk"]), rel=1e-12)
+        code, out, err = _run(capsys, "simulate", "--circuit", "wunary", *model, "--shots", "100")
+        assert (code, err) == (0, "")
+        assert _csv_rows(out)[0]["K"] == "5"
+
 
 class TestCostOverflow:
     # finite cost units whose runtimes or summed shot costs overflow: one line and exit 2,

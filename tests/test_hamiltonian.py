@@ -13,7 +13,6 @@ from lcusim.errors import (
     ResourceLimitError,
 )
 from lcusim.hamiltonian import (
-    PAULI_MATRICES,
     HamiltonianLCU,
     PauliTerm,
     build_ising,
@@ -25,7 +24,7 @@ from lcusim.hamiltonian import (
     prepare_amplitudes,
     save_hamiltonian,
 )
-from reference import to_matrix
+from reference import PAULI_MATRICES, to_matrix
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)

@@ -25,34 +25,29 @@ from lcusim.sampler import (
     PlanTrace,
     run_shots,
     run_shots_many,
-    shot_rng,
     _shot_uniforms,
     trace_plan,
 )
 import lcusim.sampler as sampler
 from lcusim.cli import main
 from conftest import random_hamiltonian, random_state
-from reference import truncated_taylor_matrix
+from reference import shot_rng, truncated_taylor_matrix
 
 
-def per_shot_run_shots(plan, psi, N, seed, cost=CostModel(), *, shot_offset=0, reference=None):
+def per_shot_run_shots(plan, psi, N, seed, cost=CostModel()):
     """The per-shot loop that the block sampler replaced: one shot_rng per shot."""
-    return per_shot_stats(trace_plan(plan, psi, cost), N, seed, shot_offset, reference)
+    return per_shot_stats(trace_plan(plan, psi, cost), N, seed)
 
 
-def per_shot_stats(trace, N, seed, shot_offset=0, reference=None):
+def per_shot_stats(trace, N, seed):
     q = np.array(trace.cond_probs)
-    fid = 0.0
-    if reference is not None and trace.final_system_state is not None:
-        fid = float(abs(np.vdot(reference, trace.final_system_state)) ** 2)
     stats = RunStats(shots=N)
     hist = {}
-    for i in range(shot_offset, shot_offset + N):
+    for i in range(N):
         fails = np.flatnonzero(shot_rng(seed, i).random(q.shape[0]) >= q)
         if fails.size == 0:
             stats.successes += 1
             stats.total_cost += trace.success_cost
-            stats.fidelity_sum += fid
         else:
             step = int(fails[0]) + 1
             hist[step] = hist.get(step, 0) + 1
@@ -64,7 +59,6 @@ def per_shot_stats(trace, N, seed, shot_offset=0, reference=None):
 def assert_bitwise_equal(new, old):
     assert new == old
     assert new.total_cost.hex() == old.total_cost.hex()
-    assert new.fidelity_sum.hex() == old.fidelity_sum.hex()
 
 
 class TestTracePlan:
@@ -173,28 +167,6 @@ class TestRunShots:
         b = run_shots(plan, psi0_4, 500, seed=3)
         assert a == b
 
-    def test_shot_ranges_merge(self, ising4, psi0_4):
-        plan = build_w_tilde(ising4, 0.05, 2)
-        whole = run_shots(plan, psi0_4, 1000, seed=5)
-        first = run_shots(plan, psi0_4, 600, seed=5)
-        second = run_shots(plan, psi0_4, 400, seed=5, shot_offset=600)
-        assert first.merge(second) == whole
-        # splits at 5000 and 9000, which no chunk of the whole run starts at
-        whole = run_shots(plan, psi0_4, 10_000, seed=5)
-        parts = [run_shots(plan, psi0_4, n, seed=5, shot_offset=o)
-                 for o, n in ((0, 5000), (5000, 4000), (9000, 1000))]
-        assert parts[0].merge(parts[1]).merge(parts[2]) == whole
-        # non-integer costs: counts merge exactly, the cost sum only to rounding
-        plan = build_w_tilde(ising4, 0.05, 3)
-        cost = CostModel(d=0.3, d_ctrl=0.7, m=0.1)
-        whole = run_shots(plan, psi0_4, 10_000, seed=5, cost=cost)
-        merged = run_shots(plan, psi0_4, 6000, seed=5, cost=cost).merge(
-            run_shots(plan, psi0_4, 4000, seed=5, cost=cost, shot_offset=6000)
-        )
-        assert (merged.shots, merged.successes) == (whole.shots, whole.successes)
-        assert merged.abort_histogram == whole.abort_histogram
-        assert merged.total_cost == pytest.approx(whole.total_cost, rel=1e-12)
-
     def test_abort_histogram_totals(self, ising4, psi0_4):
         plan = build_w_tilde(ising4, 0.05, 2)
         stats = run_shots(plan, psi0_4, 2000, seed=9)
@@ -211,14 +183,6 @@ class TestRunShots:
         expected = expected_runtime_midmeasure(probs, 1.0)
         # crude variance bound: per-shot cost lies in [d, 3d]
         assert abs(mean_cost_per_shot(stats) - expected) < 3 * 2.0 / math.sqrt(N)
-
-    def test_fidelity_reporting(self, ising4, psi0_4):
-        plan = build_w_tilde(ising4, 0.05, 2)
-        U = truncated_taylor_matrix(ising4, 0.05, 3)
-        ref = U @ psi0_4
-        ref /= np.linalg.norm(ref)
-        stats = run_shots(plan, psi0_4, 200, seed=2, reference=ref)
-        assert stats.mean_fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_tau_zero_always_succeeds(self, ising4, psi0_4):
         plan = build_w_tilde(ising4, 0.0, 2)
@@ -244,9 +208,9 @@ class TestRunShots:
             {"seed": -1},
             {"seed": 2**64},
             {"seed": 1.5},
-            {"shot_offset": -1},
-            {"shot_offset": 2**64 - 1},
-            {"shot_offset": 0.0},
+            {"N": 2**64 + 1},
+            {"N": None},
+            {"seed": "0"},
             {"N": 3.0},
             {"N": -2},
         ],
@@ -255,13 +219,6 @@ class TestRunShots:
         plan = build_w_tilde(ising4, 0.05, 1)
         with pytest.raises(ValueError):
             run_shots(plan, psi0_4, **{"N": 3, "seed": 0, **kwargs})
-
-    def test_last_shot_index(self, ising4, psi0_4):
-        plan = build_w_tilde(ising4, 0.05, 2)
-        last = 2**64 - 1
-        stats = run_shots(plan, psi0_4, 1, seed=last, shot_offset=last)
-        assert stats == per_shot_run_shots(plan, psi0_4, 1, seed=last, shot_offset=last)
-
 
 class TestBlockSampler:
     """The block Philox stream and shot loop against the per-shot reference."""
@@ -288,31 +245,28 @@ class TestBlockSampler:
     def test_run_shots_matches_per_shot_loop(self, ising4, kappa):
         rng = np.random.default_rng(kappa)
         psi = random_state(4, rng)
-        ref = truncated_taylor_matrix(ising4, 0.06, 7) @ psi
-        ref /= np.linalg.norm(ref)
         plan = build_w_tilde(ising4, 0.05, kappa)
         cost = CostModel(d=0.3, d_ctrl=0.7, m=0.1)
         args = (plan, psi, 2 * 4096 + 123, 2**40 + kappa, cost)
-        kwargs = {"shot_offset": 777, "reference": ref}
-        new = run_shots(*args, **kwargs)
-        assert new.abort_histogram and 0 < new.mean_fidelity < 1
-        assert_bitwise_equal(new, per_shot_run_shots(*args, **kwargs))
+        new = run_shots(*args)
+        assert new.abort_histogram and 0 < new.successes < new.shots
+        assert_bitwise_equal(new, per_shot_run_shots(*args))
 
     def test_dead_branch_matches_per_shot_loop(self):
         # H = (I - Z)/2 annihilates |0>: every q is 0.0, every shot aborts at step 1
         H = canonicalize(1, [(0.5, "I"), (-0.5, "Z")])
         psi = np.array([1.0, 0.0], dtype=complex)
         args = (build_w_hk(H, 2), psi, 4096 + 5, 3, CostModel(d=0.3, m=0.1))
-        new = run_shots(*args, shot_offset=11, reference=psi)
+        new = run_shots(*args)
         assert new.abort_histogram == {1: 4096 + 5}
-        assert_bitwise_equal(new, per_shot_run_shots(*args, shot_offset=11, reference=psi))
+        assert_bitwise_equal(new, per_shot_run_shots(*args))
 
     def test_tau_zero_matches_per_shot_loop(self, ising4, psi0_4):
         # at tau = 0 every q is 1.0, every shot succeeds
         args = (build_w_tilde(ising4, 0.0, 2), psi0_4, 4096 + 5, 3, CostModel(d=0.3, m=0.1))
-        new = run_shots(*args, shot_offset=11, reference=psi0_4)
+        new = run_shots(*args)
         assert new.successes == 4096 + 5
-        assert_bitwise_equal(new, per_shot_run_shots(*args, shot_offset=11, reference=psi0_4))
+        assert_bitwise_equal(new, per_shot_run_shots(*args))
 
 
 class TestSharedStream:
@@ -341,20 +295,17 @@ class TestSharedStream:
             build_w_hk(dead, 2),
             build_w_tilde(ising4, 0.0, 2),
         ]
-        ref = truncated_taylor_matrix(ising4, 0.35, 7) @ psi0_4
-        ref /= np.linalg.norm(ref)
         cost = CostModel(d=0.3, d_ctrl=0.7, m=0.1)
         chunk = sampler._CHUNK_ENTRIES // 9  # 2 blocks of draws, at most 8 + 1 outcomes
         N = 2 * chunk + 123 if entries is None else 100
         args = (psi0_4, N, 2**40 + 1, cost)
-        kwargs = {"shot_offset": 777, "reference": ref}
         calls = self.record_kernel(monkeypatch)
-        many = run_shots_many(plans, *args, **kwargs)
-        assert [c[0] for c in calls] == list(range(777, 777 + N, chunk))
+        many = run_shots_many(plans, *args)
+        assert [c[0] for c in calls] == list(range(0, N, chunk))
         assert all(c[2] == [1, 2] for c in calls)
         for plan, new in zip(plans, many):
-            assert_bitwise_equal(new, per_shot_run_shots(plan, *args, **kwargs))
-        assert all(s.abort_histogram for s in many[:6]) and 0 < many[2].mean_fidelity < 1
+            assert_bitwise_equal(new, per_shot_run_shots(plan, *args))
+        assert all(s.abort_histogram for s in many[:6])
         assert many[5].abort_histogram == {1: N} and many[6].successes == N
         assert run_shots_many([], *args) == []
 
@@ -375,10 +326,10 @@ class TestSharedStream:
         trace = PlanTrace(q, 0.0, None, tuple(0.5 + j for j in range(20)), 21.0)
         monkeypatch.setattr(sampler, "trace_plan", lambda plan, psi, cost: trace)
         calls = self.record_kernel(monkeypatch)
-        new = run_shots(None, None, 1000, 9, shot_offset=5)
+        new = run_shots(None, None, 1000, 9)
         assert {tuple(c[2]) for c in calls} == {(2,)}
         assert new.abort_histogram.keys() == {5, 6}
-        assert_bitwise_equal(new, per_shot_stats(trace, 1000, 9, shot_offset=5))
+        assert_bitwise_equal(new, per_shot_stats(trace, 1000, 9))
 
     def test_ising_high_order_reads_few_blocks(self, monkeypatch):
         # kappa = 10: 1024 measurements, most with q exactly 1.0

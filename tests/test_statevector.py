@@ -336,7 +336,7 @@ class TestSelect:
 
         state = StateVector(lay, psi_full)
         apply_select(state, ising4)
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMeasurement:
@@ -368,7 +368,7 @@ class TestMeasurement:
         apply_prepare(state, "l", np.array([0.6, 0.8]))
         p0 = project_zero(state, "l")
         assert p0 == pytest.approx(0.36)
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
         assert register_probabilities(state, "l")[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_dead_branch_returns_zero_and_keeps_state(self):

@@ -20,7 +20,7 @@ from lcusim.sampler import CostModel, trace_plan
 from lcusim.statevector import RegisterLayout
 from lcusim.resources import count
 from conftest import random_hamiltonian, random_state
-from reference import compile_plan, register_trace
+from reference import compile_plan, register_trace, simulate_compiled
 
 COST = CostModel(d=0.3, d_ctrl=0.7, m=0.1)
 
@@ -164,6 +164,25 @@ class TestPlanShape:
         with pytest.raises(NormalizationError, match="instruction 0"):
             _one_block(self.H, Prepare("c", np.array([0.6, 0.6])), Measure("c"), extra=[("c", 1)])
 
+    def test_unary_prepare_off_the_unary_values(self):
+        # value 2 = |01> is no |1^k 0^(w-k)>: the trace gives p = 0, the staircase p = 1
+        amps = np.array([0.0, 0.0, 1.0, 0.0])
+        self._raises(Prepare("c", amps, style="unary"), Measure("c"), match="instruction 0",
+                     extra=[("c", 2)])
+
+    def test_unary_prepare_on_the_unary_values(self):
+        amps = np.array([0.6, 0.48, 0.0, 0.64])  # on |00>, |10> and |11>
+        plan = _one_block(self.H, Prepare("c", amps, style="unary"), Measure("c"),
+                          extra=[("c", 2)])
+        trace = assert_same_trace(plan, self.psi)
+        assert trace.success_prob == pytest.approx(0.36, abs=1e-12)
+        assert simulate_compiled(compile_plan(plan), self.psi)[1] == pytest.approx(0.36, abs=1e-12)
+
+    def test_prepare_of_another_style(self):
+        # count would price it as dense
+        self._raises(Prepare("c", np.array([0.6, 0.8]), style="sparse"), Measure("c"),
+                     match="instruction 0", extra=[("c", 1)])
+
     def test_system_register_of_another_width(self):
         with pytest.raises(LayoutError, match="2-qubit system"):
             CircuitPlan(RegisterLayout([("system", 1), ("l", 1)]), build_ising(2, 1.0, 0.5),
@@ -176,7 +195,7 @@ class TestPlanShape:
         c = np.array([0.6, 0.8])
         self._raises(
             Prepare("c", c), LcuBlock("l", ("c", 0)), Prepare("c", c, adjoint=True),
-            Measure("c", final=True), Measure("l"), extra=[("c", 1)], match="instruction 3",
+            Measure("c"), Measure("l"), extra=[("c", 1)], match="instruction 3",
         )
 
     def test_l_registers_measured_out_of_select_order(self, ising4):
@@ -193,7 +212,7 @@ _C = np.array([0.6, 0.8])
 _CONTROLS = [None, ("c", 0), ("c", 1), ("system", 1), ("l0", 0), ("l1", 1)]
 _INSTRUCTION = st.one_of(
     st.builds(LcuBlock, st.sampled_from(_REGISTERS), st.sampled_from(_CONTROLS)),
-    st.builds(Measure, st.sampled_from(_REGISTERS), st.booleans()),
+    st.builds(Measure, st.sampled_from(_REGISTERS)),
     st.builds(
         Prepare,
         st.sampled_from(_REGISTERS),
