@@ -52,12 +52,7 @@ from .sampler import (
     run_shots_many,
     trace_plan,
 )
-from .statevector import (
-    RegisterLayout,
-    StateVector,
-    apply_prepare,
-    init_state,
-)
+from .statevector import RegisterLayout
 
 __all__ = [
     "BlissParams",
@@ -70,9 +65,7 @@ __all__ = [
     "PauliTerm",
     "RegisterLayout",
     "RunStats",
-    "StateVector",
     "apply_bliss",
-    "apply_prepare",
     "build_hubbard_chain",
     "build_ising",
     "build_w_hk",
@@ -83,7 +76,6 @@ __all__ = [
     "estimate",
     "expected_runtime_midmeasure",
     "fidelity",
-    "init_state",
     "jordan_wigner",
     "l1_norm",
     "load_fermionic",

@@ -88,7 +88,9 @@ class Prepare:
 @dataclass(frozen=True)
 class LcuBlock:
     """PREPARE, SELECT and PREPARE^dag on ``l_register`` with the amplitudes
-    ``prepare_amplitudes(H, width)``; ``control``, a (register, bit), gates the SELECT."""
+    ``prepare_amplitudes(H, width)``; ``control``, a (register, bit), gates the SELECT.
+    Those amplitudes are zero-padded, so with the l-register post-selected on |0> the
+    block is exactly H~ = (-i / l1) H on the system, where the control bit is set."""
 
     l_register: str = "l"
     control: tuple[str, int] | None = None
@@ -112,9 +114,9 @@ class CircuitPlan:
     An l-register (one an ``LcuBlock`` uses) is neither the system nor prepared, and is
     measured after each of its blocks and before the next; pending blocks are measured in
     block order and before any other register. A control is a bit of a register that is
-    neither the system nor an l-register. A Prepare is dense or unary and holds 2^width
-    normalized amplitudes, a unary one only on the values |1^k 0^(w-k)>; a register it acts
-    on, other than the system, is measured after it.
+    neither the system nor an l-register. The system is neither prepared nor measured. A
+    Prepare is dense or unary and holds 2^width normalized amplitudes, a unary one only on
+    the values |1^k 0^(w-k)>; a register it acts on is measured after it.
     """
 
     layout: RegisterLayout
@@ -132,6 +134,8 @@ class CircuitPlan:
         pending: list[str] = []  # l-registers of the blocks awaiting their measurement
         prepared: set[str] = set()  # ancillas prepared since their last measurement
         for i, ins in enumerate(self.instructions):
+            if not isinstance(ins, LcuBlock) and ins.register == "system":
+                raise LayoutError(f"instruction {i}: the system is neither prepared nor measured")
             if isinstance(ins, LcuBlock):
                 name, control = ins.l_register, ins.control
                 if name == "system" or (1 << layout.register(name).width) < H.num_terms:
@@ -163,8 +167,7 @@ class CircuitPlan:
                 support = np.flatnonzero(ins.amps)  # a unary value 1^k 0^(w-k) is 2^k - 1
                 if ins.style == "unary" and (support & (support + 1)).any():
                     raise LayoutError(f"instruction {i}: unary amplitudes off |1^k 0^(w-k)>")
-                if ins.register != "system":
-                    prepared.add(ins.register)
+                prepared.add(ins.register)
         if pending or prepared:
             name = (pending or sorted(prepared))[0]
             raise LayoutError(f"{name} is never measured after its last block or Prepare")

@@ -143,7 +143,7 @@ def _resolve_state(args, n: int) -> np.ndarray:
 
 
 def _build_plan(args, H: HamiltonianLCU):
-    """The plan, after checking its traced width (n + K or n + kappa) against the cap."""
+    """The plan, after checking n + kappa, or n + K (2^K unary amplitudes), against the cap."""
     K, kappa = _resolve_order(args)
     if args.circuit == "wunary":
         check_width(H.n + K)

@@ -156,12 +156,12 @@ def mask_sum_letters(coeffs: dict[tuple[int, int], complex], n: int) -> dict[str
     return out
 
 
-def _group_diagonals(H: HamiltonianLCU, factors: np.ndarray, identity: complex) -> list:
+def _group_diagonals(H: HamiltonianLCU, factors: np.ndarray) -> list:
     """Per distinct x, in order of first appearance, ``(index, D_x)``. On the (2,)*n view of
     the last axis (qubit n-1 first), ``index`` reverses the axes of the set bits of x, which
     reads v(b ^ x) at b; D_x(b) = sum_{t: x_t = x} factors_t u_t (-1)^popcount((b ^ x) & z_t)
-    (plus ``identity`` at x = 0) has that shape, or is a scalar when every z_t is 0."""
-    groups: dict[int, list[tuple[int, complex]]] = {0: [(0, identity)]} if identity else {}
+    has that shape, or is a scalar when every z_t is 0."""
+    groups: dict[int, list[tuple[int, complex]]] = {}
     for f, (x, z, u) in zip(factors, H.masks):
         groups.setdefault(x, []).append((z, f * u))
     out = []
@@ -180,10 +180,8 @@ def _group_diagonals(H: HamiltonianLCU, factors: np.ndarray, identity: complex) 
     return out
 
 
-def apply_pauli_groups(
-    H: HamiltonianLCU, v: np.ndarray, factors, identity: complex = 0.0
-) -> np.ndarray:
-    """``(sum_t factors_t u_t X^x_t Z^z_t + identity I) v`` along the last axis of ``v``.
+def apply_pauli_groups(H: HamiltonianLCU, v: np.ndarray, factors) -> np.ndarray:
+    """``(sum_t factors_t u_t X^x_t Z^z_t) v`` along the last axis of ``v``.
 
     One multiply and one XOR-permuted view per distinct X mask, no index array. The
     diagonals are cached on ``H`` by factor vector while the cache holds at most
@@ -191,10 +189,10 @@ def apply_pauli_groups(
     and 256 MiB at n = 24); beyond that they are rebuilt on every call.
     """
     factors = np.asarray(factors, dtype=complex)
-    key = (factors.tobytes(), complex(identity))
+    key = factors.tobytes()
     groups = H._diagonals.get(key)
     if groups is None:
-        groups = _group_diagonals(H, factors, identity)
+        groups = _group_diagonals(H, factors)
         diagonals = [d for gs in (groups, *H._diagonals.values()) for _, d in gs]
         if sum(d.nbytes for d in diagonals if isinstance(d, np.ndarray)) <= _DIAGONAL_BUDGET:
             H._diagonals[key] = groups

@@ -12,20 +12,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from .circuits import taylor_weights
-from .errors import DomainError, LayoutError
+from .errors import DomainError
 from .hamiltonian import HamiltonianLCU, l1_norm, pauli_sum_apply
-from .statevector import check_norm
-
-
-def _check_normalized(psi: np.ndarray, n: int | None = None) -> np.ndarray:
-    """psi as a normalized flat vector; with ``n`` it must hold exactly 2^n amplitudes."""
-    if n is not None and np.shape(psi) != (1 << n,):
-        raise LayoutError(f"{n}-qubit state needs shape ({1 << n},), got {np.shape(psi)}")
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    with np.errstate(over="ignore"):  # an overflowing norm is inf and fails below
-        norm = np.linalg.norm(psi)
-    check_norm(norm, "state is not normalized")
-    return psi
+from .statevector import check_state
 
 
 def _apply_rescaled(H: HamiltonianLCU, v: np.ndarray) -> np.ndarray:
@@ -34,7 +23,7 @@ def _apply_rescaled(H: HamiltonianLCU, v: np.ndarray) -> np.ndarray:
 
 def success_prob_hk(H: HamiltonianLCU, psi: np.ndarray, k: int) -> float:
     """<psi| (Htilde^k)^dag Htilde^k |psi>."""
-    v = _check_normalized(psi, H.n)
+    v = check_state(psi, H.n)
     for _ in range(k):
         v = _apply_rescaled(H, v)
     return float(np.vdot(v, v).real)
@@ -46,7 +35,7 @@ def chain_probabilities(H: HamiltonianLCU, psi: np.ndarray, k: int) -> list[floa
     p_i = <psi_{i-1}| Htilde^dag Htilde |psi_{i-1}> with psi_i the normalized
     post-block state. A dead branch yields zeros for the remaining steps.
     """
-    v = _check_normalized(psi, H.n)
+    v = check_state(psi, H.n)
     probs = []
     for _ in range(k):
         v = _apply_rescaled(H, v)
@@ -68,7 +57,7 @@ def success_prob_wtilde(H: HamiltonianLCU, psi: np.ndarray, tau: float, K: int) 
 
     U psi in Horner form, K matvecs: v <- psi + (x / k) Htilde v for k = K..1, x = tau l1.
     """
-    psi = _check_normalized(psi, H.n)
+    psi = check_state(psi, H.n)
     beta_norm = _beta_norm(tau, l1_norm(H), K)
     v = psi
     for k in range(K, 0, -1):
@@ -128,6 +117,6 @@ def runtime_upper_bound(
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """|<a|b>|^2 for normalized states."""
-    a = _check_normalized(a)
-    b = _check_normalized(b)
+    a = check_state(a, None)
+    b = check_state(b, None)
     return float(abs(np.vdot(a, b)) ** 2)

@@ -5,8 +5,10 @@ consecutive zero outcomes does not depend on the shot, so the conditional
 zero-probability of every measurement can be traced once. On that path an
 LCU block (PREPARE, SELECT, PREPARE^dag) whose l-register is measured |0> acts as
 (singly controlled) H~ = (-i / l1) H (Berry et al., PRL 114, 090502, 2015),
-so the trace carries only the system and Taylor registers: n + kappa qubits
-for W-tilde, n + K for the unary circuit. Each shot then reduces to a
+because PREPARE is zero-padded. So the trace omits the l-registers and holds
+each other register as an axis over the values it can hold: 2^kappa rows for
+W-tilde (fewer where a Taylor amplitude underflows to 0) and K + 1 for the
+unary circuit, times 2^n system amplitudes. Each shot then reduces to a
 sequence of Bernoulli draws against those cached probabilities, which is
 statistically identical to re-simulating the state per shot. Shot i's draws
 are the first doubles of numpy's Philox-4x64-10 keyed by (seed, i) (``shot_rng``
@@ -23,16 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import CircuitPlan, LcuBlock, Measure
+from .circuits import CircuitPlan, LcuBlock, Measure, Prepare
 from .errors import DomainError
-from .hamiltonian import prepare_amplitudes
-from .statevector import (
-    RegisterLayout,
-    apply_lcu_block,
-    apply_prepare,
-    init_state,
-    project_zero,
-)
+from .hamiltonian import apply_pauli_groups, l1_norm
+from .statevector import check_state, check_width, householder
 
 
 @dataclass(frozen=True)
@@ -76,18 +72,51 @@ class RunStats:
     total_cost: float = 0.0
 
 
+def _rows(state: np.ndarray, axes: dict, control: tuple[str, int] | None):
+    """(array, index) of the rows a block's control selects: all of them, a strided view
+    where the control register holds all its 2^width values, else a gather of its values."""
+    if control is None:
+        return state, ...
+    axis, values, width = axes[control[0]]
+    if values.shape[0] == 1 << width:
+        inner = math.prod(state.shape[axis + 1 : -1]) << control[1]
+        return state.reshape(-1, 2, inner, state.shape[-1]), (slice(None), 1)
+    return state, (slice(None),) * axis + (np.flatnonzero(values >> control[1] & 1),)
+
+
+def _renormalize(state: np.ndarray) -> float:
+    """The squared norm p of ``state``, which is then renormalized; below 1e-14, 0.0 and
+    the state left as it is (a dead branch)."""
+    p = float(np.vdot(state, state).real)
+    if p < 1e-14:
+        return 0.0
+    state /= math.sqrt(p)
+    return p
+
+
 def trace_plan(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()) -> PlanTrace:
     """Execute the success path once, recording conditional probabilities and costs.
 
-    ``CircuitPlan`` measures each block's l-register before the next block there and
-    before any other register, so a block is exactly ``apply_lcu_block`` and the state
-    omits the l-registers.
+    The state is one array: an axis per register that is neither the system nor an
+    l-register, over the sorted values it can hold (0 and the support of its Prepares),
+    then the system axis. ``CircuitPlan`` measures each block's l-register before the next
+    block there and before any other register, so a block is H~ on the rows its control
+    selects, a Prepare one reflection along its register's axis, a Measure keeps row 0 of
+    that axis, and the final system state is row 0 of them all.
     """
     H, l_regs = plan.hamiltonian, plan.l_registers
-    kept = [(r.name, r.width) for r in plan.layout.registers if r.name not in l_regs]
-    layout = RegisterLayout(kept)
-    state = init_state(layout, psi)
-    amps = {name: prepare_amplitudes(H, plan.layout.register(name).width) for name in l_regs}
+    psi = check_state(psi, H.n)
+    regs = [r for r in plan.layout.registers if r.name != "system" and r.name not in l_regs]
+    support = {r.name: {0} for r in regs}
+    for ins in plan.instructions:
+        if isinstance(ins, Prepare):
+            support[ins.register].update(np.flatnonzero(ins.amps).tolist())
+    axes = {r.name: (i, np.array(sorted(support[r.name])), r.width) for i, r in enumerate(regs)}
+    shape = [len(support[r.name]) for r in regs]
+    check_width(H.n + (math.prod(shape) - 1).bit_length())
+    state = np.zeros(shape + [1 << H.n], dtype=complex)
+    state[(0,) * len(regs)] = psi
+    factors = -1j * np.array([t.weight for t in H.terms]) / l1_norm(H)
     pending: list[float] = []  # block probabilities awaiting their measurement
     cond: list[float] = []
     abort_costs: list[float] = []
@@ -96,26 +125,36 @@ def trace_plan(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()
     for ins in plan.instructions:
         if isinstance(ins, LcuBlock):
             running_cost += cost.d if ins.control is None else cost.d_ctrl
-            control = None if ins.control is None else layout.qubit(*ins.control)
-            p = 0.0 if dead else apply_lcu_block(state, H, amps[ins.l_register], control)
-            dead = p == 0.0
-            pending.append(p)
+            if not dead:
+                target, index = _rows(state, axes, ins.control)
+                target[index] = apply_pauli_groups(H, target[index], factors)
+            pending.append(0.0 if dead else _renormalize(state))
+            dead = pending[-1] == 0.0
         elif isinstance(ins, Measure):
             running_cost += cost.m
             abort_costs.append(running_cost)
             if ins.register in l_regs:
                 cond.append(pending.pop(0))
-            else:
-                cond.append(0.0 if dead else project_zero(state, ins.register))
-                dead = cond[-1] == 0.0
+                continue
+            if not dead:
+                a = axes[ins.register][0]
+                state.reshape(-1, shape[a], math.prod(state.shape[a + 1 :]))[:, 1:] = 0
+            cond.append(0.0 if dead else _renormalize(state))
+            dead = cond[-1] == 0.0
         elif not dead:
-            apply_prepare(state, ins.register, ins.amps, adjoint=ins.adjoint)
-    success_prob = float(np.prod(cond)) if cond else 1.0
-    final = None if dead else state.system_state()
+            a, values, _ = axes[ins.register]
+            v, d = householder(np.asarray(ins.amps)[values])
+            block = state.reshape(-1, shape[a], math.prod(state.shape[a + 1 :]))
+            if not ins.adjoint:
+                block *= d[:, np.newaxis]
+            overlap = np.tensordot(v.conj(), block, axes=(0, 1))  # v^dag along the axis
+            block -= 2.0 * v[:, np.newaxis] * overlap[:, np.newaxis, :]
+            if ins.adjoint:
+                block *= d.conj()[:, np.newaxis]
     return PlanTrace(
         cond_probs=tuple(cond),
-        success_prob=success_prob,
-        final_system_state=final,
+        success_prob=float(np.prod(cond)) if cond else 1.0,
+        final_system_state=None if dead else state[(0,) * len(regs)].copy(),
         abort_costs=tuple(abort_costs),
         success_cost=running_cost,
     )

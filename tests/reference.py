@@ -27,8 +27,7 @@ from lcusim.errors import (
 from lcusim.hamiltonian import HamiltonianLCU, l1_norm, prepare_amplitudes
 from lcusim.resources import GateCounts
 from lcusim.sampler import CostModel, PlanTrace
-from lcusim.statevector import Register, StateVector, init_state, project_zero
-from lcusim.statevector import register_probabilities
+from lcusim.statevector import Register, RegisterLayout, check_state, check_width
 
 DENSE_QUBIT_CAP = 12
 FERMION_DENSE_CAP = 12
@@ -105,6 +104,52 @@ def spectral_lower_bound(H: HamiltonianLCU, k: int) -> float:
 
 
 # --- register-level statevector -------------------------------------------------------
+
+
+@dataclass
+class StateVector:
+    """A flat array of 2^total amplitudes over a layout's registers."""
+
+    layout: RegisterLayout
+    amplitudes: np.ndarray = field(repr=False)
+
+    def system_state(self) -> np.ndarray:
+        """System-register amplitudes, assuming all ancillas are in |0..0>."""
+        n = self.layout.n
+        if np.linalg.norm(self.amplitudes[1 << n :]) > 1e-9:
+            raise LayoutError("ancilla registers are not in the all-zero state")
+        return self.amplitudes[: 1 << n].copy()
+
+
+def init_state(layout: RegisterLayout, psi: np.ndarray) -> StateVector:
+    """All-zero ancillas with the system register carrying psi."""
+    check_width(layout.total)
+    psi = check_state(psi, layout.n)
+    amps = np.zeros(1 << layout.total, dtype=complex)
+    amps[: 1 << layout.n] = psi
+    return StateVector(layout, amps)
+
+
+def register_probabilities(state: StateVector, register: str) -> np.ndarray:
+    """Marginal Born probabilities over one register's basis values."""
+    reg = state.layout.register(register)
+    block = state.amplitudes.reshape(-1, 1 << reg.width, 1 << reg.offset)
+    return (np.abs(block) ** 2).sum(axis=(0, 2))
+
+
+def project_zero(state: StateVector, register: str) -> float:
+    """Project a register onto all-zero, renormalize, return the branch probability.
+
+    A vanishing branch leaves the state untouched and returns 0.0.
+    """
+    probs = register_probabilities(state, register)
+    p0 = float(probs[0])
+    if p0 < 1e-14:
+        return 0.0
+    offset = state.layout.register(register).offset
+    state.amplitudes.reshape(-1, probs.shape[0], 1 << offset)[:, 1:, :] = 0
+    state.amplitudes /= math.sqrt(p0)
+    return p0
 
 
 def completion_unitary(amps: np.ndarray) -> np.ndarray:

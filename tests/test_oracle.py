@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from lcusim.circuits import build_w_hk
 from lcusim.errors import DomainError, LayoutError, NormalizationError
 from lcusim.hamiltonian import canonicalize
 from lcusim.oracle import (
@@ -16,6 +17,7 @@ from lcusim.oracle import (
     success_prob_wtilde,
     total_runtime_success,
 )
+from lcusim.sampler import trace_plan
 from conftest import basis_state, random_hamiltonian, random_state
 from reference import rescaled_matrix, spectral_lower_bound, to_matrix, truncated_taylor_matrix
 
@@ -110,8 +112,9 @@ class TestSuccessProbabilities:
         with pytest.raises(NormalizationError):
             success_prob_hk(ising4, np.full(16, np.nan), 1)
 
-    @pytest.mark.parametrize("shape", [(8,), (32,), (16, 1)])
+    @pytest.mark.parametrize("shape", [(8,), (32,), (16, 1), (4, 4)])
     def test_wrong_length_state_rejected(self, ising4, shape):
+        # one state check: the trace refuses what the oracle refuses
         psi = np.zeros(shape, dtype=complex)
         psi.flat[0] = 1.0
         for call in (
@@ -119,8 +122,9 @@ class TestSuccessProbabilities:
             lambda: chain_probabilities(ising4, psi, 2),
             lambda: success_prob_wtilde(ising4, psi, 0.05, 3),
             lambda: runtime_upper_bound(ising4, psi, 0.05, 3, 1.0),
+            lambda: trace_plan(build_w_hk(ising4, 1), psi),
         ):
-            with pytest.raises(LayoutError):
+            with pytest.raises(LayoutError, match="4-qubit state needs shape \\(16,\\)"):
                 call()
 
 

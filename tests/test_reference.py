@@ -3,8 +3,7 @@ import ast
 from pathlib import Path
 
 FAST_PATHS = {
-    "apply_lcu_block",
-    "apply_prepare",
+    "householder",
     "apply_pauli_groups",
     "pauli_sum_apply",
     "trace_plan",

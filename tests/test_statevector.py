@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcusim import hamiltonian
+from lcusim.circuits import CircuitPlan, LcuBlock, Measure, Prepare, build_w_hk
 from lcusim.errors import (
     LayoutError,
     MeasurementDegenerateError,
@@ -10,31 +11,34 @@ from lcusim.errors import (
     ResourceLimitError,
 )
 from lcusim.hamiltonian import canonicalize, l1_norm, prepare_amplitudes
-from lcusim.statevector import (
-    Register,
-    RegisterLayout,
-    StateVector,
-    apply_lcu_block,
-    apply_prepare,
-    init_state,
-    project_zero,
-    register_probabilities,
-)
+from lcusim.oracle import fidelity
+from lcusim.sampler import trace_plan
+from lcusim.statevector import RegisterLayout, check_state, householder
 from conftest import random_state
 from reference import (
+    StateVector,
     apply_1q,
     apply_cx,
     apply_register_unitary,
     apply_select,
     completion_unitary,
+    init_state,
     measure_register,
     pauli_string_matrix,
+    project_zero,
+    register_probabilities,
     to_matrix,
 )
 
 
 def _layout(n, l_width):
     return RegisterLayout([("system", n), ("l", l_width)])
+
+
+def _reflection(amps):
+    """The dense completion unitary (I - 2 v v^dag) diag(d) of ``householder(amps)``."""
+    v, d = householder(amps)
+    return (np.eye(v.shape[0]) - 2.0 * np.outer(v, v.conj())) * d[np.newaxis, :]
 
 
 class TestLayout:
@@ -97,27 +101,21 @@ class TestCompletionUnitary:
 
 class TestRegisterOps:
     def test_prepare_sets_l_distribution(self, ising4):
-        from lcusim.hamiltonian import prepare_amplitudes
-
-        lay = _layout(4, 3)
-        state = init_state(lay, np.eye(16)[0])
-        apply_prepare(state, "l", prepare_amplitudes(ising4))
-        probs = register_probabilities(state, "l")
+        # the reflection's first column is the PREPARE state: |a_l|^2 = w_l / l1
+        probs = np.abs(_reflection(prepare_amplitudes(ising4))[:, 0]) ** 2
         weights = np.array([t.weight for t in ising4.terms]) / 5.0
         assert np.allclose(probs[:7], weights, atol=1e-12)
         assert probs[7] == pytest.approx(0.0, abs=1e-12)
 
     def test_prepare_adjoint_restores(self, ising4):
-        from lcusim.hamiltonian import prepare_amplitudes
-
-        lay = _layout(4, 3)
-        rng = np.random.default_rng(7)
-        psi = random_state(4, rng)
-        state = init_state(lay, psi)
-        before = state.amplitudes.copy()
-        apply_prepare(state, "l", prepare_amplitudes(ising4))
-        apply_prepare(state, "l", prepare_amplitudes(ising4), adjoint=True)
-        assert np.abs(state.amplitudes - before).max() < 1e-12
+        # a Prepare and its adjoint on an ancilla (7 of its 8 values) leave it in |0>
+        psi = random_state(4, np.random.default_rng(7))
+        a = prepare_amplitudes(ising4)
+        ins = (Prepare("c", a), Prepare("c", a, adjoint=True), Measure("c"))
+        plan = CircuitPlan(RegisterLayout([("system", 4), ("c", 3)]), ising4, ins, "w_hk")
+        trace = trace_plan(plan, psi)
+        assert trace.cond_probs == pytest.approx((1.0,), abs=1e-12)
+        assert np.abs(trace.final_system_state - psi).max() < 1e-12
 
     def test_register_unitary_matches_kron(self):
         # unitary on the l register acts as U (x) I_system in our LSB ordering
@@ -125,8 +123,6 @@ class TestRegisterOps:
         rng = np.random.default_rng(3)
         psi_full = rng.normal(size=16) + 1j * rng.normal(size=16)
         psi_full /= np.linalg.norm(psi_full)
-        from lcusim.statevector import StateVector
-
         state = StateVector(lay, psi_full.copy())
         U = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
         apply_register_unitary(state, "l", U)
@@ -141,81 +137,58 @@ class TestRegisterOps:
 
 
 class TestPrepareReflection:
-    """``apply_prepare`` (reflection, no matrix) against the dense ``completion_unitary``."""
+    """``householder`` (a reflection, no matrix) against the dense ``completion_unitary``."""
 
     LAYOUT = RegisterLayout([("a", 2), ("b", 3), ("c", 2)])
 
-    @pytest.mark.parametrize("register", ["a", "b", "c"])  # bottom, middle, top
+    @pytest.mark.parametrize("register", ["a", "b", "c"])  # widths 2, 3, 2
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_matches_completion_unitary(self, register, adjoint):
-        from lcusim.statevector import StateVector
-
+        # on all 2^w values, and restricted to 0 and the support of the amplitudes, which
+        # is how the trace applies it to a register that holds fewer values
         rng = np.random.default_rng(2 * ord(register) + adjoint)
-        reg = self.LAYOUT.register(register)
-        amps = random_state(reg.width, rng)
-        psi = random_state(self.LAYOUT.total, rng)
-        U = completion_unitary(amps)
-        U = U.conj().T if adjoint else U
-        ref = StateVector(self.LAYOUT, psi.copy())
-        apply_register_unitary(ref, register, U)
-        state = StateVector(self.LAYOUT, psi.copy())
-        apply_prepare(state, register, amps, adjoint=adjoint)
-        assert np.abs(state.amplitudes - ref.amplitudes).max() < 1e-14
+        width = self.LAYOUT.register(register).width
+        amps = random_state(width, rng)
+        amps[rng.permutation(1 << width)[: 1 << (width - 1)]] = 0.0
+        amps /= np.linalg.norm(amps)
+        dag = (lambda M: M.conj().T) if adjoint else (lambda M: M)
+        U = dag(completion_unitary(amps))
+        values = np.union1d([0], np.flatnonzero(amps))
+        others = np.setdiff1d(np.arange(1 << width), values)
+        assert np.abs(dag(_reflection(amps)) - U).max() < 1e-14
+        assert np.abs(dag(_reflection(amps[values])) - U[np.ix_(values, values)]).max() < 1e-14
+        assert np.array_equal(U[np.ix_(others, others)], np.eye(others.shape[0]))
+        assert not U[np.ix_(values, others)].any() and not U[np.ix_(others, values)].any()
 
     def test_real_amplitudes_with_zero_first_entry(self):
-        from lcusim.statevector import StateVector
-
         amps = np.array([0.0, 0.0, 0.6, 0.8])
-        lay = RegisterLayout([("system", 1), ("l", 2)])
-        state = StateVector(lay, np.eye(8, dtype=complex)[0])
-        apply_prepare(state, "l", amps)
-        assert np.abs(state.amplitudes.reshape(4, 2)[:, 0] - amps).max() < 1e-15
+        assert np.abs(_reflection(amps)[:, 0] - amps).max() < 1e-15
 
-    def test_wrong_width_rejected(self):
-        lay = _layout(2, 2)
-        state = init_state(lay, np.eye(4)[0])
+    def test_wrong_width_rejected(self, ising4):
+        # the plan refuses amplitudes of the wrong length, the reflection unnormalized ones
+        layout = RegisterLayout([("system", 4), ("c", 2)])
         with pytest.raises(LayoutError):
-            apply_prepare(state, "l", np.array([0.6, 0.8]))
+            CircuitPlan(layout, ising4, (Prepare("c", np.array([0.6, 0.8])), Measure("c")), "w_hk")
         with pytest.raises(NormalizationError):
-            apply_prepare(state, "l", np.ones(4))
+            householder(np.ones(4))
         with pytest.raises(NormalizationError):
-            apply_prepare(state, "l", np.array([np.nan, 0.0, 0.0, 0.0]))
+            householder(np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
 class TestLcuBlock:
+    """One post-selected block through ``trace_plan`` against dense matrices."""
+
     def test_matches_dense_rescaled_hamiltonian(self):
         rng = np.random.default_rng(21)
         H = canonicalize(2, [(0.5, "XZ"), (-0.25, "YI"), (0.3j, "ZZ")])
         psi = random_state(2, rng)
-        state = init_state(RegisterLayout([("system", 2)]), psi)
-        p = apply_lcu_block(state, H, prepare_amplitudes(H))
+        trace = trace_plan(build_w_hk(H, 1), psi)
         v = (-1j / l1_norm(H)) * to_matrix(H) @ psi
-        assert p == pytest.approx(np.vdot(v, v).real, rel=1e-13)
-        assert np.abs(state.amplitudes - v / np.linalg.norm(v)).max() < 1e-14
-
-    def test_control_and_padding(self):
-        # control on the middle qubit of a (system, c, t) layout; a 4-entry
-        # amplitude vector for 3 terms puts |a_3|^2 on the identity
-        rng = np.random.default_rng(22)
-        H = canonicalize(1, [(1.0, "X"), (0.5, "Z"), (0.25, "Y")])
-        a = random_state(2, rng)
-        lay = RegisterLayout([("system", 1), ("c", 1), ("t", 1)])
-        psi = random_state(3, rng)
-        from lcusim.statevector import StateVector
-
-        state = StateVector(lay, psi.copy())
-        p = apply_lcu_block(state, H, a, control=1)
-        F = np.abs(a[3]) ** 2 * np.eye(2, dtype=complex)
-        for w, t in zip(np.abs(a) ** 2, H.terms):
-            F += w * (-1j) * np.exp(1j * t.phase) * pauli_string_matrix(t.letters)
-        on = np.diag([0.0, 1.0])
-        full = np.kron(np.eye(2), np.kron(on, F) + np.kron(np.eye(2) - on, np.eye(2)))
-        v = full @ psi
-        assert p == pytest.approx(np.vdot(v, v).real, rel=1e-13)
-        assert np.abs(state.amplitudes - v / np.linalg.norm(v)).max() < 1e-14
+        assert trace.cond_probs[0] == pytest.approx(np.vdot(v, v).real, rel=1e-13)
+        assert np.abs(trace.final_system_state - v / np.linalg.norm(v)).max() < 1e-14
 
     @pytest.mark.parametrize("cached", [True, False], ids=["cached", "over-budget"])
-    @pytest.mark.parametrize("control", [None, 3])
+    @pytest.mark.parametrize("control", [None, 3])  # qubit 3 is bit 0 of c
     @pytest.mark.parametrize(
         "raw",
         [
@@ -226,48 +199,66 @@ class TestLcuBlock:
         ids=["z-groups", "identity-term"],
     )
     def test_grouped_kernel_matches_dense(self, monkeypatch, cached, control, raw):
-        # terms sharing X masks (x = 0, Y letters, complex phases; an identity term, which
-        # shares the scalar x = 0 group with the padding), amplitudes that are not
-        # prepare_amplitudes(H) with weight on the padding entries, a control qubit, and
-        # the diagonals cached or rebuilt on every call
+        # terms sharing X masks (x = 0, Y letters, complex phases, an identity term), three
+        # blocks controlled by c in a layout (system, c, t, l) with c and t prepared, and the
+        # diagonals cached or rebuilt on every call
         if not cached:
             monkeypatch.setattr(hamiltonian, "_DIAGONAL_BUDGET", 0)
         rng = np.random.default_rng(23)
         H = canonicalize(3, raw)
-        a = random_state(3, rng)
-        lay = RegisterLayout([("system", 3), ("c", 1), ("t", 1)])
-        F = (np.abs(a[H.num_terms :]) ** 2).sum() * np.eye(8, dtype=complex)
-        for w, t in zip(np.abs(a) ** 2, H.terms):
-            F += w * (-1j) * np.exp(1j * t.phase) * pauli_string_matrix(t.letters)
-        if control is None:
-            full = np.kron(np.eye(4), F)
-        else:
-            on = np.diag([0.0, 1.0])
-            full = np.kron(np.eye(2), np.kron(on, F) + np.kron(np.eye(2) - on, np.eye(8)))
-        for _ in range(3):  # repeated blocks reuse (or rebuild) the diagonals
-            psi = random_state(5, rng)
-            state = StateVector(lay, psi.copy())
-            p = apply_lcu_block(state, H, a, control=control)
-            v = full @ psi
-            assert p == pytest.approx(np.vdot(v, v).real, rel=1e-13)
-            assert np.abs(state.amplitudes - v / np.linalg.norm(v)).max() < 1e-14
+        layout = RegisterLayout([("system", 3), ("c", 1), ("t", 1), ("l", H.l_width)])
+        ctrl = None if control is None else ("c", control - layout.register("c").offset)
+        ac, at = random_state(1, rng), random_state(1, rng)
+        plan = CircuitPlan(layout, H, (
+            Prepare("c", ac), Prepare("t", at), *(LcuBlock("l", ctrl), Measure("l")) * 3,
+            Prepare("t", at, adjoint=True), Measure("t"), Prepare("c", ac, adjoint=True),
+            Measure("c"),
+        ), "w_hk")
+        F = (-1j / l1_norm(H)) * to_matrix(H)
+        on = np.diag([0.0, 1.0])
+        block = np.kron(np.eye(4), F) if control is None else np.kron(
+            np.eye(2), np.kron(on, F) + np.kron(np.eye(2) - on, np.eye(8)))
+        Uc, Ut = completion_unitary(ac), completion_unitary(at)
+        for _ in range(2):  # a second trace reuses (or rebuilds) the diagonals
+            psi = random_state(3, rng)
+            v = np.kron(Ut, np.kron(Uc, np.eye(8))) @ np.kron([1, 0], np.kron([1, 0], psi))
+            cond = []  # the adjoint Prepare of t, the top register, then of c, and its |0> rows
+            for M in [block] * 3 + [np.kron(Ut.conj().T, np.eye(16))[:16],
+                                    np.kron(Uc.conj().T, np.eye(8))[:8]]:
+                v = M @ v
+                cond.append(np.vdot(v, v).real)
+                v /= np.sqrt(cond[-1])
+            trace = trace_plan(plan, psi)
+            assert np.abs(np.subtract(trace.cond_probs, cond)).max() < 1e-13
+            assert np.abs(trace.final_system_state - v).max() < 1e-13
         assert len(H._diagonals) == (1 if cached else 0)
 
     def test_vanishing_branch_returns_zero(self):
         H = canonicalize(1, [(0.5, "I"), (-0.5, "Z")])
-        state = init_state(RegisterLayout([("system", 1)]), np.eye(2)[0])
-        assert apply_lcu_block(state, H, prepare_amplitudes(H)) == 0.0
+        trace = trace_plan(build_w_hk(H, 1), np.eye(2)[0])
+        assert trace.cond_probs == (0.0,)
+        assert trace.final_system_state is None
 
     def test_bad_arguments(self, ising4):
-        state = init_state(_layout(4, 3), np.eye(16)[0])
+        # a block controlled by a system qubit or on a term register too narrow for the
+        # terms is refused by the plan; an unnormalized state by the trace
         with pytest.raises(LayoutError):
-            apply_lcu_block(state, ising4, prepare_amplitudes(ising4), control=3)
+            CircuitPlan(_layout(4, 3), ising4, (LcuBlock("l", ("system", 3)), Measure("l")), "w_hk")
         with pytest.raises(LayoutError):
-            apply_lcu_block(state, ising4, np.array([0.6, 0.8]))
+            CircuitPlan(_layout(4, 1), ising4, (LcuBlock("l"), Measure("l")), "w_hk")
         with pytest.raises(NormalizationError):
-            apply_lcu_block(state, ising4, np.ones(8))
+            trace_plan(build_w_hk(ising4, 1), np.ones(16))
         with pytest.raises(NormalizationError):
-            apply_lcu_block(state, ising4, np.full(8, np.nan))
+            trace_plan(build_w_hk(ising4, 1), np.full(16, np.nan))
+
+
+class TestCheckState:
+    def test_without_a_width(self):
+        # fidelity checks the norm alone
+        psi = check_state([0.6, 0.8j], None)
+        assert psi.dtype == complex and fidelity(psi, psi) == pytest.approx(1.0)
+        with pytest.raises(NormalizationError):
+            check_state(np.full(2, 1e300), None)  # the norm overflows to inf
 
 
 class TestSelect:
@@ -279,8 +270,6 @@ class TestSelect:
         lay = _layout(2, 2)
         psi_full = rng.normal(size=16) + 1j * rng.normal(size=16)
         psi_full /= np.linalg.norm(psi_full)
-        from lcusim.statevector import StateVector
-
         state = StateVector(lay, psi_full.copy())
         apply_select(state, H)
         dense = np.zeros((16, 16), dtype=complex)
@@ -295,8 +284,6 @@ class TestSelect:
     def test_identity_beyond_term_count(self):
         H = canonicalize(1, [(1.0, "X"), (0.5, "Z"), (0.25, "Y")])
         lay = _layout(1, 2)
-        from lcusim.statevector import StateVector
-
         amps = np.zeros(8, dtype=complex)
         amps[3 << 1] = 1.0  # l = 3 >= L = 3, system |0>
         state = StateVector(lay, amps.copy())
@@ -306,8 +293,6 @@ class TestSelect:
     def test_control_off_is_identity(self):
         H = canonicalize(1, [(1.0, "X")])
         lay = RegisterLayout([("system", 1), ("l", 1), ("c", 1)])
-        from lcusim.statevector import StateVector
-
         amps = np.zeros(8, dtype=complex)
         amps[0] = 1.0
         state = StateVector(lay, amps.copy())
@@ -317,8 +302,6 @@ class TestSelect:
     def test_control_on_applies(self):
         H = canonicalize(1, [(1.0, "X")])
         lay = RegisterLayout([("system", 1), ("l", 1), ("c", 1)])
-        from lcusim.statevector import StateVector
-
         amps = np.zeros(8, dtype=complex)
         amps[4] = 1.0  # control on, l = 0, system |0>
         state = StateVector(lay, amps.copy())
@@ -332,8 +315,6 @@ class TestSelect:
         rng = np.random.default_rng(2)
         psi_full = rng.normal(size=1 << lay.total) + 1j * rng.normal(size=1 << lay.total)
         psi_full /= np.linalg.norm(psi_full)
-        from lcusim.statevector import StateVector
-
         state = StateVector(lay, psi_full)
         apply_select(state, ising4)
         assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
@@ -341,11 +322,9 @@ class TestSelect:
 
 class TestMeasurement:
     def test_probabilities_sum_to_one(self, ising4):
-        from lcusim.hamiltonian import prepare_amplitudes
-
         lay = _layout(4, 3)
         state = init_state(lay, np.eye(16)[0])
-        apply_prepare(state, "l", prepare_amplitudes(ising4))
+        apply_register_unitary(state, "l", completion_unitary(prepare_amplitudes(ising4)))
         assert register_probabilities(state, "l").sum() == pytest.approx(1.0)
 
     def test_measurement_frequencies(self):
@@ -356,7 +335,7 @@ class TestMeasurement:
         amps = np.array([0.6, 0.8])
         for _ in range(shots):
             state = init_state(lay, np.eye(2)[0])
-            apply_prepare(state, "l", amps)
+            apply_register_unitary(state, "l", completion_unitary(amps))
             outcome, _ = measure_register(state, "l", rng)
             hits += outcome
         p_hat = hits / shots
@@ -365,7 +344,7 @@ class TestMeasurement:
     def test_projection_renormalizes(self):
         lay = _layout(1, 1)
         state = init_state(lay, np.eye(2)[0])
-        apply_prepare(state, "l", np.array([0.6, 0.8]))
+        apply_register_unitary(state, "l", completion_unitary(np.array([0.6, 0.8])))
         p0 = project_zero(state, "l")
         assert p0 == pytest.approx(0.36)
         assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
@@ -374,14 +353,12 @@ class TestMeasurement:
     def test_dead_branch_returns_zero_and_keeps_state(self):
         lay = _layout(1, 1)
         state = init_state(lay, np.eye(2)[0])
-        apply_prepare(state, "l", np.array([0.0, 1.0]))
+        apply_register_unitary(state, "l", completion_unitary(np.array([0.0, 1.0])))
         before = state.amplitudes.copy()
         assert project_zero(state, "l") == 0.0
         assert np.array_equal(state.amplitudes, before)
 
     def test_degenerate_measurement_raises(self):
-        from lcusim.statevector import StateVector
-
         lay = _layout(1, 1)
         state = StateVector(lay, np.zeros(4, dtype=complex))
         with pytest.raises(MeasurementDegenerateError):
@@ -390,7 +367,7 @@ class TestMeasurement:
     def test_system_state_guard(self):
         lay = _layout(1, 1)
         state = init_state(lay, np.eye(2)[0])
-        apply_prepare(state, "l", np.array([0.6, 0.8]))
+        apply_register_unitary(state, "l", completion_unitary(np.array([0.6, 0.8])))
         with pytest.raises(LayoutError):
             state.system_state()
 
@@ -401,8 +378,6 @@ class TestLowLevelGates:
         for basis in range(4):
             amps = np.zeros(4, dtype=complex)
             amps[basis] = 1.0
-            from lcusim.statevector import StateVector
-
             state = StateVector(lay, amps)
             apply_cx(state, 0, 1)  # control qubit 0 (LSB), target qubit 1
             expected = basis ^ (2 if basis & 1 else 0)
@@ -412,8 +387,6 @@ class TestLowLevelGates:
         rng = np.random.default_rng(9)
         lay = RegisterLayout([("system", 3)])
         psi = random_state(3, rng)
-        from lcusim.statevector import StateVector
-
         state = StateVector(lay, psi.copy())
         U = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
         apply_1q(state, 1, U)
@@ -430,8 +403,6 @@ class TestLowLevelGates:
         lay = _layout(2, 1)
         psi_full = rng.normal(size=8) + 1j * rng.normal(size=8)
         psi_full /= np.linalg.norm(psi_full)
-        from lcusim.statevector import StateVector
-
         state = StateVector(lay, psi_full.copy())
         apply_select(state, H)
         apply_select(state, H)

@@ -1,4 +1,6 @@
 """The collapsed success-path trace against the register-level reference."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,9 +15,9 @@ from lcusim.circuits import (
     build_w_unary,
 )
 from lcusim import hamiltonian
-from lcusim.errors import LayoutError, NormalizationError
+from lcusim.errors import LayoutError, NormalizationError, ResourceLimitError
 from lcusim.hamiltonian import build_ising, canonicalize
-from lcusim.oracle import fidelity
+from lcusim.oracle import fidelity, success_prob_wtilde
 from lcusim.sampler import CostModel, trace_plan
 from lcusim.statevector import RegisterLayout
 from lcusim.resources import count
@@ -85,18 +87,33 @@ class TestAgainstRegisterTrace:
         if family != "w_hk":
             assert trace.success_prob == pytest.approx(1.0, abs=1e-12)
 
-    def test_collapsed_width(self, ising4, psi0_4, monkeypatch):
-        import lcusim.sampler as sampler
+    def test_underflowing_taylor_rows(self, ising4):
+        # at tau * l1 = 2e-60 the weights beta_6 and beta_7 underflow to 0, so the trace
+        # keeps 6 of the 8 values of k and gathers the rows of each control bit
+        plan = build_w_tilde(ising4, 1e-60 / 2.5, 3)
+        assert np.count_nonzero(plan.instructions[0].amps) == 6
+        assert_same_trace(plan, random_state(4, np.random.default_rng(5)))
 
-        widths = []
-        init_state = sampler.init_state
-        monkeypatch.setattr(
-            sampler, "init_state", lambda lay, psi: widths.append(lay.total) or init_state(lay, psi)
-        )
-        trace_plan(build_w_tilde(ising4, 0.05, 3), psi0_4)
-        trace_plan(build_w_unary(ising4, 0.05, 7), psi0_4)  # a 32-qubit layout
-        trace_plan(build_w_hk(ising4, 2), psi0_4)
-        assert widths == [4 + 3, 4 + 7, 4]
+    def test_collapsed_width(self):
+        # the unary register holds only its K + 1 values |1^k 0^(K-k)>: K = 23 on 2 sites
+        # traces on 24 rows x 4 amplitudes, where all its qubits would be 2 + 23
+        H, tau = build_ising(2, 1.0, 0.5), 0.3
+        psi = random_state(2, np.random.default_rng(6))
+        trace = trace_plan(build_w_unary(H, tau, 23), psi)
+        assert trace.success_prob == pytest.approx(success_prob_wtilde(H, psi, tau, 23), abs=1e-12)
+
+    def test_wide_trace_refused_before_allocating(self):
+        # 2^5 rows of k on 20 system qubits is 25 qubits: refused before the 512 MiB array
+        plan = build_w_tilde(build_ising(20, 1.0, 0.5), 0.05, 5)
+        psi = np.eye(1, 1 << 20, dtype=complex)[0]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="25 qubits"):
+                trace_plan(plan, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _one_block(H, *ins, extra=()):
@@ -183,6 +200,14 @@ class TestPlanShape:
         self._raises(Prepare("c", np.array([0.6, 0.8]), style="sparse"), Measure("c"),
                      match="instruction 0", extra=[("c", 1)])
 
+    def test_prepare_on_the_system_register(self):
+        # the system is the trace's amplitude axis, not an axis of values
+        self._raises(Prepare("system", self.psi), LcuBlock("l"), Measure("l"),
+                     match="instruction 0: the system")
+
+    def test_measure_on_the_system_register(self):
+        self._raises(LcuBlock("l"), Measure("l"), Measure("system"), match="instruction 2: the system")
+
     def test_system_register_of_another_width(self):
         with pytest.raises(LayoutError, match="2-qubit system"):
             CircuitPlan(RegisterLayout([("system", 1), ("l", 1)]), build_ising(2, 1.0, 0.5),
@@ -207,22 +232,34 @@ class TestPlanShape:
             CircuitPlan(plan.layout, plan.hamiltonian, tuple(ins), plan.family)
 
 
-_REGISTERS = ["system", "l0", "l1", "c"]
+_REGISTERS = ["system", "l0", "l1", "c", "u"]
 _C = np.array([0.6, 0.8])
-_CONTROLS = [None, ("c", 0), ("c", 1), ("system", 1), ("l0", 0), ("l1", 1)]
+_DENSE = np.sqrt([0.4, 0.3, 0.2, 0.1])
+_SPARSE = np.array([0.0, 0.6, 0.0, 0.8])  # values 1 and 3 only
+_UNARY = np.array([0.6, 0.48, 0.0, 0.64])  # on |00>, |10> and |11>
+_U_PREPARES = [(_DENSE, "dense"), (_SPARSE, "dense"), (_UNARY, "unary")]  # 2-qubit amplitudes
+_CONTROLS = [None, ("c", 0), ("c", 1), ("u", 0), ("u", 1), ("system", 1), ("l0", 0), ("l1", 1)]
 _INSTRUCTION = st.one_of(
     st.builds(LcuBlock, st.sampled_from(_REGISTERS), st.sampled_from(_CONTROLS)),
     st.builds(Measure, st.sampled_from(_REGISTERS)),
     st.builds(
-        Prepare,
+        lambda register, prep, adjoint: Prepare(register, *prep, adjoint),
         st.sampled_from(_REGISTERS),
-        st.sampled_from([np.sqrt([0.4, 0.3, 0.2, 0.1]), _C]),
-        st.just("dense"),
+        st.sampled_from(_U_PREPARES + [(_C, "dense")]),
         st.booleans(),
     ),
 )
+
+
+def _cycle(register, amps, style, name, bit):
+    """A W-tilde-style cycle: Prepare, one controlled block and its measurement, the adjoint
+    Prepare and the measurement of the control register."""
+    return [Prepare(register, amps, style), LcuBlock(name, (register, bit)), Measure(name),
+            Prepare(register, amps, style, adjoint=True), Measure(register)]
+
+
 # single instructions, blocks followed by their measurement, and whole W-tilde-style
-# cycles on the control register, so that many draws are plans that run
+# cycles on the control registers, so that many draws are plans that run
 _INSTRUCTIONS = st.lists(
     st.one_of(
         _INSTRUCTION.map(lambda ins: [ins]),
@@ -231,10 +268,12 @@ _INSTRUCTIONS = st.lists(
             st.sampled_from(["l0", "l1"]),
             st.sampled_from(_CONTROLS),
         ),
+        st.builds(lambda name: _cycle("c", _C, "dense", name, 0), st.sampled_from(["l0", "l1"])),
         st.builds(
-            lambda name: [Prepare("c", _C), LcuBlock(name, ("c", 0)), Measure(name),
-                          Prepare("c", _C, adjoint=True), Measure("c")],
+            lambda prep, name, bit: _cycle("u", *prep, name, bit),
+            st.sampled_from(_U_PREPARES),
             st.sampled_from(["l0", "l1"]),
+            st.integers(0, 1),
         ),
     ),
     max_size=5,
@@ -246,11 +285,13 @@ class TestPlanValidity:
     reference and ``count``."""
 
     H = canonicalize(2, [(0.7, "XZ"), (-0.4, "ZI"), (0.3, "YY")])  # 2-qubit l-registers
-    LAYOUT = RegisterLayout([("system", 2), ("l0", 2), ("l1", 2), ("c", 1)])
+    LAYOUT = RegisterLayout([("system", 2), ("l0", 2), ("l1", 2), ("c", 1), ("u", 2)])
 
     @settings(max_examples=300, deadline=None)
     @given(_INSTRUCTIONS, st.integers(0, 2**32 - 1))
     @example([LcuBlock("l0", ("system", 0)), Measure("l0")], 0)
+    @example(_cycle("u", _UNARY, "unary", "l0", 1) + _cycle("u", _SPARSE, "dense", "l1", 0), 0)
+    @example(_cycle("c", _C, "dense", "l0", 0) + _cycle("u", _UNARY, "unary", "l1", 0), 1)
     def test_refused_or_run_by_every_consumer(self, instructions, seed):
         try:
             plan = CircuitPlan(self.LAYOUT, self.H, tuple(instructions), family="fuzz")
