@@ -15,12 +15,14 @@ beta_0..beta_K from ``taylor_weights``, which builds and overflow-checks those
 K + 1 and no more.
 
 A plan is a sequence of three instruction kinds: ``Prepare`` (or its
-adjoint) on a register, ``LcuBlock`` -- PREPARE, SELECT and PREPARE^dag on an
-l-register, a block-encoding of H~ = (-i / l1) H (Berry et al., PRL 114,
-090502, 2015) -- and ``Measure``, an all-zero post-selection. Only the SELECT
-of a block carries the control: on the control-|0> branch Prepare followed by
-its adjoint is the identity and the l-measurement succeeds with certainty, so
-post-selected results match a fully controlled block at lower cost.
+adjoint) on a w-qubit register, whose amplitude count names the encoding,
+2^w binary and w + 1 unary (``amplitude_values``); ``LcuBlock``, PREPARE,
+SELECT and PREPARE^dag on an l-register, a block-encoding of
+H~ = (-i / l1) H (Berry et al., PRL 114, 090502, 2015); and ``Measure``, an
+all-zero post-selection. Only the SELECT of a block carries the control: on the
+control-|0> branch Prepare followed by its adjoint is the identity and the
+l-measurement succeeds with certainty, so post-selected results match a fully
+controlled block at lower cost.
 """
 from __future__ import annotations
 
@@ -77,20 +79,29 @@ def power_schedule(kappa: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Prepare:
-    """PREPARE of ``amps`` on a register from |0..0>, or its adjoint."""
+    """PREPARE of ``amps`` (binary or unary, ``amplitude_values``) from |0..0>, or its adjoint."""
 
     register: str
     amps: np.ndarray = field(repr=False)
-    style: str = "dense"  # "dense" or "unary" (staircase compilation)
-    adjoint: bool = False
+    adjoint: bool = field(default=False, kw_only=True)
+
+
+def amplitude_values(amps: np.ndarray, width: int) -> tuple[np.ndarray, list[int]]:
+    """The nonzero amplitudes of a Prepare on a ``width``-qubit register and the value each
+    sits on: of 2^width amplitudes (binary) k sits on k, of width + 1 (unary) on
+    |1^k 0^(width-k)>, 2^k - 1. The readings coincide at width 1, the only shared count."""
+    amps = np.asarray(amps)
+    k = np.flatnonzero(amps)
+    values = k.tolist() if amps.shape[0] == 1 << width else [(1 << j) - 1 for j in k.tolist()]
+    return amps[k], values
 
 
 @dataclass(frozen=True)
 class LcuBlock:
-    """PREPARE, SELECT and PREPARE^dag on ``l_register`` with the amplitudes
-    ``prepare_amplitudes(H, width)``; ``control``, a (register, bit), gates the SELECT.
-    Those amplitudes are zero-padded, so with the l-register post-selected on |0> the
-    block is exactly H~ = (-i / l1) H on the system, where the control bit is set."""
+    """PREPARE, SELECT and PREPARE^dag on ``l_register``, PREPARE holding sqrt(w_l / l1) on
+    value l < L and 0 past it; ``control``, a (register, bit), gates the SELECT. With the
+    amplitudes zero-padded and the l-register post-selected on |0>, the block is exactly
+    H~ = (-i / l1) H on the system, where the control bit is set."""
 
     l_register: str = "l"
     control: tuple[str, int] | None = None
@@ -115,8 +126,8 @@ class CircuitPlan:
     measured after each of its blocks and before the next; pending blocks are measured in
     block order and before any other register. A control is a bit of a register that is
     neither the system nor an l-register. The system is neither prepared nor measured. A
-    Prepare is dense or unary and holds 2^width normalized amplitudes, a unary one only on
-    the values |1^k 0^(w-k)>; a register it acts on is measured after it.
+    Prepare holds 2^width (binary) or width + 1 (unary) normalized amplitudes; a register
+    it acts on is measured after it.
     """
 
     layout: RegisterLayout
@@ -158,15 +169,10 @@ class CircuitPlan:
                 width = layout.register(ins.register).width
                 if ins.register in l_regs:
                     raise LayoutError(f"instruction {i}: {ins.register} is an l-register")
-                if ins.style not in ("dense", "unary"):
-                    raise LayoutError(f"instruction {i}: style {ins.style!r} is not dense or unary")
-                if np.shape(ins.amps) != (1 << width,):
-                    raise LayoutError(f"instruction {i}: {ins.register} needs 2^{width} amplitudes")
+                if np.shape(ins.amps) not in ((1 << width,), (width + 1,)):
+                    raise LayoutError(f"instruction {i}: needs 2^{width} or {width + 1} amplitudes")
                 norm = np.linalg.norm(ins.amps)
                 check_norm(norm, f"instruction {i}: amplitudes are not normalized")
-                support = np.flatnonzero(ins.amps)  # a unary value 1^k 0^(w-k) is 2^k - 1
-                if ins.style == "unary" and (support & (support + 1)).any():
-                    raise LayoutError(f"instruction {i}: unary amplitudes off |1^k 0^(w-k)>")
                 prepared.add(ins.register)
         if pending or prepared:
             name = (pending or sorted(prepared))[0]
@@ -204,20 +210,18 @@ def build_w_unary(H: HamiltonianLCU, tau: float, K: int) -> CircuitPlan:
     """Unary-encoded reference plan with deferred (terminal) measurements.
 
     Registers: system, then K l-registers, then a K-qubit unary Taylor
-    register holding sqrt(beta_k/||beta||_1) on the one-hot-prefix states
-    |1^k 0^{K-k}>. The K blocks act on distinct l-registers and all come
-    before the measurements.
+    register whose K + 1 amplitudes sqrt(beta_k/||beta||_1) sit on the
+    one-hot-prefix states |1^k 0^{K-k}>. The K blocks act on distinct
+    l-registers and all come before the measurements.
     """
     beta = taylor_weights(tau, l1_norm(H), K)  # refuses K < 1
     layout = RegisterLayout(
         [("system", H.n)] + [(f"l{j}", H.l_width) for j in range(K)] + [("unary", K)]
     )
-    unary_amps = np.zeros(1 << K)
-    unary_amps[(1 << np.arange(K + 1)) - 1] = np.sqrt(beta / beta.sum())
-
-    instructions: list[Instruction] = [Prepare("unary", unary_amps, style="unary")]
+    unary_amps = np.sqrt(beta / beta.sum())
+    instructions: list[Instruction] = [Prepare("unary", unary_amps)]
     instructions += [LcuBlock(f"l{j}", ("unary", j)) for j in range(K)]
-    instructions.append(Prepare("unary", unary_amps, style="unary", adjoint=True))
+    instructions.append(Prepare("unary", unary_amps, adjoint=True))
     instructions += [Measure(f"l{j}") for j in range(K)]
     instructions.append(Measure("unary"))
     return CircuitPlan(layout, H, tuple(instructions), family="wunary")

@@ -108,6 +108,8 @@ def _resolve_hamiltonian(args) -> HamiltonianLCU:
     if args.hamiltonian:
         return load_hamiltonian(args.hamiltonian)
     if args.model == "ising":
+        if args.command != "resources":  # the others hold 2^n amplitudes: refuse before building
+            check_width(args.n)
         return build_ising(args.n, args.J, args.h)
     raise UsageError("a Hamiltonian source is required (--hamiltonian or --model ising)")
 
@@ -143,12 +145,11 @@ def _resolve_state(args, n: int) -> np.ndarray:
 
 
 def _build_plan(args, H: HamiltonianLCU):
-    """The plan, after checking n + kappa, or n + K (2^K unary amplitudes), against the cap."""
+    """The plan, after checking n + kappa, the width its trace holds for either circuit."""
     K, kappa = _resolve_order(args)
-    if args.circuit == "wunary":
-        check_width(H.n + K)
-        return build_w_unary(H, args.tau, K)
     check_width(H.n + kappa)
+    if args.circuit == "wunary":
+        return build_w_unary(H, args.tau, K)
     return build_w_tilde(H, args.tau, kappa)
 
 
@@ -221,7 +222,7 @@ def cmd_sweep(args) -> list[dict]:
 
 def cmd_resources(args) -> list[dict]:
     H = _resolve_hamiltonian(args)
-    check_width(args.K_max)  # a unary plan holds 2^K amplitudes
+    check_width(kappa_for(args.K_max))  # the Taylor register, as analytic caps it
     keys = [(f, K, kappa_for(K)) for K in range(1, args.K_max + 1) for f in ("wtilde", "wunary")]
     plans = (  # built one at a time as count consumes them
         build_w_tilde(H, args.tau, kappa) if family == "wtilde" else build_w_unary(H, args.tau, K)

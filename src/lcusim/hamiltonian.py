@@ -251,15 +251,3 @@ def save_hamiltonian(H: HamiltonianLCU, path) -> None:
         json.dump(data, fh, indent=1)
         fh.write("\n")
 
-
-def prepare_amplitudes(H: HamiltonianLCU, width: int | None = None) -> np.ndarray:
-    """sqrt(weight / l1) amplitude vector for PREPARE, zero-padded to 2^width."""
-    if width is None:
-        width = H.l_width
-    if (1 << width) < H.num_terms:
-        raise InvalidHamiltonianError("register too narrow for the term count")
-    amps = np.zeros(1 << width)
-    norm = l1_norm(H)
-    for i, t in enumerate(H.terms):
-        amps[i] = math.sqrt(t.weight / norm)
-    return amps

@@ -78,16 +78,11 @@ def expected_runtime_midmeasure(p_chain: Sequence[float], d: float) -> float:
     sum_j (1-p_j) (prod_{i<j} p_i) j d  +  (prod_{i<k} p_i) k d.
     """
     p = list(p_chain)
-    k = len(p)
-    if k == 0:
-        return 0.0
-    total = 0.0
-    running = 1.0  # prod_{i<j} p_i
-    for j in range(1, k):
-        total += (1.0 - p[j - 1]) * running * j * d
-        running *= p[j - 1]
-    total += running * k * d
-    return _finite_cost(total)
+    total, running = 0.0, 1.0  # running = prod_{i<j} p_i
+    for j, pj in enumerate(p[:-1], start=1):
+        total += (1.0 - pj) * running * j * d
+        running *= pj
+    return _finite_cost(total + running * len(p) * d)
 
 
 def total_runtime_success(p_chain: Sequence[float], d: float) -> float:

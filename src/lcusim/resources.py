@@ -4,10 +4,10 @@ The counts are those of a compilation to a {single-qubit unitary, CX} basis, and
 depend only on register widths. A uniformly controlled rotation with m controls
 costs 2^m CX (Möttönen et al., PRL 93, 130502, 2004). Hence, per instruction:
 
-* a dense ``Prepare`` on w qubits, the multiplexed-Ry recursion (real,
-  nonnegative amplitudes), costs 2^w - 2;
-* a unary ``Prepare`` on K qubits, a staircase of K - 1 controlled Ry
-  rotations, costs 2(K - 1);
+* a binary ``Prepare`` (2^w amplitudes) on w qubits, the multiplexed-Ry
+  recursion (real, nonnegative amplitudes), costs 2^w - 2;
+* a unary ``Prepare`` (K + 1 amplitudes) on K qubits, a staircase of K - 1
+  controlled Ry rotations, costs 2(K - 1);
 * an ``LcuBlock`` on a w-qubit term register costs its PREPARE and PREPARE^dag,
   2(2^w - 2), and a SELECT of n multiplexed single-qubit gates with
   m = w + [controlled] controls: three uniformly controlled rotations (ZYZ) and
@@ -45,9 +45,9 @@ def _cx_count(plan: CircuitPlan, i: int, ins: Instruction) -> int:
         m = w + (ins.control is not None)
         return 2 * ((1 << w) - 2) + plan.layout.n * ((1 << (m + 2)) - 2)
     w = plan.layout.register(ins.register).width
-    if ins.style == "unary":
-        return 2 * (w - 1)
     amps = np.asarray(ins.amps)
+    if amps.shape[0] != 1 << w:  # unary: the staircase
+        return 2 * (w - 1)
     if np.abs(amps.imag).max() > 1e-12 or amps.real.min() < -1e-12:
         raise DomainError(f"instruction {i}: dense Prepare needs real, nonnegative amplitudes")
     return (1 << w) - 2

@@ -7,10 +7,11 @@ LCU block (PREPARE, SELECT, PREPARE^dag) whose l-register is measured |0> acts a
 (singly controlled) H~ = (-i / l1) H (Berry et al., PRL 114, 090502, 2015),
 because PREPARE is zero-padded. So the trace omits the l-registers and holds
 each other register as an axis over the values it can hold: 2^kappa rows for
-W-tilde (fewer where a Taylor amplitude underflows to 0) and K + 1 for the
-unary circuit, times 2^n system amplitudes. Each shot then reduces to a
-sequence of Bernoulli draws against those cached probabilities, which is
-statistically identical to re-simulating the state per shot. Shot i's draws
+W-tilde (fewer where a Taylor amplitude underflows to 0) and the K + 1 values of
+the unary Prepare's K + 1 amplitudes, times 2^n system amplitudes. Each shot
+then reduces to a sequence of Bernoulli draws against those cached
+probabilities, which is statistically identical to re-simulating the state per
+shot. Shot i's draws
 are the first doubles of numpy's Philox-4x64-10 keyed by (seed, i) (``shot_rng``
 in ``tests/reference.py``), so shots are order-independent. Philox is
 counter-based (Salmon et al., SC'11): the shot loop computes that stream for a
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import CircuitPlan, LcuBlock, Measure, Prepare
+from .circuits import CircuitPlan, LcuBlock, Measure, Prepare, amplitude_values
 from .errors import DomainError
 from .hamiltonian import apply_pauli_groups, l1_norm
 from .statevector import check_state, check_width, householder
@@ -98,11 +99,11 @@ def trace_plan(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()
     """Execute the success path once, recording conditional probabilities and costs.
 
     The state is one array: an axis per register that is neither the system nor an
-    l-register, over the sorted values it can hold (0 and the support of its Prepares),
-    then the system axis. ``CircuitPlan`` measures each block's l-register before the next
-    block there and before any other register, so a block is H~ on the rows its control
-    selects, a Prepare one reflection along its register's axis, a Measure keeps row 0 of
-    that axis, and the final system state is row 0 of them all.
+    l-register, over the sorted values it can hold (0 and those of its Prepares' nonzero
+    amplitudes), then the system axis. ``CircuitPlan`` measures each block's l-register
+    before the next block there and before any other register, so a block is H~ on the rows
+    its control selects, a Prepare one reflection along its register's axis, a Measure keeps
+    row 0 of that axis, and the final system state is row 0 of them all.
     """
     H, l_regs = plan.hamiltonian, plan.l_registers
     psi = check_state(psi, H.n)
@@ -110,8 +111,12 @@ def trace_plan(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()
     support = {r.name: {0} for r in regs}
     for ins in plan.instructions:
         if isinstance(ins, Prepare):
-            support[ins.register].update(np.flatnonzero(ins.amps).tolist())
-    axes = {r.name: (i, np.array(sorted(support[r.name])), r.width) for i, r in enumerate(regs)}
+            width = plan.layout.register(ins.register).width
+            support[ins.register].update(amplitude_values(ins.amps, width)[1])
+    axes = {}
+    for i, r in enumerate(regs):  # a unary value 2^k - 1 past 63 bits stays a Python int
+        values = np.array(sorted(support[r.name]), dtype=object if r.width > 62 else np.int64)
+        axes[r.name] = (i, values, r.width)
     shape = [len(support[r.name]) for r in regs]
     check_width(H.n + (math.prod(shape) - 1).bit_length())
     state = np.zeros(shape + [1 << H.n], dtype=complex)
@@ -142,8 +147,11 @@ def trace_plan(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()
             cond.append(0.0 if dead else _renormalize(state))
             dead = cond[-1] == 0.0
         elif not dead:
-            a, values, _ = axes[ins.register]
-            v, d = householder(np.asarray(ins.amps)[values])
+            a, values, width = axes[ins.register]
+            amps, at = amplitude_values(ins.amps, width)
+            full = np.zeros(values.shape[0], dtype=complex)
+            full[np.searchsorted(values, at)] = amps  # nonzero only: a zero may sit off the rows
+            v, d = householder(full)
             block = state.reshape(-1, shape[a], math.prod(state.shape[a + 1 :]))
             if not ins.adjoint:
                 block *= d[:, np.newaxis]

@@ -44,10 +44,6 @@ class RegisterLayout:
             raise LayoutError(f"no register named {name!r}")
         return self._by_name[name]
 
-    def qubit(self, name: str, bit: int) -> int:
-        """Global index of bit ``bit`` of a register."""
-        return self.register(name).offset + bit
-
     @property
     def n(self) -> int:
         return self.register("system").width

@@ -18,13 +18,14 @@ from lcusim.bliss import FermionicOperator
 from lcusim.circuits import CircuitPlan, LcuBlock, Measure
 from lcusim.errors import (
     DomainError,
+    InvalidHamiltonianError,
     InvalidModelError,
     LayoutError,
     MeasurementDegenerateError,
     NormalizationError,
     ResourceLimitError,
 )
-from lcusim.hamiltonian import HamiltonianLCU, l1_norm, prepare_amplitudes
+from lcusim.hamiltonian import HamiltonianLCU, l1_norm
 from lcusim.resources import GateCounts
 from lcusim.sampler import CostModel, PlanTrace
 from lcusim.statevector import Register, RegisterLayout, check_state, check_width
@@ -66,6 +67,19 @@ def to_matrix(H: HamiltonianLCU, *, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
     for t in H.terms:
         mat += t.coefficient * pauli_string_matrix(t.letters)
     return mat
+
+
+def prepare_amplitudes(H: HamiltonianLCU, width: int | None = None) -> np.ndarray:
+    """sqrt(weight / l1) amplitude vector for PREPARE, zero-padded to 2^width."""
+    if width is None:
+        width = H.l_width
+    if (1 << width) < H.num_terms:
+        raise InvalidHamiltonianError("register too narrow for the term count")
+    amps = np.zeros(1 << width)
+    norm = l1_norm(H)
+    for i, t in enumerate(H.terms):
+        amps[i] = math.sqrt(t.weight / norm)
+    return amps
 
 
 # --- dense oracle ---------------------------------------------------------------------
@@ -238,13 +252,26 @@ def apply_cx(state: StateVector, control: int, target: int) -> StateVector:
     return state
 
 
+def dense_amplitudes(amps: np.ndarray, width: int) -> np.ndarray:
+    """A Prepare's amplitudes over all 2^width register values: w + 1 unary amplitudes
+    move to the values |1^k 0^(w-k)> = 2^k - 1, and 2^w are already dense."""
+    amps = np.asarray(amps)
+    if amps.shape[0] == 1 << width:
+        return amps
+    out = np.zeros(1 << width, dtype=amps.dtype)
+    for k, a in enumerate(amps):
+        out[(1 << k) - 1] = a
+    return out
+
+
 def register_trace(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()) -> PlanTrace:
     """The success path with every register simulated and measurements projected in plan
     order: the independent reference for ``sampler.trace_plan``.
 
     Each run of consecutive ``LcuBlock``s is expanded in the paper's deferred order: the
     PREPAREs of all its l-registers (dense completion unitaries), then its SELECTs, then
-    the adjoint PREPAREs. A ``Prepare`` is its dense completion unitary (or the adjoint).
+    the adjoint PREPAREs. A ``Prepare`` is the dense completion unitary of its amplitudes
+    over all 2^width values (``dense_amplitudes``), or its adjoint.
     """
     H = plan.hamiltonian
     state = init_state(plan.layout, psi)
@@ -269,7 +296,10 @@ def register_trace(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostMod
             for ins in run:
                 apply_register_unitary(state, ins.l_register, U[ins.l_register])
             for ins in run:
-                control = None if ins.control is None else plan.layout.qubit(*ins.control)
+                control = None
+                if ins.control is not None:
+                    register, bit = ins.control
+                    control = plan.layout.register(register).offset + bit
                 apply_select(state, H, ins.l_register, control)
             for ins in run:
                 apply_register_unitary(state, ins.l_register, U[ins.l_register].conj().T)
@@ -281,7 +311,8 @@ def register_trace(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostMod
                 cond.append(0.0 if dead else project_zero(state, ins.register))
                 dead = cond[-1] == 0.0
             elif not dead:
-                U = completion_unitary(ins.amps)
+                width = plan.layout.register(ins.register).width
+                U = completion_unitary(dense_amplitudes(ins.amps, width))
                 apply_register_unitary(state, ins.register, U.conj().T if ins.adjoint else U)
     return PlanTrace(
         cond_probs=tuple(cond),
@@ -498,7 +529,8 @@ def _select_gates(plan: CircuitPlan, ins: LcuBlock) -> list[CompiledOp]:
     reg = layout.register(ins.l_register)
     controls = [reg.offset + i for i in range(reg.width)]
     if ins.control is not None:
-        controls.append(layout.qubit(*ins.control))
+        register, bit = ins.control
+        controls.append(layout.register(register).offset + bit)
     size = 1 << len(controls)
     identity = np.eye(2, dtype=complex)
     ops: list[CompiledOp] = []
@@ -530,7 +562,9 @@ def _compile_instruction(plan: CircuitPlan, ins) -> list[CompiledOp]:
         prep = _prep_dense_gates(reg, prepare_amplitudes(plan.hamiltonian, reg.width))
         return prep + _select_gates(plan, ins) + _dagger(prep)
     reg = plan.layout.register(ins.register)
-    gates = (_prep_unary_gates if ins.style == "unary" else _prep_dense_gates)(reg, ins.amps)
+    unary = len(ins.amps) != 1 << reg.width  # w + 1 amplitudes: the staircase
+    amps = dense_amplitudes(ins.amps, reg.width)
+    gates = (_prep_unary_gates if unary else _prep_dense_gates)(reg, amps)
     return _dagger(gates) if ins.adjoint else gates
 
 

@@ -8,6 +8,7 @@ from lcusim.circuits import (
     LcuBlock,
     Measure,
     Prepare,
+    amplitude_values,
     build_w_hk,
     build_w_tilde,
     build_w_unary,
@@ -131,12 +132,11 @@ class TestUnaryPlan:
     def test_unary_amplitudes_one_hot_prefix(self, ising4):
         plan = build_w_unary(ising4, 0.05, 3)
         prep = plan.instructions[0]
-        assert isinstance(prep, Prepare) and prep.style == "unary"
-        amps = prep.amps
-        support = np.flatnonzero(np.abs(amps) > 0)
-        assert list(support) == [0, 1, 3, 7]
+        # K + 1 amplitudes on a K-qubit register: the unary encoding, on |1^k 0^(K-k)>
+        assert isinstance(prep, Prepare) and prep.amps.shape == (4,)
+        assert amplitude_values(prep.amps, 3)[1] == [0, 1, 3, 7]
         beta = taylor_weights(0.05, 5.0, 3)
-        assert np.allclose(amps[support] ** 2, beta / beta.sum(), atol=1e-12)
+        assert np.allclose(prep.amps**2, beta / beta.sum(), atol=1e-12)
 
     def test_measurements_deferred_to_end(self, ising4):
         plan = build_w_unary(ising4, 0.05, 2)

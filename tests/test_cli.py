@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -162,6 +163,17 @@ class TestResources:
         )
         assert code == 0
         assert out == expected + "\n"
+
+    def test_unary_rows_past_the_old_2_to_the_K_bound(self, capsys):
+        # a unary plan holds K + 1 amplitudes, so K-max 64 prints every row: the staircase
+        # and its adjoint, 2(K - 1) CX each, and K controlled blocks on 3-qubit l-registers
+        code, out, _ = _run(capsys, "resources", "--model", "ising", "--n", "4", "--K-max", "64")
+        assert code == 0
+        rows = _csv_rows(out)
+        assert len(rows) == 128
+        block = 2 * (2**3 - 2) + 4 * (2 ** (3 + 1 + 2) - 2)
+        unary = [(int(r["K"]), int(r["two_qubit"])) for r in rows if r["family"] == "wunary"]
+        assert unary == [(K, 4 * (K - 1) + K * block) for K in range(1, 65)]
 
     @pytest.mark.parametrize(
         "flag", [["--state", "psi.txt"], ["--kappa", "2"], ["--K", "3"], ["--circuit", "wunary"]]
@@ -395,8 +407,8 @@ class TestErrors:
         "argv, width",
         [
             (["simulate", "--kappa", "43"], 47),
-            (["simulate", "--circuit", "wunary", "--K", "43"], 47),
-            (["simulate", "--circuit", "wunary", "--K", "21"], 25),
+            (["simulate", "--circuit", "wunary", "--K", str(2**43 - 1)], 47),  # 4 + 43 bits of rows
+            (["simulate", "--n", "20", "--circuit", "wunary", "--K", "31"], 25),
             (["sweep", "--kappa-max", "43"], 47),
         ],
     )
@@ -411,12 +423,12 @@ class TestErrors:
         [
             (["analytic", "--kappa", "43"], 43),
             (["analytic", "--K", str(2**40)], 41),
-            (["resources", "--K-max", "25"], 25),
-            (["resources", "--K-max", "30"], 30),
+            (["resources", "--K-max", str(2**24)], 25),
+            (["resources", "--K-max", str(2**29)], 30),
         ],
     )
     def test_taylor_register_width_checked_before_allocating(self, capsys, argv, width):
-        # 2^kappa Taylor coefficients, or 2^K amplitudes per unary plan
+        # 2^kappa Taylor coefficients, or a K whose binary Taylor register is kappa wide
         code, out, err = _run(capsys, *argv, "--model", "ising")
         assert code == 2
         assert out == ""
@@ -436,6 +448,30 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["analytic", "simulate", "sweep"])
+    def test_ising_width_checked_before_building_the_chain(self, capsys, command):
+        # 2n letter strings of n characters would take about 20 GB at n = 100000
+        tracemalloc.start()
+        try:
+            code, out, err = _run(capsys, command, "--model", "ising", "--n", "100000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (2, "", "error: 100000 qubits exceeds simulation cap 24\n")
+        assert peak < 1 << 20
+
+    def test_unary_K40_is_traceable(self, capsys):
+        # 41 rows of the unary register on 4 sites; its 4 + 40 qubits were refused before
+        code, out, _ = _run(
+            capsys, "simulate", "--model", "ising", "--n", "4", "--circuit", "wunary", "--K", "40",
+            "--tau", "0.8", "--shots", "2000", "--seed", "3",
+        )
+        assert code == 0
+        (row,) = _csv_rows(out)
+        assert row["K"] == "40"
+        p = oracle.success_prob_wtilde(build_ising(4, 1.0, 0.5), np.eye(16)[0], 0.8, 40)
+        assert abs(float(row["p_hat"]) - p) <= 3 * math.sqrt(p * (1 - p) / 2000)
 
     def test_unary_K7_is_traceable(self, capsys):
         # the 32-qubit unary layout traces on system + unary register, 11 qubits

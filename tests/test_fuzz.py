@@ -197,7 +197,8 @@ real_value = mostly(
     st.floats(-10, 10).map(repr), st.sampled_from(["-1", "nan", "inf", "-inf", "1e999", "abc"])
 )
 cost_value = mostly(st.floats(0, 10).map(repr), st.sampled_from(["-1", "nan", "inf"]))
-# a width of at most 3, or one above the 24-qubit cap, which ``check_width`` must refuse
+# a width (kappa) of at most 3, or one above the 24-qubit cap, which ``check_width`` must
+# refuse; an order K of at most 8, or 25-40, which needs a Taylor register of 5-6 qubits
 width_value = mostly(st.integers(1, 3), st.integers(-1, 0) | st.integers(25, 40)).map(str)
 order_value = mostly(st.integers(1, 8), st.integers(-1, 0) | st.integers(25, 40)).map(str)
 shots_value = mostly(st.integers(1, 1000), st.integers(-1, 0)).map(str)
@@ -255,10 +256,10 @@ def command_line(draw):
 
 
 def _wide(argv):
-    """Whether a drawn register width exceeds the 24-qubit cap."""
+    """Whether a drawn register width exceeds the 24-qubit cap. A drawn --K or --K-max of
+    at most 40 needs a Taylor register of at most 6 qubits, so only kappa can be wide."""
     flags = dict(zip(argv[1::2], argv[2::2]))
-    widths = ["--kappa", "--kappa-max", "--K-max"]
-    widths += ["--K"] if flags.get("--circuit") == "wunary" else []
+    widths = ("--kappa", "--kappa-max")
     return any(flags.get(f, "").isdigit() and int(flags[f]) > 24 for f in widths)
 
 
@@ -275,10 +276,10 @@ def test_command_line(argv):
     "argv",
     [
         ["simulate", "--model", "ising", "--n", "8", "--kappa", "25"],
-        ["simulate", "--model", "ising", "--circuit", "wunary", "--K", "25"],
+        ["simulate", "--model", "ising", "--n", "20", "--circuit", "wunary", "--K", "31"],
         ["analytic", "--model", "ising", "--kappa", "25"],
         ["sweep", "--model", "ising", "--n", "2", "--kappa-max", "30"],
-        ["resources", "--model", "ising", "--K-max", "25"],
+        ["resources", "--model", "ising", "--K-max", str(2**24)],
     ],
 )
 def test_drawn_width_above_the_cap_reaches_check_width(monkeypatch, argv):

@@ -21,10 +21,9 @@ from lcusim.hamiltonian import (
     load_hamiltonian,
     mask_sum_letters,
     pauli_sum_apply,
-    prepare_amplitudes,
     save_hamiltonian,
 )
-from reference import PAULI_MATRICES, to_matrix
+from reference import PAULI_MATRICES, prepare_amplitudes, to_matrix
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)

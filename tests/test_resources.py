@@ -13,7 +13,7 @@ from lcusim.circuits import (
     build_w_tilde,
     build_w_unary,
 )
-from lcusim.hamiltonian import build_ising, canonicalize, prepare_amplitudes
+from lcusim.hamiltonian import build_ising, canonicalize
 from lcusim.errors import LcusimError
 from lcusim.oracle import fidelity
 from lcusim.resources import count
@@ -25,6 +25,7 @@ from reference import (
     GateCX,
     compile_plan,
     diagonal_gates,
+    prepare_amplitudes,
     simulate_compiled,
     uc_ry,
     uc_rz,

@@ -10,7 +10,7 @@ from lcusim.errors import (
     NormalizationError,
     ResourceLimitError,
 )
-from lcusim.hamiltonian import canonicalize, l1_norm, prepare_amplitudes
+from lcusim.hamiltonian import canonicalize, l1_norm
 from lcusim.oracle import fidelity
 from lcusim.sampler import trace_plan
 from lcusim.statevector import RegisterLayout, check_state, householder
@@ -25,6 +25,7 @@ from reference import (
     init_state,
     measure_register,
     pauli_string_matrix,
+    prepare_amplitudes,
     project_zero,
     register_probabilities,
     to_matrix,
@@ -49,7 +50,7 @@ class TestLayout:
         assert [(r.name, r.width, r.offset) for r in lay.registers] == [
             ("system", 4, 0), ("l", 2, 4), ("k", 3, 6)
         ]
-        assert (lay.n, lay.qubit("k", 1)) == (4, 7)
+        assert (lay.n, lay.register("k").offset + 1) == (4, 7)
 
     @pytest.mark.parametrize(
         "widths", [[("system", 2), ("l", 0)], [("system", 2), ("l", 1), ("l", 1)]],

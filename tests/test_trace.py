@@ -102,6 +102,16 @@ class TestAgainstRegisterTrace:
         trace = trace_plan(build_w_unary(H, tau, 23), psi)
         assert trace.success_prob == pytest.approx(success_prob_wtilde(H, psi, tau, 23), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "n, K, tau", [(4, 40, 0.05), (4, 40, 0.8), (2, 300, 0.5), (8, 31, 0.3)]
+    )
+    def test_unary_trace_matches_the_oracle(self, n, K, tau):
+        # past K = 62 the unary values 2^K - 1 outgrow int64 and the rows hold Python ints
+        H = build_ising(n, 1.0, 0.5)
+        psi = random_state(n, np.random.default_rng(K))
+        trace = trace_plan(build_w_unary(H, tau, K), psi)
+        assert trace.success_prob == pytest.approx(success_prob_wtilde(H, psi, tau, K), rel=1e-12)
+
     def test_wide_trace_refused_before_allocating(self):
         # 2^5 rows of k on 20 system qubits is 25 qubits: refused before the 512 MiB array
         plan = build_w_tilde(build_ising(20, 1.0, 0.5), 0.05, 5)
@@ -173,6 +183,16 @@ class TestPlanShape:
                         (LcuBlock("l"), Measure("l")), family="w_hk")
         self._raises(Prepare("c", np.full(4, 0.5)), Measure("c"), match="2\\^1", extra=[("c", 1)])
 
+    def test_amplitude_count_neither_binary_nor_unary(self):
+        # a 3-qubit register takes 8 (binary) or 4 (unary) amplitudes, not 3
+        amps = np.full(3, 1 / np.sqrt(3))
+        self._raises(Prepare("c", amps), Measure("c"), match="0: needs 2\\^3 or 4", extra=[("c", 3)])
+
+    def test_adjoint_is_keyword_only(self):
+        # an old positional style argument cannot read as an adjoint
+        with pytest.raises(TypeError):
+            Prepare("c", np.array([0.6, 0.8]), "dense")
+
     def test_prepare_on_an_l_register(self):
         c = np.array([0.6, 0.8])
         self._raises(Prepare("l", c), LcuBlock("l"), Measure("l"), match="is an l-register")
@@ -181,24 +201,12 @@ class TestPlanShape:
         with pytest.raises(NormalizationError, match="instruction 0"):
             _one_block(self.H, Prepare("c", np.array([0.6, 0.6])), Measure("c"), extra=[("c", 1)])
 
-    def test_unary_prepare_off_the_unary_values(self):
-        # value 2 = |01> is no |1^k 0^(w-k)>: the trace gives p = 0, the staircase p = 1
-        amps = np.array([0.0, 0.0, 1.0, 0.0])
-        self._raises(Prepare("c", amps, style="unary"), Measure("c"), match="instruction 0",
-                     extra=[("c", 2)])
-
     def test_unary_prepare_on_the_unary_values(self):
-        amps = np.array([0.6, 0.48, 0.0, 0.64])  # on |00>, |10> and |11>
-        plan = _one_block(self.H, Prepare("c", amps, style="unary"), Measure("c"),
-                          extra=[("c", 2)])
+        amps = np.array([0.6, 0.48, 0.64])  # on |00>, |10> and |11>
+        plan = _one_block(self.H, Prepare("c", amps), Measure("c"), extra=[("c", 2)])
         trace = assert_same_trace(plan, self.psi)
         assert trace.success_prob == pytest.approx(0.36, abs=1e-12)
         assert simulate_compiled(compile_plan(plan), self.psi)[1] == pytest.approx(0.36, abs=1e-12)
-
-    def test_prepare_of_another_style(self):
-        # count would price it as dense
-        self._raises(Prepare("c", np.array([0.6, 0.8]), style="sparse"), Measure("c"),
-                     match="instruction 0", extra=[("c", 1)])
 
     def test_prepare_on_the_system_register(self):
         # the system is the trace's amplitude axis, not an axis of values
@@ -236,26 +244,26 @@ _REGISTERS = ["system", "l0", "l1", "c", "u"]
 _C = np.array([0.6, 0.8])
 _DENSE = np.sqrt([0.4, 0.3, 0.2, 0.1])
 _SPARSE = np.array([0.0, 0.6, 0.0, 0.8])  # values 1 and 3 only
-_UNARY = np.array([0.6, 0.48, 0.0, 0.64])  # on |00>, |10> and |11>
-_U_PREPARES = [(_DENSE, "dense"), (_SPARSE, "dense"), (_UNARY, "unary")]  # 2-qubit amplitudes
+_UNARY = np.array([0.6, 0.48, 0.64])  # on |00>, |10> and |11>
+_U_PREPARES = [_DENSE, _SPARSE, _UNARY]  # 2-qubit registers: binary and unary amplitudes
 _CONTROLS = [None, ("c", 0), ("c", 1), ("u", 0), ("u", 1), ("system", 1), ("l0", 0), ("l1", 1)]
 _INSTRUCTION = st.one_of(
     st.builds(LcuBlock, st.sampled_from(_REGISTERS), st.sampled_from(_CONTROLS)),
     st.builds(Measure, st.sampled_from(_REGISTERS)),
     st.builds(
-        lambda register, prep, adjoint: Prepare(register, *prep, adjoint),
+        lambda register, amps, adjoint: Prepare(register, amps, adjoint=adjoint),
         st.sampled_from(_REGISTERS),
-        st.sampled_from(_U_PREPARES + [(_C, "dense")]),
+        st.sampled_from(_U_PREPARES + [_C]),
         st.booleans(),
     ),
 )
 
 
-def _cycle(register, amps, style, name, bit):
+def _cycle(register, amps, name, bit):
     """A W-tilde-style cycle: Prepare, one controlled block and its measurement, the adjoint
     Prepare and the measurement of the control register."""
-    return [Prepare(register, amps, style), LcuBlock(name, (register, bit)), Measure(name),
-            Prepare(register, amps, style, adjoint=True), Measure(register)]
+    return [Prepare(register, amps), LcuBlock(name, (register, bit)), Measure(name),
+            Prepare(register, amps, adjoint=True), Measure(register)]
 
 
 # single instructions, blocks followed by their measurement, and whole W-tilde-style
@@ -268,9 +276,9 @@ _INSTRUCTIONS = st.lists(
             st.sampled_from(["l0", "l1"]),
             st.sampled_from(_CONTROLS),
         ),
-        st.builds(lambda name: _cycle("c", _C, "dense", name, 0), st.sampled_from(["l0", "l1"])),
+        st.builds(lambda name: _cycle("c", _C, name, 0), st.sampled_from(["l0", "l1"])),
         st.builds(
-            lambda prep, name, bit: _cycle("u", *prep, name, bit),
+            lambda amps, name, bit: _cycle("u", amps, name, bit),
             st.sampled_from(_U_PREPARES),
             st.sampled_from(["l0", "l1"]),
             st.integers(0, 1),
@@ -290,8 +298,8 @@ class TestPlanValidity:
     @settings(max_examples=300, deadline=None)
     @given(_INSTRUCTIONS, st.integers(0, 2**32 - 1))
     @example([LcuBlock("l0", ("system", 0)), Measure("l0")], 0)
-    @example(_cycle("u", _UNARY, "unary", "l0", 1) + _cycle("u", _SPARSE, "dense", "l1", 0), 0)
-    @example(_cycle("c", _C, "dense", "l0", 0) + _cycle("u", _UNARY, "unary", "l1", 0), 1)
+    @example(_cycle("u", _UNARY, "l0", 1) + _cycle("u", _SPARSE, "l1", 0), 0)
+    @example(_cycle("c", _C, "l0", 0) + _cycle("u", _UNARY, "l1", 0), 1)
     def test_refused_or_run_by_every_consumer(self, instructions, seed):
         try:
             plan = CircuitPlan(self.LAYOUT, self.H, tuple(instructions), family="fuzz")
