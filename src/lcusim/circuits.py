@@ -27,6 +27,7 @@ controlled block at lower cost.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,7 +143,8 @@ class CircuitPlan:
             raise LayoutError(f"a {H.n}-qubit Hamiltonian needs a {H.n}-qubit system register")
         l_regs = frozenset(ins.l_register for ins in self.instructions if isinstance(ins, LcuBlock))
         object.__setattr__(self, "l_registers", l_regs)
-        pending: list[str] = []  # l-registers of the blocks awaiting their measurement
+        pending: deque[str] = deque()  # l-registers of the blocks awaiting their measurement
+        unmeasured: set[str] = set()  # the same names, for the membership test
         prepared: set[str] = set()  # ancillas prepared since their last measurement
         for i, ins in enumerate(self.instructions):
             if not isinstance(ins, LcuBlock) and ins.register == "system":
@@ -156,14 +158,16 @@ class CircuitPlan:
                     or not 0 <= control[1] < layout.register(control[0]).width
                 ):
                     raise LayoutError(f"instruction {i}: control {control} is not an ancilla bit")
-                if name in pending:
+                if name in unmeasured:
                     raise LayoutError(f"instruction {i}: {name} still holds an unmeasured block")
                 pending.append(name)
+                unmeasured.add(name)
             elif isinstance(ins, Measure):
                 name = layout.register(ins.register).name  # an unknown register raises
-                if pending[:1] != ([name] if name in l_regs else []):
-                    raise LayoutError(f"instruction {i}: {name} measured, pending: {pending}")
-                pending = pending[1:]
+                if (pending[0] if pending else None) != (name if name in l_regs else None):
+                    raise LayoutError(f"instruction {i}: {name} measured, pending: {list(pending)}")
+                if pending:
+                    unmeasured.remove(pending.popleft())
                 prepared.discard(name)
             else:
                 width = layout.register(ins.register).width

@@ -8,20 +8,18 @@ LCU block (PREPARE, SELECT, PREPARE^dag) whose l-register is measured |0> acts a
 because PREPARE is zero-padded. So the trace omits the l-registers and holds
 each other register as an axis over the values it can hold: 2^kappa rows for
 W-tilde (fewer where a Taylor amplitude underflows to 0) and the K + 1 values of
-the unary Prepare's K + 1 amplitudes, times 2^n system amplitudes. Each shot
-then reduces to a sequence of Bernoulli draws against those cached
-probabilities, which is statistically identical to re-simulating the state per
-shot. Shot i's draws
-are the first doubles of numpy's Philox-4x64-10 keyed by (seed, i) (``shot_rng``
-in ``tests/reference.py``), so shots are order-independent. Philox is
-counter-based (Salmon et al., SC'11): the shot loop computes that stream for a
-chunk of shot indices at once in uint64 numpy arithmetic, only the counter
-blocks whose draws can change an outcome, and each block once for all the
-plans of ``run_shots_many``.
+the unary Prepare's K + 1 amplitudes, times 2^n system amplitudes. Every shot then
+runs the same chain of conditional probabilities q_1 .. q_M, so the number of shots
+that abort at measurement j, given the r_j that reach it, is Binomial(r_j, 1 - q_j):
+the chain-rule form of the multinomial over the M + 1 outcomes, which has exactly the
+law of one Bernoulli draw per shot and measurement. ``run_shots`` samples it with one
+binomial draw per measurement, so its cost does not grow with the number of shots.
 """
 from __future__ import annotations
 
 import math
+import random
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,7 +120,7 @@ def trace_plan(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()
     state = np.zeros(shape + [1 << H.n], dtype=complex)
     state[(0,) * len(regs)] = psi
     factors = -1j * np.array([t.weight for t in H.terms]) / l1_norm(H)
-    pending: list[float] = []  # block probabilities awaiting their measurement
+    pending: deque[float] = deque()  # block probabilities awaiting their measurement
     cond: list[float] = []
     abort_costs: list[float] = []
     running_cost = 0.0
@@ -139,7 +137,7 @@ def trace_plan(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()
             running_cost += cost.m
             abort_costs.append(running_cost)
             if ins.register in l_regs:
-                cond.append(pending.pop(0))
+                cond.append(pending.popleft())
                 continue
             if not dead:
                 a = axes[ins.register][0]
@@ -168,121 +166,112 @@ def trace_plan(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()
     )
 
 
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-# Entries per chunk: shots x max(drawn columns, outcome columns), so every per-chunk
-# array (draws, fail matrix, Philox words) stays within about 0.5 MB whatever M is.
-_CHUNK_ENTRIES = 1 << 16
+def _lgamma_tail(z: int) -> float:
+    """lgamma(z) - (z - 1/2) log z + z for an integer z >= 1, from Stirling's series past 100."""
+    if z < 100:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z
+    return 0.5 * math.log(2.0 * math.pi) + (1.0 / 12.0 - 1.0 / (360.0 * z * z)) / z
 
 
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit halves of a * b, from 32-bit partial products."""
-    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    b_lo, b_hi = b & 0xFFFFFFFF, b >> 32
-    lh = a_lo * b_hi
-    mid = a_hi * b_lo + ((a_lo * b_lo) >> 32) + (lh & 0xFFFFFFFF)  # at most 2^64 - 1
-    return a_hi * b_hi + (lh >> 32) + (mid >> 32), np.uint64(a) * b
+def _log_pmf_ratio(n: int, num: int, den: int, m: int, k: int) -> float:
+    """log f(k) / f(m) for the Binomial(n, p = num / den) pmf f, within a few ulps of |k - m|.
+
+    That is lgamma(m + 1) - lgamma(k + 1) + lgamma(n - m + 1) - lgamma(n - k + 1)
+    + (k - m) log(p / q), in Stirling's form: each log of a ratio near 1 is log1p of an
+    exact fraction, so no terms of size n log n cancel."""
+    d = k - m
+    s = (m + 0.5) * math.log1p(d / (m + 1)) + (n - m + 0.5) * math.log1p(-d / (n - m + 1))
+    s += d * math.log1p(((k + 1) * den - (n + 2) * num) / ((n - k + 1) * num))
+    tails = _lgamma_tail(m + 1) - _lgamma_tail(k + 1)
+    return tails + _lgamma_tail(n - m + 1) - _lgamma_tail(n - k + 1) - s
 
 
-def _shot_uniforms(seed: int, first: int, count: int, counters: np.ndarray) -> np.ndarray:
-    """Columns 4p .. 4p + 3 of row j are the doubles of Philox block ``counters[p]``
-    of shot ``first + j``'s stream. Block c = 1, 2, ... is counter (c, 0, 0, 0)
-    under key (seed, i), four uint64 per block, and a double is ``(x >> 11) * 2^-53``;
-    so counters 1 .. ceil(M / 4) give ``.random(M)`` in the first M columns."""
-    k0 = np.full(1, seed, dtype=np.uint64)
-    k1 = (np.uint64(first) + np.arange(count, dtype=np.uint64))[:, None]
-    c0, c1 = np.asarray(counters, dtype=np.uint64), np.zeros(1, dtype=np.uint64)
-    c2 = c3 = c1
-    for _ in range(10):
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-        k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-    x = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1).reshape(count, -1)
-    return (x >> 11) * 2.0**-53
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """One Binomial(n, p) draw for an integer n >= 0; p <= 0 gives 0 and p >= 1 gives n.
 
-
-class _Tally:
-    """One trace's outcome rule and running sums over the shot loop.
-
-    A draw u lies in [0, 1 - 2^-53], so ``u >= q`` is never true for q >= 1 and
-    always true for q <= 0. The first measurement with q <= 0 (``stop``) therefore
-    ends every shot that reaches it, and only the draws of ``live``, the measurements
-    before it with q < 1, can change an outcome. Column k of the fail matrix is
-    outcome ``ends[k]``: abort at measurement ends[k] + 1, or success when it is M.
+    CPython 3.12's ``Random.binomialvariate``: Devroye's geometric method while n p < 10,
+    else BTRS, the transformed rejection with squeeze of Hoermann (1993). Three changes keep
+    the law in double precision up to n = 2^64: the geometric step reads log1p(-p) and
+    log(1 - u), so a p below 2^-53 or a u of 0 stays finite; BTRS centres k on its exact
+    integer mode m, so the proposal's float part is small; and its acceptance test reads
+    ``_log_pmf_ratio``, where lgamma of n-sized arguments would cancel in the last digits.
     """
-
-    def __init__(self, trace: PlanTrace):
-        q = np.array(trace.cond_probs)
-        self.M = q.shape[0]
-        certain = np.flatnonzero(q <= 0.0)
-        stop = int(certain[0]) if certain.size else self.M
-        self.live = np.flatnonzero(~(q[:stop] >= 1.0))
-        self.q = q[self.live]
-        self.ends = np.append(self.live, stop)
-        self.cost = np.array(trace.abort_costs + (trace.success_cost,))[self.ends]
-        self.tally = np.zeros(self.ends.shape[0], dtype=np.int64)
-        self.total_cost = 0.0
-
-    def add(self, draws: np.ndarray) -> None:
-        """Tally one chunk of shots, given their draws for the live measurements."""
-        fail = np.ones((draws.shape[0], self.ends.shape[0]), dtype=bool)
-        fail[:, :-1] = draws >= self.q
-        outcome = fail.argmax(1)
-        self.tally += np.bincount(outcome, minlength=self.ends.shape[0])
-        with np.errstate(over="ignore"):  # an overflow is inf and refused in ``stats``
-            self.total_cost = np.add.accumulate(np.r_[self.total_cost, self.cost[outcome]])[-1]
-
-    def stats(self, N: int) -> RunStats:
-        if math.isinf(self.total_cost):
-            raise DomainError("the summed shot costs overflow: the cost units are too large")
-        aborts = {int(e) + 1: int(c) for e, c in zip(self.ends, self.tally) if c and e < self.M}
-        successes = N - sum(aborts.values())
-        return RunStats(N, successes, aborts, float(self.total_cost))
-
-
-def _run_plans(plans, psi, N, seed, cost) -> list[RunStats]:
-    """The shot loop of ``run_shots_many``: each chunk of shot indices computes each
-    Philox block that some plan's live measurement reads once, for all plans."""
-    ints = all(isinstance(v, int) for v in (N, seed))
-    if not (ints and 1 <= N <= 2**64 and 0 <= seed < 2**64):
-        raise ValueError(
-            f"need integers 1 <= N <= 2^64 and 0 <= seed < 2^64; got N={N!r}, seed={seed!r}"
-        )
-    tallies = [_Tally(trace_plan(plan, psi, cost)) for plan in plans]
-    blocks = np.array(sorted({int(j) // 4 for t in tallies for j in t.live}), dtype=np.int64)
-    columns = [4 * np.searchsorted(blocks, t.live // 4) + t.live % 4 for t in tallies]
-    width = max([1, 4 * blocks.shape[0]] + [t.ends.shape[0] for t in tallies])
-    chunk = max(1, _CHUNK_ENTRIES // width)
-    for first in range(0, N, chunk):
-        u = _shot_uniforms(seed, first, min(chunk, N - first), blocks + 1)
-        for t, cols in zip(tallies, columns):
-            t.add(u[:, cols])
-    return [t.stats(N) for t in tallies]
+    if p <= 0.0 or n == 0:
+        return 0
+    if p >= 1.0:
+        return n
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+    if n * p < 10.0:
+        x = y = 0
+        c = math.log1p(-p)
+        while True:
+            y += math.floor(math.log(1.0 - rng.random()) / c) + 1
+            if y > n:
+                return x
+            x += 1
+    num, den = p.as_integer_ratio()
+    m = (n + 1) * num // den
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = (2 * n * num + den - 2 * m * den) / (2 * den)  # n p + 1/2 - m
+    vr = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    while True:
+        u = rng.random() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0.0:  # u = -1/2 proposes k = -infinity
+            continue
+        k = m + math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = 1.0 - rng.random()
+        if us >= 0.07 and v <= vr:
+            return k
+        if math.log(v * alpha / (a / (us * us) + b)) <= _log_pmf_ratio(n, num, den, m, k):
+            return k
 
 
 def run_shots(
     plan: CircuitPlan, psi: np.ndarray, N: int, seed: int, cost: CostModel = CostModel()
 ) -> RunStats:
-    """Run shots 0 .. N - 1 of the abort-and-restart protocol.
+    """Run N shots of the abort-and-restart protocol.
 
-    One uniform draw is consumed per executed measurement; a shot aborts at
-    the first nonzero outcome and pays only for the instructions executed up
-    to and including the failing measurement. Costs are summed shot by shot,
-    in index order.
+    A shot aborts at the first nonzero outcome and pays only for the instructions executed
+    up to and including the failing measurement. Every shot runs the same traced chain
+    q_1 .. q_M, so of the r_j shots that reach measurement j, Binomial(r_j, 1 - q_j) abort
+    there and the rest go on: one ``_binomial`` draw per measurement, from
+    ``random.Random(seed)``, until no shot is left. The total cost is the sum over the
+    outcomes reached of their count times their cost.
     """
-    return _run_plans([plan], psi, N, seed, cost)[0]
+    ints = all(isinstance(v, int) for v in (N, seed))
+    if not (ints and 1 <= N <= 2**64 and 0 <= seed < 2**64):
+        raise ValueError(
+            f"need integers 1 <= N <= 2^64 and 0 <= seed < 2^64; got N={N!r}, seed={seed!r}"
+        )
+    trace = trace_plan(plan, psi, cost)
+    rng = random.Random(seed)
+    left, aborts, total_cost = N, {}, 0.0
+    for j, (q, c) in enumerate(zip(trace.cond_probs, trace.abort_costs), 1):
+        if not left:
+            break
+        k = _binomial(rng, left, 1.0 - q) if q >= 0.5 else left - _binomial(rng, left, q)
+        if k:  # an outcome never reached adds no 0 * inf
+            aborts[j], left, total_cost = k, left - k, total_cost + k * c
+    if left:
+        total_cost += left * trace.success_cost
+    if not math.isfinite(total_cost):
+        raise DomainError("the summed shot costs overflow: the cost units are too large")
+    return RunStats(N, left, aborts, total_cost)
 
 
 def run_shots_many(
     plans: list[CircuitPlan], psi: np.ndarray, N: int, seed: int, cost: CostModel = CostModel()
 ) -> list[RunStats]:
-    """``[run_shots(plan, psi, N, seed, cost) for plan in plans]``, bit for bit.
-
-    Shot i of every plan reads the same Philox stream, so each chunk of shots
-    computes the Philox blocks the plans read once for all of them.
-    """
-    return _run_plans(list(plans), psi, N, seed, cost)
+    """``[run_shots(plan, psi, N, seed, cost) for plan in plans]``: each plan draws from
+    its own ``random.Random(seed)``, so a plan's stats do not depend on the others."""
+    return [run_shots(plan, psi, N, seed, cost) for plan in plans]
 
 
 def estimate(stats: RunStats) -> tuple[float, float]:

@@ -3,8 +3,9 @@
 Each function here is the obvious dense or register-level construction of
 something the package computes another way: full registers instead of the
 collapsed trace, dense matrices instead of Pauli-mask matvecs, gate-by-gate
-compilation and execution instead of closed-form counts, numpy's Philox
-generator per shot instead of the block stream. None of them imports the fast
+compilation and execution instead of closed-form counts, one Bernoulli draw per
+shot and measurement from numpy's Philox generator instead of one binomial draw
+per measurement. None of them imports the fast
 path it checks (``test_reference_imports_no_fast_path`` enforces that).
 """
 import cmath
@@ -324,8 +325,8 @@ def register_trace(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostMod
 
 
 def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
-    """Shot ``shot_index``'s stream, Philox keyed by (seed, shot index): the definition
-    that ``sampler._shot_uniforms`` computes for many shots at once."""
+    """Shot ``shot_index``'s stream, Philox keyed by (seed, shot index), for the per-shot
+    reference loop of the sampler tests."""
     key = np.array([seed, shot_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

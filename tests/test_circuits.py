@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -144,6 +145,14 @@ class TestUnaryPlan:
         assert kinds == ["Prepare", "LcuBlock", "LcuBlock", "Prepare"] + ["Measure"] * 3
         assert plan.instructions[3].adjoint
         assert plan.instructions[4:] == (Measure("l0"), Measure("l1"), Measure("unary"))
+
+    def test_K_40000_validates_in_linear_time(self):
+        # all K blocks precede their K measurements, so K l-registers are pending at
+        # once; a quadratic validation took 22 s here
+        start = time.perf_counter()
+        plan = build_w_unary(build_ising(2, 1.0, 0.5), 0.5, 40000)
+        assert time.perf_counter() - start < 10.0
+        assert plan.select_count == 40000 and plan.measure_count == 40001
 
 
 class TestWhkPlan:

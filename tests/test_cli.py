@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
 
@@ -20,6 +24,31 @@ def _run(capsys, *argv):
 
 def _csv_rows(text):
     return list(csv.DictReader(text.splitlines()))
+
+
+README_COMMANDS = [
+    "sweep --model ising --n 4 --J 1.0 --h 0.5 --tau 0.05 --kappa-max 3 --shots 100000 --seed 7",
+    "simulate --model ising --tau 0.05 --kappa 3 --shots 100000 --seed 0",
+    "analytic --model ising --tau 0.05 --K 7",
+    "resources --model ising --n 4 --K-max 7 --format json",
+    "bliss --fermion-file src/lcusim/data/hubbard_4site.txt",
+]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS)
+def test_readme_command_never_imports_numpy_random(argv):
+    # numpy.random adds about 6 MB of resident memory, and no command needs it
+    script = (
+        "import sys\n"
+        "from lcusim.cli import main\n"
+        "code = main(sys.argv[1].split())\n"
+        "print(code, 'numpy.random' in sys.modules, file=sys.stderr)\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    done = subprocess.run([sys.executable, "-c", script, argv], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stderr.split() == ["0", "False"]
 
 
 def _reject_constant(name):
@@ -51,6 +80,21 @@ class TestSimulate:
         (row,) = _csv_rows(out)
         assert row["successes"] == "1"
         assert float(row["p_hat"]) == 1.0
+
+    def test_a_trillion_shots_in_under_a_second(self, capsys):
+        # one binomial draw per measurement, whatever the number of shots
+        start = time.perf_counter()
+        code, out, _ = _run(
+            capsys, "simulate", "--model", "ising", "--n", "4", "--tau", "0.05", "--kappa", "3",
+            "--shots", "1000000000000", "--seed", "0",
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 0 and elapsed < 1.0
+        (row,) = _csv_rows(out)
+        code, out, _ = _run(capsys, "analytic", "--model", "ising", "--n", "4", "--tau", "0.05",
+                            "--K", "7")
+        p_analytic = float(_csv_rows(out)[0]["p_wtilde"])
+        assert abs(float(row["p_hat"]) - p_analytic) < 3 * float(row["stderr"])
 
     def test_state_file(self, capsys, tmp_path):
         psi = np.zeros(16)
@@ -113,9 +157,21 @@ class TestSweep:
         assert out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
+    def test_row_k_equals_simulate_kappa_k(self, capsys):
+        flags = ["--model", "ising", "--n", "4", "--tau", "0.3", "--seed", "2024",
+                 "--shots", "5000", "--d", "0.3", "--d-ctrl", "0.7", "--m", "0.1"]
+        code, out, _ = _run(capsys, "sweep", "--kappa-max", "3", *flags)
+        assert code == 0
+        for row in _csv_rows(out):
+            code, out, _ = _run(capsys, "simulate", "--kappa", row["kappa"], *flags)
+            (single,) = _csv_rows(out)
+            assert code == 0 and single["abort_histogram"]
+            fields = ["K", "shots", "successes", "p_hat", "stderr", "abort_histogram", "mean_cost"]
+            assert [single[f] for f in fields] == [row[f] for f in fields]
+
     def test_shot_stream_is_pinned(self, capsys):
-        # Rows printed by the per-shot shot_rng loop before the block sampler
-        # replaced it; a change to the (seed, shot index) stream shows here.
+        # Rows of the binomial shot loop, one random.Random(seed) per plan; a change to
+        # its draws shows here.
         code, out, _ = _run(
             capsys,
             "sweep", "--model", "ising", "--n", "4", "--tau", "0.05",
@@ -124,9 +180,9 @@ class TestSweep:
         assert code == 0
         rows = {r["kappa"]: (r["successes"], r["abort_histogram"]) for r in _csv_rows(out)}
         assert rows == {
-            "1": ("13053", "1:2455;2:4492"),
-            "2": ("12139", "1:2413;2:303;3:103;4:5042"),
-            "3": ("12120", "1:2413;2:303;3:103;4:3;5:1;8:5057"),
+            "1": ("13113", "1:2376;2:4511"),
+            "2": ("12268", "1:2337;2:309;3:113;4:4973"),
+            "3": ("12006", "1:2337;2:309;3:113;4:6;6:1;8:5228"),
         }
 
 
@@ -820,47 +876,47 @@ class TestAnalyticPasses:
 STDOUT_PINS = {
     'simulate --model ising --circuit wunary --K 3 --d 0.3 --d-ctrl 0.7 --m 0.1': (
         'circuit,K,tau,shots,successes,p_hat,stderr,abort_histogram,mean_cost\n'
-        'wunary,3,0.05,10000,6139,0.6139,0.0048685397194641435,1:1288;2:66;3:2;4:2505,2.4600200000000534\n'
+        'wunary,3,0.05,10000,6065,0.6065,0.004885260996098366,1:1366;2:56;3:2;4:2511,2.45788\n'
     ),
     'simulate --model ising --circuit wunary --K 3 --d 0.3 --d-ctrl 0.7 --m 0.1 --format json': (
         '[\n'
         ' {\n'
         '  "K": 3,\n'
-        '  "abort_histogram": "1:1288;2:66;3:2;4:2505",\n'
+        '  "abort_histogram": "1:1366;2:56;3:2;4:2511",\n'
         '  "circuit": "wunary",\n'
-        '  "mean_cost": 2.4600200000000534,\n'
-        '  "p_hat": 0.6139,\n'
+        '  "mean_cost": 2.45788,\n'
+        '  "p_hat": 0.6065,\n'
         '  "shots": 10000,\n'
-        '  "stderr": 0.0048685397194641435,\n'
-        '  "successes": 6139,\n'
+        '  "stderr": 0.004885260996098366,\n'
+        '  "successes": 6065,\n'
         '  "tau": 0.05\n'
         ' }\n'
         ']\n'
     ),
     'simulate --model ising --kappa 2 --d 0.3 --d-ctrl 0.7 --m 0.1': (
         'circuit,K,tau,shots,successes,p_hat,stderr,abort_histogram,mean_cost\n'
-        'wtilde,3,0.05,10000,6135,0.6135,0.004869473790873096,1:1137;2:163;3:60;4:2505,2.2914399999999513\n'
+        'wtilde,3,0.05,10000,6005,0.6005,0.004897956206419163,1:1218;2:147;3:56;4:2574,2.27915\n'
     ),
     'simulate --model ising --kappa 2 --d 0.3 --d-ctrl 0.7 --m 0.1 --format json': (
         '[\n'
         ' {\n'
         '  "K": 3,\n'
-        '  "abort_histogram": "1:1137;2:163;3:60;4:2505",\n'
+        '  "abort_histogram": "1:1218;2:147;3:56;4:2574",\n'
         '  "circuit": "wtilde",\n'
-        '  "mean_cost": 2.2914399999999513,\n'
-        '  "p_hat": 0.6135,\n'
+        '  "mean_cost": 2.27915,\n'
+        '  "p_hat": 0.6005,\n'
         '  "shots": 10000,\n'
-        '  "stderr": 0.004869473790873096,\n'
-        '  "successes": 6135,\n'
+        '  "stderr": 0.004897956206419163,\n'
+        '  "successes": 6005,\n'
         '  "tau": 0.05\n'
         ' }\n'
         ']\n'
     ),
     'sweep --model ising --m 0.25 --kappa-max 3': (
         'K,kappa,shots,successes,p_hat,stderr,abort_histogram,mean_cost,p_analytic\n'
-        '1,1,10000,6627,0.6627,0.004727882295489176,1:1165;2:2208,1.470875,0.6559999999999999\n'
-        '3,2,10000,6135,0.6135,0.004869473790873096,1:1137;2:163;3:60;4:2505,3.661375,0.6066575788750416\n'
-        '7,3,10000,6120,0.612,0.004872945721019269,1:1137;2:163;3:60;8:2520,7.981375,0.606530660063536\n'
+        '1,1,10000,6542,0.6542,0.0047562838435063984,1:1237;2:2221,1.469075,0.6559999999999999\n'
+        '3,2,10000,6005,0.6005,0.004897956206419163,1:1218;2:147;3:56;4:2574,3.6416,0.6066575788750416\n'
+        '7,3,10000,5975,0.5975,0.004904016211229323,1:1218;2:147;3:56;8:2604,7.9311,0.606530660063536\n'
     ),
     'resources --model ising --K-max 7': (
         'family,K,kappa,qubits,two_qubit,measurements\n'

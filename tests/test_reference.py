@@ -10,8 +10,8 @@ FAST_PATHS = {
     "count",
     "_cx_count",
     "_jw_masks",
-    "_shot_uniforms",
-    "_run_plans",
+    "_binomial",
+    "run_shots",
 }
 
 

@@ -1,7 +1,7 @@
-import contextlib
-import io
 import math
+import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,17 +25,17 @@ from lcusim.sampler import (
     PlanTrace,
     run_shots,
     run_shots_many,
-    _shot_uniforms,
+    _binomial,
     trace_plan,
 )
 import lcusim.sampler as sampler
-from lcusim.cli import main
 from conftest import random_hamiltonian, random_state
 from reference import shot_rng, truncated_taylor_matrix
 
 
 def per_shot_run_shots(plan, psi, N, seed, cost=CostModel()):
-    """The per-shot loop that the block sampler replaced: one shot_rng per shot."""
+    """The per-shot reference for run_shots: one Bernoulli draw per measurement from
+    one shot_rng per shot."""
     return per_shot_stats(trace_plan(plan, psi, cost), N, seed)
 
 
@@ -54,11 +54,6 @@ def per_shot_stats(trace, N, seed):
             stats.total_cost += trace.abort_costs[step - 1]
     stats.abort_histogram = dict(sorted(hist.items()))
     return stats
-
-
-def assert_bitwise_equal(new, old):
-    assert new == old
-    assert new.total_cost.hex() == old.total_cost.hex()
 
 
 class TestTracePlan:
@@ -220,26 +215,39 @@ class TestRunShots:
         with pytest.raises(ValueError):
             run_shots(plan, psi0_4, **{"N": 3, "seed": 0, **kwargs})
 
-class TestBlockSampler:
-    """The block Philox stream and shot loop against the per-shot reference."""
 
-    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
-    @pytest.mark.parametrize("first", [0, 1, 4095, 4096, 2**63, 2**64 - 1])
-    def test_stream_matches_shot_rng(self, seed, first):
-        count = min(3, 2**64 - first)
-        for M in range(1, 10):
-            u = _shot_uniforms(seed, first, count, np.arange(1, -(-M // 4) + 1))[:, :M]
-            assert u.shape == (count, M)
-            for j in range(count):
-                assert np.array_equal(u[j], shot_rng(seed, first + j).random(M))
-        # any subset of counters, in any order: block c holds draws 4(c - 1) .. 4c - 1
-        counters = [5, 2, 9]
-        u = _shot_uniforms(seed, first, count, np.array(counters))
-        assert u.shape == (count, 12)
-        for j in range(count):
-            stream = shot_rng(seed, first + j).random(36)
-            for p, c in enumerate(counters):
-                assert np.array_equal(u[j, 4 * p:4 * p + 4], stream[4 * (c - 1):4 * c])
+def chain_outcomes(trace):
+    """Exact probability of each outcome of a shot: abort at measurement j (1-based) or
+    success (0), from the traced chain q_1 .. q_M."""
+    probs, surviving = {}, 1.0
+    for j, q in enumerate(trace.cond_probs, 1):
+        q = min(max(q, 0.0), 1.0)
+        probs[j] = surviving * (1.0 - q)
+        surviving *= q
+    probs[0] = surviving
+    return probs
+
+
+def assert_matches_chain(stats, trace):
+    """Each outcome's count within 3 sigma of N times its exact probability (exactly 0 or
+    N where that probability is 0 or 1), and the total cost summed over the outcomes."""
+    N = stats.shots
+    counts = {**stats.abort_histogram, 0: stats.successes}
+    assert 0 not in stats.abort_histogram.values() and sum(counts.values()) == N
+    for outcome, pi in chain_outcomes(trace).items():
+        count = counts.get(outcome, 0)
+        assert abs(count - N * pi) <= 3 * math.sqrt(N * pi * (1.0 - pi)), (outcome, count, N * pi)
+    expected = sum(c * trace.abort_costs[j - 1] for j, c in stats.abort_histogram.items())
+    assert stats.total_cost == pytest.approx(expected + stats.successes * trace.success_cost)
+
+
+def exact_counts(stats):
+    return stats.shots, stats.successes, stats.abort_histogram
+
+
+class TestBlockSampler:
+    """run_shots draws all N shots at once, one binomial per measurement; the per-shot
+    loop is its reference, both compared with the exact chain in distribution."""
 
     @pytest.mark.parametrize("kappa", [1, 2, 3])
     def test_run_shots_matches_per_shot_loop(self, ising4, kappa):
@@ -248,46 +256,68 @@ class TestBlockSampler:
         plan = build_w_tilde(ising4, 0.05, kappa)
         cost = CostModel(d=0.3, d_ctrl=0.7, m=0.1)
         args = (plan, psi, 2 * 4096 + 123, 2**40 + kappa, cost)
+        trace = trace_plan(plan, psi, cost)
         new = run_shots(*args)
         assert new.abort_histogram and 0 < new.successes < new.shots
-        assert_bitwise_equal(new, per_shot_run_shots(*args))
+        assert_matches_chain(new, trace)
+        assert_matches_chain(per_shot_run_shots(*args), trace)
 
     def test_dead_branch_matches_per_shot_loop(self):
         # H = (I - Z)/2 annihilates |0>: every q is 0.0, every shot aborts at step 1
         H = canonicalize(1, [(0.5, "I"), (-0.5, "Z")])
         psi = np.array([1.0, 0.0], dtype=complex)
         args = (build_w_hk(H, 2), psi, 4096 + 5, 3, CostModel(d=0.3, m=0.1))
-        new = run_shots(*args)
+        new, ref = run_shots(*args), per_shot_run_shots(*args)
         assert new.abort_histogram == {1: 4096 + 5}
-        assert_bitwise_equal(new, per_shot_run_shots(*args))
+        assert exact_counts(new) == exact_counts(ref)
+        assert new.total_cost == pytest.approx(ref.total_cost, rel=1e-12)
 
     def test_tau_zero_matches_per_shot_loop(self, ising4, psi0_4):
         # at tau = 0 every q is 1.0, every shot succeeds
         args = (build_w_tilde(ising4, 0.0, 2), psi0_4, 4096 + 5, 3, CostModel(d=0.3, m=0.1))
-        new = run_shots(*args)
+        new, ref = run_shots(*args), per_shot_run_shots(*args)
         assert new.successes == 4096 + 5
-        assert_bitwise_equal(new, per_shot_run_shots(*args))
+        assert exact_counts(new) == exact_counts(ref)
+        assert new.total_cost == pytest.approx(ref.total_cost, rel=1e-12)
+
+    def test_unreached_infinite_cost_adds_no_nan(self):
+        # every shot aborts at step 1, which costs 1e308; step 2 and success cost inf
+        H = canonicalize(1, [(0.5, "I"), (-0.5, "Z")])
+        psi = np.array([1.0, 0.0], dtype=complex)
+        plan = build_w_hk(H, 2)
+        trace = trace_plan(plan, psi, CostModel(d=1e308))
+        assert trace.abort_costs == (1e308, math.inf) and trace.success_cost == math.inf
+        stats = run_shots(plan, psi, 1, 5, CostModel(d=1e308))
+        assert stats.abort_histogram == {1: 1}
+        assert mean_cost_per_shot(stats) == 1e308
+        with pytest.raises(DomainError, match="overflow"):
+            run_shots(plan, psi, 2, 5, CostModel(d=1e308))
+
+    def test_trillion_shots_within_3_sigma(self, ising4, psi0_4):
+        plan = build_w_tilde(ising4, 0.05, 3)
+        trace = trace_plan(plan, psi0_4)
+        stats = run_shots(plan, psi0_4, 10**12, 0)
+        assert_matches_chain(stats, trace)
+        p, se = estimate(stats)
+        assert abs(p - success_prob_wtilde(ising4, psi0_4, 0.05, 7)) < 3 * se
 
 
 class TestSharedStream:
-    """run_shots_many: one Philox stream for many plans, and only the live blocks."""
+    """run_shots_many: each plan draws from its own random.Random(seed)."""
 
     @staticmethod
-    def record_kernel(monkeypatch):
-        calls = []  # (first, count, counters) per kernel call
+    def record_draws(monkeypatch):
+        calls = []  # (n, p) of each binomial draw
 
-        def recorder(seed, first, count, counters):
-            calls.append((first, count, [int(c) for c in counters]))
-            return kernel(seed, first, count, counters)
+        def recorder(rng, n, p):
+            calls.append((n, p))
+            return draw(rng, n, p)
 
-        kernel = sampler._shot_uniforms
-        monkeypatch.setattr(sampler, "_shot_uniforms", recorder)
+        draw = sampler._binomial
+        monkeypatch.setattr(sampler, "_binomial", recorder)
         return calls
 
-    @pytest.mark.parametrize("entries", [None, 64])
-    def test_each_plan_matches_per_shot_loop(self, ising4, psi0_4, monkeypatch, entries):
-        if entries:  # a chunk of 7 shots: many chunk boundaries at a small N
-            monkeypatch.setattr(sampler, "_CHUNK_ENTRIES", entries)
+    def test_each_plan_matches_per_shot_loop(self, ising4, psi0_4):
         dead = canonicalize(4, [(0.5, "IIII"), (-0.5, "ZIII")])  # annihilates |0000>
         plans = [build_w_tilde(ising4, 0.3, kappa) for kappa in (1, 2, 3)] + [
             build_w_unary(ising4, 0.3, 3),
@@ -296,52 +326,121 @@ class TestSharedStream:
             build_w_tilde(ising4, 0.0, 2),
         ]
         cost = CostModel(d=0.3, d_ctrl=0.7, m=0.1)
-        chunk = sampler._CHUNK_ENTRIES // 9  # 2 blocks of draws, at most 8 + 1 outcomes
-        N = 2 * chunk + 123 if entries is None else 100
+        N = 2 * (65536 // 9) + 123
         args = (psi0_4, N, 2**40 + 1, cost)
-        calls = self.record_kernel(monkeypatch)
         many = run_shots_many(plans, *args)
-        assert [c[0] for c in calls] == list(range(0, N, chunk))
-        assert all(c[2] == [1, 2] for c in calls)
+        assert many == [run_shots(plan, *args) for plan in plans]
         for plan, new in zip(plans, many):
-            assert_bitwise_equal(new, per_shot_run_shots(plan, *args))
+            trace = trace_plan(plan, psi0_4, cost)
+            assert_matches_chain(new, trace)
+            assert_matches_chain(per_shot_run_shots(plan, *args), trace)
         assert all(s.abort_histogram for s in many[:6])
         assert many[5].abort_histogram == {1: N} and many[6].successes == N
         assert run_shots_many([], *args) == []
 
-    def test_readme_sweep_computes_each_block_once(self, monkeypatch):
-        calls = self.record_kernel(monkeypatch)
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["sweep", "--model", "ising", "--n", "4", "--tau", "0.05",
-                         "--kappa-max", "3", "--shots", "20000", "--seed", "7"]) == 0
-        pairs = [(first + j, c) for first, count, cs in calls for j in range(count) for c in cs]
-        assert len(pairs) == len(set(pairs)) == 2 * 20000  # kappa = 3 reads 8 draws
-        assert sorted({p[0] for p in pairs}) == list(range(20000))
-
-    def test_only_live_blocks_are_computed(self, monkeypatch):
-        # draws 0-3 meet q = 1 (never fail), draw 4 is live, draw 5 has q = 0 and
-        # fails every shot that reaches it, so draws 6-19 are never read: only
-        # counter 2 (draws 4-7) is computed
+    def test_only_live_measurements_draw(self, monkeypatch):
+        # measurements 1-4 have q = 1 (no shot aborts), 5 is live, 6 has q = 0 and ends
+        # every shot that reaches it, so measurements 7-20 are never reached
         q = (1.0,) * 4 + (0.5, 0.0) + (1.0,) * 2 + (0.25,) * 12
         trace = PlanTrace(q, 0.0, None, tuple(0.5 + j for j in range(20)), 21.0)
         monkeypatch.setattr(sampler, "trace_plan", lambda plan, psi, cost: trace)
-        calls = self.record_kernel(monkeypatch)
+        calls = self.record_draws(monkeypatch)
         new = run_shots(None, None, 1000, 9)
-        assert {tuple(c[2]) for c in calls} == {(2,)}
-        assert new.abort_histogram.keys() == {5, 6}
-        assert_bitwise_equal(new, per_shot_stats(trace, 1000, 9))
+        assert [p for _, p in calls if 0.0 < p < 1.0] == [0.5]
+        assert len(calls) == 6 and new.abort_histogram.keys() == {5, 6}
+        assert_matches_chain(new, trace)
+        assert_matches_chain(per_shot_stats(trace, 1000, 9), trace)
 
-    def test_ising_high_order_reads_few_blocks(self, monkeypatch):
+    def test_ising_high_order_draws_few_binomials(self, monkeypatch):
         # kappa = 10: 1024 measurements, most with q exactly 1.0
         H = build_ising(2, 1.0, 0.5)
         psi = np.array([1, 0, 0, 0], dtype=complex)
         plan = build_w_tilde(H, 0.05, 10)
-        q = np.array(trace_plan(plan, psi).cond_probs)
-        live_blocks = sorted({j // 4 + 1 for j in np.flatnonzero((q > 0) & (q < 1))})
-        calls = self.record_kernel(monkeypatch)
+        trace = trace_plan(plan, psi)
+        live = np.count_nonzero((np.array(trace.cond_probs) > 0) & (np.array(trace.cond_probs) < 1))
+        calls = self.record_draws(monkeypatch)
         new = run_shots(plan, psi, 300, 1)
-        assert len(live_blocks) == 5 and {tuple(c[2]) for c in calls} == {tuple(live_blocks)}
-        assert_bitwise_equal(new, per_shot_run_shots(plan, psi, 300, 1))
+        assert 0 < live <= 20 and len([c for c in calls if 0.0 < c[1] < 1.0]) == live
+        assert_matches_chain(new, trace)
+        assert_matches_chain(per_shot_run_shots(plan, psi, 300, 1), trace)
+
+
+def binomial_pmf(n, p, k):
+    """C(n, k) p^k (1 - p)^(n - k), through the log of the exact integer C(n, k)."""
+    return math.exp(math.log(math.comb(n, k)) + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def chi2_within_3_sigma(observed, expected):
+    """Pearson's chi^2 over bins of expected count >= 20 (adjacent bins merged, the
+    remainder into the last), below dof + 3 sqrt(2 dof)."""
+    bins, e_acc, o_acc = [], 0.0, 0
+    for o, e in zip(observed, expected):
+        e_acc, o_acc = e_acc + e, o_acc + o
+        if e_acc >= 20:
+            bins.append((o_acc, e_acc))
+            e_acc, o_acc = 0.0, 0
+    o_last, e_last = bins.pop()
+    bins.append((o_last + o_acc, e_last + e_acc))
+    chi2 = sum((o - e) ** 2 / e for o, e in bins)
+    dof = len(bins) - 1
+    assert dof >= 1 and chi2 < dof + 3 * math.sqrt(2 * dof), (chi2, dof)
+
+
+class TestBinomial:
+    """``_binomial`` against the exact pmf, at fixed seeds."""
+
+    DRAWS = 20_000
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [
+            (1, 0.3),  # geometric method, n p < 10
+            (7, 0.5),
+            (60, 0.1),
+            (40, 0.93),  # p > 1/2: n minus a draw at 1 - p
+            (100, 0.3),  # BTRS, n p >= 10
+            (1000, 0.5),
+            (5000, 0.011),
+            (300, 0.8),
+        ],
+    )
+    def test_matches_the_exact_pmf(self, n, p):
+        rng = random.Random(n)
+        observed = [0] * (n + 1)
+        for _ in range(self.DRAWS):
+            observed[_binomial(rng, n, p)] += 1
+        chi2_within_3_sigma(observed, [self.DRAWS * binomial_pmf(n, p, k) for k in range(n + 1)])
+
+    def test_n_2_to_the_64_with_n_p_below_10(self):
+        # p = 2^-62 rounds 1 - p to 1.0, so the geometric step needs log1p(-p)
+        n, p = 2**64, 2.0**-62
+        rng = random.Random(64)
+        observed = [0] * 40
+        for _ in range(self.DRAWS):
+            observed[_binomial(rng, n, p)] += 1
+        chi2_within_3_sigma(observed, [self.DRAWS * binomial_pmf(n, p, k) for k in range(40)])
+
+    @pytest.mark.parametrize("p", [0.3, 1.0 - 2.0**-40])
+    def test_n_2_to_the_64_with_btrs(self, p):
+        # at this n the binomial cdf is the normal one to about 1e-9 (Berry-Esseen), so
+        # the draws' z-scores fall in 20 equiprobable normal bins
+        n = 2**64
+        mean = n * Fraction(p)
+        sd = math.sqrt(n * p * (1.0 - p))
+        rng = random.Random(65)
+        observed = [0] * 20
+        for _ in range(self.DRAWS):
+            z = float(_binomial(rng, n, p) - mean) / sd
+            observed[min(int(20 * 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))), 19)] += 1
+        chi2_within_3_sigma(observed, [self.DRAWS / 20] * 20)
+
+    def test_edges_draw_nothing(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        assert [_binomial(rng, 0, 0.3), _binomial(rng, 0, 0.0), _binomial(rng, 0, 1.0)] == [0, 0, 0]
+        assert [_binomial(rng, 2**64, 0.0), _binomial(rng, 2**64, -0.0)] == [0, 0]
+        assert [_binomial(rng, 2**64, 1.0), _binomial(rng, 5, 1.0 + 2**-52)] == [2**64, 5]
+        assert rng.getstate() == state
 
 
 class TestStatsHelpers:
