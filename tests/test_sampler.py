@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import random
 import warnings
@@ -29,6 +31,7 @@ from lcusim.sampler import (
     trace_plan,
 )
 import lcusim.sampler as sampler
+from lcusim.cli import main
 from conftest import random_hamiltonian, random_state
 from reference import shot_rng, truncated_taylor_matrix
 
@@ -241,6 +244,23 @@ def assert_matches_chain(stats, trace):
     assert stats.total_cost == pytest.approx(expected + stats.successes * trace.success_cost)
 
 
+def assert_in_binomial_tails(stats, trace):
+    """For few shots: each outcome's count, Binomial(N, pi), has both exact tails of at
+    least the 3 sigma one-sided normal tail, 0.00135 (exactly 0 or N where pi is 0 or 1)."""
+    N = stats.shots
+    counts = {**stats.abort_histogram, 0: stats.successes}
+    assert 0 not in stats.abort_histogram.values() and sum(counts.values()) == N
+    for outcome, pi in chain_outcomes(trace).items():
+        count = counts.get(outcome, 0)
+        if pi in (0.0, 1.0):
+            assert count == N * pi, (outcome, count)
+            continue
+        pmf = [binomial_pmf(N, pi, k) for k in range(N + 1)]
+        assert min(sum(pmf[:count + 1]), sum(pmf[count:])) >= 0.00135, (outcome, count, N * pi)
+    expected = sum(c * trace.abort_costs[j - 1] for j, c in stats.abort_histogram.items())
+    assert stats.total_cost == pytest.approx(expected + stats.successes * trace.success_cost)
+
+
 def exact_counts(stats):
     return stats.shots, stats.successes, stats.abort_histogram
 
@@ -248,6 +268,24 @@ def exact_counts(stats):
 class TestBlockSampler:
     """run_shots draws all N shots at once, one binomial per measurement; the per-shot
     loop is its reference, both compared with the exact chain in distribution."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("first", [0, 1, 4095, 4096, 2**63, 2**64 - 1])
+    def test_stream_matches_shot_rng(self, ising4, psi0_4, seed, first):
+        # shots 0 .. first, so N = first + 1 spans 1 .. 2^64, at the extreme seeds: the
+        # counts sum to N, repeat for the seed, and follow the exact chain, as the per-shot
+        # loop over shot_rng(seed, 0) .. shot_rng(seed, first) does where it can run
+        N = first + 1
+        plan = build_w_tilde(ising4, 0.3, 2)
+        trace = trace_plan(plan, psi0_4)
+        stats = run_shots(plan, psi0_4, N, seed)
+        assert stats == run_shots(plan, psi0_4, N, seed) and stats.shots == N
+        runs = [stats] + ([per_shot_stats(trace, N, seed)] if N <= 4097 else [])
+        for s in runs:
+            assert s.successes + sum(s.abort_histogram.values()) == N
+            assert 0 not in s.abort_histogram.values()
+            if N >= 4096:  # counts large enough for the 3 sigma gate
+                assert_matches_chain(s, trace)
 
     @pytest.mark.parametrize("kappa", [1, 2, 3])
     def test_run_shots_matches_per_shot_loop(self, ising4, kappa):
@@ -317,7 +355,8 @@ class TestSharedStream:
         monkeypatch.setattr(sampler, "_binomial", recorder)
         return calls
 
-    def test_each_plan_matches_per_shot_loop(self, ising4, psi0_4):
+    @pytest.mark.parametrize("shots", [None, 64])
+    def test_each_plan_matches_per_shot_loop(self, ising4, psi0_4, shots):
         dead = canonicalize(4, [(0.5, "IIII"), (-0.5, "ZIII")])  # annihilates |0000>
         plans = [build_w_tilde(ising4, 0.3, kappa) for kappa in (1, 2, 3)] + [
             build_w_unary(ising4, 0.3, 3),
@@ -326,19 +365,50 @@ class TestSharedStream:
             build_w_tilde(ising4, 0.0, 2),
         ]
         cost = CostModel(d=0.3, d_ctrl=0.7, m=0.1)
-        N = 2 * (65536 // 9) + 123
+        N = shots or 2 * (65536 // 9) + 123  # 64 shots: outcomes of count 0, early stops
         args = (psi0_4, N, 2**40 + 1, cost)
         many = run_shots_many(plans, *args)
         assert many == [run_shots(plan, *args) for plan in plans]
+        check = assert_matches_chain if shots is None else assert_in_binomial_tails
         for plan, new in zip(plans, many):
             trace = trace_plan(plan, psi0_4, cost)
-            assert_matches_chain(new, trace)
-            assert_matches_chain(per_shot_run_shots(plan, *args), trace)
+            check(new, trace)
+            check(per_shot_run_shots(plan, *args), trace)
         assert all(s.abort_histogram for s in many[:6])
         assert many[5].abort_histogram == {1: N} and many[6].successes == N
         assert run_shots_many([], *args) == []
 
-    def test_only_live_measurements_draw(self, monkeypatch):
+    def test_readme_sweep_computes_each_block_once(self, monkeypatch):
+        runs = []  # (trace, [(rng, n, p, aborted) per draw]) per plan
+
+        def tracer(plan, psi, cost):
+            runs.append((trace(plan, psi, cost), []))
+            return runs[-1][0]
+
+        def recorder(rng, n, p):
+            t, draws = runs[-1]
+            k = draw(rng, n, p)
+            draws.append((rng, n, p, k if t.cond_probs[len(draws)] >= 0.5 else n - k))
+            return k
+
+        trace, draw = sampler.trace_plan, sampler._binomial
+        monkeypatch.setattr(sampler, "trace_plan", tracer)
+        monkeypatch.setattr(sampler, "_binomial", recorder)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", "--model", "ising", "--n", "4", "--tau", "0.05",
+                         "--kappa-max", "3", "--shots", "20000", "--seed", "7"]) == 0
+        assert [len(t.cond_probs) for t, _ in runs] == [2, 4, 8]
+        assert len({id(d[0]) for _, draws in runs for d in draws}) == 3  # a generator per plan
+        for t, draws in runs:
+            # one draw per measurement reached, in order, of the shots left there
+            assert len({id(d[0]) for d in draws}) == 1 and 1 <= len(draws) <= len(t.cond_probs)
+            left = 20000
+            for (_, n, p, aborted), q in zip(draws, t.cond_probs):
+                assert 0 < n == left and p == (1.0 - q if q >= 0.5 else q) and 0 <= aborted <= n
+                left -= aborted
+            assert len(draws) == len(t.cond_probs) or left == 0  # stops only when none is left
+
+    def test_only_live_blocks_are_computed(self, monkeypatch):
         # measurements 1-4 have q = 1 (no shot aborts), 5 is live, 6 has q = 0 and ends
         # every shot that reaches it, so measurements 7-20 are never reached
         q = (1.0,) * 4 + (0.5, 0.0) + (1.0,) * 2 + (0.25,) * 12
@@ -351,7 +421,7 @@ class TestSharedStream:
         assert_matches_chain(new, trace)
         assert_matches_chain(per_shot_stats(trace, 1000, 9), trace)
 
-    def test_ising_high_order_draws_few_binomials(self, monkeypatch):
+    def test_ising_high_order_reads_few_blocks(self, monkeypatch):
         # kappa = 10: 1024 measurements, most with q exactly 1.0
         H = build_ising(2, 1.0, 0.5)
         psi = np.array([1, 0, 0, 0], dtype=complex)
