@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ import numpy as np
 from . import oracle
 from .bliss import jordan_wigner, load_fermionic, optimize_bliss
 from .circuits import build_w_tilde, build_w_unary, kappa_for
-from .errors import LayoutError, LcusimError, NormalizationError
+from .errors import LayoutError, LcusimError, NormalizationError, ResourceLimitError
 from .hamiltonian import HamiltonianLCU, build_ising, l1_norm, load_hamiltonian
 from .resources import count
 from .sampler import CostModel, estimate, mean_cost_per_shot, run_shots, run_shots_many
@@ -55,9 +56,9 @@ def _int_in(lo: int, hi: float = math.inf):
 _FLAGS = {  # each flag's definition, for every command that reads it
     "--hamiltonian": {"help": "Hamiltonian JSON file"},
     "--model": {"choices": ["ising"], "help": "built-in model preset"},
-    "--n": {"type": int, "default": 4, "help": "ising sites"},
-    "--J": {"type": float, "default": 1.0},
-    "--h": {"type": float, "default": 0.5},
+    "--n": {"type": int, "help": "ising sites"},  # n, J, h: None unless given (4, 1.0, 0.5)
+    "--J": {"type": float},
+    "--h": {"type": float},
     "--tau": {"type": float, "default": 0.05},
     "--kappa": {"type": _int_in(1), "help": "Taylor register width (K = 2^kappa - 1)"},
     "--K": {"type": _int_in(1), "help": "truncation order"},
@@ -93,6 +94,11 @@ def build_parser(argv: list[str]) -> _Parser:
     """The parser with all five command names, but the flags only of the command that
     ``argv`` names: its first argument not starting with '-'."""
     named = next((a for a in argv if not a.startswith("-")), None)
+    return _parser(named if named in _COMMANDS else None)
+
+
+@functools.cache  # one parser per named command (or none), built on its first call
+def _parser(named: str | None) -> _Parser:
     parser = _Parser(prog="lcusim")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_flags, _) in _COMMANDS.items():
@@ -106,11 +112,15 @@ def _resolve_hamiltonian(args) -> HamiltonianLCU:
     if args.hamiltonian and args.model:
         raise UsageError("give either --hamiltonian or --model, not both")
     if args.hamiltonian:
+        given = [f"--{name}" for name in ("n", "J", "h") if getattr(args, name) is not None]
+        if given:
+            raise UsageError(f"{' '.join(given)}: only --model ising reads these, not --hamiltonian")
         return load_hamiltonian(args.hamiltonian)
     if args.model == "ising":
+        n = 4 if args.n is None else args.n
         if args.command != "resources":  # the others hold 2^n amplitudes: refuse before building
-            check_width(args.n)
-        return build_ising(args.n, args.J, args.h)
+            check_width(n)
+        return build_ising(n, 1.0 if args.J is None else args.J, 0.5 if args.h is None else args.h)
     raise UsageError("a Hamiltonian source is required (--hamiltonian or --model ising)")
 
 
@@ -144,11 +154,26 @@ def _resolve_state(args, n: int) -> np.ndarray:
     return _basis_state(n)
 
 
+# Instructions of the unary plans one command may build, 2K + 3 per plan (K blocks, K + 1
+# Measures, a Prepare and its adjoint). At the limit, simulate --n 5 --circuit wunary
+# --K 349998 took 18.7 s and 325 MB, and resources --n 24 --K-max 834 3.1 s and 31 MB,
+# on a 2-vCPU Intel Xeon.
+_MAX_INSTRUCTIONS = 700_000
+
+
+def _check_instructions(total: int) -> None:
+    if total > _MAX_INSTRUCTIONS:
+        raise ResourceLimitError(
+            f"the unary plans would hold {total} instructions, over the limit of {_MAX_INSTRUCTIONS}"
+        )
+
+
 def _build_plan(args, H: HamiltonianLCU):
     """The plan, after checking n + kappa, the width its trace holds for either circuit."""
     K, kappa = _resolve_order(args)
     check_width(H.n + kappa)
     if args.circuit == "wunary":
+        _check_instructions(2 * K + 3)
         return build_w_unary(H, args.tau, K)
     return build_w_tilde(H, args.tau, kappa)
 
@@ -223,6 +248,7 @@ def cmd_sweep(args) -> list[dict]:
 def cmd_resources(args) -> list[dict]:
     H = _resolve_hamiltonian(args)
     check_width(kappa_for(args.K_max))  # the Taylor register, as analytic caps it
+    _check_instructions(args.K_max * (args.K_max + 4))  # the sum of 2K + 3 over K
     keys = [(f, K, kappa_for(K)) for K in range(1, args.K_max + 1) for f in ("wtilde", "wunary")]
     plans = (  # built one at a time as count consumes them
         build_w_tilde(H, args.tau, kappa) if family == "wtilde" else build_w_unary(H, args.tau, K)

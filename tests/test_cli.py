@@ -713,9 +713,142 @@ class TestParser:
             for name, (help_text, add_flags, run) in cli._COMMANDS.items()
         }
         monkeypatch.setattr(cli, "_COMMANDS", commands)
-        code, _, _ = _run(capsys, "resources", "--model", "ising", "--n", "2", "--K-max", "1")
-        assert code == 0
-        assert built == ["resources"]
+        cli._parser.cache_clear()
+        try:
+            argv = ("resources", "--model", "ising", "--n", "2", "--K-max", "1")
+            code, _, _ = _run(capsys, *argv)
+            assert code == 0
+            assert built == ["resources"]
+            code, _, _ = _run(capsys, *argv)  # the cached parser: nothing more is built
+            assert code == 0
+            assert built == ["resources"]
+        finally:
+            cli._parser.cache_clear()  # drop the parser built on the recording flags
+
+    def test_a_seen_command_constructs_no_parser(self, capsys, monkeypatch):
+        import argparse
+
+        constructed = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            constructed.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._parser.cache_clear()
+        argv = ("analytic", "--model", "ising", "--n", "2", "--K", "1")
+        assert _run(capsys, *argv)[0] == 0
+        assert len(constructed) == 6  # the top level and five subparsers
+        constructed.clear()
+        assert _run(capsys, *argv)[0] == 0
+        assert _run(capsys, "analytic", "--model", "ising", "--n", "3", "--K", "2")[0] == 0
+        assert constructed == []
+
+    def test_pinned_bytes_after_every_command_ran(self, capsys, monkeypatch):
+        # each command's parser is cached before the help and usage errors are printed
+        for argv in WARM_UP:
+            assert _run(capsys, *argv)[0] == 0
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv, pinned in PARSER_PINS.items():
+            try:
+                code = main(argv.split())
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            assert (code, out.out, out.err) == pinned, argv
+
+    def test_no_value_leaks_into_the_next_call(self, capsys):
+        first = ("simulate", "--model", "ising", "--n", "2", "--J", "2", "--h", "1",
+                 "--kappa", "3", "--seed", "5", "--shots", "50", "--format", "json")
+        assert _run(capsys, *first)[0] == 0
+        code, out, err = _run(capsys, "simulate", "--model", "ising")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+        fresh = subprocess.run(
+            [sys.executable, "-m", "lcusim.cli", "simulate", "--model", "ising"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == 0 and out.startswith("circuit,K,tau,")
+
+
+WARM_UP = [
+    ("simulate", "--model", "ising", "--n", "2", "--shots", "10"),
+    ("analytic", "--model", "ising", "--n", "2", "--K", "1"),
+    ("sweep", "--model", "ising", "--n", "2", "--kappa-max", "1", "--shots", "10"),
+    ("resources", "--model", "ising", "--n", "2", "--K-max", "1"),
+    ("bliss", "--fermion-file",
+     os.path.join(os.path.dirname(cli.__file__), "data", "hubbard_4site.txt")),
+]
+
+
+class TestIsingFlags:
+    # --n, --J and --h set the --model ising chain; a Hamiltonian file has its own
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--n", "7"], "--n"), (["--J", "9"], "--J"), (["--h", "3"], "--h"),
+         (["--h", "3", "--n", "7"], "--n --h")],
+    )
+    def test_refused_with_a_hamiltonian_file(self, capsys, tmp_path, flags, named):
+        path = tmp_path / "h.json"
+        save_hamiltonian(build_ising(2, 1.0, 0.5), path)
+        code, out, err = _run(capsys, "analytic", "--hamiltonian", str(path), "--K", "3", *flags)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {named}: only --model ising reads these, not --hamiltonian\n"
+
+    def test_ising_defaults_are_4_sites_J_1_h_half(self, capsys):
+        _, implicit, _ = _run(capsys, "analytic", "--model", "ising", "--K", "3")
+        code, explicit, _ = _run(
+            capsys, "analytic", "--model", "ising", "--K", "3", "--n", "4", "--J", "1.0", "--h", "0.5"
+        )
+        assert code == 0 and explicit == implicit
+        _, other, _ = _run(capsys, "analytic", "--model", "ising", "--K", "3", "--J", "2")
+        assert other != implicit
+
+
+class TestPlanLength:
+    # a unary plan of order K holds 2K + 3 instructions; past the limit a command exits 2
+    # before building any plan
+    def test_unary_plan_holds_2K_plus_3_instructions(self):
+        from lcusim.circuits import build_w_unary
+
+        H = build_ising(2, 1.0, 0.5)
+        sizes = [len(build_w_unary(H, 0.05, K).instructions) for K in range(1, 9)]
+        assert sizes == [2 * K + 3 for K in range(1, 9)]
+        assert [sum(sizes[:k]) for k in range(1, 9)] == [k * (k + 4) for k in range(1, 9)]
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["simulate", "--n", "2", "--circuit", "wunary", "--K", "349999"], 700001),
+            (["simulate", "--n", "2", "--circuit", "wunary", "--K", str(2**22 - 1)], 2**23 + 1),
+            (["resources", "--K-max", "835"], 700565),
+            (["resources", "--K-max", str(2**24 - 1)], 2**48 + 2**25 - 3),
+        ],
+    )
+    def test_past_the_limit_exit_2_before_building(self, capsys, argv, count):
+        tracemalloc.start()
+        try:
+            code, out, err = _run(capsys, *argv, "--model", "ising")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the unary plans would hold {count} instructions, over the limit of 700000\n"
+        )
+        assert peak < 1 << 20
+
+    def test_the_limit_itself_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_INSTRUCTIONS", 2 * 40 + 3)
+        unary = ("simulate", "--model", "ising", "--circuit", "wunary", "--shots", "10", "--K")
+        assert _run(capsys, *unary, "40")[0] == 0
+        assert _run(capsys, *unary, "41")[0] == 2
+        monkeypatch.setattr(cli, "_MAX_INSTRUCTIONS", 7 * (7 + 4))
+        code, out, _ = _run(capsys, "resources", "--model", "ising", "--K-max", "7")
+        assert code == 0 and out == STDOUT_PINS["resources --model ising --K-max 7"]
+        assert _run(capsys, "resources", "--model", "ising", "--K-max", "8")[0] == 2
 
 
 class TestHugeTau:
