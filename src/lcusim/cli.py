@@ -120,6 +120,10 @@ def _resolve_hamiltonian(args) -> HamiltonianLCU:
         n = 4 if args.n is None else args.n
         if args.command != "resources":  # the others hold 2^n amplitudes: refuse before building
             check_width(n)
+        elif n > _MAX_ISING_SITES:
+            raise ResourceLimitError(
+                f"an Ising chain of {n} sites is over the limit of {_MAX_ISING_SITES}"
+            )
         return build_ising(n, 1.0 if args.J is None else args.J, 0.5 if args.h is None else args.h)
     raise UsageError("a Hamiltonian source is required (--hamiltonian or --model ising)")
 
@@ -154,27 +158,31 @@ def _resolve_state(args, n: int) -> np.ndarray:
     return _basis_state(n)
 
 
-# Instructions of the unary plans one command may build, 2K + 3 per plan (K blocks, K + 1
-# Measures, a Prepare and its adjoint). At the limit, simulate --n 5 --circuit wunary
-# --K 349998 took 18.7 s and 325 MB, and resources --n 24 --K-max 834 3.1 s and 31 MB,
-# on a 2-vCPU Intel Xeon.
+# Bounds on what one command builds, checked before it builds it: a unary plan holds 2K + 3
+# instructions, a W-tilde plan 2^(kappa+1) + 1, and the Ising chain of resources (which holds
+# no state) 2n - 1 strings of n letters. Times at the limits, on a 2-vCPU Intel Xeon:
+# simulate --n 5 --circuit wunary --K 349998, 18.7 s and 325 MB; simulate --n 6 --kappa 18,
+# 15 s and 62 MB; resources --n 24 --K-max 834, 3.1 s and 31 MB; resources --n 10000, 22 s
+# and 229 MB.
 _MAX_INSTRUCTIONS = 700_000
+_MAX_ISING_SITES = 10_000
 
 
 def _check_instructions(total: int) -> None:
     if total > _MAX_INSTRUCTIONS:
         raise ResourceLimitError(
-            f"the unary plans would hold {total} instructions, over the limit of {_MAX_INSTRUCTIONS}"
+            f"the plans would hold {total} instructions, over the limit of {_MAX_INSTRUCTIONS}"
         )
 
 
 def _build_plan(args, H: HamiltonianLCU):
-    """The plan, after checking n + kappa, the width its trace holds for either circuit."""
+    """The plan, after checking n + kappa (the width its trace holds) and the plan's length."""
     K, kappa = _resolve_order(args)
     check_width(H.n + kappa)
     if args.circuit == "wunary":
         _check_instructions(2 * K + 3)
         return build_w_unary(H, args.tau, K)
+    _check_instructions((1 << kappa + 1) + 1)
     return build_w_tilde(H, args.tau, kappa)
 
 
@@ -233,6 +241,7 @@ def cmd_sweep(args) -> list[dict]:
     psi = _resolve_state(args, H.n)
     cost = CostModel(d=args.d, d_ctrl=args.d_ctrl, m=args.m)
     check_width(H.n + args.kappa_max)
+    _check_instructions((1 << args.kappa_max + 2) - 4 + args.kappa_max)  # sum of 2^(k+1) + 1
     kappas = range(1, args.kappa_max + 1)
     plans = [build_w_tilde(H, args.tau, kappa) for kappa in kappas]
     runs = run_shots_many(plans, psi, args.shots, args.seed, cost)

@@ -28,8 +28,6 @@ import numpy as np
 
 from .errors import InvalidHamiltonianError, InvalidModelError, LayoutError
 
-_DIAGONAL_BUDGET = 64 << 20  # bytes of group diagonals one HamiltonianLCU keeps cached
-
 
 @dataclass(frozen=True)
 class PauliTerm:
@@ -92,9 +90,9 @@ class HamiltonianLCU:
         return tuple(out)
 
     @cached_property
-    def _diagonals(self) -> dict:
-        """Group diagonals by factor key, filled by ``apply_pauli_groups`` within its budget."""
-        return {}
+    def _groups(self) -> list:
+        """``_group_diagonals(self)``, built on the first matvec and held while ``self`` lives."""
+        return _group_diagonals(self)
 
 
 def l1_norm(H: HamiltonianLCU) -> float:
@@ -156,14 +154,14 @@ def mask_sum_letters(coeffs: dict[tuple[int, int], complex], n: int) -> dict[str
     return out
 
 
-def _group_diagonals(H: HamiltonianLCU, factors: np.ndarray) -> list:
+def _group_diagonals(H: HamiltonianLCU) -> list:
     """Per distinct x, in order of first appearance, ``(index, D_x)``. On the (2,)*n view of
     the last axis (qubit n-1 first), ``index`` reverses the axes of the set bits of x, which
-    reads v(b ^ x) at b; D_x(b) = sum_{t: x_t = x} factors_t u_t (-1)^popcount((b ^ x) & z_t)
+    reads v(b ^ x) at b; D_x(b) = sum_{t: x_t = x} weight_t u_t (-1)^popcount((b ^ x) & z_t)
     has that shape, or is a scalar when every z_t is 0."""
     groups: dict[int, list[tuple[int, complex]]] = {}
-    for f, (x, z, u) in zip(factors, H.masks):
-        groups.setdefault(x, []).append((z, f * u))
+    for t, (x, z, u) in zip(H.terms, H.masks):
+        groups.setdefault(x, []).append((z, t.weight * u))
     out = []
     for x, terms in groups.items():
         steps = [-1 if x >> j & 1 else 1 for j in reversed(range(H.n))]
@@ -180,22 +178,18 @@ def _group_diagonals(H: HamiltonianLCU, factors: np.ndarray) -> list:
     return out
 
 
-def apply_pauli_groups(H: HamiltonianLCU, v: np.ndarray, factors) -> np.ndarray:
-    """``(sum_t factors_t u_t X^x_t Z^z_t) v`` along the last axis of ``v``.
+def pauli_sum_apply(H: HamiltonianLCU, v: np.ndarray) -> np.ndarray:
+    """``H v`` without a matrix; ``v`` holds 2^n amplitudes along its last axis.
 
     One multiply and one XOR-permuted view per distinct X mask, no index array. The
-    diagonals are cached on ``H`` by factor vector while the cache holds at most
-    ``_DIAGONAL_BUDGET`` bytes (64 MiB: one diagonal takes 2^n * 16 bytes, 4 MiB at n = 18
-    and 256 MiB at n = 24); beyond that they are rebuilt on every call.
+    diagonals are built on the first call and held on ``H`` while it lives (``H._groups``),
+    which is no more than that call holds at once: one takes 2^n * 16 bytes, 4 MiB at
+    n = 18 and 256 MiB at n = 24.
     """
-    factors = np.asarray(factors, dtype=complex)
-    key = factors.tobytes()
-    groups = H._diagonals.get(key)
-    if groups is None:
-        groups = _group_diagonals(H, factors)
-        diagonals = [d for gs in (groups, *H._diagonals.values()) for _, d in gs]
-        if sum(d.nbytes for d in diagonals if isinstance(d, np.ndarray)) <= _DIAGONAL_BUDGET:
-            H._diagonals[key] = groups
+    v = np.asarray(v, dtype=complex)
+    if v.shape[-1:] != (1 << H.n,):
+        raise LayoutError(f"{H.n}-qubit Hamiltonian needs {1 << H.n} amplitudes")
+    groups = H._groups
     shape = v.shape[:-1] + (2,) * H.n
     out = np.empty(v.shape, dtype=complex)
     tmp = np.empty_like(out) if len(groups) > 1 else out
@@ -206,12 +200,11 @@ def apply_pauli_groups(H: HamiltonianLCU, v: np.ndarray, factors) -> np.ndarray:
     return out
 
 
-def pauli_sum_apply(H: HamiltonianLCU, v: np.ndarray) -> np.ndarray:
-    """``H v`` without a matrix; ``v`` holds 2^n amplitudes along its last axis."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape[-1:] != (1 << H.n,):
-        raise LayoutError(f"{H.n}-qubit Hamiltonian needs {1 << H.n} amplitudes")
-    return apply_pauli_groups(H, v, [t.weight for t in H.terms])
+def apply_rescaled(H: HamiltonianLCU, v: np.ndarray) -> np.ndarray:
+    """H~ v, H~ = (-i / l1) H: what every post-selected LCU block applies to its rows."""
+    out = pauli_sum_apply(H, v)
+    out *= -1j / l1_norm(H)
+    return out
 
 
 def load_hamiltonian(path) -> HamiltonianLCU:

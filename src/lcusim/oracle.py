@@ -13,19 +13,15 @@ import numpy as np
 
 from .circuits import taylor_weights
 from .errors import DomainError
-from .hamiltonian import HamiltonianLCU, l1_norm, pauli_sum_apply
+from .hamiltonian import HamiltonianLCU, apply_rescaled, l1_norm
 from .statevector import check_state
-
-
-def _apply_rescaled(H: HamiltonianLCU, v: np.ndarray) -> np.ndarray:
-    return (-1j / l1_norm(H)) * pauli_sum_apply(H, v)
 
 
 def success_prob_hk(H: HamiltonianLCU, psi: np.ndarray, k: int) -> float:
     """<psi| (Htilde^k)^dag Htilde^k |psi>."""
     v = check_state(psi, H.n)
     for _ in range(k):
-        v = _apply_rescaled(H, v)
+        v = apply_rescaled(H, v)
     return float(np.vdot(v, v).real)
 
 
@@ -38,7 +34,7 @@ def chain_probabilities(H: HamiltonianLCU, psi: np.ndarray, k: int) -> list[floa
     v = check_state(psi, H.n)
     probs = []
     for _ in range(k):
-        v = _apply_rescaled(H, v)
+        v = apply_rescaled(H, v)
         p = float(np.vdot(v, v).real)
         probs.append(p)
         if p < 1e-300:
@@ -61,7 +57,7 @@ def success_prob_wtilde(H: HamiltonianLCU, psi: np.ndarray, tau: float, K: int) 
     beta_norm = _beta_norm(tau, l1_norm(H), K)
     v = psi
     for k in range(K, 0, -1):
-        v = psi + (tau * l1_norm(H) / k) * _apply_rescaled(H, v)
+        v = psi + (tau * l1_norm(H) / k) * apply_rescaled(H, v)
     return float(np.vdot(v, v).real) / beta_norm**2
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .circuits import CircuitPlan, LcuBlock, Measure, Prepare, amplitude_values
 from .errors import DomainError
-from .hamiltonian import apply_pauli_groups, l1_norm
+from .hamiltonian import apply_rescaled
 from .statevector import check_state, check_width, householder
 
 
@@ -119,7 +119,6 @@ def trace_plan(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()
     check_width(H.n + (math.prod(shape) - 1).bit_length())
     state = np.zeros(shape + [1 << H.n], dtype=complex)
     state[(0,) * len(regs)] = psi
-    factors = -1j * np.array([t.weight for t in H.terms]) / l1_norm(H)
     pending: deque[float] = deque()  # block probabilities awaiting their measurement
     cond: list[float] = []
     abort_costs: list[float] = []
@@ -130,7 +129,7 @@ def trace_plan(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()
             running_cost += cost.d if ins.control is None else cost.d_ctrl
             if not dead:
                 target, index = _rows(state, axes, ins.control)
-                target[index] = apply_pauli_groups(H, target[index], factors)
+                target[index] = apply_rescaled(H, target[index])
             pending.append(0.0 if dead else _renormalize(state))
             dead = pending[-1] == 0.0
         elif isinstance(ins, Measure):

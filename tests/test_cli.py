@@ -11,9 +11,19 @@ import warnings
 import numpy as np
 import pytest
 
-from lcusim import cli, hamiltonian, oracle
+from lcusim import cli, hamiltonian, oracle, sampler
 from lcusim.cli import main
 from lcusim.hamiltonian import build_ising, canonicalize, save_hamiltonian
+
+
+def _counting(calls, name, fn):
+    """``fn``, adding one to ``calls[name]`` on each call."""
+
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
 
 
 def _run(capsys, *argv):
@@ -168,6 +178,20 @@ class TestSweep:
             assert code == 0 and single["abort_histogram"]
             fields = ["K", "shots", "successes", "p_hat", "stderr", "abort_histogram", "mean_cost"]
             assert [single[f] for f in fields] == [row[f] for f in fields]
+
+    def test_one_diagonal_build_for_every_trace_and_horner_pass(self, capsys, monkeypatch):
+        # the three plans' 1 + 3 + 7 blocks and the three Horner passes' 1 + 3 + 7 matvecs
+        # all apply the one H~ of one Hamiltonian
+        calls = {"diagonals": 0, "sampler": 0, "oracle": 0}
+        monkeypatch.setattr(hamiltonian, "_group_diagonals",
+                            _counting(calls, "diagonals", hamiltonian._group_diagonals))
+        monkeypatch.setattr(sampler, "apply_rescaled",
+                            _counting(calls, "sampler", sampler.apply_rescaled))
+        monkeypatch.setattr(oracle, "apply_rescaled",
+                            _counting(calls, "oracle", oracle.apply_rescaled))
+        code, _, _ = _run(capsys, "sweep", "--model", "ising", "--kappa-max", "3", "--shots", "100")
+        assert code == 0
+        assert calls == {"diagonals": 1, "sampler": 11, "oracle": 11}
 
     def test_shot_stream_is_pinned(self, capsys):
         # Rows of the binomial shot loop, one random.Random(seed) per plan; a change to
@@ -808,8 +832,8 @@ class TestIsingFlags:
 
 
 class TestPlanLength:
-    # a unary plan of order K holds 2K + 3 instructions; past the limit a command exits 2
-    # before building any plan
+    # a unary plan of order K holds 2K + 3 instructions, a W-tilde plan of width kappa
+    # 2^(kappa+1) + 1; past the limit a command exits 2 before building any plan
     def test_unary_plan_holds_2K_plus_3_instructions(self):
         from lcusim.circuits import build_w_unary
 
@@ -818,6 +842,14 @@ class TestPlanLength:
         assert sizes == [2 * K + 3 for K in range(1, 9)]
         assert [sum(sizes[:k]) for k in range(1, 9)] == [k * (k + 4) for k in range(1, 9)]
 
+    def test_wtilde_plan_holds_2_to_the_kappa_plus_1_plus_1_instructions(self):
+        from lcusim.circuits import build_w_tilde
+
+        H = build_ising(2, 1.0, 0.5)
+        sizes = [len(build_w_tilde(H, 0.05, kappa).instructions) for kappa in range(1, 9)]
+        assert sizes == [2 ** (kappa + 1) + 1 for kappa in range(1, 9)]
+        assert [sum(sizes[:k]) for k in range(1, 9)] == [2 ** (k + 2) - 4 + k for k in range(1, 9)]
+
     @pytest.mark.parametrize(
         "argv, count",
         [
@@ -825,6 +857,10 @@ class TestPlanLength:
             (["simulate", "--n", "2", "--circuit", "wunary", "--K", str(2**22 - 1)], 2**23 + 1),
             (["resources", "--K-max", "835"], 700565),
             (["resources", "--K-max", str(2**24 - 1)], 2**48 + 2**25 - 3),
+            (["simulate", "--n", "2", "--kappa", "19"], 2**20 + 1),
+            (["simulate", "--n", "2", "--kappa", "22"], 2**23 + 1),
+            (["sweep", "--n", "2", "--kappa-max", "18"], 2**20 + 14),
+            (["sweep", "--n", "2", "--kappa-max", "22"], 2**24 + 18),
         ],
     )
     def test_past_the_limit_exit_2_before_building(self, capsys, argv, count):
@@ -836,7 +872,7 @@ class TestPlanLength:
             tracemalloc.stop()
         assert (code, out) == (2, "")
         assert err == (
-            f"error: the unary plans would hold {count} instructions, over the limit of 700000\n"
+            f"error: the plans would hold {count} instructions, over the limit of 700000\n"
         )
         assert peak < 1 << 20
 
@@ -849,6 +885,37 @@ class TestPlanLength:
         code, out, _ = _run(capsys, "resources", "--model", "ising", "--K-max", "7")
         assert code == 0 and out == STDOUT_PINS["resources --model ising --K-max 7"]
         assert _run(capsys, "resources", "--model", "ising", "--K-max", "8")[0] == 2
+        monkeypatch.setattr(cli, "_MAX_INSTRUCTIONS", 2**3 + 1)
+        argv = "simulate --model ising --kappa 2 --d 0.3 --d-ctrl 0.7 --m 0.1"
+        code, out, _ = _run(capsys, *argv.split())
+        assert code == 0 and out == STDOUT_PINS[argv]
+        assert _run(capsys, *argv.replace("kappa 2", "kappa 3").split())[0] == 2
+        monkeypatch.setattr(cli, "_MAX_INSTRUCTIONS", 2**5 - 4 + 3)
+        argv = "sweep --model ising --m 0.25 --kappa-max 3"
+        code, out, _ = _run(capsys, *argv.split())
+        assert code == 0 and out == STDOUT_PINS[argv]
+        assert _run(capsys, *argv.replace("max 3", "max 4").split())[0] == 2
+
+
+class TestIsingSites:
+    # resources holds no state, so only _MAX_ISING_SITES bounds its chain's n^2 letters
+    @pytest.mark.parametrize("n", [10_001, 100_000])
+    def test_past_the_limit_exit_2_before_building(self, capsys, n):
+        tracemalloc.start()
+        try:
+            code, out, err = _run(capsys, "resources", "--model", "ising", "--n", str(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == f"error: an Ising chain of {n} sites is over the limit of 10000\n"
+        assert peak < 1 << 20
+
+    def test_the_limit_itself_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_ISING_SITES", 4)
+        code, out, _ = _run(capsys, "resources", "--model", "ising", "--n", "4", "--K-max", "7")
+        assert code == 0 and out == STDOUT_PINS["resources --model ising --K-max 7"]
+        assert _run(capsys, "resources", "--model", "ising", "--n", "5")[0] == 2
 
 
 class TestHugeTau:
@@ -985,18 +1052,9 @@ class TestAnalyticPasses:
     def test_each_value_is_computed_once(self, capsys, monkeypatch, tmp_path):
         # one Horner pass (p_wtilde) and one chain pass (p1, p_hk, runtimes): 2K matvecs
         calls = {"matvec": 0, "diagonals": 0}
-
-        def counting(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            return wrapper
-
-        monkeypatch.setattr(oracle, "pauli_sum_apply", counting("matvec", oracle.pauli_sum_apply))
-        monkeypatch.setattr(
-            hamiltonian, "_group_diagonals", counting("diagonals", hamiltonian._group_diagonals)
-        )
+        monkeypatch.setattr(oracle, "apply_rescaled", _counting(calls, "matvec", oracle.apply_rescaled))
+        monkeypatch.setattr(hamiltonian, "_group_diagonals",
+                            _counting(calls, "diagonals", hamiltonian._group_diagonals))
         code, _, _ = _run(capsys, *self.ARGV, "--state", self._state(tmp_path))
         assert code == 0
         assert calls["matvec"] <= 3 * 7

@@ -201,14 +201,23 @@ class TestPauliSumApply:
         with pytest.raises(LayoutError):
             pauli_sum_apply(build_ising(3, 1.0, 0.5), np.ones(4))
 
-    @pytest.mark.parametrize("budget, cached", [(16 << 3, 1), ((16 << 3) - 1, 0)])
-    def test_cache_budget_counts_diagonal_bytes(self, monkeypatch, budget, cached):
-        # the 3-site chain's x = 0 diagonal takes 2^3 complex entries, its X fields are
-        # scalars: it fits a budget of exactly 128 bytes (n = 22 against 64 MiB)
-        monkeypatch.setattr(hamiltonian, "_DIAGONAL_BUDGET", budget)
+    def test_diagonals_are_built_once_per_hamiltonian(self, monkeypatch):
+        # every matvec on one H, plain or rescaled to H~ = (-i / l1) H, reads the one set of
+        # group diagonals built on the first
+        build, builds = hamiltonian._group_diagonals, []
+
+        def recording(H):
+            builds.append(H)
+            return build(H)
+
+        monkeypatch.setattr(hamiltonian, "_group_diagonals", recording)
         H = build_ising(3, 1.0, 0.5)
-        assert np.allclose(pauli_sum_apply(H, np.eye(8)[5]), to_matrix(H)[:, 5], atol=1e-15)
-        assert len(H._diagonals) == cached
+        v = np.random.default_rng(5).normal(size=(2, 8)) + 0j
+        for _ in range(3):
+            assert np.abs(pauli_sum_apply(H, v) - v @ to_matrix(H).T).max() < 1e-12
+            rescaled = hamiltonian.apply_rescaled(H, v)
+            assert np.abs(rescaled - v @ ((-1j / l1_norm(H)) * to_matrix(H)).T).max() < 1e-12
+        assert builds == [H] and len(H._groups) == H.n + 1
 
 
 class TestFileFormat:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 FAST_PATHS = {
     "householder",
-    "apply_pauli_groups",
+    "apply_rescaled",
     "pauli_sum_apply",
     "trace_plan",
     "count",

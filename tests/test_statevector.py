@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcusim import hamiltonian
 from lcusim.circuits import CircuitPlan, LcuBlock, Measure, Prepare, build_w_hk
 from lcusim.errors import (
     LayoutError,
@@ -11,7 +10,7 @@ from lcusim.errors import (
     ResourceLimitError,
 )
 from lcusim.hamiltonian import canonicalize, l1_norm
-from lcusim.oracle import fidelity
+from lcusim.oracle import fidelity, success_prob_hk
 from lcusim.sampler import trace_plan
 from lcusim.statevector import RegisterLayout, check_state, householder
 from conftest import random_state
@@ -188,7 +187,7 @@ class TestLcuBlock:
         assert trace.cond_probs[0] == pytest.approx(np.vdot(v, v).real, rel=1e-13)
         assert np.abs(trace.final_system_state - v / np.linalg.norm(v)).max() < 1e-14
 
-    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "over-budget"])
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "fresh"])
     @pytest.mark.parametrize("control", [None, 3])  # qubit 3 is bit 0 of c
     @pytest.mark.parametrize(
         "raw",
@@ -199,12 +198,10 @@ class TestLcuBlock:
         ],
         ids=["z-groups", "identity-term"],
     )
-    def test_grouped_kernel_matches_dense(self, monkeypatch, cached, control, raw):
+    def test_grouped_kernel_matches_dense(self, cached, control, raw):
         # terms sharing X masks (x = 0, Y letters, complex phases, an identity term), three
         # blocks controlled by c in a layout (system, c, t, l) with c and t prepared, and the
-        # diagonals cached or rebuilt on every call
-        if not cached:
-            monkeypatch.setattr(hamiltonian, "_DIAGONAL_BUDGET", 0)
+        # diagonals built by an oracle matvec before the traces or by the first trace
         rng = np.random.default_rng(23)
         H = canonicalize(3, raw)
         layout = RegisterLayout([("system", 3), ("c", 1), ("t", 1), ("l", H.l_width)])
@@ -220,7 +217,11 @@ class TestLcuBlock:
         block = np.kron(np.eye(4), F) if control is None else np.kron(
             np.eye(2), np.kron(on, F) + np.kron(np.eye(2) - on, np.eye(8)))
         Uc, Ut = completion_unitary(ac), completion_unitary(at)
-        for _ in range(2):  # a second trace reuses (or rebuilds) the diagonals
+        groups = []
+        if cached:
+            success_prob_hk(H, np.eye(8)[0], 1)
+            groups.append(H._groups)
+        for _ in range(2):  # every trace reads the diagonals built first
             psi = random_state(3, rng)
             v = np.kron(Ut, np.kron(Uc, np.eye(8))) @ np.kron([1, 0], np.kron([1, 0], psi))
             cond = []  # the adjoint Prepare of t, the top register, then of c, and its |0> rows
@@ -232,7 +233,8 @@ class TestLcuBlock:
             trace = trace_plan(plan, psi)
             assert np.abs(np.subtract(trace.cond_probs, cond)).max() < 1e-13
             assert np.abs(trace.final_system_state - v).max() < 1e-13
-        assert len(H._diagonals) == (1 if cached else 0)
+            groups.append(H._groups)
+        assert all(g is groups[0] for g in groups)
 
     def test_vanishing_branch_returns_zero(self):
         H = canonicalize(1, [(0.5, "I"), (-0.5, "Z")])

@@ -311,7 +311,7 @@ class TestPlanValidity:
 
 class TestGroupedKernel:
     def test_trace_builds_each_group_diagonal_once(self, monkeypatch):
-        # the 15 blocks of a W-tilde kappa = 4 trace share one factor vector: one build of
+        # the 15 blocks of a W-tilde kappa = 4 trace apply one H~ of one H: one build of
         # the n + 1 group diagonals, then one pass per group and block, no per-term gather
         H = build_ising(6, 1.0, 0.5)
         plan, psi = build_w_tilde(H, 0.05, 4), random_state(6, np.random.default_rng(4))
