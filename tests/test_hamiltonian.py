@@ -201,9 +201,10 @@ class TestPauliSumApply:
         with pytest.raises(LayoutError):
             pauli_sum_apply(build_ising(3, 1.0, 0.5), np.ones(4))
 
-    def test_diagonals_are_built_once_per_hamiltonian(self, monkeypatch):
+    @pytest.mark.parametrize("rescaled_first", [False, True], ids=["plain-first", "rescaled-first"])
+    def test_diagonals_are_built_once_per_hamiltonian(self, monkeypatch, rescaled_first):
         # every matvec on one H, plain or rescaled to H~ = (-i / l1) H, reads the one set of
-        # group diagonals built on the first
+        # group diagonals built on the first, whichever of the two that is
         build, builds = hamiltonian._group_diagonals, []
 
         def recording(H):
@@ -213,8 +214,12 @@ class TestPauliSumApply:
         monkeypatch.setattr(hamiltonian, "_group_diagonals", recording)
         H = build_ising(3, 1.0, 0.5)
         v = np.random.default_rng(5).normal(size=(2, 8)) + 0j
+        if rescaled_first:
+            hamiltonian.apply_rescaled(H, v)
+            assert builds == [H]
         for _ in range(3):
             assert np.abs(pauli_sum_apply(H, v) - v @ to_matrix(H).T).max() < 1e-12
+            assert builds == [H]
             rescaled = hamiltonian.apply_rescaled(H, v)
             assert np.abs(rescaled - v @ ((-1j / l1_norm(H)) * to_matrix(H)).T).max() < 1e-12
         assert builds == [H] and len(H._groups) == H.n + 1
