@@ -5,6 +5,7 @@ circuit and its unary-encoded reference, closed-form success-probability
 and runtime oracles, closed-form gate counts, and BLISS l1-norm
 optimization of Jordan-Wigner-encoded fermionic Hamiltonians.
 """
+import types
 
 from .bliss import (
     BlissParams,
@@ -54,45 +55,9 @@ from .sampler import (
 )
 from .statevector import RegisterLayout
 
-__all__ = [
-    "BlissParams",
-    "BlissResult",
-    "CircuitPlan",
-    "CostModel",
-    "FermionicOperator",
-    "GateCounts",
-    "HamiltonianLCU",
-    "PauliTerm",
-    "RegisterLayout",
-    "RunStats",
-    "apply_bliss",
-    "build_hubbard_chain",
-    "build_ising",
-    "build_w_hk",
-    "build_w_tilde",
-    "build_w_unary",
-    "canonicalize",
-    "count",
-    "estimate",
-    "expected_runtime_midmeasure",
-    "fidelity",
-    "jordan_wigner",
-    "l1_norm",
-    "load_fermionic",
-    "load_hamiltonian",
-    "mean_cost_per_shot",
-    "optimize_bliss",
-    "power_schedule",
-    "run_shots",
-    "run_shots_many",
-    "runtime_upper_bound",
-    "save_hamiltonian",
-    "success_prob_hk",
-    "success_prob_wtilde",
-    "taylor_prepare_amplitudes",
-    "taylor_weights",
-    "total_runtime_success",
-    "trace_plan",
-]
+__all__ = sorted(  # every name imported above: the classes and functions, not the modules
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)
 
 __version__ = "0.1.0"

@@ -128,7 +128,9 @@ class CircuitPlan:
     block order and before any other register. A control is a bit of a register that is
     neither the system nor an l-register. The system is neither prepared nor measured. A
     Prepare holds 2^width (binary) or width + 1 (unary) normalized amplitudes; a register
-    it acts on is measured after it.
+    it acts on is measured after it. One register at a time is live, from its first
+    Prepare to its Measure, and after its second Prepare nothing but the Measures of
+    l-registers comes before its own: the form the moment trace runs (``sampler._walk``).
     """
 
     layout: RegisterLayout
@@ -145,10 +147,14 @@ class CircuitPlan:
         object.__setattr__(self, "l_registers", l_regs)
         pending: deque[str] = deque()  # l-registers of the blocks awaiting their measurement
         unmeasured: set[str] = set()  # the same names, for the membership test
-        prepared: set[str] = set()  # ancillas prepared since their last measurement
+        live, prepares = None, 0  # the ancilla prepared since its last measurement, how often
         for i, ins in enumerate(self.instructions):
             if not isinstance(ins, LcuBlock) and ins.register == "system":
                 raise LayoutError(f"instruction {i}: the system is neither prepared nor measured")
+            if prepares == 2 and not (
+                isinstance(ins, Measure) and (ins.register == live or ins.register in l_regs)
+            ):
+                raise LayoutError(f"instruction {i}: {live} is prepared twice and not yet measured")
             if isinstance(ins, LcuBlock):
                 name, control = ins.l_register, ins.control
                 if name == "system" or (1 << layout.register(name).width) < H.num_terms:
@@ -168,19 +174,20 @@ class CircuitPlan:
                     raise LayoutError(f"instruction {i}: {name} measured, pending: {list(pending)}")
                 if pending:
                     unmeasured.remove(pending.popleft())
-                prepared.discard(name)
+                live, prepares = (None, 0) if name == live else (live, prepares)
             else:
                 width = layout.register(ins.register).width
                 if ins.register in l_regs:
                     raise LayoutError(f"instruction {i}: {ins.register} is an l-register")
                 if np.shape(ins.amps) not in ((1 << width,), (width + 1,)):
                     raise LayoutError(f"instruction {i}: needs 2^{width} or {width + 1} amplitudes")
-                norm = np.linalg.norm(ins.amps)
-                check_norm(norm, f"instruction {i}: amplitudes are not normalized")
-                prepared.add(ins.register)
-        if pending or prepared:
-            name = (pending or sorted(prepared))[0]
-            raise LayoutError(f"{name} is never measured after its last block or Prepare")
+                check_norm(np.linalg.norm(ins.amps), f"instruction {i}: amplitudes are not normalized")
+                if live not in (None, ins.register):
+                    raise LayoutError(f"instruction {i}: {ins.register} prepared while {live} is live")
+                live, prepares = ins.register, prepares + 1
+        if pending or live:
+            raise LayoutError(f"{pending[0] if pending else live} is never measured after its "
+                              "last block or Prepare")
 
     @property
     def select_count(self) -> int:

@@ -160,10 +160,9 @@ def _resolve_state(args, n: int) -> np.ndarray:
 
 # Bounds on what one command builds, checked before it builds it: a unary plan holds 2K + 3
 # instructions, a W-tilde plan 2^(kappa+1) + 1, and the Ising chain of resources (which holds
-# no state) 2n - 1 strings of n letters. Times at the limits, on a 2-vCPU Intel Xeon:
-# simulate --n 5 --circuit wunary --K 349998, 18.7 s and 325 MB; simulate --n 6 --kappa 18,
-# 15 s and 62 MB; resources --n 24 --K-max 834, 3.1 s and 31 MB; resources --n 10000, 22 s
-# and 229 MB.
+# no state) 2n - 1 strings of n letters. Times at the limits, on a 2-vCPU Intel Xeon: simulate
+# --n 5 --circuit wunary --K 349998 2.2 s, 321 MB; simulate --n 6 --kappa 18 0.4 s; sweep --n 7
+# --kappa-max 17 5.3 s; resources --n 24 --K-max 834 3.1 s; resources --n 10000 22 s, 229 MB.
 _MAX_INSTRUCTIONS = 700_000
 _MAX_ISING_SITES = 10_000
 

@@ -90,6 +90,10 @@ class HamiltonianLCU:
         return tuple(out)
 
     @cached_property
+    def _l1(self) -> float:  # l1_norm, summed once: every H~ matvec reads it
+        return float(sum(t.weight for t in self.terms))
+
+    @cached_property
     def _groups(self) -> list:
         """``_group_diagonals(self)``, built on the first matvec and held while ``self`` lives."""
         return _group_diagonals(self)
@@ -97,7 +101,7 @@ class HamiltonianLCU:
 
 def l1_norm(H: HamiltonianLCU) -> float:
     """Sum of term weights."""
-    return float(sum(t.weight for t in H.terms))
+    return H._l1
 
 
 def canonicalize(
@@ -120,6 +124,8 @@ def canonicalize(
         merged[letters] = merged.get(letters, 0j) + complex(coeff)
     terms = []
     for letters, coeff in merged.items():
+        if not cmath.isfinite(coeff):  # abs() of a NaN can raise a stale OverflowError
+            raise InvalidHamiltonianError(f"term {letters!r}: bad weight or phase")
         if abs(coeff) <= atol:
             continue
         terms.append(PauliTerm(weight=abs(coeff), phase=float(cmath.phase(coeff)), letters=letters))

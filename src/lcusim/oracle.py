@@ -44,20 +44,16 @@ def chain_probabilities(H: HamiltonianLCU, psi: np.ndarray, k: int) -> list[floa
     return probs
 
 
-def _beta_norm(tau: float, l1: float, K: int) -> float:
-    return float(taylor_weights(tau, l1, K).sum())
-
-
 def success_prob_wtilde(H: HamiltonianLCU, psi: np.ndarray, tau: float, K: int) -> float:
     """<psi| U^dag U |psi> / ||beta||_1^2 for the truncated propagator U.
 
     U psi in Horner form, K matvecs: v <- psi + (x / k) Htilde v for k = K..1, x = tau l1.
     """
     psi = check_state(psi, H.n)
-    beta_norm = _beta_norm(tau, l1_norm(H), K)
-    v = psi
+    x = tau * l1_norm(H)
+    beta_norm, v = float(taylor_weights(tau, l1_norm(H), K).sum()), psi
     for k in range(K, 0, -1):
-        v = psi + (tau * l1_norm(H) / k) * apply_rescaled(H, v)
+        v = psi + (x / k) * apply_rescaled(H, v)
     return float(np.vdot(v, v).real) / beta_norm**2
 
 
@@ -83,8 +79,7 @@ def expected_runtime_midmeasure(p_chain: Sequence[float], d: float) -> float:
 
 def total_runtime_success(p_chain: Sequence[float], d: float) -> float:
     """d (1 + p1 + p1 p2 + ... + p1..p_{k-1}) / (p1..p_k); inf on a zero branch."""
-    numerator = 0.0
-    running = 1.0
+    numerator, running = 0.0, 1.0
     for pi in p_chain:
         numerator += running
         running *= pi
@@ -93,7 +88,7 @@ def total_runtime_success(p_chain: Sequence[float], d: float) -> float:
 
 def runtime_bound(p_w: float, p1: float, tau: float, l1: float, K: int, d_ctrl: float) -> float:
     """``runtime_upper_bound`` from p_wtilde and p1 = <psi| Htilde^dag Htilde |psi>."""
-    correction = (tau * l1 / _beta_norm(tau, l1, K)) * (1.0 - p1)
+    correction = (tau * l1 / float(taylor_weights(tau, l1, K).sum())) * (1.0 - p1)
     return _finite_cost((K * d_ctrl / p_w) * (1.0 - correction))
 
 
@@ -108,6 +103,5 @@ def runtime_upper_bound(
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """|<a|b>|^2 for normalized states."""
-    a = check_state(a, None)
-    b = check_state(b, None)
+    a, b = check_state(a, None), check_state(b, None)
     return float(abs(np.vdot(a, b)) ** 2)

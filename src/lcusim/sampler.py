@@ -1,33 +1,30 @@
 """Shot loop with mid-circuit post-selection and early abort-and-restart.
 
-A plan's success path is deterministic: the quantum state after j
-consecutive zero outcomes does not depend on the shot, so the conditional
-zero-probability of every measurement can be traced once. On that path an
-LCU block (PREPARE, SELECT, PREPARE^dag) whose l-register is measured |0> acts as
-(singly controlled) H~ = (-i / l1) H (Berry et al., PRL 114, 090502, 2015),
-because PREPARE is zero-padded. So the trace omits the l-registers and holds
-each other register as an axis over the values it can hold: 2^kappa rows for
-W-tilde (fewer where a Taylor amplitude underflows to 0) and the K + 1 values of
-the unary Prepare's K + 1 amplitudes, times 2^n system amplitudes. Every shot then
-runs the same chain of conditional probabilities q_1 .. q_M, so the number of shots
-that abort at measurement j, given the r_j that reach it, is Binomial(r_j, 1 - q_j):
-the chain-rule form of the multinomial over the M + 1 outcomes, which has exactly the
-law of one Bernoulli draw per shot and measurement. ``run_shots`` samples it with one
-binomial draw per measurement, so its cost does not grow with the number of shots.
+A plan's success path is deterministic: the state after j consecutive zero outcomes does
+not depend on the shot, so each measurement's conditional zero-probability is traced once.
+On that path an LCU block whose l-register is measured |0> acts as (singly controlled)
+H~ = (-i / l1) H, because PREPARE is zero-padded (Berry et al., PRL 114, 090502, 2015). So
+each row of the one register live at a time is a multiple of a power H~^m of a base state
+phi, and every q is a ratio of weighted sums of nu_m = ||H~^m phi||^2: one Krylov pass per
+collapse, not a state per row. Every shot runs the same chain q_1 .. q_M, so of the r_j
+shots that reach measurement j, Binomial(r_j, 1 - q_j) abort there: the chain-rule form of
+the multinomial over the M + 1 outcomes, with exactly the law of one Bernoulli draw per
+shot and measurement. ``run_shots`` makes one binomial draw per measurement, so its cost
+does not grow with the number of shots.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import CircuitPlan, LcuBlock, Measure, Prepare, amplitude_values
+from .circuits import CircuitPlan, LcuBlock, Measure, amplitude_values
 from .errors import DomainError
 from .hamiltonian import apply_rescaled
-from .statevector import check_state, check_width, householder
+from .statevector import check_state, check_width
 
 
 @dataclass(frozen=True)
@@ -55,8 +52,7 @@ class PlanTrace:
 
     def expected_shot_cost(self) -> float:
         """Exact mean cost of one shot under abort-and-restart."""
-        total = 0.0
-        surviving = 1.0
+        total, surviving = 0.0, 1.0
         for p, c in zip(self.cond_probs, self.abort_costs):
             total += surviving * (1.0 - p) * c
             surviving *= p
@@ -71,98 +67,140 @@ class RunStats:
     total_cost: float = 0.0
 
 
-def _rows(state: np.ndarray, axes: dict, control: tuple[str, int] | None):
-    """(array, index) of the rows a block's control selects: all of them, a strided view
-    where the control register holds all its 2^width values, else a gather of its values."""
-    if control is None:
-        return state, ...
-    axis, values, width = axes[control[0]]
-    if values.shape[0] == 1 << width:
-        inner = math.prod(state.shape[axis + 1 : -1]) << control[1]
-        return state.reshape(-1, 2, inner, state.shape[-1]), (slice(None), 1)
-    return state, (slice(None),) * axis + (np.flatnonzero(values >> control[1] & 1),)
+def _row0(amps: np.ndarray, at: list, adjoint: bool) -> np.ndarray:
+    """Row 0, at the values ``at`` of a Prepare's nonzero amplitudes a, of its completion
+    unitary U = (I - 2 v v^dag) diag(d), v ~ a + e^{i theta} e0 (``tests/reference.py``):
+    (a_0, -e^{i theta} conj(a_v), ..), e^{i theta} = a_0 / |a_0| or 1 where a_0 = 0; of
+    U^dag where ``adjoint``: conj(a). Column 0 of U is a, of U^dag conj(row 0 of U)."""
+    row = np.conj(amps)
+    if adjoint or at[0] != 0:
+        return row if adjoint else -row
+    row *= -amps[0] / abs(amps[0])
+    row[0] = amps[0]
+    return row
 
 
-def _renormalize(state: np.ndarray) -> float:
-    """The squared norm p of ``state``, which is then renormalized; below 1e-14, 0.0 and
-    the state left as it is (a dead branch)."""
-    p = float(np.vdot(state, state).real)
-    if p < 1e-14:
-        return 0.0
-    state /= math.sqrt(p)
-    return p
+def _sums(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """c_d = the sum of x over the rows of degree m = d, for d = 0 .. max(m)."""
+    return np.bincount(m, x.real) + 1j * np.bincount(m, x.imag)
+
+
+_ONE_ROW = (np.zeros(1, np.int64), np.ones(1, complex), np.zeros(1, np.int64), np.ones(1))
+
+
+def _walk(plan: CircuitPlan, cost: CostModel):
+    """The plan's success path as segments, each from a base state phi to its collapse.
+
+    Between collapses the rows of the one live register, over the values v of its first
+    Prepare's nonzero amplitudes (one row v = 0 while none is live), are b_v H~^{m_v} phi
+    and stay orthogonal: each q is a ratio of sums N = sum_v w_v nu_{m_v}, w = |b|^2 and
+    nu_m = ||H~^m phi||^2. A run of L blocks on one control adds 1 .. L to the m_v of the
+    rows it selects; its ``specs`` entry is (m, w, hit, L) at its start, hit 1 on those rows,
+    and an int L stands for L q's of 1. A segment is (specs, m, w, c, collapses), m and w at
+    its end and c the coefficients of its collapsed state sum_d c_d H~^d phi: b times row 0
+    of the second Prepare (or of the identity) at the live register's Measure, or b at the end.
+    """
+    l_regs, segments, specs, abort_costs, running, run = plan.l_registers, [], [], [], 0.0, 0
+    live = r = control = None  # the live register, its second Prepare's row 0, a run's control
+    vals, b, m, w = _ONE_ROW
+    for ins in plan.instructions + (None,):  # None: the plan's end
+        is_block = isinstance(ins, LcuBlock)
+        if run and not (is_block and ins.control == control or getattr(ins, "register", 0) in l_regs):
+            hit = control is None  # 1 on the rows the run's control selects
+            if control and control[0] == live and control[1] < int(vals[-1]).bit_length():
+                hit = (vals >> control[1] & 1).astype(np.int64, copy=False)
+            specs.append((m, w, hit, run) if hit is not False else run)
+            m, run = m + run * hit, 0
+        if is_block:
+            running += cost.d if ins.control is None else cost.d_ctrl
+            control, run = ins.control, run + 1
+        elif isinstance(ins, Measure):
+            running += cost.m
+            abort_costs.append(running)
+            if ins.register == live:  # keep row 0 of the register
+                segments.append((specs, m, w, _sums(m, b * (vals == 0 if r is None else r)), True))
+                specs, live, r, (vals, b, m, w) = [], None, None, _ONE_ROW
+            elif ins.register not in l_regs:  # a register in |0>
+                specs.append(1)
+        elif ins is not None:
+            width = plan.layout.register(ins.register).width
+            amps, at = amplitude_values(ins.amps, width)
+            if live is None:  # on |0>: column 0 of the Prepare
+                check_width(plan.hamiltonian.n + (len(at) - 1).bit_length())  # rows x 2^n
+                live, vals = ins.register, np.array(at, dtype=object if width > 62 else np.int64)
+                b, m = _row0(amps, at, not ins.adjoint).conj(), np.full(len(at), m[0])
+                w = (b * b.conj()).real
+            else:
+                row = dict(zip(at, _row0(amps, at, ins.adjoint)))
+                r = np.array([row.get(v, 0.0) for v in vals.tolist()], dtype=complex)
+    if specs or m[0] or not segments:  # not where the state at the end is the last collapse's
+        segments.append((specs, m, w, _sums(m, b), False))
+    return segments, abort_costs, running
+
+
+def _krylov(H, phi: np.ndarray, coeffs: list[np.ndarray]):
+    """(nu, sums): nu_d = ||H~^d phi||^2 up to the longest c's degree, and sum_d c_d H~^d phi
+    for each c of ``coeffs``: one matvec per degree for all of them."""
+    c = np.zeros((len(coeffs), max(ci.shape[0] for ci in coeffs)), complex)
+    for i, ci in enumerate(coeffs):
+        c[i, : ci.shape[0]] = ci
+    nu, sums, v = np.empty(c.shape[1]), c[:, :1] * phi, phi
+    nu[0] = np.vdot(v, v).real
+    for d in range(1, c.shape[1]):
+        v = apply_rescaled(H, v)
+        nu[d] = np.vdot(v, v).real
+        sums += c[:, d : d + 1] * v
+    return nu, sums
+
+
+def _probs(specs: list, nu: np.ndarray) -> list[float]:
+    """A segment's q's. A run of L blocks has N_j = sum_other w nu_m + sum_selected w nu_{m+j}
+    for j = 0 .. L, the second sum one correlation of nu with the selected w binned by m, and
+    q_j = N_j / N_{j-1}; an N of 0 (nu underflowed) gives q = 0."""
+    out, nu = [], np.concatenate([nu, np.zeros_like(nu)])  # a run reads nu past its top
+    for spec in specs:
+        if type(spec) is int:
+            out += [1.0] * spec
+            continue
+        m, w, hit, run = spec
+        selected = w * hit
+        binned = np.bincount(m, selected)
+        n = (w - selected) @ nu[m] + np.correlate(nu[: binned.shape[0] + run], binned, "valid")
+        out += np.divide(n[1:], n[:-1], out=np.zeros(run), where=n[:-1] > 0).tolist()
+    return out
+
+
+def _traces(plans: list[CircuitPlan], psi: np.ndarray, cost: CostModel) -> list[PlanTrace]:
+    """``trace_plan`` of each plan; consecutive plans on one Hamiltonian share the pass of psi
+    for their first segments. The first q below 1e-14 (a dead branch) and every later q read 0."""
+    walks, out = [_walk(plan, cost) for plan in plans], []
+    for H, group in itertools.groupby(zip(plans, walks), key=lambda pair: pair[0].hamiltonian):
+        group = [walk for _, walk in group]
+        check_width(H.n)
+        start = check_state(psi, H.n)
+        nu, sums = _krylov(H, start, [walk[0][0][3] for walk in group])
+        for (segments, costs, success_cost), first in zip(group, sums):
+            cond, phi, final = [], start, None
+            for i, (specs, m, w, c, collapses) in enumerate(segments):
+                nu_i, (collapsed,) = _krylov(H, phi, [c]) if i else (nu, [first])
+                cond += _probs(specs, nu_i)
+                p, n_end = float(np.vdot(collapsed, collapsed).real), float(w @ nu_i[m])
+                cond += [p / n_end if n_end > 0 else 0.0] if collapses else []
+                if not (p > 0 and min(cond, default=1.0) >= 1e-14):
+                    break
+                phi = collapsed / math.sqrt(p)
+            else:
+                final = phi
+            alive = next((j for j, q in enumerate(cond) if not q >= 1e-14), len(cond))
+            cond = tuple(cond[:alive] + [0.0] * (len(costs) - alive))
+            out.append(PlanTrace(cond, math.prod(cond, start=1.0), final, tuple(costs), success_cost))
+    return out
 
 
 def trace_plan(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()) -> PlanTrace:
-    """Execute the success path once, recording conditional probabilities and costs.
-
-    The state is one array: an axis per register that is neither the system nor an
-    l-register, over the sorted values it can hold (0 and those of its Prepares' nonzero
-    amplitudes), then the system axis. ``CircuitPlan`` measures each block's l-register
-    before the next block there and before any other register, so a block is H~ on the rows
-    its control selects, a Prepare one reflection along its register's axis, a Measure keeps
-    row 0 of that axis, and the final system state is row 0 of them all.
-    """
-    H, l_regs = plan.hamiltonian, plan.l_registers
-    psi = check_state(psi, H.n)
-    regs = [r for r in plan.layout.registers if r.name != "system" and r.name not in l_regs]
-    support = {r.name: {0} for r in regs}
-    for ins in plan.instructions:
-        if isinstance(ins, Prepare):
-            width = plan.layout.register(ins.register).width
-            support[ins.register].update(amplitude_values(ins.amps, width)[1])
-    axes = {}
-    for i, r in enumerate(regs):  # a unary value 2^k - 1 past 63 bits stays a Python int
-        values = np.array(sorted(support[r.name]), dtype=object if r.width > 62 else np.int64)
-        axes[r.name] = (i, values, r.width)
-    shape = [len(support[r.name]) for r in regs]
-    check_width(H.n + (math.prod(shape) - 1).bit_length())
-    state = np.zeros(shape + [1 << H.n], dtype=complex)
-    state[(0,) * len(regs)] = psi
-    pending: deque[float] = deque()  # block probabilities awaiting their measurement
-    cond: list[float] = []
-    abort_costs: list[float] = []
-    running_cost = 0.0
-    dead = False
-    for ins in plan.instructions:
-        if isinstance(ins, LcuBlock):
-            running_cost += cost.d if ins.control is None else cost.d_ctrl
-            if not dead:
-                target, index = _rows(state, axes, ins.control)
-                target[index] = apply_rescaled(H, target[index])
-            pending.append(0.0 if dead else _renormalize(state))
-            dead = pending[-1] == 0.0
-        elif isinstance(ins, Measure):
-            running_cost += cost.m
-            abort_costs.append(running_cost)
-            if ins.register in l_regs:
-                cond.append(pending.popleft())
-                continue
-            if not dead:
-                a = axes[ins.register][0]
-                state.reshape(-1, shape[a], math.prod(state.shape[a + 1 :]))[:, 1:] = 0
-            cond.append(0.0 if dead else _renormalize(state))
-            dead = cond[-1] == 0.0
-        elif not dead:
-            a, values, width = axes[ins.register]
-            amps, at = amplitude_values(ins.amps, width)
-            full = np.zeros(values.shape[0], dtype=complex)
-            full[np.searchsorted(values, at)] = amps  # nonzero only: a zero may sit off the rows
-            v, d = householder(full)
-            block = state.reshape(-1, shape[a], math.prod(state.shape[a + 1 :]))
-            if not ins.adjoint:
-                block *= d[:, np.newaxis]
-            overlap = np.tensordot(v.conj(), block, axes=(0, 1))  # v^dag along the axis
-            block -= 2.0 * v[:, np.newaxis] * overlap[:, np.newaxis, :]
-            if ins.adjoint:
-                block *= d.conj()[:, np.newaxis]
-    return PlanTrace(
-        cond_probs=tuple(cond),
-        success_prob=float(np.prod(cond)) if cond else 1.0,
-        final_system_state=None if dead else state[(0,) * len(regs)].copy(),
-        abort_costs=tuple(abort_costs),
-        success_cost=running_cost,
-    )
+    """Execute the success path once, recording conditional probabilities and costs, by the
+    moment trace: ``_walk``, then one ``_krylov`` pass and ``_probs`` per segment."""
+    return _traces([plan], psi, cost)[0]
 
 
 def _lgamma_tail(z: int) -> float:
@@ -232,24 +270,13 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
             return k
 
 
-def run_shots(
-    plan: CircuitPlan, psi: np.ndarray, N: int, seed: int, cost: CostModel = CostModel()
-) -> RunStats:
-    """Run N shots of the abort-and-restart protocol.
-
-    A shot aborts at the first nonzero outcome and pays only for the instructions executed
-    up to and including the failing measurement. Every shot runs the same traced chain
-    q_1 .. q_M, so of the r_j shots that reach measurement j, Binomial(r_j, 1 - q_j) abort
-    there and the rest go on: one ``_binomial`` draw per measurement, from
-    ``random.Random(seed)``, until no shot is left. The total cost is the sum over the
-    outcomes reached of their count times their cost.
-    """
+def _sample(trace: PlanTrace, N: int, seed: int) -> RunStats:
+    """N shots of a traced plan: one ``_binomial`` draw per measurement reached."""
     ints = all(isinstance(v, int) for v in (N, seed))
     if not (ints and 1 <= N <= 2**64 and 0 <= seed < 2**64):
         raise ValueError(
             f"need integers 1 <= N <= 2^64 and 0 <= seed < 2^64; got N={N!r}, seed={seed!r}"
         )
-    trace = trace_plan(plan, psi, cost)
     rng = random.Random(seed)
     left, aborts, total_cost = N, {}, 0.0
     for j, (q, c) in enumerate(zip(trace.cond_probs, trace.abort_costs), 1):
@@ -265,12 +292,28 @@ def run_shots(
     return RunStats(N, left, aborts, total_cost)
 
 
+def run_shots(
+    plan: CircuitPlan, psi: np.ndarray, N: int, seed: int, cost: CostModel = CostModel()
+) -> RunStats:
+    """Run N shots of the abort-and-restart protocol.
+
+    A shot aborts at the first nonzero outcome and pays only for the instructions executed
+    up to and including the failing measurement. Every shot runs the same traced chain
+    q_1 .. q_M, so of the r_j shots that reach measurement j, Binomial(r_j, 1 - q_j) abort
+    there and the rest go on: one ``_binomial`` draw per measurement, from
+    ``random.Random(seed)``, until no shot is left. The total cost is the sum over the
+    outcomes reached of their count times their cost.
+    """
+    return _sample(trace_plan(plan, psi, cost), N, seed)
+
+
 def run_shots_many(
     plans: list[CircuitPlan], psi: np.ndarray, N: int, seed: int, cost: CostModel = CostModel()
 ) -> list[RunStats]:
     """``[run_shots(plan, psi, N, seed, cost) for plan in plans]``: each plan draws from
-    its own ``random.Random(seed)``, so a plan's stats do not depend on the others."""
-    return [run_shots(plan, psi, N, seed, cost) for plan in plans]
+    its own ``random.Random(seed)``, so a plan's stats do not depend on the others. The
+    plans on one Hamiltonian share one Krylov pass of psi (``_traces``)."""
+    return [_sample(trace, N, seed) for trace in _traces(plans, psi, cost)]
 
 
 def estimate(stats: RunStats) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""Named qubit registers, the simulation cap, and the checks and reflection the trace uses.
+"""Named qubit registers, the simulation cap, and the checks the trace uses.
 
 A layout stacks its registers from qubit 0 in the order given; qubit
 ``offset + i`` of a register is bit ``i`` of that register's value, and qubit 0
@@ -73,17 +73,3 @@ def check_state(psi: np.ndarray, n: int | None) -> np.ndarray:
     check_norm(norm, "state is not normalized")
     return psi
 
-
-def householder(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(v, d) with completion unitary (I - 2 v v^dag) diag(d): for theta = arg a0,
-    v ~ a + e^{i theta} e0 reflects a to -e^{i theta} e0 and d = (-e^{i theta}, 1, ..).
-    The unitary is the identity off e0 and the support of a, so the (v, d) of the
-    entries on any index set holding both is that unitary restricted to the set."""
-    a = np.asarray(amps, dtype=complex).reshape(-1)
-    check_norm(np.linalg.norm(a), "prepare amplitudes are not normalized")
-    theta = math.atan2(a[0].imag, a[0].real)
-    v = a.copy()
-    v[0] += np.exp(1j * theta)
-    d = np.ones(a.shape[0], dtype=complex)
-    d[0] = -np.exp(1j * theta)
-    return v / np.linalg.norm(v), d

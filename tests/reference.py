@@ -1,8 +1,9 @@
 """Slow, independent references for the package's fast paths.
 
 Each function here is the obvious dense or register-level construction of
-something the package computes another way: full registers instead of the
-collapsed trace, dense matrices instead of Pauli-mask matvecs, gate-by-gate
+something the package computes another way: full registers, or a state per
+register value, instead of the moment trace, and a small W-tilde chain in exact
+Gaussian-rational arithmetic; dense matrices instead of Pauli-mask matvecs, gate-by-gate
 compilation and execution instead of closed-form counts, one Bernoulli draw per
 shot and measurement from numpy's Philox generator instead of one binomial draw
 per measurement. None of them imports the fast
@@ -12,11 +13,12 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from lcusim.bliss import FermionicOperator
-from lcusim.circuits import CircuitPlan, LcuBlock, Measure
+from lcusim.circuits import CircuitPlan, LcuBlock, Measure, Prepare, amplitude_values
 from lcusim.errors import (
     DomainError,
     InvalidHamiltonianError,
@@ -29,7 +31,7 @@ from lcusim.errors import (
 from lcusim.hamiltonian import HamiltonianLCU, l1_norm
 from lcusim.resources import GateCounts
 from lcusim.sampler import CostModel, PlanTrace
-from lcusim.statevector import Register, RegisterLayout, check_state, check_width
+from lcusim.statevector import Register, RegisterLayout, check_norm, check_state, check_width
 
 DENSE_QUBIT_CAP = 12
 FERMION_DENSE_CAP = 12
@@ -322,6 +324,178 @@ def register_trace(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostMod
         abort_costs=tuple(abort_costs),
         success_cost=running_cost,
     )
+
+
+def householder(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v, d) with completion unitary (I - 2 v v^dag) diag(d): for theta = arg a0,
+    v ~ a + e^{i theta} e0 reflects a to -e^{i theta} e0 and d = (-e^{i theta}, 1, ..).
+    The unitary is the identity off e0 and the support of a, so the (v, d) of the
+    entries on any index set holding both is that unitary restricted to the set."""
+    a = np.asarray(amps, dtype=complex).reshape(-1)
+    check_norm(np.linalg.norm(a), "prepare amplitudes are not normalized")
+    theta = math.atan2(a[0].imag, a[0].real)
+    v = a.copy()
+    v[0] += np.exp(1j * theta)
+    d = np.ones(a.shape[0], dtype=complex)
+    d[0] = -np.exp(1j * theta)
+    return v / np.linalg.norm(v), d
+
+
+def rescaled_apply(H: HamiltonianLCU, v: np.ndarray) -> np.ndarray:
+    """H~ v = (-i / l1) H v along the last axis of ``v``, one gather per Pauli term."""
+    out = np.zeros(v.shape, dtype=complex)
+    for t, (x, z, u) in zip(H.terms, H.masks):
+        out += apply_pauli(v, x, z, -1j * u * t.weight / l1_norm(H))
+    return out
+
+
+def _rows(state: np.ndarray, axes: dict, control: tuple[str, int] | None):
+    """(array, index) of the rows a block's control selects: all of them, a strided view
+    where the control register holds all its 2^width values, else a gather of its values."""
+    if control is None:
+        return state, ...
+    axis, values, width = axes[control[0]]
+    if values.shape[0] == 1 << width:
+        inner = math.prod(state.shape[axis + 1 : -1]) << control[1]
+        return state.reshape(-1, 2, inner, state.shape[-1]), (slice(None), 1)
+    return state, (slice(None),) * axis + (np.flatnonzero(values >> control[1] & 1),)
+
+
+def _renormalize(state: np.ndarray) -> float:
+    """The squared norm p of ``state``, which is then renormalized; below 1e-14, 0.0 and
+    the state left as it is (a dead branch)."""
+    p = float(np.vdot(state, state).real)
+    if p < 1e-14:
+        return 0.0
+    state /= math.sqrt(p)
+    return p
+
+
+def array_trace(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()) -> PlanTrace:
+    """The success path on one array over the values each register can hold: a second
+    reference for ``sampler.trace_plan``, with no l-registers but a state per row.
+
+    The state has an axis per register that is neither the system nor an l-register, over
+    the sorted values it can hold (0 and those of its Prepares' nonzero amplitudes), then
+    the system axis. A block is H~ on the rows its control selects, a Prepare one
+    reflection along its register's axis, a Measure keeps row 0 of that axis, and the
+    final system state is row 0 of them all.
+    """
+    H, l_regs = plan.hamiltonian, plan.l_registers
+    psi = check_state(psi, H.n)
+    regs = [r for r in plan.layout.registers if r.name != "system" and r.name not in l_regs]
+    support = {r.name: {0} for r in regs}
+    for ins in plan.instructions:
+        if isinstance(ins, Prepare):
+            width = plan.layout.register(ins.register).width
+            support[ins.register].update(amplitude_values(ins.amps, width)[1])
+    axes = {}
+    for i, r in enumerate(regs):  # a unary value 2^k - 1 past 63 bits stays a Python int
+        values = np.array(sorted(support[r.name]), dtype=object if r.width > 62 else np.int64)
+        axes[r.name] = (i, values, r.width)
+    shape = [len(support[r.name]) for r in regs]
+    check_width(H.n + (math.prod(shape) - 1).bit_length())
+    state = np.zeros(shape + [1 << H.n], dtype=complex)
+    state[(0,) * len(regs)] = psi
+    pending: list[float] = []  # block probabilities awaiting their measurement
+    cond: list[float] = []
+    abort_costs: list[float] = []
+    running_cost = 0.0
+    dead = False
+    for ins in plan.instructions:
+        if isinstance(ins, LcuBlock):
+            running_cost += cost.d if ins.control is None else cost.d_ctrl
+            if not dead:
+                target, index = _rows(state, axes, ins.control)
+                target[index] = rescaled_apply(H, target[index])
+            pending.append(0.0 if dead else _renormalize(state))
+            dead = pending[-1] == 0.0
+        elif isinstance(ins, Measure):
+            running_cost += cost.m
+            abort_costs.append(running_cost)
+            if ins.register in l_regs:
+                cond.append(pending.pop(0))
+                continue
+            if not dead:
+                a = axes[ins.register][0]
+                state.reshape(-1, shape[a], math.prod(state.shape[a + 1 :]))[:, 1:] = 0
+            cond.append(0.0 if dead else _renormalize(state))
+            dead = cond[-1] == 0.0
+        elif not dead:
+            a, values, width = axes[ins.register]
+            amps, at = amplitude_values(ins.amps, width)
+            full = np.zeros(values.shape[0], dtype=complex)
+            full[np.searchsorted(values, at)] = amps  # nonzero only: a zero may sit off the rows
+            v, d = householder(full)
+            block = state.reshape(-1, shape[a], math.prod(state.shape[a + 1 :]))
+            if not ins.adjoint:
+                block *= d[:, np.newaxis]
+            overlap = np.tensordot(v.conj(), block, axes=(0, 1))  # v^dag along the axis
+            block -= 2.0 * v[:, np.newaxis] * overlap[:, np.newaxis, :]
+            if ins.adjoint:
+                block *= d.conj()[:, np.newaxis]
+    return PlanTrace(
+        cond_probs=tuple(cond),
+        success_prob=float(np.prod(cond)) if cond else 1.0,
+        final_system_state=None if dead else state[(0,) * len(regs)].copy(),
+        abort_costs=tuple(abort_costs),
+        success_cost=running_cost,
+    )
+
+
+def _exact_pauli_sum(raw: list, v: list) -> list:
+    """sum_t c_t P_t v on Gaussian rationals (pairs of ``Fraction``), P_t from its letters:
+    letter j acts on bit j of the index, X|b> = |1-b>, Y|0> = i|1>, Y|1> = -i|0>, Z|b> = (-1)^b|b>."""
+    out = [(Fraction(0), Fraction(0))] * len(v)
+    for c, letters in raw:
+        for b, (re, im) in enumerate(v):
+            target, phase = b, 0  # the factor i^phase
+            for j, letter in enumerate(letters):
+                bit = b >> j & 1
+                if letter in "XY":
+                    target ^= 1 << j
+                phase += {"I": 0, "X": 0, "Y": 3 if bit else 1, "Z": 2 * bit}[letter]
+            re, im = {0: (re, im), 1: (-im, re), 2: (-re, -im), 3: (im, -re)}[phase % 4]
+            out[target] = (out[target][0] + c * re, out[target][1] + c * im)
+    return out
+
+
+def exact_wtilde_chain(raw: list, n: int, x: Fraction, kappa: int, psi: list) -> list[Fraction]:
+    """The W-tilde chain q_1 .. q_{2^kappa} in exact arithmetic, for H = sum_t c_t P_t with
+    rational c_t, tau l1 = x and a Gaussian-rational psi (unnormalized: each q is a ratio).
+
+    Row k of the Taylor register holds sqrt(w_k) H~^{m_k} psi, w_k = beta_k / ||beta||_1; a
+    block of run i applies H~ = (-i / l1) H to the rows with bit i of k set, its q is the
+    ratio of sum_k w_k ||row_k||^2 after and before, and the adjoint Prepare then keeps
+    sum_k conj(sqrt(w_k)) sqrt(w_k) H~^{m_k} psi on |0>. Each H~^m psi is built once."""
+    l1 = sum(abs(c) for c, _ in raw)
+    K = (1 << kappa) - 1
+    beta = [Fraction(1)]
+    for k in range(1, K + 1):
+        beta.append(beta[-1] * x / k)
+    w = [b / sum(beta) for b in beta]
+    powers = [[(Fraction(re), Fraction(im)) for re, im in psi]]
+
+    def power(m):  # H~^m psi, H~ v = (-i / l1) H v
+        while len(powers) <= m:
+            hv = _exact_pauli_sum(raw, powers[-1])
+            powers.append([(im / l1, -re / l1) for re, im in hv])
+        return powers[m]
+
+    def norm2(v):
+        return sum(re * re + im * im for re, im in v)
+
+    m, q = [0] * (K + 1), []
+    total = sum(w[k] * norm2(power(m[k])) for k in range(K + 1))
+    for i in range(kappa):
+        for _ in range(1 << i):
+            m = [mk + (k >> i & 1) for k, mk in enumerate(m)]
+            new = sum(w[k] * norm2(power(m[k])) for k in range(K + 1))
+            q.append(new / total)
+            total = new
+    collapsed = [(sum(w[k] * power(m[k])[b][0] for k in range(K + 1)),
+                  sum(w[k] * power(m[k])[b][1] for k in range(K + 1))) for b in range(1 << n)]
+    return q + [norm2(collapsed) / total]
 
 
 def shot_rng(seed: int, shot_index: int) -> np.random.Generator:

@@ -180,8 +180,9 @@ class TestSweep:
             assert [single[f] for f in fields] == [row[f] for f in fields]
 
     def test_one_diagonal_build_for_every_trace_and_horner_pass(self, capsys, monkeypatch):
-        # the three plans' 1 + 3 + 7 blocks and the three Horner passes' 1 + 3 + 7 matvecs
-        # all apply the one H~ of one Hamiltonian
+        # the three plans' one shared Krylov pass of 7 matvecs (to the highest Taylor
+        # degree, 7) and the three Horner passes' 1 + 3 + 7 all apply the one H~ of one
+        # Hamiltonian
         calls = {"diagonals": 0, "sampler": 0, "oracle": 0}
         monkeypatch.setattr(hamiltonian, "_group_diagonals",
                             _counting(calls, "diagonals", hamiltonian._group_diagonals))
@@ -191,7 +192,7 @@ class TestSweep:
                             _counting(calls, "oracle", oracle.apply_rescaled))
         code, _, _ = _run(capsys, "sweep", "--model", "ising", "--kappa-max", "3", "--shots", "100")
         assert code == 0
-        assert calls == {"diagonals": 1, "sampler": 11, "oracle": 11}
+        assert calls == {"diagonals": 1, "sampler": 7, "oracle": 11}
 
     def test_shot_stream_is_pinned(self, capsys):
         # Rows of the binomial shot loop, one random.Random(seed) per plan; a change to
@@ -459,6 +460,13 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nan_after_an_overflowing_flag_exit_2(self, capsys):
+        # parsing 1e999 leaves errno at ERANGE, and abs() of a NaN complex does not reset it,
+        # so abs(nan) raised OverflowError and escaped as a traceback
+        code, out, err = _run(capsys, "sweep", "--model", "ising", "--J", "nan", "--h", "1e999")
+        assert (code, out) == (2, "")
+        assert err == "error: term 'ZZII': bad weight or phase\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -3,7 +3,6 @@ import ast
 from pathlib import Path
 
 FAST_PATHS = {
-    "householder",
     "apply_rescaled",
     "pauli_sum_apply",
     "trace_plan",

@@ -381,9 +381,9 @@ class TestSharedStream:
     def test_readme_sweep_computes_each_block_once(self, monkeypatch):
         runs = []  # (trace, [(rng, n, p, aborted) per draw]) per plan
 
-        def tracer(plan, psi, cost):
-            runs.append((trace(plan, psi, cost), []))
-            return runs[-1][0]
+        def sampling(t, N, seed):  # each plan's trace, as its shots are drawn
+            runs.append((t, []))
+            return sample(t, N, seed)
 
         def recorder(rng, n, p):
             t, draws = runs[-1]
@@ -391,8 +391,8 @@ class TestSharedStream:
             draws.append((rng, n, p, k if t.cond_probs[len(draws)] >= 0.5 else n - k))
             return k
 
-        trace, draw = sampler.trace_plan, sampler._binomial
-        monkeypatch.setattr(sampler, "trace_plan", tracer)
+        sample, draw = sampler._sample, sampler._binomial
+        monkeypatch.setattr(sampler, "_sample", sampling)
         monkeypatch.setattr(sampler, "_binomial", recorder)
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["sweep", "--model", "ising", "--n", "4", "--tau", "0.05",

@@ -12,7 +12,7 @@ from lcusim.errors import (
 from lcusim.hamiltonian import canonicalize, l1_norm
 from lcusim.oracle import fidelity, success_prob_hk
 from lcusim.sampler import trace_plan
-from lcusim.statevector import RegisterLayout, check_state, householder
+from lcusim.statevector import RegisterLayout, check_state
 from conftest import random_state
 from reference import (
     StateVector,
@@ -21,6 +21,7 @@ from reference import (
     apply_register_unitary,
     apply_select,
     completion_unitary,
+    householder,
     init_state,
     measure_register,
     pauli_string_matrix,
@@ -145,7 +146,7 @@ class TestPrepareReflection:
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_matches_completion_unitary(self, register, adjoint):
         # on all 2^w values, and restricted to 0 and the support of the amplitudes, which
-        # is how the trace applies it to a register that holds fewer values
+        # is how the array reference applies it to a register that holds fewer values
         rng = np.random.default_rng(2 * ord(register) + adjoint)
         width = self.LAYOUT.register(register).width
         amps = random_state(width, rng)
@@ -200,37 +201,39 @@ class TestLcuBlock:
     )
     def test_grouped_kernel_matches_dense(self, cached, control, raw):
         # terms sharing X masks (x = 0, Y letters, complex phases, an identity term), three
-        # blocks controlled by c in a layout (system, c, t, l) with c and t prepared, and the
-        # diagonals built by an oracle matvec before the traces or by the first trace
+        # blocks controlled by c and then one by t in a layout (system, c, t, l), c and t
+        # prepared one after the other, and the diagonals built by an oracle matvec before
+        # the traces or by the first trace
         rng = np.random.default_rng(23)
         H = canonicalize(3, raw)
         layout = RegisterLayout([("system", 3), ("c", 1), ("t", 1), ("l", H.l_width)])
         ctrl = None if control is None else ("c", control - layout.register("c").offset)
         ac, at = random_state(1, rng), random_state(1, rng)
         plan = CircuitPlan(layout, H, (
-            Prepare("c", ac), Prepare("t", at), *(LcuBlock("l", ctrl), Measure("l")) * 3,
-            Prepare("t", at, adjoint=True), Measure("t"), Prepare("c", ac, adjoint=True),
-            Measure("c"),
+            Prepare("c", ac), *(LcuBlock("l", ctrl), Measure("l")) * 3,
+            Prepare("c", ac, adjoint=True), Measure("c"),
+            Prepare("t", at), LcuBlock("l", ("t", 0)), Measure("l"),
+            Prepare("t", at, adjoint=True), Measure("t"),
         ), "w_hk")
         F = (-1j / l1_norm(H)) * to_matrix(H)
         on = np.diag([0.0, 1.0])
-        block = np.kron(np.eye(4), F) if control is None else np.kron(
-            np.eye(2), np.kron(on, F) + np.kron(np.eye(2) - on, np.eye(8)))
+        controlled = np.kron(on, F) + np.kron(np.eye(2) - on, np.eye(8))  # on (register, system)
+        block = np.kron(np.eye(2), F) if control is None else controlled
         Uc, Ut = completion_unitary(ac), completion_unitary(at)
         groups = []
         if cached:
             success_prob_hk(H, np.eye(8)[0], 1)
             groups.append(H._groups)
         for _ in range(2):  # every trace reads the diagonals built first
-            psi = random_state(3, rng)
-            v = np.kron(Ut, np.kron(Uc, np.eye(8))) @ np.kron([1, 0], np.kron([1, 0], psi))
-            cond = []  # the adjoint Prepare of t, the top register, then of c, and its |0> rows
-            for M in [block] * 3 + [np.kron(Ut.conj().T, np.eye(16))[:16],
-                                    np.kron(Uc.conj().T, np.eye(8))[:8]]:
-                v = M @ v
-                cond.append(np.vdot(v, v).real)
-                v /= np.sqrt(cond[-1])
-            trace = trace_plan(plan, psi)
+            v = random_state(3, rng)
+            trace = trace_plan(plan, v)
+            cond = []  # each register's blocks, its adjoint Prepare and its |0> rows
+            for U, blocks in ((Uc, [block] * 3), (Ut, [controlled])):
+                v = np.kron(U, np.eye(8)) @ np.kron([1, 0], v)
+                for M in blocks + [np.kron(U.conj().T, np.eye(8))[:8]]:
+                    v = M @ v
+                    cond.append(np.vdot(v, v).real)
+                    v /= np.sqrt(cond[-1])
             assert np.abs(np.subtract(trace.cond_probs, cond)).max() < 1e-13
             assert np.abs(trace.final_system_state - v).max() < 1e-13
             groups.append(H._groups)

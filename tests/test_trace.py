@@ -1,5 +1,6 @@
-"""The collapsed success-path trace against the register-level reference."""
+"""The moment trace against the register-level, array and exact references."""
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from lcusim.circuits import (
     build_w_tilde,
     build_w_unary,
 )
-from lcusim import hamiltonian
+from lcusim import hamiltonian, sampler
 from lcusim.errors import LayoutError, NormalizationError, ResourceLimitError
 from lcusim.hamiltonian import build_ising, canonicalize
 from lcusim.oracle import fidelity, success_prob_wtilde
@@ -22,21 +23,23 @@ from lcusim.sampler import CostModel, trace_plan
 from lcusim.statevector import RegisterLayout
 from lcusim.resources import count
 from conftest import random_hamiltonian, random_state
-from reference import compile_plan, register_trace, simulate_compiled
+from reference import array_trace, compile_plan, exact_wtilde_chain, register_trace, simulate_compiled
 
 COST = CostModel(d=0.3, d_ctrl=0.7, m=0.1)
 
 
 def assert_same_trace(plan, psi):
+    """``trace_plan`` and the array reference both equal the register-level trace."""
     new, ref = trace_plan(plan, psi, COST), register_trace(plan, psi, COST)
-    assert len(new.cond_probs) == len(ref.cond_probs)
-    assert np.abs(np.subtract(new.cond_probs, ref.cond_probs)).max(initial=0.0) <= 1e-12
-    assert new.abort_costs == ref.abort_costs
-    assert new.success_cost == ref.success_cost
-    if ref.final_system_state is None:
-        assert new.final_system_state is None
-    else:
-        assert fidelity(new.final_system_state, ref.final_system_state) > 1 - 1e-12
+    for got in (new, array_trace(plan, psi, COST)):
+        assert len(got.cond_probs) == len(ref.cond_probs)
+        assert np.abs(np.subtract(got.cond_probs, ref.cond_probs)).max(initial=0.0) <= 1e-12
+        assert got.abort_costs == ref.abort_costs
+        assert got.success_cost == ref.success_cost
+        if ref.final_system_state is None:
+            assert got.final_system_state is None
+        else:
+            assert fidelity(got.final_system_state, ref.final_system_state) > 1 - 1e-12
     return new
 
 
@@ -231,6 +234,31 @@ class TestPlanShape:
             Measure("c"), Measure("l"), extra=[("c", 1)], match="instruction 3",
         )
 
+    def test_second_register_prepared_while_one_is_live(self):
+        # the moment trace holds the rows of one register at a time
+        c = np.array([0.6, 0.8])
+        self._raises(Prepare("c", c), Prepare("t", c), Measure("t"), Measure("c"),
+                     extra=[("c", 1), ("t", 1)], match="instruction 1: t prepared while c is live")
+
+    @pytest.mark.parametrize("after", ["block", "measure-of-another-register", "third-prepare"])
+    def test_state_changed_between_the_second_prepare_and_its_measure(self, after):
+        # only the Measures of l-registers may come between; the unary plan's come there
+        c = np.array([0.6, 0.8])
+        between = {
+            "block": [LcuBlock("l", ("c", 0)), Measure("l")],
+            "measure-of-another-register": [Measure("t")],
+            "third-prepare": [Prepare("c", c)],
+        }[after]
+        self._raises(Prepare("c", c), Prepare("c", c, adjoint=True), *between, Measure("c"),
+                     extra=[("c", 1), ("t", 1)], match="instruction 2: c is prepared twice")
+
+    def test_l_measures_between_the_second_prepare_and_its_measure(self):
+        c = np.array([0.6, 0.8])
+        plan = _one_block(self.H, Prepare("c", c), LcuBlock("l", ("c", 0)),
+                          Prepare("c", c, adjoint=True), Measure("l"), Measure("c"),
+                          extra=[("c", 1)])
+        assert_same_trace(plan, self.psi)
+
     def test_l_registers_measured_out_of_select_order(self, ising4):
         plan = build_w_unary(ising4, 0.05, 2)
         ins = list(plan.instructions)
@@ -307,6 +335,69 @@ class TestPlanValidity:
             return
         assert_same_trace(plan, random_state(2, np.random.default_rng(seed)))
         assert count([plan]) == [compile_plan(plan).counts()]
+
+
+class TestExactChain:
+    """The q chain of a small W-tilde plan against Gaussian-rational arithmetic: rational
+    weights, tau l1 and psi, so every q is exact (``reference.exact_wtilde_chain``)."""
+
+    RAW = [(Fraction(1), "ZZ"), (Fraction(-1, 2), "XI"), (Fraction(1, 4), "IX"),
+           (Fraction(3, 8), "YY")]  # l1 = 17/8
+    PSI = [(1, 0), (2, 1), (-1, 0), (0, 3)]  # unnormalized
+
+    def _chains(self, tau, kappa):
+        H = canonicalize(2, [(float(c), letters) for c, letters in self.RAW])
+        x = tau * sum(abs(c) for c, _ in self.RAW)
+        assert float(tau) * hamiltonian.l1_norm(H) == float(x)  # tau l1 is exact in floats too
+        exact = [float(q) for q in exact_wtilde_chain(self.RAW, 2, x, kappa, self.PSI)]
+        psi = np.array([complex(*a) for a in self.PSI])
+        plan = build_w_tilde(H, float(tau), kappa)
+        return exact, [t(plan, psi / np.linalg.norm(psi)).cond_probs for t in (trace_plan, array_trace)]
+
+    def test_small_case(self):
+        exact, chains = self._chains(Fraction(1, 4), 3)  # tau l1 = 17/32
+        for chain in chains:
+            assert np.abs(np.subtract(chain, exact)).max() <= 1e-14
+
+    def test_cancelling_collapse(self):
+        # at tau l1 = 85/8 the collapsed state sum_k w_k H~^k psi is ~ e^{-tau l1} U psi
+        # while its terms reach w_k ~ 0.12: its q, 1.2e-7, keeps ~13 of 16 digits
+        exact, chains = self._chains(Fraction(5), 5)
+        assert 1e-7 < exact[-1] < 2e-7
+        for chain in chains:
+            assert np.abs(np.subtract(chain, exact)).max() <= 1e-14
+            assert abs(chain[-1] / exact[-1] - 1) <= 1e-12
+
+
+class TestMomentTrace:
+    def test_pass_stops_at_the_last_nonzero_amplitude(self, monkeypatch):
+        # kappa = 17 has 2^17 - 1 blocks, but at tau = 0.05 the Taylor amplitudes past
+        # k = 121 are 0, so no row reaches a higher power of H~ and the pass stops there
+        H = build_ising(2, 1.0, 0.5)
+        plan, psi = build_w_tilde(H, 0.05, 17), random_state(2, np.random.default_rng(17))
+        last = int(np.flatnonzero(plan.instructions[0].amps)[-1])
+        calls, apply = [], sampler.apply_rescaled
+        monkeypatch.setattr(sampler, "apply_rescaled", lambda *a: calls.append(1) or apply(*a))
+        trace = trace_plan(plan, psi)
+        assert 0 < len(calls) <= last < 200
+        assert trace.success_prob == pytest.approx(
+            success_prob_wtilde(H, psi, 0.05, (1 << 17) - 1), abs=1e-12
+        )
+        assert sum(q != 1.0 for q in trace.cond_probs) < 2 * last
+
+    def test_plans_on_one_hamiltonian_share_the_pass(self, monkeypatch):
+        # three W-tilde plans and a W_{H^k} plan: one pass of psi to degree 7 for all four
+        H = build_ising(3, 1.0, 0.5)
+        plans = [build_w_tilde(H, 0.3, kappa) for kappa in (1, 2, 3)] + [build_w_hk(H, 2)]
+        psi = random_state(3, np.random.default_rng(8))
+        calls, apply = [], sampler.apply_rescaled
+        monkeypatch.setattr(sampler, "apply_rescaled", lambda *a: calls.append(1) or apply(*a))
+        shared = sampler._traces(plans, psi, COST)
+        assert len(calls) == 7
+        for plan, trace in zip(plans, shared):  # each as it is traced on its own
+            alone = trace_plan(plan, psi, COST)
+            assert trace.cond_probs == alone.cond_probs
+            assert np.array_equal(trace.final_system_state, alone.final_system_state)
 
 
 class TestGroupedKernel:
