@@ -5,7 +5,8 @@ each of two copies of the tree: the parent, from ``git archive HEAD``, and the c
 the working tree's tracked and new files (``git ls-files --cached --others
 --exclude-standard``). The side that runs first alternates, the parent first in even pairs.
 Each run's end-to-end metrics are read from ``.bench_out/result-<workload>-seed<S>-trace0.json``
-in its copy. The two copies must hold the same ``bench/`` files.
+in its copy. The two copies must hold the same ``bench/`` files. ``src_lines`` records each
+copy's ``wc -l src/lcusim/*.py`` total.
 
 ``--cli CMD`` also times a CLI command on both sides, ``--cli-runs`` alternating runs each, as
 ``python3 -m lcusim.cli CMD`` in a fresh process: wall seconds, peak RSS and a digest of its
@@ -63,6 +64,11 @@ def _digest(directory: Path) -> str:
     for path in sorted(p for p in directory.rglob("*") if p.is_file() and "__pycache__" not in p.parts):
         h.update(str(path.relative_to(directory)).encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
+
+
+def src_lines(tree: Path) -> int:
+    """``wc -l src/lcusim/*.py``: the newlines in the package's modules."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "lcusim").glob("*.py"))
 
 
 def bench_run(tree: Path, seed: int, seconds: int) -> dict:
@@ -173,6 +179,7 @@ def main(argv=None) -> int:
         ),
         "machine": machine(),
         "pairs": args.pairs,
+        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         "end_to_end": end_to_end,
         "jobs_timed": {w: {s: [r[w]["jobs_timed"] for r in runs[s]] for s in trees} for w in WORKLOADS},
         "failed_jobs": {w: {s: [r[w]["failed"] for r in runs[s]] for s in trees} for w in WORKLOADS},

@@ -217,6 +217,9 @@ def _params_from_vector(x: np.ndarray, n: int, n_electrons: int, include_offdiag
     return BlissParams(float(x[0]), xi, n_electrons)
 
 
+_TOL, _MAX_SWEEPS = 1e-8, 10_000  # optimize_bliss's convergence test and sweep limit
+
+
 @dataclass(frozen=True)
 class BlissResult:
     params: BlissParams
@@ -230,8 +233,6 @@ def optimize_bliss(
     n_electrons: int,
     *,
     include_offdiag: bool = True,
-    tol: float = 1e-8,
-    max_sweeps: int = 10_000,
 ) -> BlissResult:
     """Minimize the Jordan-Wigner l1 norm over the shift parameters.
 
@@ -240,7 +241,8 @@ def optimize_bliss(
     ||a - B x||_1 is convex piecewise linear. Coordinate descent with an
     exact weighted-median line search per coordinate is monotone and, for
     these structured problems, converges to the minimum; a non-convergence
-    after ``max_sweeps`` returns the best iterate with a warning.
+    after ``_MAX_SWEEPS`` returns the best iterate with a warning. A sweep that
+    lowers the objective by less than ``_TOL`` ends the descent.
     """
     n = F.n_orb
     if n_electrons < 0 or n_electrons > n:
@@ -251,7 +253,7 @@ def optimize_bliss(
     resid = a.copy()  # a - B x
     history = [float(np.abs(resid).sum())]
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         for m, (rows, vals) in enumerate(cols):
             if not len(vals):
                 continue
@@ -262,7 +264,7 @@ def optimize_bliss(
                 x[m] = t
         obj = float(np.abs(resid).sum())
         history.append(obj)
-        if history[-2] - obj < tol:
+        if history[-2] - obj < _TOL:
             converged = True
             break
     if not converged:

@@ -77,7 +77,7 @@ _FLAGS = {  # each flag's definition, for every command that reads it
     "--nelec": {"type": int, "help": "electron count (default: file header)"},
     "--diagonal-only": {"action": "store_true", "help": "restrict xi to its diagonal"},
 }
-_MODEL = "--hamiltonian --model --n --J --h --tau"
+_MODEL = "--hamiltonian --model --n --J --h"
 
 
 def _flags(*names: str):
@@ -162,7 +162,7 @@ def _resolve_state(args, n: int) -> np.ndarray:
 # instructions, a W-tilde plan 2^(kappa+1) + 1, and the Ising chain of resources (which holds
 # no state) 2n - 1 strings of n letters. Times at the limits, on a 2-vCPU Intel Xeon: simulate
 # --n 5 --circuit wunary --K 349998 2.2 s, 321 MB; simulate --n 6 --kappa 18 0.4 s; sweep --n 7
-# --kappa-max 17 5.3 s; resources --n 24 --K-max 834 3.1 s; resources --n 10000 22 s, 229 MB.
+# --kappa-max 17 0.5 s; resources --n 24 --K-max 834 3.1 s; resources --n 10000 22 s, 229 MB.
 _MAX_INSTRUCTIONS = 700_000
 _MAX_ISING_SITES = 10_000
 
@@ -175,7 +175,7 @@ def _check_instructions(total: int) -> None:
 
 
 def _build_plan(args, H: HamiltonianLCU):
-    """The plan, after checking n + kappa (the width its trace holds) and the plan's length."""
+    """The plan, after checking the simulated circuit's width n + kappa and the plan's length."""
     K, kappa = _resolve_order(args)
     check_width(H.n + kappa)
     if args.circuit == "wunary":
@@ -202,7 +202,7 @@ def cmd_simulate(args) -> list[dict]:
     H = _resolve_hamiltonian(args)
     plan = _build_plan(args, H)
     psi = _resolve_state(args, H.n)
-    cost = CostModel(d=args.d, d_ctrl=args.d_ctrl, m=args.m)
+    cost = CostModel(d_ctrl=args.d_ctrl, m=args.m)  # its plans hold only controlled blocks
     stats = run_shots(plan, psi, args.shots, args.seed, cost)
     row = {"circuit": args.circuit, "K": plan.select_count, "tau": args.tau}
     row.update(_stats_row(stats))
@@ -215,7 +215,7 @@ def cmd_analytic(args) -> list[dict]:
     check_width(kappa)  # capped as the W-tilde Taylor register of order K would be
     psi = _resolve_state(args, H.n)
     cost = CostModel(d=args.d, d_ctrl=args.d_ctrl)
-    # 2K matvecs: one Horner pass and one chain pass, with p1 = p_chain[0], p_hk = prod(p_chain)
+    # at most 2K matvecs: a Horner pass and a chain pass, with p1 = p_chain[0], p_hk = prod(p_chain)
     p_w = oracle.success_prob_wtilde(H, psi, args.tau, K)
     p_chain = oracle.chain_probabilities(H, psi, K)
     return [
@@ -238,7 +238,7 @@ def cmd_analytic(args) -> list[dict]:
 def cmd_sweep(args) -> list[dict]:
     H = _resolve_hamiltonian(args)
     psi = _resolve_state(args, H.n)
-    cost = CostModel(d=args.d, d_ctrl=args.d_ctrl, m=args.m)
+    cost = CostModel(d_ctrl=args.d_ctrl, m=args.m)  # as simulate's
     check_width(H.n + args.kappa_max)
     _check_instructions((1 << args.kappa_max + 2) - 4 + args.kappa_max)  # sum of 2^(k+1) + 1
     kappas = range(1, args.kappa_max + 1)
@@ -258,8 +258,10 @@ def cmd_resources(args) -> list[dict]:
     check_width(kappa_for(args.K_max))  # the Taylor register, as analytic caps it
     _check_instructions(args.K_max * (args.K_max + 4))  # the sum of 2K + 3 over K
     keys = [(f, K, kappa_for(K)) for K in range(1, args.K_max + 1) for f in ("wtilde", "wunary")]
-    plans = (  # built one at a time as count consumes them
-        build_w_tilde(H, args.tau, kappa) if family == "wtilde" else build_w_unary(H, args.tau, K)
+    # built one at a time as count consumes them, at tau = 0: the counts read register widths,
+    # amplitude counts and signs, and the Taylor amplitudes are real and nonnegative at every tau
+    plans = (
+        build_w_tilde(H, 0.0, kappa) if family == "wtilde" else build_w_unary(H, 0.0, K)
         for family, K, kappa in keys
     )
     return [
@@ -330,18 +332,18 @@ def emit(rows: list[dict], fmt: str, path: str | None) -> None:
 _COMMANDS = {  # name: (help, flag definitions, command)
     "simulate": (
         "run shots of one circuit",
-        _flags(_MODEL, "--kappa --K --circuit --state --d --d-ctrl --m --out --format",
+        _flags(_MODEL, "--tau --kappa --K --circuit --state --d-ctrl --m --out --format",
                "--shots --seed"),
         cmd_simulate,
     ),
     "analytic": (
         "closed-form oracle values",
-        _flags(_MODEL, "--kappa --K --state --d --d-ctrl --out --format"),
+        _flags(_MODEL, "--tau --kappa --K --state --d --d-ctrl --out --format"),
         cmd_analytic,
     ),
     "sweep": (  # every W-tilde kappa up to --kappa-max
         "sampled vs analytic success per kappa",
-        _flags(_MODEL, "--state --d --d-ctrl --m --out --format --kappa-max --shots --seed"),
+        _flags(_MODEL, "--tau --state --d-ctrl --m --out --format --kappa-max --shots --seed"),
         cmd_sweep,
     ),
     "resources": ("gate and qubit counts", _flags(_MODEL, "--out --format --K-max"), cmd_resources),

@@ -25,9 +25,5 @@ class LayoutError(LcusimError, ValueError):
     """Register layout does not match the operation's requirements."""
 
 
-class MeasurementDegenerateError(LcusimError, ValueError):
-    """All measurement branches have numerically vanishing probability."""
-
-
 class DomainError(LcusimError, ValueError):
     """Analytic formula evaluated outside its domain of validity."""

@@ -104,17 +104,15 @@ def l1_norm(H: HamiltonianLCU) -> float:
     return H._l1
 
 
-def canonicalize(
-    n: int,
-    raw_terms: Iterable[tuple[complex, str]],
-    *,
-    atol: float = 1e-12,
-) -> HamiltonianLCU:
+_DROP_ATOL = 1e-12  # a merged coefficient of at most this magnitude is dropped
+
+
+def canonicalize(n: int, raw_terms: Iterable[tuple[complex, str]]) -> HamiltonianLCU:
     """Merge duplicate letter sequences and fold coefficient signs into phases.
 
     ``raw_terms`` is an iterable of ``(coefficient, letters)`` with real or
-    complex coefficients. Terms whose merged coefficient magnitude falls
-    below ``atol`` are dropped.
+    complex coefficients. Terms whose merged coefficient magnitude is at most
+    ``_DROP_ATOL`` are dropped.
     """
     merged: dict[str, complex] = {}
     for coeff, letters in raw_terms:
@@ -126,7 +124,7 @@ def canonicalize(
     for letters, coeff in merged.items():
         if not cmath.isfinite(coeff):  # abs() of a NaN can raise a stale OverflowError
             raise InvalidHamiltonianError(f"term {letters!r}: bad weight or phase")
-        if abs(coeff) <= atol:
+        if abs(coeff) <= _DROP_ATOL:
             continue
         terms.append(PauliTerm(weight=abs(coeff), phase=float(cmath.phase(coeff)), letters=letters))
     if not terms:

@@ -47,14 +47,15 @@ def chain_probabilities(H: HamiltonianLCU, psi: np.ndarray, k: int) -> list[floa
 def success_prob_wtilde(H: HamiltonianLCU, psi: np.ndarray, tau: float, K: int) -> float:
     """<psi| U^dag U |psi> / ||beta||_1^2 for the truncated propagator U.
 
-    U psi in Horner form, K matvecs: v <- psi + (x / k) Htilde v for k = K..1, x = tau l1.
+    U psi in Horner form: v <- psi + (x / k) Htilde v for k = top..1, x = tau l1, where
+    beta_top is the last beta_k that has not underflowed to 0.
     """
     psi = check_state(psi, H.n)
-    x = tau * l1_norm(H)
-    beta_norm, v = float(taylor_weights(tau, l1_norm(H), K).sum()), psi
-    for k in range(K, 0, -1):
+    x, beta = tau * l1_norm(H), taylor_weights(tau, l1_norm(H), K)
+    v = psi
+    for k in range(np.count_nonzero(beta) - 1, 0, -1):  # an underflowed beta_k stays 0 after
         v = psi + (x / k) * apply_rescaled(H, v)
-    return float(np.vdot(v, v).real) / beta_norm**2
+    return float(np.vdot(v, v).real) / float(beta.sum()) ** 2
 
 
 def _finite_cost(cost: float) -> float:

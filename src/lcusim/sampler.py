@@ -126,7 +126,7 @@ def _walk(plan: CircuitPlan, cost: CostModel):
             width = plan.layout.register(ins.register).width
             amps, at = amplitude_values(ins.amps, width)
             if live is None:  # on |0>: column 0 of the Prepare
-                check_width(plan.hamiltonian.n + (len(at) - 1).bit_length())  # rows x 2^n
+                check_width(plan.hamiltonian.n + (len(at) - 1).bit_length())  # circuit width
                 live, vals = ins.register, np.array(at, dtype=object if width > 62 else np.int64)
                 b, m = _row0(amps, at, not ins.adjoint).conj(), np.full(len(at), m[0])
                 w = (b * b.conj()).real

@@ -24,7 +24,7 @@ from lcusim.errors import (
     InvalidHamiltonianError,
     InvalidModelError,
     LayoutError,
-    MeasurementDegenerateError,
+    LcusimError,
     NormalizationError,
     ResourceLimitError,
 )
@@ -220,6 +220,10 @@ def apply_select(
         if sel.any():
             view[sel] = apply_pauli(view[sel], x, z, -1j * u)
     return state
+
+
+class MeasurementDegenerateError(LcusimError, ValueError):
+    """All measurement branches have numerically vanishing probability."""
 
 
 def measure_register(state: StateVector, register: str, rng) -> tuple[int, StateVector]:

@@ -288,6 +288,23 @@ class TestOptimizer:
         result = optimize_bliss(F, ne)
         assert l1_norm(result.hamiltonian) <= best + 1e-9
 
+    def test_sweep_limit_returns_the_last_iterate_with_a_warning(self, monkeypatch):
+        # the bundled half-filled chain reaches its minimum in the first sweep, but the
+        # convergence test needs a second sweep that lowers nothing
+        import importlib.resources as res
+
+        with res.as_file(res.files("lcusim.data") / "hubbard_4site.txt") as path:
+            F, ne = load_fermionic(path)
+        monkeypatch.setattr(bliss, "_MAX_SWEEPS", 1)
+        with pytest.warns(UserWarning) as record:
+            result = optimize_bliss(F, ne)
+        assert [str(w.message) for w in record] == [
+            "BLISS optimizer hit the sweep limit; returning best iterate"
+        ]
+        assert result.converged is False
+        assert len(result.objective_history) == 2
+        assert l1_norm(result.hamiltonian) == 14.0
+
     def test_sector_preserved_after_optimization(self):
         F = build_hubbard_chain(3, 1.0, 2.0)
         result = optimize_bliss(F, 3)

@@ -169,7 +169,7 @@ class TestSweep:
 
     def test_row_k_equals_simulate_kappa_k(self, capsys):
         flags = ["--model", "ising", "--n", "4", "--tau", "0.3", "--seed", "2024",
-                 "--shots", "5000", "--d", "0.3", "--d-ctrl", "0.7", "--m", "0.1"]
+                 "--shots", "5000", "--d-ctrl", "0.7", "--m", "0.1"]
         code, out, _ = _run(capsys, "sweep", "--kappa-max", "3", *flags)
         assert code == 0
         for row in _csv_rows(out):
@@ -257,9 +257,12 @@ class TestResources:
         assert unary == [(K, 4 * (K - 1) + K * block) for K in range(1, 65)]
 
     @pytest.mark.parametrize(
-        "flag", [["--state", "psi.txt"], ["--kappa", "2"], ["--K", "3"], ["--circuit", "wunary"]]
+        "flag",
+        [["--state", "psi.txt"], ["--kappa", "2"], ["--K", "3"], ["--circuit", "wunary"],
+         ["--tau", "0.05"]],
     )
-    def test_circuit_flags_other_than_tau_are_usage_errors(self, capsys, flag):
+    def test_circuit_flags_are_usage_errors(self, capsys, flag):
+        # the counts read register widths, never tau
         code, out, err = _run(capsys, "resources", "--model", "ising", "--K-max", "2", *flag)
         assert code == 1
         assert out == ""
@@ -446,6 +449,13 @@ class TestErrors:
         code, _, _ = _run(capsys, "simulate", "--model", "ising", "--K", "3", "--shots", "5", *flags)
         assert code == (1 if flags[1] == "ising" else 0)
 
+    @pytest.mark.parametrize("argv", [["simulate", "--K", "3"], ["sweep", "--kappa-max", "2"]])
+    def test_only_analytic_reads_d(self, capsys, argv):
+        # d prices an uncontrolled block; the W-tilde and unary plans hold none
+        code, out, err = _run(capsys, *argv, "--model", "ising", "--shots", "5", "--d", "1")
+        assert (code, out) == (1, "")
+        assert err == "usage error: unrecognized arguments: --d 1\n"
+
     def test_runtime_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 1, "terms": []}')
@@ -595,7 +605,7 @@ options:
 usage: lcusim simulate [-h] [--hamiltonian HAMILTONIAN] [--model {ising}]
                        [--n N] [--J J] [--h H] [--tau TAU] [--kappa KAPPA]
                        [--K K] [--circuit {wtilde,wunary}] [--state STATE]
-                       [--d D] [--d-ctrl D_CTRL] [--m M] [--out OUT]
+                       [--d-ctrl D_CTRL] [--m M] [--out OUT]
                        [--format {csv,json}] [--shots SHOTS] [--seed SEED]
 
 options:
@@ -611,7 +621,6 @@ options:
   --K K                 truncation order
   --circuit {wtilde,wunary}
   --state STATE         file of 2^n system amplitudes, two reals per line
-  --d D                 cost per uncontrolled select
   --d-ctrl D_CTRL       cost per controlled select
   --m M                 cost per measurement
   --out OUT             output path (default stdout)
@@ -644,7 +653,7 @@ options:
 """, ""),
     "sweep --help": (0, """\
 usage: lcusim sweep [-h] [--hamiltonian HAMILTONIAN] [--model {ising}] [--n N]
-                    [--J J] [--h H] [--tau TAU] [--state STATE] [--d D]
+                    [--J J] [--h H] [--tau TAU] [--state STATE]
                     [--d-ctrl D_CTRL] [--m M] [--out OUT]
                     [--format {csv,json}] [--kappa-max KAPPA_MAX]
                     [--shots SHOTS] [--seed SEED]
@@ -659,7 +668,6 @@ options:
   --h H
   --tau TAU
   --state STATE         file of 2^n system amplitudes, two reals per line
-  --d D                 cost per uncontrolled select
   --d-ctrl D_CTRL       cost per controlled select
   --m M                 cost per measurement
   --out OUT             output path (default stdout)
@@ -670,7 +678,7 @@ options:
 """, ""),
     "resources --help": (0, """\
 usage: lcusim resources [-h] [--hamiltonian HAMILTONIAN] [--model {ising}]
-                        [--n N] [--J J] [--h H] [--tau TAU] [--out OUT]
+                        [--n N] [--J J] [--h H] [--out OUT]
                         [--format {csv,json}] [--K-max K_MAX]
 
 options:
@@ -681,7 +689,6 @@ options:
   --n N                 ising sites
   --J J
   --h H
-  --tau TAU
   --out OUT             output path (default stdout)
   --format {csv,json}
   --K-max K_MAX
@@ -805,14 +812,90 @@ class TestParser:
         assert code == 0 and out.startswith("circuit,K,tau,")
 
 
+BUNDLED_HUBBARD = os.path.join(os.path.dirname(cli.__file__), "data", "hubbard_4site.txt")
 WARM_UP = [
     ("simulate", "--model", "ising", "--n", "2", "--shots", "10"),
     ("analytic", "--model", "ising", "--n", "2", "--K", "1"),
     ("sweep", "--model", "ising", "--n", "2", "--kappa-max", "1", "--shots", "10"),
     ("resources", "--model", "ising", "--n", "2", "--K-max", "1"),
-    ("bliss", "--fermion-file",
-     os.path.join(os.path.dirname(cli.__file__), "data", "hubbard_4site.txt")),
+    ("bliss", "--fermion-file", BUNDLED_HUBBARD),
 ]
+
+
+def _defined_flags(command):
+    """The flags ``command``'s parser defines, in their help order."""
+    names = []
+
+    class Recorder:
+        def add_argument(self, name, **_):
+            names.append(name)
+
+    cli._COMMANDS[command][1](Recorder())
+    return names
+
+
+DEFINED_FLAGS = [(command, flag) for command in cli._COMMANDS for flag in _defined_flags(command)]
+
+# For each flag, the arguments of two accepted command lines that differ only in that flag's
+# value or presence. {base} is the command's Hamiltonian source ("--model ising", or bliss's
+# bundled file); the other names are files the test writes.
+FLAG_PAIRS = {
+    "--hamiltonian": ("--model ising", "--hamiltonian {ham}"),  # a 2-site chain, not 4
+    "--model": ("--model ising", "--hamiltonian {ham}"),
+    "--n": ("{base} --n 2", "{base} --n 3"),
+    "--J": ("{base} --J 1.0", "{base} --J 0.0"),  # a nonzero J keeps every term: same counts
+    "--h": ("{base} --h 0.5", "{base} --h 0.0"),
+    "--tau": ("{base}", "{base} --tau 0.3"),
+    "--kappa": ("{base}", "{base} --kappa 1"),
+    "--K": ("{base}", "{base} --K 5"),
+    "--circuit": ("{base}", "{base} --circuit wunary"),
+    "--state": ("{base}", "{base} --state {state}"),
+    "--d": ("{base}", "{base} --d 2"),
+    "--d-ctrl": ("{base}", "{base} --d-ctrl 2"),
+    "--m": ("{base}", "{base} --m 1"),
+    "--out": ("{base}", "{base} --out {out}"),
+    "--format": ("{base}", "{base} --format json"),
+    "--shots": ("{base}", "{base} --shots 7"),
+    "--seed": ("{base}", "{base} --seed 1"),
+    "--kappa-max": ("{base}", "{base} --kappa-max 2"),
+    "--K-max": ("{base}", "{base} --K-max 2"),
+    "--fermion-file": ("{base}", "--fermion-file {fermions}"),
+    "--nelec": ("{base}", "{base} --nelec 2"),
+    # the bundled file's optimum is diagonal; on this one the off-diagonal shifts lower l1
+    "--diagonal-only": ("--fermion-file {fermions}", "--fermion-file {fermions} --diagonal-only"),
+}
+
+# hopping 1 <-> 2 that also counts each orbital's electrons: l1_after is 1.5 with
+# off-diagonal shifts and 2.0 without
+_OFFDIAGONAL_FERMIONS = "NORB=3 NELEC=1\n1.0 1 1 0 0\n" + "".join(
+    f"0.5 {i} {j} {k} {k}\n" for i, j in ((1, 2), (2, 1)) for k in (1, 2, 3)
+)
+
+
+class TestEveryFlagIsRead:
+    def test_the_table_covers_exactly_the_defined_flags(self):
+        assert sorted({flag for _, flag in DEFINED_FLAGS}) == sorted(FLAG_PAIRS)
+
+    @pytest.mark.parametrize("command, flag", DEFINED_FLAGS)
+    def test_the_pair_prints_different_output(self, capsys, tmp_path, command, flag):
+        save_hamiltonian(build_ising(2, 1.0, 0.5), tmp_path / "h.json")
+        np.savetxt(tmp_path / "psi.txt", [[0.6, 0.0], [0.0, 0.8]] + [[0.0, 0.0]] * 14)
+        (tmp_path / "f.txt").write_text(_OFFDIAGONAL_FERMIONS)
+        out_file = tmp_path / "out.txt"
+        files = {"{ham}": tmp_path / "h.json", "{state}": tmp_path / "psi.txt",
+                 "{fermions}": tmp_path / "f.txt", "{out}": out_file}
+        base = ["--fermion-file", BUNDLED_HUBBARD] if command == "bliss" else ["--model", "ising"]
+        outputs = []
+        for args in FLAG_PAIRS[flag]:
+            argv = [command]
+            for token in args.split():
+                argv += base if token == "{base}" else [str(files.get(token, token))]
+            code, out, err = _run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            written = out_file.read_text() if out_file.exists() else None
+            out_file.unlink(missing_ok=True)
+            outputs.append((out, written))
+        assert outputs[0] != outputs[1]
 
 
 class TestIsingFlags:
@@ -894,7 +977,7 @@ class TestPlanLength:
         assert code == 0 and out == STDOUT_PINS["resources --model ising --K-max 7"]
         assert _run(capsys, "resources", "--model", "ising", "--K-max", "8")[0] == 2
         monkeypatch.setattr(cli, "_MAX_INSTRUCTIONS", 2**3 + 1)
-        argv = "simulate --model ising --kappa 2 --d 0.3 --d-ctrl 0.7 --m 0.1"
+        argv = "simulate --model ising --kappa 2 --d-ctrl 0.7 --m 0.1"
         code, out, _ = _run(capsys, *argv.split())
         assert code == 0 and out == STDOUT_PINS[argv]
         assert _run(capsys, *argv.replace("kappa 2", "kappa 3").split())[0] == 2
@@ -1073,11 +1156,11 @@ class TestAnalyticPasses:
 # instructions (Prepare, Select, AdjointPrepare): a change to the plan IR, the cost
 # model or the emitter shows here.
 STDOUT_PINS = {
-    'simulate --model ising --circuit wunary --K 3 --d 0.3 --d-ctrl 0.7 --m 0.1': (
+    'simulate --model ising --circuit wunary --K 3 --d-ctrl 0.7 --m 0.1': (
         'circuit,K,tau,shots,successes,p_hat,stderr,abort_histogram,mean_cost\n'
         'wunary,3,0.05,10000,6065,0.6065,0.004885260996098366,1:1366;2:56;3:2;4:2511,2.45788\n'
     ),
-    'simulate --model ising --circuit wunary --K 3 --d 0.3 --d-ctrl 0.7 --m 0.1 --format json': (
+    'simulate --model ising --circuit wunary --K 3 --d-ctrl 0.7 --m 0.1 --format json': (
         '[\n'
         ' {\n'
         '  "K": 3,\n'
@@ -1092,11 +1175,11 @@ STDOUT_PINS = {
         ' }\n'
         ']\n'
     ),
-    'simulate --model ising --kappa 2 --d 0.3 --d-ctrl 0.7 --m 0.1': (
+    'simulate --model ising --kappa 2 --d-ctrl 0.7 --m 0.1': (
         'circuit,K,tau,shots,successes,p_hat,stderr,abort_histogram,mean_cost\n'
         'wtilde,3,0.05,10000,6005,0.6005,0.004897956206419163,1:1218;2:147;3:56;4:2574,2.27915\n'
     ),
-    'simulate --model ising --kappa 2 --d 0.3 --d-ctrl 0.7 --m 0.1 --format json': (
+    'simulate --model ising --kappa 2 --d-ctrl 0.7 --m 0.1 --format json': (
         '[\n'
         ' {\n'
         '  "K": 3,\n'

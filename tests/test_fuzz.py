@@ -215,19 +215,18 @@ HAMILTONIAN_FLAGS = {
 COMMAND_FLAGS = {
     "simulate": {
         **HAMILTONIAN_FLAGS, "--tau": real_value, "--kappa": width_value, "--K": order_value,
-        "--circuit": st.sampled_from(["wtilde", "wunary"]), "--d": cost_value,
-        "--d-ctrl": cost_value, "--m": cost_value, "--shots": shots_value, "--seed": seed_value,
+        "--circuit": st.sampled_from(["wtilde", "wunary"]), "--d-ctrl": cost_value,
+        "--m": cost_value, "--shots": shots_value, "--seed": seed_value,
     },
     "analytic": {
         **HAMILTONIAN_FLAGS, "--tau": real_value, "--kappa": width_value, "--K": order_value,
         "--d": cost_value, "--d-ctrl": cost_value,
     },
     "sweep": {
-        **HAMILTONIAN_FLAGS, "--tau": real_value, "--d": cost_value, "--d-ctrl": cost_value,
-        "--m": cost_value, "--kappa-max": width_value, "--shots": shots_value,
-        "--seed": seed_value,
+        **HAMILTONIAN_FLAGS, "--tau": real_value, "--d-ctrl": cost_value, "--m": cost_value,
+        "--kappa-max": width_value, "--shots": shots_value, "--seed": seed_value,
     },
-    "resources": {**HAMILTONIAN_FLAGS, "--tau": real_value, "--K-max": order_value},
+    "resources": {**HAMILTONIAN_FLAGS, "--K-max": order_value},
     "bliss": {"--nelec": st.integers(-1, 9).map(str)},
 }
 FORMAT = st.sampled_from(["csv", "json"])

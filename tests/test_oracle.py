@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from lcusim import oracle
 from lcusim.circuits import build_w_hk
 from lcusim.errors import DomainError, LayoutError, NormalizationError
 from lcusim.hamiltonian import canonicalize
@@ -105,6 +106,18 @@ class TestSuccessProbabilities:
         # large K: ||U psi|| -> 1, ||beta|| -> exp(tau l1), so p -> exp(-2 tau l1)
         p = success_prob_wtilde(ising4, psi0_4, 0.05, 7)
         assert p == pytest.approx(math.exp(-0.5), abs=1e-3)
+
+    def test_horner_pass_starts_at_the_last_nonzero_weight(self, monkeypatch):
+        # at tau l1 = 0.1, beta_k underflows to 0 past k = 121: a larger K adds no matvec
+        # and no bit of p
+        H = canonicalize(2, [(1.0, "ZZ"), (0.5, "XI"), (0.5, "IX")])
+        psi = random_state(2, np.random.default_rng(7))
+        p = success_prob_wtilde(H, psi, 0.05, 121)
+        calls = []
+        apply = oracle.apply_rescaled
+        monkeypatch.setattr(oracle, "apply_rescaled", lambda *a: calls.append(1) or apply(*a))
+        assert success_prob_wtilde(H, psi, 0.05, 2**17 - 1) == p
+        assert len(calls) == 121
 
     def test_unnormalized_state_rejected(self, ising4):
         with pytest.raises(NormalizationError):

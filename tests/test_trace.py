@@ -116,7 +116,8 @@ class TestAgainstRegisterTrace:
         assert trace.success_prob == pytest.approx(success_prob_wtilde(H, psi, tau, K), rel=1e-12)
 
     def test_wide_trace_refused_before_allocating(self):
-        # 2^5 rows of k on 20 system qubits is 25 qubits: refused before the 512 MiB array
+        # a 5-qubit k register on 20 system qubits is a 25-qubit circuit, over the cap that
+        # bounds the simulated width: refused before any allocation
         plan = build_w_tilde(build_ising(20, 1.0, 0.5), 0.05, 5)
         psi = np.eye(1, 1 << 20, dtype=complex)[0]
         tracemalloc.start()
