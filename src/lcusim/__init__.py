@@ -19,6 +19,7 @@ from .bliss import (
 )
 from .circuits import (
     CircuitPlan,
+    RegisterLayout,
     build_w_hk,
     build_w_tilde,
     build_w_unary,
@@ -53,7 +54,6 @@ from .sampler import (
     run_shots_many,
     trace_plan,
 )
-from .statevector import RegisterLayout
 
 __all__ = sorted(  # every name imported above: the classes and functions, not the modules
     name for name, value in globals().items()

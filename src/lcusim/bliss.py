@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModelError
-from .hamiltonian import HamiltonianLCU, canonicalize, mask_sum_letters
-from .statevector import TOTAL_QUBIT_CAP
+from .hamiltonian import (LETTER_PHASE, TOTAL_QUBIT_CAP, HamiltonianLCU, canonicalize, letter_keys,
+                          mask_sum_letters)
 
 
 @dataclass(frozen=True)
@@ -146,24 +146,11 @@ def _unit_shifts(n_orb: int, include_offdiag: bool) -> list[dict[tuple[int, int]
     return units
 
 
-def _letter_keys(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
-    """The letter string of X^x Z^z (qubit 0 first) read as a base-4 number
-    over I < X < Y < Z, so the keys sort like the strings."""
-    key = np.zeros_like(x)
-    for j in range(n):
-        xj, zj = (x >> j) & 1, (z >> j) & 1
-        key = (key << 2) | (zj << 1) | (xj ^ zj)
-    return key
-
-
-_LETTER_PHASE = np.array([(-1j) ** k for k in range(4)])  # c X^x Z^z = c (-i)^popcount(x & z) letters
-
-
 def _shift_matrix(F: FermionicOperator, n_electrons: int, include_offdiag: bool):
     """``(keys, a, columns)`` of the objective ||a - B x||_1.
 
     Rows are the Pauli strings of F and of every U_m (N_hat - N_e), in letter
-    order, as ``_letter_keys``; ``a`` is dense and each column of B is
+    order, as ``letter_keys``; ``a`` is dense and each column of B is
     ``(row indices, values)`` over its entries with |v| > 1e-14, the cut the
     line search makes. B's entries are multiples of 1/4, so the cut drops only
     exact zeros, which leave the residual unchanged.
@@ -181,10 +168,10 @@ def _shift_matrix(F: FermionicOperator, n_electrons: int, include_offdiag: bool)
     z = np.concatenate([bz, (uz[:, None] ^ number_z).ravel()])
     c = np.concatenate([np.array(list(base.values()), dtype=complex), (uc[:, None] * number_c).ravel()])
     col = np.concatenate([np.full(len(base), -1), np.repeat(ucol, n + 1)])  # column -1 is a
-    keys, row = np.unique(_letter_keys(x, z, n), return_inverse=True)
+    keys, row = np.unique(letter_keys(x, z, n), return_inverse=True)
     pairs, entry = np.unique((col + 1) * len(keys) + row, return_inverse=True)
     vals = np.zeros(len(pairs), dtype=complex)
-    np.add.at(vals, entry, c * _LETTER_PHASE[np.bitwise_count(x & z) % 4])
+    np.add.at(vals, entry, c * LETTER_PHASE[np.bitwise_count(x & z) % 4])
     if np.abs(vals.imag).max() > 1e-10:
         raise InvalidModelError("expected real Pauli coefficients (Hermitian operator)")
     vals = vals.real

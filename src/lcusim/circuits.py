@@ -29,12 +29,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from .errors import InvalidModelError, LayoutError
-from .hamiltonian import HamiltonianLCU, l1_norm
-from .statevector import RegisterLayout, check_norm
+from .hamiltonian import HamiltonianLCU, check_norm, l1_norm
 
 
 def taylor_weights(tau: float, alpha_norm: float, K: int) -> np.ndarray:
@@ -76,6 +76,37 @@ def power_schedule(kappa: int) -> tuple[int, ...]:
     if kappa < 1:
         raise InvalidModelError("kappa must be at least 1")
     return tuple(1 << i for i in range(kappa))
+
+
+@dataclass(frozen=True)
+class Register:
+    name: str
+    width: int
+    offset: int  # global index of the register's least-significant qubit
+
+
+class RegisterLayout:
+    """Named registers stacked from qubit 0 in the order of the ``(name, width)`` pairs given;
+    qubit ``offset + i`` of a register is bit ``i`` of its value."""
+
+    def __init__(self, widths: Iterable[tuple[str, int]]):
+        self._by_name: dict[str, Register] = {}
+        self.total = 0
+        for name, width in widths:
+            if width < 1 or name in self._by_name:
+                raise LayoutError(f"register {name!r}: widths must be positive, names unique")
+            self._by_name[name] = Register(name, width, self.total)
+            self.total += width
+        self.registers = tuple(self._by_name.values())
+
+    def register(self, name: str) -> Register:
+        if name not in self._by_name:
+            raise LayoutError(f"no register named {name!r}")
+        return self._by_name[name]
+
+    @property
+    def n(self) -> int:
+        return self.register("system").width
 
 
 @dataclass(frozen=True, eq=False)

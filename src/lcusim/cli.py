@@ -26,10 +26,9 @@ from . import oracle
 from .bliss import jordan_wigner, load_fermionic, optimize_bliss
 from .circuits import build_w_tilde, build_w_unary, kappa_for
 from .errors import LayoutError, LcusimError, NormalizationError, ResourceLimitError
-from .hamiltonian import HamiltonianLCU, build_ising, l1_norm, load_hamiltonian
+from .hamiltonian import HamiltonianLCU, build_ising, check_width, l1_norm, load_hamiltonian
 from .resources import count
 from .sampler import CostModel, estimate, mean_cost_per_shot, run_shots, run_shots_many
-from .statevector import check_width
 
 
 class UsageError(Exception):
@@ -120,22 +119,20 @@ def _resolve_hamiltonian(args) -> HamiltonianLCU:
         n = 4 if args.n is None else args.n
         if args.command != "resources":  # the others hold 2^n amplitudes: refuse before building
             check_width(n)
-        elif n > _MAX_ISING_SITES:
-            raise ResourceLimitError(
-                f"an Ising chain of {n} sites is over the limit of {_MAX_ISING_SITES}"
-            )
+        else:
+            _check_limit(n, _MAX_ISING_SITES, "an Ising chain of {} sites is")
         return build_ising(n, 1.0 if args.J is None else args.J, 0.5 if args.h is None else args.h)
     raise UsageError("a Hamiltonian source is required (--hamiltonian or --model ising)")
 
 
-def _resolve_order(args) -> tuple[int, int]:
-    """(K, kappa) from --K or --kappa: K defaults to 2^kappa - 1, kappa to 2."""
+def _resolve_order(args, system: int) -> tuple[int, int]:
+    """(K, kappa) from --K or --kappa: K defaults to 2^kappa - 1, kappa to 2. A circuit of
+    ``system`` + kappa qubits over the cap is refused before K is formed."""
     if args.kappa is not None and args.K is not None:
         raise UsageError("give either --kappa or --K, not both")
-    if args.K is not None:
-        return args.K, kappa_for(args.K)
-    kappa = args.kappa if args.kappa is not None else 2
-    return (1 << kappa) - 1, kappa
+    kappa = kappa_for(args.K) if args.K is not None else 2 if args.kappa is None else args.kappa
+    check_width(system + kappa)
+    return (1 << kappa) - 1 if args.K is None else args.K, kappa
 
 
 def _basis_state(n: int, index: int = 0) -> np.ndarray:
@@ -158,30 +155,31 @@ def _resolve_state(args, n: int) -> np.ndarray:
     return _basis_state(n)
 
 
-# Bounds on what one command builds, checked before it builds it: a unary plan holds 2K + 3
-# instructions, a W-tilde plan 2^(kappa+1) + 1, and the Ising chain of resources (which holds
-# no state) 2n - 1 strings of n letters. Times at the limits, on a 2-vCPU Intel Xeon: simulate
-# --n 5 --circuit wunary --K 349998 2.2 s, 321 MB; simulate --n 6 --kappa 18 0.4 s; sweep --n 7
-# --kappa-max 17 0.5 s; resources --n 24 --K-max 834 3.1 s; resources --n 10000 22 s, 229 MB.
+# Bounds on what a command builds or runs, checked before it does. The unary plans of simulate
+# and resources hold 2K + 3 instructions each; a W-tilde plan's 2^(kappa+1) + 1 are bounded by
+# the width cap alone, kappa <= 24 - n. The Ising chain of resources (no state) holds 2n - 1
+# strings of n letters. analytic makes at most 2K matvecs, each reading 2^max(n, 9) amplitudes
+# once per distinct X mask and once more: below 2^9 a read costs its fixed overhead. At the
+# limits, on a 2-vCPU Intel Xeon: simulate --n 5 --circuit wunary --K 349998 2.2 s, 321 MB;
+# simulate --n 2 --kappa 22 5.0 s, 383 MB; sweep --n 2 --kappa-max 22 10.7 s, 773 MB; resources
+# --n 24 --K-max 834 3.1 s; --n 10000 22 s, 229 MB; analytic --n 2 --h 0 --K 2441406 8.5 s and
+# --n 24 --h 0 --K 74 --tau 10 26 s, 799 MB.
 _MAX_INSTRUCTIONS = 700_000
 _MAX_ISING_SITES = 10_000
+_MAX_AMPLITUDE_READS = 5_000_000_000
 
 
-def _check_instructions(total: int) -> None:
-    if total > _MAX_INSTRUCTIONS:
-        raise ResourceLimitError(
-            f"the plans would hold {total} instructions, over the limit of {_MAX_INSTRUCTIONS}"
-        )
+def _check_limit(value: int, limit: int, what: str) -> None:
+    if value > limit:
+        raise ResourceLimitError(f"{what.format(value)} over the limit of {limit}")
 
 
 def _build_plan(args, H: HamiltonianLCU):
-    """The plan, after checking the simulated circuit's width n + kappa and the plan's length."""
-    K, kappa = _resolve_order(args)
-    check_width(H.n + kappa)
+    """The plan, after checking the circuit's width n + kappa and a unary plan's length."""
+    K, kappa = _resolve_order(args, H.n)
     if args.circuit == "wunary":
-        _check_instructions(2 * K + 3)
+        _check_limit(2 * K + 3, _MAX_INSTRUCTIONS, "the plans would hold {} instructions,")
         return build_w_unary(H, args.tau, K)
-    _check_instructions((1 << kappa + 1) + 1)
     return build_w_tilde(H, args.tau, kappa)
 
 
@@ -211,8 +209,9 @@ def cmd_simulate(args) -> list[dict]:
 
 def cmd_analytic(args) -> list[dict]:
     H = _resolve_hamiltonian(args)
-    K, kappa = _resolve_order(args)
-    check_width(kappa)  # capped as the W-tilde Taylor register of order K would be
+    K, kappa = _resolve_order(args, 0)  # capped as the W-tilde Taylor register of order K would be
+    reads = 2 * K * (len({x for x, _, _ in H.masks}) + 1) << max(H.n, 9)
+    _check_limit(reads, _MAX_AMPLITUDE_READS, "the oracle would read {} amplitudes,")
     psi = _resolve_state(args, H.n)
     cost = CostModel(d=args.d, d_ctrl=args.d_ctrl)
     # at most 2K matvecs: a Horner pass and a chain pass, with p1 = p_chain[0], p_hk = prod(p_chain)
@@ -240,7 +239,6 @@ def cmd_sweep(args) -> list[dict]:
     psi = _resolve_state(args, H.n)
     cost = CostModel(d_ctrl=args.d_ctrl, m=args.m)  # as simulate's
     check_width(H.n + args.kappa_max)
-    _check_instructions((1 << args.kappa_max + 2) - 4 + args.kappa_max)  # sum of 2^(k+1) + 1
     kappas = range(1, args.kappa_max + 1)
     plans = [build_w_tilde(H, args.tau, kappa) for kappa in kappas]
     runs = run_shots_many(plans, psi, args.shots, args.seed, cost)
@@ -256,7 +254,8 @@ def cmd_sweep(args) -> list[dict]:
 def cmd_resources(args) -> list[dict]:
     H = _resolve_hamiltonian(args)
     check_width(kappa_for(args.K_max))  # the Taylor register, as analytic caps it
-    _check_instructions(args.K_max * (args.K_max + 4))  # the sum of 2K + 3 over K
+    _check_limit(args.K_max * (args.K_max + 4), _MAX_INSTRUCTIONS,  # the sum of 2K + 3 over K
+                 "the plans would hold {} instructions,")
     keys = [(f, K, kappa_for(K)) for K in range(1, args.K_max + 1) for f in ("wtilde", "wunary")]
     # built one at a time as count consumes them, at tau = 0: the counts read register widths,
     # amplitude counts and signs, and the Taylor amplitudes are real and nonnegative at every tau

@@ -14,7 +14,7 @@ class InvalidHamiltonianError(LcusimError, ValueError):
 
 
 class ResourceLimitError(LcusimError, ValueError):
-    """A dense computation would exceed the configured qubit cap."""
+    """A command would exceed the qubit cap or one of its size limits."""
 
 
 class NormalizationError(LcusimError, ValueError):

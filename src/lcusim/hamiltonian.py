@@ -14,6 +14,8 @@ or Y / Z or Y), in which products and matvecs are XORs and popcount signs
 (Aaronson & Gottesman, PRA 70, 052328, 2004). A weighted sum of strings is
 applied one X mask at a time: X^x Z^z v(b) = (-1)^popcount((b ^ x) & z) v(b ^ x), so
 the terms sharing x form one diagonal D_x and their sum maps v(b) to D_x(b) v(b ^ x).
+
+It also holds the 24-qubit simulation cap and the checks on a state vector.
 """
 from __future__ import annotations
 
@@ -26,7 +28,36 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidHamiltonianError, InvalidModelError, LayoutError
+from .errors import (InvalidHamiltonianError, InvalidModelError, LayoutError, NormalizationError,
+                     ResourceLimitError)
+
+TOTAL_QUBIT_CAP = 24
+_NORM_TOL = 1e-10
+
+
+def check_width(qubits: int) -> None:
+    """Refuse a state wider than the simulation cap, before anything is allocated."""
+    if qubits > TOTAL_QUBIT_CAP:
+        raise ResourceLimitError(f"{qubits} qubits exceeds simulation cap {TOTAL_QUBIT_CAP}")
+
+
+def check_norm(norm: float, message: str) -> None:
+    """Raise ``NormalizationError(message)`` unless ``norm`` is within ``_NORM_TOL`` of 1;
+    a NaN fails too."""
+    if not abs(norm - 1.0) <= _NORM_TOL:
+        raise NormalizationError(message)
+
+
+def check_state(psi: np.ndarray, n: int | None) -> np.ndarray:
+    """psi as a flat complex vector of unit norm; with ``n`` its shape must be exactly
+    (2^n,). A norm that overflows is inf and fails."""
+    if n is not None and np.shape(psi) != (1 << n,):
+        raise LayoutError(f"{n}-qubit state needs shape ({1 << n},), got {np.shape(psi)}")
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(psi)
+    check_norm(norm, "state is not normalized")
+    return psi
 
 
 @dataclass(frozen=True)
@@ -149,12 +180,26 @@ def build_ising(n_sites: int, J: float, h: float) -> HamiltonianLCU:
     return canonicalize(n_sites, raw)
 
 
+def letter_keys(x, z, n: int):
+    """The letter string of X^x Z^z (qubit 0 first) read as a base-4 number over
+    I < X < Y < Z, so the keys sort like the strings; x and z are ints or integer arrays."""
+    key = 0
+    for j in range(n):
+        xj, zj = (x >> j) & 1, (z >> j) & 1
+        key = (key << 2) | (zj << 1) | (xj ^ zj)
+    return key
+
+
+LETTER_PHASE = np.array([(-1j) ** k for k in range(4)])  # c X^x Z^z = c (-i)^popcount(x & z) letters
+
+
 def mask_sum_letters(coeffs: dict[tuple[int, int], complex], n: int) -> dict[str, complex]:
     """Rewrite ``sum c X^x Z^z``, given as ``{(x, z): c}`` in order, as letter coefficients."""
     out = {}
     for (x, z), c in coeffs.items():
-        letters = "".join("IXZY"[(x >> j & 1) | (z >> j & 1) << 1] for j in range(n))
-        out[letters] = c * (-1j) ** ((x & z).bit_count() % 4)
+        key = letter_keys(x, z, n)
+        letters = "".join("IXYZ"[key >> 2 * (n - 1 - j) & 3] for j in range(n))
+        out[letters] = c * LETTER_PHASE[(x & z).bit_count() % 4]
     return out
 
 

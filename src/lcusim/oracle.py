@@ -13,8 +13,7 @@ import numpy as np
 
 from .circuits import taylor_weights
 from .errors import DomainError
-from .hamiltonian import HamiltonianLCU, apply_rescaled, l1_norm
-from .statevector import check_state
+from .hamiltonian import HamiltonianLCU, apply_rescaled, check_state, l1_norm
 
 
 def success_prob_hk(H: HamiltonianLCU, psi: np.ndarray, k: int) -> float:

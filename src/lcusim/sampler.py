@@ -23,8 +23,7 @@ import numpy as np
 
 from .circuits import CircuitPlan, LcuBlock, Measure, amplitude_values
 from .errors import DomainError
-from .hamiltonian import apply_rescaled
-from .statevector import check_state, check_width
+from .hamiltonian import apply_rescaled, check_state, check_width
 
 
 @dataclass(frozen=True)

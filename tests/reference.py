@@ -18,7 +18,15 @@ from fractions import Fraction
 import numpy as np
 
 from lcusim.bliss import FermionicOperator
-from lcusim.circuits import CircuitPlan, LcuBlock, Measure, Prepare, amplitude_values
+from lcusim.circuits import (
+    CircuitPlan,
+    LcuBlock,
+    Measure,
+    Prepare,
+    Register,
+    RegisterLayout,
+    amplitude_values,
+)
 from lcusim.errors import (
     DomainError,
     InvalidHamiltonianError,
@@ -28,10 +36,9 @@ from lcusim.errors import (
     NormalizationError,
     ResourceLimitError,
 )
-from lcusim.hamiltonian import HamiltonianLCU, l1_norm
+from lcusim.hamiltonian import HamiltonianLCU, check_norm, check_state, check_width, l1_norm
 from lcusim.resources import GateCounts
 from lcusim.sampler import CostModel, PlanTrace
-from lcusim.statevector import Register, RegisterLayout, check_norm, check_state, check_width
 
 DENSE_QUBIT_CAP = 12
 FERMION_DENSE_CAP = 12

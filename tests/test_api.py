@@ -3,6 +3,7 @@ the API shows as an edit of ``PUBLIC``, new dead code in ``src`` as a failure he
 import contextlib
 import importlib.util
 import io
+import re
 import sys
 import types
 from pathlib import Path
@@ -33,6 +34,14 @@ def test_public_names_are_pinned_and_importable():
 SRC = Path(lcusim.__file__).parent
 DATA = str(SRC / "data" / "hubbard_4site.txt")
 MODULES = ["lcusim"] + [f"lcusim.{p.stem}" for p in SRC.glob("*.py") if p.stem != "__init__"]
+
+
+def test_readme_bullets_name_exactly_the_modules():
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    bullets = re.findall(r"^\* `(\w+)` - ", readme, flags=re.MULTILINE)
+    assert sorted(bullets) == sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
 # The src functions that no command enters, each kept for a reason of its own.
 UNREACHED = {
     "build_w_hk": "the paper's W_{H^k} family, an acceptance-test object",

@@ -523,14 +523,23 @@ class TestErrors:
             (["analytic", "--K", str(2**40)], 41),
             (["resources", "--K-max", str(2**24)], 25),
             (["resources", "--K-max", str(2**29)], 30),
+            (["analytic", "--kappa", "1000000000"], 1000000000),
+            (["simulate", "--kappa", "1000000000"], 1000000004),
         ],
     )
     def test_taylor_register_width_checked_before_allocating(self, capsys, argv, width):
-        # 2^kappa Taylor coefficients, or a K whose binary Taylor register is kappa wide
-        code, out, err = _run(capsys, *argv, "--model", "ising")
+        # 2^kappa Taylor coefficients, or a K whose binary Taylor register is kappa wide; the
+        # (kappa + 1)-bit K = 2^kappa - 1 of a huge kappa is never formed
+        tracemalloc.start()
+        try:
+            code, out, err = _run(capsys, *argv, "--model", "ising")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 2
         assert out == ""
         assert err == f"error: {width} qubits exceeds simulation cap 24\n"
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         "argv",
@@ -924,7 +933,8 @@ class TestIsingFlags:
 
 class TestPlanLength:
     # a unary plan of order K holds 2K + 3 instructions, a W-tilde plan of width kappa
-    # 2^(kappa+1) + 1; past the limit a command exits 2 before building any plan
+    # 2^(kappa+1) + 1; past the limit a command exits 2 before building any unary plan, and
+    # only the width cap bounds W-tilde plans
     def test_unary_plan_holds_2K_plus_3_instructions(self):
         from lcusim.circuits import build_w_unary
 
@@ -948,10 +958,6 @@ class TestPlanLength:
             (["simulate", "--n", "2", "--circuit", "wunary", "--K", str(2**22 - 1)], 2**23 + 1),
             (["resources", "--K-max", "835"], 700565),
             (["resources", "--K-max", str(2**24 - 1)], 2**48 + 2**25 - 3),
-            (["simulate", "--n", "2", "--kappa", "19"], 2**20 + 1),
-            (["simulate", "--n", "2", "--kappa", "22"], 2**23 + 1),
-            (["sweep", "--n", "2", "--kappa-max", "18"], 2**20 + 14),
-            (["sweep", "--n", "2", "--kappa-max", "22"], 2**24 + 18),
         ],
     )
     def test_past_the_limit_exit_2_before_building(self, capsys, argv, count):
@@ -976,16 +982,6 @@ class TestPlanLength:
         code, out, _ = _run(capsys, "resources", "--model", "ising", "--K-max", "7")
         assert code == 0 and out == STDOUT_PINS["resources --model ising --K-max 7"]
         assert _run(capsys, "resources", "--model", "ising", "--K-max", "8")[0] == 2
-        monkeypatch.setattr(cli, "_MAX_INSTRUCTIONS", 2**3 + 1)
-        argv = "simulate --model ising --kappa 2 --d-ctrl 0.7 --m 0.1"
-        code, out, _ = _run(capsys, *argv.split())
-        assert code == 0 and out == STDOUT_PINS[argv]
-        assert _run(capsys, *argv.replace("kappa 2", "kappa 3").split())[0] == 2
-        monkeypatch.setattr(cli, "_MAX_INSTRUCTIONS", 2**5 - 4 + 3)
-        argv = "sweep --model ising --m 0.25 --kappa-max 3"
-        code, out, _ = _run(capsys, *argv.split())
-        assert code == 0 and out == STDOUT_PINS[argv]
-        assert _run(capsys, *argv.replace("max 3", "max 4").split())[0] == 2
 
 
 class TestIsingSites:
@@ -1007,6 +1003,46 @@ class TestIsingSites:
         code, out, _ = _run(capsys, "resources", "--model", "ising", "--n", "4", "--K-max", "7")
         assert code == 0 and out == STDOUT_PINS["resources --model ising --K-max 7"]
         assert _run(capsys, "resources", "--model", "ising", "--n", "5")[0] == 2
+
+
+class TestAnalyticWork:
+    # analytic's at most 2K matvecs read 2^max(n, 9) amplitudes once per distinct X mask and
+    # once more; past _MAX_AMPLITUDE_READS it exits 2 before the first matvec
+    @pytest.mark.parametrize(
+        "argv, reads",
+        [
+            (["--n", "12", "--kappa", "18"], 2 * (2**18 - 1) * 14 << 12),
+            (["--n", "2", "--kappa", "22"], 2 * (2**22 - 1) * 4 << 9),
+            (["--n", "2", "--h", "0", "--kappa", "24"], 2 * (2**24 - 1) * 2 << 9),  # every q is 1
+            (["--n", "24", "--K", "6"], 2 * 6 * 26 << 24),
+        ],
+    )
+    def test_past_the_limit_exit_2_before_a_matvec(self, capsys, monkeypatch, argv, reads):
+        monkeypatch.setattr(hamiltonian, "pauli_sum_apply", None)  # a matvec would raise
+        tracemalloc.start()
+        try:
+            code, out, err = _run(capsys, "analytic", "--model", "ising", *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == f"error: the oracle would read {reads} amplitudes, over the limit of 5000000000\n"
+        assert peak < 1 << 20
+
+    def test_the_limit_itself_is_accepted(self, capsys, monkeypatch):
+        argv = "analytic --model ising --tau 0.05 --K 7".split()
+        expected = _run(capsys, *argv)[1]
+        monkeypatch.setattr(cli, "_MAX_AMPLITUDE_READS", 2 * 7 * (4 + 1 + 1) << 9)
+        assert _run(capsys, *argv) == (0, expected, "")
+        assert _run(capsys, *argv[:-1], "8")[0] == 2
+
+    def test_a_file_counts_its_distinct_x_masks(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "h.json"
+        save_hamiltonian(canonicalize(2, [(1.0, "XI"), (0.5, "YZ"), (0.3, "ZZ"), (0.2, "IX")]), path)
+        monkeypatch.setattr(cli, "_MAX_AMPLITUDE_READS", 2 * 3 * (3 + 1) << 9)  # x = 1, 0, 2
+        argv = ["analytic", "--hamiltonian", str(path), "--K", "3"]
+        assert _run(capsys, *argv)[0] == 0
+        assert _run(capsys, *argv[:-1], "4")[0] == 2
 
 
 class TestHugeTau:

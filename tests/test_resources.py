@@ -9,6 +9,8 @@ from lcusim.circuits import (
     LcuBlock,
     Measure,
     Prepare,
+    Register,
+    RegisterLayout,
     build_w_hk,
     build_w_tilde,
     build_w_unary,
@@ -18,7 +20,6 @@ from lcusim.errors import LcusimError
 from lcusim.oracle import fidelity
 from lcusim.resources import count
 from lcusim.sampler import trace_plan
-from lcusim.statevector import Register, RegisterLayout
 from conftest import random_state
 from reference import (
     Gate1Q,

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcusim.circuits import CircuitPlan, LcuBlock, Measure, Prepare, build_w_hk
+from lcusim.circuits import CircuitPlan, LcuBlock, Measure, Prepare, RegisterLayout, build_w_hk
 from lcusim.errors import LayoutError, NormalizationError, ResourceLimitError
-from lcusim.hamiltonian import canonicalize, l1_norm
+from lcusim.hamiltonian import canonicalize, check_state, l1_norm
 from lcusim.oracle import fidelity, success_prob_hk
 from lcusim.sampler import trace_plan
-from lcusim.statevector import RegisterLayout, check_state
 from conftest import random_state
 from reference import (
     MeasurementDegenerateError,

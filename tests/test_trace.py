@@ -11,6 +11,7 @@ from lcusim.circuits import (
     LcuBlock,
     Measure,
     Prepare,
+    RegisterLayout,
     build_w_hk,
     build_w_tilde,
     build_w_unary,
@@ -20,7 +21,6 @@ from lcusim.errors import LayoutError, NormalizationError, ResourceLimitError
 from lcusim.hamiltonian import build_ising, canonicalize
 from lcusim.oracle import fidelity, success_prob_wtilde
 from lcusim.sampler import CostModel, trace_plan
-from lcusim.statevector import RegisterLayout
 from lcusim.resources import count
 from conftest import random_hamiltonian, random_state
 from reference import array_trace, compile_plan, exact_wtilde_chain, register_trace, simulate_compiled
