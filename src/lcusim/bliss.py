@@ -234,32 +234,36 @@ def optimize_bliss(
     n = F.n_orb
     if n_electrons < 0 or n_electrons > n:
         raise InvalidModelError("n_electrons out of range")
-    _, a, cols = _shift_matrix(F, n_electrons, include_offdiag)
+    try:  # a coefficient near the float range can overflow anywhere below
+        with np.errstate(over="raise", invalid="raise"):
+            _, a, cols = _shift_matrix(F, n_electrons, include_offdiag)
 
-    x = np.zeros(len(cols))
-    resid = a.copy()  # a - B x
-    history = [float(np.abs(resid).sum())]
-    converged = False
-    for _ in range(_MAX_SWEEPS):
-        for m, (rows, vals) in enumerate(cols):
-            if not len(vals):
-                continue
-            partial = resid[rows] + vals * x[m]  # residual excluding coordinate m
-            t = _weighted_median(partial / vals, np.abs(vals))
-            if t != x[m]:
-                resid[rows] += vals * (x[m] - t)
-                x[m] = t
-        obj = float(np.abs(resid).sum())
-        history.append(obj)
-        if history[-2] - obj < _TOL:
-            converged = True
-            break
-    if not converged:
-        warnings.warn("BLISS optimizer hit the sweep limit; returning best iterate")
+            x = np.zeros(len(cols))
+            resid = a.copy()  # a - B x
+            history = [float(np.abs(resid).sum())]
+            converged = False
+            for _ in range(_MAX_SWEEPS):
+                for m, (rows, vals) in enumerate(cols):
+                    if not len(vals):
+                        continue
+                    partial = resid[rows] + vals * x[m]  # residual excluding coordinate m
+                    t = _weighted_median(partial / vals, np.abs(vals))
+                    if t != x[m]:
+                        resid[rows] += vals * (x[m] - t)
+                        x[m] = t
+                obj = float(np.abs(resid).sum())
+                history.append(obj)
+                if history[-2] - obj < _TOL:
+                    converged = True
+                    break
+            if not converged:
+                warnings.warn("BLISS optimizer hit the sweep limit; returning best iterate")
 
-    params = _params_from_vector(x, n, n_electrons, include_offdiag)
-    shifted = apply_bliss(F, params)
-    return BlissResult(params, jordan_wigner(shifted), tuple(history), converged)
+            params = _params_from_vector(x, n, n_electrons, include_offdiag)
+            H = jordan_wigner(apply_bliss(F, params))
+    except FloatingPointError:
+        raise InvalidModelError("the BLISS optimization overflows the float range") from None
+    return BlissResult(params, H, tuple(history), converged)
 
 
 def build_hubbard_chain(n_sites: int, t: float, U: float) -> FermionicOperator:

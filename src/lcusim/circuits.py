@@ -167,7 +167,6 @@ class CircuitPlan:
     layout: RegisterLayout
     hamiltonian: HamiltonianLCU
     instructions: tuple[Instruction, ...]
-    family: str  # "w_hk", "wtilde", or "wunary"
     l_registers: frozenset[str] = field(init=False, repr=False)  # the registers blocks use
 
     def __post_init__(self):
@@ -234,7 +233,7 @@ def build_w_hk(H: HamiltonianLCU, k: int) -> CircuitPlan:
     if k < 1:
         raise InvalidModelError("k must be at least 1")
     layout = RegisterLayout([("system", H.n), ("l", H.l_width)])
-    return CircuitPlan(layout, H, (LcuBlock("l"), Measure("l")) * k, family="w_hk")
+    return CircuitPlan(layout, H, (LcuBlock("l"), Measure("l")) * k)
 
 
 def build_w_tilde(H: HamiltonianLCU, tau: float, kappa: int) -> CircuitPlan:
@@ -245,7 +244,7 @@ def build_w_tilde(H: HamiltonianLCU, tau: float, kappa: int) -> CircuitPlan:
     for i, size in enumerate(power_schedule(kappa)):
         instructions += [LcuBlock("l", ("k", i)), Measure("l")] * size
     instructions += [Prepare("k", k_amps, adjoint=True), Measure("k")]
-    return CircuitPlan(layout, H, tuple(instructions), family="wtilde")
+    return CircuitPlan(layout, H, tuple(instructions))
 
 
 def build_w_unary(H: HamiltonianLCU, tau: float, K: int) -> CircuitPlan:
@@ -266,4 +265,4 @@ def build_w_unary(H: HamiltonianLCU, tau: float, K: int) -> CircuitPlan:
     instructions.append(Prepare("unary", unary_amps, adjoint=True))
     instructions += [Measure(f"l{j}") for j in range(K)]
     instructions.append(Measure("unary"))
-    return CircuitPlan(layout, H, tuple(instructions), family="wunary")
+    return CircuitPlan(layout, H, tuple(instructions))

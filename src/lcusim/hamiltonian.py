@@ -33,6 +33,7 @@ from .errors import (InvalidHamiltonianError, InvalidModelError, LayoutError, No
 
 TOTAL_QUBIT_CAP = 24
 _NORM_TOL = 1e-10
+_MAX_DIAGONAL_BYTES = 1 << 30  # 64 diagonals at n = 20, the largest file run in BENCH_25.json
 
 
 def check_width(qubits: int) -> None:
@@ -98,8 +99,9 @@ class HamiltonianLCU:
             if t.letters in seen:
                 raise InvalidHamiltonianError(f"duplicate term {t.letters}")
             seen.add(t.letters)
-        if l1_norm(self) <= 0:
-            raise InvalidHamiltonianError("l1 norm must be strictly positive")
+        if not 0 < l1_norm(self) < math.inf:  # the weights' sum overflows to inf
+            raise InvalidHamiltonianError(
+                f"the l1 norm must be positive and finite, got {l1_norm(self)!r}")
 
     @property
     def num_terms(self) -> int:
@@ -207,7 +209,12 @@ def _group_diagonals(H: HamiltonianLCU) -> list:
     """Per distinct x, in order of first appearance, ``(index, D_x)``. On the (2,)*n view of
     the last axis (qubit n-1 first), ``index`` reverses the axes of the set bits of x, which
     reads v(b ^ x) at b; D_x(b) = sum_{t: x_t = x} weight_t u_t (-1)^popcount((b ^ x) & z_t)
-    has that shape, or is a scalar when every z_t is 0."""
+    has that shape, or is a scalar when every z_t is 0. Over ``_MAX_DIAGONAL_BYTES`` of them
+    are refused before the first is allocated."""
+    nbytes = len({x for x, z, _ in H.masks if z}) * 16 << H.n
+    if nbytes > _MAX_DIAGONAL_BYTES:
+        raise ResourceLimitError(f"the Hamiltonian's diagonals would take {nbytes} bytes, over "
+                                 f"the limit of {_MAX_DIAGONAL_BYTES}")
     groups: dict[int, list[tuple[int, complex]]] = {}
     for t, (x, z, u) in zip(H.terms, H.masks):
         groups.setdefault(x, []).append((z, t.weight * u))
@@ -233,7 +240,7 @@ def pauli_sum_apply(H: HamiltonianLCU, v: np.ndarray) -> np.ndarray:
     One multiply and one XOR-permuted view per distinct X mask, no index array. The
     diagonals are built on the first call and held on ``H`` while it lives (``H._groups``),
     which is no more than that call holds at once: one takes 2^n * 16 bytes, 4 MiB at
-    n = 18 and 256 MiB at n = 24.
+    n = 18 and 256 MiB at n = 24, and more than 1 GiB of them is refused.
     """
     v = np.asarray(v, dtype=complex)
     if v.shape[-1:] != (1 << H.n,):

@@ -10,7 +10,8 @@ collapse, not a state per row. Every shot runs the same chain q_1 .. q_M, so of 
 shots that reach measurement j, Binomial(r_j, 1 - q_j) abort there: the chain-rule form of
 the multinomial over the M + 1 outcomes, with exactly the law of one Bernoulli draw per
 shot and measurement. ``run_shots`` makes one binomial draw per measurement, so its cost
-does not grow with the number of shots.
+does not grow with the number of shots. What a shot costs depends on the plan and on where
+it stopped, not on psi: ``CostModel.shot_costs`` prices a plan, the trace holds only q's.
 """
 from __future__ import annotations
 
@@ -38,6 +39,18 @@ class CostModel:
         if not all(math.isfinite(c) and c >= 0 for c in (self.d, self.d_ctrl, self.m)):
             raise ValueError("costs must be finite and nonnegative")
 
+    def shot_costs(self, plan: CircuitPlan) -> tuple[float, ...]:
+        """The cost of a shot that stops at each measurement: the instructions up to and
+        including it, summed in plan order. A successful shot pays the last entry."""
+        out, running = [], 0.0
+        for ins in plan.instructions:
+            if isinstance(ins, LcuBlock):
+                running += self.d if ins.control is None else self.d_ctrl
+            elif isinstance(ins, Measure):
+                running += self.m
+                out.append(running)
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class PlanTrace:
@@ -46,16 +59,6 @@ class PlanTrace:
     cond_probs: tuple[float, ...]  # conditional zero-probability per measurement
     success_prob: float
     final_system_state: np.ndarray | None  # None when the success path is dead
-    abort_costs: tuple[float, ...]  # cost of a shot aborting at measurement j (1-based)
-    success_cost: float
-
-    def expected_shot_cost(self) -> float:
-        """Exact mean cost of one shot under abort-and-restart."""
-        total, surviving = 0.0, 1.0
-        for p, c in zip(self.cond_probs, self.abort_costs):
-            total += surviving * (1.0 - p) * c
-            surviving *= p
-        return total + surviving * self.success_cost
 
 
 @dataclass
@@ -87,7 +90,7 @@ def _sums(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 _ONE_ROW = (np.zeros(1, np.int64), np.ones(1, complex), np.zeros(1, np.int64), np.ones(1))
 
 
-def _walk(plan: CircuitPlan, cost: CostModel):
+def _walk(plan: CircuitPlan):
     """The plan's success path as segments, each from a base state phi to its collapse.
 
     Between collapses the rows of the one live register, over the values v of its first
@@ -99,7 +102,7 @@ def _walk(plan: CircuitPlan, cost: CostModel):
     its end and c the coefficients of its collapsed state sum_d c_d H~^d phi: b times row 0
     of the second Prepare (or of the identity) at the live register's Measure, or b at the end.
     """
-    l_regs, segments, specs, abort_costs, running, run = plan.l_registers, [], [], [], 0.0, 0
+    l_regs, segments, specs, run = plan.l_registers, [], [], 0
     live = r = control = None  # the live register, its second Prepare's row 0, a run's control
     vals, b, m, w = _ONE_ROW
     for ins in plan.instructions + (None,):  # None: the plan's end
@@ -111,11 +114,8 @@ def _walk(plan: CircuitPlan, cost: CostModel):
             specs.append((m, w, hit, run) if hit is not False else run)
             m, run = m + run * hit, 0
         if is_block:
-            running += cost.d if ins.control is None else cost.d_ctrl
             control, run = ins.control, run + 1
         elif isinstance(ins, Measure):
-            running += cost.m
-            abort_costs.append(running)
             if ins.register == live:  # keep row 0 of the register
                 segments.append((specs, m, w, _sums(m, b * (vals == 0 if r is None else r)), True))
                 specs, live, r, (vals, b, m, w) = [], None, None, _ONE_ROW
@@ -134,7 +134,7 @@ def _walk(plan: CircuitPlan, cost: CostModel):
                 r = np.array([row.get(v, 0.0) for v in vals.tolist()], dtype=complex)
     if specs or m[0] or not segments:  # not where the state at the end is the last collapse's
         segments.append((specs, m, w, _sums(m, b), False))
-    return segments, abort_costs, running
+    return segments
 
 
 def _krylov(H, phi: np.ndarray, coeffs: list[np.ndarray]):
@@ -169,16 +169,16 @@ def _probs(specs: list, nu: np.ndarray) -> list[float]:
     return out
 
 
-def _traces(plans: list[CircuitPlan], psi: np.ndarray, cost: CostModel) -> list[PlanTrace]:
+def _traces(plans: list[CircuitPlan], psi: np.ndarray) -> list[PlanTrace]:
     """``trace_plan`` of each plan; consecutive plans on one Hamiltonian share the pass of psi
     for their first segments. The first q below 1e-14 (a dead branch) and every later q read 0."""
-    walks, out = [_walk(plan, cost) for plan in plans], []
-    for H, group in itertools.groupby(zip(plans, walks), key=lambda pair: pair[0].hamiltonian):
-        group = [walk for _, walk in group]
+    walks, out = [(plan, _walk(plan)) for plan in plans], []
+    for H, group in itertools.groupby(walks, key=lambda pair: pair[0].hamiltonian):
+        group = list(group)
         check_width(H.n)
         start = check_state(psi, H.n)
-        nu, sums = _krylov(H, start, [walk[0][0][3] for walk in group])
-        for (segments, costs, success_cost), first in zip(group, sums):
+        nu, sums = _krylov(H, start, [segments[0][3] for _, segments in group])
+        for (plan, segments), first in zip(group, sums):
             cond, phi, final = [], start, None
             for i, (specs, m, w, c, collapses) in enumerate(segments):
                 nu_i, (collapsed,) = _krylov(H, phi, [c]) if i else (nu, [first])
@@ -191,15 +191,15 @@ def _traces(plans: list[CircuitPlan], psi: np.ndarray, cost: CostModel) -> list[
             else:
                 final = phi
             alive = next((j for j, q in enumerate(cond) if not q >= 1e-14), len(cond))
-            cond = tuple(cond[:alive] + [0.0] * (len(costs) - alive))
-            out.append(PlanTrace(cond, math.prod(cond, start=1.0), final, tuple(costs), success_cost))
+            cond = tuple(cond[:alive] + [0.0] * (plan.measure_count - alive))
+            out.append(PlanTrace(cond, math.prod(cond, start=1.0), final))
     return out
 
 
-def trace_plan(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()) -> PlanTrace:
-    """Execute the success path once, recording conditional probabilities and costs, by the
-    moment trace: ``_walk``, then one ``_krylov`` pass and ``_probs`` per segment."""
-    return _traces([plan], psi, cost)[0]
+def trace_plan(plan: CircuitPlan, psi: np.ndarray) -> PlanTrace:
+    """Execute the success path once, recording each measurement's conditional probability,
+    by the moment trace: ``_walk``, then one ``_krylov`` pass and ``_probs`` per segment."""
+    return _traces([plan], psi)[0]
 
 
 def _lgamma_tail(z: int) -> float:
@@ -269,8 +269,8 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
             return k
 
 
-def _sample(trace: PlanTrace, N: int, seed: int) -> RunStats:
-    """N shots of a traced plan: one ``_binomial`` draw per measurement reached."""
+def _sample(trace: PlanTrace, costs: tuple[float, ...], N: int, seed: int) -> RunStats:
+    """N shots of a trace priced by ``costs``: one ``_binomial`` draw per measurement reached."""
     ints = all(isinstance(v, int) for v in (N, seed))
     if not (ints and 1 <= N <= 2**64 and 0 <= seed < 2**64):
         raise ValueError(
@@ -278,14 +278,14 @@ def _sample(trace: PlanTrace, N: int, seed: int) -> RunStats:
         )
     rng = random.Random(seed)
     left, aborts, total_cost = N, {}, 0.0
-    for j, (q, c) in enumerate(zip(trace.cond_probs, trace.abort_costs), 1):
+    for j, (q, c) in enumerate(zip(trace.cond_probs, costs), 1):
         if not left:
             break
         k = _binomial(rng, left, 1.0 - q) if q >= 0.5 else left - _binomial(rng, left, q)
         if k:  # an outcome never reached adds no 0 * inf
             aborts[j], left, total_cost = k, left - k, total_cost + k * c
     if left:
-        total_cost += left * trace.success_cost
+        total_cost += left * (costs[-1] if costs else 0.0)
     if not math.isfinite(total_cost):
         raise DomainError("the summed shot costs overflow: the cost units are too large")
     return RunStats(N, left, aborts, total_cost)
@@ -297,13 +297,13 @@ def run_shots(
     """Run N shots of the abort-and-restart protocol.
 
     A shot aborts at the first nonzero outcome and pays only for the instructions executed
-    up to and including the failing measurement. Every shot runs the same traced chain
-    q_1 .. q_M, so of the r_j shots that reach measurement j, Binomial(r_j, 1 - q_j) abort
-    there and the rest go on: one ``_binomial`` draw per measurement, from
-    ``random.Random(seed)``, until no shot is left. The total cost is the sum over the
-    outcomes reached of their count times their cost.
+    up to and including the failing measurement (``cost.shot_costs(plan)``). Every shot runs
+    the same traced chain q_1 .. q_M, so of the r_j shots that reach measurement j,
+    Binomial(r_j, 1 - q_j) abort there and the rest go on: one ``_binomial`` draw per
+    measurement, from ``random.Random(seed)``, until no shot is left. The total cost is the
+    sum over the outcomes reached of their count times their cost.
     """
-    return _sample(trace_plan(plan, psi, cost), N, seed)
+    return _sample(trace_plan(plan, psi), cost.shot_costs(plan), N, seed)
 
 
 def run_shots_many(
@@ -312,7 +312,7 @@ def run_shots_many(
     """``[run_shots(plan, psi, N, seed, cost) for plan in plans]``: each plan draws from
     its own ``random.Random(seed)``, so a plan's stats do not depend on the others. The
     plans on one Hamiltonian share one Krylov pass of psi (``_traces``)."""
-    return [_sample(trace, N, seed) for trace in _traces(plans, psi, cost)]
+    return [_sample(t, cost.shot_costs(p), N, seed) for p, t in zip(plans, _traces(plans, psi))]
 
 
 def estimate(stats: RunStats) -> tuple[float, float]:

@@ -38,7 +38,7 @@ from lcusim.errors import (
 )
 from lcusim.hamiltonian import HamiltonianLCU, check_norm, check_state, check_width, l1_norm
 from lcusim.resources import GateCounts
-from lcusim.sampler import CostModel, PlanTrace
+from lcusim.sampler import PlanTrace
 
 DENSE_QUBIT_CAP = 12
 FERMION_DENSE_CAP = 12
@@ -278,7 +278,7 @@ def dense_amplitudes(amps: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def register_trace(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()) -> PlanTrace:
+def register_trace(plan: CircuitPlan, psi: np.ndarray) -> PlanTrace:
     """The success path with every register simulated and measurements projected in plan
     order: the independent reference for ``sampler.trace_plan``.
 
@@ -290,15 +290,11 @@ def register_trace(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostMod
     H = plan.hamiltonian
     state = init_state(plan.layout, psi)
     cond = []
-    abort_costs = []
-    running_cost = 0.0
     dead = False
     runs = itertools.groupby(plan.instructions, key=lambda ins: isinstance(ins, LcuBlock))
     for is_block, run in runs:
         run = list(run)
         if is_block:
-            for ins in run:
-                running_cost += cost.d if ins.control is None else cost.d_ctrl
             if dead:
                 continue
             U = {
@@ -320,8 +316,6 @@ def register_trace(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostMod
             continue
         for ins in run:
             if isinstance(ins, Measure):
-                running_cost += cost.m
-                abort_costs.append(running_cost)
                 cond.append(0.0 if dead else project_zero(state, ins.register))
                 dead = cond[-1] == 0.0
             elif not dead:
@@ -332,8 +326,6 @@ def register_trace(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostMod
         cond_probs=tuple(cond),
         success_prob=float(np.prod(cond)) if cond else 1.0,
         final_system_state=None if dead else state.system_state(),
-        abort_costs=tuple(abort_costs),
-        success_cost=running_cost,
     )
 
 
@@ -382,7 +374,7 @@ def _renormalize(state: np.ndarray) -> float:
     return p
 
 
-def array_trace(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel()) -> PlanTrace:
+def array_trace(plan: CircuitPlan, psi: np.ndarray) -> PlanTrace:
     """The success path on one array over the values each register can hold: a second
     reference for ``sampler.trace_plan``, with no l-registers but a state per row.
 
@@ -410,20 +402,15 @@ def array_trace(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel(
     state[(0,) * len(regs)] = psi
     pending: list[float] = []  # block probabilities awaiting their measurement
     cond: list[float] = []
-    abort_costs: list[float] = []
-    running_cost = 0.0
     dead = False
     for ins in plan.instructions:
         if isinstance(ins, LcuBlock):
-            running_cost += cost.d if ins.control is None else cost.d_ctrl
             if not dead:
                 target, index = _rows(state, axes, ins.control)
                 target[index] = rescaled_apply(H, target[index])
             pending.append(0.0 if dead else _renormalize(state))
             dead = pending[-1] == 0.0
         elif isinstance(ins, Measure):
-            running_cost += cost.m
-            abort_costs.append(running_cost)
             if ins.register in l_regs:
                 cond.append(pending.pop(0))
                 continue
@@ -449,8 +436,6 @@ def array_trace(plan: CircuitPlan, psi: np.ndarray, cost: CostModel = CostModel(
         cond_probs=tuple(cond),
         success_prob=float(np.prod(cond)) if cond else 1.0,
         final_system_state=None if dead else state[(0,) * len(regs)].copy(),
-        abort_costs=tuple(abort_costs),
-        success_cost=running_cost,
     )
 
 
@@ -507,6 +492,22 @@ def exact_wtilde_chain(raw: list, n: int, x: Fraction, kappa: int, psi: list) ->
     collapsed = [(sum(w[k] * power(m[k])[b][0] for k in range(K + 1)),
                   sum(w[k] * power(m[k])[b][1] for k in range(K + 1))) for b in range(1 << n)]
     return q + [norm2(collapsed) / total]
+
+
+def shot_outcomes(trace: PlanTrace, costs: tuple[float, ...]) -> list[tuple[float, float]]:
+    """(probability, cost) of each outcome of one shot, from the traced chain and
+    ``CostModel.shot_costs``: an abort at each measurement in turn, then success, which
+    pays the last cost."""
+    out, surviving = [], 1.0
+    for q, c in zip(trace.cond_probs, costs):
+        out.append((surviving * (1.0 - q), c))
+        surviving *= q
+    return out + [(surviving, costs[-1] if costs else 0.0)]
+
+
+def exact_mean_cost(trace: PlanTrace, costs: tuple[float, ...]) -> float:
+    """Exact mean cost of one shot under abort-and-restart."""
+    return sum(w * c for w, c in shot_outcomes(trace, costs))
 
 
 def shot_rng(seed: int, shot_index: int) -> np.random.Generator:

@@ -30,7 +30,7 @@ from lcusim.oracle import (
 from lcusim.resources import count
 from lcusim.sampler import CostModel, estimate, mean_cost_per_shot, run_shots, trace_plan
 from conftest import ladder_matrix, random_hamiltonian, random_state
-from reference import sector_spectrum, spectral_lower_bound, truncated_taylor_matrix
+from reference import sector_spectrum, shot_outcomes, spectral_lower_bound, truncated_taylor_matrix
 
 
 def _report(name: str) -> None:
@@ -158,16 +158,8 @@ def test_5_runtime_accounting(ising4, psi0_4):
     probs = chain_probabilities(H, psi, 3)
     expected = expected_runtime_midmeasure(probs, 1.0)
     # exact per-shot cost variance from the trace distribution
-    trace = trace_plan(plan, psi, CostModel(d=1.0))
-    weights, costs = [], []
-    surviving = 1.0
-    for p, c in zip(trace.cond_probs, trace.abort_costs):
-        weights.append(surviving * (1 - p))
-        costs.append(c)
-        surviving *= p
-    weights.append(surviving)
-    costs.append(trace.success_cost)
-    var = sum(w * (c - expected) ** 2 for w, c in zip(weights, costs))
+    outcomes = shot_outcomes(trace_plan(plan, psi), CostModel(d=1.0).shot_costs(plan))
+    var = sum(w * (c - expected) ** 2 for w, c in outcomes)
     assert abs(mean_cost_per_shot(stats) - expected) < 3 * math.sqrt(var / shots)
 
     # early-abort runtime never exceeds the deferred-measurement runtime,

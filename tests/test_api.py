@@ -2,6 +2,7 @@
 the API shows as an edit of ``PUBLIC``, new dead code in ``src`` as a failure here."""
 import contextlib
 import importlib.util
+import inspect
 import io
 import re
 import sys
@@ -44,34 +45,40 @@ def test_readme_bullets_name_exactly_the_modules():
 
 # The src functions that no command enters, each kept for a reason of its own.
 UNREACHED = {
-    "build_w_hk": "the paper's W_{H^k} family, an acceptance-test object",
+    "build_w_hk": "the paper's W_{H^k} family, built by the acceptance tests and bench jobs",
     "build_hubbard_chain": "the Hubbard chain the BLISS acceptance tests optimize",
-    "runtime_upper_bound": "the paper's runtime bound, an acceptance-test object",
+    "runtime_upper_bound": "the paper's bound from H and psi, which the tests hold the exact "
+                           "mean shot cost under; analytic prints it through runtime_bound",
     "fidelity": "the state overlap the acceptance tests compare traces with",
     "save_hamiltonian": "public I/O, the writer of the --hamiltonian format",
-    "CircuitPlan.measure_count": "read by the shot-loop hook in bench/tracer.py",
-    "PauliTerm.coefficient": "read by bench/test_bench.py",
-    "PlanTrace.expected_shot_cost": "the exact mean shot cost of ROADMAP item 4",
+    "PauliTerm.coefficient": "read by the dense to_matrix reference and bench/test_bench.py",
 }
 
 
-def _functions(code: types.CodeType):
-    """Every named function compiled into ``code``, at any depth, as (file, line, qualname)."""
+def _key(code: types.CodeType) -> tuple[str, int]:
+    return code.co_filename, code.co_firstlineno
+
+
+def _functions(code: types.CodeType, prefix: str = ""):
+    """(code, qualname) of every named function or class body compiled into ``code``, at
+    any depth. The qualname is built from the nesting, as ``co_qualname`` (Python 3.11+)
+    gives it: a function's children sit in its ``<locals>``, a class body's in the class."""
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
-            if not const.co_name.startswith("<"):  # not a lambda, comprehension or class body
-                yield (const.co_filename, const.co_firstlineno, const.co_qualname)
-            yield from _functions(const)
+            qualname = prefix + const.co_name
+            if not const.co_name.startswith("<"):  # not a lambda or comprehension
+                yield const, qualname
+            local = const.co_flags & inspect.CO_OPTIMIZED  # a function's scope, not a class's
+            yield from _functions(const, qualname + (".<locals>." if local else "."))
 
 
 @contextlib.contextmanager
 def _entered(keys: set):
-    """Record the (file, line, qualname) of every Python function called in the block."""
+    """Record the (file, first line) of every Python function called in the block."""
 
     def profile(frame, event, arg):
         if event == "call":
-            code = frame.f_code
-            keys.add((code.co_filename, code.co_firstlineno, code.co_qualname))
+            keys.add(_key(frame.f_code))
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -95,9 +102,14 @@ def test_every_src_function_is_reached_or_kept_for_a_reason(tmp_path):
         f"analytic --hamiltonian {hamiltonian} --K 3",
         "simulate --model ising --sho 10",
     ]
-    defined = set()
-    for path in SRC.glob("*.py"):
-        defined.update(_functions(compile(path.read_text(encoding="utf-8"), str(path), "exec")))
+    functions = [
+        pair for path in SRC.glob("*.py")
+        for pair in _functions(compile(path.read_text(encoding="utf-8"), str(path), "exec"))
+    ]
+    if sys.version_info >= (3, 11):
+        assert [qualname for _, qualname in functions] == [c.co_qualname for c, _ in functions]
+    defined = {_key(code): qualname for code, qualname in functions}
+    assert len(defined) == len(functions)  # no two start on one line
     at_import, entered = set(), set()
     with _entered(at_import):  # a fresh copy of each module, left out of sys.modules
         for name in MODULES:
@@ -108,5 +120,5 @@ def test_every_src_function_is_reached_or_kept_for_a_reason(tmp_path):
         with _entered(entered):
             codes = [cli.main(argv.split()) for argv in commands]
     assert codes == [0] * 7 + [1]
-    unreached = {qualname for _, _, qualname in defined - at_import - entered}
+    unreached = {defined[key] for key in defined.keys() - at_import - entered}
     assert unreached == set(UNREACHED)

@@ -96,7 +96,6 @@ class TestPowerSchedule:
 class TestWtildePlan:
     def test_shape(self, ising4):
         plan = build_w_tilde(ising4, 0.05, 3)
-        assert plan.family == "wtilde"
         # kappa + ceil(log L) + n = 3 + 3 + 4
         assert plan.layout.total == 10
         assert plan.select_count == 7
@@ -124,7 +123,6 @@ class TestWtildePlan:
 class TestUnaryPlan:
     def test_shape(self, ising4):
         plan = build_w_unary(ising4, 0.05, 3)
-        assert plan.family == "wunary"
         # n + K ceil(log L) + K = 4 + 9 + 3
         assert plan.layout.total == 16
         assert plan.select_count == 3

@@ -321,6 +321,26 @@ class TestBliss:
         assert out == ""
         assert err == "error: n_electrons out of range\n"
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [  # an l1 norm that overflows printed inf, inf and nan with exit 0
+            (["1e308 1 1 0 0", "1e308 2 2 0 0", "1e308 1 2 0 0"], "l1 norm must be positive"),
+            (["1e308 1 2 0 0", "-1e308 1 1 0 0"], "l1 norm must be positive"),
+            # finite, but a line-search break overflowed with a warning
+            (["1.7e308 1 1 0 0"], "BLISS optimization overflows"),
+            # finite, but the shifted operator's one-body part overflowed with a warning
+            (["9e307 2 2 0 0", "-1.7e308 1 2 2 1"], "BLISS optimization overflows"),
+        ],
+    )
+    def test_overflowing_coefficients_exit_2_with_one_line(self, capsys, tmp_path, lines, message):
+        path = tmp_path / "op.txt"
+        path.write_text("\n".join(["NORB=2 NELEC=1"] + lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, "bliss", "--fermion-file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
 
 class TestOutput:
     def test_json_format(self, capsys):
@@ -930,6 +950,14 @@ class TestIsingFlags:
         _, other, _ = _run(capsys, "analytic", "--model", "ising", "--K", "3", "--J", "2")
         assert other != implicit
 
+    @pytest.mark.parametrize("command", [["analytic", "--K", "3"], ["simulate", "--kappa", "1"],
+                                         ["sweep", "--kappa-max", "1"], ["resources"]])
+    def test_an_l1_norm_that_overflows_is_refused_when_the_chain_is_built(self, capsys, command):
+        # each weight is finite, but 3 * 1e308 + 4 * 1e308 is not
+        code, out, err = _run(capsys, *command, "--model", "ising", "--J", "1e308", "--h", "1e308")
+        assert (code, out) == (2, "")
+        assert err == "error: the l1 norm must be positive and finite, got inf\n"
+
 
 class TestPlanLength:
     # a unary plan of order K holds 2K + 3 instructions, a W-tilde plan of width kappa
@@ -1035,6 +1063,17 @@ class TestAnalyticWork:
         monkeypatch.setattr(cli, "_MAX_AMPLITUDE_READS", 2 * 7 * (4 + 1 + 1) << 9)
         assert _run(capsys, *argv) == (0, expected, "")
         assert _run(capsys, *argv[:-1], "8")[0] == 2
+
+    def test_diagonals_over_the_limit_exit_2_with_one_line(self, capsys, tmp_path):
+        # five Z-carrying X masks at n = 24 would hold 5 * 256 MiB of diagonals
+        path = tmp_path / "h.json"
+        terms = [(1.0, "Z" + "".join("X" if j == k else "I" for j in range(1, 24)))
+                 for k in range(5)]
+        save_hamiltonian(canonicalize(24, terms), path)
+        code, out, err = _run(capsys, "analytic", "--hamiltonian", str(path), "--K", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: the Hamiltonian's diagonals would take 1342177280 bytes, over the "
+                       "limit of 1073741824\n")
 
     def test_a_file_counts_its_distinct_x_masks(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "h.json"

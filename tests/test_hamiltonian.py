@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,36 @@ class TestPauliSumApply:
         assert builds == [H] and len(H._groups) == H.n + 1
 
 
+def z_carrying_masks(n: int, masks: int) -> HamiltonianLCU:
+    """Z_0 X_k on n qubits for k = 0 .. masks - 1 (X_0 read as I): ``masks`` distinct X masks,
+    each with a Z, so ``masks`` diagonals of 2^n amplitudes."""
+    return canonicalize(n, [(1.0, "Z" + "".join("X" if j == k else "I" for j in range(1, n)))
+                            for k in range(masks)])
+
+
+class TestDiagonalMemory:
+    def test_over_the_limit_refused_before_a_diagonal_is_allocated(self):
+        H = z_carrying_masks(24, 5)  # 5 * 256 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="would take 1342177280 bytes"):
+                H._groups
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_x_masks_without_a_z_take_no_diagonal(self, monkeypatch):
+        # the limit itself is accepted: at n = 8, 4 KiB per diagonal
+        monkeypatch.setattr(hamiltonian, "_MAX_DIAGONAL_BYTES", 3 * 16 << 8)
+        assert len(z_carrying_masks(8, 3)._groups) == 3
+        with pytest.raises(ResourceLimitError):
+            z_carrying_masks(8, 4)._groups
+        scalars = canonicalize(8, [(1.0, "ZIIIIIII")] + [(1.0, "I" * j + "X" + "I" * (7 - j))
+                                                         for j in range(8)])
+        assert len(scalars._groups) == 9  # one diagonal, eight scalars
+
+
 class TestFileFormat:
     def test_roundtrip(self, tmp_path):
         H = build_ising(3, -1.0, 0.5)
@@ -254,6 +285,12 @@ class TestInvariants:
     def test_non_finite_rejected(self, weight, phase):
         with pytest.raises(InvalidHamiltonianError):
             PauliTerm(weight, phase, "X")
+
+    @pytest.mark.parametrize("weights", [(0.0, 0.0), (1e308, 1e308)])
+    def test_l1_norm_zero_or_overflowing_rejected(self, weights):
+        terms = tuple(PauliTerm(w, 0.0, letters) for w, letters in zip(weights, "XZ"))
+        with pytest.raises(InvalidHamiltonianError, match="l1 norm must be positive and finite"):
+            HamiltonianLCU(1, terms)
 
     def test_duplicate_terms_rejected(self):
         with pytest.raises(InvalidHamiltonianError):

@@ -20,7 +20,13 @@ from lcusim.oracle import (
 )
 from lcusim.sampler import trace_plan
 from conftest import basis_state, random_hamiltonian, random_state
-from reference import rescaled_matrix, spectral_lower_bound, to_matrix, truncated_taylor_matrix
+from reference import (
+    exact_mean_cost,
+    rescaled_matrix,
+    spectral_lower_bound,
+    to_matrix,
+    truncated_taylor_matrix,
+)
 
 
 class TestTruncatedPropagator:
@@ -206,8 +212,9 @@ class TestRuntimes:
 
         for tau in (0.1, 0.2, 0.5):
             plan = build_w_tilde(ising4, tau, 3)
-            trace = trace_plan(plan, psi0_4, CostModel(d=0.0, d_ctrl=1.0))
-            exact = trace.expected_shot_cost() / trace.success_prob
+            trace = trace_plan(plan, psi0_4)
+            costs = CostModel(d=0.0, d_ctrl=1.0).shot_costs(plan)
+            exact = exact_mean_cost(trace, costs) / trace.success_prob
             bound = runtime_upper_bound(ising4, psi0_4, tau, 7, 1.0)
             assert exact <= bound <= 7.0 / trace.success_prob
 

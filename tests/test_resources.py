@@ -203,8 +203,7 @@ class TestCounts:
         H = canonicalize(1, [(1.0, "X"), (0.5, "Z")])
         plan = build_w_hk(H, 1)
         only_prep = type(plan)(  # a prepared register is measured after, or refused
-            plan.layout, plan.hamiltonian, (Prepare("l", prepare_amplitudes(H)), Measure("l")),
-            plan.family,
+            plan.layout, plan.hamiltonian, (Prepare("l", prepare_amplitudes(H)), Measure("l"))
         )
         assert _count(only_prep).two_qubit == 0  # width-1 l register: single Ry, no CX
 
@@ -244,7 +243,7 @@ class TestCountMatchesReference:
         plans = []
         for width in (_H_REAL.l_width, _H_REAL.l_width + 1):
             layout = RegisterLayout([("system", 2), ("l", width)])
-            plans.append(CircuitPlan(layout, _H_REAL, (LcuBlock("l"), Measure("l")), "w_hk"))
+            plans.append(CircuitPlan(layout, _H_REAL, (LcuBlock("l"), Measure("l"))))
         reference = [compile_plan(p).counts() for p in plans]
         assert reference[0].two_qubit != reference[1].two_qubit
         assert count(plans) == reference
@@ -255,4 +254,4 @@ class TestCountMatchesReference:
         for bad_amps in (-amps, 1j * amps):
             bad = (Prepare("k", bad_amps),) + plan.instructions[1:]
             with pytest.raises(LcusimError, match="nonnegative"):
-                count([plan, type(plan)(plan.layout, ising4, bad, plan.family)])
+                count([plan, type(plan)(plan.layout, ising4, bad)])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcusim.circuits import build_w_hk, build_w_tilde, build_w_unary
+from lcusim.circuits import CircuitPlan, RegisterLayout, build_w_hk, build_w_tilde, build_w_unary
 from lcusim.errors import DomainError
 from lcusim.hamiltonian import build_ising, canonicalize
 from lcusim.oracle import (
@@ -33,16 +33,16 @@ from lcusim.sampler import (
 import lcusim.sampler as sampler
 from lcusim.cli import main
 from conftest import random_hamiltonian, random_state
-from reference import shot_rng, truncated_taylor_matrix
+from reference import exact_mean_cost, shot_rng, truncated_taylor_matrix
 
 
 def per_shot_run_shots(plan, psi, N, seed, cost=CostModel()):
     """The per-shot reference for run_shots: one Bernoulli draw per measurement from
     one shot_rng per shot."""
-    return per_shot_stats(trace_plan(plan, psi, cost), N, seed)
+    return per_shot_stats(trace_plan(plan, psi), cost.shot_costs(plan), N, seed)
 
 
-def per_shot_stats(trace, N, seed):
+def per_shot_stats(trace, costs, N, seed):
     q = np.array(trace.cond_probs)
     stats = RunStats(shots=N)
     hist = {}
@@ -50,11 +50,11 @@ def per_shot_stats(trace, N, seed):
         fails = np.flatnonzero(shot_rng(seed, i).random(q.shape[0]) >= q)
         if fails.size == 0:
             stats.successes += 1
-            stats.total_cost += trace.success_cost
+            stats.total_cost += costs[-1]
         else:
             step = int(fails[0]) + 1
             hist[step] = hist.get(step, 0) + 1
-            stats.total_cost += trace.abort_costs[step - 1]
+            stats.total_cost += costs[step - 1]
     stats.abort_histogram = dict(sorted(hist.items()))
     return stats
 
@@ -132,23 +132,57 @@ class TestTracePlan:
         assert trace.cond_probs == (0.0, 0.0)
         assert trace.final_system_state is None
 
-    def test_cost_accounting(self, ising4, psi0_4):
-        cost = CostModel(d=1.0, d_ctrl=2.0, m=0.25)
-        plan = build_w_tilde(ising4, 0.05, 2)
-        trace = trace_plan(plan, psi0_4, cost)
+    def test_cost_accounting(self, ising4):
+        costs = CostModel(d=1.0, d_ctrl=2.0, m=0.25).shot_costs(build_w_tilde(ising4, 0.05, 2))
         # first abort point: the first controlled block and its measurement
-        assert trace.abort_costs[0] == pytest.approx(2.0 + 0.25)
+        assert costs[0] == pytest.approx(2.0 + 0.25)
         # success cost: 3 controlled blocks and their measurements, then the final measure
-        expected = 3 * (2.0 + 0.25) + 0.25
-        assert trace.success_cost == pytest.approx(expected)
+        assert costs[-1] == pytest.approx(3 * (2.0 + 0.25) + 0.25)
 
     def test_expected_shot_cost_matches_runtime_formula(self, ising4, psi0_4):
         plan = build_w_hk(ising4, 3)
-        trace = trace_plan(plan, psi0_4, CostModel(d=1.0))
+        trace = trace_plan(plan, psi0_4)
         probs = chain_probabilities(ising4, psi0_4, 3)
-        assert trace.expected_shot_cost() == pytest.approx(
+        assert exact_mean_cost(trace, CostModel(d=1.0).shot_costs(plan)) == pytest.approx(
             expected_runtime_midmeasure(probs, 1.0), rel=1e-12
         )
+
+
+class TestShotCosts:
+    """``CostModel.shot_costs``: the cost of a shot that stops at each measurement."""
+
+    COST = CostModel(d=0.3, d_ctrl=0.7, m=0.1)  # all different, so a swapped unit shows
+
+    def test_whk(self, ising4):
+        # k uncontrolled blocks, each followed by its measurement
+        costs = self.COST.shot_costs(build_w_hk(ising4, 3))
+        assert costs == pytest.approx([0.4, 0.8, 1.2], rel=1e-15)
+
+    def test_wtilde(self, ising4):
+        # K = 3 controlled blocks, each followed by its measurement, then the k-register's
+        costs = self.COST.shot_costs(build_w_tilde(ising4, 0.05, 2))
+        assert costs == pytest.approx([0.8, 1.6, 2.4, 2.5], rel=1e-15)
+
+    def test_wunary(self, ising4):
+        # K = 3 controlled blocks, then the K l-registers' measurements and the unary one
+        costs = self.COST.shot_costs(build_w_unary(ising4, 0.05, 3))
+        assert costs == pytest.approx([2.2, 2.3, 2.4, 2.5], rel=1e-15)
+
+    def test_summed_in_plan_order(self, ising4):
+        # each entry is the previous one plus the instructions since, in float arithmetic
+        running, want = 0.0, []
+        for _ in range(3):
+            running += 0.7
+            running += 0.1
+            want.append(running)
+        running += 0.1
+        assert self.COST.shot_costs(build_w_tilde(ising4, 0.05, 2)) == tuple(want + [running])
+
+    def test_no_measurement_costs_nothing(self, ising4):
+        plan = CircuitPlan(RegisterLayout([("system", 4)]), ising4, ())
+        assert self.COST.shot_costs(plan) == ()
+        stats = run_shots(plan, np.eye(16)[0], 5, 0, self.COST)
+        assert stats.successes == 5 and stats.total_cost == 0.0
 
 
 class TestRunShots:
@@ -231,7 +265,13 @@ def chain_outcomes(trace):
     return probs
 
 
-def assert_matches_chain(stats, trace):
+def assert_total_cost(stats, costs):
+    """The total cost summed over the outcomes: a success pays the last cost."""
+    expected = sum(c * costs[j - 1] for j, c in stats.abort_histogram.items())
+    assert stats.total_cost == pytest.approx(expected + stats.successes * costs[-1])
+
+
+def assert_matches_chain(stats, trace, costs):
     """Each outcome's count within 3 sigma of N times its exact probability (exactly 0 or
     N where that probability is 0 or 1), and the total cost summed over the outcomes."""
     N = stats.shots
@@ -240,11 +280,10 @@ def assert_matches_chain(stats, trace):
     for outcome, pi in chain_outcomes(trace).items():
         count = counts.get(outcome, 0)
         assert abs(count - N * pi) <= 3 * math.sqrt(N * pi * (1.0 - pi)), (outcome, count, N * pi)
-    expected = sum(c * trace.abort_costs[j - 1] for j, c in stats.abort_histogram.items())
-    assert stats.total_cost == pytest.approx(expected + stats.successes * trace.success_cost)
+    assert_total_cost(stats, costs)
 
 
-def assert_in_binomial_tails(stats, trace):
+def assert_in_binomial_tails(stats, trace, costs):
     """For few shots: each outcome's count, Binomial(N, pi), has both exact tails of at
     least the 3 sigma one-sided normal tail, 0.00135 (exactly 0 or N where pi is 0 or 1)."""
     N = stats.shots
@@ -257,8 +296,7 @@ def assert_in_binomial_tails(stats, trace):
             continue
         pmf = [binomial_pmf(N, pi, k) for k in range(N + 1)]
         assert min(sum(pmf[:count + 1]), sum(pmf[count:])) >= 0.00135, (outcome, count, N * pi)
-    expected = sum(c * trace.abort_costs[j - 1] for j, c in stats.abort_histogram.items())
-    assert stats.total_cost == pytest.approx(expected + stats.successes * trace.success_cost)
+    assert_total_cost(stats, costs)
 
 
 def exact_counts(stats):
@@ -277,15 +315,15 @@ class TestBlockSampler:
         # loop over shot_rng(seed, 0) .. shot_rng(seed, first) does where it can run
         N = first + 1
         plan = build_w_tilde(ising4, 0.3, 2)
-        trace = trace_plan(plan, psi0_4)
+        trace, costs = trace_plan(plan, psi0_4), CostModel().shot_costs(plan)
         stats = run_shots(plan, psi0_4, N, seed)
         assert stats == run_shots(plan, psi0_4, N, seed) and stats.shots == N
-        runs = [stats] + ([per_shot_stats(trace, N, seed)] if N <= 4097 else [])
+        runs = [stats] + ([per_shot_stats(trace, costs, N, seed)] if N <= 4097 else [])
         for s in runs:
             assert s.successes + sum(s.abort_histogram.values()) == N
             assert 0 not in s.abort_histogram.values()
             if N >= 4096:  # counts large enough for the 3 sigma gate
-                assert_matches_chain(s, trace)
+                assert_matches_chain(s, trace, costs)
 
     @pytest.mark.parametrize("kappa", [1, 2, 3])
     def test_run_shots_matches_per_shot_loop(self, ising4, kappa):
@@ -294,11 +332,11 @@ class TestBlockSampler:
         plan = build_w_tilde(ising4, 0.05, kappa)
         cost = CostModel(d=0.3, d_ctrl=0.7, m=0.1)
         args = (plan, psi, 2 * 4096 + 123, 2**40 + kappa, cost)
-        trace = trace_plan(plan, psi, cost)
+        trace, costs = trace_plan(plan, psi), cost.shot_costs(plan)
         new = run_shots(*args)
         assert new.abort_histogram and 0 < new.successes < new.shots
-        assert_matches_chain(new, trace)
-        assert_matches_chain(per_shot_run_shots(*args), trace)
+        assert_matches_chain(new, trace, costs)
+        assert_matches_chain(per_shot_run_shots(*args), trace, costs)
 
     def test_dead_branch_matches_per_shot_loop(self):
         # H = (I - Z)/2 annihilates |0>: every q is 0.0, every shot aborts at step 1
@@ -323,8 +361,7 @@ class TestBlockSampler:
         H = canonicalize(1, [(0.5, "I"), (-0.5, "Z")])
         psi = np.array([1.0, 0.0], dtype=complex)
         plan = build_w_hk(H, 2)
-        trace = trace_plan(plan, psi, CostModel(d=1e308))
-        assert trace.abort_costs == (1e308, math.inf) and trace.success_cost == math.inf
+        assert CostModel(d=1e308).shot_costs(plan) == (1e308, math.inf)  # success pays inf
         stats = run_shots(plan, psi, 1, 5, CostModel(d=1e308))
         assert stats.abort_histogram == {1: 1}
         assert mean_cost_per_shot(stats) == 1e308
@@ -335,7 +372,7 @@ class TestBlockSampler:
         plan = build_w_tilde(ising4, 0.05, 3)
         trace = trace_plan(plan, psi0_4)
         stats = run_shots(plan, psi0_4, 10**12, 0)
-        assert_matches_chain(stats, trace)
+        assert_matches_chain(stats, trace, CostModel().shot_costs(plan))
         p, se = estimate(stats)
         assert abs(p - success_prob_wtilde(ising4, psi0_4, 0.05, 7)) < 3 * se
 
@@ -371,9 +408,9 @@ class TestSharedStream:
         assert many == [run_shots(plan, *args) for plan in plans]
         check = assert_matches_chain if shots is None else assert_in_binomial_tails
         for plan, new in zip(plans, many):
-            trace = trace_plan(plan, psi0_4, cost)
-            check(new, trace)
-            check(per_shot_run_shots(plan, *args), trace)
+            trace, costs = trace_plan(plan, psi0_4), cost.shot_costs(plan)
+            check(new, trace, costs)
+            check(per_shot_run_shots(plan, *args), trace, costs)
         assert all(s.abort_histogram for s in many[:6])
         assert many[5].abort_histogram == {1: N} and many[6].successes == N
         assert run_shots_many([], *args) == []
@@ -381,9 +418,9 @@ class TestSharedStream:
     def test_readme_sweep_computes_each_block_once(self, monkeypatch):
         runs = []  # (trace, [(rng, n, p, aborted) per draw]) per plan
 
-        def sampling(t, N, seed):  # each plan's trace, as its shots are drawn
+        def sampling(t, costs, N, seed):  # each plan's trace, as its shots are drawn
             runs.append((t, []))
-            return sample(t, N, seed)
+            return sample(t, costs, N, seed)
 
         def recorder(rng, n, p):
             t, draws = runs[-1]
@@ -412,14 +449,15 @@ class TestSharedStream:
         # measurements 1-4 have q = 1 (no shot aborts), 5 is live, 6 has q = 0 and ends
         # every shot that reaches it, so measurements 7-20 are never reached
         q = (1.0,) * 4 + (0.5, 0.0) + (1.0,) * 2 + (0.25,) * 12
-        trace = PlanTrace(q, 0.0, None, tuple(0.5 + j for j in range(20)), 21.0)
-        monkeypatch.setattr(sampler, "trace_plan", lambda plan, psi, cost: trace)
+        trace, costs = PlanTrace(q, 0.0, None), tuple(0.5 + j for j in range(20))
+        monkeypatch.setattr(sampler, "trace_plan", lambda plan, psi: trace)
+        monkeypatch.setattr(CostModel, "shot_costs", lambda self, plan: costs)
         calls = self.record_draws(monkeypatch)
         new = run_shots(None, None, 1000, 9)
         assert [p for _, p in calls if 0.0 < p < 1.0] == [0.5]
         assert len(calls) == 6 and new.abort_histogram.keys() == {5, 6}
-        assert_matches_chain(new, trace)
-        assert_matches_chain(per_shot_stats(trace, 1000, 9), trace)
+        assert_matches_chain(new, trace, costs)
+        assert_matches_chain(per_shot_stats(trace, costs, 1000, 9), trace, costs)
 
     def test_ising_high_order_reads_few_blocks(self, monkeypatch):
         # kappa = 10: 1024 measurements, most with q exactly 1.0
@@ -431,8 +469,9 @@ class TestSharedStream:
         calls = self.record_draws(monkeypatch)
         new = run_shots(plan, psi, 300, 1)
         assert 0 < live <= 20 and len([c for c in calls if 0.0 < c[1] < 1.0]) == live
-        assert_matches_chain(new, trace)
-        assert_matches_chain(per_shot_run_shots(plan, psi, 300, 1), trace)
+        costs = CostModel().shot_costs(plan)
+        assert_matches_chain(new, trace, costs)
+        assert_matches_chain(per_shot_run_shots(plan, psi, 300, 1), trace, costs)
 
 
 def binomial_pmf(n, p, k):

@@ -108,7 +108,7 @@ class TestRegisterOps:
         psi = random_state(4, np.random.default_rng(7))
         a = prepare_amplitudes(ising4)
         ins = (Prepare("c", a), Prepare("c", a, adjoint=True), Measure("c"))
-        plan = CircuitPlan(RegisterLayout([("system", 4), ("c", 3)]), ising4, ins, "w_hk")
+        plan = CircuitPlan(RegisterLayout([("system", 4), ("c", 3)]), ising4, ins)
         trace = trace_plan(plan, psi)
         assert trace.cond_probs == pytest.approx((1.0,), abs=1e-12)
         assert np.abs(trace.final_system_state - psi).max() < 1e-12
@@ -164,7 +164,7 @@ class TestPrepareReflection:
         # the plan refuses amplitudes of the wrong length, the reflection unnormalized ones
         layout = RegisterLayout([("system", 4), ("c", 2)])
         with pytest.raises(LayoutError):
-            CircuitPlan(layout, ising4, (Prepare("c", np.array([0.6, 0.8])), Measure("c")), "w_hk")
+            CircuitPlan(layout, ising4, (Prepare("c", np.array([0.6, 0.8])), Measure("c")))
         with pytest.raises(NormalizationError):
             householder(np.ones(4))
         with pytest.raises(NormalizationError):
@@ -209,7 +209,7 @@ class TestLcuBlock:
             Prepare("c", ac, adjoint=True), Measure("c"),
             Prepare("t", at), LcuBlock("l", ("t", 0)), Measure("l"),
             Prepare("t", at, adjoint=True), Measure("t"),
-        ), "w_hk")
+        ))
         F = (-1j / l1_norm(H)) * to_matrix(H)
         on = np.diag([0.0, 1.0])
         controlled = np.kron(on, F) + np.kron(np.eye(2) - on, np.eye(8))  # on (register, system)
@@ -244,9 +244,9 @@ class TestLcuBlock:
         # a block controlled by a system qubit or on a term register too narrow for the
         # terms is refused by the plan; an unnormalized state by the trace
         with pytest.raises(LayoutError):
-            CircuitPlan(_layout(4, 3), ising4, (LcuBlock("l", ("system", 3)), Measure("l")), "w_hk")
+            CircuitPlan(_layout(4, 3), ising4, (LcuBlock("l", ("system", 3)), Measure("l")))
         with pytest.raises(LayoutError):
-            CircuitPlan(_layout(4, 1), ising4, (LcuBlock("l"), Measure("l")), "w_hk")
+            CircuitPlan(_layout(4, 1), ising4, (LcuBlock("l"), Measure("l")))
         with pytest.raises(NormalizationError):
             trace_plan(build_w_hk(ising4, 1), np.ones(16))
         with pytest.raises(NormalizationError):

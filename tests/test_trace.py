@@ -20,22 +20,18 @@ from lcusim import hamiltonian, sampler
 from lcusim.errors import LayoutError, NormalizationError, ResourceLimitError
 from lcusim.hamiltonian import build_ising, canonicalize
 from lcusim.oracle import fidelity, success_prob_wtilde
-from lcusim.sampler import CostModel, trace_plan
+from lcusim.sampler import trace_plan
 from lcusim.resources import count
 from conftest import random_hamiltonian, random_state
 from reference import array_trace, compile_plan, exact_wtilde_chain, register_trace, simulate_compiled
 
-COST = CostModel(d=0.3, d_ctrl=0.7, m=0.1)
-
 
 def assert_same_trace(plan, psi):
     """``trace_plan`` and the array reference both equal the register-level trace."""
-    new, ref = trace_plan(plan, psi, COST), register_trace(plan, psi, COST)
-    for got in (new, array_trace(plan, psi, COST)):
-        assert len(got.cond_probs) == len(ref.cond_probs)
+    new, ref = trace_plan(plan, psi), register_trace(plan, psi)
+    for got in (new, array_trace(plan, psi)):
+        assert len(got.cond_probs) == len(ref.cond_probs) == plan.measure_count
         assert np.abs(np.subtract(got.cond_probs, ref.cond_probs)).max(initial=0.0) <= 1e-12
-        assert got.abort_costs == ref.abort_costs
-        assert got.success_cost == ref.success_cost
         if ref.final_system_state is None:
             assert got.final_system_state is None
         else:
@@ -133,7 +129,7 @@ class TestAgainstRegisterTrace:
 def _one_block(H, *ins, extra=()):
     """A W_{H^k}-style plan on system + l (+ extra registers) with the given instructions."""
     layout = RegisterLayout([("system", H.n), ("l", H.l_width), *extra])
-    return CircuitPlan(layout, H, tuple(ins), family="w_hk")
+    return CircuitPlan(layout, H, tuple(ins))
 
 
 class TestPlanShape:
@@ -184,7 +180,7 @@ class TestPlanShape:
         H = canonicalize(1, [(1.0, "X"), (0.5, "Z"), (0.25, "Y")])
         with pytest.raises(LayoutError, match="too narrow"):
             CircuitPlan(RegisterLayout([("system", 1), ("l", 1)]), H,
-                        (LcuBlock("l"), Measure("l")), family="w_hk")
+                        (LcuBlock("l"), Measure("l")))
         self._raises(Prepare("c", np.full(4, 0.5)), Measure("c"), match="2\\^1", extra=[("c", 1)])
 
     def test_amplitude_count_neither_binary_nor_unary(self):
@@ -223,7 +219,7 @@ class TestPlanShape:
     def test_system_register_of_another_width(self):
         with pytest.raises(LayoutError, match="2-qubit system"):
             CircuitPlan(RegisterLayout([("system", 1), ("l", 1)]), build_ising(2, 1.0, 0.5),
-                        (), family="w_hk")
+                        ())
 
     def test_prepared_ancilla_never_measured(self):
         self._raises(Prepare("c", np.array([0.6, 0.8])), match="c is never", extra=[("c", 1)])
@@ -266,7 +262,7 @@ class TestPlanShape:
         i0 = ins.index(Measure("l0"))
         ins[i0], ins[i0 + 1] = ins[i0 + 1], ins[i0]
         with pytest.raises(LayoutError, match=f"instruction {i0}"):
-            CircuitPlan(plan.layout, plan.hamiltonian, tuple(ins), plan.family)
+            CircuitPlan(plan.layout, plan.hamiltonian, tuple(ins))
 
 
 _REGISTERS = ["system", "l0", "l1", "c", "u"]
@@ -331,7 +327,7 @@ class TestPlanValidity:
     @example(_cycle("c", _C, "l0", 0) + _cycle("u", _UNARY, "l1", 0), 1)
     def test_refused_or_run_by_every_consumer(self, instructions, seed):
         try:
-            plan = CircuitPlan(self.LAYOUT, self.H, tuple(instructions), family="fuzz")
+            plan = CircuitPlan(self.LAYOUT, self.H, tuple(instructions))
         except LayoutError:
             return
         assert_same_trace(plan, random_state(2, np.random.default_rng(seed)))
@@ -393,10 +389,10 @@ class TestMomentTrace:
         psi = random_state(3, np.random.default_rng(8))
         calls, apply = [], sampler.apply_rescaled
         monkeypatch.setattr(sampler, "apply_rescaled", lambda *a: calls.append(1) or apply(*a))
-        shared = sampler._traces(plans, psi, COST)
+        shared = sampler._traces(plans, psi)
         assert len(calls) == 7
         for plan, trace in zip(plans, shared):  # each as it is traced on its own
-            alone = trace_plan(plan, psi, COST)
+            alone = trace_plan(plan, psi)
             assert trace.cond_probs == alone.cond_probs
             assert np.array_equal(trace.final_system_state, alone.final_system_state)
 
@@ -415,9 +411,9 @@ class TestGroupedKernel:
 
         with monkeypatch.context() as m:
             m.setattr(hamiltonian, "_group_diagonals", recording)
-            trace = trace_plan(plan, psi, COST)
+            trace = trace_plan(plan, psi)
         assert len(builds) == 1
         assert len(builds[0]) == H.n + 1  # x = 0 (the ZZ couplings) and one X field per site
-        ref = register_trace(plan, psi, COST)
+        ref = register_trace(plan, psi)
         assert len(trace.cond_probs) == len(ref.cond_probs) == 15 + 1  # l-registers, then k
         assert np.abs(np.subtract(trace.cond_probs, ref.cond_probs)).max() <= 1e-12
