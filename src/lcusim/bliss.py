@@ -15,7 +15,9 @@ encoding of U_m (N_hat - N_e) for the unit shift U_m (the identity,
 a_i^dag a_i, a_i^dag a_j + a_j^dag a_i, i(a_i^dag a_j - a_j^dag a_i)).
 N_hat - N_e = (N/2 - N_e) I - 1/2 sum_k Z_k is pure Z, so every product
 X^x Z^z1 Z^z2 = X^x Z^(z1 ^ z2) has sign +1, and one encoding of each U_m
-gives its whole column.
+gives its whole column. The descent's residual a - B x holds the shifted
+operator's coefficients, so its Hamiltonian is read off the residual: the
+optimizer makes one Jordan-Wigner pass, of F.
 
 Jordan-Wigner convention: a_j = (prod_{m<j} Z_m) (X_j + i Y_j)/2 with qubit
 j carrying orbital j's occupation and qubit 0 the least-significant bit.
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModelError
-from .hamiltonian import (LETTER_PHASE, TOTAL_QUBIT_CAP, HamiltonianLCU, canonicalize, letter_keys,
-                          mask_sum_letters)
+from .hamiltonian import (LETTER_PHASE, TOTAL_QUBIT_CAP, HamiltonianLCU, canonicalize, key_letters,
+                          letter_keys, mask_sum_letters)
 
 
 @dataclass(frozen=True)
@@ -185,13 +187,10 @@ def _shift_matrix(F: FermionicOperator, n_electrons: int, include_offdiag: bool)
     return keys, a, [(rows[lo:hi], vals[lo:hi]) for lo, hi in zip(ends, ends[1:])]
 
 
-def _weighted_median(breaks: np.ndarray, weights: np.ndarray) -> float:
-    """Minimizer of sum_i w_i |t - b_i| over t."""
-    order = np.argsort(breaks)
-    b, w = breaks[order], weights[order]
-    half = w.sum() / 2.0
-    cum = np.cumsum(w)
-    return float(b[np.searchsorted(cum, half)])
+def _weighted_median(breaks: np.ndarray, weights: np.ndarray, half: float) -> float:
+    """Minimizer of sum_i w_i |t - b_i| over t, given half = sum_i w_i / 2."""
+    order = breaks.argsort()
+    return float(breaks[order[weights[order].cumsum().searchsorted(half)]])
 
 
 def _params_from_vector(x: np.ndarray, n: int, n_electrons: int, include_offdiag: bool) -> BlissParams:
@@ -236,18 +235,20 @@ def optimize_bliss(
         raise InvalidModelError("n_electrons out of range")
     try:  # a coefficient near the float range can overflow anywhere below
         with np.errstate(over="raise", invalid="raise"):
-            _, a, cols = _shift_matrix(F, n_electrons, include_offdiag)
+            keys, a, cols = _shift_matrix(F, n_electrons, include_offdiag)
+            # per nonempty column: index, rows, values, weights |values| and their half-sum
+            # (exact in any order, as the values are multiples of 1/4); a line search only sorts
+            searches = [(m, rows, vals, np.abs(vals), np.abs(vals).sum() / 2.0)
+                        for m, (rows, vals) in enumerate(cols) if len(vals)]
 
             x = np.zeros(len(cols))
-            resid = a.copy()  # a - B x
+            resid = a.copy()  # a - B x: row r is the shifted operator's coefficient of keys[r]
             history = [float(np.abs(resid).sum())]
             converged = False
             for _ in range(_MAX_SWEEPS):
-                for m, (rows, vals) in enumerate(cols):
-                    if not len(vals):
-                        continue
+                for m, rows, vals, w, half in searches:
                     partial = resid[rows] + vals * x[m]  # residual excluding coordinate m
-                    t = _weighted_median(partial / vals, np.abs(vals))
+                    t = _weighted_median(partial / vals, w, half)
                     if t != x[m]:
                         resid[rows] += vals * (x[m] - t)
                         x[m] = t
@@ -260,7 +261,8 @@ def optimize_bliss(
                 warnings.warn("BLISS optimizer hit the sweep limit; returning best iterate")
 
             params = _params_from_vector(x, n, n_electrons, include_offdiag)
-            H = jordan_wigner(apply_bliss(F, params))
+            terms = [(resid[r], key_letters(int(keys[r]), n)) for r in np.flatnonzero(resid)]
+            H = canonicalize(n, terms)
     except FloatingPointError:
         raise InvalidModelError("the BLISS optimization overflows the float range") from None
     return BlissResult(params, H, tuple(history), converged)
@@ -305,8 +307,8 @@ def load_fermionic(path) -> tuple[FermionicOperator, int]:
     const, h, g = 0.0, np.zeros((N, N)), np.zeros((N,) * 4)
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
-        try:
-            v, (i, j, k, l) = float(parts[0]), (int(p) for p in parts[1:5])
+        try:  # exactly five fields: more or fewer fail to unpack with a ValueError
+            v, i, j, k, l = float(parts[0]), *map(int, parts[1:])
         except ValueError:
             raise InvalidModelError(f"line {lineno}: expected 'value i j k l'") from None
         body = (i, j) if k == l == 0 else (i, j, k, l)

@@ -162,7 +162,7 @@ def _resolve_state(args, n: int) -> np.ndarray:
 # once per distinct X mask and once more: below 2^9 a read costs its fixed overhead. At the
 # limits, on a 2-vCPU Intel Xeon: simulate --n 5 --circuit wunary --K 349998 2.2 s, 321 MB;
 # simulate --n 2 --kappa 22 5.0 s, 383 MB; sweep --n 2 --kappa-max 22 10.7 s, 773 MB; resources
-# --n 24 --K-max 834 3.1 s; --n 10000 22 s, 229 MB; analytic --n 2 --h 0 --K 2441406 8.5 s and
+# --n 24 --K-max 834 1.3 s; --n 10000 16 s, 229 MB; analytic --n 2 --h 0 --K 2441406 8.5 s and
 # --n 24 --h 0 --K 74 --tau 10 26 s, 799 MB.
 _MAX_INSTRUCTIONS = 700_000
 _MAX_ISING_SITES = 10_000
@@ -256,23 +256,16 @@ def cmd_resources(args) -> list[dict]:
     check_width(kappa_for(args.K_max))  # the Taylor register, as analytic caps it
     _check_limit(args.K_max * (args.K_max + 4), _MAX_INSTRUCTIONS,  # the sum of 2K + 3 over K
                  "the plans would hold {} instructions,")
-    keys = [(f, K, kappa_for(K)) for K in range(1, args.K_max + 1) for f in ("wtilde", "wunary")]
+    orders = range(1, args.K_max + 1)
     # built one at a time as count consumes them, at tau = 0: the counts read register widths,
-    # amplitude counts and signs, and the Taylor amplitudes are real and nonnegative at every tau
-    plans = (
-        build_w_tilde(H, 0.0, kappa) if family == "wtilde" else build_w_unary(H, 0.0, K)
-        for family, K, kappa in keys
-    )
+    # amplitude counts and signs, and the Taylor amplitudes are real and nonnegative at every tau.
+    # A W-tilde plan depends on K only through kappa, so each kappa's plan is counted once.
+    wtilde = count(build_w_tilde(H, 0.0, kappa) for kappa in range(1, kappa_for(args.K_max) + 1))
+    wunary = count(build_w_unary(H, 0.0, K) for K in orders)
     return [
-        {
-            "family": family,
-            "K": K,
-            "kappa": kappa,
-            "qubits": c.qubits,
-            "two_qubit": c.two_qubit,
-            "measurements": c.measurements,
-        }
-        for (family, K, kappa), c in zip(keys, count(plans))
+        {"family": family, "K": K, "kappa": kappa_for(K), **vars(c)}  # then GateCounts' fields
+        for K, unary in zip(orders, wunary)
+        for family, c in (("wtilde", wtilde[kappa_for(K) - 1]), ("wunary", unary))
     ]
 
 

@@ -192,6 +192,11 @@ def letter_keys(x, z, n: int):
     return key
 
 
+def key_letters(key: int, n: int) -> str:
+    """The letter string whose ``letter_keys`` value is ``key``."""
+    return "".join("IXYZ"[key >> 2 * (n - 1 - j) & 3] for j in range(n))
+
+
 LETTER_PHASE = np.array([(-1j) ** k for k in range(4)])  # c X^x Z^z = c (-i)^popcount(x & z) letters
 
 
@@ -199,9 +204,7 @@ def mask_sum_letters(coeffs: dict[tuple[int, int], complex], n: int) -> dict[str
     """Rewrite ``sum c X^x Z^z``, given as ``{(x, z): c}`` in order, as letter coefficients."""
     out = {}
     for (x, z), c in coeffs.items():
-        key = letter_keys(x, z, n)
-        letters = "".join("IXYZ"[key >> 2 * (n - 1 - j) & 3] for j in range(n))
-        out[letters] = c * LETTER_PHASE[(x & z).bit_count() % 4]
+        out[key_letters(letter_keys(x, z, n), n)] = c * LETTER_PHASE[(x & z).bit_count() % 4]
     return out
 
 
@@ -249,8 +252,9 @@ def pauli_sum_apply(H: HamiltonianLCU, v: np.ndarray) -> np.ndarray:
     shape = v.shape[:-1] + (2,) * H.n
     out = np.empty(v.shape, dtype=complex)
     tmp = np.empty_like(out) if len(groups) > 1 else out
+    v, outs, tmps = v.reshape(shape), out.reshape(shape), tmp.reshape(shape)
     for i, (index, d) in enumerate(groups):
-        np.multiply(d, v.reshape(shape)[index], out=(tmp if i else out).reshape(shape))
+        np.multiply(d, v[index], out=tmps if i else outs)
         if i:
             out += tmp
     return out

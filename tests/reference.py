@@ -6,7 +6,8 @@ register value, instead of the moment trace, and a small W-tilde chain in exact
 Gaussian-rational arithmetic; dense matrices instead of Pauli-mask matvecs, gate-by-gate
 compilation and execution instead of closed-form counts, one Bernoulli draw per
 shot and measurement from numpy's Philox generator instead of one binomial draw
-per measurement. None of them imports the fast
+per measurement, and a BLISS line search that sorts and sums its weights afresh on
+every call. None of them imports the fast
 path it checks (``test_reference_imports_no_fast_path`` enforces that).
 """
 import cmath
@@ -837,3 +838,29 @@ def sector_spectrum(op, n_electrons: int) -> np.ndarray:
         raise InvalidModelError("n_electrons out of range")
     idx = [s for s in range(1 << n) if bin(s).count("1") == n_electrons]
     return np.sort(np.linalg.eigvalsh(mat[np.ix_(idx, idx)]))
+
+
+def bliss_line_search(a: np.ndarray, cols: list, tol: float, max_sweeps: int):
+    """``(x, history)`` of coordinate descent on ||a - B x||_1, B given as sparse columns
+    ``(rows, values)``: per coordinate, the |values|-weighted median of the breaks
+    partial / values, sorted and summed afresh on every call; ``history`` holds the
+    objective before the first sweep and after each, and a sweep that lowers it by less
+    than ``tol`` ends the descent."""
+    x = np.zeros(len(cols))
+    resid = a.copy()
+    history = [float(np.abs(resid).sum())]
+    for _ in range(max_sweeps):
+        for m, (rows, vals) in enumerate(cols):
+            if not len(vals):
+                continue
+            partial = resid[rows] + vals * x[m]
+            order = np.argsort(partial / vals)
+            b, w = (partial / vals)[order], np.abs(vals)[order]
+            t = float(b[np.searchsorted(np.cumsum(w), w.sum() / 2.0)])
+            if t != x[m]:
+                resid[rows] += vals * (x[m] - t)
+                x[m] = t
+        history.append(float(np.abs(resid).sum()))
+        if history[-2] - history[-1] < tol:
+            break
+    return x, history

@@ -47,6 +47,8 @@ def test_readme_bullets_name_exactly_the_modules():
 UNREACHED = {
     "build_w_hk": "the paper's W_{H^k} family, built by the acceptance tests and bench jobs",
     "build_hubbard_chain": "the Hubbard chain the BLISS acceptance tests optimize",
+    "apply_bliss": "the shifted operator itself, which the grid-search oracle and the sector "
+                   "check in test_7_bliss build; optimize_bliss reads its coefficients off a - B x",
     "runtime_upper_bound": "the paper's bound from H and psi, which the tests hold the exact "
                            "mean shot cost under; analytic prints it through runtime_bound",
     "fidelity": "the state overlap the acceptance tests compare traces with",

@@ -321,6 +321,13 @@ class TestBliss:
         assert out == ""
         assert err == "error: n_electrons out of range\n"
 
+    def test_extra_fields_exit_2_with_one_line(self, capsys, tmp_path):
+        # the fields past the fifth were ignored, and the row printed with exit 0
+        path = tmp_path / "op.txt"
+        path.write_text("NORB=2 NELEC=1\n1.0 1 1 0 0 9 9\n0.5 1 2 0 0\n")
+        code, out, err = _run(capsys, "bliss", "--fermion-file", str(path))
+        assert (code, out, err) == (2, "", "error: line 2: expected 'value i j k l'\n")
+
     @pytest.mark.parametrize(
         "lines, message",
         [  # an l1 norm that overflows printed inf, inf and nan with exit 0

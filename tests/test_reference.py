@@ -9,6 +9,8 @@ FAST_PATHS = {
     "count",
     "_cx_count",
     "_jw_masks",
+    "_weighted_median",
+    "optimize_bliss",
     "_binomial",
     "run_shots",
 }
