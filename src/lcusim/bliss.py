@@ -19,6 +19,13 @@ gives its whole column. The descent's residual a - B x holds the shifted
 operator's coefficients, so its Hamiltonian is read off the residual: the
 optimizer makes one Jordan-Wigner pass, of F.
 
+Every row of column m has the X mask of U_m (0 for the identity and
+a_i^dag a_i, 2^i | 2^j for the pair i, j), so ||a - B x||_1 splits into
+independent blocks by X mask. Where a is zero on every row of a mask, the
+descent never moves that block off 0, so only the units whose mask F's
+coefficients reach are encoded: the shift matrix grows with the couplings of
+F, not with the n^2 pairs, and the other parameters stay 0.
+
 Jordan-Wigner convention: a_j = (prod_{m<j} Z_m) (X_j + i Y_j)/2 with qubit
 j carrying orbital j's occupation and qubit 0 the least-significant bit.
 """
@@ -131,39 +138,46 @@ def apply_bliss(F: FermionicOperator, params: BlissParams) -> FermionicOperator:
     )
 
 
-def _unit_shifts(n_orb: int, include_offdiag: bool) -> list[dict[tuple[int, int], complex]]:
+def _unit_shifts(
+    n_orb: int, include_offdiag: bool, reached: set[int]
+) -> list[dict[tuple[int, int], complex]]:
     """The unit shifts U_m in parameter order, each as ``{(x, z): c}``: the
     identity, a_i^dag a_i, then per i < j a_i^dag a_j + a_j^dag a_i and
-    i(a_i^dag a_j - a_j^dag a_i)."""
+    i(a_i^dag a_j - a_j^dag a_i). A unit whose X mask (0, or 2^i | 2^j for the
+    pair i, j) is not in ``reached`` stays empty."""
     terms = [[(1.0, (i, i))] for i in range(n_orb)]
     if include_offdiag:
         for i in range(n_orb):
             for j in range(i + 1, n_orb):
                 terms += [[(1.0, (i, j)), (1.0, (j, i))], [(1j, (i, j)), (-1j, (j, i))]]
-    units = [{(0, 0): 1 + 0j}]
+    units = [{(0, 0): 1 + 0j} if 0 in reached else {}]
     for unit in terms:
         units.append({})
-        for factor, indices in unit:
-            _accumulate_product(units[-1], factor, indices)
+        i, j = unit[0][1]
+        if (1 << i) ^ (1 << j) in reached:
+            for factor, indices in unit:
+                _accumulate_product(units[-1], factor, indices)
     return units
 
 
 def _shift_matrix(F: FermionicOperator, n_electrons: int, include_offdiag: bool):
     """``(keys, a, columns)`` of the objective ||a - B x||_1.
 
-    Rows are the Pauli strings of F and of every U_m (N_hat - N_e), in letter
-    order, as ``letter_keys``; ``a`` is dense and each column of B is
+    Rows are the Pauli strings of F and of every reached U_m (N_hat - N_e), in
+    letter order, as ``letter_keys``; ``a`` is dense and each column of B is
     ``(row indices, values)`` over its entries with |v| > 1e-14, the cut the
     line search makes. B's entries are multiples of 1/4, so the cut drops only
-    exact zeros, which leave the residual unchanged.
+    exact zeros, which leave the residual unchanged. A unit is reached when
+    F has a nonzero coefficient with the unit's X mask; the other columns
+    are empty.
     """
     n = F.n_orb
     base = _jw_masks(F)
-    units = _unit_shifts(n, include_offdiag)
+    units = _unit_shifts(n, include_offdiag, {x for (x, _), c in base.items() if c != 0})
     number_z = np.array([0] + [1 << k for k in range(n)], dtype=np.int64)
     number_c = np.array([n / 2 - n_electrons] + [-0.5] * n)
     bx, bz = np.array(list(base), dtype=np.int64).reshape(-1, 2).T
-    ux, uz = np.array([k for u in units for k in u], dtype=np.int64).T
+    ux, uz = np.array([k for u in units for k in u], dtype=np.int64).reshape(-1, 2).T
     uc = np.array([c for u in units for c in u.values()])
     ucol = np.repeat(np.arange(len(units)), [len(u) for u in units])
     x = np.concatenate([bx, np.repeat(ux, n + 1)])
@@ -174,7 +188,7 @@ def _shift_matrix(F: FermionicOperator, n_electrons: int, include_offdiag: bool)
     pairs, entry = np.unique((col + 1) * len(keys) + row, return_inverse=True)
     vals = np.zeros(len(pairs), dtype=complex)
     np.add.at(vals, entry, c * LETTER_PHASE[np.bitwise_count(x & z) % 4])
-    if np.abs(vals.imag).max() > 1e-10:
+    if np.abs(vals.imag).max(initial=0.0) > 1e-10:
         raise InvalidModelError("expected real Pauli coefficients (Hermitian operator)")
     vals = vals.real
     pair_col, pair_row = np.divmod(pairs, len(keys))

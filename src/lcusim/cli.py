@@ -162,7 +162,7 @@ def _resolve_state(args, n: int) -> np.ndarray:
 # once per distinct X mask and once more: below 2^9 a read costs its fixed overhead. At the
 # limits, on a 2-vCPU Intel Xeon: simulate --n 5 --circuit wunary --K 349998 2.2 s, 321 MB;
 # simulate --n 2 --kappa 22 5.0 s, 383 MB; sweep --n 2 --kappa-max 22 10.7 s, 773 MB; resources
-# --n 24 --K-max 834 1.3 s; --n 10000 16 s, 229 MB; analytic --n 2 --h 0 --K 2441406 8.5 s and
+# --n 24 --K-max 834 1.3 s; --n 10000 1.2 s, 230 MB; analytic --n 2 --h 0 --K 2441406 8.5 s and
 # --n 24 --h 0 --K 74 --tau 10 26 s, 799 MB.
 _MAX_INSTRUCTIONS = 700_000
 _MAX_ISING_SITES = 10_000

@@ -72,7 +72,7 @@ class PauliTerm:
     def __post_init__(self):
         if not (0 <= self.weight < math.inf and math.isfinite(self.phase)):
             raise InvalidHamiltonianError(f"term {self.letters!r}: bad weight or phase")
-        if any(c not in "IXYZ" for c in self.letters):
+        if self.letters.strip("IXYZ"):
             raise InvalidHamiltonianError(f"bad Pauli letters {self.letters!r}")
 
     @property
@@ -172,13 +172,8 @@ def build_ising(n_sites: int, J: float, h: float) -> HamiltonianLCU:
     """
     if n_sites < 2:
         raise InvalidModelError("Ising chain needs at least 2 sites")
-    raw: list[tuple[complex, str]] = []
-    for i in range(n_sites - 1):
-        letters = "".join("Z" if j in (i, i + 1) else "I" for j in range(n_sites))
-        raw.append((J, letters))
-    for i in range(n_sites):
-        letters = "".join("X" if j == i else "I" for j in range(n_sites))
-        raw.append((h, letters))
+    raw = [(J, "I" * i + "ZZ" + "I" * (n_sites - i - 2)) for i in range(n_sites - 1)]
+    raw += [(h, "I" * i + "X" + "I" * (n_sites - i - 1)) for i in range(n_sites)]
     return canonicalize(n_sites, raw)
 
 

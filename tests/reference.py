@@ -841,11 +841,11 @@ def sector_spectrum(op, n_electrons: int) -> np.ndarray:
 
 
 def bliss_line_search(a: np.ndarray, cols: list, tol: float, max_sweeps: int):
-    """``(x, history)`` of coordinate descent on ||a - B x||_1, B given as sparse columns
-    ``(rows, values)``: per coordinate, the |values|-weighted median of the breaks
+    """``(x, history, resid)`` of coordinate descent on ||a - B x||_1, B given as sparse
+    columns ``(rows, values)``: per coordinate, the |values|-weighted median of the breaks
     partial / values, sorted and summed afresh on every call; ``history`` holds the
-    objective before the first sweep and after each, and a sweep that lowers it by less
-    than ``tol`` ends the descent."""
+    objective before the first sweep and after each, a sweep that lowers it by less
+    than ``tol`` ends the descent, and ``resid`` is the final a - B x, updated in place."""
     x = np.zeros(len(cols))
     resid = a.copy()
     history = [float(np.abs(resid).sum())]
@@ -863,4 +863,4 @@ def bliss_line_search(a: np.ndarray, cols: list, tol: float, max_sweeps: int):
         history.append(float(np.abs(resid).sum()))
         if history[-2] - history[-1] < tol:
             break
-    return x, history
+    return x, history, resid

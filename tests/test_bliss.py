@@ -17,8 +17,8 @@ from lcusim.bliss import (
     load_fermionic,
     optimize_bliss,
 )
-from lcusim.errors import InvalidModelError
-from lcusim.hamiltonian import l1_norm
+from lcusim.errors import InvalidHamiltonianError, InvalidModelError
+from lcusim.hamiltonian import canonicalize, l1_norm
 from conftest import ladder_matrix
 from reference import bliss_line_search, fock_matrix, sector_spectrum, to_matrix
 
@@ -99,6 +99,31 @@ def _per_unit_matrix(F, ne, include_offdiag=True):
     return strings, a, B
 
 
+def _x_mask(letters: str) -> int:
+    """The positions of a letter string that hold X or Y, as bits."""
+    return sum(1 << q for q, c in enumerate(letters) if c in "XY")
+
+
+def _reached_reference(F, ne, include_offdiag=True):
+    """``_per_unit_matrix`` restricted to the X masks of F's nonzero coefficients: the rows
+    of other masks (F's own strings aside) are dropped and the columns of other masks zeroed.
+    Asserts what makes the cut exact: every dropped row is 0 in ``a`` and is touched only by
+    zeroed columns."""
+    strings, a, B = _per_unit_matrix(F, ne, include_offdiag)
+    a, B = a.real, B.real
+    base = fermionic_to_pauli_dict(F)
+    reached = {_x_mask(s) for s, c in base.items() if c != 0}
+    masks = np.array([_x_mask(s) for s in strings])
+    kept_rows = np.isin(masks, list(reached)) | np.array([s in base for s in strings])
+    col_masks = [set(masks[np.flatnonzero(col)]) for col in B.T]
+    assert all(len(m) <= 1 for m in col_masks)  # N_hat - N_e is pure Z: one X mask per column
+    kept_cols = np.array([m <= reached for m in col_masks])
+    dropped = ~kept_rows
+    assert not a[dropped].any() and not B[np.ix_(dropped, kept_cols)].any()
+    kept_strings = [s for s, kept in zip(strings, kept_rows) if kept]
+    return kept_strings, a[kept_rows], (B * kept_cols)[kept_rows]
+
+
 def _mask_space_matrix(F, ne, include_offdiag=True):
     """(letter strings, a, dense B) from ``bliss._shift_matrix``."""
     n = F.n_orb
@@ -108,6 +133,21 @@ def _mask_space_matrix(F, ne, include_offdiag=True):
     for m, (rows, vals) in enumerate(cols):
         B[rows, m] = vals
     return strings, a, B
+
+
+def _sparse_operator(n, seed):
+    """A sparse Hermitian one-body part, density-density terms g_iijj n_i n_j and a few
+    density-assisted hoppings g_ijkk a_i^dag a_j n_k, so that only some pairs' X masks are
+    reached, and the hoppings' shifts move off 0."""
+    rng = np.random.default_rng(seed)
+    h = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * (rng.random((n, n)) < 0.15)
+    g = np.zeros((n,) * 4, dtype=complex)
+    for i, j in zip(*np.nonzero(rng.random((n, n)) < 0.3)):
+        g[i, i, j, j] = rng.normal()
+    for i, j, k in zip(*np.nonzero(rng.random((n, n, n)) < 0.5 / n**2)):
+        g[i, j, k, k] += rng.normal() + 1j * rng.normal()
+    g = (g + g.conj().transpose(3, 2, 1, 0)) / 2
+    return FermionicOperator(n, constant=float(rng.normal()), one_body=h + h.conj().T, two_body=g)
 
 
 def _random_hermitian_operator(n, rng, two_body=False):
@@ -333,35 +373,42 @@ class TestShiftMatrix:
     @given(
         st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
         st.integers(0, 2**32 - 1),
-        st.sampled_from([0.0, 0.05, 0.3]),
+        st.sampled_from([0.0, 0.05, 0.3, "sparse"]),
         st.booleans(),
     )
     def test_matches_per_unit_construction(self, n_ne, seed, density, include_offdiag):
         n, ne = n_ne
-        F = _random_operator(n, seed, density)
+        F = _sparse_operator(n, seed) if density == "sparse" else _random_operator(n, seed, density)
         strings, a, B = _mask_space_matrix(F, ne, include_offdiag)
-        ref_strings, ref_a, ref_B = _per_unit_matrix(F, ne, include_offdiag)
+        ref_strings, ref_a, ref_B = _reached_reference(F, ne, include_offdiag)
         assert strings == ref_strings
-        assert np.array_equal(a, ref_a.real)
-        assert np.array_equal(B, ref_B.real)
+        assert np.array_equal(a, ref_a)
+        assert np.array_equal(B, ref_B)
 
-        # ||a - B x||_1 is the l1 norm of the shifted operator's encoding
-        x = np.random.default_rng(seed + 1).normal(size=B.shape[1])
+        # ||a - B x||_1 is the l1 norm of the shifted operator's encoding, the empty
+        # columns' parameters held at 0 as the descent holds them
+        x = np.random.default_rng(seed + 1).normal(size=B.shape[1]) * B.any(axis=0)
         params = bliss._params_from_vector(x, n, ne, include_offdiag)
         l1 = l1_norm(jordan_wigner(apply_bliss(F, params)))
         assert np.abs(a - B @ x).sum() == pytest.approx(l1, rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("include_offdiag, rows", [(True, 821), (False, 61)])
-    def test_bundled_file_matches_per_unit_construction(self, include_offdiag, rows):
-        import importlib.resources as res
-
-        with res.as_file(res.files("lcusim.data") / "hubbard_4site.txt") as path:
-            F, ne = load_fermionic(path)
+    @pytest.mark.parametrize("include_offdiag, full_rows, rows", [(True, 821, 205), (False, 61, 61)])
+    def test_bundled_file_matches_per_unit_construction(self, include_offdiag, full_rows, rows):
+        F, ne = _bundled_operator()
         strings, a, B = _mask_space_matrix(F, ne, include_offdiag)
-        ref_strings, ref_a, ref_B = _per_unit_matrix(F, ne, include_offdiag)
+        ref_strings, ref_a, ref_B = _reached_reference(F, ne, include_offdiag)
+        assert len(_per_unit_matrix(F, ne, include_offdiag)[0]) == full_rows
         assert len(strings) == rows
         assert strings == ref_strings
-        assert np.array_equal(a, ref_a.real) and np.array_equal(B, ref_B.real)
+        assert np.array_equal(a, ref_a) and np.array_equal(B, ref_B)
+
+    @pytest.mark.parametrize("sites", range(2, 7))
+    def test_hubbard_chain_reaches_only_its_hoppings(self, sites):
+        # the identity, the 2L number operators and the Re/Im pair of each of the
+        # 2(L - 1) hoppings, out of 1 + 2L + 2L(2L - 1) columns
+        _, _, cols = bliss._shift_matrix(build_hubbard_chain(sites, 1.0, 4.0), sites, True)
+        assert len(cols) == 1 + 2 * sites + 2 * sites * (2 * sites - 1)
+        assert sum(len(vals) > 0 for _, vals in cols) == 1 + 2 * sites + 4 * (sites - 1)
 
     def test_one_jordan_wigner_pass_before_the_final_encoding(self, monkeypatch):
         # the per-unit path built one operator and ran one JW pass per parameter
@@ -385,6 +432,12 @@ class TestShiftMatrix:
         # the base encoding only: the shifted operator is read off the residual a - B x, so
         # no shifted FermionicOperator is built and no second encoding runs
         assert events == ["encode"]
+
+    @pytest.mark.parametrize("include_offdiag", [True, False])
+    def test_zero_operator_refused(self, include_offdiag):
+        # no X mask is reached, so a and B have no entries at all
+        with pytest.raises(InvalidHamiltonianError, match="all coefficients vanish"):
+            optimize_bliss(FermionicOperator(2), 1, include_offdiag=include_offdiag)
 
     @pytest.mark.parametrize("ne", [-1, 9, 99])
     def test_electron_count_checked_before_any_work(self, monkeypatch, ne):
@@ -440,10 +493,43 @@ class TestDescentFastPaths:
         # the bundled file (n = 8) and the random operators
         F, ne = _bundled_operator() if seed is None else (_random_operator(n, seed, 0.3), ne)
         _, a, cols = bliss._shift_matrix(F, ne, include_offdiag)
-        x, history = bliss_line_search(a, cols, bliss._TOL, bliss._MAX_SWEEPS)
+        x, history, _ = bliss_line_search(a, cols, bliss._TOL, bliss._MAX_SWEEPS)
         result = optimize_bliss(F, ne, include_offdiag=include_offdiag)
         assert result.objective_history == tuple(history)
         assert np.array_equal(_shift_vector(result.params, include_offdiag), x)
+
+    @pytest.mark.parametrize("include_offdiag", [True, False])
+    @pytest.mark.parametrize(
+        "kind, n, seed",
+        [("hubbard", s, None) for s in range(2, 7)] + [("hopping", 3, None), ("bundled", 4, None)]
+        + [("sparse", n, seed) for n in (3, 5, 7) for seed in (1, 2, 3)],
+    )
+    def test_pruned_descent_matches_the_full_matrix(self, kind, n, seed, include_offdiag):
+        # the reference descends every column of the per-unit matrix, the reached
+        # X masks and the others alike; n is sites for the chains, orbitals otherwise.
+        # The hopping chain (U = 0) has no pure-Z term, so even X mask 0 goes unreached.
+        if kind in ("hubbard", "hopping"):
+            F, ne = build_hubbard_chain(n, 1.0, 4.0 if kind == "hubbard" else 0.0), n
+        elif kind == "bundled":
+            F, ne = _bundled_operator()
+        else:
+            F, ne = _sparse_operator(n, seed), n // 2
+        strings, a, B = _per_unit_matrix(F, ne, include_offdiag)
+        a, B = a.real, B.real
+        cols = [(np.flatnonzero(np.abs(b) > 1e-14), b[np.abs(b) > 1e-14]) for b in B.T]
+        x, history, resid = bliss_line_search(a, cols, bliss._TOL, bliss._MAX_SWEEPS)
+        ref_params = bliss._params_from_vector(x, F.n_orb, ne, include_offdiag)
+        ref_H = canonicalize(F.n_orb, [(resid[r], strings[r]) for r in np.flatnonzero(resid)])
+
+        result = optimize_bliss(F, ne, include_offdiag=include_offdiag)
+        assert np.array_equal(_shift_vector(result.params, include_offdiag), x)
+        assert result.params.xi0 == ref_params.xi0
+        assert np.array_equal(result.params.xi, ref_params.xi)
+        assert result.converged == (history[-2] - history[-1] < bliss._TOL)
+        assert result.hamiltonian.terms == ref_H.terms
+        # the sums pair their terms differently without the dropped rows' zeros
+        assert len(result.objective_history) == len(history)
+        np.testing.assert_allclose(result.objective_history, history, rtol=1e-12, atol=0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 8)), min_size=1, max_size=12))

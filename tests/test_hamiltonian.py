@@ -286,6 +286,12 @@ class TestInvariants:
         with pytest.raises(InvalidHamiltonianError):
             PauliTerm(weight, phase, "X")
 
+    @pytest.mark.parametrize("letters", ["XQX", "QX", "xz", "X Z"])
+    def test_bad_letters_rejected(self, letters):
+        # a bad letter inside, at the start, in lower case, or a blank
+        with pytest.raises(InvalidHamiltonianError, match="bad Pauli letters"):
+            PauliTerm(1.0, 0.0, letters)
+
     @pytest.mark.parametrize("weights", [(0.0, 0.0), (1e308, 1e308)])
     def test_l1_norm_zero_or_overflowing_rejected(self, weights):
         terms = tuple(PauliTerm(w, 0.0, letters) for w, letters in zip(weights, "XZ"))
