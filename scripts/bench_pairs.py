@@ -10,7 +10,9 @@ copy's ``wc -l src/lcusim/*.py`` total.
 
 ``--cli CMD`` also times a CLI command on both sides, ``--cli-runs`` alternating runs each, as
 ``python3 -m lcusim.cli CMD`` in a fresh process: wall seconds, peak RSS and a digest of its
-stdout. ``--limit CMD`` times a command once on the change side only.
+stdout. Its ``stdout_equal`` is true when every parent digest equals every change digest;
+a note is printed when it is false. ``--limit CMD`` times a command once on the change side
+only.
 
     python3 scripts/bench_pairs.py --pr 23 --seed 23023 --change "what the change does" \\
         --cli "simulate --model ising --n 12 --kappa 8 --shots 1000"
@@ -163,6 +165,11 @@ def main(argv=None) -> int:
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 sides[side].append(cli_run(trees[side], command.split()))
         cli[command] = {side: {key: [r[key] for r in rs] for key in rs[0]} for side, rs in sides.items()}
+        digests = {r["stdout_sha256"] for rs in sides.values() for r in rs}
+        cli[command]["stdout_equal"] = len(digests) == 1
+        if len(digests) != 1:
+            notes.append(f"stdout of {command!r} differs between runs or sides: {sorted(digests)}.")
+            print(f"note: {notes[-1]}", flush=True)
     limits = {command: cli_run(trees["change"], command.split()) for command in args.limit}
 
     result = {

@@ -14,15 +14,14 @@ Both Taylor-weighted builders, and the oracle's ||beta||_1, take the weights
 beta_0..beta_K from ``taylor_weights``, which builds and overflow-checks those
 K + 1 and no more.
 
-A plan is a sequence of three instruction kinds: ``Prepare`` (or its
-adjoint) on a w-qubit register, whose amplitude count names the encoding,
-2^w binary and w + 1 unary (``amplitude_values``); ``LcuBlock``, PREPARE,
-SELECT and PREPARE^dag on an l-register, a block-encoding of
-H~ = (-i / l1) H (Berry et al., PRL 114, 090502, 2015); and ``Measure``, an
-all-zero post-selection. Only the SELECT of a block carries the control: on the
-control-|0> branch Prepare followed by its adjoint is the identity and the
-l-measurement succeeds with certainty, so post-selected results match a fully
-controlled block at lower cost.
+A plan is a sequence of three instruction kinds: ``Prepare`` on a w-qubit register,
+whose amplitude count names the encoding, 2^w binary and w + 1 unary
+(``amplitude_values``), and its adjoint, which closes the register; ``LcuBlock``,
+PREPARE, SELECT and PREPARE^dag on an l-register, a block-encoding of H~ = (-i / l1) H
+(Berry et al., PRL 114, 090502, 2015); and ``Measure``, an all-zero post-selection. Only
+the SELECT of a block carries the control: on the control-|0> branch Prepare followed by
+its adjoint is the identity and the l-measurement succeeds with certainty, so
+post-selected results match a fully controlled block at lower cost.
 """
 from __future__ import annotations
 
@@ -48,10 +47,13 @@ def taylor_weights(tau: float, alpha_norm: float, K: int) -> np.ndarray:
     if not 0 <= tau < math.inf:
         raise InvalidModelError("tau must be nonnegative and finite")
     x = tau * alpha_norm
-    beta = np.empty(K + 1)
+    beta = np.zeros(K + 1)
     beta[0] = b = 1.0
     for k in range(1, K + 1):
-        beta[k] = b = b * x / k
+        b = b * x / k
+        if not b:  # underflowed to 0: so does every later weight
+            break
+        beta[k] = b
     s = float(beta.sum())
     if not (np.isfinite(beta).all() and math.isfinite(s * s)):
         raise InvalidModelError(f"Taylor weights overflow at tau * alpha_norm = {x!r}")
@@ -157,31 +159,35 @@ class CircuitPlan:
     An l-register (one an ``LcuBlock`` uses) is neither the system nor prepared, and is
     measured after each of its blocks and before the next; pending blocks are measured in
     block order and before any other register. A control is a bit of a register that is
-    neither the system nor an l-register. The system is neither prepared nor measured. A
-    Prepare holds 2^width (binary) or width + 1 (unary) normalized amplitudes; a register
-    it acts on is measured after it. One register at a time is live, from its first
-    Prepare to its Measure, and after its second Prepare nothing but the Measures of
-    l-registers comes before its own: the form the moment trace runs (``sampler._walk``).
+    neither the system nor an l-register. The system is neither prepared nor measured. Any
+    other register is opened by a Prepare of 2^width (binary) or width + 1 (unary)
+    normalized amplitudes, closed by the adjoint of those same amplitudes and then
+    measured, with only the Measures of l-registers between its adjoint and its Measure.
+    One register at a time is open, from its Prepare to its Measure. So a post-selected
+    result depends on a Prepare only through the column it puts on |0>, not on the unitary
+    that completes it: the form the moment trace runs (``sampler._walk``).
     """
 
     layout: RegisterLayout
     hamiltonian: HamiltonianLCU
     instructions: tuple[Instruction, ...]
     l_registers: frozenset[str] = field(init=False, repr=False)  # the registers blocks use
+    select_count: int = field(init=False, repr=False)
+    measure_count: int = field(init=False, repr=False)
 
     def __post_init__(self):
         layout, H = self.layout, self.hamiltonian
         if layout.n != H.n:
             raise LayoutError(f"a {H.n}-qubit Hamiltonian needs a {H.n}-qubit system register")
         l_regs = frozenset(ins.l_register for ins in self.instructions if isinstance(ins, LcuBlock))
-        object.__setattr__(self, "l_registers", l_regs)
         pending: deque[str] = deque()  # l-registers of the blocks awaiting their measurement
         unmeasured: set[str] = set()  # the same names, for the membership test
-        live, prepares = None, 0  # the ancilla prepared since its last measurement, how often
+        live = opening = None  # the open register and its Prepare's amplitudes
+        closed, selects, measures = False, 0, 0  # closed: live's adjoint came
         for i, ins in enumerate(self.instructions):
             if not isinstance(ins, LcuBlock) and ins.register == "system":
                 raise LayoutError(f"instruction {i}: the system is neither prepared nor measured")
-            if prepares == 2 and not (
+            if closed and not (
                 isinstance(ins, Measure) and (ins.register == live or ins.register in l_regs)
             ):
                 raise LayoutError(f"instruction {i}: {live} is prepared twice and not yet measured")
@@ -198,34 +204,44 @@ class CircuitPlan:
                     raise LayoutError(f"instruction {i}: {name} still holds an unmeasured block")
                 pending.append(name)
                 unmeasured.add(name)
+                selects += 1
             elif isinstance(ins, Measure):
                 name = layout.register(ins.register).name  # an unknown register raises
                 if (pending[0] if pending else None) != (name if name in l_regs else None):
                     raise LayoutError(f"instruction {i}: {name} measured, pending: {list(pending)}")
                 if pending:
                     unmeasured.remove(pending.popleft())
-                live, prepares = (None, 0) if name == live else (live, prepares)
+                elif name == live and closed:
+                    live, closed = None, False
+                else:
+                    raise LayoutError(f"instruction {i}: {name} is measured before its adjoint")
+                measures += 1
             else:
-                width = layout.register(ins.register).width
-                if ins.register in l_regs:
-                    raise LayoutError(f"instruction {i}: {ins.register} is an l-register")
-                if np.shape(ins.amps) not in ((1 << width,), (width + 1,)):
+                reg, width = ins.register, layout.register(ins.register).width
+                if reg in l_regs:
+                    raise LayoutError(f"instruction {i}: {reg} is an l-register")
+                if live not in (None, reg):
+                    raise LayoutError(f"instruction {i}: {reg} prepared while {live} is live")
+                if live == reg:  # closes it
+                    if not ins.adjoint:
+                        raise LayoutError(f"instruction {i}: {reg} is reopened before its adjoint")
+                    if not (ins.amps is opening or np.array_equal(ins.amps, opening)):
+                        raise LayoutError(f"instruction {i}: {reg}'s adjoint has other amplitudes")
+                    closed = True
+                elif ins.adjoint:
+                    raise LayoutError(f"instruction {i}: {reg} is opened by an adjoint")
+                elif np.shape(ins.amps) not in ((1 << width,), (width + 1,)):
                     raise LayoutError(f"instruction {i}: needs 2^{width} or {width + 1} amplitudes")
-                check_norm(np.linalg.norm(ins.amps), f"instruction {i}: amplitudes are not normalized")
-                if live not in (None, ins.register):
-                    raise LayoutError(f"instruction {i}: {ins.register} prepared while {live} is live")
-                live, prepares = ins.register, prepares + 1
+                else:
+                    check_norm(np.linalg.norm(ins.amps),
+                               f"instruction {i}: amplitudes are not normalized")
+                    live, opening = reg, ins.amps
         if pending or live:
             raise LayoutError(f"{pending[0] if pending else live} is never measured after its "
                               "last block or Prepare")
-
-    @property
-    def select_count(self) -> int:
-        return sum(1 for ins in self.instructions if isinstance(ins, LcuBlock))
-
-    @property
-    def measure_count(self) -> int:
-        return sum(1 for ins in self.instructions if isinstance(ins, Measure))
+        for name, value in (("l_registers", l_regs), ("select_count", selects),
+                            ("measure_count", measures)):
+            object.__setattr__(self, name, value)
 
 
 def build_w_hk(H: HamiltonianLCU, k: int) -> CircuitPlan:

@@ -4,14 +4,16 @@ A plan's success path is deterministic: the state after j consecutive zero outco
 not depend on the shot, so each measurement's conditional zero-probability is traced once.
 On that path an LCU block whose l-register is measured |0> acts as (singly controlled)
 H~ = (-i / l1) H, because PREPARE is zero-padded (Berry et al., PRL 114, 090502, 2015). So
-each row of the one register live at a time is a multiple of a power H~^m of a base state
-phi, and every q is a ratio of weighted sums of nu_m = ||H~^m phi||^2: one Krylov pass per
-collapse, not a state per row. Every shot runs the same chain q_1 .. q_M, so of the r_j
-shots that reach measurement j, Binomial(r_j, 1 - q_j) abort there: the chain-rule form of
-the multinomial over the M + 1 outcomes, with exactly the law of one Bernoulli draw per
-shot and measurement. ``run_shots`` makes one binomial draw per measurement, so its cost
-does not grow with the number of shots. What a shot costs depends on the plan and on where
-it stopped, not on psi: ``CostModel.shot_costs`` prices a plan, the trace holds only q's.
+each row of the one register open at a time is a multiple of a power H~^m of a base state
+phi, and every q is a ratio of weighted sums of nu_m = ||H~^m phi||^2. The register closes
+with the adjoint of its Prepare's column a, so its Measure collapses the rows onto
+sum_v |a_v|^2 H~^{m_v} phi, whatever unitary completes a: one Krylov pass per collapse,
+not a state per row. Every shot runs the same chain q_1 .. q_M, so of the r_j shots that
+reach measurement j, Binomial(r_j, 1 - q_j) abort there: the chain-rule form of the
+multinomial over the M + 1 outcomes, with exactly the law of one Bernoulli draw per shot
+and measurement. ``run_shots`` makes one binomial draw per measurement, so its cost does
+not grow with the number of shots. What a shot costs depends on the plan and on where it
+stopped, not on psi: ``CostModel.shot_costs`` prices a plan, the trace holds only q's.
 """
 from __future__ import annotations
 
@@ -69,42 +71,29 @@ class RunStats:
     total_cost: float = 0.0
 
 
-def _row0(amps: np.ndarray, at: list, adjoint: bool) -> np.ndarray:
-    """Row 0, at the values ``at`` of a Prepare's nonzero amplitudes a, of its completion
-    unitary U = (I - 2 v v^dag) diag(d), v ~ a + e^{i theta} e0 (``tests/reference.py``):
-    (a_0, -e^{i theta} conj(a_v), ..), e^{i theta} = a_0 / |a_0| or 1 where a_0 = 0; of
-    U^dag where ``adjoint``: conj(a). Column 0 of U is a, of U^dag conj(row 0 of U)."""
-    row = np.conj(amps)
-    if adjoint or at[0] != 0:
-        return row if adjoint else -row
-    row *= -amps[0] / abs(amps[0])
-    row[0] = amps[0]
-    return row
-
-
 def _sums(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """c_d = the sum of x over the rows of degree m = d, for d = 0 .. max(m)."""
     return np.bincount(m, x.real) + 1j * np.bincount(m, x.imag)
 
 
-_ONE_ROW = (np.zeros(1, np.int64), np.ones(1, complex), np.zeros(1, np.int64), np.ones(1))
+_ONE_ROW = (np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1))
 
 
 def _walk(plan: CircuitPlan):
     """The plan's success path as segments, each from a base state phi to its collapse.
 
-    Between collapses the rows of the one live register, over the values v of its first
-    Prepare's nonzero amplitudes (one row v = 0 while none is live), are b_v H~^{m_v} phi
-    and stay orthogonal: each q is a ratio of sums N = sum_v w_v nu_{m_v}, w = |b|^2 and
+    Between collapses the rows of the one open register, over the values v of its Prepare's
+    nonzero amplitudes a (one row v = 0 while none is open), are a_v H~^{m_v} phi and stay
+    orthogonal: each q is a ratio of sums N = sum_v w_v nu_{m_v}, w = |a|^2 and
     nu_m = ||H~^m phi||^2. A run of L blocks on one control adds 1 .. L to the m_v of the
     rows it selects; its ``specs`` entry is (m, w, hit, L) at its start, hit 1 on those rows,
     and an int L stands for L q's of 1. A segment is (specs, m, w, c, collapses), m and w at
-    its end and c the coefficients of its collapsed state sum_d c_d H~^d phi: b times row 0
-    of the second Prepare (or of the identity) at the live register's Measure, or b at the end.
+    its end and c = ``_sums(m, w)`` the coefficients of its collapsed state: the adjoint
+    takes row v to |0> with amplitude conj(a_v), so the Measure keeps sum_v w_v H~^{m_v} phi.
     """
     l_regs, segments, specs, run = plan.l_registers, [], [], 0
-    live = r = control = None  # the live register, its second Prepare's row 0, a run's control
-    vals, b, m, w = _ONE_ROW
+    live = control = None  # the open register, a run's control
+    vals, m, w = _ONE_ROW
     for ins in plan.instructions + (None,):  # None: the plan's end
         is_block = isinstance(ins, LcuBlock)
         if run and not (is_block and ins.control == control or getattr(ins, "register", 0) in l_regs):
@@ -116,24 +105,17 @@ def _walk(plan: CircuitPlan):
         if is_block:
             control, run = ins.control, run + 1
         elif isinstance(ins, Measure):
-            if ins.register == live:  # keep row 0 of the register
-                segments.append((specs, m, w, _sums(m, b * (vals == 0 if r is None else r)), True))
-                specs, live, r, (vals, b, m, w) = [], None, None, _ONE_ROW
-            elif ins.register not in l_regs:  # a register in |0>
-                specs.append(1)
-        elif ins is not None:
+            if ins.register == live:  # the collapse; an l-register's Measure is in the runs
+                segments.append((specs, m, w, _sums(m, w), True))
+                specs, live, (vals, m, w) = [], None, _ONE_ROW
+        elif ins is not None and not ins.adjoint:  # opens a register in |0>: the column a
             width = plan.layout.register(ins.register).width
             amps, at = amplitude_values(ins.amps, width)
-            if live is None:  # on |0>: column 0 of the Prepare
-                check_width(plan.hamiltonian.n + (len(at) - 1).bit_length())  # circuit width
-                live, vals = ins.register, np.array(at, dtype=object if width > 62 else np.int64)
-                b, m = _row0(amps, at, not ins.adjoint).conj(), np.full(len(at), m[0])
-                w = (b * b.conj()).real
-            else:
-                row = dict(zip(at, _row0(amps, at, ins.adjoint)))
-                r = np.array([row.get(v, 0.0) for v in vals.tolist()], dtype=complex)
+            check_width(plan.hamiltonian.n + (len(at) - 1).bit_length())  # circuit width
+            live, vals = ins.register, np.array(at, dtype=object if width > 62 else np.int64)
+            m, w = np.full(len(at), m[0]), (amps * amps.conj()).real
     if specs or m[0] or not segments:  # not where the state at the end is the last collapse's
-        segments.append((specs, m, w, _sums(m, b), False))
+        segments.append((specs, m, w, _sums(m, w), False))
     return segments
 
 

@@ -66,6 +66,17 @@ class TestTaylorCoefficients:
         with pytest.raises(InvalidModelError, match="overflow"):
             taylor_weights(tau, 5.0, K)
 
+    @pytest.mark.parametrize("x, K", [(0.075, 2000), (1e-60, 40), (0.0, 5), (300.0, 3000)])
+    def test_weights_past_the_first_underflow_are_zero(self, x, K):
+        # the loop stops at the first weight that underflows to 0; the full loop's weights
+        # past it are 0 too, so the array and its sum are bitwise the same
+        full = [1.0]
+        for k in range(1, K + 1):
+            full.append(full[-1] * x / k)
+        beta = taylor_weights(x, 1.0, K)
+        assert full[-1] == 0.0  # each case reaches the underflow
+        assert beta.tolist() == full and beta.sum() == np.array(full).sum()
+
     def test_largest_finite_weights_kept(self):
         s = taylor_weights(1e50, 5.0, 3).sum()  # beta_3 ~ 2e151, ||beta||_1^2 ~ 4e302
         assert math.isfinite(s * s)

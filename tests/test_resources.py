@@ -202,10 +202,12 @@ class TestCounts:
     def test_no_select_plan(self):
         H = canonicalize(1, [(1.0, "X"), (0.5, "Z")])
         plan = build_w_hk(H, 1)
-        only_prep = type(plan)(  # a prepared register is measured after, or refused
-            plan.layout, plan.hamiltonian, (Prepare("l", prepare_amplitudes(H)), Measure("l"))
+        a = prepare_amplitudes(H)
+        only_prep = type(plan)(  # a Prepare is closed by its adjoint, then measured
+            plan.layout, plan.hamiltonian,
+            (Prepare("l", a), Prepare("l", a, adjoint=True), Measure("l")),
         )
-        assert _count(only_prep).two_qubit == 0  # width-1 l register: single Ry, no CX
+        assert _count(only_prep).two_qubit == 0  # width-1 l register: Ry and its adjoint, no CX
 
 
 def _plans(H, K):
@@ -252,6 +254,7 @@ class TestCountMatchesReference:
         plan = build_w_tilde(ising4, 0.05, 2)
         amps = plan.instructions[0].amps
         for bad_amps in (-amps, 1j * amps):
-            bad = (Prepare("k", bad_amps),) + plan.instructions[1:]
+            bad = ((Prepare("k", bad_amps),) + plan.instructions[1:-2]
+                   + (Prepare("k", bad_amps, adjoint=True), Measure("k")))
             with pytest.raises(LcusimError, match="nonnegative"):
                 count([plan, type(plan)(plan.layout, ising4, bad)])

@@ -22,6 +22,7 @@ from lcusim.hamiltonian import build_ising, canonicalize
 from lcusim.oracle import fidelity, success_prob_wtilde
 from lcusim.sampler import trace_plan
 from lcusim.resources import count
+import reference
 from conftest import random_hamiltonian, random_state
 from reference import array_trace, compile_plan, exact_wtilde_chain, register_trace, simulate_compiled
 
@@ -126,6 +127,9 @@ class TestAgainstRegisterTrace:
         assert peak < 1 << 20
 
 
+_C = np.array([0.6, 0.8])
+
+
 def _one_block(H, *ins, extra=()):
     """A W_{H^k}-style plan on system + l (+ extra registers) with the given instructions."""
     layout = RegisterLayout([("system", H.n), ("l", H.l_width), *extra])
@@ -202,11 +206,16 @@ class TestPlanShape:
             _one_block(self.H, Prepare("c", np.array([0.6, 0.6])), Measure("c"), extra=[("c", 1)])
 
     def test_unary_prepare_on_the_unary_values(self):
-        amps = np.array([0.6, 0.48, 0.64])  # on |00>, |10> and |11>
-        plan = _one_block(self.H, Prepare("c", amps), Measure("c"), extra=[("c", 2)])
+        # 3 amplitudes on a 2-qubit register are unary, on |00>, |10> and |11> (values 0, 1
+        # and 3): bit 1 is set on value 3 alone, so the block acts on the rows of weight 0.64^2
+        amps = np.array([0.6, 0.48, 0.64])
+        plan = _one_block(self.H, Prepare("c", amps), LcuBlock("l", ("c", 1)), Measure("l"),
+                          Prepare("c", amps, adjoint=True), Measure("c"), extra=[("c", 2)])
         trace = assert_same_trace(plan, self.psi)
-        assert trace.success_prob == pytest.approx(0.36, abs=1e-12)
-        assert simulate_compiled(compile_plan(plan), self.psi)[1] == pytest.approx(0.36, abs=1e-12)
+        h = np.array([[0.5, 1.0], [1.0, -0.5]]) * (-1j / 1.5)  # H~ = (-i / l1)(X + Z / 2)
+        p = np.linalg.norm((0.36 + 0.2304) * self.psi + 0.4096 * h @ self.psi) ** 2
+        assert trace.success_prob == pytest.approx(p, abs=1e-12)
+        assert simulate_compiled(compile_plan(plan), self.psi)[1] == pytest.approx(p, abs=1e-12)
 
     def test_prepare_on_the_system_register(self):
         # the system is the trace's amplitude axis, not an axis of values
@@ -256,6 +265,40 @@ class TestPlanShape:
                           extra=[("c", 1)])
         assert_same_trace(plan, self.psi)
 
+    def test_adjoint_opens_a_register(self):
+        self._raises(Prepare("c", _C, adjoint=True), Measure("c"), extra=[("c", 1)],
+                     match="instruction 0: c is opened by an adjoint")
+
+    def test_register_reopened_before_its_adjoint(self):
+        self._raises(Prepare("c", _C), Prepare("c", _C), Prepare("c", _C, adjoint=True),
+                     Measure("c"), extra=[("c", 1)],
+                     match="instruction 1: c is reopened before its adjoint")
+
+    @pytest.mark.parametrize("other", [[0.8, 0.6], [-0.6, -0.8], [0.6j, 0.8], [0.6, 0.8, 0.0]])
+    def test_adjoint_of_other_amplitudes(self, other):
+        # of other values, phases or length than the opening column
+        self._raises(Prepare("c", _C), LcuBlock("l", ("c", 0)), Measure("l"),
+                     Prepare("c", np.array(other), adjoint=True), Measure("c"), extra=[("c", 1)],
+                     match="instruction 3: c's adjoint has other amplitudes")
+
+    def test_adjoint_of_an_equal_copy_accepted(self):
+        plan = _one_block(self.H, Prepare("c", _C), LcuBlock("l", ("c", 0)), Measure("l"),
+                          Prepare("c", _C.copy(), adjoint=True), Measure("c"), extra=[("c", 1)])
+        assert_same_trace(plan, self.psi)
+
+    @pytest.mark.parametrize("ins, at", [
+        ((Prepare("c", _C), Measure("c")), 1),
+        ((Prepare("c", _C), LcuBlock("l", ("c", 0)), Measure("l"), Measure("c")), 3),
+        ((Prepare("c", _C), Measure("t"), Prepare("c", _C, adjoint=True), Measure("c")), 1),
+    ], ids=["no-adjoint", "after-a-block", "another-register"])
+    def test_measured_before_the_adjoint(self, ins, at):
+        self._raises(*ins, extra=[("c", 1), ("t", 1)],
+                     match=f"instruction {at}: {ins[at].register} is measured before its adjoint")
+
+    def test_measure_of_a_never_prepared_ancilla(self):
+        self._raises(LcuBlock("l"), Measure("l"), Measure("c"), extra=[("c", 1)],
+                     match="instruction 2: c is measured before its adjoint")
+
     def test_l_registers_measured_out_of_select_order(self, ising4):
         plan = build_w_unary(ising4, 0.05, 2)
         ins = list(plan.instructions)
@@ -266,7 +309,6 @@ class TestPlanShape:
 
 
 _REGISTERS = ["system", "l0", "l1", "c", "u"]
-_C = np.array([0.6, 0.8])
 _DENSE = np.sqrt([0.4, 0.3, 0.2, 0.1])
 _SPARSE = np.array([0.0, 0.6, 0.0, 0.8])  # values 1 and 3 only
 _UNARY = np.array([0.6, 0.48, 0.64])  # on |00>, |10> and |11>
@@ -332,6 +374,31 @@ class TestPlanValidity:
             return
         assert_same_trace(plan, random_state(2, np.random.default_rng(seed)))
         assert count([plan]) == [compile_plan(plan).counts()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_INSTRUCTIONS, st.integers(0, 2**32 - 1))
+    @example([Prepare("c", _C), Prepare("c", _C), Measure("c")], 0)
+    @example([Prepare("u", _DENSE, adjoint=True), LcuBlock("l0", ("u", 0)), Measure("l0"),
+              Prepare("u", _DENSE, adjoint=True), Measure("u")], 1)
+    @example(_cycle("u", _UNARY, "l0", 1) + _cycle("u", _DENSE, "l1", 0), 2)
+    def test_trace_does_not_depend_on_the_completion(self, instructions, seed):
+        # the reference's Prepares become U diag(1, e^{i theta_1}, ..): column 0, all that a
+        # Prepare closed by its own adjoint shows, is kept, and every accepted plan runs alike
+        try:
+            plan = CircuitPlan(self.LAYOUT, self.H, tuple(instructions))
+        except LayoutError:
+            return
+        completion = reference.completion_unitary
+
+        def rephased(amps):
+            U = completion(amps)
+            theta = np.random.default_rng([seed, U.shape[0]]).uniform(0, 2 * np.pi, U.shape[0])
+            theta[0] = 0.0
+            return U * np.exp(1j * theta)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(reference, "completion_unitary", rephased)
+            assert_same_trace(plan, random_state(2, np.random.default_rng(seed)))
 
 
 class TestExactChain:
