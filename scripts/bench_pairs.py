@@ -11,8 +11,10 @@ copy's ``wc -l src/lcusim/*.py`` total.
 ``--cli CMD`` also times a CLI command on both sides, ``--cli-runs`` alternating runs each, as
 ``python3 -m lcusim.cli CMD`` in a fresh process: wall seconds, peak RSS and a digest of its
 stdout. Its ``stdout_equal`` is true when every parent digest equals every change digest;
-a note is printed when it is false. ``--limit CMD`` times a command once on the change side
-only.
+a note is printed when it is false. Its ``summary`` holds, for ``wall_s`` and ``peak_rss_mb``,
+each side's median, min and max over its runs, and ``resolved``: false, with a note, where the
+two sides' min-max ranges overlap, so the runs cannot tell the sides apart. ``--limit CMD``
+times a command once on the change side only.
 
     python3 scripts/bench_pairs.py --pr 23 --seed 23023 --change "what the change does" \\
         --cli "simulate --model ising --n 12 --kappa 8 --shots 1000"
@@ -36,6 +38,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("job_s", "setup_s", "peak_rss_mb")  # all lower is better
+CLI_METRICS = ("wall_s", "peak_rss_mb")
 WORKLOADS = ("sweep", "dense")
 PINNED = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -108,6 +111,14 @@ def summary(runs: list[float]) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "runs": runs}
 
 
+def cli_summary(parent: list[float], change: list[float]) -> dict:
+    """Each side's median and min-max, and whether the two ranges are disjoint."""
+    sides = {side: {"median": float(np.median(runs)), "min": min(runs), "max": max(runs)}
+             for side, runs in (("parent", parent), ("change", change))}
+    p, c = sides["parent"], sides["change"]
+    return {**sides, "resolved": p["max"] < c["min"] or c["max"] < p["min"]}
+
+
 def machine() -> dict:
     cpu = "unknown"
     try:
@@ -167,6 +178,16 @@ def main(argv=None) -> int:
         cli[command] = {side: {key: [r[key] for r in rs] for key in rs[0]} for side, rs in sides.items()}
         digests = {r["stdout_sha256"] for rs in sides.values() for r in rs}
         cli[command]["stdout_equal"] = len(digests) == 1
+        cli[command]["summary"] = {}
+        for metric in CLI_METRICS:
+            entry = cli_summary(cli[command]["parent"][metric], cli[command]["change"][metric])
+            cli[command]["summary"][metric] = entry
+            if not entry["resolved"]:
+                p, c = entry["parent"], entry["change"]
+                notes.append(f"{command!r} {metric}: the parent's {p['min']:.4g}-{p['max']:.4g} "
+                             f"and the change's {c['min']:.4g}-{c['max']:.4g} overlap; median "
+                             f"{p['median']:.4g} -> {c['median']:.4g} is not resolved.")
+                print(f"note: {notes[-1]}", flush=True)
         if len(digests) != 1:
             notes.append(f"stdout of {command!r} differs between runs or sides: {sorted(digests)}.")
             print(f"note: {notes[-1]}", flush=True)

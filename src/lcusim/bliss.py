@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidModelError
 from .hamiltonian import (LETTER_PHASE, TOTAL_QUBIT_CAP, HamiltonianLCU, canonicalize, key_letters,
-                          letter_keys, mask_sum_letters)
+                          letter_keys)
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,11 @@ def _jw_masks(F: FermionicOperator) -> dict[tuple[int, int], complex]:
 
 
 def fermionic_to_pauli_dict(F: FermionicOperator) -> dict[str, complex]:
-    """Raw Jordan-Wigner coefficient dictionary (no canonicalization)."""
-    return mask_sum_letters(_jw_masks(F), F.n_orb)
+    """Raw Jordan-Wigner coefficient dictionary (no canonicalization): each ``c X^x Z^z``
+    as its letter string and ``c (-i)^popcount(x & z)``, in the order of ``_jw_masks``."""
+    n = F.n_orb
+    return {key_letters(letter_keys(x, z, n), n): c * LETTER_PHASE[(x & z).bit_count() % 4]
+            for (x, z), c in _jw_masks(F).items()}
 
 
 def jordan_wigner(F: FermionicOperator) -> HamiltonianLCU:

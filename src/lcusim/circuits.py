@@ -73,13 +73,6 @@ def taylor_prepare_amplitudes(tau: float, alpha_norm: float, kappa: int) -> np.n
     return np.sqrt(beta / beta.sum())
 
 
-def power_schedule(kappa: int) -> tuple[int, ...]:
-    """LCU-block counts (2^0, ..., 2^{kappa-1}); the blocks of run i are controlled by k-qubit i."""
-    if kappa < 1:
-        raise InvalidModelError("kappa must be at least 1")
-    return tuple(1 << i for i in range(kappa))
-
-
 @dataclass(frozen=True)
 class Register:
     name: str
@@ -257,8 +250,8 @@ def build_w_tilde(H: HamiltonianLCU, tau: float, kappa: int) -> CircuitPlan:
     layout = RegisterLayout([("system", H.n), ("l", H.l_width), ("k", kappa)])
     k_amps = taylor_prepare_amplitudes(tau, l1_norm(H), kappa)
     instructions: list[Instruction] = [Prepare("k", k_amps)]
-    for i, size in enumerate(power_schedule(kappa)):
-        instructions += [LcuBlock("l", ("k", i)), Measure("l")] * size
+    for i in range(kappa):  # run i: 2^i blocks controlled by k-qubit i
+        instructions += [LcuBlock("l", ("k", i)), Measure("l")] * (1 << i)
     instructions += [Prepare("k", k_amps, adjoint=True), Measure("k")]
     return CircuitPlan(layout, H, tuple(instructions))
 

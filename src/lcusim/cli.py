@@ -79,16 +79,6 @@ _FLAGS = {  # each flag's definition, for every command that reads it
 _MODEL = "--hamiltonian --model --n --J --h"
 
 
-def _flags(*names: str):
-    """Define the named ``_FLAGS`` on a parser, in the order given (the help order)."""
-
-    def add(p: _Parser) -> None:
-        for name in " ".join(names).split():
-            p.add_argument(name, **_FLAGS[name])
-
-    return add
-
-
 def build_parser(argv: list[str]) -> _Parser:
     """The parser with all five command names, but the flags only of the command that
     ``argv`` names: its first argument not starting with '-'."""
@@ -100,10 +90,11 @@ def build_parser(argv: list[str]) -> _Parser:
 def _parser(named: str | None) -> _Parser:
     parser = _Parser(prog="lcusim")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_flags, _) in _COMMANDS.items():
+    for name, (help_text, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)  # flags are spelled out
         if name == named:
-            add_flags(p)
+            for flag in flags.split():  # in the help order
+                p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -174,15 +165,6 @@ def _check_limit(value: int, limit: int, what: str) -> None:
         raise ResourceLimitError(f"{what.format(value)} over the limit of {limit}")
 
 
-def _build_plan(args, H: HamiltonianLCU):
-    """The plan, after checking the circuit's width n + kappa and a unary plan's length."""
-    K, kappa = _resolve_order(args, H.n)
-    if args.circuit == "wunary":
-        _check_limit(2 * K + 3, _MAX_INSTRUCTIONS, "the plans would hold {} instructions,")
-        return build_w_unary(H, args.tau, K)
-    return build_w_tilde(H, args.tau, kappa)
-
-
 def _stats_row(stats) -> dict:
     p_hat, stderr = estimate(stats)
     hist = ";".join(f"{k}:{v}" for k, v in sorted(stats.abort_histogram.items()))
@@ -198,7 +180,15 @@ def _stats_row(stats) -> dict:
 
 def cmd_simulate(args) -> list[dict]:
     H = _resolve_hamiltonian(args)
-    plan = _build_plan(args, H)
+    K, kappa = _resolve_order(args, H.n)  # checks the circuit's width n + kappa
+    if args.circuit == "wunary":
+        _check_limit(2 * K + 3, _MAX_INSTRUCTIONS, "the plans would hold {} instructions,")
+        plan = build_w_unary(H, args.tau, K)
+    elif K != (1 << kappa) - 1:  # W-tilde runs K = 2^kappa - 1 blocks, no other order
+        raise UsageError(f"--K {K}: --circuit wtilde takes --K 2^kappa - 1 (1, 3, 7, ...) "
+                         "or --kappa kappa")
+    else:
+        plan = build_w_tilde(H, args.tau, kappa)
     psi = _resolve_state(args, H.n)
     cost = CostModel(d_ctrl=args.d_ctrl, m=args.m)  # its plans hold only controlled blocks
     stats = run_shots(plan, psi, args.shots, args.seed, cost)
@@ -321,27 +311,26 @@ def emit(rows: list[dict], fmt: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-_COMMANDS = {  # name: (help, flag definitions, command)
+_COMMANDS = {  # name: (help, the _FLAGS it defines in help order, command)
     "simulate": (
         "run shots of one circuit",
-        _flags(_MODEL, "--tau --kappa --K --circuit --state --d-ctrl --m --out --format",
-               "--shots --seed"),
+        f"{_MODEL} --tau --kappa --K --circuit --state --d-ctrl --m --out --format --shots --seed",
         cmd_simulate,
     ),
     "analytic": (
         "closed-form oracle values",
-        _flags(_MODEL, "--tau --kappa --K --state --d --d-ctrl --out --format"),
+        f"{_MODEL} --tau --kappa --K --state --d --d-ctrl --out --format",
         cmd_analytic,
     ),
     "sweep": (  # every W-tilde kappa up to --kappa-max
         "sampled vs analytic success per kappa",
-        _flags(_MODEL, "--tau --state --d-ctrl --m --out --format --kappa-max --shots --seed"),
+        f"{_MODEL} --tau --state --d-ctrl --m --out --format --kappa-max --shots --seed",
         cmd_sweep,
     ),
-    "resources": ("gate and qubit counts", _flags(_MODEL, "--out --format --K-max"), cmd_resources),
+    "resources": ("gate and qubit counts", f"{_MODEL} --out --format --K-max", cmd_resources),
     "bliss": (
         "l1-norm optimization of a fermionic operator",
-        _flags("--fermion-file --nelec --diagonal-only --out --format"),
+        "--fermion-file --nelec --diagonal-only --out --format",
         cmd_bliss,
     ),
 }

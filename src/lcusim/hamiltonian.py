@@ -49,12 +49,12 @@ def check_norm(norm: float, message: str) -> None:
         raise NormalizationError(message)
 
 
-def check_state(psi: np.ndarray, n: int | None) -> np.ndarray:
-    """psi as a flat complex vector of unit norm; with ``n`` its shape must be exactly
-    (2^n,). A norm that overflows is inf and fails."""
-    if n is not None and np.shape(psi) != (1 << n,):
+def check_state(psi: np.ndarray, n: int) -> np.ndarray:
+    """psi as a complex vector of shape exactly (2^n,) and unit norm. A norm that
+    overflows is inf and fails."""
+    if np.shape(psi) != (1 << n,):
         raise LayoutError(f"{n}-qubit state needs shape ({1 << n},), got {np.shape(psi)}")
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    psi = np.asarray(psi, dtype=complex)
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(psi)
     check_norm(norm, "state is not normalized")
@@ -193,14 +193,6 @@ def key_letters(key: int, n: int) -> str:
 
 
 LETTER_PHASE = np.array([(-1j) ** k for k in range(4)])  # c X^x Z^z = c (-i)^popcount(x & z) letters
-
-
-def mask_sum_letters(coeffs: dict[tuple[int, int], complex], n: int) -> dict[str, complex]:
-    """Rewrite ``sum c X^x Z^z``, given as ``{(x, z): c}`` in order, as letter coefficients."""
-    out = {}
-    for (x, z), c in coeffs.items():
-        out[key_letters(letter_keys(x, z, n), n)] = c * LETTER_PHASE[(x & z).bit_count() % 4]
-    return out
 
 
 def _group_diagonals(H: HamiltonianLCU) -> list:

@@ -1,8 +1,8 @@
 """Closed-form references: success probabilities, expected runtimes and bounds.
 
-The success probabilities and the runtime bound are squared norms of
-H~^k psi or sum_k beta_k H~^k psi, H~ = (-i / l1) H, so they take Pauli-sum
-matvecs and no 2^n x 2^n matrix.
+The success probabilities are squared norms of H~^k psi or
+sum_k beta_k H~^k psi, H~ = (-i / l1) H, so they take Pauli-sum matvecs and
+no 2^n x 2^n matrix; the runtimes and the bound are functions of them.
 """
 from __future__ import annotations
 
@@ -87,21 +87,8 @@ def total_runtime_success(p_chain: Sequence[float], d: float) -> float:
 
 
 def runtime_bound(p_w: float, p1: float, tau: float, l1: float, K: int, d_ctrl: float) -> float:
-    """``runtime_upper_bound`` from p_wtilde and p1 = <psi| Htilde^dag Htilde |psi>."""
+    """First-order upper bound on the average successful-run cost of the shorter-width
+    circuit, (K d_ctrl / p_w) [1 - (tau l1 / ||beta||_1) (1 - p1)], from p_w = p_wtilde and
+    p1 = <psi| Htilde^dag Htilde |psi>."""
     correction = (tau * l1 / float(taylor_weights(tau, l1, K).sum())) * (1.0 - p1)
     return _finite_cost((K * d_ctrl / p_w) * (1.0 - correction))
-
-
-def runtime_upper_bound(
-    H: HamiltonianLCU, psi: np.ndarray, tau: float, K: int, d_ctrl: float
-) -> float:
-    """First-order upper bound on the average successful-run cost of the
-    shorter-width circuit: (K d / p) [1 - (tau l1 / ||beta||_1) (1 - p1)]."""
-    p_w = success_prob_wtilde(H, psi, tau, K)
-    return runtime_bound(p_w, success_prob_hk(H, psi, 1), tau, l1_norm(H), K, d_ctrl)
-
-
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a|b>|^2 for normalized states."""
-    a, b = check_state(a, None), check_state(b, None)
-    return float(abs(np.vdot(a, b)) ** 2)

@@ -128,6 +128,13 @@ def spectral_lower_bound(H: HamiltonianLCU, k: int) -> float:
     return (abs(lam0) / l1_norm(H)) ** (2 * k)
 
 
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """|<a|b>|^2 of two states, each of which must have unit norm."""
+    for v in (a, b):
+        check_norm(np.linalg.norm(v), "state is not normalized")
+    return float(abs(np.vdot(a, b)) ** 2)
+
+
 # --- register-level statevector -------------------------------------------------------
 
 

@@ -15,14 +15,13 @@ from lcusim.bliss import (
     jordan_wigner,
     optimize_bliss,
 )
-from lcusim.circuits import build_w_hk, build_w_tilde, build_w_unary, power_schedule
+from lcusim.circuits import build_w_hk, build_w_tilde, build_w_unary
 from lcusim.cli import main as cli_main
 from lcusim.hamiltonian import build_ising, l1_norm
 from lcusim.oracle import (
     chain_probabilities,
     expected_runtime_midmeasure,
-    fidelity,
-    runtime_upper_bound,
+    runtime_bound,
     success_prob_hk,
     success_prob_wtilde,
     total_runtime_success,
@@ -30,7 +29,8 @@ from lcusim.oracle import (
 from lcusim.resources import count
 from lcusim.sampler import CostModel, estimate, mean_cost_per_shot, run_shots, trace_plan
 from conftest import ladder_matrix, random_hamiltonian, random_state
-from reference import sector_spectrum, shot_outcomes, spectral_lower_bound, truncated_taylor_matrix
+from reference import (fidelity, sector_spectrum, shot_outcomes, spectral_lower_bound,
+                       truncated_taylor_matrix)
 
 
 def _report(name: str) -> None:
@@ -119,9 +119,9 @@ def test_3_binary_power_identity():
                 proj[k, k] = 1.0
                 direct += np.kron(proj, np.linalg.matrix_power(U, k))
             product = np.eye(2 * size, dtype=complex)
-            for i, power in enumerate(power_schedule(kappa)):
+            for i in range(kappa):  # run i: U^(2^i) controlled by k-qubit i
                 ctrl = np.zeros((2 * size, 2 * size), dtype=complex)
-                u_pow = np.linalg.matrix_power(U, power)
+                u_pow = np.linalg.matrix_power(U, 1 << i)
                 for k in range(size):
                     proj = np.zeros((size, size))
                     proj[k, k] = 1.0
@@ -182,7 +182,8 @@ def test_5_runtime_accounting(ising4, psi0_4):
     plan_wt = build_w_tilde(ising4, tau, 3)
     stats_wt = run_shots(plan_wt, psi0_4, shots, seed=6, cost=CostModel(d=1.0, d_ctrl=1.0))
     empirical = stats_wt.total_cost / stats_wt.successes
-    bound = runtime_upper_bound(ising4, psi0_4, tau, 7, 1.0)
+    p_w, p1 = success_prob_wtilde(ising4, psi0_4, tau, 7), success_prob_hk(ising4, psi0_4, 1)
+    bound = runtime_bound(p_w, p1, tau, l1_norm(ising4), 7, 1.0)
     assert bound > empirical
     _report("5 runtime accounting (mean cost, inequality, upper bound)")
 

@@ -1,10 +1,13 @@
 """The package's public names, and which of its functions the commands reach: a change to
 the API shows as an edit of ``PUBLIC``, new dead code in ``src`` as a failure here."""
 import contextlib
+import importlib
 import importlib.util
 import inspect
 import io
+import os
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -12,29 +15,67 @@ from pathlib import Path
 import lcusim
 from lcusim import cli
 
-PUBLIC = [
-    "BlissParams", "BlissResult", "CircuitPlan", "CostModel", "FermionicOperator",
-    "GateCounts", "HamiltonianLCU", "PauliTerm", "RegisterLayout", "RunStats",
-    "apply_bliss", "build_hubbard_chain", "build_ising", "build_w_hk",
-    "build_w_tilde", "build_w_unary", "canonicalize", "count", "estimate",
-    "expected_runtime_midmeasure", "fidelity", "jordan_wigner", "l1_norm",
-    "load_fermionic", "load_hamiltonian", "mean_cost_per_shot", "optimize_bliss",
-    "power_schedule", "run_shots", "run_shots_many", "runtime_upper_bound", "save_hamiltonian",
-    "success_prob_hk", "success_prob_wtilde", "taylor_prepare_amplitudes", "taylor_weights",
-    "total_runtime_success", "trace_plan",
-]
-
-
-def test_public_names_are_pinned_and_importable():
-    assert sorted(lcusim.__all__) == PUBLIC
-    namespace = {}
-    exec(f"from lcusim import {', '.join(PUBLIC)}", namespace)
-    assert all(namespace[name] is getattr(lcusim, name) for name in PUBLIC)
-
-
 SRC = Path(lcusim.__file__).parent
 DATA = str(SRC / "data" / "hubbard_4site.txt")
 MODULES = ["lcusim"] + [f"lcusim.{p.stem}" for p in SRC.glob("*.py") if p.stem != "__init__"]
+
+
+# Per module, the functions and classes it defines whose names have no leading underscore.
+# The package itself exports only __version__: each name is imported from its module.
+PUBLIC = {
+    "bliss": ["BlissParams", "BlissResult", "FermionicOperator", "apply_bliss",
+              "build_hubbard_chain", "fermionic_to_pauli_dict", "jordan_wigner", "load_fermionic",
+              "optimize_bliss"],
+    "circuits": ["CircuitPlan", "LcuBlock", "Measure", "Prepare", "Register", "RegisterLayout",
+                 "amplitude_values", "build_w_hk", "build_w_tilde", "build_w_unary", "kappa_for",
+                 "taylor_prepare_amplitudes", "taylor_weights"],
+    "cli": ["UsageError", "build_parser", "cmd_analytic", "cmd_bliss", "cmd_resources",
+            "cmd_simulate", "cmd_sweep", "emit", "main"],
+    "errors": ["DomainError", "InvalidHamiltonianError", "InvalidModelError", "LayoutError",
+               "LcusimError", "NormalizationError", "ResourceLimitError"],
+    "hamiltonian": ["HamiltonianLCU", "PauliTerm", "apply_rescaled", "build_ising",
+                    "canonicalize", "check_norm", "check_state", "check_width", "key_letters",
+                    "l1_norm", "letter_keys", "load_hamiltonian", "pauli_sum_apply",
+                    "save_hamiltonian"],
+    "oracle": ["chain_probabilities", "expected_runtime_midmeasure", "runtime_bound",
+               "success_prob_hk", "success_prob_wtilde", "total_runtime_success"],
+    "resources": ["GateCounts", "count"],
+    "sampler": ["CostModel", "PlanTrace", "RunStats", "estimate", "mean_cost_per_shot",
+                "run_shots", "run_shots_many", "trace_plan"],
+}
+
+
+def _defined(module: types.ModuleType) -> list[str]:
+    return sorted(
+        name for name, value in vars(module).items()
+        if not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == module.__name__
+    )
+
+
+def test_public_names_are_pinned_and_importable():
+    assert sorted(f"lcusim.{stem}" for stem in PUBLIC) == sorted(MODULES[1:])
+    for stem, names in PUBLIC.items():
+        assert _defined(importlib.import_module(f"lcusim.{stem}")) == names, stem
+    exported = [name for name, value in vars(lcusim).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert exported == [] and lcusim.__version__
+
+
+def _loaded_by(module: str) -> set[str]:
+    """The lcusim modules that importing ``module`` loads in a fresh interpreter."""
+    code = f"import sys, {module}; print(*(m for m in sys.modules if m.split('.')[0] == 'lcusim'))"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120, check=True)
+    return set(proc.stdout.split())
+
+
+def test_a_module_import_loads_only_what_the_module_imports():
+    assert _loaded_by("lcusim.hamiltonian") == {"lcusim", "lcusim.errors", "lcusim.hamiltonian"}
+    loaded = _loaded_by("lcusim.circuits")
+    assert "lcusim.circuits" in loaded
+    assert not loaded & {f"lcusim.{m}" for m in ("bliss", "sampler", "oracle", "resources")}
 
 
 def test_readme_bullets_name_exactly_the_modules():
@@ -49,9 +90,6 @@ UNREACHED = {
     "build_hubbard_chain": "the Hubbard chain the BLISS acceptance tests optimize",
     "apply_bliss": "the shifted operator itself, which the grid-search oracle and the sector "
                    "check in test_7_bliss build; optimize_bliss reads its coefficients off a - B x",
-    "runtime_upper_bound": "the paper's bound from H and psi, which the tests hold the exact "
-                           "mean shot cost under; analytic prints it through runtime_bound",
-    "fidelity": "the state overlap the acceptance tests compare traces with",
     "save_hamiltonian": "public I/O, the writer of the --hamiltonian format",
     "PauliTerm.coefficient": "read by the dense to_matrix reference and bench/test_bench.py",
 }

@@ -13,11 +13,10 @@ from lcusim.circuits import (
     build_w_hk,
     build_w_tilde,
     build_w_unary,
-    power_schedule,
     taylor_prepare_amplitudes,
     taylor_weights,
 )
-from lcusim.errors import InvalidModelError
+from lcusim.errors import InvalidModelError, LayoutError
 from lcusim.hamiltonian import build_ising
 
 
@@ -94,16 +93,6 @@ class TestTaylorCoefficients:
         assert taylor_weights(x, 1.0, K).sum() <= math.exp(x) + 1e-12
 
 
-class TestPowerSchedule:
-    def test_doubling(self):
-        assert power_schedule(3) == (1, 2, 4)
-        assert sum(power_schedule(4)) == 15
-
-    def test_invalid(self):
-        with pytest.raises(InvalidModelError):
-            power_schedule(0)
-
-
 class TestWtildePlan:
     def test_shape(self, ising4):
         plan = build_w_tilde(ising4, 0.05, 3)
@@ -111,10 +100,17 @@ class TestWtildePlan:
         assert plan.layout.total == 10
         assert plan.select_count == 7
 
-    def test_controls_follow_power_schedule(self, ising4):
+    def test_run_i_is_2_to_the_i_blocks_on_k_bit_i(self, ising4):
         plan = build_w_tilde(ising4, 0.05, 3)
         controls = [ins.control for ins in plan.instructions if isinstance(ins, LcuBlock)]
         assert controls == [("k", 0), ("k", 1), ("k", 1)] + [("k", 2)] * 4
+        plan = build_w_tilde(ising4, 0.05, 4)
+        bits = [ins.control[1] for ins in plan.instructions if isinstance(ins, LcuBlock)]
+        assert bits == [i for i in range(4) for _ in range(1 << i)] and plan.select_count == 15
+
+    def test_kappa_below_1_is_refused(self, ising4):
+        with pytest.raises(LayoutError, match="widths must be positive"):
+            build_w_tilde(ising4, 0.05, 0)
 
     def test_block_structure(self, ising4):
         plan = build_w_tilde(ising4, 0.05, 2)

@@ -118,6 +118,20 @@ class TestSimulate:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("K", ["2", "5", "6"])
+    def test_wtilde_refuses_a_K_other_than_2_to_the_kappa_minus_1(self, capsys, monkeypatch, K):
+        # W-tilde runs 2^kappa - 1 blocks: --K 5 would print the K = 7 row. Refused before a plan
+        monkeypatch.setattr(cli, "build_w_tilde", lambda *args: pytest.fail("a plan was built"))
+        code, out, err = _run(capsys, "simulate", "--model", "ising", "--K", K, "--tau", "0.2")
+        assert (code, out) == (1, "")
+        assert err == (f"usage error: --K {K}: --circuit wtilde takes --K 2^kappa - 1 "
+                       "(1, 3, 7, ...) or --kappa kappa\n")
+
+    def test_wtilde_K_2_to_the_kappa_minus_1_is_kappa(self, capsys):
+        by_K = _run(capsys, "simulate", "--model", "ising", "--K", "7", "--tau", "0.2")
+        assert by_K == _run(capsys, "simulate", "--model", "ising", "--kappa", "3", "--tau", "0.2")
+        assert by_K[0] == 0 and _csv_rows(by_K[1])[0]["K"] == "7"
+
 
 class TestAnalytic:
     def test_values_match_oracle(self, capsys):
@@ -776,16 +790,19 @@ class TestParser:
     def test_only_the_named_command_defines_flags(self, capsys, monkeypatch):
         built = []
 
-        def recording(name, add_flags):
-            def add(p):
-                built.append(name)
-                add_flags(p)
+        class Recording(str):  # a command's flag names, which the parser splits to add them
+            def split(self, *args):
+                built.append(self.command)
+                return super().split(*args)
 
-            return add
+        def recording(name, flags):
+            flags = Recording(flags)
+            flags.command = name
+            return flags
 
         commands = {
-            name: (help_text, recording(name, add_flags), run)
-            for name, (help_text, add_flags, run) in cli._COMMANDS.items()
+            name: (help_text, recording(name, flags), run)
+            for name, (help_text, flags, run) in cli._COMMANDS.items()
         }
         monkeypatch.setattr(cli, "_COMMANDS", commands)
         cli._parser.cache_clear()
@@ -860,14 +877,7 @@ WARM_UP = [
 
 def _defined_flags(command):
     """The flags ``command``'s parser defines, in their help order."""
-    names = []
-
-    class Recorder:
-        def add_argument(self, name, **_):
-            names.append(name)
-
-    cli._COMMANDS[command][1](Recorder())
-    return names
+    return cli._COMMANDS[command][1].split()
 
 
 DEFINED_FLAGS = [(command, flag) for command in cli._COMMANDS for flag in _defined_flags(command)]
@@ -883,7 +893,7 @@ FLAG_PAIRS = {
     "--h": ("{base} --h 0.5", "{base} --h 0.0"),
     "--tau": ("{base}", "{base} --tau 0.3"),
     "--kappa": ("{base}", "{base} --kappa 1"),
-    "--K": ("{base}", "{base} --K 5"),
+    "--K": ("{base}", "{base} --K 7"),
     "--circuit": ("{base}", "{base} --circuit wunary"),
     "--state": ("{base}", "{base} --state {state}"),
     "--d": ("{base}", "{base} --d 2"),

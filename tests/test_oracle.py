@@ -8,12 +8,11 @@ from scipy.linalg import expm
 from lcusim import oracle
 from lcusim.circuits import build_w_hk
 from lcusim.errors import DomainError, LayoutError, NormalizationError
-from lcusim.hamiltonian import canonicalize
+from lcusim.hamiltonian import canonicalize, l1_norm
 from lcusim.oracle import (
     chain_probabilities,
     expected_runtime_midmeasure,
-    fidelity,
-    runtime_upper_bound,
+    runtime_bound,
     success_prob_hk,
     success_prob_wtilde,
     total_runtime_success,
@@ -22,6 +21,7 @@ from lcusim.sampler import trace_plan
 from conftest import basis_state, random_hamiltonian, random_state
 from reference import (
     exact_mean_cost,
+    fidelity,
     rescaled_matrix,
     spectral_lower_bound,
     to_matrix,
@@ -140,11 +140,16 @@ class TestSuccessProbabilities:
             lambda: success_prob_hk(ising4, psi, 2),
             lambda: chain_probabilities(ising4, psi, 2),
             lambda: success_prob_wtilde(ising4, psi, 0.05, 3),
-            lambda: runtime_upper_bound(ising4, psi, 0.05, 3, 1.0),
             lambda: trace_plan(build_w_hk(ising4, 1), psi),
         ):
             with pytest.raises(LayoutError, match="4-qubit state needs shape \\(16,\\)"):
                 call()
+
+
+def _bound(H, psi, tau, K, d_ctrl):
+    """The paper's first-order runtime bound for H and psi, as ``analytic`` prints it."""
+    p_w = success_prob_wtilde(H, psi, tau, K)
+    return runtime_bound(p_w, success_prob_hk(H, psi, 1), tau, l1_norm(H), K, d_ctrl)
 
 
 class TestRuntimes:
@@ -184,7 +189,7 @@ class TestRuntimes:
         with pytest.raises(DomainError, match="overflow"):
             expected_runtime_midmeasure([1.0, 1.0], 1e308)
         with pytest.raises(DomainError, match="overflow"):
-            runtime_upper_bound(ising4, psi0_4, 0.05, 8, 1e308)
+            _bound(ising4, psi0_4, 0.05, 8, 1e308)
         # a success probability that underflows to 0 is a zero branch, not a ZeroDivisionError
         assert total_runtime_success([1e-200, 1e-200], 1.0) == math.inf
 
@@ -215,20 +220,20 @@ class TestRuntimes:
             trace = trace_plan(plan, psi0_4)
             costs = CostModel(d=0.0, d_ctrl=1.0).shot_costs(plan)
             exact = exact_mean_cost(trace, costs) / trace.success_prob
-            bound = runtime_upper_bound(ising4, psi0_4, tau, 7, 1.0)
+            bound = _bound(ising4, psi0_4, tau, 7, 1.0)
             assert exact <= bound <= 7.0 / trace.success_prob
 
     def test_upper_bound_trivial_cases(self, ising4, psi0_4):
         # tau = 0: p = 1 and no correction, so the bound is exactly K*d
-        assert runtime_upper_bound(ising4, psi0_4, 0.0, 7, 2.0) == pytest.approx(14.0)
+        assert _bound(ising4, psi0_4, 0.0, 7, 2.0) == pytest.approx(14.0)
         # single-Pauli Hamiltonian: Htilde is unitary, p1 = 1, bound = K*d/p
         H1 = canonicalize(1, [(1.0, "X")])
         psi = basis_state(1, 0)
         p = success_prob_wtilde(H1, psi, 0.3, 3)
-        assert runtime_upper_bound(H1, psi, 0.3, 3, 1.0) == pytest.approx(3.0 / p)
+        assert _bound(H1, psi, 0.3, 3, 1.0) == pytest.approx(3.0 / p)
 
 
-class TestFidelity:
+class TestFidelity:  # the reference overlap that the trace tests compare states with
     def test_self_fidelity(self, psi0_4):
         assert fidelity(psi0_4, psi0_4) == pytest.approx(1.0)
 

@@ -17,7 +17,6 @@ from lcusim.circuits import (
 )
 from lcusim.hamiltonian import build_ising, canonicalize
 from lcusim.errors import LcusimError
-from lcusim.oracle import fidelity
 from lcusim.resources import count
 from lcusim.sampler import trace_plan
 from conftest import random_state
@@ -26,6 +25,7 @@ from reference import (
     GateCX,
     compile_plan,
     diagonal_gates,
+    fidelity,
     prepare_amplitudes,
     simulate_compiled,
     uc_ry,

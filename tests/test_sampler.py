@@ -15,7 +15,6 @@ from lcusim.hamiltonian import build_ising, canonicalize
 from lcusim.oracle import (
     chain_probabilities,
     expected_runtime_midmeasure,
-    fidelity,
     success_prob_hk,
     success_prob_wtilde,
 )
@@ -33,7 +32,7 @@ from lcusim.sampler import (
 import lcusim.sampler as sampler
 from lcusim.cli import main
 from conftest import random_hamiltonian, random_state
-from reference import exact_mean_cost, shot_rng, truncated_taylor_matrix
+from reference import exact_mean_cost, fidelity, shot_rng, truncated_taylor_matrix
 
 
 def per_shot_run_shots(plan, psi, N, seed, cost=CostModel()):

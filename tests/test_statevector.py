@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from lcusim.circuits import CircuitPlan, LcuBlock, Measure, Prepare, RegisterLayout, build_w_hk
 from lcusim.errors import LayoutError, NormalizationError, ResourceLimitError
 from lcusim.hamiltonian import canonicalize, check_state, l1_norm
-from lcusim.oracle import fidelity, success_prob_hk
+from lcusim.oracle import success_prob_hk
 from lcusim.sampler import trace_plan
 from conftest import random_state
 from reference import (
@@ -16,6 +16,7 @@ from reference import (
     apply_register_unitary,
     apply_select,
     completion_unitary,
+    fidelity,
     householder,
     init_state,
     measure_register,
@@ -254,12 +255,13 @@ class TestLcuBlock:
 
 
 class TestCheckState:
-    def test_without_a_width(self):
-        # fidelity checks the norm alone
-        psi = check_state([0.6, 0.8j], None)
+    def test_a_unit_vector_of_the_width(self):
+        psi = check_state([0.6, 0.8j], 1)
         assert psi.dtype == complex and fidelity(psi, psi) == pytest.approx(1.0)
         with pytest.raises(NormalizationError):
-            check_state(np.full(2, 1e300), None)  # the norm overflows to inf
+            check_state(np.full(2, 1e300), 1)  # the norm overflows to inf
+        with pytest.raises(LayoutError, match="2-qubit state needs shape \\(4,\\)"):
+            check_state([0.6, 0.8j], 2)
 
 
 class TestSelect:

@@ -19,12 +19,13 @@ from lcusim.circuits import (
 from lcusim import hamiltonian, sampler
 from lcusim.errors import LayoutError, NormalizationError, ResourceLimitError
 from lcusim.hamiltonian import build_ising, canonicalize
-from lcusim.oracle import fidelity, success_prob_wtilde
+from lcusim.oracle import success_prob_wtilde
 from lcusim.sampler import trace_plan
 from lcusim.resources import count
 import reference
 from conftest import random_hamiltonian, random_state
-from reference import array_trace, compile_plan, exact_wtilde_chain, register_trace, simulate_compiled
+from reference import (array_trace, compile_plan, exact_wtilde_chain, fidelity, register_trace,
+                       simulate_compiled)
 
 
 def assert_same_trace(plan, psi):
