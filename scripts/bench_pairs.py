@@ -8,6 +8,14 @@ Each run's end-to-end metrics are read from ``.bench_out/result-<workload>-seed<
 in its copy. The two copies must hold the same ``bench/`` files. ``src_lines`` records each
 copy's ``wc -l src/lcusim/*.py`` total.
 
+Each workload's end-to-end metric (all lower is better) also records the two tests that the
+benchmark's acceptance applies to it, so a run shows their outcome before a change is submitted:
+
+* ``gain``: the change is lower in at least ceil(0.9 * pairs) pairs (a tie counts for neither
+  side), and the parent's median minus the change's exceeds the parent's q3 - q1;
+* ``within_bound``: the change's median is at most the parent's times 1 + ``bound``, the
+  metric's bound in ``BENCHMARK.json``. A metric outside its bound is also written to ``notes``.
+
 ``--cli CMD`` also times a CLI command on both sides, ``--cli-runs`` alternating runs each, as
 ``python3 -m lcusim.cli CMD`` in a fresh process: wall seconds, peak RSS and a digest of its
 stdout. Its ``stdout_equal`` is true when every parent digest equals every change digest;
@@ -25,6 +33,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import subprocess
@@ -41,6 +50,8 @@ METRICS = ("job_s", "setup_s", "peak_rss_mb")  # all lower is better
 CLI_METRICS = ("wall_s", "peak_rss_mb")
 WORKLOADS = ("sweep", "dense")
 PINNED = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+BOUNDS = {m["name"]: m["bound"]
+          for m in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
 
 
 def _git(*args: str) -> bytes:
@@ -111,6 +122,20 @@ def summary(runs: list[float]) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "runs": runs}
 
 
+def compare(parent: list[float], change: list[float], bound: float) -> dict:
+    """One end-to-end metric's pairs (``parent[i]`` and ``change[i]`` ran together): each
+    side's ``summary``, the pairs the change wins and ties, and the ``gain`` and
+    ``within_bound`` tests."""
+    entry = {"parent": summary(parent), "change": summary(change),
+             "change_wins": sum(c < q for q, c in zip(parent, change)),
+             "ties": sum(c == q for q, c in zip(parent, change))}
+    p, c = entry["parent"], entry["change"]
+    entry["gain"] = (entry["change_wins"] >= math.ceil(0.9 * len(parent))
+                     and p["median"] - c["median"] > p["q3"] - p["q1"])
+    entry["within_bound"] = c["median"] <= p["median"] * (1 + bound)
+    return entry
+
+
 def cli_summary(parent: list[float], change: list[float]) -> dict:
     """Each side's median and min-max, and whether the two ranges are disjoint."""
     sides = {side: {"median": float(np.median(runs)), "min": min(runs), "max": max(runs)}
@@ -160,15 +185,18 @@ def main(argv=None) -> int:
         for metric in METRICS:
             parent = [r[workload][metric] for r in runs["parent"]]
             change = [r[workload][metric] for r in runs["change"]]
-            entry = {"parent": summary(parent), "change": summary(change),
-                     "change_wins": sum(c < q for q, c in zip(parent, change)),
-                     "ties": sum(c == q for q, c in zip(parent, change))}
+            entry = compare(parent, change, BOUNDS[metric])
             end_to_end[workload][metric] = entry
             notes.append(
                 f"{workload} {metric}: median {entry['parent']['median']:.4g} -> "
                 f"{entry['change']['median']:.4g} (parent quartiles {entry['parent']['q1']:.4g}-"
-                f"{entry['parent']['q3']:.4g}), change lower in {entry['change_wins']} of {args.pairs}."
+                f"{entry['parent']['q3']:.4g}), change lower in {entry['change_wins']} of "
+                f"{args.pairs}; gain {entry['gain']}."
             )
+            if not entry["within_bound"]:
+                notes.append(f"{workload} {metric}: the change's median is over the parent's "
+                             f"times {1 + BOUNDS[metric]:g}, outside the bound.")
+                print(f"note: {notes[-1]}", flush=True)
     cli = {}
     for command in args.cli:
         sides = {side: [] for side in trees}

@@ -1,7 +1,7 @@
 """Block-invariant symmetry shift for l1-norm reduction.
 
-Second-quantized operators are stored as (constant, one-body h_ij, optional
-two-body g_ijkl) coefficients of
+Second-quantized operators are stored as (constant, one-body h_ij, two-body
+g_ijkl) coefficients of
 
     H = c + sum_ij h_ij a_i^dag a_j + sum_ijkl g_ijkl a_i^dag a_j a_k^dag a_l.
 
@@ -38,12 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModelError
-from .hamiltonian import (LETTER_PHASE, TOTAL_QUBIT_CAP, HamiltonianLCU, canonicalize, key_letters,
-                          letter_keys)
+from .hamiltonian import LETTER_PHASE, TOTAL_QUBIT_CAP, HamiltonianLCU, canonicalize, mask_letters
 
 
 @dataclass(frozen=True)
 class FermionicOperator:
+    """The coefficients (c, h, g) on ``n_orb`` orbitals; a body given as None is all zeros."""
+
     n_orb: int
     constant: float = 0.0
     one_body: np.ndarray | None = None
@@ -53,17 +54,14 @@ class FermionicOperator:
         N = self.n_orb
         if N < 1:
             raise InvalidModelError("need at least one orbital")
-        h = self.one_body if self.one_body is not None else np.zeros((N, N))
-        object.__setattr__(self, "one_body", np.asarray(h, dtype=complex))
-        if self.one_body.shape != (N, N):
-            raise InvalidModelError("one_body must be N x N")
+        for name, shape in (("one_body", (N, N)), ("two_body", (N,) * 4)):
+            value = getattr(self, name)
+            value = np.zeros(shape, complex) if value is None else np.asarray(value, dtype=complex)
+            if value.shape != shape:
+                raise InvalidModelError(f"{name} must be {' x '.join(['N'] * len(shape))}")
+            object.__setattr__(self, name, value)
         if np.abs(self.one_body - self.one_body.conj().T).max() > 1e-12:
             raise InvalidModelError("one_body must be Hermitian")
-        if self.two_body is not None:
-            g = np.asarray(self.two_body, dtype=complex)
-            if g.shape != (N, N, N, N):
-                raise InvalidModelError("two_body must be N x N x N x N")
-            object.__setattr__(self, "two_body", g)
 
 
 @dataclass(frozen=True)
@@ -103,8 +101,7 @@ def _accumulate_product(acc: dict[tuple[int, int], complex], factor: complex, in
 def _jw_masks(F: FermionicOperator) -> dict[tuple[int, int], complex]:
     """Jordan-Wigner coefficients ``{(x, z): c}`` of ``sum c X^x Z^z``."""
     acc = {(0, 0): complex(F.constant)} if F.constant != 0.0 else {}
-    bodies = (F.one_body,) if F.two_body is None else (F.one_body, F.two_body)
-    for g in bodies:
+    for g in (F.one_body, F.two_body):
         for idx in np.argwhere(g != 0).tolist():
             _accumulate_product(acc, g[tuple(idx)], idx)
     return acc
@@ -114,7 +111,7 @@ def fermionic_to_pauli_dict(F: FermionicOperator) -> dict[str, complex]:
     """Raw Jordan-Wigner coefficient dictionary (no canonicalization): each ``c X^x Z^z``
     as its letter string and ``c (-i)^popcount(x & z)``, in the order of ``_jw_masks``."""
     n = F.n_orb
-    return {key_letters(letter_keys(x, z, n), n): c * LETTER_PHASE[(x & z).bit_count() % 4]
+    return {mask_letters(x, z, n): c * LETTER_PHASE[(x & z).bit_count() % 4]
             for (x, z), c in _jw_masks(F).items()}
 
 
@@ -129,15 +126,11 @@ def apply_bliss(F: FermionicOperator, params: BlissParams) -> FermionicOperator:
     n, xi0, xi, ne = F.n_orb, params.xi0, params.xi, params.n_electrons
     if xi.shape[0] != n:
         raise InvalidModelError("xi dimension does not match the operator")
-    two = None
-    if F.two_body is not None or xi.any():
-        base = F.two_body if F.two_body is not None else 0.0
-        two = base - np.multiply.outer(xi, np.eye(n))  # xi_ij a_i^dag a_j a_k^dag a_k
     return FermionicOperator(
         n,
         constant=F.constant + xi0 * ne,
         one_body=F.one_body - (xi0 * np.eye(n, dtype=complex) - ne * xi),
-        two_body=two,
+        two_body=F.two_body - np.multiply.outer(xi, np.eye(n)),  # xi_ij a_i^dag a_j a_k^dag a_k
     )
 
 
@@ -166,8 +159,8 @@ def _unit_shifts(
 def _shift_matrix(F: FermionicOperator, n_electrons: int, include_offdiag: bool):
     """``(keys, a, columns)`` of the objective ||a - B x||_1.
 
-    Rows are the Pauli strings of F and of every reached U_m (N_hat - N_e), in
-    letter order, as ``letter_keys``; ``a`` is dense and each column of B is
+    Rows are the Pauli strings X^x Z^z of F and of every reached U_m (N_hat - N_e),
+    keyed and sorted by ``x << n | z``; ``a`` is dense and each column of B is
     ``(row indices, values)`` over its entries with |v| > 1e-14, the cut the
     line search makes. B's entries are multiples of 1/4, so the cut drops only
     exact zeros, which leave the residual unchanged. A unit is reached when
@@ -187,7 +180,7 @@ def _shift_matrix(F: FermionicOperator, n_electrons: int, include_offdiag: bool)
     z = np.concatenate([bz, (uz[:, None] ^ number_z).ravel()])
     c = np.concatenate([np.array(list(base.values()), dtype=complex), (uc[:, None] * number_c).ravel()])
     col = np.concatenate([np.full(len(base), -1), np.repeat(ucol, n + 1)])  # column -1 is a
-    keys, row = np.unique(letter_keys(x, z, n), return_inverse=True)
+    keys, row = np.unique(x << n | z, return_inverse=True)
     pairs, entry = np.unique((col + 1) * len(keys) + row, return_inverse=True)
     vals = np.zeros(len(pairs), dtype=complex)
     np.add.at(vals, entry, c * LETTER_PHASE[np.bitwise_count(x & z) % 4])
@@ -278,7 +271,8 @@ def optimize_bliss(
                 warnings.warn("BLISS optimizer hit the sweep limit; returning best iterate")
 
             params = _params_from_vector(x, n, n_electrons, include_offdiag)
-            terms = [(resid[r], key_letters(int(keys[r]), n)) for r in np.flatnonzero(resid)]
+            terms = [(resid[r], mask_letters(*divmod(int(keys[r]), 1 << n), n))
+                     for r in np.flatnonzero(resid)]
             H = canonicalize(n, terms)
     except FloatingPointError:
         raise InvalidModelError("the BLISS optimization overflows the float range") from None
@@ -337,4 +331,4 @@ def load_fermionic(path) -> tuple[FermionicOperator, int]:
             h[i - 1, j - 1] = h[j - 1, i - 1] = v
         else:
             g[i - 1, j - 1, k - 1, l - 1] = v
-    return FermionicOperator(N, constant=const, one_body=h, two_body=g if g.any() else None), ne
+    return FermionicOperator(N, constant=const, one_body=h, two_body=g), ne

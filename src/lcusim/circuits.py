@@ -10,9 +10,9 @@ Three builders are provided:
 * ``build_w_unary`` -- the unary-encoded reference circuit with K separate
   l-registers and a single terminal post-selection.
 
-Both Taylor-weighted builders, and the oracle's ||beta||_1, take the weights
-beta_0..beta_K from ``taylor_weights``, which builds and overflow-checks those
-K + 1 and no more.
+Both Taylor-weighted builders take their amplitudes from ``taylor_prepare_amplitudes``,
+and they and the oracle's ||beta||_1 take the weights beta_0..beta_K from
+``taylor_weights``, which builds and overflow-checks those K + 1 and no more.
 
 A plan is a sequence of three instruction kinds: ``Prepare`` on a w-qubit register,
 whose amplitude count names the encoding, 2^w binary and w + 1 unary
@@ -33,7 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidModelError, LayoutError
-from .hamiltonian import HamiltonianLCU, check_norm, l1_norm
+from .hamiltonian import HamiltonianLCU, check_norm, check_width, l1_norm
 
 
 def taylor_weights(tau: float, alpha_norm: float, K: int) -> np.ndarray:
@@ -62,14 +62,12 @@ def taylor_weights(tau: float, alpha_norm: float, K: int) -> np.ndarray:
 
 def kappa_for(K: int) -> int:
     """Taylor-register width of the binary encoding for order K: ceil(log2(K + 1)), minimum 1."""
-    return max(1, math.ceil(math.log2(K + 1)))
+    return max(1, K.bit_length())
 
 
-def taylor_prepare_amplitudes(tau: float, alpha_norm: float, kappa: int) -> np.ndarray:
-    """Length-2^kappa amplitude vector sqrt(beta_k / ||beta||_1), K = 2^kappa - 1."""
-    if kappa < 1:
-        raise InvalidModelError("kappa must be at least 1")
-    beta = taylor_weights(tau, alpha_norm, (1 << kappa) - 1)
+def taylor_prepare_amplitudes(tau: float, alpha_norm: float, K: int) -> np.ndarray:
+    """The K + 1 Taylor amplitudes sqrt(beta_k / ||beta||_1), k = 0..K."""
+    beta = taylor_weights(tau, alpha_norm, K)
     return np.sqrt(beta / beta.sum())
 
 
@@ -183,7 +181,8 @@ class CircuitPlan:
             if closed and not (
                 isinstance(ins, Measure) and (ins.register == live or ins.register in l_regs)
             ):
-                raise LayoutError(f"instruction {i}: {live} is prepared twice and not yet measured")
+                raise LayoutError(f"instruction {i}: only term-register Measures may come between "
+                                  f"{live}'s adjoint and its Measure")
             if isinstance(ins, LcuBlock):
                 name, control = ins.l_register, ins.control
                 if name == "system" or (1 << layout.register(name).width) < H.num_terms:
@@ -246,9 +245,11 @@ def build_w_hk(H: HamiltonianLCU, k: int) -> CircuitPlan:
 
 
 def build_w_tilde(H: HamiltonianLCU, tau: float, kappa: int) -> CircuitPlan:
-    """Shorter-width plan: kappa + ceil(log2 L) + n qubits, K = 2^kappa - 1 blocks."""
+    """Shorter-width plan: kappa + ceil(log2 L) + n qubits, K = 2^kappa - 1 blocks. A Taylor
+    register over the simulation cap is refused before its 2^kappa amplitudes are built."""
+    check_width(kappa)
     layout = RegisterLayout([("system", H.n), ("l", H.l_width), ("k", kappa)])
-    k_amps = taylor_prepare_amplitudes(tau, l1_norm(H), kappa)
+    k_amps = taylor_prepare_amplitudes(tau, l1_norm(H), (1 << kappa) - 1)
     instructions: list[Instruction] = [Prepare("k", k_amps)]
     for i in range(kappa):  # run i: 2^i blocks controlled by k-qubit i
         instructions += [LcuBlock("l", ("k", i)), Measure("l")] * (1 << i)
@@ -264,11 +265,10 @@ def build_w_unary(H: HamiltonianLCU, tau: float, K: int) -> CircuitPlan:
     one-hot-prefix states |1^k 0^{K-k}>. The K blocks act on distinct
     l-registers and all come before the measurements.
     """
-    beta = taylor_weights(tau, l1_norm(H), K)  # refuses K < 1
+    unary_amps = taylor_prepare_amplitudes(tau, l1_norm(H), K)  # refuses K < 1
     layout = RegisterLayout(
         [("system", H.n)] + [(f"l{j}", H.l_width) for j in range(K)] + [("unary", K)]
     )
-    unary_amps = np.sqrt(beta / beta.sum())
     instructions: list[Instruction] = [Prepare("unary", unary_amps)]
     instructions += [LcuBlock(f"l{j}", ("unary", j)) for j in range(K)]
     instructions.append(Prepare("unary", unary_amps, adjoint=True))

@@ -246,16 +246,15 @@ def cmd_resources(args) -> list[dict]:
     check_width(kappa_for(args.K_max))  # the Taylor register, as analytic caps it
     _check_limit(args.K_max * (args.K_max + 4), _MAX_INSTRUCTIONS,  # the sum of 2K + 3 over K
                  "the plans would hold {} instructions,")
-    orders = range(1, args.K_max + 1)
-    # built one at a time as count consumes them, at tau = 0: the counts read register widths,
-    # amplitude counts and signs, and the Taylor amplitudes are real and nonnegative at every tau.
-    # A W-tilde plan depends on K only through kappa, so each kappa's plan is counted once.
-    wtilde = count(build_w_tilde(H, 0.0, kappa) for kappa in range(1, kappa_for(args.K_max) + 1))
-    wunary = count(build_w_unary(H, 0.0, K) for K in orders)
+    # each plan built and counted in turn, at tau = 0: the counts read register widths, amplitude
+    # counts and signs, and the Taylor amplitudes are real and nonnegative at every tau. A W-tilde
+    # plan depends on K only through kappa, so each kappa's plan is counted once.
+    wtilde = [count(build_w_tilde(H, 0.0, kappa)) for kappa in range(1, kappa_for(args.K_max) + 1)]
     return [
         {"family": family, "K": K, "kappa": kappa_for(K), **vars(c)}  # then GateCounts' fields
-        for K, unary in zip(orders, wunary)
-        for family, c in (("wtilde", wtilde[kappa_for(K) - 1]), ("wunary", unary))
+        for K in range(1, args.K_max + 1)
+        for family, c in (("wtilde", wtilde[kappa_for(K) - 1]),
+                          ("wunary", count(build_w_unary(H, 0.0, K))))
     ]
 
 

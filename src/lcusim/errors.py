@@ -6,7 +6,7 @@ class LcusimError(Exception):
 
 
 class InvalidModelError(LcusimError, ValueError):
-    """Model-builder parameters are out of range."""
+    """Model-builder or run parameters (costs, shots, seed) are out of range."""
 
 
 class InvalidHamiltonianError(LcusimError, ValueError):

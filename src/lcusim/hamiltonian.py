@@ -110,7 +110,7 @@ class HamiltonianLCU:
     @property
     def l_width(self) -> int:
         """Qubits needed to index the terms (minimum 1)."""
-        return max(1, math.ceil(math.log2(self.num_terms)))
+        return max(1, (self.num_terms - 1).bit_length())
 
     @cached_property
     def masks(self) -> tuple[tuple[int, int, complex], ...]:
@@ -177,19 +177,9 @@ def build_ising(n_sites: int, J: float, h: float) -> HamiltonianLCU:
     return canonicalize(n_sites, raw)
 
 
-def letter_keys(x, z, n: int):
-    """The letter string of X^x Z^z (qubit 0 first) read as a base-4 number over
-    I < X < Y < Z, so the keys sort like the strings; x and z are ints or integer arrays."""
-    key = 0
-    for j in range(n):
-        xj, zj = (x >> j) & 1, (z >> j) & 1
-        key = (key << 2) | (zj << 1) | (xj ^ zj)
-    return key
-
-
-def key_letters(key: int, n: int) -> str:
-    """The letter string whose ``letter_keys`` value is ``key``."""
-    return "".join("IXYZ"[key >> 2 * (n - 1 - j) & 3] for j in range(n))
+def mask_letters(x: int, z: int, n: int) -> str:
+    """The letter string of X^x Z^z, qubit 0 first: Y where both x and z have the bit."""
+    return "".join("IXZY"[(x >> j & 1) | (z >> j & 1) << 1] for j in range(n))
 
 
 LETTER_PHASE = np.array([(-1j) ** k for k in range(4)])  # c X^x Z^z = c (-i)^popcount(x & z) letters

@@ -21,7 +21,6 @@ compiles each instruction gate by gate and is the check on these formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -53,17 +52,11 @@ def _cx_count(plan: CircuitPlan, i: int, ins: Instruction) -> int:
     return (1 << w) - 2
 
 
-def count(plans: Iterable[CircuitPlan]) -> list[GateCounts]:
-    """Qubits, CX gates and measured qubits of each plan."""
-    return [
-        GateCounts(
-            qubits=plan.layout.total,
-            two_qubit=sum(_cx_count(plan, i, ins) for i, ins in enumerate(plan.instructions)),
-            measurements=sum(
-                plan.layout.register(ins.register).width
-                for ins in plan.instructions
-                if isinstance(ins, Measure)
-            ),
-        )
-        for plan in plans
-    ]
+def count(plan: CircuitPlan) -> GateCounts:
+    """Qubits, CX gates and measured qubits of a plan."""
+    return GateCounts(
+        qubits=plan.layout.total,
+        two_qubit=sum(_cx_count(plan, i, ins) for i, ins in enumerate(plan.instructions)),
+        measurements=sum(plan.layout.register(ins.register).width
+                         for ins in plan.instructions if isinstance(ins, Measure)),
+    )

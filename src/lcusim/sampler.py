@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import CircuitPlan, LcuBlock, Measure, amplitude_values
-from .errors import DomainError
+from .errors import DomainError, InvalidModelError
 from .hamiltonian import apply_rescaled, check_state, check_width
 
 
@@ -39,7 +39,7 @@ class CostModel:
 
     def __post_init__(self):
         if not all(math.isfinite(c) and c >= 0 for c in (self.d, self.d_ctrl, self.m)):
-            raise ValueError("costs must be finite and nonnegative")
+            raise InvalidModelError("costs must be finite and nonnegative")
 
     def shot_costs(self, plan: CircuitPlan) -> tuple[float, ...]:
         """The cost of a shot that stops at each measurement: the instructions up to and
@@ -255,7 +255,7 @@ def _sample(trace: PlanTrace, costs: tuple[float, ...], N: int, seed: int) -> Ru
     """N shots of a trace priced by ``costs``: one ``_binomial`` draw per measurement reached."""
     ints = all(isinstance(v, int) for v in (N, seed))
     if not (ints and 1 <= N <= 2**64 and 0 <= seed < 2**64):
-        raise ValueError(
+        raise InvalidModelError(
             f"need integers 1 <= N <= 2^64 and 0 <= seed < 2^64; got N={N!r}, seed={seed!r}"
         )
     rng = random.Random(seed)
@@ -300,12 +300,12 @@ def run_shots_many(
 def estimate(stats: RunStats) -> tuple[float, float]:
     """(p_hat, binomial standard error)."""
     if stats.shots < 1:
-        raise ValueError("no shots recorded")
+        raise DomainError("no shots recorded")
     p = stats.successes / stats.shots
     return p, math.sqrt(p * (1.0 - p) / stats.shots)
 
 
 def mean_cost_per_shot(stats: RunStats) -> float:
     if stats.shots < 1:
-        raise ValueError("no shots recorded")
+        raise DomainError("no shots recorded")
     return stats.total_cost / stats.shots

@@ -828,10 +828,9 @@ def fock_matrix(F: FermionicOperator) -> np.ndarray:
         for j in range(n):
             if F.one_body[i, j] != 0:
                 out += F.one_body[i, j] * (ann[i].T @ ann[j])
-    if F.two_body is not None:
-        for idx in np.argwhere(np.abs(F.two_body) > 0):
-            i, j, k, l = (int(x) for x in idx)
-            out += F.two_body[i, j, k, l] * (ann[i].T @ ann[j] @ ann[k].T @ ann[l])
+    for idx in np.argwhere(np.abs(F.two_body) > 0):
+        i, j, k, l = (int(x) for x in idx)
+        out += F.two_body[i, j, k, l] * (ann[i].T @ ann[j] @ ann[k].T @ ann[l])
     return out
 
 

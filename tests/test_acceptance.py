@@ -204,13 +204,12 @@ def test_6_qubit_totals_and_count_structure(ising4):
                 assert build_w_tilde(H, 0.05, kappa).layout.total == kappa + lw + n
                 assert build_w_unary(H, 0.05, K).layout.total == K + K * lw + n
     # fixed register width: K in {4..7} all compile at kappa = 3
-    wt = count(
-        build_w_tilde(ising4, 0.05, max(1, math.ceil(math.log2(K + 1)))) for K in (4, 5, 6, 7)
-    )
+    wt = [count(build_w_tilde(ising4, 0.05, max(1, math.ceil(math.log2(K + 1)))))
+          for K in (4, 5, 6, 7)]
     assert len({c.two_qubit for c in wt}) == 1
     assert len({c.qubits for c in wt}) == 1
     # unary circuit grows by a constant amount per additional block
-    twos = [c.two_qubit for c in count(build_w_unary(ising4, 0.05, K) for K in range(2, 8))]
+    twos = [count(build_w_unary(ising4, 0.05, K)).two_qubit for K in range(2, 8)]
     diffs = {b - a for a, b in zip(twos, twos[1:])}
     assert len(diffs) == 1
     _report("6 qubit-total formulas and count structure")

@@ -34,9 +34,8 @@ PUBLIC = {
     "errors": ["DomainError", "InvalidHamiltonianError", "InvalidModelError", "LayoutError",
                "LcusimError", "NormalizationError", "ResourceLimitError"],
     "hamiltonian": ["HamiltonianLCU", "PauliTerm", "apply_rescaled", "build_ising",
-                    "canonicalize", "check_norm", "check_state", "check_width", "key_letters",
-                    "l1_norm", "letter_keys", "load_hamiltonian", "pauli_sum_apply",
-                    "save_hamiltonian"],
+                    "canonicalize", "check_norm", "check_state", "check_width", "l1_norm",
+                    "load_hamiltonian", "mask_letters", "pauli_sum_apply", "save_hamiltonian"],
     "oracle": ["chain_probabilities", "expected_runtime_midmeasure", "runtime_bound",
                "success_prob_hk", "success_prob_wtilde", "total_runtime_success"],
     "resources": ["GateCounts", "count"],

@@ -18,7 +18,7 @@ from lcusim.bliss import (
     optimize_bliss,
 )
 from lcusim.errors import InvalidHamiltonianError, InvalidModelError
-from lcusim.hamiltonian import canonicalize, l1_norm
+from lcusim.hamiltonian import canonicalize, l1_norm, mask_letters
 from conftest import ladder_matrix
 from reference import bliss_line_search, fock_matrix, sector_spectrum, to_matrix
 
@@ -27,10 +27,9 @@ def save_fermionic(F: FermionicOperator, n_electrons: int, path) -> None:
     """Write the FCIDUMP-like text format read by load_fermionic."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"NORB={F.n_orb} NELEC={n_electrons}\n")
-        if F.two_body is not None:
-            for idx in np.argwhere(np.abs(F.two_body) > 0):
-                i, j, k, l = (int(x) for x in idx)
-                fh.write(f"{float(F.two_body[i, j, k, l].real)!r} {i + 1} {j + 1} {k + 1} {l + 1}\n")
+        for idx in np.argwhere(np.abs(F.two_body) > 0):
+            i, j, k, l = (int(x) for x in idx)
+            fh.write(f"{float(F.two_body[i, j, k, l].real)!r} {i + 1} {j + 1} {k + 1} {l + 1}\n")
         for i in range(F.n_orb):
             for j in range(i, F.n_orb):
                 if F.one_body[i, j] != 0:
@@ -125,14 +124,15 @@ def _reached_reference(F, ne, include_offdiag=True):
 
 
 def _mask_space_matrix(F, ne, include_offdiag=True):
-    """(letter strings, a, dense B) from ``bliss._shift_matrix``."""
-    n = F.n_orb
+    """(letter strings, a, dense B) from ``bliss._shift_matrix``, the rows in the letter
+    order of ``_per_unit_matrix``."""
     keys, a, cols = bliss._shift_matrix(F, ne, include_offdiag)
-    strings = ["".join("IXYZ"[int(k) >> 2 * (n - 1 - j) & 3] for j in range(n)) for k in keys]
     B = np.zeros((len(keys), len(cols)))
     for m, (rows, vals) in enumerate(cols):
         B[rows, m] = vals
-    return strings, a, B
+    strings = [mask_letters(*divmod(int(k), 1 << F.n_orb), F.n_orb) for k in keys]  # x << n | z
+    order = sorted(range(len(keys)), key=strings.__getitem__)
+    return [strings[r] for r in order], a[order], B[order]
 
 
 def _sparse_operator(n, seed):
@@ -526,7 +526,8 @@ class TestDescentFastPaths:
         assert result.params.xi0 == ref_params.xi0
         assert np.array_equal(result.params.xi, ref_params.xi)
         assert result.converged == (history[-2] - history[-1] < bliss._TOL)
-        assert result.hamiltonian.terms == ref_H.terms
+        # the same terms, by letter string: optimize_bliss lists them in (x, z) order
+        assert {t.letters: t for t in result.hamiltonian.terms} == {t.letters: t for t in ref_H.terms}
         # the sums pair their terms differently without the dropped rows' zeros
         assert len(result.objective_history) == len(history)
         np.testing.assert_allclose(result.objective_history, history, rtol=1e-12, atol=0)
@@ -601,6 +602,17 @@ class TestFileFormat:
         path.write_text(text)
         with pytest.raises(InvalidModelError):
             load_fermionic(path)
+
+    def test_one_body_file_has_a_zero_two_body_tensor(self, tmp_path):
+        # no two-body form besides the N^4 tensor: an operator given none holds zeros
+        assert np.array_equal(FermionicOperator(3).two_body, np.zeros((3,) * 4))
+        assert np.array_equal(FermionicOperator(3).one_body, np.zeros((3, 3)))
+        path = tmp_path / "one.txt"
+        path.write_text("NORB=2 NELEC=1\n1.0 1 1 0 0\n0.5 1 2 0 0\n")
+        F, _ = load_fermionic(path)
+        assert F.two_body.shape == (2,) * 4 and not F.two_body.any()
+        shifted = apply_bliss(F, BlissParams(0.5, np.zeros((2, 2)), 1))
+        assert shifted.two_body.shape == (2,) * 4 and not shifted.two_body.any()
 
     def test_constant_line(self, tmp_path):
         path = tmp_path / "c.txt"

@@ -1,5 +1,7 @@
 import math
 import time
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,11 +15,12 @@ from lcusim.circuits import (
     build_w_hk,
     build_w_tilde,
     build_w_unary,
+    kappa_for,
     taylor_prepare_amplitudes,
     taylor_weights,
 )
-from lcusim.errors import InvalidModelError, LayoutError
-from lcusim.hamiltonian import build_ising
+from lcusim.errors import InvalidModelError, LayoutError, ResourceLimitError
+from lcusim.hamiltonian import HamiltonianLCU, build_ising
 
 
 class TestTaylorCoefficients:
@@ -34,12 +37,13 @@ class TestTaylorCoefficients:
         assert np.allclose(amps, [math.sqrt(0.8), math.sqrt(0.2)], atol=1e-12)
 
     def test_amplitudes_normalized(self):
-        for kappa in (1, 2, 3):
-            amps = taylor_prepare_amplitudes(0.3, 4.0, kappa)
+        for K in (1, 2, 3, 7):
+            amps = taylor_prepare_amplitudes(0.3, 4.0, K)
+            assert amps.shape == (K + 1,)
             assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
 
     def test_tau_zero(self):
-        amps = taylor_prepare_amplitudes(0.0, 5.0, 2)
+        amps = taylor_prepare_amplitudes(0.0, 5.0, 3)
         assert np.allclose(amps, [1.0, 0, 0, 0])
 
     def test_bad_inputs(self):
@@ -93,6 +97,23 @@ class TestTaylorCoefficients:
         assert taylor_weights(x, 1.0, K).sum() <= math.exp(x) + 1e-12
 
 
+def _width(count: int) -> int:
+    """The fewest qubits, at least 1, whose values 0 .. 2^w - 1 index ``count`` items."""
+    w = 1
+    while 1 << w < count:
+        w += 1
+    return w
+
+
+@pytest.mark.parametrize("k", range(1, 71))
+def test_index_widths_are_exact_past_the_float_mantissa(k):
+    # a float log2 rounds 2^53 + 1 down to 2^53, so orders 0 .. 2^53 read as 53 bits
+    for N in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+        assert kappa_for(N) == _width(N + 1)  # orders 0 .. N
+        assert HamiltonianLCU.l_width.fget(SimpleNamespace(num_terms=N)) == _width(N)
+    assert kappa_for(1) == kappa_for(0) == 1
+
+
 class TestWtildePlan:
     def test_shape(self, ising4):
         plan = build_w_tilde(ising4, 0.05, 3)
@@ -111,6 +132,18 @@ class TestWtildePlan:
     def test_kappa_below_1_is_refused(self, ising4):
         with pytest.raises(LayoutError, match="widths must be positive"):
             build_w_tilde(ising4, 0.05, 0)
+
+    def test_wide_taylor_register_refused_before_allocating(self, ising4):
+        # 2^25 amplitudes would take 256 MiB, and 2^40 8 TiB
+        tracemalloc.start()
+        try:
+            for kappa in (25, 40):
+                with pytest.raises(ResourceLimitError, match=f"{kappa} qubits"):
+                    build_w_tilde(ising4, 0.05, kappa)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_block_structure(self, ising4):
         plan = build_w_tilde(ising4, 0.05, 2)

@@ -328,6 +328,26 @@ class TestBliss:
         assert code == 0
         assert out == expected
 
+    @pytest.mark.parametrize(
+        "flags, row",
+        [
+            ([], "4,2,4.875,3.375,11,8,0.19263642340565418,0.40192043895747587,1.0,True\n"),
+            (["--diagonal-only"],
+             "4,2,4.875,3.375,11,8,0.19263642340565418,0.40192043895747587,1.0,True\n"),
+            (["--nelec", "1"],
+             "4,1,4.875,2.375,11,14,0.06377383300460222,0.26869806094182824,1.0,True\n"),
+        ],
+        ids=["defaults", "diagonal-only", "nelec-1"],
+    )
+    def test_one_body_file_output_is_pinned(self, capsys, tmp_path, flags, row):
+        # bytes printed while a file with no two-body line loaded as two_body=None; the
+        # coefficients are dyadic, so no sum depends on the order of the shifted terms
+        path = tmp_path / "one_body.txt"
+        path.write_text("NORB=4 NELEC=2\n1.0 1 1 0 0\n1.0 2 2 0 0\n1.0 3 3 0 0\n0.5 4 4 0 0\n"
+                        "-0.5 1 2 0 0\n-0.25 2 3 0 0\n-0.5 3 4 0 0\n0.125 0 0 0 0\n")
+        code, out, _ = _run(capsys, "bliss", "--fermion-file", str(path), *flags)
+        assert (code, out) == (0, _BLISS_HEADER + row)
+
     @pytest.mark.parametrize("nelec", ["99", "-1"])
     def test_electron_count_out_of_range_exit_2(self, capsys, nelec):
         code, out, err = _bundled_hubbard(capsys, "--nelec", nelec)

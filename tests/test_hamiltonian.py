@@ -19,14 +19,13 @@ from lcusim.hamiltonian import (
     PauliTerm,
     build_ising,
     canonicalize,
-    key_letters,
     l1_norm,
-    letter_keys,
     load_hamiltonian,
+    mask_letters,
     pauli_sum_apply,
     save_hamiltonian,
 )
-from reference import PAULI_MATRICES, prepare_amplitudes, to_matrix
+from reference import PAULI_MATRICES, apply_pauli, pauli_string_matrix, prepare_amplitudes, to_matrix
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -160,11 +159,24 @@ class TestPauliMul:
         ((x2, z2, y2),) = HamiltonianLCU(1, (PauliTerm(1.0, 0.0, b),)).masks
         coeff = y1 * y2 * (-1) ** (z1 & x2).bit_count()
         x, z = x1 ^ x2, z1 ^ z2  # c X^x Z^z as c (-i)^popcount(x & z) times its letters
-        letters = key_letters(letter_keys(x, z, 1), 1)
+        letters = mask_letters(x, z, 1)
         phase = coeff * LETTER_PHASE[(x & z).bit_count() % 4]
         assert np.allclose(
             phase * PAULI_MATRICES[letters], PAULI_MATRICES[a] @ PAULI_MATRICES[b], atol=0
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))))
+def test_mask_letters_times_letter_phase_is_the_mask_product(nxz):
+    # X^x Z^z, built densely from the per-term gather, is (-i)^popcount(x & z) times its letters
+    n, x, z = nxz
+    dense = apply_pauli(np.eye(1 << n, dtype=complex), x, z, 1.0).T  # row b of eye -> column b
+    letters = mask_letters(x, z, n)
+    assert len(letters) == n
+    assert np.array_equal(
+        pauli_string_matrix(letters) * LETTER_PHASE[(x & z).bit_count() % 4], dense)
 
 
 def _random_terms(n):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcusim.circuits import CircuitPlan, RegisterLayout, build_w_hk, build_w_tilde, build_w_unary
-from lcusim.errors import DomainError
+from lcusim.errors import DomainError, LcusimError
 from lcusim.hamiltonian import build_ising, canonicalize
 from lcusim.oracle import (
     chain_probabilities,
@@ -569,6 +569,26 @@ class TestStatsHelpers:
             CostModel(d=-1.0)
         with pytest.raises(ValueError):
             CostModel(m=math.nan)
+
+    @pytest.mark.parametrize(
+        "site", ["CostModel", "run_shots", "run_shots_many", "estimate", "mean_cost_per_shot"])
+    def test_refusal_is_a_library_error(self, ising4, psi0_4, site):
+        # each refusal is an LcusimError, and each of those is also a ValueError
+        plan = build_w_tilde(ising4, 0.05, 1)
+        refused = {
+            "CostModel": lambda: CostModel(d_ctrl=math.inf),
+            "run_shots": lambda: run_shots(plan, psi0_4, 0, seed=0),
+            "run_shots_many": lambda: run_shots_many([plan], psi0_4, 3, seed=-1),
+            "estimate": lambda: estimate(RunStats()),
+            "mean_cost_per_shot": lambda: mean_cost_per_shot(RunStats()),
+        }[site]
+        with pytest.raises(LcusimError):
+            refused()
+
+    @pytest.mark.parametrize("flag", ["--d-ctrl", "--m"])
+    def test_cli_prints_a_refused_cost_on_one_line(self, capsys, flag):
+        code = main(["simulate", "--model", "ising", flag, "-1"])
+        assert (code, capsys.readouterr().err) == (2, "error: costs must be finite and nonnegative\n")
 
     def test_overflowing_cost_sum_rejected_without_a_warning(self, ising4, psi0_4):
         # each shot costs at most 3e305, but 10000 of them sum past the largest float
