@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -61,7 +60,9 @@ def taylor_weights(tau: float, alpha_norm: float, K: int) -> np.ndarray:
 
 
 def kappa_for(K: int) -> int:
-    """Taylor-register width of the binary encoding for order K: ceil(log2(K + 1)), minimum 1."""
+    """Taylor-register width of the binary encoding for order K >= 0: ceil(log2(K + 1)), min 1."""
+    if K < 0:
+        raise InvalidModelError("K must be nonnegative")
     return max(1, K.bit_length())
 
 
@@ -69,37 +70,6 @@ def taylor_prepare_amplitudes(tau: float, alpha_norm: float, K: int) -> np.ndarr
     """The K + 1 Taylor amplitudes sqrt(beta_k / ||beta||_1), k = 0..K."""
     beta = taylor_weights(tau, alpha_norm, K)
     return np.sqrt(beta / beta.sum())
-
-
-@dataclass(frozen=True)
-class Register:
-    name: str
-    width: int
-    offset: int  # global index of the register's least-significant qubit
-
-
-class RegisterLayout:
-    """Named registers stacked from qubit 0 in the order of the ``(name, width)`` pairs given;
-    qubit ``offset + i`` of a register is bit ``i`` of its value."""
-
-    def __init__(self, widths: Iterable[tuple[str, int]]):
-        self._by_name: dict[str, Register] = {}
-        self.total = 0
-        for name, width in widths:
-            if width < 1 or name in self._by_name:
-                raise LayoutError(f"register {name!r}: widths must be positive, names unique")
-            self._by_name[name] = Register(name, width, self.total)
-            self.total += width
-        self.registers = tuple(self._by_name.values())
-
-    def register(self, name: str) -> Register:
-        if name not in self._by_name:
-            raise LayoutError(f"no register named {name!r}")
-        return self._by_name[name]
-
-    @property
-    def n(self) -> int:
-        return self.register("system").width
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,19 +117,20 @@ class CircuitPlan:
     """A plan that every consumer can run; any other raises ``LayoutError`` (unnormalized
     Prepare amplitudes ``NormalizationError``), naming the first offending instruction.
 
-    An l-register (one an ``LcuBlock`` uses) is neither the system nor prepared, and is
-    measured after each of its blocks and before the next; pending blocks are measured in
-    block order and before any other register. A control is a bit of a register that is
-    neither the system nor an l-register. The system is neither prepared nor measured. Any
-    other register is opened by a Prepare of 2^width (binary) or width + 1 (unary)
-    normalized amplitudes, closed by the adjoint of those same amplitudes and then
-    measured, with only the Measures of l-registers between its adjoint and its Measure.
-    One register at a time is open, from its Prepare to its Measure. So a post-selected
-    result depends on a Prepare only through the column it puts on |0>, not on the unitary
-    that completes it: the form the moment trace runs (``sampler._walk``).
+    ``widths`` (the plan keeps a copy) maps each ancilla register's name to its width, a
+    positive int; the system is the Hamiltonian's n qubits, no register an instruction can
+    name. An l-register (one an ``LcuBlock`` uses) is never prepared, and is measured after
+    each of its blocks and before the next; pending blocks are measured in block order and
+    before any other register. A control is an int bit of a register other than an l-register.
+    Any other register is opened by a Prepare of 2^width (binary) or width + 1 (unary)
+    normalized amplitudes, closed by the adjoint of those same amplitudes and then measured,
+    with only the Measures of l-registers between its adjoint and its Measure. One register
+    at a time is open, from its Prepare to its Measure. So a post-selected result depends on
+    a Prepare only through the column it puts on |0>, not on the unitary that completes it:
+    the form the moment trace runs (``sampler._walk``).
     """
 
-    layout: RegisterLayout
+    widths: dict[str, int]
     hamiltonian: HamiltonianLCU
     instructions: tuple[Instruction, ...]
     l_registers: frozenset[str] = field(init=False, repr=False)  # the registers blocks use
@@ -167,38 +138,40 @@ class CircuitPlan:
     measure_count: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        layout, H = self.layout, self.hamiltonian
-        if layout.n != H.n:
-            raise LayoutError(f"a {H.n}-qubit Hamiltonian needs a {H.n}-qubit system register")
+        widths, H = dict(self.widths), self.hamiltonian
+        for name, width in widths.items():
+            if type(width) is not int or width < 1:
+                raise LayoutError(f"register {name!r}: width {width!r} is not a positive int")
         l_regs = frozenset(ins.l_register for ins in self.instructions if isinstance(ins, LcuBlock))
         pending: deque[str] = deque()  # l-registers of the blocks awaiting their measurement
         unmeasured: set[str] = set()  # the same names, for the membership test
         live = opening = None  # the open register and its Prepare's amplitudes
         closed, selects, measures = False, 0, 0  # closed: live's adjoint came
         for i, ins in enumerate(self.instructions):
-            if not isinstance(ins, LcuBlock) and ins.register == "system":
-                raise LayoutError(f"instruction {i}: the system is neither prepared nor measured")
+            block = isinstance(ins, LcuBlock)
+            name = ins.l_register if block else ins.register  # and a block's control register
+            if name not in widths or block and ins.control and (name := ins.control[0]) not in widths:
+                raise LayoutError(f"instruction {i}: no register named {name!r}")
             if closed and not (
                 isinstance(ins, Measure) and (ins.register == live or ins.register in l_regs)
             ):
                 raise LayoutError(f"instruction {i}: only term-register Measures may come between "
                                   f"{live}'s adjoint and its Measure")
-            if isinstance(ins, LcuBlock):
+            if block:
                 name, control = ins.l_register, ins.control
-                if name == "system" or (1 << layout.register(name).width) < H.num_terms:
-                    raise LayoutError(f"instruction {i}: {name} is the system or too narrow")
-                if control is not None and (
-                    control[0] == "system" or control[0] in l_regs
-                    or not 0 <= control[1] < layout.register(control[0]).width
-                ):
-                    raise LayoutError(f"instruction {i}: control {control} is not an ancilla bit")
+                if (1 << widths[name]) < H.num_terms:
+                    raise LayoutError(f"instruction {i}: {name} is too narrow for the terms")
+                if control is not None and (control[0] in l_regs or type(control[1]) is not int
+                                            or not 0 <= control[1] < widths[control[0]]):
+                    raise LayoutError(f"instruction {i}: control {control} is an l-register bit "
+                                      "or out of range")
                 if name in unmeasured:
                     raise LayoutError(f"instruction {i}: {name} still holds an unmeasured block")
                 pending.append(name)
                 unmeasured.add(name)
                 selects += 1
             elif isinstance(ins, Measure):
-                name = layout.register(ins.register).name  # an unknown register raises
+                name = ins.register
                 if (pending[0] if pending else None) != (name if name in l_regs else None):
                     raise LayoutError(f"instruction {i}: {name} measured, pending: {list(pending)}")
                 if pending:
@@ -209,7 +182,7 @@ class CircuitPlan:
                     raise LayoutError(f"instruction {i}: {name} is measured before its adjoint")
                 measures += 1
             else:
-                reg, width = ins.register, layout.register(ins.register).width
+                reg, width = ins.register, widths[ins.register]
                 if reg in l_regs:
                     raise LayoutError(f"instruction {i}: {reg} is an l-register")
                 if live not in (None, reg):
@@ -231,8 +204,8 @@ class CircuitPlan:
         if pending or live:
             raise LayoutError(f"{pending[0] if pending else live} is never measured after its "
                               "last block or Prepare")
-        for name, value in (("l_registers", l_regs), ("select_count", selects),
-                            ("measure_count", measures)):
+        for name, value in (("widths", widths), ("l_registers", l_regs),
+                            ("select_count", selects), ("measure_count", measures)):
             object.__setattr__(self, name, value)
 
 
@@ -240,38 +213,32 @@ def build_w_hk(H: HamiltonianLCU, k: int) -> CircuitPlan:
     """k repetitions of [LcuBlock, Measure] on one l-register."""
     if k < 1:
         raise InvalidModelError("k must be at least 1")
-    layout = RegisterLayout([("system", H.n), ("l", H.l_width)])
-    return CircuitPlan(layout, H, (LcuBlock("l"), Measure("l")) * k)
+    return CircuitPlan({"l": H.l_width}, H, (LcuBlock("l"), Measure("l")) * k)
 
 
 def build_w_tilde(H: HamiltonianLCU, tau: float, kappa: int) -> CircuitPlan:
     """Shorter-width plan: kappa + ceil(log2 L) + n qubits, K = 2^kappa - 1 blocks. A Taylor
     register over the simulation cap is refused before its 2^kappa amplitudes are built."""
+    if kappa < 1:
+        raise InvalidModelError("kappa must be at least 1")
     check_width(kappa)
-    layout = RegisterLayout([("system", H.n), ("l", H.l_width), ("k", kappa)])
     k_amps = taylor_prepare_amplitudes(tau, l1_norm(H), (1 << kappa) - 1)
     instructions: list[Instruction] = [Prepare("k", k_amps)]
     for i in range(kappa):  # run i: 2^i blocks controlled by k-qubit i
         instructions += [LcuBlock("l", ("k", i)), Measure("l")] * (1 << i)
     instructions += [Prepare("k", k_amps, adjoint=True), Measure("k")]
-    return CircuitPlan(layout, H, tuple(instructions))
+    return CircuitPlan({"l": H.l_width, "k": kappa}, H, tuple(instructions))
 
 
 def build_w_unary(H: HamiltonianLCU, tau: float, K: int) -> CircuitPlan:
-    """Unary-encoded reference plan with deferred (terminal) measurements.
-
-    Registers: system, then K l-registers, then a K-qubit unary Taylor
-    register whose K + 1 amplitudes sqrt(beta_k/||beta||_1) sit on the
-    one-hot-prefix states |1^k 0^{K-k}>. The K blocks act on distinct
-    l-registers and all come before the measurements.
-    """
+    """Unary-encoded reference plan with deferred (terminal) measurements: K l-registers, then
+    a K-qubit unary Taylor register whose K + 1 amplitudes sqrt(beta_k/||beta||_1) sit on the
+    one-hot-prefix states |1^k 0^{K-k}>. The K blocks act on distinct l-registers and all
+    come before the measurements."""
     unary_amps = taylor_prepare_amplitudes(tau, l1_norm(H), K)  # refuses K < 1
-    layout = RegisterLayout(
-        [("system", H.n)] + [(f"l{j}", H.l_width) for j in range(K)] + [("unary", K)]
-    )
     instructions: list[Instruction] = [Prepare("unary", unary_amps)]
     instructions += [LcuBlock(f"l{j}", ("unary", j)) for j in range(K)]
     instructions.append(Prepare("unary", unary_amps, adjoint=True))
     instructions += [Measure(f"l{j}") for j in range(K)]
     instructions.append(Measure("unary"))
-    return CircuitPlan(layout, H, tuple(instructions))
+    return CircuitPlan({f"l{j}": H.l_width for j in range(K)} | {"unary": K}, H, tuple(instructions))

@@ -12,12 +12,14 @@ from collections.abc import Sequence
 import numpy as np
 
 from .circuits import taylor_weights
-from .errors import DomainError
+from .errors import DomainError, InvalidModelError
 from .hamiltonian import HamiltonianLCU, apply_rescaled, check_state, l1_norm
 
 
 def success_prob_hk(H: HamiltonianLCU, psi: np.ndarray, k: int) -> float:
-    """<psi| (Htilde^k)^dag Htilde^k |psi>."""
+    """<psi| (Htilde^k)^dag Htilde^k |psi>, k >= 0."""
+    if k < 0:
+        raise InvalidModelError("k must be nonnegative")
     v = check_state(psi, H.n)
     for _ in range(k):
         v = apply_rescaled(H, v)
@@ -28,8 +30,10 @@ def chain_probabilities(H: HamiltonianLCU, psi: np.ndarray, k: int) -> list[floa
     """Conditional block success probabilities p_1..p_k of the sequential protocol.
 
     p_i = <psi_{i-1}| Htilde^dag Htilde |psi_{i-1}> with psi_i the normalized
-    post-block state. A dead branch yields zeros for the remaining steps.
+    post-block state, k >= 0. A dead branch yields zeros for the remaining steps.
     """
+    if k < 0:
+        raise InvalidModelError("k must be nonnegative")
     v = check_state(psi, H.n)
     probs = []
     for _ in range(k):
@@ -57,6 +61,14 @@ def success_prob_wtilde(H: HamiltonianLCU, psi: np.ndarray, tau: float, K: int) 
     return float(np.vdot(v, v).real) / float(beta.sum()) ** 2
 
 
+def _probabilities(ps: Sequence[float]) -> list[float]:
+    """``ps`` as a list of values in [0, 1], with 1e-9 of rounding above 1, or ``DomainError``."""
+    ps = list(ps)
+    if not all(0.0 <= p <= 1.0 + 1e-9 for p in ps):
+        raise DomainError("a probability must lie in [0, 1]")
+    return ps
+
+
 def _finite_cost(cost: float) -> float:
     """``cost``, or ``DomainError`` where a sum or product of finite costs overflowed."""
     if math.isinf(cost):
@@ -69,7 +81,7 @@ def expected_runtime_midmeasure(p_chain: Sequence[float], d: float) -> float:
 
     sum_j (1-p_j) (prod_{i<j} p_i) j d  +  (prod_{i<k} p_i) k d.
     """
-    p = list(p_chain)
+    p = _probabilities(p_chain)
     total, running = 0.0, 1.0  # running = prod_{i<j} p_i
     for j, pj in enumerate(p[:-1], start=1):
         total += (1.0 - pj) * running * j * d
@@ -80,7 +92,7 @@ def expected_runtime_midmeasure(p_chain: Sequence[float], d: float) -> float:
 def total_runtime_success(p_chain: Sequence[float], d: float) -> float:
     """d (1 + p1 + p1 p2 + ... + p1..p_{k-1}) / (p1..p_k); inf on a zero branch."""
     numerator, running = 0.0, 1.0
-    for pi in p_chain:
+    for pi in _probabilities(p_chain):
         numerator += running
         running *= pi
     return math.inf if running == 0.0 else _finite_cost(d * numerator / running)
@@ -89,6 +101,7 @@ def total_runtime_success(p_chain: Sequence[float], d: float) -> float:
 def runtime_bound(p_w: float, p1: float, tau: float, l1: float, K: int, d_ctrl: float) -> float:
     """First-order upper bound on the average successful-run cost of the shorter-width
     circuit, (K d_ctrl / p_w) [1 - (tau l1 / ||beta||_1) (1 - p1)], from p_w = p_wtilde and
-    p1 = <psi| Htilde^dag Htilde |psi>."""
+    p1 = <psi| Htilde^dag Htilde |psi>; inf at p_w = 0."""
+    _probabilities((p_w, p1))
     correction = (tau * l1 / float(taylor_weights(tau, l1, K).sum())) * (1.0 - p1)
-    return _finite_cost((K * d_ctrl / p_w) * (1.0 - correction))
+    return math.inf if p_w == 0.0 else _finite_cost((K * d_ctrl / p_w) * (1.0 - correction))

@@ -40,10 +40,10 @@ def _cx_count(plan: CircuitPlan, i: int, ins: Instruction) -> int:
     if isinstance(ins, Measure):
         return 0
     if isinstance(ins, LcuBlock):
-        w = plan.layout.register(ins.l_register).width
+        w = plan.widths[ins.l_register]
         m = w + (ins.control is not None)
-        return 2 * ((1 << w) - 2) + plan.layout.n * ((1 << (m + 2)) - 2)
-    w = plan.layout.register(ins.register).width
+        return 2 * ((1 << w) - 2) + plan.hamiltonian.n * ((1 << (m + 2)) - 2)
+    w = plan.widths[ins.register]
     amps = np.asarray(ins.amps)
     if amps.shape[0] != 1 << w:  # unary: the staircase
         return 2 * (w - 1)
@@ -53,10 +53,10 @@ def _cx_count(plan: CircuitPlan, i: int, ins: Instruction) -> int:
 
 
 def count(plan: CircuitPlan) -> GateCounts:
-    """Qubits, CX gates and measured qubits of a plan."""
+    """Qubits (the system's and the ancillas'), CX gates and measured qubits of a plan."""
     return GateCounts(
-        qubits=plan.layout.total,
+        qubits=plan.hamiltonian.n + sum(plan.widths.values()),
         two_qubit=sum(_cx_count(plan, i, ins) for i, ins in enumerate(plan.instructions)),
-        measurements=sum(plan.layout.register(ins.register).width
+        measurements=sum(plan.widths[ins.register]
                          for ins in plan.instructions if isinstance(ins, Measure)),
     )

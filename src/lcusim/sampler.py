@@ -109,7 +109,7 @@ def _walk(plan: CircuitPlan):
                 segments.append((specs, m, w, _sums(m, w), True))
                 specs, live, (vals, m, w) = [], None, _ONE_ROW
         elif ins is not None and not ins.adjoint:  # opens a register in |0>: the column a
-            width = plan.layout.register(ins.register).width
+            width = plan.widths[ins.register]
             amps, at = amplitude_values(ins.amps, width)
             check_width(plan.hamiltonian.n + (len(at) - 1).bit_length())  # circuit width
             live, vals = ins.register, np.array(at, dtype=object if width > 62 else np.int64)

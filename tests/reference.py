@@ -19,15 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from lcusim.bliss import FermionicOperator
-from lcusim.circuits import (
-    CircuitPlan,
-    LcuBlock,
-    Measure,
-    Prepare,
-    Register,
-    RegisterLayout,
-    amplitude_values,
-)
+from lcusim.circuits import CircuitPlan, LcuBlock, Measure, Prepare, amplitude_values
 from lcusim.errors import (
     DomainError,
     InvalidHamiltonianError,
@@ -136,6 +128,42 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # --- register-level statevector -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Register:
+    name: str
+    width: int
+    offset: int  # global index of the register's least-significant qubit
+
+
+class RegisterLayout:
+    """Named registers stacked from qubit 0 in the order of the ``(name, width)`` pairs given;
+    qubit ``offset + i`` of a register is bit ``i`` of its value."""
+
+    def __init__(self, widths):
+        self._by_name: dict[str, Register] = {}
+        self.total = 0
+        for name, width in widths:
+            if width < 1 or name in self._by_name:
+                raise LayoutError(f"register {name!r}: widths must be positive, names unique")
+            self._by_name[name] = Register(name, width, self.total)
+            self.total += width
+        self.registers = tuple(self._by_name.values())
+
+    def register(self, name: str) -> Register:
+        if name not in self._by_name:
+            raise LayoutError(f"no register named {name!r}")
+        return self._by_name[name]
+
+    @property
+    def n(self) -> int:
+        return self.register("system").width
+
+
+def plan_layout(plan: CircuitPlan) -> RegisterLayout:
+    """A plan's qubits: the system at 0 .. n - 1, then each ancilla in ``plan.widths`` order."""
+    return RegisterLayout([("system", plan.hamiltonian.n), *plan.widths.items()])
 
 
 @dataclass
@@ -295,8 +323,8 @@ def register_trace(plan: CircuitPlan, psi: np.ndarray) -> PlanTrace:
     the adjoint PREPAREs. A ``Prepare`` is the dense completion unitary of its amplitudes
     over all 2^width values (``dense_amplitudes``), or its adjoint.
     """
-    H = plan.hamiltonian
-    state = init_state(plan.layout, psi)
+    H, layout = plan.hamiltonian, plan_layout(plan)
+    state = init_state(layout, psi)
     cond = []
     dead = False
     runs = itertools.groupby(plan.instructions, key=lambda ins: isinstance(ins, LcuBlock))
@@ -307,7 +335,7 @@ def register_trace(plan: CircuitPlan, psi: np.ndarray) -> PlanTrace:
                 continue
             U = {
                 ins.l_register: completion_unitary(
-                    prepare_amplitudes(H, plan.layout.register(ins.l_register).width)
+                    prepare_amplitudes(H, plan.widths[ins.l_register])
                 )
                 for ins in run
             }
@@ -317,7 +345,7 @@ def register_trace(plan: CircuitPlan, psi: np.ndarray) -> PlanTrace:
                 control = None
                 if ins.control is not None:
                     register, bit = ins.control
-                    control = plan.layout.register(register).offset + bit
+                    control = layout.register(register).offset + bit
                 apply_select(state, H, ins.l_register, control)
             for ins in run:
                 apply_register_unitary(state, ins.l_register, U[ins.l_register].conj().T)
@@ -327,8 +355,7 @@ def register_trace(plan: CircuitPlan, psi: np.ndarray) -> PlanTrace:
                 cond.append(0.0 if dead else project_zero(state, ins.register))
                 dead = cond[-1] == 0.0
             elif not dead:
-                width = plan.layout.register(ins.register).width
-                U = completion_unitary(dense_amplitudes(ins.amps, width))
+                U = completion_unitary(dense_amplitudes(ins.amps, plan.widths[ins.register]))
                 apply_register_unitary(state, ins.register, U.conj().T if ins.adjoint else U)
     return PlanTrace(
         cond_probs=tuple(cond),
@@ -394,17 +421,18 @@ def array_trace(plan: CircuitPlan, psi: np.ndarray) -> PlanTrace:
     """
     H, l_regs = plan.hamiltonian, plan.l_registers
     psi = check_state(psi, H.n)
-    regs = [r for r in plan.layout.registers if r.name != "system" and r.name not in l_regs]
-    support = {r.name: {0} for r in regs}
+    regs = [name for name in plan.widths if name not in l_regs]
+    support = {name: {0} for name in regs}
     for ins in plan.instructions:
         if isinstance(ins, Prepare):
-            width = plan.layout.register(ins.register).width
+            width = plan.widths[ins.register]
             support[ins.register].update(amplitude_values(ins.amps, width)[1])
     axes = {}
-    for i, r in enumerate(regs):  # a unary value 2^k - 1 past 63 bits stays a Python int
-        values = np.array(sorted(support[r.name]), dtype=object if r.width > 62 else np.int64)
-        axes[r.name] = (i, values, r.width)
-    shape = [len(support[r.name]) for r in regs]
+    for i, name in enumerate(regs):  # a unary value 2^k - 1 past 63 bits stays a Python int
+        width = plan.widths[name]
+        values = np.array(sorted(support[name]), dtype=object if width > 62 else np.int64)
+        axes[name] = (i, values, width)
+    shape = [len(support[name]) for name in regs]
     check_width(H.n + (math.prod(shape) - 1).bit_length())
     state = np.zeros(shape + [1 << H.n], dtype=complex)
     state[(0,) * len(regs)] = psi
@@ -711,7 +739,7 @@ def _dagger(ops: list[CompiledOp]) -> list[CompiledOp]:
     return out
 
 
-def _select_gates(plan: CircuitPlan, ins: LcuBlock) -> list[CompiledOp]:
+def _select_gates(plan: CircuitPlan, layout: RegisterLayout, ins: LcuBlock) -> list[CompiledOp]:
     """One multiplexed single-qubit gate per system qubit.
 
     The multiplex controls are the l-register qubits plus, when present, the
@@ -720,7 +748,6 @@ def _select_gates(plan: CircuitPlan, ins: LcuBlock) -> list[CompiledOp]:
     into the system-qubit-0 gate.
     """
     H = plan.hamiltonian
-    layout = plan.layout
     reg = layout.register(ins.l_register)
     controls = [reg.offset + i for i in range(reg.width)]
     if ins.control is not None:
@@ -748,15 +775,15 @@ def _select_gates(plan: CircuitPlan, ins: LcuBlock) -> list[CompiledOp]:
     return ops
 
 
-def _compile_instruction(plan: CircuitPlan, ins) -> list[CompiledOp]:
+def _compile_instruction(plan: CircuitPlan, layout: RegisterLayout, ins) -> list[CompiledOp]:
     """{1q unitary, CX} gates or the measurement event of one instruction."""
     if isinstance(ins, Measure):
         return [ins]
     if isinstance(ins, LcuBlock):
-        reg = plan.layout.register(ins.l_register)
+        reg = layout.register(ins.l_register)
         prep = _prep_dense_gates(reg, prepare_amplitudes(plan.hamiltonian, reg.width))
-        return prep + _select_gates(plan, ins) + _dagger(prep)
-    reg = plan.layout.register(ins.register)
+        return prep + _select_gates(plan, layout, ins) + _dagger(prep)
+    reg = layout.register(ins.register)
     unary = len(ins.amps) != 1 << reg.width  # w + 1 amplitudes: the staircase
     amps = dense_amplitudes(ins.amps, reg.width)
     gates = (_prep_unary_gates if unary else _prep_dense_gates)(reg, amps)
@@ -766,31 +793,33 @@ def _compile_instruction(plan: CircuitPlan, ins) -> list[CompiledOp]:
 class CompiledCircuit:
     """Every instruction of a plan compiled to {1q unitary, CX} gates and measurements."""
 
-    def __init__(self, plan: CircuitPlan, ops: tuple):
+    def __init__(self, plan: CircuitPlan, layout: RegisterLayout, ops: tuple):
         self.plan = plan
+        self.layout = layout
         self.ops = ops
 
     def counts(self) -> GateCounts:
-        layout = self.plan.layout
         return GateCounts(
-            qubits=layout.total,
+            qubits=self.layout.total,
             two_qubit=sum(1 for op in self.ops if isinstance(op, GateCX)),
             measurements=sum(
-                layout.register(op.register).width for op in self.ops if isinstance(op, Measure)
+                self.layout.register(op.register).width
+                for op in self.ops if isinstance(op, Measure)
             ),
         )
 
 
 def compile_plan(plan: CircuitPlan) -> CompiledCircuit:
     """Compile every instruction, one at a time."""
-    ops = tuple(op for ins in plan.instructions for op in _compile_instruction(plan, ins))
-    return CompiledCircuit(plan, ops)
+    layout = plan_layout(plan)
+    ops = tuple(op for ins in plan.instructions for op in _compile_instruction(plan, layout, ins))
+    return CompiledCircuit(plan, layout, ops)
 
 
 def simulate_compiled(circ: CompiledCircuit, psi: np.ndarray) -> tuple[np.ndarray, float]:
     """Post-selected execution of the compiled gates: (final system state, overall
     all-zero probability), to check compilation against the uncompiled plan."""
-    state = init_state(circ.plan.layout, psi)
+    state = init_state(circ.layout, psi)
     prob = 1.0
     for op in circ.ops:
         if isinstance(op, Gate1Q):
@@ -801,7 +830,7 @@ def simulate_compiled(circ: CompiledCircuit, psi: np.ndarray) -> tuple[np.ndarra
             p0 = project_zero(state, op.register)
             prob *= p0
             if p0 == 0.0:
-                return np.zeros(1 << circ.plan.layout.n, dtype=complex), 0.0
+                return np.zeros(1 << circ.layout.n, dtype=complex), 0.0
     return state.system_state(), prob
 
 

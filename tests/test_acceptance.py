@@ -96,7 +96,7 @@ def test_2_circuit_equivalence_at_K7():
         p = float(np.vdot(ref, ref).real) / sum((tau * l1_norm(H)) ** k / math.factorial(k)
                                                 for k in range(8)) ** 2
         ref /= np.linalg.norm(ref)
-        assert plan_un.layout.total == n + 7 * H.l_width + 7
+        assert count(plan_un).qubits == n + 7 * H.l_width + 7
         assert 1 - fidelity(t_un.final_system_state, ref) <= 1e-9
         assert 1 - fidelity(t_bin.final_system_state, ref) <= 1e-9
         assert t_un.success_prob == pytest.approx(p, rel=1e-9)
@@ -201,8 +201,8 @@ def test_6_qubit_totals_and_count_structure(ising4):
             lw = max(1, math.ceil(math.log2(L)))
             for K in range(1, 8):
                 kappa = max(1, math.ceil(math.log2(K + 1)))
-                assert build_w_tilde(H, 0.05, kappa).layout.total == kappa + lw + n
-                assert build_w_unary(H, 0.05, K).layout.total == K + K * lw + n
+                assert count(build_w_tilde(H, 0.05, kappa)).qubits == kappa + lw + n
+                assert count(build_w_unary(H, 0.05, K)).qubits == K + K * lw + n
     # fixed register width: K in {4..7} all compile at kappa = 3
     wt = [count(build_w_tilde(ising4, 0.05, max(1, math.ceil(math.log2(K + 1)))))
           for K in (4, 5, 6, 7)]

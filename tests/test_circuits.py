@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lcusim.circuits import (
+    CircuitPlan,
     LcuBlock,
     Measure,
     Prepare,
@@ -21,6 +23,8 @@ from lcusim.circuits import (
 )
 from lcusim.errors import InvalidModelError, LayoutError, ResourceLimitError
 from lcusim.hamiltonian import HamiltonianLCU, build_ising
+from lcusim.resources import count
+from conftest import random_hamiltonian
 
 
 class TestTaylorCoefficients:
@@ -114,11 +118,48 @@ def test_index_widths_are_exact_past_the_float_mantissa(k):
     assert kappa_for(1) == kappa_for(0) == 1
 
 
+def test_kappa_for_refuses_a_negative_order():
+    with pytest.raises(InvalidModelError, match="K must be nonnegative"):
+        kappa_for(-5)
+    assert kappa_for(0) == 1
+
+
+class TestPlanWidths:
+    """A plan names its ancilla registers' widths; the system is the Hamiltonian's n qubits."""
+
+    def test_qubits_are_the_papers_widths(self):
+        # n + ceil(log2 L) + kappa qubits for W-tilde, n + K ceil(log2 L) + K for the unary
+        # circuit, n + ceil(log2 L) for W_{H^k}; L crosses the powers of two up to 64
+        rng = np.random.default_rng(34)
+        for L in range(1, 71):
+            for n in (n for n in range(1, 5) if L < 4**n):  # L distinct non-identity strings
+                H = random_hamiltonian(n, L, rng)
+                lw = max(1, math.ceil(math.log2(L)))
+                for kappa in (1, 2, 3):
+                    assert count(build_w_tilde(H, 0.05, kappa)).qubits == n + lw + kappa
+                for K in (1, 2, 5):
+                    assert count(build_w_unary(H, 0.05, K)).qubits == n + K * lw + K
+                assert count(build_w_hk(H, 2)).qubits == n + lw
+
+    @pytest.mark.parametrize("width", [0, -1, 1.5, True])
+    def test_a_width_that_is_not_a_positive_int_is_refused(self, ising4, width):
+        message = f"register 'c': width {width!r} is not a positive int"
+        with pytest.raises(LayoutError, match=re.escape(message)):
+            CircuitPlan({"l": 3, "c": width}, ising4, (LcuBlock("l"), Measure("l")))
+
+    def test_the_plan_keeps_its_own_copy(self, ising4):
+        widths = {"l": 3, "k": 2}
+        plan = CircuitPlan(widths, ising4, (LcuBlock("l"), Measure("l")))
+        widths["l"], widths["c"] = 1, 4
+        del widths["k"]
+        assert plan.widths == {"l": 3, "k": 2} and count(plan).qubits == 9
+
+
 class TestWtildePlan:
     def test_shape(self, ising4):
         plan = build_w_tilde(ising4, 0.05, 3)
         # kappa + ceil(log L) + n = 3 + 3 + 4
-        assert plan.layout.total == 10
+        assert plan.widths == {"l": 3, "k": 3} and count(plan).qubits == 10
         assert plan.select_count == 7
 
     def test_run_i_is_2_to_the_i_blocks_on_k_bit_i(self, ising4):
@@ -129,9 +170,10 @@ class TestWtildePlan:
         bits = [ins.control[1] for ins in plan.instructions if isinstance(ins, LcuBlock)]
         assert bits == [i for i in range(4) for _ in range(1 << i)] and plan.select_count == 15
 
-    def test_kappa_below_1_is_refused(self, ising4):
-        with pytest.raises(LayoutError, match="widths must be positive"):
-            build_w_tilde(ising4, 0.05, 0)
+    @pytest.mark.parametrize("kappa", [0, -1])
+    def test_kappa_below_1_is_refused(self, ising4, kappa):
+        with pytest.raises(InvalidModelError, match="kappa must be at least 1"):
+            build_w_tilde(ising4, 0.05, kappa)
 
     def test_wide_taylor_register_refused_before_allocating(self, ising4):
         # 2^25 amplitudes would take 256 MiB, and 2^40 8 TiB
@@ -164,7 +206,8 @@ class TestUnaryPlan:
     def test_shape(self, ising4):
         plan = build_w_unary(ising4, 0.05, 3)
         # n + K ceil(log L) + K = 4 + 9 + 3
-        assert plan.layout.total == 16
+        assert plan.widths == {"l0": 3, "l1": 3, "l2": 3, "unary": 3}
+        assert count(plan).qubits == 16
         assert plan.select_count == 3
         assert plan.instructions[-1] == Measure("unary")
 
@@ -197,7 +240,7 @@ class TestWhkPlan:
     def test_shape(self, ising4):
         plan = build_w_hk(ising4, 3)
         assert plan.select_count == 3
-        assert plan.layout.total == 7  # n + ceil(log L)
+        assert plan.widths == {"l": 3} and count(plan).qubits == 7  # n + ceil(log L)
         controls = [ins.control for ins in plan.instructions if isinstance(ins, LcuBlock)]
         assert controls == [None, None, None]
 

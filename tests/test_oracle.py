@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from lcusim import oracle
 from lcusim.circuits import build_w_hk
-from lcusim.errors import DomainError, LayoutError, NormalizationError
+from lcusim.errors import DomainError, InvalidModelError, LayoutError, NormalizationError
 from lcusim.hamiltonian import canonicalize, l1_norm
 from lcusim.oracle import (
     chain_probabilities,
@@ -131,6 +131,14 @@ class TestSuccessProbabilities:
         with pytest.raises(NormalizationError):
             success_prob_hk(ising4, np.full(16, np.nan), 1)
 
+    @pytest.mark.parametrize("order", [success_prob_hk, chain_probabilities])
+    def test_a_negative_order_is_refused(self, order):
+        # range(-2) is empty: unchecked, k = -2 read as k = 0 (p = 1.0, no chain)
+        H, psi = canonicalize(2, [(1.0, "ZZ"), (0.5, "XI")]), basis_state(2)
+        with pytest.raises(InvalidModelError, match="k must be nonnegative"):
+            order(H, psi, -2)
+        assert order(H, psi, 0) == {success_prob_hk: 1.0, chain_probabilities: []}[order]
+
     @pytest.mark.parametrize("shape", [(8,), (32,), (16, 1), (4, 4)])
     def test_wrong_length_state_rejected(self, ising4, shape):
         # one state check: the trace refuses what the oracle refuses
@@ -192,6 +200,31 @@ class TestRuntimes:
             _bound(ising4, psi0_4, 0.05, 8, 1e308)
         # a success probability that underflows to 0 is a zero branch, not a ZeroDivisionError
         assert total_runtime_success([1e-200, 1e-200], 1.0) == math.inf
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0), max_size=4),
+        st.one_of(st.floats(max_value=-5e-324), st.floats(min_value=1.0 + 1e-8), st.just(math.nan)),
+        st.integers(0, 4),
+    )
+    def test_a_probability_outside_0_1_is_refused(self, good, bad, at):
+        chain = good[:at] + [bad] + good[at:]
+        for call in (
+            lambda: expected_runtime_midmeasure(chain, 1.0),
+            lambda: total_runtime_success(chain, 1.0),
+            lambda: runtime_bound(bad, 0.5, 0.1, 1.0, 3, 1.0),
+            lambda: runtime_bound(0.5, bad, 0.1, 1.0, 3, 1.0),
+        ):
+            with pytest.raises(DomainError, match="probability"):
+                call()
+
+    def test_probabilities_at_the_ends_of_0_1(self):
+        # p_w = 0 costs inf, as a zero branch does; a squared norm rounded past 1 is kept
+        assert runtime_bound(0.0, 0.5, 0.1, 1.0, 3, 1.0) == math.inf
+        over = 1.0000000000000004  # ||H~ v||^2 of a unit v under a single Pauli string
+        assert runtime_bound(over, over, 0.0, 1.0, 3, 2.0) == pytest.approx(6.0)
+        assert expected_runtime_midmeasure([over, 0.0], 1.0) == pytest.approx(2.0)
+        assert total_runtime_success([1.0, over], 1.0) == pytest.approx(2.0)
 
     def test_geometric_restart_identity(self):
         # expected total cost to success = E[shot cost] / P(success) when every

@@ -9,8 +9,6 @@ from lcusim.circuits import (
     LcuBlock,
     Measure,
     Prepare,
-    Register,
-    RegisterLayout,
     build_w_hk,
     build_w_tilde,
     build_w_unary,
@@ -23,6 +21,7 @@ from conftest import random_state
 from reference import (
     Gate1Q,
     GateCX,
+    Register,
     compile_plan,
     diagonal_gates,
     fidelity,
@@ -125,8 +124,8 @@ class TestPrepareCompilation:
     def test_width_one_no_cx(self, ising4):
         H = canonicalize(1, [(1.0, "X"), (0.5, "Z")])
         plan = build_w_hk(H, 1)
-        reg = plan.layout.register("l")
-        ops = _prep_dense_gates(reg, prepare_amplitudes(H, reg.width))
+        ops = _prep_dense_gates(Register("l", plan.widths["l"], 1),
+                                prepare_amplitudes(H, plan.widths["l"]))
         assert sum(isinstance(op, GateCX) for op in ops) == 0
 
     @pytest.mark.parametrize("w", [1, 2, 3])
@@ -199,7 +198,7 @@ class TestCounts:
         plan = build_w_hk(H, 1)
         a = prepare_amplitudes(H)
         only_prep = type(plan)(  # a Prepare is closed by its adjoint, then measured
-            plan.layout, plan.hamiltonian,
+            plan.widths, plan.hamiltonian,
             (Prepare("l", a), Prepare("l", a, adjoint=True), Measure("l")),
         )
         assert count(only_prep).two_qubit == 0  # width-1 l register: Ry and its adjoint, no CX
@@ -235,8 +234,7 @@ class TestCountMatchesReference:
     def test_wider_l_register_is_a_distinct_select(self):
         plans = []
         for width in (_H_REAL.l_width, _H_REAL.l_width + 1):
-            layout = RegisterLayout([("system", 2), ("l", width)])
-            plans.append(CircuitPlan(layout, _H_REAL, (LcuBlock("l"), Measure("l"))))
+            plans.append(CircuitPlan({"l": width}, _H_REAL, (LcuBlock("l"), Measure("l"))))
         reference = [compile_plan(p).counts() for p in plans]
         assert reference[0].two_qubit != reference[1].two_qubit
         assert [count(p) for p in plans] == reference
@@ -248,4 +246,4 @@ class TestCountMatchesReference:
             bad = ((Prepare("k", bad_amps),) + plan.instructions[1:-2]
                    + (Prepare("k", bad_amps, adjoint=True), Measure("k")))
             with pytest.raises(LcusimError, match="nonnegative"):
-                count(type(plan)(plan.layout, ising4, bad))
+                count(type(plan)(plan.widths, ising4, bad))

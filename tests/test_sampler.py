@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcusim.circuits import CircuitPlan, RegisterLayout, build_w_hk, build_w_tilde, build_w_unary
+from lcusim.circuits import CircuitPlan, build_w_hk, build_w_tilde, build_w_unary
 from lcusim.errors import DomainError, LcusimError
 from lcusim.hamiltonian import build_ising, canonicalize
 from lcusim.oracle import (
@@ -178,7 +178,7 @@ class TestShotCosts:
         assert self.COST.shot_costs(build_w_tilde(ising4, 0.05, 2)) == tuple(want + [running])
 
     def test_no_measurement_costs_nothing(self, ising4):
-        plan = CircuitPlan(RegisterLayout([("system", 4)]), ising4, ())
+        plan = CircuitPlan({}, ising4, ())
         assert self.COST.shot_costs(plan) == ()
         stats = run_shots(plan, np.eye(16)[0], 5, 0, self.COST)
         assert stats.successes == 5 and stats.total_cost == 0.0

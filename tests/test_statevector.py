@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcusim.circuits import CircuitPlan, LcuBlock, Measure, Prepare, RegisterLayout, build_w_hk
+from lcusim.circuits import CircuitPlan, LcuBlock, Measure, Prepare, build_w_hk
 from lcusim.errors import LayoutError, NormalizationError, ResourceLimitError
 from lcusim.hamiltonian import canonicalize, check_state, l1_norm
 from lcusim.oracle import success_prob_hk
@@ -10,6 +10,7 @@ from lcusim.sampler import trace_plan
 from conftest import random_state
 from reference import (
     MeasurementDegenerateError,
+    RegisterLayout,
     StateVector,
     apply_1q,
     apply_cx,
@@ -109,7 +110,7 @@ class TestRegisterOps:
         psi = random_state(4, np.random.default_rng(7))
         a = prepare_amplitudes(ising4)
         ins = (Prepare("c", a), Prepare("c", a, adjoint=True), Measure("c"))
-        plan = CircuitPlan(RegisterLayout([("system", 4), ("c", 3)]), ising4, ins)
+        plan = CircuitPlan({"c": 3}, ising4, ins)
         trace = trace_plan(plan, psi)
         assert trace.cond_probs == pytest.approx((1.0,), abs=1e-12)
         assert np.abs(trace.final_system_state - psi).max() < 1e-12
@@ -163,9 +164,8 @@ class TestPrepareReflection:
 
     def test_wrong_width_rejected(self, ising4):
         # the plan refuses amplitudes of the wrong length, the reflection unnormalized ones
-        layout = RegisterLayout([("system", 4), ("c", 2)])
         with pytest.raises(LayoutError):
-            CircuitPlan(layout, ising4, (Prepare("c", np.array([0.6, 0.8])), Measure("c")))
+            CircuitPlan({"c": 2}, ising4, (Prepare("c", np.array([0.6, 0.8])), Measure("c")))
         with pytest.raises(NormalizationError):
             householder(np.ones(4))
         with pytest.raises(NormalizationError):
@@ -197,15 +197,14 @@ class TestLcuBlock:
     )
     def test_grouped_kernel_matches_dense(self, cached, control, raw):
         # terms sharing X masks (x = 0, Y letters, complex phases, an identity term), three
-        # blocks controlled by c and then one by t in a layout (system, c, t, l), c and t
+        # blocks controlled by c and then one by t on the registers (c, t, l), c and t
         # prepared one after the other, and the diagonals built by an oracle matvec before
         # the traces or by the first trace
         rng = np.random.default_rng(23)
         H = canonicalize(3, raw)
-        layout = RegisterLayout([("system", 3), ("c", 1), ("t", 1), ("l", H.l_width)])
-        ctrl = None if control is None else ("c", control - layout.register("c").offset)
+        ctrl = None if control is None else ("c", control - H.n)  # c follows the system
         ac, at = random_state(1, rng), random_state(1, rng)
-        plan = CircuitPlan(layout, H, (
+        plan = CircuitPlan({"c": 1, "t": 1, "l": H.l_width}, H, (
             Prepare("c", ac), *(LcuBlock("l", ctrl), Measure("l")) * 3,
             Prepare("c", ac, adjoint=True), Measure("c"),
             Prepare("t", at), LcuBlock("l", ("t", 0)), Measure("l"),
@@ -245,9 +244,9 @@ class TestLcuBlock:
         # a block controlled by a system qubit or on a term register too narrow for the
         # terms is refused by the plan; an unnormalized state by the trace
         with pytest.raises(LayoutError):
-            CircuitPlan(_layout(4, 3), ising4, (LcuBlock("l", ("system", 3)), Measure("l")))
+            CircuitPlan({"l": 3}, ising4, (LcuBlock("l", ("system", 3)), Measure("l")))
         with pytest.raises(LayoutError):
-            CircuitPlan(_layout(4, 1), ising4, (LcuBlock("l"), Measure("l")))
+            CircuitPlan({"l": 1}, ising4, (LcuBlock("l"), Measure("l")))
         with pytest.raises(NormalizationError):
             trace_plan(build_w_hk(ising4, 1), np.ones(16))
         with pytest.raises(NormalizationError):

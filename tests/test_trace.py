@@ -11,7 +11,6 @@ from lcusim.circuits import (
     LcuBlock,
     Measure,
     Prepare,
-    RegisterLayout,
     build_w_hk,
     build_w_tilde,
     build_w_unary,
@@ -132,9 +131,9 @@ _C = np.array([0.6, 0.8])
 
 
 def _one_block(H, *ins, extra=()):
-    """A W_{H^k}-style plan on system + l (+ extra registers) with the given instructions."""
-    layout = RegisterLayout([("system", H.n), ("l", H.l_width), *extra])
-    return CircuitPlan(layout, H, tuple(ins))
+    """A W_{H^k}-style plan on l (and the extra (name, width) registers) with the given
+    instructions."""
+    return CircuitPlan({"l": H.l_width, **dict(extra)}, H, tuple(ins))
 
 
 class TestPlanShape:
@@ -143,9 +142,9 @@ class TestPlanShape:
     H = canonicalize(1, [(1.0, "X"), (0.5, "Z")])
     psi = np.array([0.6, 0.8], dtype=complex)
 
-    def _raises(self, *ins, match, extra=(), H=None):
+    def _raises(self, *ins, match, extra=()):
         with pytest.raises(LayoutError, match=match):
-            _one_block(H or self.H, *ins, extra=extra)
+            _one_block(self.H, *ins, extra=extra)
 
     def test_builder_shape_accepted(self):
         plan = _one_block(self.H, LcuBlock("l"), Measure("l"))
@@ -154,19 +153,24 @@ class TestPlanShape:
     def test_control_inside_l_register(self):
         self._raises(LcuBlock("l", control=("l", 0)), Measure("l"), match="instruction 0")
 
-    def test_control_inside_system(self):
-        self._raises(LcuBlock("l", control=("system", 0)), Measure("l"), match="instruction 0")
+    @pytest.mark.parametrize("name", ["system", "k", "l "])
+    @pytest.mark.parametrize("role", ["Prepare", "Measure", "block", "control"])
+    def test_a_register_not_in_widths_is_refused_at_its_instruction(self, role, name):
+        # one rule for every role. The system is the Hamiltonian's qubits, not a register:
+        # the trace's amplitude axis, not an axis of values, and no bit a block can read
+        named = {"Prepare": [Prepare(name, _C), Prepare(name, _C, adjoint=True), Measure(name)],
+                 "Measure": [Measure(name)],
+                 "block": [LcuBlock(name), Measure(name)],
+                 "control": [LcuBlock("l", (name, 0)), Measure("l")]}[role]
+        self._raises(Prepare("c", _C), Prepare("c", _C, adjoint=True), Measure("c"), *named,
+                     extra=[("c", 1)], match=f"^instruction 3: no register named {name!r}$")
 
-    def test_system_controlled_block_is_refused_before_count(self):
-        # a plan the trace cannot run is refused before count can compile it
-        H = build_ising(2, 1.0, 0.5)
-        self._raises(LcuBlock("l", control=("system", 0)), Measure("l"), match="control", H=H)
-
-    def test_block_on_the_system_register(self):
-        self._raises(LcuBlock("system"), Measure("system"), match="instruction 0")
-
-    def test_control_bit_outside_its_register(self):
-        self._raises(LcuBlock("l", ("c", 1)), Measure("l"), match="instruction 0", extra=[("c", 1)])
+    @pytest.mark.parametrize("bit", [1, -1, 0.0, 0.5, True])
+    def test_control_bit_outside_its_register(self, bit):
+        # a float bit passed the range check and failed in the trace's shift
+        self._raises(Prepare("c", _C), LcuBlock("l", ("c", bit)), Measure("l"),
+                     Prepare("c", _C, adjoint=True), Measure("c"), extra=[("c", 1)],
+                     match=f"instruction 1: control \\('c', {bit}\\) is an l-register bit or out")
 
     def test_plan_ends_inside_cycle(self):
         # a block whose l-register is never measured
@@ -184,8 +188,7 @@ class TestPlanShape:
         # three terms need a 2-qubit l-register; a 4-entry Prepare does not fit a 1-qubit one
         H = canonicalize(1, [(1.0, "X"), (0.5, "Z"), (0.25, "Y")])
         with pytest.raises(LayoutError, match="too narrow"):
-            CircuitPlan(RegisterLayout([("system", 1), ("l", 1)]), H,
-                        (LcuBlock("l"), Measure("l")))
+            CircuitPlan({"l": 1}, H, (LcuBlock("l"), Measure("l")))
         self._raises(Prepare("c", np.full(4, 0.5)), Measure("c"), match="2\\^1", extra=[("c", 1)])
 
     def test_amplitude_count_neither_binary_nor_unary(self):
@@ -217,19 +220,6 @@ class TestPlanShape:
         p = np.linalg.norm((0.36 + 0.2304) * self.psi + 0.4096 * h @ self.psi) ** 2
         assert trace.success_prob == pytest.approx(p, abs=1e-12)
         assert simulate_compiled(compile_plan(plan), self.psi)[1] == pytest.approx(p, abs=1e-12)
-
-    def test_prepare_on_the_system_register(self):
-        # the system is the trace's amplitude axis, not an axis of values
-        self._raises(Prepare("system", self.psi), LcuBlock("l"), Measure("l"),
-                     match="instruction 0: the system")
-
-    def test_measure_on_the_system_register(self):
-        self._raises(LcuBlock("l"), Measure("l"), Measure("system"), match="instruction 2: the system")
-
-    def test_system_register_of_another_width(self):
-        with pytest.raises(LayoutError, match="2-qubit system"):
-            CircuitPlan(RegisterLayout([("system", 1), ("l", 1)]), build_ising(2, 1.0, 0.5),
-                        ())
 
     def test_prepared_ancilla_never_measured(self):
         self._raises(Prepare("c", np.array([0.6, 0.8])), match="c is never", extra=[("c", 1)])
@@ -307,7 +297,7 @@ class TestPlanShape:
         i0 = ins.index(Measure("l0"))
         ins[i0], ins[i0 + 1] = ins[i0 + 1], ins[i0]
         with pytest.raises(LayoutError, match=f"instruction {i0}"):
-            CircuitPlan(plan.layout, plan.hamiltonian, tuple(ins))
+            CircuitPlan(plan.widths, plan.hamiltonian, tuple(ins))
 
 
 _REGISTERS = ["system", "l0", "l1", "c", "u"]
@@ -362,7 +352,7 @@ class TestPlanValidity:
     reference and ``count``."""
 
     H = canonicalize(2, [(0.7, "XZ"), (-0.4, "ZI"), (0.3, "YY")])  # 2-qubit l-registers
-    LAYOUT = RegisterLayout([("system", 2), ("l0", 2), ("l1", 2), ("c", 1), ("u", 2)])
+    WIDTHS = {"l0": 2, "l1": 2, "c": 1, "u": 2}
 
     @settings(max_examples=300, deadline=None)
     @given(_INSTRUCTIONS, st.integers(0, 2**32 - 1))
@@ -371,7 +361,7 @@ class TestPlanValidity:
     @example(_cycle("c", _C, "l0", 0) + _cycle("u", _UNARY, "l1", 0), 1)
     def test_refused_or_run_by_every_consumer(self, instructions, seed):
         try:
-            plan = CircuitPlan(self.LAYOUT, self.H, tuple(instructions))
+            plan = CircuitPlan(self.WIDTHS, self.H, tuple(instructions))
         except LayoutError:
             return
         assert_same_trace(plan, random_state(2, np.random.default_rng(seed)))
@@ -387,7 +377,7 @@ class TestPlanValidity:
         # the reference's Prepares become U diag(1, e^{i theta_1}, ..): column 0, all that a
         # Prepare closed by its own adjoint shows, is kept, and every accepted plan runs alike
         try:
-            plan = CircuitPlan(self.LAYOUT, self.H, tuple(instructions))
+            plan = CircuitPlan(self.WIDTHS, self.H, tuple(instructions))
         except LayoutError:
             return
         completion = reference.completion_unitary
