@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidModelError, LayoutError
-from .hamiltonian import HamiltonianLCU, check_norm, check_width, l1_norm
+from .hamiltonian import HamiltonianLCU, _check_int, check_norm, check_width, l1_norm
 
 
 def taylor_weights(tau: float, alpha_norm: float, K: int) -> np.ndarray:
@@ -41,7 +41,7 @@ def taylor_weights(tau: float, alpha_norm: float, K: int) -> np.ndarray:
     ||beta||_1^2 is not finite."""
     if not 0 < alpha_norm < math.inf:
         raise InvalidModelError("alpha_norm must be positive and finite")
-    if K < 1:
+    if _check_int(K, "K") < 1:
         raise InvalidModelError("K must be at least 1")
     if not 0 <= tau < math.inf:
         raise InvalidModelError("tau must be nonnegative and finite")
@@ -61,7 +61,7 @@ def taylor_weights(tau: float, alpha_norm: float, K: int) -> np.ndarray:
 
 def kappa_for(K: int) -> int:
     """Taylor-register width of the binary encoding for order K >= 0: ceil(log2(K + 1)), min 1."""
-    if K < 0:
+    if _check_int(K, "K") < 0:
         raise InvalidModelError("K must be nonnegative")
     return max(1, K.bit_length())
 
@@ -121,11 +121,11 @@ class CircuitPlan:
     positive int; the system is the Hamiltonian's n qubits, no register an instruction can
     name. An l-register (one an ``LcuBlock`` uses) is never prepared, and is measured after
     each of its blocks and before the next; pending blocks are measured in block order and
-    before any other register. A control is an int bit of a register other than an l-register.
-    Any other register is opened by a Prepare of 2^width (binary) or width + 1 (unary)
-    normalized amplitudes, closed by the adjoint of those same amplitudes and then measured,
-    with only the Measures of l-registers between its adjoint and its Measure. One register
-    at a time is open, from its Prepare to its Measure. So a post-selected result depends on
+    before any other register. A control is None or a tuple (register, int bit) of a register
+    other than an l-register. Any other register is opened by a Prepare of 2^width (binary) or
+    width + 1 (unary) normalized amplitudes, closed by the adjoint of those same amplitudes
+    and then measured, with only the Measures of l-registers between its adjoint and its
+    Measure. One register at a time is open, from its Prepare to its Measure. So a post-selected result depends on
     a Prepare only through the column it puts on |0>, not on the unitary that completes it:
     the form the moment trace runs (``sampler._walk``).
     """
@@ -148,9 +148,14 @@ class CircuitPlan:
         live = opening = None  # the open register and its Prepare's amplitudes
         closed, selects, measures = False, 0, 0  # closed: live's adjoint came
         for i, ins in enumerate(self.instructions):
+            if not isinstance(ins, Instruction):
+                raise LayoutError(f"instruction {i}: {ins!r} is not a Prepare, LcuBlock or Measure")
             block = isinstance(ins, LcuBlock)
+            control = ins.control if block else None
+            if control is not None and not (type(control) is tuple and len(control) == 2):
+                raise LayoutError(f"instruction {i}: control {control!r} is not a (register, bit)")
             name = ins.l_register if block else ins.register  # and a block's control register
-            if name not in widths or block and ins.control and (name := ins.control[0]) not in widths:
+            if name not in widths or control and (name := control[0]) not in widths:
                 raise LayoutError(f"instruction {i}: no register named {name!r}")
             if closed and not (
                 isinstance(ins, Measure) and (ins.register == live or ins.register in l_regs)
@@ -158,7 +163,7 @@ class CircuitPlan:
                 raise LayoutError(f"instruction {i}: only term-register Measures may come between "
                                   f"{live}'s adjoint and its Measure")
             if block:
-                name, control = ins.l_register, ins.control
+                name = ins.l_register
                 if (1 << widths[name]) < H.num_terms:
                     raise LayoutError(f"instruction {i}: {name} is too narrow for the terms")
                 if control is not None and (control[0] in l_regs or type(control[1]) is not int
@@ -211,7 +216,7 @@ class CircuitPlan:
 
 def build_w_hk(H: HamiltonianLCU, k: int) -> CircuitPlan:
     """k repetitions of [LcuBlock, Measure] on one l-register."""
-    if k < 1:
+    if _check_int(k, "k") < 1:
         raise InvalidModelError("k must be at least 1")
     return CircuitPlan({"l": H.l_width}, H, (LcuBlock("l"), Measure("l")) * k)
 
@@ -219,7 +224,7 @@ def build_w_hk(H: HamiltonianLCU, k: int) -> CircuitPlan:
 def build_w_tilde(H: HamiltonianLCU, tau: float, kappa: int) -> CircuitPlan:
     """Shorter-width plan: kappa + ceil(log2 L) + n qubits, K = 2^kappa - 1 blocks. A Taylor
     register over the simulation cap is refused before its 2^kappa amplitudes are built."""
-    if kappa < 1:
+    if _check_int(kappa, "kappa") < 1:
         raise InvalidModelError("kappa must be at least 1")
     check_width(kappa)
     k_amps = taylor_prepare_amplitudes(tau, l1_norm(H), (1 << kappa) - 1)

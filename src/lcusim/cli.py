@@ -27,8 +27,8 @@ from .bliss import jordan_wigner, load_fermionic, optimize_bliss
 from .circuits import build_w_tilde, build_w_unary, kappa_for
 from .errors import LayoutError, LcusimError, NormalizationError, ResourceLimitError
 from .hamiltonian import HamiltonianLCU, build_ising, check_width, l1_norm, load_hamiltonian
-from .resources import count
-from .sampler import CostModel, estimate, mean_cost_per_shot, run_shots, run_shots_many
+from .resources import CostModel, count, mean_cost, shot_costs
+from .sampler import estimate, run_shots, run_shots_many
 
 
 class UsageError(Exception):
@@ -165,7 +165,7 @@ def _check_limit(value: int, limit: int, what: str) -> None:
         raise ResourceLimitError(f"{what.format(value)} over the limit of {limit}")
 
 
-def _stats_row(stats) -> dict:
+def _stats_row(stats, costs: tuple[float, ...]) -> dict:
     p_hat, stderr = estimate(stats)
     hist = ";".join(f"{k}:{v}" for k, v in sorted(stats.abort_histogram.items()))
     return {
@@ -174,7 +174,7 @@ def _stats_row(stats) -> dict:
         "p_hat": p_hat,
         "stderr": stderr,
         "abort_histogram": hist,
-        "mean_cost": mean_cost_per_shot(stats),
+        "mean_cost": mean_cost(stats, costs),
     }
 
 
@@ -191,9 +191,9 @@ def cmd_simulate(args) -> list[dict]:
         plan = build_w_tilde(H, args.tau, kappa)
     psi = _resolve_state(args, H.n)
     cost = CostModel(d_ctrl=args.d_ctrl, m=args.m)  # its plans hold only controlled blocks
-    stats = run_shots(plan, psi, args.shots, args.seed, cost)
+    stats = run_shots(plan, psi, args.shots, args.seed)
     row = {"circuit": args.circuit, "K": plan.select_count, "tau": args.tau}
-    row.update(_stats_row(stats))
+    row.update(_stats_row(stats, shot_costs(plan, cost)))
     return [row]
 
 
@@ -231,11 +231,11 @@ def cmd_sweep(args) -> list[dict]:
     check_width(H.n + args.kappa_max)
     kappas = range(1, args.kappa_max + 1)
     plans = [build_w_tilde(H, args.tau, kappa) for kappa in kappas]
-    runs = run_shots_many(plans, psi, args.shots, args.seed, cost)
+    runs = run_shots_many(plans, psi, args.shots, args.seed)
     rows = []
     for kappa, plan, stats in zip(kappas, plans, runs):
         row = {"K": plan.select_count, "kappa": kappa}
-        row.update(_stats_row(stats))
+        row.update(_stats_row(stats, shot_costs(plan, cost)))
         row["p_analytic"] = oracle.success_prob_wtilde(H, psi, args.tau, plan.select_count)
         rows.append(row)
     return rows

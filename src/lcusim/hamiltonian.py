@@ -42,6 +42,13 @@ def check_width(qubits: int) -> None:
         raise ResourceLimitError(f"{qubits} qubits exceeds simulation cap {TOTAL_QUBIT_CAP}")
 
 
+def _check_int(value: int, name: str) -> int:
+    """``value``, or ``InvalidModelError`` naming it unless it is an int and not a bool."""
+    if type(value) is not int:
+        raise InvalidModelError(f"{name} must be an int, got {value!r}")
+    return value
+
+
 def check_norm(norm: float, message: str) -> None:
     """Raise ``NormalizationError(message)`` unless ``norm`` is within ``_NORM_TOL`` of 1;
     a NaN fails too."""
@@ -170,7 +177,7 @@ def build_ising(n_sites: int, J: float, h: float) -> HamiltonianLCU:
 
     Term order is couplings by site index, then fields by site index.
     """
-    if n_sites < 2:
+    if _check_int(n_sites, "n_sites") < 2:
         raise InvalidModelError("Ising chain needs at least 2 sites")
     raw = [(J, "I" * i + "ZZ" + "I" * (n_sites - i - 2)) for i in range(n_sites - 1)]
     raw += [(h, "I" * i + "X" + "I" * (n_sites - i - 1)) for i in range(n_sites)]

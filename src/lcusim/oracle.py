@@ -2,7 +2,8 @@
 
 The success probabilities are squared norms of H~^k psi or
 sum_k beta_k H~^k psi, H~ = (-i / l1) H, so they take Pauli-sum matvecs and
-no 2^n x 2^n matrix; the runtimes and the bound are functions of them.
+no 2^n x 2^n matrix; the runtimes and the bound are functions of them, and their
+cost units pass the check ``resources.CostModel`` makes.
 """
 from __future__ import annotations
 
@@ -13,12 +14,13 @@ import numpy as np
 
 from .circuits import taylor_weights
 from .errors import DomainError, InvalidModelError
-from .hamiltonian import HamiltonianLCU, apply_rescaled, check_state, l1_norm
+from .hamiltonian import HamiltonianLCU, _check_int, apply_rescaled, check_state, l1_norm
+from .resources import _check_costs
 
 
 def success_prob_hk(H: HamiltonianLCU, psi: np.ndarray, k: int) -> float:
     """<psi| (Htilde^k)^dag Htilde^k |psi>, k >= 0."""
-    if k < 0:
+    if _check_int(k, "k") < 0:
         raise InvalidModelError("k must be nonnegative")
     v = check_state(psi, H.n)
     for _ in range(k):
@@ -32,7 +34,7 @@ def chain_probabilities(H: HamiltonianLCU, psi: np.ndarray, k: int) -> list[floa
     p_i = <psi_{i-1}| Htilde^dag Htilde |psi_{i-1}> with psi_i the normalized
     post-block state, k >= 0. A dead branch yields zeros for the remaining steps.
     """
-    if k < 0:
+    if _check_int(k, "k") < 0:
         raise InvalidModelError("k must be nonnegative")
     v = check_state(psi, H.n)
     probs = []
@@ -81,6 +83,7 @@ def expected_runtime_midmeasure(p_chain: Sequence[float], d: float) -> float:
 
     sum_j (1-p_j) (prod_{i<j} p_i) j d  +  (prod_{i<k} p_i) k d.
     """
+    _check_costs(d)
     p = _probabilities(p_chain)
     total, running = 0.0, 1.0  # running = prod_{i<j} p_i
     for j, pj in enumerate(p[:-1], start=1):
@@ -91,6 +94,7 @@ def expected_runtime_midmeasure(p_chain: Sequence[float], d: float) -> float:
 
 def total_runtime_success(p_chain: Sequence[float], d: float) -> float:
     """d (1 + p1 + p1 p2 + ... + p1..p_{k-1}) / (p1..p_k); inf on a zero branch."""
+    _check_costs(d)
     numerator, running = 0.0, 1.0
     for pi in _probabilities(p_chain):
         numerator += running
@@ -102,6 +106,7 @@ def runtime_bound(p_w: float, p1: float, tau: float, l1: float, K: int, d_ctrl: 
     """First-order upper bound on the average successful-run cost of the shorter-width
     circuit, (K d_ctrl / p_w) [1 - (tau l1 / ||beta||_1) (1 - p1)], from p_w = p_wtilde and
     p1 = <psi| Htilde^dag Htilde |psi>; inf at p_w = 0."""
+    _check_costs(d_ctrl)
     _probabilities((p_w, p1))
     correction = (tau * l1 / float(taylor_weights(tau, l1, K).sum())) * (1.0 - p1)
     return math.inf if p_w == 0.0 else _finite_cost((K * d_ctrl / p_w) * (1.0 - correction))

@@ -13,7 +13,7 @@ reach measurement j, Binomial(r_j, 1 - q_j) abort there: the chain-rule form of 
 multinomial over the M + 1 outcomes, with exactly the law of one Bernoulli draw per shot
 and measurement. ``run_shots`` makes one binomial draw per measurement, so its cost does
 not grow with the number of shots. What a shot costs depends on the plan and on where it
-stopped, not on psi: ``CostModel.shot_costs`` prices a plan, the trace holds only q's.
+stopped, not on psi: the sampler draws outcomes only, and ``resources`` prices them.
 """
 from __future__ import annotations
 
@@ -30,31 +30,6 @@ from .hamiltonian import apply_rescaled, check_state, check_width
 
 
 @dataclass(frozen=True)
-class CostModel:
-    """Cost units per instruction kind; a ``Prepare`` costs nothing."""
-
-    d: float = 1.0  # uncontrolled LCU block
-    d_ctrl: float = 1.0  # controlled LCU block
-    m: float = 0.0  # one register measurement
-
-    def __post_init__(self):
-        if not all(math.isfinite(c) and c >= 0 for c in (self.d, self.d_ctrl, self.m)):
-            raise InvalidModelError("costs must be finite and nonnegative")
-
-    def shot_costs(self, plan: CircuitPlan) -> tuple[float, ...]:
-        """The cost of a shot that stops at each measurement: the instructions up to and
-        including it, summed in plan order. A successful shot pays the last entry."""
-        out, running = [], 0.0
-        for ins in plan.instructions:
-            if isinstance(ins, LcuBlock):
-                running += self.d if ins.control is None else self.d_ctrl
-            elif isinstance(ins, Measure):
-                running += self.m
-                out.append(running)
-        return tuple(out)
-
-
-@dataclass(frozen=True)
 class PlanTrace:
     """Exact success-path data for one plan and input state."""
 
@@ -68,7 +43,6 @@ class RunStats:
     shots: int = 0
     successes: int = 0
     abort_histogram: dict[int, int] = field(default_factory=dict)
-    total_cost: float = 0.0
 
 
 def _sums(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -251,50 +225,36 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
             return k
 
 
-def _sample(trace: PlanTrace, costs: tuple[float, ...], N: int, seed: int) -> RunStats:
-    """N shots of a trace priced by ``costs``: one ``_binomial`` draw per measurement reached."""
-    ints = all(isinstance(v, int) for v in (N, seed))
+def _sample(trace: PlanTrace, N: int, seed: int) -> RunStats:
+    """N shots of a trace: one ``_binomial`` draw per measurement reached."""
+    ints = all(type(v) is int for v in (N, seed))  # not a bool
     if not (ints and 1 <= N <= 2**64 and 0 <= seed < 2**64):
         raise InvalidModelError(
             f"need integers 1 <= N <= 2^64 and 0 <= seed < 2^64; got N={N!r}, seed={seed!r}"
         )
     rng = random.Random(seed)
-    left, aborts, total_cost = N, {}, 0.0
-    for j, (q, c) in enumerate(zip(trace.cond_probs, costs), 1):
+    left, aborts = N, {}
+    for j, q in enumerate(trace.cond_probs, 1):
         if not left:
             break
         k = _binomial(rng, left, 1.0 - q) if q >= 0.5 else left - _binomial(rng, left, q)
-        if k:  # an outcome never reached adds no 0 * inf
-            aborts[j], left, total_cost = k, left - k, total_cost + k * c
-    if left:
-        total_cost += left * (costs[-1] if costs else 0.0)
-    if not math.isfinite(total_cost):
-        raise DomainError("the summed shot costs overflow: the cost units are too large")
-    return RunStats(N, left, aborts, total_cost)
+        if k:
+            aborts[j], left = k, left - k
+    return RunStats(N, left, aborts)
 
 
-def run_shots(
-    plan: CircuitPlan, psi: np.ndarray, N: int, seed: int, cost: CostModel = CostModel()
-) -> RunStats:
-    """Run N shots of the abort-and-restart protocol.
-
-    A shot aborts at the first nonzero outcome and pays only for the instructions executed
-    up to and including the failing measurement (``cost.shot_costs(plan)``). Every shot runs
-    the same traced chain q_1 .. q_M, so of the r_j shots that reach measurement j,
-    Binomial(r_j, 1 - q_j) abort there and the rest go on: one ``_binomial`` draw per
-    measurement, from ``random.Random(seed)``, until no shot is left. The total cost is the
-    sum over the outcomes reached of their count times their cost.
-    """
-    return _sample(trace_plan(plan, psi), cost.shot_costs(plan), N, seed)
+def run_shots(plan: CircuitPlan, psi: np.ndarray, N: int, seed: int) -> RunStats:
+    """N shots of the abort-and-restart protocol, each ending at its first nonzero outcome:
+    one ``_binomial`` draw per measurement, from ``random.Random(seed)``, of the shots left
+    there, until none is. ``resources.shot_costs`` prices each outcome."""
+    return _sample(trace_plan(plan, psi), N, seed)
 
 
-def run_shots_many(
-    plans: list[CircuitPlan], psi: np.ndarray, N: int, seed: int, cost: CostModel = CostModel()
-) -> list[RunStats]:
-    """``[run_shots(plan, psi, N, seed, cost) for plan in plans]``: each plan draws from
-    its own ``random.Random(seed)``, so a plan's stats do not depend on the others. The
-    plans on one Hamiltonian share one Krylov pass of psi (``_traces``)."""
-    return [_sample(t, cost.shot_costs(p), N, seed) for p, t in zip(plans, _traces(plans, psi))]
+def run_shots_many(plans: list[CircuitPlan], psi: np.ndarray, N: int, seed: int) -> list[RunStats]:
+    """``[run_shots(plan, psi, N, seed) for plan in plans]``: each plan draws from its own
+    ``random.Random(seed)``, so a plan's stats do not depend on the others. The plans on
+    one Hamiltonian share one Krylov pass of psi (``_traces``)."""
+    return [_sample(t, N, seed) for t in _traces(plans, psi)]
 
 
 def estimate(stats: RunStats) -> tuple[float, float]:
@@ -303,9 +263,3 @@ def estimate(stats: RunStats) -> tuple[float, float]:
         raise DomainError("no shots recorded")
     p = stats.successes / stats.shots
     return p, math.sqrt(p * (1.0 - p) / stats.shots)
-
-
-def mean_cost_per_shot(stats: RunStats) -> float:
-    if stats.shots < 1:
-        raise DomainError("no shots recorded")
-    return stats.total_cost / stats.shots

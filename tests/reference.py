@@ -532,7 +532,7 @@ def exact_wtilde_chain(raw: list, n: int, x: Fraction, kappa: int, psi: list) ->
 
 def shot_outcomes(trace: PlanTrace, costs: tuple[float, ...]) -> list[tuple[float, float]]:
     """(probability, cost) of each outcome of one shot, from the traced chain and
-    ``CostModel.shot_costs``: an abort at each measurement in turn, then success, which
+    ``resources.shot_costs``: an abort at each measurement in turn, then success, which
     pays the last cost."""
     out, surviving = [], 1.0
     for q, c in zip(trace.cond_probs, costs):

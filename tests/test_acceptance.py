@@ -27,7 +27,8 @@ from lcusim.oracle import (
     total_runtime_success,
 )
 from lcusim.resources import count
-from lcusim.sampler import CostModel, estimate, mean_cost_per_shot, run_shots, trace_plan
+from lcusim.resources import CostModel, mean_cost, shot_costs
+from lcusim.sampler import estimate, run_shots, trace_plan
 from conftest import ladder_matrix, random_hamiltonian, random_state
 from reference import (fidelity, sector_spectrum, shot_outcomes, spectral_lower_bound,
                        truncated_taylor_matrix)
@@ -154,13 +155,14 @@ def test_5_runtime_accounting(ising4, psi0_4):
     psi = random_state(2, rng)
     plan = build_w_hk(H, 3)
     shots = 100_000
-    stats = run_shots(plan, psi, shots, seed=5, cost=CostModel(d=1.0))
+    stats = run_shots(plan, psi, shots, seed=5)
+    costs = shot_costs(plan, CostModel(d=1.0))
     probs = chain_probabilities(H, psi, 3)
     expected = expected_runtime_midmeasure(probs, 1.0)
     # exact per-shot cost variance from the trace distribution
-    outcomes = shot_outcomes(trace_plan(plan, psi), CostModel(d=1.0).shot_costs(plan))
+    outcomes = shot_outcomes(trace_plan(plan, psi), costs)
     var = sum(w * (c - expected) ** 2 for w, c in outcomes)
-    assert abs(mean_cost_per_shot(stats) - expected) < 3 * math.sqrt(var / shots)
+    assert abs(mean_cost(stats, costs) - expected) < 3 * math.sqrt(var / shots)
 
     # early-abort runtime never exceeds the deferred-measurement runtime,
     # with equality exactly when every intermediate probability is 1
@@ -180,8 +182,9 @@ def test_5_runtime_accounting(ising4, psi0_4):
     # checked where the linear-in-tau correction dominates
     tau = 0.2
     plan_wt = build_w_tilde(ising4, tau, 3)
-    stats_wt = run_shots(plan_wt, psi0_4, shots, seed=6, cost=CostModel(d=1.0, d_ctrl=1.0))
-    empirical = stats_wt.total_cost / stats_wt.successes
+    stats_wt = run_shots(plan_wt, psi0_4, shots, seed=6)
+    costs_wt = shot_costs(plan_wt, CostModel(d=1.0, d_ctrl=1.0))
+    empirical = mean_cost(stats_wt, costs_wt) * stats_wt.shots / stats_wt.successes
     p_w, p1 = success_prob_wtilde(ising4, psi0_4, tau, 7), success_prob_hk(ising4, psi0_4, 1)
     bound = runtime_bound(p_w, p1, tau, l1_norm(ising4), 7, 1.0)
     assert bound > empirical

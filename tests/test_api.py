@@ -39,9 +39,8 @@ PUBLIC = {
                     "load_hamiltonian", "mask_letters", "pauli_sum_apply", "save_hamiltonian"],
     "oracle": ["chain_probabilities", "expected_runtime_midmeasure", "runtime_bound",
                "success_prob_hk", "success_prob_wtilde", "total_runtime_success"],
-    "resources": ["GateCounts", "count"],
-    "sampler": ["CostModel", "PlanTrace", "RunStats", "estimate", "mean_cost_per_shot",
-                "run_shots", "run_shots_many", "trace_plan"],
+    "resources": ["CostModel", "GateCounts", "count", "mean_cost", "shot_costs"],
+    "sampler": ["PlanTrace", "RunStats", "estimate", "run_shots", "run_shots_many", "trace_plan"],
 }
 
 

@@ -23,8 +23,10 @@ from lcusim.circuits import (
 )
 from lcusim.errors import InvalidModelError, LayoutError, ResourceLimitError
 from lcusim.hamiltonian import HamiltonianLCU, build_ising
+from lcusim.oracle import (chain_probabilities, runtime_bound, success_prob_hk,
+                           success_prob_wtilde)
 from lcusim.resources import count
-from conftest import random_hamiltonian
+from conftest import basis_state, random_hamiltonian
 
 
 class TestTaylorCoefficients:
@@ -116,6 +118,32 @@ def test_index_widths_are_exact_past_the_float_mantissa(k):
         assert kappa_for(N) == _width(N + 1)  # orders 0 .. N
         assert HamiltonianLCU.l_width.fget(SimpleNamespace(num_terms=N)) == _width(N)
     assert kappa_for(1) == kappa_for(0) == 1
+
+
+_H2, _PSI2 = build_ising(2, 1.0, 0.5), basis_state(2, 0)
+_ORDER_SITES = {  # each function of an order, width or size: (call, the argument's name)
+    "kappa_for": (lambda v: kappa_for(v), "K"),
+    "taylor_weights": (lambda v: taylor_weights(0.1, 1.0, v), "K"),
+    "build_w_hk": (lambda v: build_w_hk(_H2, v), "k"),
+    "build_w_tilde": (lambda v: build_w_tilde(_H2, 0.1, v), "kappa"),
+    "build_w_unary": (lambda v: build_w_unary(_H2, 0.1, v), "K"),
+    "build_ising": (lambda v: build_ising(v, 1.0, 0.5), "n_sites"),
+    "success_prob_hk": (lambda v: success_prob_hk(_H2, _PSI2, v), "k"),
+    "chain_probabilities": (lambda v: chain_probabilities(_H2, _PSI2, v), "k"),
+    "success_prob_wtilde": (lambda v: success_prob_wtilde(_H2, _PSI2, 0.1, v), "K"),
+    "runtime_bound": (lambda v: runtime_bound(0.5, 0.5, 0.1, 1.0, v, 1.0), "K"),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, True, np.int64(2), "2"], ids=repr)
+@pytest.mark.parametrize("site", _ORDER_SITES)
+def test_an_order_that_is_not_an_int_is_refused(site, value):
+    # these raised AttributeError or a bare TypeError, took True for 1, or named register 'k'
+    call, name = _ORDER_SITES[site]
+    message = f"{name} must be an int, got {value!r}"
+    with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
+        call(value)
+    call(2)
 
 
 def test_kappa_for_refuses_a_negative_order():

@@ -36,13 +36,145 @@ def _csv_rows(text):
     return list(csv.DictReader(text.splitlines()))
 
 
-README_COMMANDS = [
-    "sweep --model ising --n 4 --J 1.0 --h 0.5 --tau 0.05 --kappa-max 3 --shots 100000 --seed 7",
-    "simulate --model ising --tau 0.05 --kappa 3 --shots 100000 --seed 0",
-    "analytic --model ising --tau 0.05 --K 7",
-    "resources --model ising --n 4 --K-max 7 --format json",
-    "bliss --fermion-file src/lcusim/data/hubbard_4site.txt",
-]
+# The README's examples, run from the repository root, with the stdout each prints: a
+# change to any of these bytes shows here.
+README_COMMANDS = {
+    'sweep --model ising --n 4 --J 1.0 --h 0.5 --tau 0.05 --kappa-max 3 --shots 100000 --seed 7': (
+        'K,kappa,shots,successes,p_hat,stderr,abort_histogram,mean_cost,p_analytic\n'
+        '1,1,100000,65583,0.65583,0.0015023881359355843,1:11947;2:22470,1.0,0.6559999999999999\n'
+        '3,2,100000,60966,0.60966,0.0015426428115412848,1:11753;2:1523;3:562;4:25196,2.74971,0.6066575788750416\n'
+        '7,3,100000,60749,0.60749,0.00154416935567314,1:11751;2:1523;3:562;4:11;5:2;6:1;7:2;8:25399,6.19593,0.606530660063536\n'
+    ),
+    'simulate --model ising --tau 0.05 --kappa 3 --shots 100000 --seed 0': (
+        'circuit,K,tau,shots,successes,p_hat,stderr,abort_histogram,mean_cost\n'
+        'wtilde,7,0.05,100000,60375,0.60375,0.001546725371551136,1:11921;2:1495;3:559;4:7;5:2;8:25641,6.18738\n'
+    ),
+    'analytic --model ising --tau 0.05 --K 7': (
+        'K,kappa,tau,l1_norm,p_wtilde,p_hk,expected_runtime_hk,total_runtime_hk,runtime_upper_bound\n'
+        '7,3,0.05,5.0,0.606530660063536,0.0035599432089600076,1.7212417290239999,483.5025807973041,10.192822201073124\n'
+    ),
+    'resources --model ising --n 4 --K-max 7 --format json': (
+        '[\n'
+        ' {\n'
+        '  "K": 1,\n'
+        '  "family": "wtilde",\n'
+        '  "kappa": 1,\n'
+        '  "measurements": 4,\n'
+        '  "qubits": 8,\n'
+        '  "two_qubit": 260\n'
+        ' },\n'
+        ' {\n'
+        '  "K": 1,\n'
+        '  "family": "wunary",\n'
+        '  "kappa": 1,\n'
+        '  "measurements": 4,\n'
+        '  "qubits": 8,\n'
+        '  "two_qubit": 260\n'
+        ' },\n'
+        ' {\n'
+        '  "K": 2,\n'
+        '  "family": "wtilde",\n'
+        '  "kappa": 2,\n'
+        '  "measurements": 11,\n'
+        '  "qubits": 9,\n'
+        '  "two_qubit": 784\n'
+        ' },\n'
+        ' {\n'
+        '  "K": 2,\n'
+        '  "family": "wunary",\n'
+        '  "kappa": 2,\n'
+        '  "measurements": 8,\n'
+        '  "qubits": 12,\n'
+        '  "two_qubit": 524\n'
+        ' },\n'
+        ' {\n'
+        '  "K": 3,\n'
+        '  "family": "wtilde",\n'
+        '  "kappa": 2,\n'
+        '  "measurements": 11,\n'
+        '  "qubits": 9,\n'
+        '  "two_qubit": 784\n'
+        ' },\n'
+        ' {\n'
+        '  "K": 3,\n'
+        '  "family": "wunary",\n'
+        '  "kappa": 2,\n'
+        '  "measurements": 12,\n'
+        '  "qubits": 16,\n'
+        '  "two_qubit": 788\n'
+        ' },\n'
+        ' {\n'
+        '  "K": 4,\n'
+        '  "family": "wtilde",\n'
+        '  "kappa": 3,\n'
+        '  "measurements": 24,\n'
+        '  "qubits": 10,\n'
+        '  "two_qubit": 1832\n'
+        ' },\n'
+        ' {\n'
+        '  "K": 4,\n'
+        '  "family": "wunary",\n'
+        '  "kappa": 3,\n'
+        '  "measurements": 16,\n'
+        '  "qubits": 20,\n'
+        '  "two_qubit": 1052\n'
+        ' },\n'
+        ' {\n'
+        '  "K": 5,\n'
+        '  "family": "wtilde",\n'
+        '  "kappa": 3,\n'
+        '  "measurements": 24,\n'
+        '  "qubits": 10,\n'
+        '  "two_qubit": 1832\n'
+        ' },\n'
+        ' {\n'
+        '  "K": 5,\n'
+        '  "family": "wunary",\n'
+        '  "kappa": 3,\n'
+        '  "measurements": 20,\n'
+        '  "qubits": 24,\n'
+        '  "two_qubit": 1316\n'
+        ' },\n'
+        ' {\n'
+        '  "K": 6,\n'
+        '  "family": "wtilde",\n'
+        '  "kappa": 3,\n'
+        '  "measurements": 24,\n'
+        '  "qubits": 10,\n'
+        '  "two_qubit": 1832\n'
+        ' },\n'
+        ' {\n'
+        '  "K": 6,\n'
+        '  "family": "wunary",\n'
+        '  "kappa": 3,\n'
+        '  "measurements": 24,\n'
+        '  "qubits": 28,\n'
+        '  "two_qubit": 1580\n'
+        ' },\n'
+        ' {\n'
+        '  "K": 7,\n'
+        '  "family": "wtilde",\n'
+        '  "kappa": 3,\n'
+        '  "measurements": 24,\n'
+        '  "qubits": 10,\n'
+        '  "two_qubit": 1832\n'
+        ' },\n'
+        ' {\n'
+        '  "K": 7,\n'
+        '  "family": "wunary",\n'
+        '  "kappa": 3,\n'
+        '  "measurements": 28,\n'
+        '  "qubits": 32,\n'
+        '  "two_qubit": 1844\n'
+        ' }\n'
+        ']\n'
+    ),
+    'bliss --fermion-file src/lcusim/data/hubbard_4site.txt': (
+        'n_orb,n_electrons,l1_before,l1_after,L_before,L_after,p_before,p_after,xi0,converged\n'
+        '8,4,22.0,14.0,25,17,0.13636363636363635,0.336734693877551,2.0,True\n'
+    ),
+}
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("argv", README_COMMANDS)
@@ -54,11 +186,16 @@ def test_readme_command_never_imports_numpy_random(argv):
         "code = main(sys.argv[1].split())\n"
         "print(code, 'numpy.random' in sys.modules, file=sys.stderr)\n"
     )
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
-    done = subprocess.run([sys.executable, "-c", script, argv], cwd=root, env=env,
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    done = subprocess.run([sys.executable, "-c", script, argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.stderr.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS)
+def test_readme_stdout_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.chdir(ROOT)
+    assert _run(capsys, *argv.split()) == (0, README_COMMANDS[argv], "")
 
 
 def _reject_constant(name):
@@ -1311,6 +1448,25 @@ STDOUT_PINS = {
         '1,1,10000,6542,0.6542,0.0047562838435063984,1:1237;2:2221,1.469075,0.6559999999999999\n'
         '3,2,10000,6005,0.6005,0.004897956206419163,1:1218;2:147;3:56;4:2574,3.6416,0.6066575788750416\n'
         '7,3,10000,5975,0.5975,0.004904016211229323,1:1218;2:147;3:56;8:2604,7.9311,0.606530660063536\n'
+    ),
+    'analytic --model ising --n 6 --tau 0.3 --K 5 --d 0.3 --d-ctrl 0.7': (
+        'K,kappa,tau,l1_norm,p_wtilde,p_hk,expected_runtime_hk,total_runtime_hk,runtime_upper_bound\n'
+        '5,3,0.3,8.0,0.008919395373935535,0.019610645482316596,0.5198115617036819,26.506601334076887,340.4917461698339\n'
+    ),
+    'analytic --model ising --n 6 --tau 0.3 --K 5 --d 0.3 --d-ctrl 0.7 --format json': (
+        '[\n'
+        ' {\n'
+        '  "K": 5,\n'
+        '  "expected_runtime_hk": 0.5198115617036819,\n'
+        '  "kappa": 3,\n'
+        '  "l1_norm": 8.0,\n'
+        '  "p_hk": 0.019610645482316596,\n'
+        '  "p_wtilde": 0.008919395373935535,\n'
+        '  "runtime_upper_bound": 340.4917461698339,\n'
+        '  "tau": 0.3,\n'
+        '  "total_runtime_hk": 26.506601334076887\n'
+        ' }\n'
+        ']\n'
     ),
     'resources --model ising --K-max 7': (
         'family,K,kappa,qubits,two_qubit,measurements\n'

@@ -17,6 +17,7 @@ from lcusim.oracle import (
     success_prob_wtilde,
     total_runtime_success,
 )
+from lcusim.resources import CostModel, shot_costs
 from lcusim.sampler import trace_plan
 from conftest import basis_state, random_hamiltonian, random_state
 from reference import (
@@ -201,6 +202,20 @@ class TestRuntimes:
         # a success probability that underflows to 0 is a zero branch, not a ZeroDivisionError
         assert total_runtime_success([1e-200, 1e-200], 1.0) == math.inf
 
+    @pytest.mark.parametrize("unit", [math.nan, -1.0, math.inf, 10**400, "1"],
+                             ids=["nan", "-1.0", "inf", "10**400", "'1'"])
+    @pytest.mark.parametrize("site", ["CostModel", "expected_runtime_midmeasure",
+                                      "total_runtime_success", "runtime_bound"])
+    def test_a_cost_unit_that_is_not_finite_and_nonnegative_is_refused(self, site, unit):
+        # one check: a NaN unit gave a NaN runtime, -1.0 a negative one, and 10**400 and "1"
+        # raised OverflowError and TypeError
+        call = {"CostModel": lambda: CostModel(m=unit),
+                "expected_runtime_midmeasure": lambda: expected_runtime_midmeasure([0.5], unit),
+                "total_runtime_success": lambda: total_runtime_success([0.5], unit),
+                "runtime_bound": lambda: runtime_bound(0.5, 0.5, 0.1, 1.0, 3, unit)}[site]
+        with pytest.raises(InvalidModelError, match="^costs must be finite and nonnegative$"):
+            call()
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.floats(0.0, 1.0), max_size=4),
@@ -246,12 +261,11 @@ class TestRuntimes:
         # it is a first-order-in-tau statement, so check it where the linear
         # correction is dominant rather than at vanishing tau
         from lcusim.circuits import build_w_tilde
-        from lcusim.sampler import CostModel, trace_plan
 
         for tau in (0.1, 0.2, 0.5):
             plan = build_w_tilde(ising4, tau, 3)
             trace = trace_plan(plan, psi0_4)
-            costs = CostModel(d=0.0, d_ctrl=1.0).shot_costs(plan)
+            costs = shot_costs(plan, CostModel(d=0.0, d_ctrl=1.0))
             exact = exact_mean_cost(trace, costs) / trace.success_prob
             bound = _bound(ising4, psi0_4, tau, 7, 1.0)
             assert exact <= bound <= 7.0 / trace.success_prob

@@ -8,6 +8,8 @@ FAST_PATHS = {
     "trace_plan",
     "count",
     "_cx_count",
+    "shot_costs",
+    "mean_cost",
     "_jw_masks",
     "_weighted_median",
     "optimize_bliss",

@@ -15,8 +15,8 @@ from lcusim.circuits import (
 )
 from lcusim.hamiltonian import build_ising, canonicalize
 from lcusim.errors import LcusimError
-from lcusim.resources import count
-from lcusim.sampler import trace_plan
+from lcusim.resources import CostModel, _cx_count, count, mean_cost, shot_costs
+from lcusim.sampler import run_shots, trace_plan
 from conftest import random_state
 from reference import (
     Gate1Q,
@@ -204,6 +204,43 @@ class TestCounts:
         assert count(only_prep).two_qubit == 0  # width-1 l register: Ry and its adjoint, no CX
 
 
+class TestShotCosts:
+    """``shot_costs`` with a ``CostModel``: the cost of a shot that stops at each measurement."""
+
+    COST = CostModel(d=0.3, d_ctrl=0.7, m=0.1)  # all different, so a swapped unit shows
+
+    def test_whk(self, ising4):
+        # k uncontrolled blocks, each followed by its measurement
+        costs = shot_costs(build_w_hk(ising4, 3), self.COST)
+        assert costs == pytest.approx([0.4, 0.8, 1.2], rel=1e-15)
+
+    def test_wtilde(self, ising4):
+        # K = 3 controlled blocks, each followed by its measurement, then the k-register's
+        costs = shot_costs(build_w_tilde(ising4, 0.05, 2), self.COST)
+        assert costs == pytest.approx([0.8, 1.6, 2.4, 2.5], rel=1e-15)
+
+    def test_wunary(self, ising4):
+        # K = 3 controlled blocks, then the K l-registers' measurements and the unary one
+        costs = shot_costs(build_w_unary(ising4, 0.05, 3), self.COST)
+        assert costs == pytest.approx([2.2, 2.3, 2.4, 2.5], rel=1e-15)
+
+    def test_summed_in_plan_order(self, ising4):
+        # each entry is the previous one plus the instructions since, in float arithmetic
+        running, want = 0.0, []
+        for _ in range(3):
+            running += 0.7
+            running += 0.1
+            want.append(running)
+        running += 0.1
+        assert shot_costs(build_w_tilde(ising4, 0.05, 2), self.COST) == tuple(want + [running])
+
+    def test_no_measurement_costs_nothing(self, ising4):
+        plan = CircuitPlan({}, ising4, ())
+        assert shot_costs(plan, self.COST) == ()
+        stats = run_shots(plan, np.eye(16)[0], 5, 0)
+        assert stats.successes == 5 and mean_cost(stats, ()) == 0.0
+
+
 def _plans(H, K):
     kappa = max(1, math.ceil(math.log2(K + 1)))
     return [build_w_hk(H, K), build_w_tilde(H, 0.05, kappa), build_w_unary(H, 0.05, K)]
@@ -222,8 +259,16 @@ class TestCountMatchesReference:
     @pytest.mark.parametrize("K", range(1, 9))
     @pytest.mark.parametrize("H", _HAMILTONIANS.values(), ids=_HAMILTONIANS.keys())
     def test_each_family_matches_reference(self, H, K):
+        # and the CX a shot that stops at each measurement pays, the compiled CX up to it
         for plan in _plans(H, K):
-            assert count(plan) == compile_plan(plan).counts()
+            compiled = compile_plan(plan)
+            assert count(plan) == compiled.counts()
+            cx, want = 0, []
+            for op in compiled.ops:
+                cx += isinstance(op, GateCX)
+                if isinstance(op, Measure):
+                    want.append(cx)
+            assert shot_costs(plan, _cx_count) == tuple(want)
 
     def test_hamiltonians_differing_only_in_phases(self):
         plans = [build_w_hk(_H_REAL, 1), build_w_hk(_H_NEG, 1)]

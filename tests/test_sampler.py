@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcusim.circuits import CircuitPlan, build_w_hk, build_w_tilde, build_w_unary
+from lcusim.circuits import build_w_hk, build_w_tilde, build_w_unary
 from lcusim.errors import DomainError, LcusimError
 from lcusim.hamiltonian import build_ising, canonicalize
 from lcusim.oracle import (
@@ -18,11 +18,10 @@ from lcusim.oracle import (
     success_prob_hk,
     success_prob_wtilde,
 )
+from lcusim.resources import CostModel, mean_cost, shot_costs
 from lcusim.sampler import (
-    CostModel,
     RunStats,
     estimate,
-    mean_cost_per_shot,
     PlanTrace,
     run_shots,
     run_shots_many,
@@ -35,13 +34,13 @@ from conftest import random_hamiltonian, random_state
 from reference import exact_mean_cost, fidelity, shot_rng, truncated_taylor_matrix
 
 
-def per_shot_run_shots(plan, psi, N, seed, cost=CostModel()):
+def per_shot_run_shots(plan, psi, N, seed):
     """The per-shot reference for run_shots: one Bernoulli draw per measurement from
     one shot_rng per shot."""
-    return per_shot_stats(trace_plan(plan, psi), cost.shot_costs(plan), N, seed)
+    return per_shot_stats(trace_plan(plan, psi), N, seed)
 
 
-def per_shot_stats(trace, costs, N, seed):
+def per_shot_stats(trace, N, seed):
     q = np.array(trace.cond_probs)
     stats = RunStats(shots=N)
     hist = {}
@@ -49,11 +48,9 @@ def per_shot_stats(trace, costs, N, seed):
         fails = np.flatnonzero(shot_rng(seed, i).random(q.shape[0]) >= q)
         if fails.size == 0:
             stats.successes += 1
-            stats.total_cost += costs[-1]
         else:
             step = int(fails[0]) + 1
             hist[step] = hist.get(step, 0) + 1
-            stats.total_cost += costs[step - 1]
     stats.abort_histogram = dict(sorted(hist.items()))
     return stats
 
@@ -132,7 +129,7 @@ class TestTracePlan:
         assert trace.final_system_state is None
 
     def test_cost_accounting(self, ising4):
-        costs = CostModel(d=1.0, d_ctrl=2.0, m=0.25).shot_costs(build_w_tilde(ising4, 0.05, 2))
+        costs = shot_costs(build_w_tilde(ising4, 0.05, 2), CostModel(d=1.0, d_ctrl=2.0, m=0.25))
         # first abort point: the first controlled block and its measurement
         assert costs[0] == pytest.approx(2.0 + 0.25)
         # success cost: 3 controlled blocks and their measurements, then the final measure
@@ -142,46 +139,9 @@ class TestTracePlan:
         plan = build_w_hk(ising4, 3)
         trace = trace_plan(plan, psi0_4)
         probs = chain_probabilities(ising4, psi0_4, 3)
-        assert exact_mean_cost(trace, CostModel(d=1.0).shot_costs(plan)) == pytest.approx(
+        assert exact_mean_cost(trace, shot_costs(plan, CostModel(d=1.0))) == pytest.approx(
             expected_runtime_midmeasure(probs, 1.0), rel=1e-12
         )
-
-
-class TestShotCosts:
-    """``CostModel.shot_costs``: the cost of a shot that stops at each measurement."""
-
-    COST = CostModel(d=0.3, d_ctrl=0.7, m=0.1)  # all different, so a swapped unit shows
-
-    def test_whk(self, ising4):
-        # k uncontrolled blocks, each followed by its measurement
-        costs = self.COST.shot_costs(build_w_hk(ising4, 3))
-        assert costs == pytest.approx([0.4, 0.8, 1.2], rel=1e-15)
-
-    def test_wtilde(self, ising4):
-        # K = 3 controlled blocks, each followed by its measurement, then the k-register's
-        costs = self.COST.shot_costs(build_w_tilde(ising4, 0.05, 2))
-        assert costs == pytest.approx([0.8, 1.6, 2.4, 2.5], rel=1e-15)
-
-    def test_wunary(self, ising4):
-        # K = 3 controlled blocks, then the K l-registers' measurements and the unary one
-        costs = self.COST.shot_costs(build_w_unary(ising4, 0.05, 3))
-        assert costs == pytest.approx([2.2, 2.3, 2.4, 2.5], rel=1e-15)
-
-    def test_summed_in_plan_order(self, ising4):
-        # each entry is the previous one plus the instructions since, in float arithmetic
-        running, want = 0.0, []
-        for _ in range(3):
-            running += 0.7
-            running += 0.1
-            want.append(running)
-        running += 0.1
-        assert self.COST.shot_costs(build_w_tilde(ising4, 0.05, 2)) == tuple(want + [running])
-
-    def test_no_measurement_costs_nothing(self, ising4):
-        plan = CircuitPlan({}, ising4, ())
-        assert self.COST.shot_costs(plan) == ()
-        stats = run_shots(plan, np.eye(16)[0], 5, 0, self.COST)
-        assert stats.successes == 5 and stats.total_cost == 0.0
 
 
 class TestRunShots:
@@ -209,11 +169,12 @@ class TestRunShots:
         psi = random_state(2, rng)
         plan = build_w_hk(H, 3)
         N = 20000
-        stats = run_shots(plan, psi, N, seed=21, cost=CostModel(d=1.0))
+        stats = run_shots(plan, psi, N, seed=21)
         probs = chain_probabilities(H, psi, 3)
         expected = expected_runtime_midmeasure(probs, 1.0)
         # crude variance bound: per-shot cost lies in [d, 3d]
-        assert abs(mean_cost_per_shot(stats) - expected) < 3 * 2.0 / math.sqrt(N)
+        mean = mean_cost(stats, shot_costs(plan, CostModel(d=1.0)))
+        assert abs(mean - expected) < 3 * 2.0 / math.sqrt(N)
 
     def test_tau_zero_always_succeeds(self, ising4, psi0_4):
         plan = build_w_tilde(ising4, 0.0, 2)
@@ -244,6 +205,7 @@ class TestRunShots:
             {"seed": "0"},
             {"N": 3.0},
             {"N": -2},
+            {"N": True},
         ],
     )
     def test_bad_arguments_rejected(self, ising4, psi0_4, kwargs):
@@ -264,22 +226,24 @@ def chain_outcomes(trace):
     return probs
 
 
-def assert_total_cost(stats, costs):
-    """The total cost summed over the outcomes: a success pays the last cost."""
+def assert_mean_cost(stats, costs):
+    """``mean_cost`` is the cost summed over the outcomes, per shot: a success pays the
+    last cost."""
     expected = sum(c * costs[j - 1] for j, c in stats.abort_histogram.items())
-    assert stats.total_cost == pytest.approx(expected + stats.successes * costs[-1])
+    expected += stats.successes * costs[-1]
+    assert mean_cost(stats, costs) == pytest.approx(expected / stats.shots)
 
 
 def assert_matches_chain(stats, trace, costs):
     """Each outcome's count within 3 sigma of N times its exact probability (exactly 0 or
-    N where that probability is 0 or 1), and the total cost summed over the outcomes."""
+    N where that probability is 0 or 1), and ``mean_cost`` summed over the outcomes."""
     N = stats.shots
     counts = {**stats.abort_histogram, 0: stats.successes}
     assert 0 not in stats.abort_histogram.values() and sum(counts.values()) == N
     for outcome, pi in chain_outcomes(trace).items():
         count = counts.get(outcome, 0)
         assert abs(count - N * pi) <= 3 * math.sqrt(N * pi * (1.0 - pi)), (outcome, count, N * pi)
-    assert_total_cost(stats, costs)
+    assert_mean_cost(stats, costs)
 
 
 def assert_in_binomial_tails(stats, trace, costs):
@@ -295,7 +259,7 @@ def assert_in_binomial_tails(stats, trace, costs):
             continue
         pmf = [binomial_pmf(N, pi, k) for k in range(N + 1)]
         assert min(sum(pmf[:count + 1]), sum(pmf[count:])) >= 0.00135, (outcome, count, N * pi)
-    assert_total_cost(stats, costs)
+    assert_mean_cost(stats, costs)
 
 
 def exact_counts(stats):
@@ -314,10 +278,10 @@ class TestBlockSampler:
         # loop over shot_rng(seed, 0) .. shot_rng(seed, first) does where it can run
         N = first + 1
         plan = build_w_tilde(ising4, 0.3, 2)
-        trace, costs = trace_plan(plan, psi0_4), CostModel().shot_costs(plan)
+        trace, costs = trace_plan(plan, psi0_4), shot_costs(plan, CostModel())
         stats = run_shots(plan, psi0_4, N, seed)
         assert stats == run_shots(plan, psi0_4, N, seed) and stats.shots == N
-        runs = [stats] + ([per_shot_stats(trace, costs, N, seed)] if N <= 4097 else [])
+        runs = [stats] + ([per_shot_stats(trace, N, seed)] if N <= 4097 else [])
         for s in runs:
             assert s.successes + sum(s.abort_histogram.values()) == N
             assert 0 not in s.abort_histogram.values()
@@ -329,9 +293,8 @@ class TestBlockSampler:
         rng = np.random.default_rng(kappa)
         psi = random_state(4, rng)
         plan = build_w_tilde(ising4, 0.05, kappa)
-        cost = CostModel(d=0.3, d_ctrl=0.7, m=0.1)
-        args = (plan, psi, 2 * 4096 + 123, 2**40 + kappa, cost)
-        trace, costs = trace_plan(plan, psi), cost.shot_costs(plan)
+        args = (plan, psi, 2 * 4096 + 123, 2**40 + kappa)
+        trace, costs = trace_plan(plan, psi), shot_costs(plan, CostModel(d=0.3, d_ctrl=0.7, m=0.1))
         new = run_shots(*args)
         assert new.abort_histogram and 0 < new.successes < new.shots
         assert_matches_chain(new, trace, costs)
@@ -341,37 +304,40 @@ class TestBlockSampler:
         # H = (I - Z)/2 annihilates |0>: every q is 0.0, every shot aborts at step 1
         H = canonicalize(1, [(0.5, "I"), (-0.5, "Z")])
         psi = np.array([1.0, 0.0], dtype=complex)
-        args = (build_w_hk(H, 2), psi, 4096 + 5, 3, CostModel(d=0.3, m=0.1))
+        args = (build_w_hk(H, 2), psi, 4096 + 5, 3)
         new, ref = run_shots(*args), per_shot_run_shots(*args)
         assert new.abort_histogram == {1: 4096 + 5}
         assert exact_counts(new) == exact_counts(ref)
-        assert new.total_cost == pytest.approx(ref.total_cost, rel=1e-12)
+        # every shot pays the first block and its measurement
+        assert mean_cost(new, shot_costs(args[0], CostModel(d=0.3, m=0.1))) == pytest.approx(0.4)
 
     def test_tau_zero_matches_per_shot_loop(self, ising4, psi0_4):
         # at tau = 0 every q is 1.0, every shot succeeds
-        args = (build_w_tilde(ising4, 0.0, 2), psi0_4, 4096 + 5, 3, CostModel(d=0.3, m=0.1))
+        args = (build_w_tilde(ising4, 0.0, 2), psi0_4, 4096 + 5, 3)
         new, ref = run_shots(*args), per_shot_run_shots(*args)
         assert new.successes == 4096 + 5
         assert exact_counts(new) == exact_counts(ref)
-        assert new.total_cost == pytest.approx(ref.total_cost, rel=1e-12)
+        # every shot pays the whole plan: three controlled blocks and four measurements
+        assert mean_cost(new, shot_costs(args[0], CostModel(d=0.3, m=0.1))) == pytest.approx(3.4)
 
     def test_unreached_infinite_cost_adds_no_nan(self):
         # every shot aborts at step 1, which costs 1e308; step 2 and success cost inf
         H = canonicalize(1, [(0.5, "I"), (-0.5, "Z")])
         psi = np.array([1.0, 0.0], dtype=complex)
         plan = build_w_hk(H, 2)
-        assert CostModel(d=1e308).shot_costs(plan) == (1e308, math.inf)  # success pays inf
-        stats = run_shots(plan, psi, 1, 5, CostModel(d=1e308))
+        costs = shot_costs(plan, CostModel(d=1e308))
+        assert costs == (1e308, math.inf)  # success pays inf
+        stats = run_shots(plan, psi, 1, 5)
         assert stats.abort_histogram == {1: 1}
-        assert mean_cost_per_shot(stats) == 1e308
+        assert mean_cost(stats, costs) == 1e308
         with pytest.raises(DomainError, match="overflow"):
-            run_shots(plan, psi, 2, 5, CostModel(d=1e308))
+            mean_cost(run_shots(plan, psi, 2, 5), costs)
 
     def test_trillion_shots_within_3_sigma(self, ising4, psi0_4):
         plan = build_w_tilde(ising4, 0.05, 3)
         trace = trace_plan(plan, psi0_4)
         stats = run_shots(plan, psi0_4, 10**12, 0)
-        assert_matches_chain(stats, trace, CostModel().shot_costs(plan))
+        assert_matches_chain(stats, trace, shot_costs(plan, CostModel()))
         p, se = estimate(stats)
         assert abs(p - success_prob_wtilde(ising4, psi0_4, 0.05, 7)) < 3 * se
 
@@ -402,12 +368,12 @@ class TestSharedStream:
         ]
         cost = CostModel(d=0.3, d_ctrl=0.7, m=0.1)
         N = shots or 2 * (65536 // 9) + 123  # 64 shots: outcomes of count 0, early stops
-        args = (psi0_4, N, 2**40 + 1, cost)
+        args = (psi0_4, N, 2**40 + 1)
         many = run_shots_many(plans, *args)
         assert many == [run_shots(plan, *args) for plan in plans]
         check = assert_matches_chain if shots is None else assert_in_binomial_tails
         for plan, new in zip(plans, many):
-            trace, costs = trace_plan(plan, psi0_4), cost.shot_costs(plan)
+            trace, costs = trace_plan(plan, psi0_4), shot_costs(plan, cost)
             check(new, trace, costs)
             check(per_shot_run_shots(plan, *args), trace, costs)
         assert all(s.abort_histogram for s in many[:6])
@@ -417,9 +383,9 @@ class TestSharedStream:
     def test_readme_sweep_computes_each_block_once(self, monkeypatch):
         runs = []  # (trace, [(rng, n, p, aborted) per draw]) per plan
 
-        def sampling(t, costs, N, seed):  # each plan's trace, as its shots are drawn
+        def sampling(t, N, seed):  # each plan's trace, as its shots are drawn
             runs.append((t, []))
-            return sample(t, costs, N, seed)
+            return sample(t, N, seed)
 
         def recorder(rng, n, p):
             t, draws = runs[-1]
@@ -450,13 +416,12 @@ class TestSharedStream:
         q = (1.0,) * 4 + (0.5, 0.0) + (1.0,) * 2 + (0.25,) * 12
         trace, costs = PlanTrace(q, 0.0, None), tuple(0.5 + j for j in range(20))
         monkeypatch.setattr(sampler, "trace_plan", lambda plan, psi: trace)
-        monkeypatch.setattr(CostModel, "shot_costs", lambda self, plan: costs)
         calls = self.record_draws(monkeypatch)
         new = run_shots(None, None, 1000, 9)
         assert [p for _, p in calls if 0.0 < p < 1.0] == [0.5]
         assert len(calls) == 6 and new.abort_histogram.keys() == {5, 6}
         assert_matches_chain(new, trace, costs)
-        assert_matches_chain(per_shot_stats(trace, costs, 1000, 9), trace, costs)
+        assert_matches_chain(per_shot_stats(trace, 1000, 9), trace, costs)
 
     def test_ising_high_order_reads_few_blocks(self, monkeypatch):
         # kappa = 10: 1024 measurements, most with q exactly 1.0
@@ -468,7 +433,7 @@ class TestSharedStream:
         calls = self.record_draws(monkeypatch)
         new = run_shots(plan, psi, 300, 1)
         assert 0 < live <= 20 and len([c for c in calls if 0.0 < c[1] < 1.0]) == live
-        costs = CostModel().shot_costs(plan)
+        costs = shot_costs(plan, CostModel())
         assert_matches_chain(new, trace, costs)
         assert_matches_chain(per_shot_run_shots(plan, psi, 300, 1), trace, costs)
 
@@ -562,7 +527,7 @@ class TestStatsHelpers:
         with pytest.raises(ValueError):
             estimate(RunStats())
         with pytest.raises(ValueError):
-            mean_cost_per_shot(RunStats())
+            mean_cost(RunStats(), ())
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
@@ -571,7 +536,7 @@ class TestStatsHelpers:
             CostModel(m=math.nan)
 
     @pytest.mark.parametrize(
-        "site", ["CostModel", "run_shots", "run_shots_many", "estimate", "mean_cost_per_shot"])
+        "site", ["CostModel", "run_shots", "run_shots_many", "estimate", "mean_cost"])
     def test_refusal_is_a_library_error(self, ising4, psi0_4, site):
         # each refusal is an LcusimError, and each of those is also a ValueError
         plan = build_w_tilde(ising4, 0.05, 1)
@@ -580,7 +545,7 @@ class TestStatsHelpers:
             "run_shots": lambda: run_shots(plan, psi0_4, 0, seed=0),
             "run_shots_many": lambda: run_shots_many([plan], psi0_4, 3, seed=-1),
             "estimate": lambda: estimate(RunStats()),
-            "mean_cost_per_shot": lambda: mean_cost_per_shot(RunStats()),
+            "mean_cost": lambda: mean_cost(RunStats(), ()),
         }[site]
         with pytest.raises(LcusimError):
             refused()
@@ -593,9 +558,9 @@ class TestStatsHelpers:
     def test_overflowing_cost_sum_rejected_without_a_warning(self, ising4, psi0_4):
         # each shot costs at most 3e305, but 10000 of them sum past the largest float
         plan = build_w_tilde(ising4, 0.05, 2)
+        costs = shot_costs(plan, CostModel(d_ctrl=1e305))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="overflow"):
-                run_shots(plan, psi0_4, 10_000, 0, CostModel(d_ctrl=1e305))
-            stats = run_shots(plan, psi0_4, 10, 0, CostModel(d_ctrl=1e305))
-        assert math.isfinite(mean_cost_per_shot(stats))
+                mean_cost(run_shots(plan, psi0_4, 10_000, 0), costs)
+            assert math.isfinite(mean_cost(run_shots(plan, psi0_4, 10, 0), costs))

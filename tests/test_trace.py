@@ -1,4 +1,5 @@
 """The moment trace against the register-level, array and exact references."""
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -164,6 +165,18 @@ class TestPlanShape:
                  "control": [LcuBlock("l", (name, 0)), Measure("l")]}[role]
         self._raises(Prepare("c", _C), Prepare("c", _C, adjoint=True), Measure("c"), *named,
                      extra=[("c", 1)], match=f"^instruction 3: no register named {name!r}$")
+
+    @pytest.mark.parametrize("control", [(), ("c",), ("c", 0, 1), ["c", 0]], ids=repr)
+    def test_a_control_that_is_not_a_register_bit_pair_is_refused(self, control):
+        # () and ("c",) raised a bare IndexError; a triple and a list were accepted
+        self._raises(Prepare("c", _C), LcuBlock("l", control), Measure("l"),
+                     Prepare("c", _C, adjoint=True), Measure("c"), extra=[("c", 1)],
+                     match=re.escape(f"instruction 1: control {control!r} is not a (register, bit)"))
+
+    def test_an_instruction_of_no_kind_is_refused(self):
+        # a None instruction raised AttributeError
+        self._raises(LcuBlock("l"), None, Measure("l"),
+                     match="^instruction 1: None is not a Prepare, LcuBlock or Measure$")
 
     @pytest.mark.parametrize("bit", [1, -1, 0.0, 0.5, True])
     def test_control_bit_outside_its_register(self, bit):
