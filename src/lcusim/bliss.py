@@ -238,7 +238,10 @@ def optimize_bliss(
     exact weighted-median line search per coordinate is monotone and, for
     these structured problems, converges to the minimum; a non-convergence
     after ``_MAX_SWEEPS`` returns the best iterate with a warning. A sweep that
-    lowers the objective by less than ``_TOL`` ends the descent.
+    lowers the objective by less than ``_TOL`` ends the descent. A descent that lowers it by
+    less than ``_TOL`` in all moved along flat directions only, which can add terms: then the
+    unshifted operator (x = 0) is returned, and ``objective_history`` ends with its objective
+    once more.
     """
     n = F.n_orb
     if n_electrons < 0 or n_electrons > n:
@@ -269,6 +272,9 @@ def optimize_bliss(
                     break
             if not converged:
                 warnings.warn("BLISS optimizer hit the sweep limit; returning best iterate")
+            if history[0] - history[-1] < _TOL:
+                x, resid = np.zeros(len(cols)), a
+                history.append(history[0])
 
             params = _params_from_vector(x, n, n_electrons, include_offdiag)
             terms = [(resid[r], mask_letters(*divmod(int(keys[r]), 1 << n), n))

@@ -38,11 +38,12 @@ from .hamiltonian import HamiltonianLCU, _check_int, check_norm, check_width, l1
 def taylor_weights(tau: float, alpha_norm: float, K: int) -> np.ndarray:
     """Truncated-Taylor weights beta_k = (tau * alpha_norm)^k / k! for k = 0..K, built in
     Python floats, which overflow to inf without a warning; refused where a weight or
-    ||beta||_1^2 is not finite."""
+    ||beta||_1^2 is not finite, or where K's binary register is over the simulation cap."""
     if not 0 < alpha_norm < math.inf:
         raise InvalidModelError("alpha_norm must be positive and finite")
     if _check_int(K, "K") < 1:
         raise InvalidModelError("K must be at least 1")
+    check_width(kappa_for(K))  # the binary Taylor register of order K, before K + 1 floats
     if not 0 <= tau < math.inf:
         raise InvalidModelError("tau must be nonnegative and finite")
     x = tau * alpha_norm
@@ -138,11 +139,16 @@ class CircuitPlan:
     measure_count: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        widths, H = dict(self.widths), self.hamiltonian
+        widths = dict(self.widths)
         for name, width in widths.items():
+            if type(name) is not str:
+                raise LayoutError(f"register {name!r}: its name is not a str")
             if type(width) is not int or width < 1:
                 raise LayoutError(f"register {name!r}: width {width!r} is not a positive int")
-        l_regs = frozenset(ins.l_register for ins in self.instructions if isinstance(ins, LcuBlock))
+        terms = (self.hamiltonian.num_terms - 1).bit_length()  # 2^width < num_terms below it
+        narrow = {name for name, width in widths.items() if width < terms}
+        l_regs = frozenset(ins.l_register for ins in self.instructions  # a non-str is refused below
+                           if isinstance(ins, LcuBlock) and type(ins.l_register) is str)
         pending: deque[str] = deque()  # l-registers of the blocks awaiting their measurement
         unmeasured: set[str] = set()  # the same names, for the membership test
         live = opening = None  # the open register and its Prepare's amplitudes
@@ -155,7 +161,9 @@ class CircuitPlan:
             if control is not None and not (type(control) is tuple and len(control) == 2):
                 raise LayoutError(f"instruction {i}: control {control!r} is not a (register, bit)")
             name = ins.l_register if block else ins.register  # and a block's control register
-            if name not in widths or control and (name := control[0]) not in widths:
+            # every name in widths is a str, so a name of another type is none of them
+            if (type(name) is not str or name not in widths
+                    or control and (type(name := control[0]) is not str or name not in widths)):
                 raise LayoutError(f"instruction {i}: no register named {name!r}")
             if closed and not (
                 isinstance(ins, Measure) and (ins.register == live or ins.register in l_regs)
@@ -164,7 +172,7 @@ class CircuitPlan:
                                   f"{live}'s adjoint and its Measure")
             if block:
                 name = ins.l_register
-                if (1 << widths[name]) < H.num_terms:
+                if name in narrow:
                     raise LayoutError(f"instruction {i}: {name} is too narrow for the terms")
                 if control is not None and (control[0] in l_regs or type(control[1]) is not int
                                             or not 0 <= control[1] < widths[control[0]]):

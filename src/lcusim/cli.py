@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import warnings
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -27,7 +28,8 @@ from .bliss import jordan_wigner, load_fermionic, optimize_bliss
 from .circuits import build_w_tilde, build_w_unary, kappa_for
 from .errors import LayoutError, LcusimError, NormalizationError, ResourceLimitError
 from .hamiltonian import HamiltonianLCU, build_ising, check_width, l1_norm, load_hamiltonian
-from .resources import CostModel, count, mean_cost, shot_costs
+from .resources import (CostModel, _finite, count, expected_cost, mean_cost, runtime_bound,
+                        shot_costs)
 from .sampler import estimate, run_shots, run_shots_many
 
 
@@ -207,6 +209,9 @@ def cmd_analytic(args) -> list[dict]:
     # at most 2K matvecs: a Horner pass and a chain pass, with p1 = p_chain[0], p_hk = prod(p_chain)
     p_w = oracle.success_prob_wtilde(H, psi, args.tau, K)
     p_chain = oracle.chain_probabilities(H, psi, K)
+    p_hk = math.prod(p_chain)
+    # shot_costs(build_w_hk(H, K), cost), streamed: that plan would hold 2K instructions
+    mean = expected_cost(p_chain, accumulate(repeat(cost.d, K)))
     return [
         {
             "K": K,
@@ -214,12 +219,11 @@ def cmd_analytic(args) -> list[dict]:
             "tau": args.tau,
             "l1_norm": l1_norm(H),
             "p_wtilde": p_w,
-            "p_hk": math.prod(p_chain),
-            "expected_runtime_hk": oracle.expected_runtime_midmeasure(p_chain, cost.d),
-            "total_runtime_hk": oracle.total_runtime_success(p_chain, cost.d),
-            "runtime_upper_bound": oracle.runtime_bound(
-                p_w, p_chain[0], args.tau, l1_norm(H), K, cost.d_ctrl
-            ),
+            "p_hk": p_hk,
+            "expected_runtime_hk": mean,
+            "total_runtime_hk": _finite(mean / p_hk) if p_hk else math.inf,  # 1 / p_hk shots
+            "runtime_upper_bound": runtime_bound(p_w, p_chain[0], args.tau, l1_norm(H), K,
+                                                 cost.d_ctrl),
         }
     ]
 

@@ -1,4 +1,5 @@
-"""Instruction prices, and the qubit, CX and measurement counts of circuit plans.
+"""Instruction prices, the sampled and exact mean price of a shot, the runtime bound, and the
+qubit, CX and measurement counts of circuit plans.
 
 The counts are those of a compilation to a {single-qubit unitary, CX} basis, and
 depend only on register widths. A uniformly controlled rotation with m controls
@@ -21,13 +22,13 @@ compiles each instruction gate by gate and is the check on these formulas.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 
 import numpy as np
 
-from .circuits import CircuitPlan, Instruction, LcuBlock, Measure
+from .circuits import CircuitPlan, Instruction, LcuBlock, Measure, taylor_weights
 from .errors import DomainError, InvalidModelError
 from .sampler import RunStats
 
@@ -91,19 +92,66 @@ def shot_costs(plan: CircuitPlan, price: Callable[..., float]) -> tuple[float, .
     return tuple(c for c, ins in zip(running, plan.instructions) if isinstance(ins, Measure))
 
 
+def _finite(cost: float) -> float:
+    """``cost``, or ``DomainError`` where a sum or product of finite costs overflowed."""
+    if not math.isfinite(cost):
+        raise DomainError("a cost overflows the float range: the cost units are too large")
+    return cost
+
+
+def _probability(p: float) -> float:
+    """``p`` if it lies in [0, 1], with 1e-9 of rounding above 1, else ``DomainError``."""
+    if not 0.0 <= p <= 1.0 + 1e-9:
+        raise DomainError("a probability must lie in [0, 1]")
+    return p
+
+
+def _mean(outcomes: Iterable[tuple[float, float]]) -> float:
+    """The sum of weight x cost over the (weight, cost) outcomes, in order, refusing a cost
+    that is negative or NaN. An outcome of weight 0 adds nothing: no 0 x inf."""
+    total = 0.0
+    for w, c in outcomes:
+        if not c >= 0:
+            raise DomainError("a shot cost must be a nonnegative number")
+        total += w * c if w else 0.0
+    return _finite(total)
+
+
 def mean_cost(stats: RunStats, costs: tuple[float, ...]) -> float:
     """The mean price of the shots of ``stats``, each priced by ``costs`` (``shot_costs``):
     the aborts summed in measurement order, then the successes at the last entry."""
     if stats.shots < 1:
         raise DomainError("no shots recorded")
-    total = 0.0
-    for j, k in sorted(stats.abort_histogram.items()):
-        total += k * costs[j - 1]
-    if stats.successes:  # an outcome never reached adds no 0 * inf
-        total += stats.successes * (costs[-1] if costs else 0.0)
-    if not math.isfinite(total):
-        raise DomainError("the summed shot costs overflow: the cost units are too large")
-    return total / stats.shots
+    aborts = [(k, costs[j - 1]) for j, k in sorted(stats.abort_histogram.items())]
+    return _mean(aborts + [(stats.successes, costs[-1] if costs else 0.0)]) / stats.shots
+
+
+def expected_cost(cond_probs: Iterable[float], costs: Iterable[float]) -> float:
+    """The exact mean price of one shot, ``mean_cost``'s twin: of the conditional
+    zero-probabilities q_j of each measurement (``PlanTrace.cond_probs``) and ``costs``
+    (``shot_costs``) of one length, sum_j (1 - q_j) prod_{i<j} q_i costs[j] + prod q costs[-1],
+    each read once, in order, and not held."""
+
+    def outcomes():
+        surviving, cost = 1.0, 0.0
+        for q, cost in zip_longest(cond_probs, costs):
+            if q is None or cost is None:
+                raise DomainError("cond_probs and costs differ in length")
+            yield surviving * (1.0 - _probability(q)), cost
+            surviving *= q
+        yield surviving, cost
+
+    return _mean(outcomes())
+
+
+def runtime_bound(p_w: float, p1: float, tau: float, l1: float, K: int, d_ctrl: float) -> float:
+    """First-order upper bound on the average successful-run cost of the shorter-width
+    circuit, (K d_ctrl / p_w) [1 - (tau l1 / ||beta||_1) (1 - p1)], from p_w = p_wtilde and
+    p1 = <psi| Htilde^dag Htilde |psi>; inf at p_w = 0."""
+    _check_costs(d_ctrl)
+    p_w, p1 = _probability(p_w), _probability(p1)
+    correction = (tau * l1 / float(taylor_weights(tau, l1, K).sum())) * (1.0 - p1)
+    return math.inf if p_w == 0.0 else _finite((K * d_ctrl / p_w) * (1.0 - correction))
 
 
 def count(plan: CircuitPlan) -> GateCounts:

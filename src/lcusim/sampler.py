@@ -93,35 +93,63 @@ def _walk(plan: CircuitPlan):
     return segments
 
 
+_TINY = 2.0**-900  # a nu below this is rescaled; a pass whose nu stay above it is unscaled
+
+
 def _krylov(H, phi: np.ndarray, coeffs: list[np.ndarray]):
-    """(nu, sums): nu_d = ||H~^d phi||^2 up to the longest c's degree, and sum_d c_d H~^d phi
-    for each c of ``coeffs``: one matvec per degree for all of them."""
+    """(nu, e, sums, refs): nu_d 4^-e_d = ||H~^d phi||^2 up to the longest c's degree, and
+    2^ref sum_d c_d H~^d phi for each c of ``coeffs``, ref = e at c's lowest degree: one
+    matvec per degree for all of them. The int e_d is 0 until nu_d falls below ``_TINY``; then
+    H~^d phi is held times a power of 2, so nu stays in the float range past 2^-1074."""
     c = np.zeros((len(coeffs), max(ci.shape[0] for ci in coeffs)), complex)
     for i, ci in enumerate(coeffs):
         c[i, : ci.shape[0]] = ci
-    nu, sums, v = np.empty(c.shape[1]), c[:, :1] * phi, phi
+    nu, e, lo = np.empty(c.shape[1]), np.zeros(c.shape[1], np.int64), (c != 0).argmax(axis=1)
+    sums, v, scale = c[:, :1] * phi, phi, 0
     nu[0] = np.vdot(v, v).real
     for d in range(1, c.shape[1]):
         v = apply_rescaled(H, v)
-        nu[d] = np.vdot(v, v).real
+        nu[d] = n = np.vdot(v, v).real
+        if 0 < n < _TINY:  # scale v by 2^k, exactly: nu_d 4^k is near 1
+            k = -math.frexp(n)[1] // 2
+            v *= 2.0**k
+            nu[d] = np.vdot(v, v).real
+            scale += k
+            e[d:] = scale
+            c[lo < d, d:] *= 2.0**-k  # a sum begun below d stays at the scale of its start
         sums += c[:, d : d + 1] * v
-    return nu, sums
+    return nu, e, sums, e[lo]
 
 
-def _probs(specs: list, nu: np.ndarray) -> list[float]:
+def _weighted(nu: np.ndarray, e: np.ndarray, m: np.ndarray, w: np.ndarray, ref: int) -> float:
+    """N = sum_v w_v nu_{m_v} times 4^ref, each nu brought from its own scale e to ref."""
+    return float(w @ np.ldexp(nu[m], 2 * (ref - e[m])))
+
+
+def _probs(specs: list, nu: np.ndarray, e: np.ndarray) -> list[float]:
     """A segment's q's. A run of L blocks has N_j = sum_other w nu_m + sum_selected w nu_{m+j}
-    for j = 0 .. L, the second sum one correlation of nu with the selected w binned by m, and
-    q_j = N_j / N_{j-1}; an N of 0 (nu underflowed) gives q = 0."""
-    out, nu = [], np.concatenate([nu, np.zeros_like(nu)])  # a run reads nu past its top
+    for j = 0 .. L, and q_j = N_j / N_{j-1}; an N of 0 gives q = 0. Where the pass was not
+    rescaled, the second sum is one correlation of nu with the selected w binned by m; else
+    N_{j-1} and N_j are formed at the scale of the lowest degree they read."""
+    # a run reads nu past its top degree: 0 there, at the top degree's scale
+    out, rescaled = [], e[-1]
+    nu, e = np.concatenate([nu, np.zeros_like(nu)]), np.concatenate([e, np.full_like(e, e[-1])])
     for spec in specs:
         if type(spec) is int:
             out += [1.0] * spec
             continue
         m, w, hit, run = spec
-        selected = w * hit
-        binned = np.bincount(m, selected)
-        n = (w - selected) @ nu[m] + np.correlate(nu[: binned.shape[0] + run], binned, "valid")
-        out += np.divide(n[1:], n[:-1], out=np.zeros(run), where=n[:-1] > 0).tolist()
+        if not rescaled:
+            selected = w * hit
+            binned = np.bincount(m, selected)
+            n = (w - selected) @ nu[m] + np.correlate(nu[: binned.shape[0] + run], binned, "valid")
+            out += np.divide(n[1:], n[:-1], out=np.zeros(run), where=n[:-1] > 0).tolist()
+            continue
+        for j in range(run):
+            d = m + j * hit
+            ref = e[d.min()]
+            prev, n = _weighted(nu, e, d, w, ref), _weighted(nu, e, d + hit, w, ref)
+            out.append(n / prev if prev > 0 else 0.0)
     return out
 
 
@@ -133,13 +161,14 @@ def _traces(plans: list[CircuitPlan], psi: np.ndarray) -> list[PlanTrace]:
         group = list(group)
         check_width(H.n)
         start = check_state(psi, H.n)
-        nu, sums = _krylov(H, start, [segments[0][3] for _, segments in group])
-        for (plan, segments), first in zip(group, sums):
+        nu0, e0, sums, refs = _krylov(H, start, [segments[0][3] for _, segments in group])
+        for (plan, segments), sum0, ref0 in zip(group, sums, refs):
             cond, phi, final = [], start, None
             for i, (specs, m, w, c, collapses) in enumerate(segments):
-                nu_i, (collapsed,) = _krylov(H, phi, [c]) if i else (nu, [first])
-                cond += _probs(specs, nu_i)
-                p, n_end = float(np.vdot(collapsed, collapsed).real), float(w @ nu_i[m])
+                nu, e, (collapsed,), (ref,) = (_krylov(H, phi, [c]) if i
+                                               else (nu0, e0, [sum0], [ref0]))
+                cond += _probs(specs, nu, e)
+                p, n_end = float(np.vdot(collapsed, collapsed).real), _weighted(nu, e, m, w, ref)
                 cond += [p / n_end if n_end > 0 else 0.0] if collapses else []
                 if not (p > 0 and min(cond, default=1.0) >= 1e-14):
                     break

@@ -880,7 +880,9 @@ def bliss_line_search(a: np.ndarray, cols: list, tol: float, max_sweeps: int):
     columns ``(rows, values)``: per coordinate, the |values|-weighted median of the breaks
     partial / values, sorted and summed afresh on every call; ``history`` holds the
     objective before the first sweep and after each, a sweep that lowers it by less
-    than ``tol`` ends the descent, and ``resid`` is the final a - B x, updated in place."""
+    than ``tol`` ends the descent, and ``resid`` is the final a - B x, updated in place, or
+    a and x = 0 where the descent lowered the objective by less than ``tol`` in all; then
+    ``history`` ends with the objective of a once more."""
     x = np.zeros(len(cols))
     resid = a.copy()
     history = [float(np.abs(resid).sum())]
@@ -898,4 +900,7 @@ def bliss_line_search(a: np.ndarray, cols: list, tol: float, max_sweeps: int):
         history.append(float(np.abs(resid).sum()))
         if history[-2] - history[-1] < tol:
             break
+    if history[0] - history[-1] < tol:  # no lower objective: the unshifted operator
+        x, resid = np.zeros(len(cols)), a.copy()
+        history.append(history[0])
     return x, history, resid

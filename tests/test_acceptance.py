@@ -4,6 +4,7 @@ Each test covers one headline claim of the package and prints a single
 pass/fail line (visible with ``pytest -s`` or in the captured output).
 """
 import math
+from itertools import accumulate, repeat
 
 import numpy as np
 import pytest
@@ -18,16 +19,8 @@ from lcusim.bliss import (
 from lcusim.circuits import build_w_hk, build_w_tilde, build_w_unary
 from lcusim.cli import main as cli_main
 from lcusim.hamiltonian import build_ising, l1_norm
-from lcusim.oracle import (
-    chain_probabilities,
-    expected_runtime_midmeasure,
-    runtime_bound,
-    success_prob_hk,
-    success_prob_wtilde,
-    total_runtime_success,
-)
-from lcusim.resources import count
-from lcusim.resources import CostModel, mean_cost, shot_costs
+from lcusim.oracle import chain_probabilities, success_prob_hk, success_prob_wtilde
+from lcusim.resources import CostModel, count, expected_cost, mean_cost, runtime_bound, shot_costs
 from lcusim.sampler import estimate, run_shots, trace_plan
 from conftest import ladder_matrix, random_hamiltonian, random_state
 from reference import (fidelity, sector_spectrum, shot_outcomes, spectral_lower_bound,
@@ -157,26 +150,29 @@ def test_5_runtime_accounting(ising4, psi0_4):
     shots = 100_000
     stats = run_shots(plan, psi, shots, seed=5)
     costs = shot_costs(plan, CostModel(d=1.0))
-    probs = chain_probabilities(H, psi, 3)
-    expected = expected_runtime_midmeasure(probs, 1.0)
+    expected = expected_cost(chain_probabilities(H, psi, 3), costs)
     # exact per-shot cost variance from the trace distribution
     outcomes = shot_outcomes(trace_plan(plan, psi), costs)
     var = sum(w * (c - expected) ** 2 for w, c in outcomes)
     assert abs(mean_cost(stats, costs) - expected) < 3 * math.sqrt(var / shots)
 
-    # early-abort runtime never exceeds the deferred-measurement runtime,
-    # with equality exactly when every intermediate probability is 1
+    # early-abort runtime (the mean shot cost over the success probability, as analytic
+    # prints it) never exceeds the deferred-measurement runtime, with equality exactly when
+    # every intermediate probability is 1
+    def total_runtime(p, d):
+        return expected_cost(p, accumulate(repeat(d, len(p)))) / math.prod(p)
+
     rng2 = np.random.default_rng(56)
     for _ in range(1000):
         k = int(rng2.integers(1, 7))
         p = rng2.uniform(0.05, 1.0, size=k)
-        lhs = total_runtime_success(p, 1.0)
+        lhs = total_runtime(p, 1.0)
         rhs = k * 1.0 / math.prod(p)
         assert lhs <= rhs + 1e-12
         if np.any(p[:-1] < 1.0 - 1e-12):
             assert lhs < rhs - 1e-15 * rhs
     ones = np.ones(5)
-    assert total_runtime_success(ones, 2.0) == pytest.approx(5 * 2.0)
+    assert total_runtime(ones, 2.0) == pytest.approx(5 * 2.0)
 
     # first-order upper bound on the shorter-width circuit's cost per success;
     # checked where the linear-in-tau correction dominates

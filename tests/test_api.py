@@ -37,9 +37,9 @@ PUBLIC = {
     "hamiltonian": ["HamiltonianLCU", "PauliTerm", "apply_rescaled", "build_ising",
                     "canonicalize", "check_norm", "check_state", "check_width", "l1_norm",
                     "load_hamiltonian", "mask_letters", "pauli_sum_apply", "save_hamiltonian"],
-    "oracle": ["chain_probabilities", "expected_runtime_midmeasure", "runtime_bound",
-               "success_prob_hk", "success_prob_wtilde", "total_runtime_success"],
-    "resources": ["CostModel", "GateCounts", "count", "mean_cost", "shot_costs"],
+    "oracle": ["chain_probabilities", "success_prob_hk", "success_prob_wtilde"],
+    "resources": ["CostModel", "GateCounts", "count", "expected_cost", "mean_cost",
+                  "runtime_bound", "shot_costs"],
     "sampler": ["PlanTrace", "RunStats", "estimate", "run_shots", "run_shots_many", "trace_plan"],
 }
 
@@ -75,6 +75,9 @@ def test_a_module_import_loads_only_what_the_module_imports():
     loaded = _loaded_by("lcusim.circuits")
     assert "lcusim.circuits" in loaded
     assert not loaded & {f"lcusim.{m}" for m in ("bliss", "sampler", "oracle", "resources")}
+    loaded = _loaded_by("lcusim.oracle")  # probabilities only: it prices nothing
+    assert "lcusim.oracle" in loaded
+    assert not loaded & {"lcusim.resources", "lcusim.sampler"}
 
 
 # The names bench/tracer.py keys whose functions have left src: each hook or span on them

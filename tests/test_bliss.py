@@ -293,6 +293,47 @@ class TestOptimizer:
         assert l1_norm(result.hamiltonian) == pytest.approx(14.0, abs=1e-6)
         assert result.hamiltonian.num_terms == 17
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["eighths", "normal"]),
+        st.booleans(),
+    )
+    def test_the_shift_never_adds_l1_and_adds_terms_only_for_lower_l1(self, n_ne, seed, values,
+                                                                       include_offdiag):
+        # number-conserving operators: sparse one-body entries in eighths (flat directions
+        # abound, as in a four-orbital file that went from 11 to 17 terms at l1 3.625) or a
+        # dense one-body and a sparse two-body part of normal entries
+        n, ne = n_ne
+        rng = np.random.default_rng(seed)
+        if values == "eighths":
+            h = rng.integers(-8, 9, size=(n, n)) / 8 * (rng.random((n, n)) < 0.5)
+            F = FermionicOperator(n, constant=0.125, one_body=np.triu(h) + np.triu(h, 1).T)
+        else:
+            F = _random_operator(n, seed, 0.1)
+        if not np.any(F.one_body) and not np.any(F.two_body):
+            return
+        before, after = jordan_wigner(F), optimize_bliss(F, ne, include_offdiag=include_offdiag)
+        l1_before, l1_after = l1_norm(before), l1_norm(after.hamiltonian)
+        assert l1_after <= l1_before * (1 + 1e-12)  # the two sum their terms in other orders
+        if l1_after > l1_before - bliss._TOL / 2:  # equal, up to that rounding
+            assert after.hamiltonian.num_terms <= before.num_terms
+
+    def test_a_flat_descent_returns_the_unshifted_operator(self, tmp_path):
+        # a four-orbital one-body file whose descent ends at its start objective, 3.625,
+        # along flat directions that took it from 11 terms to 17
+        path = tmp_path / "flat.txt"
+        path.write_text("NORB=4 NELEC=2\n-1.0 1 2 0 0\n-1.0 2 3 0 0\n-0.5 3 4 0 0\n"
+                        "0.25 1 3 0 0\n0.75 1 1 0 0\n-0.5 4 4 0 0\n0.125 0 0 0 0\n")
+        F, _ = load_fermionic(path)
+        result = optimize_bliss(F, 1)
+        assert (result.hamiltonian.num_terms, jordan_wigner(F).num_terms) == (11, 11)
+        assert result.params.xi0 == 0.0 and not np.any(result.params.xi)
+        history = result.objective_history
+        assert history[0] == history[-1] == l1_norm(result.hamiltonian) == 3.625
+        assert len(history) == 3 and result.converged
+
     def test_matches_linear_program(self):
         # independent oracle: minimize ||a - B x||_1 as an LP
         F = build_hubbard_chain(4, 1.0, 4.0)

@@ -23,9 +23,8 @@ from lcusim.circuits import (
 )
 from lcusim.errors import InvalidModelError, LayoutError, ResourceLimitError
 from lcusim.hamiltonian import HamiltonianLCU, build_ising
-from lcusim.oracle import (chain_probabilities, runtime_bound, success_prob_hk,
-                           success_prob_wtilde)
-from lcusim.resources import count
+from lcusim.oracle import chain_probabilities, success_prob_hk, success_prob_wtilde
+from lcusim.resources import count, runtime_bound
 from conftest import basis_state, random_hamiltonian
 
 
@@ -85,6 +84,23 @@ class TestTaylorCoefficients:
         beta = taylor_weights(x, 1.0, K)
         assert full[-1] == 0.0  # each case reaches the underflow
         assert beta.tolist() == full and beta.sum() == np.array(full).sum()
+
+    def test_an_order_past_the_register_cap_is_refused_before_allocating(self):
+        # K + 1 weights of K = 2^40 would take 8 TiB (MemoryError); the unary plan of
+        # K = 2^70 raised numpy's "Maximum allowed dimension exceeded"
+        H = build_ising(2, 1.0, 0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="^41 qubits exceeds simulation cap 24$"):
+                taylor_weights(0.1, 1.0, 2**40)
+            with pytest.raises(ResourceLimitError, match="^71 qubits"):
+                build_w_unary(H, 0.1, 2**70)
+            with pytest.raises(ResourceLimitError, match="^25 qubits"):
+                taylor_weights(0.1, 1.0, 1 << 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_largest_finite_weights_kept(self):
         s = taylor_weights(1e50, 5.0, 3).sum()  # beta_3 ~ 2e151, ||beta||_1^2 ~ 4e302
@@ -174,6 +190,21 @@ class TestPlanWidths:
         message = f"register 'c': width {width!r} is not a positive int"
         with pytest.raises(LayoutError, match=re.escape(message)):
             CircuitPlan({"l": 3, "c": width}, ising4, (LcuBlock("l"), Measure("l")))
+
+    def test_a_register_name_that_is_not_a_str_is_refused(self, ising4):
+        with pytest.raises(LayoutError, match=re.escape("register ('l',): its name is not a str")):
+            CircuitPlan({("l",): 3}, ising4, ())
+
+    def test_the_term_count_is_read_once_per_plan(self, ising4, monkeypatch):
+        # not once per block: 2.1M reads at kappa = 20
+        plan, reads = build_w_tilde(ising4, 0.05, 5), []
+        num_terms = HamiltonianLCU.num_terms
+        monkeypatch.setattr(HamiltonianLCU, "num_terms",
+                            property(lambda H: reads.append(1) or num_terms.fget(H)))
+        CircuitPlan(plan.widths, ising4, plan.instructions)
+        assert len(reads) == 1
+        with pytest.raises(LayoutError, match="^instruction 0: l is too narrow for the terms$"):
+            CircuitPlan({"l": 2}, ising4, (LcuBlock("l"), Measure("l")))
 
     def test_the_plan_keeps_its_own_copy(self, ising4):
         widths = {"l": 3, "k": 2}

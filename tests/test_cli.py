@@ -51,7 +51,7 @@ README_COMMANDS = {
     ),
     'analytic --model ising --tau 0.05 --K 7': (
         'K,kappa,tau,l1_norm,p_wtilde,p_hk,expected_runtime_hk,total_runtime_hk,runtime_upper_bound\n'
-        '7,3,0.05,5.0,0.606530660063536,0.0035599432089600076,1.7212417290239999,483.5025807973041,10.192822201073124\n'
+        '7,3,0.05,5.0,0.606530660063536,0.0035599432089600076,1.7212417290239999,483.502580797304,10.192822201073124\n'
     ),
     'resources --model ising --n 4 --K-max 7 --format json': (
         '[\n'
@@ -1467,6 +1467,16 @@ STDOUT_PINS = {
         '  "total_runtime_hk": 26.506601334076887\n'
         ' }\n'
         ']\n'
+    ),
+    # at a d that is no dyadic fraction, K >= 15: a shot's cost is a running sum of d, as in
+    # shot_costs, and both runtimes are the exact mean and its restart quotient
+    'analytic --model ising --n 6 --tau 0.3 --K 15 --d 0.1 --d-ctrl 0.7': (
+        'K,kappa,tau,l1_norm,p_wtilde,p_hk,expected_runtime_hk,total_runtime_hk,runtime_upper_bound\n'
+        '15,4,0.3,8.0,0.008229747149530038,1.1286863068393415e-05,0.17699472830665922,15681.480960134732,1113.0952806128441\n'
+    ),
+    'analytic --model ising --n 3 --tau 0.05 --K 15 --d 0.1 --d-ctrl 0.7': (
+        'K,kappa,tau,l1_norm,p_wtilde,p_hk,expected_runtime_hk,total_runtime_hk,runtime_upper_bound\n'
+        '15,4,0.05,3.5,0.7046880897187136,5.801810064685757e-06,0.16896443052545734,29122.709747756788,13.560057266540296\n'
     ),
     'resources --model ising --K-max 7': (
         'family,K,kappa,qubits,two_qubit,measurements\n'

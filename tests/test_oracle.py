@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate, repeat
 
 import numpy as np
 import pytest
@@ -9,19 +10,11 @@ from lcusim import oracle
 from lcusim.circuits import build_w_hk
 from lcusim.errors import DomainError, InvalidModelError, LayoutError, NormalizationError
 from lcusim.hamiltonian import canonicalize, l1_norm
-from lcusim.oracle import (
-    chain_probabilities,
-    expected_runtime_midmeasure,
-    runtime_bound,
-    success_prob_hk,
-    success_prob_wtilde,
-    total_runtime_success,
-)
-from lcusim.resources import CostModel, shot_costs
+from lcusim.oracle import chain_probabilities, success_prob_hk, success_prob_wtilde
+from lcusim.resources import CostModel, expected_cost, runtime_bound, shot_costs
 from lcusim.sampler import trace_plan
 from conftest import basis_state, random_hamiltonian, random_state
 from reference import (
-    exact_mean_cost,
     fidelity,
     rescaled_matrix,
     spectral_lower_bound,
@@ -161,14 +154,23 @@ def _bound(H, psi, tau, K, d_ctrl):
     return runtime_bound(p_w, success_prob_hk(H, psi, 1), tau, l1_norm(H), K, d_ctrl)
 
 
+def _runtimes(p, d):
+    """(expected_runtime_hk, total_runtime_hk) of the chain ``p`` at block cost ``d``, as
+    ``analytic`` prints them: the W_{H^k} shot costs j d, and the restart identity."""
+    mean = expected_cost(p, accumulate(repeat(d, len(p))))
+    p_all = math.prod(p)
+    return mean, mean / p_all if p_all else math.inf
+
+
 class TestRuntimes:
     def test_midmeasure_closed_form_examples(self):
         # single block: always costs d
-        assert expected_runtime_midmeasure([0.5], 2.0) == pytest.approx(2.0)
+        assert expected_cost([0.5], [2.0]) == pytest.approx(2.0)
         # two blocks: (1-p1)*1*d + p1*2*d
-        assert expected_runtime_midmeasure([0.25, 0.9], 1.0) == pytest.approx(
-            0.75 * 1 + 0.25 * 2
-        )
+        assert expected_cost([0.25, 0.9], [1.0, 2.0]) == pytest.approx(0.75 * 1 + 0.25 * 2)
+        # an outcome of probability 0 adds nothing, not 0 * inf
+        assert expected_cost([0.0, 0.5], [1.0, math.inf]) == 1.0
+        assert expected_cost([], []) == 0.0  # no measurement: the one outcome is free
 
     def test_midmeasure_matches_enumeration(self):
         rng = np.random.default_rng(8)
@@ -183,35 +185,34 @@ class TestRuntimes:
                 expected += surv * (1 - p[j - 1]) * j * d
                 surv *= p[j - 1]
             expected += surv * k * d
-            assert expected_runtime_midmeasure(p, d) == pytest.approx(expected)
+            assert _runtimes(p, d)[0] == pytest.approx(expected)
 
     def test_total_runtime_success(self):
         p = [0.5, 0.8]
         # d (1 + p1) / (p1 p2)
-        assert total_runtime_success(p, 3.0) == pytest.approx(3.0 * 1.5 / 0.4)
-        assert total_runtime_success([0.5, 0.0], 1.0) == math.inf
+        assert _runtimes(p, 3.0)[1] == pytest.approx(3.0 * 1.5 / 0.4)
+        assert _runtimes([0.5, 0.0], 1.0)[1] == math.inf
 
     def test_overflowing_runtimes_are_refused(self, ising4, psi0_4):
         # finite cost units, infinite products: refused, where a zero branch is inf
         with pytest.raises(DomainError, match="overflow"):
-            total_runtime_success([0.5, 0.8], 1e308)
+            _runtimes([0.5, 0.8], 1e308)
         with pytest.raises(DomainError, match="overflow"):
-            expected_runtime_midmeasure([1.0, 1.0], 1e308)
+            _runtimes([1.0, 1.0], 1e308)
         with pytest.raises(DomainError, match="overflow"):
             _bound(ising4, psi0_4, 0.05, 8, 1e308)
         # a success probability that underflows to 0 is a zero branch, not a ZeroDivisionError
-        assert total_runtime_success([1e-200, 1e-200], 1.0) == math.inf
+        assert _runtimes([1e-200, 1e-200], 1.0)[1] == math.inf
 
     @pytest.mark.parametrize("unit", [math.nan, -1.0, math.inf, 10**400, "1"],
                              ids=["nan", "-1.0", "inf", "10**400", "'1'"])
-    @pytest.mark.parametrize("site", ["CostModel", "expected_runtime_midmeasure",
-                                      "total_runtime_success", "runtime_bound"])
+    @pytest.mark.parametrize("site", ["CostModel", "d", "d_ctrl", "runtime_bound"])
     def test_a_cost_unit_that_is_not_finite_and_nonnegative_is_refused(self, site, unit):
-        # one check: a NaN unit gave a NaN runtime, -1.0 a negative one, and 10**400 and "1"
-        # raised OverflowError and TypeError
+        # one check, of every unit analytic reads: a NaN unit gave a NaN runtime, -1.0 a
+        # negative one, and 10**400 and "1" raised OverflowError and TypeError
         call = {"CostModel": lambda: CostModel(m=unit),
-                "expected_runtime_midmeasure": lambda: expected_runtime_midmeasure([0.5], unit),
-                "total_runtime_success": lambda: total_runtime_success([0.5], unit),
+                "d": lambda: CostModel(d=unit),
+                "d_ctrl": lambda: CostModel(d_ctrl=unit),
                 "runtime_bound": lambda: runtime_bound(0.5, 0.5, 0.1, 1.0, 3, unit)}[site]
         with pytest.raises(InvalidModelError, match="^costs must be finite and nonnegative$"):
             call()
@@ -225,8 +226,8 @@ class TestRuntimes:
     def test_a_probability_outside_0_1_is_refused(self, good, bad, at):
         chain = good[:at] + [bad] + good[at:]
         for call in (
-            lambda: expected_runtime_midmeasure(chain, 1.0),
-            lambda: total_runtime_success(chain, 1.0),
+            lambda: expected_cost(chain, range(1, len(chain) + 1)),
+            lambda: _runtimes(chain, 1.0),
             lambda: runtime_bound(bad, 0.5, 0.1, 1.0, 3, 1.0),
             lambda: runtime_bound(0.5, bad, 0.1, 1.0, 3, 1.0),
         ):
@@ -238,23 +239,21 @@ class TestRuntimes:
         assert runtime_bound(0.0, 0.5, 0.1, 1.0, 3, 1.0) == math.inf
         over = 1.0000000000000004  # ||H~ v||^2 of a unit v under a single Pauli string
         assert runtime_bound(over, over, 0.0, 1.0, 3, 2.0) == pytest.approx(6.0)
-        assert expected_runtime_midmeasure([over, 0.0], 1.0) == pytest.approx(2.0)
-        assert total_runtime_success([1.0, over], 1.0) == pytest.approx(2.0)
+        assert expected_cost([over, 0.0], [1.0, 2.0]) == pytest.approx(2.0)
+        assert _runtimes([1.0, over], 1.0)[1] == pytest.approx(2.0)
 
     def test_geometric_restart_identity(self):
-        # expected total cost to success = E[shot cost] / P(success) when every
-        # shot is independent; check the algebraic identity on random chains
+        # expected total cost to success = E[shot cost] / P(success) when every shot is
+        # independent: d (1 + p1 + p1 p2 + ...) / prod(p) when a shot pays its blocks
         rng = np.random.default_rng(3)
         for _ in range(20):
             k = int(rng.integers(1, 6))
             p = rng.uniform(0.1, 0.95, size=k)
-            per_shot = expected_runtime_midmeasure(p, 1.0)
+            per_shot, total = _runtimes(p, 1.0)
             p_all = math.prod(p)
-            assert total_runtime_success(p, 1.0) * p_all / per_shot != 0  # finite
-            # identity: E[cost]/P = d(1 + p1 + p1p2 + ...)/prod(p) only when the
-            # per-shot cost counts completed blocks; verify numerically
-            lhs = per_shot / p_all
-            assert lhs == pytest.approx(total_runtime_success(p, 1.0), rel=1e-12)
+            assert math.isfinite(total) and total * p_all / per_shot != 0
+            closed_form = sum(math.prod(p[:j]) for j in range(k)) / p_all
+            assert total == pytest.approx(closed_form, rel=1e-12)
 
     def test_upper_bound_exceeds_exact_mean(self, ising4, psi0_4):
         # the bound covers the shorter-width circuit's mean cost per success;
@@ -266,7 +265,7 @@ class TestRuntimes:
             plan = build_w_tilde(ising4, tau, 3)
             trace = trace_plan(plan, psi0_4)
             costs = shot_costs(plan, CostModel(d=0.0, d_ctrl=1.0))
-            exact = exact_mean_cost(trace, costs) / trace.success_prob
+            exact = expected_cost(trace.cond_probs, costs) / trace.success_prob
             bound = _bound(ising4, psi0_4, tau, 7, 1.0)
             assert exact <= bound <= 7.0 / trace.success_prob
 

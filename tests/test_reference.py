@@ -10,6 +10,7 @@ FAST_PATHS = {
     "_cx_count",
     "shot_costs",
     "mean_cost",
+    "expected_cost",
     "_jw_masks",
     "_weighted_median",
     "optimize_bliss",

@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate, repeat
 
 import numpy as np
 import pytest
@@ -15,17 +16,19 @@ from lcusim.circuits import (
 )
 from lcusim.hamiltonian import build_ising, canonicalize
 from lcusim.errors import LcusimError
-from lcusim.resources import CostModel, _cx_count, count, mean_cost, shot_costs
-from lcusim.sampler import run_shots, trace_plan
-from conftest import random_state
+from lcusim.resources import CostModel, _cx_count, count, expected_cost, mean_cost, shot_costs
+from lcusim.sampler import RunStats, run_shots, trace_plan
+from conftest import random_hamiltonian, random_state
 from reference import (
     Gate1Q,
     GateCX,
     Register,
     compile_plan,
     diagonal_gates,
+    exact_mean_cost,
     fidelity,
     prepare_amplitudes,
+    shot_outcomes,
     simulate_compiled,
     uc_ry,
     uc_rz,
@@ -239,6 +242,58 @@ class TestShotCosts:
         assert shot_costs(plan, self.COST) == ()
         stats = run_shots(plan, np.eye(16)[0], 5, 0)
         assert stats.successes == 5 and mean_cost(stats, ()) == 0.0
+
+
+_PRICES = {"units": CostModel(d=0.3, d_ctrl=0.7, m=0.11), "cx": _cx_count}
+
+
+class TestExpectedCost:
+    """``expected_cost``, the exact mean price of one shot, against the sampled
+    ``mean_cost`` and the reference sum over the outcomes."""
+
+    @pytest.mark.parametrize("price", _PRICES.values(), ids=_PRICES.keys())
+    @pytest.mark.parametrize("family", ["whk", "wtilde", "wunary"])
+    def test_sampled_mean_within_3_sigma(self, ising4, price, family):
+        tau = 0.3  # aborts at every measurement of each family
+        plan = {"whk": build_w_hk(ising4, 4), "wtilde": build_w_tilde(ising4, tau, 2),
+                "wunary": build_w_unary(ising4, tau, 3)}[family]
+        psi = random_state(4, np.random.default_rng(36))
+        trace, costs, N = trace_plan(plan, psi), shot_costs(plan, price), 50_000
+        exact = expected_cost(trace.cond_probs, costs)
+        var = sum(w * (c - exact) ** 2 for w, c in shot_outcomes(trace, costs))  # 0 where every
+        bound = 3 * math.sqrt(var / N) + 1e-12 * exact  # outcome costs the same (unary CX)
+        assert abs(mean_cost(run_shots(plan, psi, N, 36), costs) - exact) <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 6), st.sampled_from(list(_PRICES)))
+    def test_matches_the_reference_sum(self, seed, K, price):
+        rng = np.random.default_rng(seed)
+        H, psi = random_hamiltonian(2, int(rng.integers(2, 5)), rng), random_state(2, rng)
+        for plan in _plans(H, K):
+            trace, costs = trace_plan(plan, psi), shot_costs(plan, _PRICES[price])
+            assert expected_cost(trace.cond_probs, costs) == pytest.approx(
+                exact_mean_cost(trace, costs), rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 20), st.floats(0.0, 1e6))
+    def test_analytic_costs_are_the_w_hk_shot_costs(self, K, d):
+        # analytic prices W_{H^K} by its block cost d alone, without building the plan
+        plan = build_w_hk(build_ising(2, 1.0, 0.5), K)
+        assert tuple(accumulate(repeat(d, K))) == shot_costs(plan, CostModel(d=d))
+
+    @pytest.mark.parametrize("probs, costs", [([0.5, 0.5], [1.0]), ([0.5], [1.0, 2.0])])
+    def test_lengths_must_match(self, probs, costs):
+        with pytest.raises(LcusimError, match="differ in length"):
+            expected_cost(probs, costs)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_a_negative_or_nan_cost_is_refused(self, bad):
+        # also where its outcome has probability 0, and in the sampled twin
+        for call in (lambda: expected_cost([0.5, 1.0], [1.0, bad]),
+                     lambda: expected_cost([0.0, 1.0], [1.0, bad]),
+                     lambda: mean_cost(RunStats(shots=2, successes=2), (1.0, bad))):
+            with pytest.raises(LcusimError, match="nonnegative number"):
+                call()
 
 
 def _plans(H, K):

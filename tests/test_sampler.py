@@ -12,13 +12,8 @@ from hypothesis import given, settings, strategies as st
 from lcusim.circuits import build_w_hk, build_w_tilde, build_w_unary
 from lcusim.errors import DomainError, LcusimError
 from lcusim.hamiltonian import build_ising, canonicalize
-from lcusim.oracle import (
-    chain_probabilities,
-    expected_runtime_midmeasure,
-    success_prob_hk,
-    success_prob_wtilde,
-)
-from lcusim.resources import CostModel, mean_cost, shot_costs
+from lcusim.oracle import chain_probabilities, success_prob_hk, success_prob_wtilde
+from lcusim.resources import CostModel, expected_cost, mean_cost, shot_costs
 from lcusim.sampler import (
     RunStats,
     estimate,
@@ -139,9 +134,8 @@ class TestTracePlan:
         plan = build_w_hk(ising4, 3)
         trace = trace_plan(plan, psi0_4)
         probs = chain_probabilities(ising4, psi0_4, 3)
-        assert exact_mean_cost(trace, shot_costs(plan, CostModel(d=1.0))) == pytest.approx(
-            expected_runtime_midmeasure(probs, 1.0), rel=1e-12
-        )
+        costs = shot_costs(plan, CostModel(d=1.0))
+        assert exact_mean_cost(trace, costs) == pytest.approx(expected_cost(probs, costs), rel=1e-12)
 
 
 class TestRunShots:
@@ -170,10 +164,10 @@ class TestRunShots:
         plan = build_w_hk(H, 3)
         N = 20000
         stats = run_shots(plan, psi, N, seed=21)
-        probs = chain_probabilities(H, psi, 3)
-        expected = expected_runtime_midmeasure(probs, 1.0)
+        costs = shot_costs(plan, CostModel(d=1.0))
+        expected = expected_cost(chain_probabilities(H, psi, 3), costs)
         # crude variance bound: per-shot cost lies in [d, 3d]
-        mean = mean_cost(stats, shot_costs(plan, CostModel(d=1.0)))
+        mean = mean_cost(stats, costs)
         assert abs(mean - expected) < 3 * 2.0 / math.sqrt(N)
 
     def test_tau_zero_always_succeeds(self, ising4, psi0_4):

@@ -19,7 +19,7 @@ from lcusim.circuits import (
 from lcusim import hamiltonian, sampler
 from lcusim.errors import LayoutError, NormalizationError, ResourceLimitError
 from lcusim.hamiltonian import build_ising, canonicalize
-from lcusim.oracle import success_prob_wtilde
+from lcusim.oracle import chain_probabilities, success_prob_wtilde
 from lcusim.sampler import trace_plan
 from lcusim.resources import count
 import reference
@@ -165,6 +165,24 @@ class TestPlanShape:
                  "control": [LcuBlock("l", (name, 0)), Measure("l")]}[role]
         self._raises(Prepare("c", _C), Prepare("c", _C, adjoint=True), Measure("c"), *named,
                      extra=[("c", 1)], match=f"^instruction 3: no register named {name!r}$")
+
+    @pytest.mark.parametrize("name", [["l"], ["c"], 3], ids=repr)
+    @pytest.mark.parametrize("role", ["Prepare", "Measure", "block", "control"])
+    def test_a_register_name_that_is_not_a_str_is_refused(self, role, name):
+        # a list name raised a bare TypeError (unhashable) before the plan was read
+        named = {"Prepare": [Prepare(name, _C), Prepare(name, _C, adjoint=True), Measure(name)],
+                 "Measure": [Measure(name)],
+                 "block": [LcuBlock(name), Measure(name)],
+                 "control": [LcuBlock("l", (name, 0)), Measure("l")]}[role]
+        tracemalloc.start()
+        try:
+            self._raises(Prepare("c", _C), Prepare("c", _C, adjoint=True), Measure("c"), *named,
+                         extra=[("c", 1)],
+                         match=f"^instruction 3: no register named {re.escape(repr(name))}$")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("control", [(), ("c",), ("c", 0, 1), ["c", 0]], ids=repr)
     def test_a_control_that_is_not_a_register_bit_pair_is_refused(self, control):
@@ -467,6 +485,43 @@ class TestMomentTrace:
             alone = trace_plan(plan, psi)
             assert trace.cond_probs == alone.cond_probs
             assert np.array_equal(trace.final_system_state, alone.final_system_state)
+
+
+class TestRescaledPass:
+    """Where nu_m = ||H~^m phi||^2 would leave the float range, the pass holds H~^m phi times
+    a power of 2 and the q's are ratios at one scale."""
+
+    def test_a_long_chain_is_not_read_as_dead(self):
+        # nu_m = 2^-m: unscaled, it underflowed past m = 1074 and the last 27 q's read 0
+        H, psi = build_ising(2, 1.0, 0.5), np.ones(4) / 2
+        trace = trace_plan(build_w_hk(H, 1100), psi)
+        assert trace.cond_probs == pytest.approx([0.5] * 1100, rel=1e-12)
+        assert fidelity(trace.final_system_state, psi) > 1 - 1e-12
+
+    def test_a_long_chain_matches_the_oracle(self):
+        H = build_ising(2, 1.0, 0.5)
+        psi = random_state(2, np.random.default_rng(9))
+        trace, chain = trace_plan(build_w_hk(H, 1500), psi), chain_probabilities(H, psi, 1500)
+        assert np.abs(np.subtract(trace.cond_probs, chain)).max() <= 1e-12
+        assert trace.final_system_state is not None
+
+    def test_rows_at_many_scales_match_the_reference(self, monkeypatch):
+        # H~ = -i (Z + I/2) / 1.5 takes |1> to -1/3 of it: nu_m = 9^-m falls past 2^-900 at
+        # m = 284, and the Taylor rows reach m = 341, so q's mix rows of two scales
+        H, psi = canonicalize(1, [(1.0, "Z"), (0.5, "I")]), np.array([0.0, 1.0])
+        plan, scales, krylov = build_w_tilde(H, 10.0, 9), [], sampler._krylov
+
+        def recording(*args):
+            out = krylov(*args)
+            scales.append(out[1].max())  # e, the pass's exponents
+            return out
+
+        monkeypatch.setattr(sampler, "_krylov", recording)
+        trace, ref = trace_plan(plan, psi), array_trace(plan, psi)
+        assert max(scales) > 0
+        assert np.abs(np.subtract(trace.cond_probs, ref.cond_probs)).max() <= 1e-12
+        assert trace.success_prob == pytest.approx(success_prob_wtilde(H, psi, 10.0, 511), rel=1e-12)
+        assert fidelity(trace.final_system_state, ref.final_system_state) > 1 - 1e-12
 
 
 class TestGroupedKernel:
