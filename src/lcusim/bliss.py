@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModelError
-from .hamiltonian import LETTER_PHASE, TOTAL_QUBIT_CAP, HamiltonianLCU, canonicalize, mask_letters
+from .hamiltonian import (LETTER_PHASE, TOTAL_QUBIT_CAP, HamiltonianLCU, _check_int, canonicalize,
+                          mask_letters)
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,7 @@ class FermionicOperator:
     two_body: np.ndarray | None = None
 
     def __post_init__(self):
-        N = self.n_orb
-        if N < 1:
-            raise InvalidModelError("need at least one orbital")
+        N = _check_int(self.n_orb, "n_orb", 1, TOTAL_QUBIT_CAP)  # before the N^4 tensor
         for name, shape in (("one_body", (N, N)), ("two_body", (N,) * 4)):
             value = getattr(self, name)
             value = np.zeros(shape, complex) if value is None else np.asarray(value, dtype=complex)
@@ -75,8 +74,7 @@ class BlissParams:
         object.__setattr__(self, "xi", xi)
         if np.abs(xi - xi.conj().T).max() > 1e-12:
             raise InvalidModelError("xi must be Hermitian")
-        if self.n_electrons < 0 or self.n_electrons > xi.shape[0]:
-            raise InvalidModelError("n_electrons out of range")
+        _check_int(self.n_electrons, "n_electrons", 0, xi.shape[0])
 
 
 def _accumulate_product(acc: dict[tuple[int, int], complex], factor: complex, indices) -> None:
@@ -244,8 +242,7 @@ def optimize_bliss(
     once more.
     """
     n = F.n_orb
-    if n_electrons < 0 or n_electrons > n:
-        raise InvalidModelError("n_electrons out of range")
+    _check_int(n_electrons, "n_electrons", 0, n)
     try:  # a coefficient near the float range can overflow anywhere below
         with np.errstate(over="raise", invalid="raise"):
             keys, a, cols = _shift_matrix(F, n_electrons, include_offdiag)
@@ -287,9 +284,7 @@ def optimize_bliss(
 
 def build_hubbard_chain(n_sites: int, t: float, U: float) -> FermionicOperator:
     """Open-chain Hubbard model; orbital 2p is site p spin-up, 2p+1 spin-down."""
-    if n_sites < 1:
-        raise InvalidModelError("need at least one site")
-    N = 2 * n_sites
+    N = 2 * _check_int(n_sites, "n_sites", 1, TOTAL_QUBIT_CAP // 2)  # before the N^4 tensor
     h = np.zeros((N, N))
     for p in range(n_sites - 1):
         for s in (0, 1):

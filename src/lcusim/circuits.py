@@ -41,9 +41,7 @@ def taylor_weights(tau: float, alpha_norm: float, K: int) -> np.ndarray:
     ||beta||_1^2 is not finite, or where K's binary register is over the simulation cap."""
     if not 0 < alpha_norm < math.inf:
         raise InvalidModelError("alpha_norm must be positive and finite")
-    if _check_int(K, "K") < 1:
-        raise InvalidModelError("K must be at least 1")
-    check_width(kappa_for(K))  # the binary Taylor register of order K, before K + 1 floats
+    check_width(kappa_for(_check_int(K, "K", 1)))  # the binary Taylor register, before K + 1 floats
     if not 0 <= tau < math.inf:
         raise InvalidModelError("tau must be nonnegative and finite")
     x = tau * alpha_norm
@@ -62,9 +60,7 @@ def taylor_weights(tau: float, alpha_norm: float, K: int) -> np.ndarray:
 
 def kappa_for(K: int) -> int:
     """Taylor-register width of the binary encoding for order K >= 0: ceil(log2(K + 1)), min 1."""
-    if _check_int(K, "K") < 0:
-        raise InvalidModelError("K must be nonnegative")
-    return max(1, K.bit_length())
+    return max(1, _check_int(K, "K", 0).bit_length())
 
 
 def taylor_prepare_amplitudes(tau: float, alpha_norm: float, K: int) -> np.ndarray:
@@ -224,17 +220,13 @@ class CircuitPlan:
 
 def build_w_hk(H: HamiltonianLCU, k: int) -> CircuitPlan:
     """k repetitions of [LcuBlock, Measure] on one l-register."""
-    if _check_int(k, "k") < 1:
-        raise InvalidModelError("k must be at least 1")
-    return CircuitPlan({"l": H.l_width}, H, (LcuBlock("l"), Measure("l")) * k)
+    return CircuitPlan({"l": H.l_width}, H, (LcuBlock("l"), Measure("l")) * _check_int(k, "k", 1))
 
 
 def build_w_tilde(H: HamiltonianLCU, tau: float, kappa: int) -> CircuitPlan:
     """Shorter-width plan: kappa + ceil(log2 L) + n qubits, K = 2^kappa - 1 blocks. A Taylor
     register over the simulation cap is refused before its 2^kappa amplitudes are built."""
-    if _check_int(kappa, "kappa") < 1:
-        raise InvalidModelError("kappa must be at least 1")
-    check_width(kappa)
+    check_width(_check_int(kappa, "kappa", 1))
     k_amps = taylor_prepare_amplitudes(tau, l1_norm(H), (1 << kappa) - 1)
     instructions: list[Instruction] = [Prepare("k", k_amps)]
     for i in range(kappa):  # run i: 2^i blocks controlled by k-qubit i

@@ -26,7 +26,7 @@ import numpy as np
 from . import oracle
 from .bliss import jordan_wigner, load_fermionic, optimize_bliss
 from .circuits import build_w_tilde, build_w_unary, kappa_for
-from .errors import LayoutError, LcusimError, NormalizationError, ResourceLimitError
+from .errors import DomainError, LayoutError, LcusimError, NormalizationError, ResourceLimitError
 from .hamiltonian import HamiltonianLCU, build_ising, check_width, l1_norm, load_hamiltonian
 from .resources import (CostModel, _finite, count, expected_cost, mean_cost, runtime_bound,
                         shot_costs)
@@ -212,6 +212,8 @@ def cmd_analytic(args) -> list[dict]:
     p_hk = math.prod(p_chain)
     # shot_costs(build_w_hk(H, K), cost), streamed: that plan would hold 2K instructions
     mean = expected_cost(p_chain, accumulate(repeat(cost.d, K)))
+    if p_hk and math.isinf(mean / p_hk) and math.isinf(mean / cost.d / p_hk):  # at unit costs too
+        raise DomainError(f"p_hk = {p_hk!r} is too small: the W_H^k runtime overflows the float range")
     return [
         {
             "K": K,
@@ -237,10 +239,10 @@ def cmd_sweep(args) -> list[dict]:
     plans = [build_w_tilde(H, args.tau, kappa) for kappa in kappas]
     runs = run_shots_many(plans, psi, args.shots, args.seed)
     rows = []
-    for kappa, plan, stats in zip(kappas, plans, runs):
+    for kappa, plan, (trace, stats) in zip(kappas, plans, runs):
         row = {"K": plan.select_count, "kappa": kappa}
         row.update(_stats_row(stats, shot_costs(plan, cost)))
-        row["p_analytic"] = oracle.success_prob_wtilde(H, psi, args.tau, plan.select_count)
+        row["p_analytic"] = trace.success_prob  # the p the shots were drawn from
         rows.append(row)
     return rows
 

@@ -15,7 +15,7 @@ or Y / Z or Y), in which products and matvecs are XORs and popcount signs
 applied one X mask at a time: X^x Z^z v(b) = (-1)^popcount((b ^ x) & z) v(b ^ x), so
 the terms sharing x form one diagonal D_x and their sum maps v(b) to D_x(b) v(b ^ x).
 
-It also holds the 24-qubit simulation cap and the checks on a state vector.
+It also holds the 24-qubit simulation cap, the checks on a state vector and the count rule.
 """
 from __future__ import annotations
 
@@ -42,10 +42,14 @@ def check_width(qubits: int) -> None:
         raise ResourceLimitError(f"{qubits} qubits exceeds simulation cap {TOTAL_QUBIT_CAP}")
 
 
-def _check_int(value: int, name: str) -> int:
-    """``value``, or ``InvalidModelError`` naming it unless it is an int and not a bool."""
+def _check_int(value: int, name: str, lo: int, hi: float = math.inf) -> int:
+    """``value``, or ``InvalidModelError`` naming it unless it is an int, not a bool, in
+    ``lo``..``hi`` inclusive: the one check on a public count (``errors``)."""
     if type(value) is not int:
         raise InvalidModelError(f"{name} must be an int, got {value!r}")
+    if not lo <= value <= hi:
+        bound = f"at least {lo}" if hi == math.inf else f"in {lo}..{hi}"
+        raise InvalidModelError(f"{name} must be {bound}, got {value!r}")
     return value
 
 
@@ -95,8 +99,7 @@ class HamiltonianLCU:
     terms: tuple[PauliTerm, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidHamiltonianError("need at least one qubit")
+        _check_int(self.n, "n", 1)
         if len(self.terms) < 1:
             raise InvalidHamiltonianError("need at least one term")
         seen = set()
@@ -154,6 +157,7 @@ def canonicalize(n: int, raw_terms: Iterable[tuple[complex, str]]) -> Hamiltonia
     complex coefficients. Terms whose merged coefficient magnitude is at most
     ``_DROP_ATOL`` are dropped.
     """
+    _check_int(n, "n", 1)
     merged: dict[str, complex] = {}
     for coeff, letters in raw_terms:
         letters = str(letters)
@@ -177,8 +181,7 @@ def build_ising(n_sites: int, J: float, h: float) -> HamiltonianLCU:
 
     Term order is couplings by site index, then fields by site index.
     """
-    if _check_int(n_sites, "n_sites") < 2:
-        raise InvalidModelError("Ising chain needs at least 2 sites")
+    _check_int(n_sites, "n_sites", 2)
     raw = [(J, "I" * i + "ZZ" + "I" * (n_sites - i - 2)) for i in range(n_sites - 1)]
     raw += [(h, "I" * i + "X" + "I" * (n_sites - i - 1)) for i in range(n_sites)]
     return canonicalize(n_sites, raw)

@@ -10,14 +10,12 @@ import math
 import numpy as np
 
 from .circuits import taylor_weights
-from .errors import InvalidModelError
 from .hamiltonian import HamiltonianLCU, _check_int, apply_rescaled, check_state, l1_norm
 
 
 def success_prob_hk(H: HamiltonianLCU, psi: np.ndarray, k: int) -> float:
     """<psi| (Htilde^k)^dag Htilde^k |psi>, k >= 0."""
-    if _check_int(k, "k") < 0:
-        raise InvalidModelError("k must be nonnegative")
+    _check_int(k, "k", 0)
     v = check_state(psi, H.n)
     for _ in range(k):
         v = apply_rescaled(H, v)
@@ -30,8 +28,7 @@ def chain_probabilities(H: HamiltonianLCU, psi: np.ndarray, k: int) -> list[floa
     p_i = <psi_{i-1}| Htilde^dag Htilde |psi_{i-1}> with psi_i the normalized
     post-block state, k >= 0. A dead branch yields zeros for the remaining steps.
     """
-    if _check_int(k, "k") < 0:
-        raise InvalidModelError("k must be nonnegative")
+    _check_int(k, "k", 0)
     v = check_state(psi, H.n)
     probs = []
     for _ in range(k):

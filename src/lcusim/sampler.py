@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import CircuitPlan, LcuBlock, Measure, amplitude_values
-from .errors import DomainError, InvalidModelError
-from .hamiltonian import apply_rescaled, check_state, check_width
+from .errors import DomainError
+from .hamiltonian import _check_int, apply_rescaled, check_state, check_width
 
 
 @dataclass(frozen=True)
@@ -256,12 +256,8 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
 
 def _sample(trace: PlanTrace, N: int, seed: int) -> RunStats:
     """N shots of a trace: one ``_binomial`` draw per measurement reached."""
-    ints = all(type(v) is int for v in (N, seed))  # not a bool
-    if not (ints and 1 <= N <= 2**64 and 0 <= seed < 2**64):
-        raise InvalidModelError(
-            f"need integers 1 <= N <= 2^64 and 0 <= seed < 2^64; got N={N!r}, seed={seed!r}"
-        )
-    rng = random.Random(seed)
+    _check_int(N, "N", 1, 2**64)
+    rng = random.Random(_check_int(seed, "seed", 0, 2**64 - 1))
     left, aborts = N, {}
     for j, q in enumerate(trace.cond_probs, 1):
         if not left:
@@ -279,11 +275,12 @@ def run_shots(plan: CircuitPlan, psi: np.ndarray, N: int, seed: int) -> RunStats
     return _sample(trace_plan(plan, psi), N, seed)
 
 
-def run_shots_many(plans: list[CircuitPlan], psi: np.ndarray, N: int, seed: int) -> list[RunStats]:
-    """``[run_shots(plan, psi, N, seed) for plan in plans]``: each plan draws from its own
-    ``random.Random(seed)``, so a plan's stats do not depend on the others. The plans on
-    one Hamiltonian share one Krylov pass of psi (``_traces``)."""
-    return [_sample(t, N, seed) for t in _traces(plans, psi)]
+def run_shots_many(plans: list[CircuitPlan], psi: np.ndarray, N: int,
+                   seed: int) -> list[tuple[PlanTrace, RunStats]]:
+    """``(trace_plan(plan, psi), run_shots(plan, psi, N, seed))`` per plan: each plan draws
+    from its own ``random.Random(seed)``, so a plan's stats do not depend on the others. The
+    plans on one Hamiltonian share one Krylov pass of psi (``_traces``)."""
+    return [(t, _sample(t, N, seed)) for t in _traces(plans, psi)]
 
 
 def estimate(stats: RunStats) -> tuple[float, float]:

@@ -415,9 +415,11 @@ def array_trace(plan: CircuitPlan, psi: np.ndarray) -> PlanTrace:
 
     The state has an axis per register that is neither the system nor an l-register, over
     the sorted values it can hold (0 and those of its Prepares' nonzero amplitudes), then
-    the system axis. A block is H~ on the rows its control selects, a Prepare one
-    reflection along its register's axis, a Measure keeps row 0 of that axis, and the
-    final system state is row 0 of them all.
+    the system axis. A block is H~ on the rows its control selects, a Prepare the matrix of
+    one reflection (``householder``) along its register's axis, a Measure keeps row 0 of
+    that axis, and the final system state is row 0 of them all. The matrix's (0, 0) entry
+    is a_0 itself, not the rounded difference that forms it, so an a_0 below 1e-16 (at
+    large tau l1) keeps its digits.
     """
     H, l_regs = plan.hamiltonian, plan.l_registers
     psi = check_state(psi, H.n)
@@ -461,13 +463,10 @@ def array_trace(plan: CircuitPlan, psi: np.ndarray) -> PlanTrace:
             full = np.zeros(values.shape[0], dtype=complex)
             full[np.searchsorted(values, at)] = amps  # nonzero only: a zero may sit off the rows
             v, d = householder(full)
+            U = (np.eye(v.shape[0]) - 2.0 * np.outer(v, v.conj())) * d
+            U[0, 0] = full[0]  # = d_0 (1 - 2 |v_0|^2), a difference of numbers near 1
             block = state.reshape(-1, shape[a], math.prod(state.shape[a + 1 :]))
-            if not ins.adjoint:
-                block *= d[:, np.newaxis]
-            overlap = np.tensordot(v.conj(), block, axes=(0, 1))  # v^dag along the axis
-            block -= 2.0 * v[:, np.newaxis] * overlap[:, np.newaxis, :]
-            if ins.adjoint:
-                block *= d.conj()[:, np.newaxis]
+            block[...] = (U.conj().T if ins.adjoint else U) @ block
     return PlanTrace(
         cond_probs=tuple(cond),
         success_prob=float(np.prod(cond)) if cond else 1.0,

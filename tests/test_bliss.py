@@ -486,7 +486,7 @@ class TestShiftMatrix:
             raise AssertionError("encoded before checking n_electrons")
 
         monkeypatch.setattr(bliss, "_jw_masks", fail)
-        with pytest.raises(InvalidModelError, match="n_electrons out of range"):
+        with pytest.raises(InvalidModelError, match=f"^n_electrons must be in 0..8, got {ne}$"):
             optimize_bliss(build_hubbard_chain(4, 1.0, 4.0), ne)
 
 
@@ -603,6 +603,23 @@ class TestHubbardModel:
         h = F.one_body
         assert h[0, 2] == -1.0 and h[1, 3] == -1.0
         assert h[0, 1] == 0.0 and h[0, 3] == 0.0
+
+
+@pytest.mark.parametrize("n_orb", [25, 2**70])
+def test_orbitals_past_the_cap_are_refused_before_the_tensor(n_orb):
+    # the N^4 tensor was allocated first: 6 MB at N = 25, numpy's ValueError at N = 2^70
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidModelError, match=f"^n_orb must be in 1..24, got {n_orb}$"):
+            FermionicOperator(n_orb)
+        with pytest.raises(InvalidModelError, match=f"^n_sites must be in 1..12, got {n_orb}$"):
+            build_hubbard_chain(n_orb, 1.0, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 class TestFileFormat:

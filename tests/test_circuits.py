@@ -21,10 +21,12 @@ from lcusim.circuits import (
     taylor_prepare_amplitudes,
     taylor_weights,
 )
+from lcusim.bliss import BlissParams, FermionicOperator, build_hubbard_chain, optimize_bliss
 from lcusim.errors import InvalidModelError, LayoutError, ResourceLimitError
-from lcusim.hamiltonian import HamiltonianLCU, build_ising
+from lcusim.hamiltonian import HamiltonianLCU, build_ising, canonicalize
 from lcusim.oracle import chain_probabilities, success_prob_hk, success_prob_wtilde
 from lcusim.resources import count, runtime_bound
+from lcusim.sampler import run_shots
 from conftest import basis_state, random_hamiltonian
 
 
@@ -137,33 +139,59 @@ def test_index_widths_are_exact_past_the_float_mantissa(k):
 
 
 _H2, _PSI2 = build_ising(2, 1.0, 0.5), basis_state(2, 0)
-_ORDER_SITES = {  # each function of an order, width or size: (call, the argument's name)
-    "kappa_for": (lambda v: kappa_for(v), "K"),
-    "taylor_weights": (lambda v: taylor_weights(0.1, 1.0, v), "K"),
-    "build_w_hk": (lambda v: build_w_hk(_H2, v), "k"),
-    "build_w_tilde": (lambda v: build_w_tilde(_H2, 0.1, v), "kappa"),
-    "build_w_unary": (lambda v: build_w_unary(_H2, 0.1, v), "K"),
-    "build_ising": (lambda v: build_ising(v, 1.0, 0.5), "n_sites"),
-    "success_prob_hk": (lambda v: success_prob_hk(_H2, _PSI2, v), "k"),
-    "chain_probabilities": (lambda v: chain_probabilities(_H2, _PSI2, v), "k"),
-    "success_prob_wtilde": (lambda v: success_prob_wtilde(_H2, _PSI2, 0.1, v), "K"),
-    "runtime_bound": (lambda v: runtime_bound(0.5, 0.5, 0.1, 1.0, v, 1.0), "K"),
+_PLAN2, _F2 = build_w_hk(_H2, 1), build_hubbard_chain(1, 1.0, 4.0)
+_ORDER_SITES = {  # each public count: (call, the argument's name, values out of range, range)
+    "kappa_for": (lambda v: kappa_for(v), "K", [-1], "at least 0"),
+    "taylor_weights": (lambda v: taylor_weights(0.1, 1.0, v), "K", [0], "at least 1"),
+    "build_w_hk": (lambda v: build_w_hk(_H2, v), "k", [0], "at least 1"),
+    "build_w_tilde": (lambda v: build_w_tilde(_H2, 0.1, v), "kappa", [0], "at least 1"),
+    "build_w_unary": (lambda v: build_w_unary(_H2, 0.1, v), "K", [0], "at least 1"),
+    "build_ising": (lambda v: build_ising(v, 1.0, 0.5), "n_sites", [1], "at least 2"),
+    "success_prob_hk": (lambda v: success_prob_hk(_H2, _PSI2, v), "k", [-1], "at least 0"),
+    "chain_probabilities": (lambda v: chain_probabilities(_H2, _PSI2, v), "k", [-1], "at least 0"),
+    "success_prob_wtilde": (lambda v: success_prob_wtilde(_H2, _PSI2, 0.1, v), "K", [0],
+                            "at least 1"),
+    "runtime_bound": (lambda v: runtime_bound(0.5, 0.5, 0.1, 1.0, v, 1.0), "K", [0], "at least 1"),
+    "HamiltonianLCU": (lambda v: HamiltonianLCU(v, _H2.terms), "n", [0], "at least 1"),
+    "canonicalize": (lambda v: canonicalize(v, [(1.0, "ZZ"), (0.5, "XI")]), "n", [0], "at least 1"),
+    "FermionicOperator": (lambda v: FermionicOperator(v), "n_orb", [0, 25, 2**70], "in 1..24"),
+    "BlissParams": (lambda v: BlissParams(0.0, np.zeros((2, 2)), v), "n_electrons", [-1, 3],
+                    "in 0..2"),
+    "optimize_bliss": (lambda v: optimize_bliss(_F2, v), "n_electrons", [-1, 3], "in 0..2"),
+    "build_hubbard_chain": (lambda v: build_hubbard_chain(v, 1.0, 4.0), "n_sites", [0, 13],
+                            "in 1..12"),
+    "run_shots N": (lambda v: run_shots(_PLAN2, _PSI2, v, 0), "N", [0, 2**64 + 1],
+                    f"in 1..{2**64}"),
+    "run_shots seed": (lambda v: run_shots(_PLAN2, _PSI2, 10, v), "seed", [-1, 2**64],
+                       f"in 0..{2**64 - 1}"),
 }
 
 
 @pytest.mark.parametrize("value", [2.0, True, np.int64(2), "2"], ids=repr)
 @pytest.mark.parametrize("site", _ORDER_SITES)
 def test_an_order_that_is_not_an_int_is_refused(site, value):
-    # these raised AttributeError or a bare TypeError, took True for 1, or named register 'k'
-    call, name = _ORDER_SITES[site]
+    # these raised AttributeError or a bare TypeError, took True for 1, or named register 'k';
+    # HamiltonianLCU, canonicalize, BlissParams and optimize_bliss took 2.0 and True
+    call, name, _, _ = _ORDER_SITES[site]
     message = f"{name} must be an int, got {value!r}"
     with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
         call(value)
     call(2)
 
 
+@pytest.mark.parametrize(
+    "site, value", [(site, v) for site, (_, _, bad, _) in _ORDER_SITES.items() for v in bad])
+def test_an_order_out_of_range_is_refused(site, value):
+    # HamiltonianLCU's n < 1 raised InvalidHamiltonianError; FermionicOperator(2**70) numpy's
+    # ValueError, and build_hubbard_chain(13) built a 26-orbital tensor
+    call, name, _, bound = _ORDER_SITES[site]
+    message = f"{name} must be {bound}, got {value!r}"
+    with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
 def test_kappa_for_refuses_a_negative_order():
-    with pytest.raises(InvalidModelError, match="K must be nonnegative"):
+    with pytest.raises(InvalidModelError, match="^K must be at least 0, got -5$"):
         kappa_for(-5)
     assert kappa_for(0) == 1
 

@@ -42,8 +42,8 @@ README_COMMANDS = {
     'sweep --model ising --n 4 --J 1.0 --h 0.5 --tau 0.05 --kappa-max 3 --shots 100000 --seed 7': (
         'K,kappa,shots,successes,p_hat,stderr,abort_histogram,mean_cost,p_analytic\n'
         '1,1,100000,65583,0.65583,0.0015023881359355843,1:11947;2:22470,1.0,0.6559999999999999\n'
-        '3,2,100000,60966,0.60966,0.0015426428115412848,1:11753;2:1523;3:562;4:25196,2.74971,0.6066575788750416\n'
-        '7,3,100000,60749,0.60749,0.00154416935567314,1:11751;2:1523;3:562;4:11;5:2;6:1;7:2;8:25399,6.19593,0.606530660063536\n'
+        '3,2,100000,60966,0.60966,0.0015426428115412848,1:11753;2:1523;3:562;4:25196,2.74971,0.6066575788750417\n'
+        '7,3,100000,60749,0.60749,0.00154416935567314,1:11751;2:1523;3:562;4:11;5:2;6:1;7:2;8:25399,6.19593,0.6065306600635358\n'
     ),
     'simulate --model ising --tau 0.05 --kappa 3 --shots 100000 --seed 0': (
         'circuit,K,tau,shots,successes,p_hat,stderr,abort_histogram,mean_cost\n'
@@ -330,10 +330,10 @@ class TestSweep:
             fields = ["K", "shots", "successes", "p_hat", "stderr", "abort_histogram", "mean_cost"]
             assert [single[f] for f in fields] == [row[f] for f in fields]
 
-    def test_one_diagonal_build_for_every_trace_and_horner_pass(self, capsys, monkeypatch):
+    def test_the_readme_sweep_takes_7_matvecs(self, capsys, monkeypatch):
         # the three plans' one shared Krylov pass of 7 matvecs (to the highest Taylor
-        # degree, 7) and the three Horner passes' 1 + 3 + 7 all apply the one H~ of one
-        # Hamiltonian
+        # degree, 7) gives both the shots' q's and p_analytic; three Horner passes took
+        # 1 + 3 + 7 more
         calls = {"diagonals": 0, "sampler": 0, "oracle": 0}
         monkeypatch.setattr(hamiltonian, "_group_diagonals",
                             _counting(calls, "diagonals", hamiltonian._group_diagonals))
@@ -341,9 +341,18 @@ class TestSweep:
                             _counting(calls, "sampler", sampler.apply_rescaled))
         monkeypatch.setattr(oracle, "apply_rescaled",
                             _counting(calls, "oracle", oracle.apply_rescaled))
-        code, _, _ = _run(capsys, "sweep", "--model", "ising", "--kappa-max", "3", "--shots", "100")
-        assert code == 0
-        assert calls == {"diagonals": 1, "sampler": 7, "oracle": 11}
+        argv = next(argv for argv in README_COMMANDS if argv.startswith("sweep"))
+        code, out, _ = _run(capsys, *argv.split())
+        assert (code, out) == (0, README_COMMANDS[argv])
+        assert calls == {"diagonals": 1, "sampler": 7, "oracle": 0}
+
+    def test_p_analytic_is_within_1e_12_of_the_horner_oracle(self, capsys):
+        code, out, _ = _run(capsys, "sweep", "--model", "ising", "--tau", "0.3", "--kappa-max", "4",
+                            "--shots", "10")
+        H, psi = build_ising(4, 1.0, 0.5), np.eye(16)[0]
+        for row in _csv_rows(out):
+            horner = oracle.success_prob_wtilde(H, psi, 0.3, int(row["K"]))
+            assert code == 0 and abs(float(row["p_analytic"]) - horner) <= 1e-12
 
     def test_shot_stream_is_pinned(self, capsys):
         # Rows of the binomial shot loop, one random.Random(seed) per plan; a change to
@@ -490,7 +499,7 @@ class TestBliss:
         code, out, err = _bundled_hubbard(capsys, "--nelec", nelec)
         assert code == 2
         assert out == ""
-        assert err == "error: n_electrons out of range\n"
+        assert err == f"error: n_electrons must be in 0..8, got {nelec}\n"
 
     def test_extra_fields_exit_2_with_one_line(self, capsys, tmp_path):
         # the fields past the fifth were ignored, and the row printed with exit 0
@@ -1305,6 +1314,17 @@ class TestCostOverflow:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "overflow" in err and err.count("\n") == 1
 
+    def test_a_subnormal_p_hk_is_named_not_the_cost_units(self, capsys):
+        # at unit costs p_hk ~ 2^-1030 sends 1 / p_hk shots past the float range; the error
+        # blamed the cost units, as it still does for --d 1e308
+        code, out, err = _run(capsys, "analytic", "--model", "ising", "--n", "2", "--K", "1030")
+        assert (code, out) == (2, "")
+        assert err == ("error: p_hk = 4.3458473798964e-311 is too small: the W_H^k runtime "
+                       "overflows the float range\n")
+        code, out, err = _run(capsys, "analytic", "--model", "ising", "--n", "2", "--d", "1e308")
+        assert (code, out) == (2, "")
+        assert err == "error: a cost overflows the float range: the cost units are too large\n"
+
     def test_large_finite_costs_pass(self, capsys):
         code, out, _ = _run(
             capsys, "simulate", "--model", "ising", "--kappa", "2", "--d-ctrl", "1e300",
@@ -1446,8 +1466,8 @@ STDOUT_PINS = {
     'sweep --model ising --m 0.25 --kappa-max 3': (
         'K,kappa,shots,successes,p_hat,stderr,abort_histogram,mean_cost,p_analytic\n'
         '1,1,10000,6542,0.6542,0.0047562838435063984,1:1237;2:2221,1.469075,0.6559999999999999\n'
-        '3,2,10000,6005,0.6005,0.004897956206419163,1:1218;2:147;3:56;4:2574,3.6416,0.6066575788750416\n'
-        '7,3,10000,5975,0.5975,0.004904016211229323,1:1218;2:147;3:56;8:2604,7.9311,0.606530660063536\n'
+        '3,2,10000,6005,0.6005,0.004897956206419163,1:1218;2:147;3:56;4:2574,3.6416,0.6066575788750417\n'
+        '7,3,10000,5975,0.5975,0.004904016211229323,1:1218;2:147;3:56;8:2604,7.9311,0.6065306600635358\n'
     ),
     'analytic --model ising --n 6 --tau 0.3 --K 5 --d 0.3 --d-ctrl 0.7': (
         'K,kappa,tau,l1_norm,p_wtilde,p_hk,expected_runtime_hk,total_runtime_hk,runtime_upper_bound\n'

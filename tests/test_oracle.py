@@ -129,7 +129,7 @@ class TestSuccessProbabilities:
     def test_a_negative_order_is_refused(self, order):
         # range(-2) is empty: unchecked, k = -2 read as k = 0 (p = 1.0, no chain)
         H, psi = canonicalize(2, [(1.0, "ZZ"), (0.5, "XI")]), basis_state(2)
-        with pytest.raises(InvalidModelError, match="k must be nonnegative"):
+        with pytest.raises(InvalidModelError, match="^k must be at least 0, got -2$"):
             order(H, psi, -2)
         assert order(H, psi, 0) == {success_prob_hk: 1.0, chain_probabilities: []}[order]
 

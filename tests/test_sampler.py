@@ -363,8 +363,9 @@ class TestSharedStream:
         cost = CostModel(d=0.3, d_ctrl=0.7, m=0.1)
         N = shots or 2 * (65536 // 9) + 123  # 64 shots: outcomes of count 0, early stops
         args = (psi0_4, N, 2**40 + 1)
-        many = run_shots_many(plans, *args)
-        assert many == [run_shots(plan, *args) for plan in plans]
+        traces, many = zip(*run_shots_many(plans, *args))
+        assert list(many) == [run_shots(plan, *args) for plan in plans]
+        assert [t.cond_probs for t in traces] == [trace_plan(p, psi0_4).cond_probs for p in plans]
         check = assert_matches_chain if shots is None else assert_in_binomial_tails
         for plan, new in zip(plans, many):
             trace, costs = trace_plan(plan, psi0_4), shot_costs(plan, cost)

@@ -455,6 +455,18 @@ class TestExactChain:
             assert np.abs(np.subtract(chain, exact)).max() <= 1e-14
             assert abs(chain[-1] / exact[-1] - 1) <= 1e-12
 
+    def test_large_tau_l1(self):
+        # tau l1 = 200: a_0 = sqrt(w_0) ~ 2.6e-40. The array reference formed its k = 0
+        # amplitude as d_0 (1 - 2 |v_0|^2), a difference near 1 that rounded to 2.2e-16, and
+        # its q's were off by up to 0.49996; the moment trace was within 2e-16
+        H, psi = build_ising(2, 1.0, 0.5), random_state(2, np.random.default_rng(9))
+        raw = [(Fraction(1), "ZZ"), (Fraction(1, 2), "XI"), (Fraction(1, 2), "IX")]  # H's terms
+        exact = exact_wtilde_chain(raw, 2, Fraction(200), 7,
+                                   [(Fraction(a.real), Fraction(a.imag)) for a in psi.tolist()])
+        plan, exact = build_w_tilde(H, 100.0, 7), np.array(exact, float)
+        for trace in (trace_plan, array_trace):
+            assert np.abs(np.subtract(trace(plan, psi).cond_probs, exact)).max() <= 1e-14
+
 
 class TestMomentTrace:
     def test_pass_stops_at_the_last_nonzero_amplitude(self, monkeypatch):
