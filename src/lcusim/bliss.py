@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,39 +42,43 @@ from .hamiltonian import (LETTER_PHASE, TOTAL_QUBIT_CAP, HamiltonianLCU, _check_
                           mask_letters)
 
 
-@dataclass(frozen=True)
 class FermionicOperator:
-    """The coefficients (c, h, g) on ``n_orb`` orbitals; a body given as None is all zeros."""
+    """The coefficients (c, h, g) on ``n_orb`` orbitals; a body given as None is all zeros.
+    Equal only to itself."""
 
-    n_orb: int
-    constant: float = 0.0
-    one_body: np.ndarray | None = None
-    two_body: np.ndarray | None = None
+    __slots__ = ("n_orb", "constant", "one_body", "two_body")
 
-    def __post_init__(self):
-        N = _check_int(self.n_orb, "n_orb", 1, TOTAL_QUBIT_CAP)  # before the N^4 tensor
-        for name, shape in (("one_body", (N, N)), ("two_body", (N,) * 4)):
-            value = getattr(self, name)
+    def __init__(self, n_orb: int, constant: float = 0.0, one_body: np.ndarray | None = None,
+                 two_body: np.ndarray | None = None):
+        N = _check_int(n_orb, "n_orb", 1, TOTAL_QUBIT_CAP)  # before the N^4 tensor
+        bodies = []
+        for name, value, shape in (("one_body", one_body, (N, N)),
+                                   ("two_body", two_body, (N,) * 4)):
             value = np.zeros(shape, complex) if value is None else np.asarray(value, dtype=complex)
             if value.shape != shape:
                 raise InvalidModelError(f"{name} must be {' x '.join(['N'] * len(shape))}")
-            object.__setattr__(self, name, value)
-        if np.abs(self.one_body - self.one_body.conj().T).max() > 1e-12:
+            bodies.append(value)
+        one_body, two_body = bodies
+        if np.abs(one_body - one_body.conj().T).max() > 1e-12:
             raise InvalidModelError("one_body must be Hermitian")
+        self.n_orb, self.constant = n_orb, constant
+        self.one_body, self.two_body = one_body, two_body
 
 
-@dataclass(frozen=True)
 class BlissParams:
-    xi0: float
-    xi: np.ndarray
-    n_electrons: int
+    """The shift (xi0 + sum_ij xi_ij a_i^dag a_j)(N_hat - N_e); ``xi`` is a Hermitian
+    N x N matrix, N >= 1, and N_e = ``n_electrons`` is in 0..N. Equal only to itself."""
 
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=complex)
-        object.__setattr__(self, "xi", xi)
+    __slots__ = ("xi0", "xi", "n_electrons")
+
+    def __init__(self, xi0: float, xi: np.ndarray, n_electrons: int):
+        xi = np.asarray(xi, dtype=complex)
+        if xi.ndim != 2 or xi.shape[0] != xi.shape[1] or not xi.size:
+            raise InvalidModelError(f"xi must be a nonempty square matrix, got shape {xi.shape}")
         if np.abs(xi - xi.conj().T).max() > 1e-12:
             raise InvalidModelError("xi must be Hermitian")
-        _check_int(self.n_electrons, "n_electrons", 0, xi.shape[0])
+        self.xi0, self.xi = xi0, xi
+        self.n_electrons = _check_int(n_electrons, "n_electrons", 0, xi.shape[0])
 
 
 def _accumulate_product(acc: dict[tuple[int, int], complex], factor: complex, indices) -> None:
@@ -214,8 +218,7 @@ def _params_from_vector(x: np.ndarray, n: int, n_electrons: int, include_offdiag
 _TOL, _MAX_SWEEPS = 1e-8, 10_000  # optimize_bliss's convergence test and sweep limit
 
 
-@dataclass(frozen=True)
-class BlissResult:
+class BlissResult(NamedTuple):
     params: BlissParams
     hamiltonian: HamiltonianLCU
     objective_history: tuple[float, ...]

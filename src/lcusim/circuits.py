@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,13 +69,14 @@ def taylor_prepare_amplitudes(tau: float, alpha_norm: float, K: int) -> np.ndarr
     return np.sqrt(beta / beta.sum())
 
 
-@dataclass(frozen=True, eq=False)
 class Prepare:
-    """PREPARE of ``amps`` (binary or unary, ``amplitude_values``) from |0..0>, or its adjoint."""
+    """PREPARE of ``amps`` (binary or unary, ``amplitude_values``) from |0..0>, or its adjoint.
+    Equal only to itself."""
 
-    register: str
-    amps: np.ndarray = field(repr=False)
-    adjoint: bool = field(default=False, kw_only=True)
+    __slots__ = ("register", "amps", "adjoint")
+
+    def __init__(self, register: str, amps: np.ndarray, *, adjoint: bool = False):
+        self.register, self.amps, self.adjoint = register, amps, adjoint
 
 
 def amplitude_values(amps: np.ndarray, width: int) -> tuple[np.ndarray, list[int]]:
@@ -88,8 +89,7 @@ def amplitude_values(amps: np.ndarray, width: int) -> tuple[np.ndarray, list[int
     return amps[k], values
 
 
-@dataclass(frozen=True)
-class LcuBlock:
+class LcuBlock(NamedTuple):
     """PREPARE, SELECT and PREPARE^dag on ``l_register``, PREPARE holding sqrt(w_l / l1) on
     value l < L and 0 past it; ``control``, a (register, bit), gates the SELECT. With the
     amplitudes zero-padded and the l-register post-selected on |0>, the block is exactly
@@ -99,8 +99,7 @@ class LcuBlock:
     control: tuple[str, int] | None = None
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(NamedTuple):
     """All-zero post-selection of a register."""
 
     register: str
@@ -109,7 +108,6 @@ class Measure:
 Instruction = Prepare | LcuBlock | Measure
 
 
-@dataclass(frozen=True, eq=False)
 class CircuitPlan:
     """A plan that every consumer can run; any other raises ``LayoutError`` (unnormalized
     Prepare amplitudes ``NormalizationError``), naming the first offending instruction.
@@ -124,32 +122,29 @@ class CircuitPlan:
     and then measured, with only the Measures of l-registers between its adjoint and its
     Measure. One register at a time is open, from its Prepare to its Measure. So a post-selected result depends on
     a Prepare only through the column it puts on |0>, not on the unitary that completes it:
-    the form the moment trace runs (``sampler._walk``).
+    the form the moment trace runs (``sampler._walk``). A plan is equal only to itself.
     """
 
-    widths: dict[str, int]
-    hamiltonian: HamiltonianLCU
-    instructions: tuple[Instruction, ...]
-    l_registers: frozenset[str] = field(init=False, repr=False)  # the registers blocks use
-    select_count: int = field(init=False, repr=False)
-    measure_count: int = field(init=False, repr=False)
+    __slots__ = ("widths", "hamiltonian", "instructions",
+                 "l_registers", "select_count", "measure_count")  # the last three derived
 
-    def __post_init__(self):
-        widths = dict(self.widths)
+    def __init__(self, widths: dict[str, int], hamiltonian: HamiltonianLCU,
+                 instructions: tuple[Instruction, ...]):
+        widths = dict(widths)
         for name, width in widths.items():
             if type(name) is not str:
                 raise LayoutError(f"register {name!r}: its name is not a str")
             if type(width) is not int or width < 1:
                 raise LayoutError(f"register {name!r}: width {width!r} is not a positive int")
-        terms = (self.hamiltonian.num_terms - 1).bit_length()  # 2^width < num_terms below it
+        terms = (hamiltonian.num_terms - 1).bit_length()  # 2^width < num_terms below it
         narrow = {name for name, width in widths.items() if width < terms}
-        l_regs = frozenset(ins.l_register for ins in self.instructions  # a non-str is refused below
+        l_regs = frozenset(ins.l_register for ins in instructions  # a non-str is refused below
                            if isinstance(ins, LcuBlock) and type(ins.l_register) is str)
         pending: deque[str] = deque()  # l-registers of the blocks awaiting their measurement
         unmeasured: set[str] = set()  # the same names, for the membership test
         live = opening = None  # the open register and its Prepare's amplitudes
         closed, selects, measures = False, 0, 0  # closed: live's adjoint came
-        for i, ins in enumerate(self.instructions):
+        for i, ins in enumerate(instructions):
             if not isinstance(ins, Instruction):
                 raise LayoutError(f"instruction {i}: {ins!r} is not a Prepare, LcuBlock or Measure")
             block = isinstance(ins, LcuBlock)
@@ -213,9 +208,8 @@ class CircuitPlan:
         if pending or live:
             raise LayoutError(f"{pending[0] if pending else live} is never measured after its "
                               "last block or Prepare")
-        for name, value in (("widths", widths), ("l_registers", l_regs),
-                            ("select_count", selects), ("measure_count", measures)):
-            object.__setattr__(self, name, value)
+        self.widths, self.hamiltonian, self.instructions = widths, hamiltonian, instructions
+        self.l_registers, self.select_count, self.measure_count = l_regs, selects, measures
 
 
 def build_w_hk(H: HamiltonianLCU, k: int) -> CircuitPlan:

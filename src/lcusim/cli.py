@@ -24,7 +24,6 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from . import oracle
-from .bliss import jordan_wigner, load_fermionic, optimize_bliss
 from .circuits import build_w_tilde, build_w_unary, kappa_for
 from .errors import DomainError, LayoutError, LcusimError, NormalizationError, ResourceLimitError
 from .hamiltonian import HamiltonianLCU, build_ising, check_width, l1_norm, load_hamiltonian
@@ -257,7 +256,7 @@ def cmd_resources(args) -> list[dict]:
     # plan depends on K only through kappa, so each kappa's plan is counted once.
     wtilde = [count(build_w_tilde(H, 0.0, kappa)) for kappa in range(1, kappa_for(args.K_max) + 1)]
     return [
-        {"family": family, "K": K, "kappa": kappa_for(K), **vars(c)}  # then GateCounts' fields
+        {"family": family, "K": K, "kappa": kappa_for(K), **c._asdict()}  # then GateCounts' fields
         for K in range(1, args.K_max + 1)
         for family, c in (("wtilde", wtilde[kappa_for(K) - 1]),
                           ("wunary", count(build_w_unary(H, 0.0, K))))
@@ -265,6 +264,8 @@ def cmd_resources(args) -> list[dict]:
 
 
 def cmd_bliss(args) -> list[dict]:
+    from .bliss import jordan_wigner, load_fermionic, optimize_bliss  # only this command loads it
+
     F, ne_file = load_fermionic(args.fermion_file)
     ne = args.nelec if args.nelec is not None else ne_file
     before = jordan_wigner(F)

@@ -22,9 +22,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -72,46 +71,54 @@ def check_state(psi: np.ndarray, n: int) -> np.ndarray:
     return psi
 
 
-@dataclass(frozen=True)
-class PauliTerm:
-    """One weighted, phased Pauli string."""
-
+class _PauliTermFields(NamedTuple):
     weight: float
     phase: float
     letters: str
 
-    def __post_init__(self):
-        if not (0 <= self.weight < math.inf and math.isfinite(self.phase)):
-            raise InvalidHamiltonianError(f"term {self.letters!r}: bad weight or phase")
-        if self.letters.strip("IXYZ"):
-            raise InvalidHamiltonianError(f"bad Pauli letters {self.letters!r}")
+
+class PauliTerm(_PauliTermFields):
+    """One weighted, phased Pauli string."""
+
+    __slots__ = ()
+
+    def __new__(cls, weight: float, phase: float, letters: str):
+        if not (0 <= weight < math.inf and math.isfinite(phase)):
+            raise InvalidHamiltonianError(f"term {letters!r}: bad weight or phase")
+        if letters.strip("IXYZ"):
+            raise InvalidHamiltonianError(f"bad Pauli letters {letters!r}")
+        return super().__new__(cls, weight, phase, letters)
 
     @property
     def coefficient(self) -> complex:
         return self.weight * cmath.exp(1j * self.phase)
 
 
-@dataclass(frozen=True)
-class HamiltonianLCU:
-    """Linear combination of phased Pauli strings on ``n`` qubits."""
-
+class _LcuFields(NamedTuple):
     n: int
     terms: tuple[PauliTerm, ...]
 
-    def __post_init__(self):
-        _check_int(self.n, "n", 1)
-        if len(self.terms) < 1:
+
+class HamiltonianLCU(_LcuFields):
+    """Linear combination of phased Pauli strings on ``n`` qubits. Its fields are read-only,
+    and the instance ``__dict__`` (no ``__slots__``) holds the cached masks and diagonals."""
+
+    def __new__(cls, n: int, terms: tuple[PauliTerm, ...]):
+        _check_int(n, "n", 1)
+        if len(terms) < 1:
             raise InvalidHamiltonianError("need at least one term")
         seen = set()
-        for t in self.terms:
-            if len(t.letters) != self.n:
+        for t in terms:
+            if len(t.letters) != n:
                 raise InvalidHamiltonianError("term length does not match qubit count")
             if t.letters in seen:
                 raise InvalidHamiltonianError(f"duplicate term {t.letters}")
             seen.add(t.letters)
+        self = super().__new__(cls, n, terms)
         if not 0 < l1_norm(self) < math.inf:  # the weights' sum overflows to inf
             raise InvalidHamiltonianError(
                 f"the l1 norm must be positive and finite, got {l1_norm(self)!r}")
+        return self
 
     @property
     def num_terms(self) -> int:
@@ -259,7 +266,7 @@ def load_hamiltonian(path) -> HamiltonianLCU:
 
     Format: ``{"n": int, "terms": [{"coeff": real, "phase": real (optional),
     "paulis": "IXYZ..."}]}``. The reader canonicalizes, so signed
-    coefficients and duplicates are fine.
+    coefficients and duplicates are fine. Each refusal of the content starts with ``path``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -276,7 +283,10 @@ def load_hamiltonian(path) -> HamiltonianLCU:
         raise InvalidHamiltonianError(
             f"{path}: not a Hamiltonian file ({type(exc).__name__}: {exc})"
         ) from None
-    return canonicalize(n, raw)
+    try:
+        return canonicalize(n, raw)
+    except (InvalidModelError, InvalidHamiltonianError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def save_hamiltonian(H: HamiltonianLCU, path) -> None:

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from itertools import accumulate, zip_longest
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,17 +43,21 @@ def _check_costs(*costs: float) -> None:
     raise InvalidModelError("costs must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
-class CostModel:
+class _CostFields(NamedTuple):
+    d: float  # uncontrolled LCU block
+    d_ctrl: float  # controlled LCU block
+    m: float  # one register measurement
+
+
+class CostModel(_CostFields):
     """Cost units, a price as ``_cx_count`` is: an uncontrolled block costs ``d``, a
     controlled one ``d_ctrl``, a ``Measure`` ``m`` and a ``Prepare`` nothing."""
 
-    d: float = 1.0  # uncontrolled LCU block
-    d_ctrl: float = 1.0  # controlled LCU block
-    m: float = 0.0  # one register measurement
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_costs(self.d, self.d_ctrl, self.m)
+    def __new__(cls, d: float = 1.0, d_ctrl: float = 1.0, m: float = 0.0):
+        _check_costs(d, d_ctrl, m)
+        return super().__new__(cls, d, d_ctrl, m)
 
     def __call__(self, plan: CircuitPlan, i: int, ins: Instruction) -> float:
         if isinstance(ins, LcuBlock):
@@ -61,8 +65,7 @@ class CostModel:
         return self.m if isinstance(ins, Measure) else 0.0
 
 
-@dataclass(frozen=True)
-class GateCounts:
+class GateCounts(NamedTuple):  # the field order is the resources CSV column order
     qubits: int
     two_qubit: int
     measurements: int

@@ -20,7 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +30,7 @@ from .errors import DomainError
 from .hamiltonian import _check_int, apply_rescaled, check_state, check_width
 
 
-@dataclass(frozen=True)
-class PlanTrace:
+class PlanTrace(NamedTuple):
     """Exact success-path data for one plan and input state."""
 
     cond_probs: tuple[float, ...]  # conditional zero-probability per measurement
@@ -38,11 +38,14 @@ class PlanTrace:
     final_system_state: np.ndarray | None  # None when the success path is dead
 
 
-@dataclass
-class RunStats:
-    shots: int = 0
-    successes: int = 0
-    abort_histogram: dict[int, int] = field(default_factory=dict)
+class RunStats(SimpleNamespace):
+    """Mutable shot counts, equal to another whose three fields are equal; each instance
+    holds its own ``abort_histogram`` dict, {measurement: shots that stopped there}."""
+
+    def __init__(self, shots: int = 0, successes: int = 0,
+                 abort_histogram: dict[int, int] | None = None):
+        super().__init__(shots=shots, successes=successes,
+                         abort_histogram={} if abort_histogram is None else abort_histogram)
 
 
 def _sums(m: np.ndarray, x: np.ndarray) -> np.ndarray:

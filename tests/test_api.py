@@ -62,8 +62,8 @@ def test_public_names_are_pinned_and_importable():
 
 
 def _loaded_by(module: str) -> set[str]:
-    """The lcusim modules that importing ``module`` loads in a fresh interpreter."""
-    code = f"import sys, {module}; print(*(m for m in sys.modules if m.split('.')[0] == 'lcusim'))"
+    """The modules that importing ``module`` loads in a fresh interpreter."""
+    code = f"import sys, {module}; print(*sys.modules)"
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120, check=True)
@@ -71,13 +71,22 @@ def _loaded_by(module: str) -> set[str]:
 
 
 def test_a_module_import_loads_only_what_the_module_imports():
-    assert _loaded_by("lcusim.hamiltonian") == {"lcusim", "lcusim.errors", "lcusim.hamiltonian"}
+    loaded = _loaded_by("lcusim.hamiltonian")
+    assert {m for m in loaded if m.split(".")[0] == "lcusim"} == {
+        "lcusim", "lcusim.errors", "lcusim.hamiltonian"}
     loaded = _loaded_by("lcusim.circuits")
     assert "lcusim.circuits" in loaded
     assert not loaded & {f"lcusim.{m}" for m in ("bliss", "sampler", "oracle", "resources")}
     loaded = _loaded_by("lcusim.oracle")  # probabilities only: it prices nothing
     assert "lcusim.oracle" in loaded
     assert not loaded & {"lcusim.resources", "lcusim.sampler"}
+
+
+def test_cli_start_up_loads_neither_bliss_nor_dataclasses():
+    # which modules load, not how long they take: no record generates code at import, and
+    # only the bliss command imports bliss
+    assert not _loaded_by("lcusim.cli") & {"lcusim.bliss", "dataclasses"}
+    assert "dataclasses" not in _loaded_by("lcusim.bliss")
 
 
 # The names bench/tracer.py keys whose functions have left src: each hook or span on them

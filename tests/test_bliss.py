@@ -284,6 +284,14 @@ class TestShift:
         with pytest.raises(InvalidModelError):
             BlissParams(0.0, np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
+    @pytest.mark.parametrize("xi,shape", [(1.0, "()"), (np.zeros((2, 3)), "(2, 3)"),
+                                          (np.zeros(2), "(2,)"), (np.zeros((0, 0)), "(0, 0)")])
+    def test_xi_that_is_not_a_nonempty_square_matrix_is_refused(self, xi, shape):
+        # refused before the Hermitian test, which needs a square matrix
+        with pytest.raises(InvalidModelError) as info:
+            BlissParams(0.0, xi, 0)
+        assert str(info.value) == f"xi must be a nonempty square matrix, got shape {shape}"
+
 
 class TestOptimizer:
     def test_hubbard4_reference(self):
@@ -465,7 +473,7 @@ class TestShiftMatrix:
         monkeypatch.setattr(bliss, "_jw_masks", recording("encode", bliss._jw_masks))
         monkeypatch.setattr(bliss, "jordan_wigner", recording("jordan_wigner", bliss.jordan_wigner))
         monkeypatch.setattr(
-            FermionicOperator, "__post_init__", recording("operator", FermionicOperator.__post_init__)
+            FermionicOperator, "__init__", recording("operator", FermionicOperator.__init__)
         )
         F = build_hubbard_chain(4, 1.0, 4.0)
         events.clear()

@@ -13,7 +13,8 @@ import pytest
 
 from lcusim import cli, hamiltonian, oracle, sampler
 from lcusim.cli import main
-from lcusim.hamiltonian import build_ising, canonicalize, save_hamiltonian
+from lcusim.errors import InvalidHamiltonianError, InvalidModelError
+from lcusim.hamiltonian import build_ising, canonicalize, load_hamiltonian, save_hamiltonian
 
 
 def _counting(calls, name, fn):
@@ -1371,6 +1372,25 @@ class TestMalformedHamiltonianFile:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            ('{"n": 0, "terms": [{"coeff": 1.0, "paulis": "Z"}]}', InvalidModelError,
+             "n must be at least 1, got 0"),
+            ('{"n": 1, "terms": [{"coeff": 1.0, "paulis": "XX"}]}', InvalidHamiltonianError,
+             "term 'XX' does not act on 1 qubits"),
+        ],
+        ids=["n=0", "XX on 1 qubit"],
+    )
+    def test_a_refused_content_names_its_file(self, capsys, tmp_path, text, error, message):
+        path = tmp_path / "h.json"
+        path.write_text(text)
+        with pytest.raises(error) as info:
+            load_hamiltonian(path)
+        assert str(info.value) == f"{path}: {message}"
+        code, out, err = _run(capsys, "analytic", "--hamiltonian", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
 
 # ``analytic --model ising --n 9 --tau 0.05 --K 7`` on the seeded state of
