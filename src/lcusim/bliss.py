@@ -38,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidModelError
-from .hamiltonian import (LETTER_PHASE, TOTAL_QUBIT_CAP, HamiltonianLCU, _check_int, canonicalize,
-                          mask_letters)
+from .hamiltonian import (LETTER_PHASE, TOTAL_QUBIT_CAP, HamiltonianLCU, _check_int, _check_real,
+                          canonicalize, mask_letters)
 
 
 class FermionicOperator:
@@ -61,7 +61,7 @@ class FermionicOperator:
         one_body, two_body = bodies
         if np.abs(one_body - one_body.conj().T).max() > 1e-12:
             raise InvalidModelError("one_body must be Hermitian")
-        self.n_orb, self.constant = n_orb, constant
+        self.n_orb, self.constant = n_orb, _check_real(constant, "constant")
         self.one_body, self.two_body = one_body, two_body
 
 
@@ -77,7 +77,7 @@ class BlissParams:
             raise InvalidModelError(f"xi must be a nonempty square matrix, got shape {xi.shape}")
         if np.abs(xi - xi.conj().T).max() > 1e-12:
             raise InvalidModelError("xi must be Hermitian")
-        self.xi0, self.xi = xi0, xi
+        self.xi0, self.xi = _check_real(xi0, "xi0"), xi
         self.n_electrons = _check_int(n_electrons, "n_electrons", 0, xi.shape[0])
 
 
@@ -91,11 +91,8 @@ def _accumulate_product(acc: dict[tuple[int, int], complex], factor: complex, in
     for pos, j in enumerate(indices):
         lx, below = 1 << j, (1 << j) - 1
         ladder = ((0.5, below), (-0.5 if pos % 2 else 0.5, below | lx))
-        terms = [
-            (c * lc * (-1 if (z & lx).bit_count() & 1 else 1), x ^ lx, z ^ lz)
-            for c, x, z in terms
-            for lc, lz in ladder
-        ]
+        terms = [(c * lc * (-1 if (z & lx).bit_count() & 1 else 1), x ^ lx, z ^ lz)
+                 for c, x, z in terms for lc, lz in ladder]
     for c, x, z in terms:
         acc[x, z] = acc.get((x, z), 0j) + c
 
@@ -128,17 +125,13 @@ def apply_bliss(F: FermionicOperator, params: BlissParams) -> FermionicOperator:
     n, xi0, xi, ne = F.n_orb, params.xi0, params.xi, params.n_electrons
     if xi.shape[0] != n:
         raise InvalidModelError("xi dimension does not match the operator")
-    return FermionicOperator(
-        n,
-        constant=F.constant + xi0 * ne,
-        one_body=F.one_body - (xi0 * np.eye(n, dtype=complex) - ne * xi),
-        two_body=F.two_body - np.multiply.outer(xi, np.eye(n)),  # xi_ij a_i^dag a_j a_k^dag a_k
-    )
+    one_body = F.one_body - (xi0 * np.eye(n, dtype=complex) - ne * xi)
+    two_body = F.two_body - np.multiply.outer(xi, np.eye(n))  # xi_ij a_i^dag a_j a_k^dag a_k
+    return FermionicOperator(n, F.constant + xi0 * ne, one_body, two_body)
 
 
-def _unit_shifts(
-    n_orb: int, include_offdiag: bool, reached: set[int]
-) -> list[dict[tuple[int, int], complex]]:
+def _unit_shifts(n_orb: int, include_offdiag: bool,
+                 reached: set[int]) -> list[dict[tuple[int, int], complex]]:
     """The unit shifts U_m in parameter order, each as ``{(x, z): c}``: the
     identity, a_i^dag a_i, then per i < j a_i^dag a_j + a_j^dag a_i and
     i(a_i^dag a_j - a_j^dag a_i). A unit whose X mask (0, or 2^i | 2^j for the
@@ -225,12 +218,8 @@ class BlissResult(NamedTuple):
     converged: bool
 
 
-def optimize_bliss(
-    F: FermionicOperator,
-    n_electrons: int,
-    *,
-    include_offdiag: bool = True,
-) -> BlissResult:
+def optimize_bliss(F: FermionicOperator, n_electrons: int, *,
+                   include_offdiag: bool = True) -> BlissResult:
     """Minimize the Jordan-Wigner l1 norm over the shift parameters.
 
     The Pauli coefficients are affine in the real parametrization (xi0,
@@ -288,6 +277,7 @@ def optimize_bliss(
 def build_hubbard_chain(n_sites: int, t: float, U: float) -> FermionicOperator:
     """Open-chain Hubbard model; orbital 2p is site p spin-up, 2p+1 spin-down."""
     N = 2 * _check_int(n_sites, "n_sites", 1, TOTAL_QUBIT_CAP // 2)  # before the N^4 tensor
+    t, U = _check_real(t, "t"), _check_real(U, "U")
     h = np.zeros((N, N))
     for p in range(n_sites - 1):
         for s in (0, 1):
@@ -308,31 +298,34 @@ def load_fermionic(path) -> tuple[FermionicOperator, int]:
     ``i=j=k=l=0`` the constant; otherwise ``value`` multiplies
     ``a_i^dag a_j a_k^dag a_l`` verbatim. Two-body entries are stored as
     written; the file author is responsible for an overall Hermitian
-    operator.
+    operator. Each refusal of the content starts with ``path``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()] or [""]
-    header = dict(part.partition("=")[::2] for part in lines[0].replace(",", " ").split())
     try:
-        N, ne = int(header["NORB"]), int(header["NELEC"])
-    except (KeyError, ValueError):
-        raise InvalidModelError("header must read NORB=<int> NELEC=<int>") from None
-    if not 1 <= N <= TOTAL_QUBIT_CAP:
-        raise InvalidModelError(f"NORB={N} is outside 1..{TOTAL_QUBIT_CAP}")
-    const, h, g = 0.0, np.zeros((N, N)), np.zeros((N,) * 4)
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        try:  # exactly five fields: more or fewer fail to unpack with a ValueError
-            v, i, j, k, l = float(parts[0]), *map(int, parts[1:])
-        except ValueError:
-            raise InvalidModelError(f"line {lineno}: expected 'value i j k l'") from None
-        body = (i, j) if k == l == 0 else (i, j, k, l)
-        if not math.isfinite(v) or (any(body) and not all(1 <= q <= N for q in body)):
-            raise InvalidModelError(f"line {lineno}: need a finite value and indices in 1..{N}")
-        if not any(body):
-            const += v
-        elif len(body) == 2:
-            h[i - 1, j - 1] = h[j - 1, i - 1] = v
-        else:
-            g[i - 1, j - 1, k - 1, l - 1] = v
-    return FermionicOperator(N, constant=const, one_body=h, two_body=g), ne
+        header = dict(part.partition("=")[::2] for part in lines[0].replace(",", " ").split())
+        try:
+            N, ne = int(header["NORB"]), int(header["NELEC"])
+        except (KeyError, ValueError):
+            raise InvalidModelError("header must read NORB=<int> NELEC=<int>") from None
+        if not 1 <= N <= TOTAL_QUBIT_CAP:
+            raise InvalidModelError(f"NORB={N} is outside 1..{TOTAL_QUBIT_CAP}")
+        const, h, g = 0.0, np.zeros((N, N)), np.zeros((N,) * 4)
+        for lineno, ln in enumerate(lines[1:], start=2):
+            parts = ln.split()
+            try:  # exactly five fields: more or fewer fail to unpack with a ValueError
+                v, i, j, k, l = float(parts[0]), *map(int, parts[1:])
+            except ValueError:
+                raise InvalidModelError(f"line {lineno}: expected 'value i j k l'") from None
+            body = (i, j) if k == l == 0 else (i, j, k, l)
+            if not math.isfinite(v) or (any(body) and not all(1 <= q <= N for q in body)):
+                raise InvalidModelError(f"line {lineno}: need a finite value and indices in 1..{N}")
+            if not any(body):
+                const += v
+            elif len(body) == 2:
+                h[i - 1, j - 1] = h[j - 1, i - 1] = v
+            else:
+                g[i - 1, j - 1, k - 1, l - 1] = v
+        return FermionicOperator(N, constant=const, one_body=h, two_body=g), ne
+    except InvalidModelError as exc:
+        raise InvalidModelError(f"{path}: {exc}") from None

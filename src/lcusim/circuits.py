@@ -32,19 +32,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidModelError, LayoutError
-from .hamiltonian import HamiltonianLCU, _check_int, check_norm, check_width, l1_norm
+from .hamiltonian import HamiltonianLCU, _check_int, _check_real, check_norm, check_width, l1_norm
 
 
 def taylor_weights(tau: float, alpha_norm: float, K: int) -> np.ndarray:
-    """Truncated-Taylor weights beta_k = (tau * alpha_norm)^k / k! for k = 0..K, built in
-    Python floats, which overflow to inf without a warning; refused where a weight or
-    ||beta||_1^2 is not finite, or where K's binary register is over the simulation cap."""
-    if not 0 < alpha_norm < math.inf:
-        raise InvalidModelError("alpha_norm must be positive and finite")
+    """Truncated-Taylor weights beta_k = (tau * alpha_norm)^k / k! for k = 0..K, tau >= 0 and
+    alpha_norm > 0, built in Python floats, which overflow to inf without a warning; refused
+    where a weight or ||beta||_1^2 is not finite, or K's binary register is over the cap."""
+    x = _check_real(tau, "tau", 0) * _check_real(alpha_norm, "alpha_norm", math.ulp(0.0))
     check_width(kappa_for(_check_int(K, "K", 1)))  # the binary Taylor register, before K + 1 floats
-    if not 0 <= tau < math.inf:
-        raise InvalidModelError("tau must be nonnegative and finite")
-    x = tau * alpha_norm
     beta = np.zeros(K + 1)
     beta[0] = b = 1.0
     for k in range(1, K + 1):

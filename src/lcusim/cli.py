@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -169,14 +170,8 @@ def _check_limit(value: int, limit: int, what: str) -> None:
 def _stats_row(stats, costs: tuple[float, ...]) -> dict:
     p_hat, stderr = estimate(stats)
     hist = ";".join(f"{k}:{v}" for k, v in sorted(stats.abort_histogram.items()))
-    return {
-        "shots": stats.shots,
-        "successes": stats.successes,
-        "p_hat": p_hat,
-        "stderr": stderr,
-        "abort_histogram": hist,
-        "mean_cost": mean_cost(stats, costs),
-    }
+    return {"shots": stats.shots, "successes": stats.successes, "p_hat": p_hat, "stderr": stderr,
+            "abort_histogram": hist, "mean_cost": mean_cost(stats, costs)}
 
 
 def cmd_simulate(args) -> list[dict]:
@@ -213,20 +208,17 @@ def cmd_analytic(args) -> list[dict]:
     mean = expected_cost(p_chain, accumulate(repeat(cost.d, K)))
     if p_hk and math.isinf(mean / p_hk) and math.isinf(mean / cost.d / p_hk):  # at unit costs too
         raise DomainError(f"p_hk = {p_hk!r} is too small: the W_H^k runtime overflows the float range")
-    return [
-        {
-            "K": K,
-            "kappa": kappa,
-            "tau": args.tau,
-            "l1_norm": l1_norm(H),
-            "p_wtilde": p_w,
-            "p_hk": p_hk,
-            "expected_runtime_hk": mean,
-            "total_runtime_hk": _finite(mean / p_hk) if p_hk else math.inf,  # 1 / p_hk shots
-            "runtime_upper_bound": runtime_bound(p_w, p_chain[0], args.tau, l1_norm(H), K,
-                                                 cost.d_ctrl),
-        }
-    ]
+    return [{
+        "K": K,
+        "kappa": kappa,
+        "tau": args.tau,
+        "l1_norm": l1_norm(H),
+        "p_wtilde": p_w,
+        "p_hk": p_hk,
+        "expected_runtime_hk": mean,
+        "total_runtime_hk": _finite(mean / p_hk) if p_hk else math.inf,  # 1 / p_hk shots
+        "runtime_upper_bound": runtime_bound(p_w, p_chain[0], args.tau, l1_norm(H), K, cost.d_ctrl),
+    }]
 
 
 def cmd_sweep(args) -> list[dict]:
@@ -272,25 +264,21 @@ def cmd_bliss(args) -> list[dict]:
     result = optimize_bliss(F, ne, include_offdiag=not args.diagonal_only)
     after = result.hamiltonian
 
-    def block_success(H):
-        # <psi| Htilde^dag Htilde |psi> on the JW particle-number state
-        # occupying the lowest ne orbitals
+    def block_success(H):  # <psi| H~^dag H~ |psi>, psi the JW state filling the lowest ne orbitals
         return oracle.success_prob_hk(H, _basis_state(H.n, (1 << ne) - 1), 1)
 
-    return [
-        {
-            "n_orb": F.n_orb,
-            "n_electrons": ne,
-            "l1_before": l1_norm(before),
-            "l1_after": l1_norm(after),
-            "L_before": before.num_terms,
-            "L_after": after.num_terms,
-            "p_before": block_success(before),
-            "p_after": block_success(after),
-            "xi0": result.params.xi0,
-            "converged": result.converged,
-        }
-    ]
+    return [{
+        "n_orb": F.n_orb,
+        "n_electrons": ne,
+        "l1_before": l1_norm(before),
+        "l1_after": l1_norm(after),
+        "L_before": before.num_terms,
+        "L_after": after.num_terms,
+        "p_before": block_success(before),
+        "p_after": block_success(after),
+        "xi0": result.params.xi0,
+        "converged": result.converged,
+    }]
 
 
 def emit(rows: list[dict], fmt: str, path: str | None) -> None:
@@ -301,11 +289,8 @@ def emit(rows: list[dict], fmt: str, path: str | None) -> None:
                 for r in rows]
         text = json.dumps(rows, sort_keys=True, indent=1, allow_nan=False) + "\n"
     else:
-        import io
-
         buf = io.StringIO()
-        fieldnames = list(rows[0].keys()) if rows else []
-        writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else [], lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})

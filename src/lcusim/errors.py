@@ -1,14 +1,18 @@
 """Exception types shared across the package.
 
-One count rule: every public count is a Python ``int`` (not a ``bool``) in its range, or
-``InvalidModelError`` naming it, as ``hamiltonian._check_int`` alone checks. The counts are
-the order K (``taylor_weights``, ``kappa_for``, ``build_w_unary``, ``success_prob_wtilde``,
-``runtime_bound``), k (``build_w_hk``, ``success_prob_hk``, ``chain_probabilities``), kappa
-(``build_w_tilde``), n (``HamiltonianLCU``, ``canonicalize``), ``build_ising``'s and
-``build_hubbard_chain``'s n_sites, ``FermionicOperator``'s n_orb, n_electrons (``BlissParams``,
-``optimize_bliss``), and ``run_shots``'s N and seed. A value of another type reads
-``"{name} must be an int, got {value!r}"``, one out of range ``"{name} must be at least {lo},
-got {value!r}"`` or ``"{name} must be in {lo}..{hi}, got {value!r}"``.
+Two argument rules in ``hamiltonian`` share one range test. ``_check_int`` alone checks a public
+count, a Python ``int`` (not a ``bool``): the order K (``taylor_weights``, ``kappa_for``,
+``build_w_unary``, ``success_prob_wtilde``, ``runtime_bound``), k (``build_w_hk``,
+``success_prob_hk``, ``chain_probabilities``), kappa (``build_w_tilde``), n (``HamiltonianLCU``,
+``canonicalize``), n_sites (``build_ising``, ``build_hubbard_chain``), ``FermionicOperator``'s
+n_orb, n_electrons (``BlissParams``, ``optimize_bliss``), and ``run_shots``'s N and seed.
+``_check_real`` alone checks a public real, a finite real number (not a ``bool``; numpy reals and
+``Fraction`` pass unchanged): tau >= 0 and alpha_norm >= 5e-324 (``taylor_weights``, so the
+builders, ``success_prob_wtilde`` and ``runtime_bound``), the cost units d, d_ctrl, m >= 0
+(``CostModel``, ``runtime_bound``), J, h, t, U, ``FermionicOperator``'s constant and
+``BlissParams``' xi0. Either refuses with ``InvalidModelError``: ``"{name} must be an int, got
+{value!r}"`` or ``"{name} must be a finite real number, got {value!r}"``, and out of range
+``"{name} must be at least {lo}, got {value!r}"`` or ``"{name} must be in {lo}..{hi}, got ..."``.
 """
 
 

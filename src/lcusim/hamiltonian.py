@@ -15,13 +15,14 @@ or Y / Z or Y), in which products and matvecs are XORs and popcount signs
 applied one X mask at a time: X^x Z^z v(b) = (-1)^popcount((b ^ x) & z) v(b ^ x), so
 the terms sharing x form one diagonal D_x and their sum maps v(b) to D_x(b) v(b ^ x).
 
-It also holds the 24-qubit simulation cap, the checks on a state vector and the count rule.
+It also holds the 24-qubit simulation cap, the state-vector checks and the two argument rules.
 """
 from __future__ import annotations
 
 import cmath
 import json
 import math
+import numbers
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -41,14 +42,32 @@ def check_width(qubits: int) -> None:
         raise ResourceLimitError(f"{qubits} qubits exceeds simulation cap {TOTAL_QUBIT_CAP}")
 
 
-def _check_int(value: int, name: str, lo: int, hi: float = math.inf) -> int:
-    """``value``, or ``InvalidModelError`` naming it unless it is an int, not a bool, in
-    ``lo``..``hi`` inclusive: the one check on a public count (``errors``)."""
-    if type(value) is not int:
-        raise InvalidModelError(f"{name} must be an int, got {value!r}")
+def _check_range(value: float, name: str, lo: float, hi: float) -> float:
+    """``value``, or ``InvalidModelError`` naming it unless it is in ``lo``..``hi`` inclusive."""
     if not lo <= value <= hi:
         bound = f"at least {lo}" if hi == math.inf else f"in {lo}..{hi}"
         raise InvalidModelError(f"{name} must be {bound}, got {value!r}")
+    return value
+
+
+def _check_int(value: int, name: str, lo: int, hi: float = math.inf) -> int:
+    """``value``, or ``InvalidModelError`` naming it unless it is an int, not a bool, in
+    ``lo``..``hi``: the one check on a public count (``errors``)."""
+    if type(value) is not int:
+        raise InvalidModelError(f"{name} must be an int, got {value!r}")
+    return _check_range(value, name, lo, hi)
+
+
+def _check_real(value: float, name: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """``value``, or ``InvalidModelError`` naming it unless it is a finite real number, not a
+    bool, whose float is in ``lo``..``hi``: the one check on a public real (``errors``)."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) and type(value) is not bool else None
+    except OverflowError:  # an int past the float range
+        x = None
+    if x is None or not math.isfinite(x):
+        raise InvalidModelError(f"{name} must be a finite real number, got {value!r}")
+    _check_range(x, name, lo, hi)
     return value
 
 
@@ -77,15 +96,24 @@ class _PauliTermFields(NamedTuple):
     letters: str
 
 
-class PauliTerm(_PauliTermFields):
+class _Validated:  # base of a record that validates in __new__: _make, so _replace, does too
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # NamedTuple's skips __new__
+
+
+class PauliTerm(_Validated, _PauliTermFields):
     """One weighted, phased Pauli string."""
 
     __slots__ = ()
 
     def __new__(cls, weight: float, phase: float, letters: str):
-        if not (0 <= weight < math.inf and math.isfinite(phase)):
+        try:
+            valid = 0 <= weight < math.inf and math.isfinite(phase)
+        except (TypeError, OverflowError):  # not a number, or an int past the float range
+            valid = False
+        if not valid:
             raise InvalidHamiltonianError(f"term {letters!r}: bad weight or phase")
-        if letters.strip("IXYZ"):
+        if not isinstance(letters, str) or letters.strip("IXYZ"):
             raise InvalidHamiltonianError(f"bad Pauli letters {letters!r}")
         return super().__new__(cls, weight, phase, letters)
 
@@ -99,7 +127,7 @@ class _LcuFields(NamedTuple):
     terms: tuple[PauliTerm, ...]
 
 
-class HamiltonianLCU(_LcuFields):
+class HamiltonianLCU(_Validated, _LcuFields):
     """Linear combination of phased Pauli strings on ``n`` qubits. Its fields are read-only,
     and the instance ``__dict__`` (no ``__slots__``) holds the cached masks and diagonals."""
 
@@ -189,6 +217,7 @@ def build_ising(n_sites: int, J: float, h: float) -> HamiltonianLCU:
     Term order is couplings by site index, then fields by site index.
     """
     _check_int(n_sites, "n_sites", 2)
+    J, h = _check_real(J, "J"), _check_real(h, "h")
     raw = [(J, "I" * i + "ZZ" + "I" * (n_sites - i - 2)) for i in range(n_sites - 1)]
     raw += [(h, "I" * i + "X" + "I" * (n_sites - i - 1)) for i in range(n_sites)]
     return canonicalize(n_sites, raw)
@@ -281,8 +310,7 @@ def load_hamiltonian(path) -> HamiltonianLCU:
             raw.append((coeff, entry["paulis"]))
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError, RecursionError) as exc:
         raise InvalidHamiltonianError(
-            f"{path}: not a Hamiltonian file ({type(exc).__name__}: {exc})"
-        ) from None
+            f"{path}: not a Hamiltonian file ({type(exc).__name__}: {exc})") from None
     try:
         return canonicalize(n, raw)
     except (InvalidModelError, InvalidHamiltonianError) as exc:
@@ -291,12 +319,8 @@ def load_hamiltonian(path) -> HamiltonianLCU:
 
 def save_hamiltonian(H: HamiltonianLCU, path) -> None:
     """Write a Hamiltonian in the JSON text format read by load_hamiltonian."""
-    data = {
-        "n": H.n,
-        "terms": [
-            {"coeff": t.weight, "phase": t.phase, "paulis": t.letters} for t in H.terms
-        ],
-    }
+    data = {"n": H.n, "terms": [{"coeff": t.weight, "phase": t.phase, "paulis": t.letters}
+                                for t in H.terms]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1)
         fh.write("\n")

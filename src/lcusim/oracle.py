@@ -49,7 +49,7 @@ def success_prob_wtilde(H: HamiltonianLCU, psi: np.ndarray, tau: float, K: int) 
     beta_top is the last beta_k that has not underflowed to 0.
     """
     psi = check_state(psi, H.n)
-    x, beta = tau * l1_norm(H), taylor_weights(tau, l1_norm(H), K)
+    beta, x = taylor_weights(tau, l1_norm(H), K), tau * l1_norm(H)  # checks tau before x
     v = psi
     for k in range(np.count_nonzero(beta) - 1, 0, -1):  # an underflowed beta_k stays 0 after
         v = psi + (x / k) * apply_rescaled(H, v)

@@ -29,18 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import CircuitPlan, Instruction, LcuBlock, Measure, taylor_weights
-from .errors import DomainError, InvalidModelError
+from .errors import DomainError
+from .hamiltonian import _check_real, _Validated
 from .sampler import RunStats
-
-
-def _check_costs(*costs: float) -> None:
-    """Refuse any cost unit that is not a finite, nonnegative real number, a NaN too."""
-    try:
-        if all(math.isfinite(c) and c >= 0 for c in costs):
-            return
-    except (TypeError, OverflowError):  # not a number, or an int past the float range
-        pass
-    raise InvalidModelError("costs must be finite and nonnegative")
 
 
 class _CostFields(NamedTuple):
@@ -49,14 +40,15 @@ class _CostFields(NamedTuple):
     m: float  # one register measurement
 
 
-class CostModel(_CostFields):
+class CostModel(_Validated, _CostFields):
     """Cost units, a price as ``_cx_count`` is: an uncontrolled block costs ``d``, a
     controlled one ``d_ctrl``, a ``Measure`` ``m`` and a ``Prepare`` nothing."""
 
     __slots__ = ()
 
     def __new__(cls, d: float = 1.0, d_ctrl: float = 1.0, m: float = 0.0):
-        _check_costs(d, d_ctrl, m)
+        for name, unit in zip(cls._fields, (d, d_ctrl, m)):
+            _check_real(unit, name, 0)
         return super().__new__(cls, d, d_ctrl, m)
 
     def __call__(self, plan: CircuitPlan, i: int, ins: Instruction) -> float:
@@ -103,10 +95,13 @@ def _finite(cost: float) -> float:
 
 
 def _probability(p: float) -> float:
-    """``p`` if it lies in [0, 1], with 1e-9 of rounding above 1, else ``DomainError``."""
-    if not 0.0 <= p <= 1.0 + 1e-9:
-        raise DomainError("a probability must lie in [0, 1]")
-    return p
+    """``p`` if it is a number in [0, 1], with 1e-9 of rounding above 1, else ``DomainError``."""
+    try:
+        if 0.0 <= p <= 1.0 + 1e-9:
+            return p
+    except TypeError:  # not a number
+        pass
+    raise DomainError("a probability must lie in [0, 1]")
 
 
 def _mean(outcomes: Iterable[tuple[float, float]]) -> float:
@@ -114,7 +109,11 @@ def _mean(outcomes: Iterable[tuple[float, float]]) -> float:
     that is negative or NaN. An outcome of weight 0 adds nothing: no 0 x inf."""
     total = 0.0
     for w, c in outcomes:
-        if not c >= 0:
+        try:
+            valid = c >= 0
+        except TypeError:  # not a number
+            valid = False
+        if not valid:
             raise DomainError("a shot cost must be a nonnegative number")
         total += w * c if w else 0.0
     return _finite(total)
@@ -136,9 +135,9 @@ def expected_cost(cond_probs: Iterable[float], costs: Iterable[float]) -> float:
     each read once, in order, and not held."""
 
     def outcomes():
-        surviving, cost = 1.0, 0.0
-        for q, cost in zip_longest(cond_probs, costs):
-            if q is None or cost is None:
+        surviving, cost, end = 1.0, 0.0, object()  # end pads the shorter input
+        for q, cost in zip_longest(cond_probs, costs, fillvalue=end):
+            if q is end or cost is end:
                 raise DomainError("cond_probs and costs differ in length")
             yield surviving * (1.0 - _probability(q)), cost
             surviving *= q
@@ -151,18 +150,17 @@ def runtime_bound(p_w: float, p1: float, tau: float, l1: float, K: int, d_ctrl: 
     """First-order upper bound on the average successful-run cost of the shorter-width
     circuit, (K d_ctrl / p_w) [1 - (tau l1 / ||beta||_1) (1 - p1)], from p_w = p_wtilde and
     p1 = <psi| Htilde^dag Htilde |psi>; inf at p_w = 0."""
-    _check_costs(d_ctrl)
+    _check_real(d_ctrl, "d_ctrl", 0)
     p_w, p1 = _probability(p_w), _probability(p1)
-    correction = (tau * l1 / float(taylor_weights(tau, l1, K).sum())) * (1.0 - p1)
+    beta_norm = float(taylor_weights(tau, l1, K).sum())  # checks tau and l1 before their product
+    correction = (tau * l1 / beta_norm) * (1.0 - p1)
     return math.inf if p_w == 0.0 else _finite((K * d_ctrl / p_w) * (1.0 - correction))
 
 
 def count(plan: CircuitPlan) -> GateCounts:
     """Qubits (the system's and the ancillas'), a successful shot's CX and measured qubits."""
     cx = shot_costs(plan, _cx_count)
-    return GateCounts(
-        qubits=plan.hamiltonian.n + sum(plan.widths.values()),
-        two_qubit=cx[-1] if cx else 0,
-        measurements=sum(plan.widths[ins.register]
-                         for ins in plan.instructions if isinstance(ins, Measure)),
-    )
+    return GateCounts(qubits=plan.hamiltonian.n + sum(plan.widths.values()),
+                      two_qubit=cx[-1] if cx else 0,
+                      measurements=sum(plan.widths[ins.register]
+                                       for ins in plan.instructions if isinstance(ins, Measure)))

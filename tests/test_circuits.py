@@ -2,6 +2,7 @@ import math
 import re
 import time
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,11 +22,12 @@ from lcusim.circuits import (
     taylor_prepare_amplitudes,
     taylor_weights,
 )
-from lcusim.bliss import BlissParams, FermionicOperator, build_hubbard_chain, optimize_bliss
+from lcusim.bliss import (BlissParams, FermionicOperator, build_hubbard_chain, jordan_wigner,
+                          optimize_bliss)
 from lcusim.errors import InvalidModelError, LayoutError, ResourceLimitError
 from lcusim.hamiltonian import HamiltonianLCU, build_ising, canonicalize
 from lcusim.oracle import chain_probabilities, success_prob_hk, success_prob_wtilde
-from lcusim.resources import count, runtime_bound
+from lcusim.resources import CostModel, count, runtime_bound
 from lcusim.sampler import run_shots
 from conftest import basis_state, random_hamiltonian
 
@@ -188,6 +190,73 @@ def test_an_order_out_of_range_is_refused(site, value):
     message = f"{name} must be {bound}, got {value!r}"
     with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+_REAL_SITES = {  # each public real argument: (call, the argument's name, values out of range,
+    # range); a call returns what the argument changes, comparable with ==
+    "taylor_weights tau": (lambda v: tuple(taylor_weights(v, 1.0, 3)), "tau", [-1.0], "at least 0"),
+    "taylor_weights alpha_norm": (lambda v: tuple(taylor_weights(0.1, v, 3)), "alpha_norm", [0.0],
+                                  "at least 5e-324"),
+    "taylor_prepare_amplitudes": (lambda v: tuple(taylor_prepare_amplitudes(v, 1.0, 3)), "tau",
+                                  [-1.0], "at least 0"),
+    "build_w_tilde": (lambda v: tuple(build_w_tilde(_H2, v, 2).instructions[0].amps), "tau",
+                      [-1.0], "at least 0"),
+    "build_w_unary": (lambda v: tuple(build_w_unary(_H2, v, 2).instructions[0].amps), "tau",
+                      [-1.0], "at least 0"),
+    "success_prob_wtilde": (lambda v: success_prob_wtilde(_H2, _PSI2, v, 3), "tau", [-1.0],
+                            "at least 0"),
+    "runtime_bound tau": (lambda v: runtime_bound(0.5, 0.5, v, 1.0, 3, 1.0), "tau", [-1.0],
+                          "at least 0"),
+    "runtime_bound l1": (lambda v: runtime_bound(0.5, 0.5, 0.1, v, 3, 1.0), "alpha_norm", [0.0],
+                         "at least 5e-324"),
+    "runtime_bound d_ctrl": (lambda v: runtime_bound(0.5, 0.5, 0.1, 1.0, 3, v), "d_ctrl", [-1.0],
+                             "at least 0"),
+    "CostModel d": (lambda v: CostModel(d=v), "d", [-1.0], "at least 0"),
+    "CostModel d_ctrl": (lambda v: CostModel(d_ctrl=v), "d_ctrl", [-1.0], "at least 0"),
+    "CostModel m": (lambda v: CostModel(m=v), "m", [-1.0], "at least 0"),
+    "build_ising J": (lambda v: build_ising(2, v, 0.5), "J", [], None),
+    "build_ising h": (lambda v: build_ising(2, 1.0, v), "h", [], None),
+    "FermionicOperator": (lambda v: FermionicOperator(1, constant=v).constant, "constant", [], None),
+    "BlissParams": (lambda v: BlissParams(v, np.zeros((2, 2)), 0).xi0, "xi0", [], None),
+    "build_hubbard_chain t": (lambda v: jordan_wigner(build_hubbard_chain(2, v, 4.0)), "t", [],
+                              None),
+    "build_hubbard_chain U": (lambda v: jordan_wigner(build_hubbard_chain(2, 1.0, v)), "U", [],
+                              None),
+}
+
+
+@pytest.mark.parametrize("value", [None, "1", True, 1j, math.nan, math.inf, 10**400],
+                         ids=["None", "'1'", "True", "1j", "nan", "inf", "10**400"])
+@pytest.mark.parametrize("site", _REAL_SITES)
+def test_a_real_that_is_not_a_finite_real_number_is_refused(site, value):
+    # these raised a bare TypeError or OverflowError, took True for 1 and "1" or 1j as a
+    # coefficient, or read "costs must be finite and nonnegative" without naming the unit
+    call, name, _, _ = _REAL_SITES[site]
+    message = f"{name} must be a finite real number, got {value!r}"
+    with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "site, value", [(site, v) for site, (_, _, bad, _) in _REAL_SITES.items() for v in bad])
+def test_a_real_out_of_range_is_refused(site, value):
+    call, name, _, bound = _REAL_SITES[site]
+    message = f"{name} must be {bound}, got {value!r}"
+    with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [np.int64(2), Fraction(1, 2), np.float32(0.5)], ids=repr)
+@pytest.mark.parametrize("site", _REAL_SITES)
+def test_numpy_reals_and_fractions_give_the_float_result(site, value):
+    # the rule passes them on unchanged; a float32 argument rounds the products it enters
+    # to 24 bits, as it did before the rule
+    call = _REAL_SITES[site][0]
+    got, want = call(value), call(float(value))
+    if isinstance(value, np.float32) and type(want) in (float, tuple):  # the Taylor weights
+        assert got == pytest.approx(want, rel=1e-6, abs=0)
+    else:
+        assert got == want
 
 
 def test_kappa_for_refuses_a_negative_order():

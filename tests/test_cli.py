@@ -507,7 +507,20 @@ class TestBliss:
         path = tmp_path / "op.txt"
         path.write_text("NORB=2 NELEC=1\n1.0 1 1 0 0 9 9\n0.5 1 2 0 0\n")
         code, out, err = _run(capsys, "bliss", "--fermion-file", str(path))
-        assert (code, out, err) == (2, "", "error: line 2: expected 'value i j k l'\n")
+        assert (code, out, err) == (2, "", f"error: {path}: line 2: expected 'value i j k l'\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("NORB=2\n1.0 1 1 0 0\n", "header must read NORB=<int> NELEC=<int>"),
+        ("NORB=25 NELEC=1\n", "NORB=25 is outside 1..24"),
+        ("NORB=1 NELEC=1\n1e308 0 0 0 0\n1e308 0 0 0 0\n",
+         "constant must be a finite real number, got inf"),
+    ])
+    def test_a_refused_file_is_named(self, capsys, tmp_path, text, message):
+        # the header and NORB refusals did not say which file was at fault
+        path = tmp_path / "op.txt"
+        path.write_text(text)
+        code, out, err = _run(capsys, "bliss", "--fermion-file", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
     @pytest.mark.parametrize(
         "lines, message",
@@ -684,7 +697,7 @@ class TestErrors:
         # so abs(nan) raised OverflowError and escaped as a traceback
         code, out, err = _run(capsys, "sweep", "--model", "ising", "--J", "nan", "--h", "1e999")
         assert (code, out) == (2, "")
-        assert err == "error: term 'ZZII': bad weight or phase\n"
+        assert err == "error: J must be a finite real number, got nan\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -302,6 +302,20 @@ class TestInvariants:
         with pytest.raises(InvalidHamiltonianError):
             PauliTerm(weight, phase, "X")
 
+    @pytest.mark.parametrize("weight,phase", [(None, 0.0), (1.0, None), ("1", 0.0), (1j, 0.0),
+                                              (1.0, 10**400)],
+                             ids=["None-0.0", "1.0-None", "'1'-0.0", "1j-0.0", "1.0-10**400"])
+    def test_a_weight_or_phase_that_is_not_a_number_is_refused(self, weight, phase):
+        # None, "1" and 1j raised TypeError, and a phase past the float range OverflowError
+        with pytest.raises(InvalidHamiltonianError, match=r"^term 'X': bad weight or phase$"):
+            PauliTerm(weight, phase, "X")
+
+    @pytest.mark.parametrize("letters", [None, 5, b"X", ["X"]])
+    def test_letters_that_are_not_a_string_are_refused(self, letters):
+        # these raised AttributeError or TypeError
+        with pytest.raises(InvalidHamiltonianError, match=r"^bad Pauli letters "):
+            PauliTerm(1.0, 0.0, letters)
+
     @pytest.mark.parametrize("letters", ["XQX", "QX", "xz", "X Z"])
     def test_bad_letters_rejected(self, letters):
         # a bad letter inside, at the start, in lower case, or a blank

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import accumulate, repeat
 
 import numpy as np
@@ -210,11 +211,15 @@ class TestRuntimes:
     def test_a_cost_unit_that_is_not_finite_and_nonnegative_is_refused(self, site, unit):
         # one check, of every unit analytic reads: a NaN unit gave a NaN runtime, -1.0 a
         # negative one, and 10**400 and "1" raised OverflowError and TypeError
-        call = {"CostModel": lambda: CostModel(m=unit),
-                "d": lambda: CostModel(d=unit),
-                "d_ctrl": lambda: CostModel(d_ctrl=unit),
-                "runtime_bound": lambda: runtime_bound(0.5, 0.5, 0.1, 1.0, 3, unit)}[site]
-        with pytest.raises(InvalidModelError, match="^costs must be finite and nonnegative$"):
+        # each refusal names its unit
+        name, call = {"CostModel": ("m", lambda: CostModel(m=unit)),
+                      "d": ("d", lambda: CostModel(d=unit)),
+                      "d_ctrl": ("d_ctrl", lambda: CostModel(d_ctrl=unit)),
+                      "runtime_bound": ("d_ctrl",
+                                        lambda: runtime_bound(0.5, 0.5, 0.1, 1.0, 3, unit))}[site]
+        kind = "at least 0" if unit == -1.0 else "a finite real number"
+        message = f"{name} must be {kind}, got {unit!r}"
+        with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
             call()
 
     @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@
 fields, plans and Prepares only by identity, the Hamiltonian's fields are read-only under
 its cached masks, and each constructor keeps its signature and its refusals."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,3 +95,28 @@ def test_run_stats_are_mutable_values_with_a_histogram_each():
 def test_each_record_refusal_keeps_its_type(error, make):
     with pytest.raises(error):
         make()
+
+
+@pytest.mark.parametrize("error,message,make", [
+    (InvalidModelError, "n must be at least 1, got 0", lambda: H2._replace(n=0)),
+    (InvalidHamiltonianError, "need at least one term", lambda: HamiltonianLCU._make((2, ()))),
+    (InvalidModelError, "d must be at least 0, got -1.0", lambda: CostModel()._replace(d=-1.0)),
+    (InvalidModelError, "m must be a finite real number, got nan",
+     lambda: CostModel._make((1.0, 1.0, math.nan))),
+    (InvalidHamiltonianError, "term 'X': bad weight or phase",
+     lambda: PauliTerm(1.0, 0.0, "X")._replace(weight=-1.0)),
+    (InvalidHamiltonianError, "bad Pauli letters 'Q'", lambda: PauliTerm._make((1.0, 0.0, "Q"))),
+])
+def test_replace_and_make_validate_as_the_constructor_does(error, message, make):
+    # both skipped __new__: H2._replace(n=0) built a 0-qubit Hamiltonian and
+    # CostModel()._replace(d=-1.0) a negative cost
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_replace_and_make_still_build_valid_records():
+    assert H2._replace(n=2) == H2 and type(H2._replace(n=2)) is HamiltonianLCU
+    assert CostModel()._replace(m=0.5) == CostModel(m=0.5)
+    assert PauliTerm._make((0.5, 0.0, "XZ")) == PauliTerm(0.5, 0.0, "XZ")
+    with pytest.raises(ValueError, match="unexpected field names"):
+        CostModel()._replace(q=1.0)

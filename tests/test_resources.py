@@ -15,8 +15,9 @@ from lcusim.circuits import (
     build_w_unary,
 )
 from lcusim.hamiltonian import build_ising, canonicalize
-from lcusim.errors import LcusimError
-from lcusim.resources import CostModel, _cx_count, count, expected_cost, mean_cost, shot_costs
+from lcusim.errors import DomainError, LcusimError
+from lcusim.resources import (CostModel, _cx_count, count, expected_cost, mean_cost, runtime_bound,
+                              shot_costs)
 from lcusim.sampler import RunStats, run_shots, trace_plan
 from conftest import random_hamiltonian, random_state
 from reference import (
@@ -285,6 +286,26 @@ class TestExpectedCost:
     def test_lengths_must_match(self, probs, costs):
         with pytest.raises(LcusimError, match="differ in length"):
             expected_cost(probs, costs)
+
+    @pytest.mark.parametrize("bad", [None, "0.5", 1j])
+    def test_a_probability_that_is_not_a_number_is_refused(self, bad):
+        # a None was padding, read as "differ in length"; the others raised TypeError
+        for call in (lambda: expected_cost([bad], [1.0]),
+                     lambda: expected_cost([0.5, bad], [1.0, 2.0]),
+                     lambda: runtime_bound(bad, 0.5, 0.1, 1.0, 3, 1.0),
+                     lambda: runtime_bound(0.5, bad, 0.1, 1.0, 3, 1.0)):
+            with pytest.raises(DomainError, match=r"^a probability must lie in \[0, 1\]$"):
+                call()
+
+    @pytest.mark.parametrize("bad", [None, "1", 1j])
+    def test_a_cost_that_is_not_a_number_is_refused(self, bad):
+        # each raised TypeError
+        for call in (lambda: expected_cost([0.5], [bad]),
+                     lambda: expected_cost([0.5, 1.0], [1.0, bad]),
+                     lambda: mean_cost(RunStats(1, 1), (bad,)),
+                     lambda: mean_cost(RunStats(2, 1, {1: 1}), (bad, 1.0))):
+            with pytest.raises(DomainError, match="^a shot cost must be a nonnegative number$"):
+                call()
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan])
     def test_a_negative_or_nan_cost_is_refused(self, bad):

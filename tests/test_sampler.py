@@ -548,7 +548,8 @@ class TestStatsHelpers:
     @pytest.mark.parametrize("flag", ["--d-ctrl", "--m"])
     def test_cli_prints_a_refused_cost_on_one_line(self, capsys, flag):
         code = main(["simulate", "--model", "ising", flag, "-1"])
-        assert (code, capsys.readouterr().err) == (2, "error: costs must be finite and nonnegative\n")
+        name = flag[2:].replace("-", "_")
+        assert (code, capsys.readouterr().err) == (2, f"error: {name} must be at least 0, got -1.0\n")
 
     def test_overflowing_cost_sum_rejected_without_a_warning(self, ising4, psi0_4):
         # each shot costs at most 3e305, but 10000 of them sum past the largest float
