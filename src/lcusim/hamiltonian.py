@@ -13,7 +13,9 @@ bit-mask form ``P = i^{#Y} X^x Z^z`` (bit j of x / z set where letter j is X
 or Y / Z or Y), in which products and matvecs are XORs and popcount signs
 (Aaronson & Gottesman, PRA 70, 052328, 2004). A weighted sum of strings is
 applied one X mask at a time: X^x Z^z v(b) = (-1)^popcount((b ^ x) & z) v(b ^ x), so
-the terms sharing x form one diagonal D_x and their sum maps v(b) to D_x(b) v(b ^ x).
+the terms sharing x form one diagonal D_x and their sum maps v(b) to D_x(b) v(b ^ x). A small
+H (G groups, G 2^n <= ``_MAX_STACK_ENTRIES``) applies all G at once from stacked index and
+diagonal arrays; a larger one applies one strided view of v per group (``pauli_sum_apply``).
 
 It also holds the 24-qubit simulation cap, the state-vector checks and the two argument rules.
 """
@@ -34,6 +36,7 @@ from .errors import (InvalidHamiltonianError, InvalidModelError, LayoutError, No
 TOTAL_QUBIT_CAP = 24
 _NORM_TOL = 1e-10
 _MAX_DIAGONAL_BYTES = 1 << 30  # 64 diagonals at n = 20, the largest file run in BENCH_25.json
+_MAX_STACK_ENTRIES = 3 << 15  # G 2^n of a stacked H: past 86016, under 114688 (BENCH_40.json)
 
 
 def check_width(qubits: int) -> None:
@@ -61,10 +64,13 @@ def _check_int(value: int, name: str, lo: int, hi: float = math.inf) -> int:
 def _check_real(value: float, name: str, lo: float = -math.inf, hi: float = math.inf) -> float:
     """``value``, or ``InvalidModelError`` naming it unless it is a finite real number, not a
     bool, whose float is in ``lo``..``hi``: the one check on a public real (``errors``)."""
-    try:
-        x = float(value) if isinstance(value, numbers.Real) and type(value) is not bool else None
-    except OverflowError:  # an int past the float range
-        x = None
+    if type(value) is float:  # most calls: no numbers.Real ABC test
+        x = value
+    else:
+        try:
+            x = float(value) if isinstance(value, numbers.Real) and type(value) is not bool else None
+        except OverflowError:  # an int past the float range
+            x = None
     if x is None or not math.isfinite(x):
         raise InvalidModelError(f"{name} must be a finite real number, got {value!r}")
     _check_range(x, name, lo, hi)
@@ -108,7 +114,8 @@ class PauliTerm(_Validated, _PauliTermFields):
 
     def __new__(cls, weight: float, phase: float, letters: str):
         try:
-            valid = 0 <= weight < math.inf and math.isfinite(phase)
+            valid = (bool not in (type(weight), type(phase)) and 0 <= weight
+                     and math.isfinite(weight) and math.isfinite(phase))
         except (TypeError, OverflowError):  # not a number, or an int past the float range
             valid = False
         if not valid:
@@ -120,6 +127,9 @@ class PauliTerm(_Validated, _PauliTermFields):
     @property
     def coefficient(self) -> complex:
         return self.weight * cmath.exp(1j * self.phase)
+
+
+_X_DIGITS, _Z_DIGITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")  # masks
 
 
 class _LcuFields(NamedTuple):
@@ -159,22 +169,30 @@ class HamiltonianLCU(_Validated, _LcuFields):
 
     @cached_property
     def masks(self) -> tuple[tuple[int, int, complex], ...]:
-        """Per term ``(x, z, u)``: the term is ``weight * u * X^x Z^z``, u = exp(i phase) i^{#Y}."""
-        out = []
-        for t in self.terms:
-            x = sum(1 << j for j, c in enumerate(t.letters) if c in "XY")
-            z = sum(1 << j for j, c in enumerate(t.letters) if c in "ZY")
-            out.append((x, z, np.exp(1j * t.phase) * 1j ** t.letters.count("Y")))
-        return tuple(out)
+        """Per term ``(x, z, u)``: the term is ``weight * u * X^x Z^z``, u = exp(i phase) i^{#Y}.
+        The reversed letters, read as binary digits, put letter j at bit j."""
+        return tuple((int(t.letters[::-1].translate(_X_DIGITS), 2),
+                      int(t.letters[::-1].translate(_Z_DIGITS), 2),
+                      np.exp(1j * t.phase) * 1j ** t.letters.count("Y")) for t in self.terms)
 
     @cached_property
     def _l1(self) -> float:  # l1_norm, summed once: every H~ matvec reads it
-        return float(sum(t.weight for t in self.terms))
+        return sum(float(t.weight) for t in self.terms)  # ints past the float range: inf
 
     @cached_property
     def _groups(self) -> list:
         """``_group_diagonals(self)``, built on the first matvec and held while ``self`` lives."""
         return _group_diagonals(self)
+
+    @cached_property
+    def _stack(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(idx, D)`` of a stacked H: ``idx[g] = arange(2^n) ^ x_g`` and ``D[g]`` the diagonal
+        of group g of ``_groups``, a scalar broadcast; None where ``_groups`` holds views."""
+        if type(self._groups[0][0]) is not int:
+            return None
+        b = np.arange(1 << self.n)
+        return (np.array([b ^ x for x, _ in self._groups]),
+                np.array([np.broadcast_to(d, b.shape) for _, d in self._groups]))
 
 
 def l1_norm(H: HamiltonianLCU) -> float:
@@ -232,11 +250,12 @@ LETTER_PHASE = np.array([(-1j) ** k for k in range(4)])  # c X^x Z^z = c (-i)^po
 
 
 def _group_diagonals(H: HamiltonianLCU) -> list:
-    """Per distinct x, in order of first appearance, ``(index, D_x)``. On the (2,)*n view of
-    the last axis (qubit n-1 first), ``index`` reverses the axes of the set bits of x, which
-    reads v(b ^ x) at b; D_x(b) = sum_{t: x_t = x} weight_t u_t (-1)^popcount((b ^ x) & z_t)
-    has that shape, or is a scalar when every z_t is 0. Over ``_MAX_DIAGONAL_BYTES`` of them
-    are refused before the first is allocated."""
+    """Per distinct x, in order of first appearance, ``(key, D_x)``, where D_x(b) =
+    sum_{t: x_t = x} weight_t u_t (-1)^popcount((b ^ x) & z_t), or a scalar when every z_t
+    is 0. When the G groups fit the stack (G 2^n <= ``_MAX_STACK_ENTRIES``), key is x and
+    D_x has 2^n entries. Above it, on the (2,)*n view of the last axis (qubit n-1 first),
+    key reverses the axes of the set bits of x, which reads v(b ^ x) at b, and D_x has that
+    shape. Over ``_MAX_DIAGONAL_BYTES`` of them are refused before the first is allocated."""
     nbytes = len({x for x, z, _ in H.masks if z}) * 16 << H.n
     if nbytes > _MAX_DIAGONAL_BYTES:
         raise ResourceLimitError(f"the Hamiltonian's diagonals would take {nbytes} bytes, over "
@@ -244,10 +263,9 @@ def _group_diagonals(H: HamiltonianLCU) -> list:
     groups: dict[int, list[tuple[int, complex]]] = {}
     for t, (x, z, u) in zip(H.terms, H.masks):
         groups.setdefault(x, []).append((z, t.weight * u))
+    stacked = len(groups) << H.n <= _MAX_STACK_ENTRIES
     out = []
     for x, terms in groups.items():
-        steps = [-1 if x >> j & 1 else 1 for j in reversed(range(H.n))]
-        index = (Ellipsis, *(slice(None, None, step) for step in steps))
         if all(z == 0 for z, _ in terms):
             d = sum(c for _, c in terms)
         else:
@@ -255,22 +273,37 @@ def _group_diagonals(H: HamiltonianLCU) -> list:
             d = np.zeros(1 << H.n, dtype=complex)
             for z, c in terms:
                 d += np.where(np.bitwise_count(src & z) & 1, -c, c) if z else c
-            d = d.reshape((2,) * H.n)
-        out.append((index, d))
+            d = d if stacked else d.reshape((2,) * H.n)
+        if not stacked:
+            steps = [-1 if x >> j & 1 else 1 for j in reversed(range(H.n))]
+            x = (Ellipsis, *(slice(None, None, step) for step in steps))
+        out.append((x, d))
     return out
 
 
 def pauli_sum_apply(H: HamiltonianLCU, v: np.ndarray) -> np.ndarray:
     """``H v`` without a matrix; ``v`` holds 2^n amplitudes along its last axis.
 
-    One multiply and one XOR-permuted view per distinct X mask, no index array. The
-    diagonals are built on the first call and held on ``H`` while it lives (``H._groups``),
-    which is no more than that call holds at once: one takes 2^n * 16 bytes, 4 MiB at
-    n = 18 and 256 MiB at n = 24, and more than 1 GiB of them is refused.
+    Two forms, chosen by size and equal to the bit. A stacked H (G groups, G 2^n at most
+    ``_MAX_STACK_ENTRIES``: Ising to n = 12 and the bundled Hubbard file) gathers v(b ^ x_g)
+    for every group at once and sums the rows D_g(b) v(b ^ x_g) in group order: one gather,
+    one multiply and one reduction, where per-call overhead bounds the work (BENCH_40.json).
+    A batch of B vectors gathers B G 2^n entries. A larger H makes one multiply per group
+    over an XOR-permuted view of v, with no index array. The diagonals are built on the first
+    call and held on ``H`` while it lives (``H._groups``, and ``H._stack`` for the stacked
+    arrays), which is no more than that call holds at once: above the stack, one takes
+    2^n * 16 bytes, 4 MiB at n = 18 and 256 MiB at n = 24, and more than 1 GiB of them is
+    refused.
     """
     v = np.asarray(v, dtype=complex)
     if v.shape[-1:] != (1 << H.n,):
         raise LayoutError(f"{H.n}-qubit Hamiltonian needs {1 << H.n} amplitudes")
+    if H._stack is not None:
+        idx, D = H._stack
+        rows = v[idx] if v.ndim == 1 else np.take(v, idx, axis=-1)
+        np.multiply(D, rows, out=rows)
+        # row after row, as the views' out += tmp; from -0j, not numpy's +0, so a -0 stays
+        return np.add.reduce(rows, axis=-2, initial=-0j)
     groups = H._groups
     shape = v.shape[:-1] + (2,) * H.n
     out = np.empty(v.shape, dtype=complex)

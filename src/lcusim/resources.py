@@ -22,6 +22,7 @@ compiles each instruction gate by gate and is the check on these formulas.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable, Iterable
 from itertools import accumulate, zip_longest
 from typing import NamedTuple
@@ -95,25 +96,20 @@ def _finite(cost: float) -> float:
 
 
 def _probability(p: float) -> float:
-    """``p`` if it is a number in [0, 1], with 1e-9 of rounding above 1, else ``DomainError``."""
-    try:
-        if 0.0 <= p <= 1.0 + 1e-9:
-            return p
-    except TypeError:  # not a number
-        pass
+    """``p`` if it is a real number (not a ``Decimal``) in [0, 1], with 1e-9 of rounding
+    above 1, else ``DomainError``. A float skips the ``numbers.Real`` ABC test."""
+    if (isinstance(p, float) or isinstance(p, numbers.Real)) and 0.0 <= p <= 1.0 + 1e-9:
+        return p
     raise DomainError("a probability must lie in [0, 1]")
 
 
 def _mean(outcomes: Iterable[tuple[float, float]]) -> float:
     """The sum of weight x cost over the (weight, cost) outcomes, in order, refusing a cost
-    that is negative or NaN. An outcome of weight 0 adds nothing: no 0 x inf."""
+    that is not a real number (as ``_probability``), negative or NaN. An outcome of weight 0
+    adds nothing: no 0 x inf."""
     total = 0.0
     for w, c in outcomes:
-        try:
-            valid = c >= 0
-        except TypeError:  # not a number
-            valid = False
-        if not valid:
+        if not ((isinstance(c, float) or isinstance(c, numbers.Real)) and c >= 0):
             raise DomainError("a shot cost must be a nonnegative number")
         total += w * c if w else 0.0
     return _finite(total)

@@ -1,12 +1,14 @@
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcusim import hamiltonian
+from lcusim.bliss import jordan_wigner, load_fermionic
 from lcusim.errors import (
     InvalidHamiltonianError,
     InvalidModelError,
@@ -242,6 +244,99 @@ class TestPauliSumApply:
         assert builds == [H] and len(H._groups) == H.n + 1
 
 
+def _signed_zeros(rng, shape) -> np.ndarray:
+    """Random complex entries, about a third of each part a zero of random sign, so that a
+    kernel's signs of zero show in its bits."""
+    re, im = rng.normal(size=(2,) + shape)
+    re, im = (np.where(rng.random(shape) < 0.35, np.copysign(0.0, x), x) for x in (re, im))
+    return _pack(re, im)
+
+
+def _pack(re, im) -> np.ndarray:  # re + 1j * im would turn a -0 real part to +0
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _sequential(rows) -> np.ndarray:
+    """Rows summed one after another on the second-to-last axis, as the views' out += tmp."""
+    out = rows[..., 0, :].copy()
+    for g in range(1, rows.shape[-2]):
+        out += rows[..., g, :]
+    return out
+
+
+class TestStackedKernel:
+    # below _MAX_STACK_ENTRIES one gather over every group, above it one view per group
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.tuples(st.just(n), st.one_of(_random_terms(n), _shared_x_terms(n)))
+        ),
+        st.sampled_from([(), (3,), (2, 2)]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_the_stack_equals_the_views_to_the_bit(self, n_terms, batch, seed):
+        n, terms = n_terms
+        terms = tuple(PauliTerm(w, ph, s) for s, (w, ph) in terms.items())
+        v = _signed_zeros(np.random.default_rng(seed), batch + (1 << n,))
+        stacked = HamiltonianLCU(n, terms)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hamiltonian, "_MAX_STACK_ENTRIES", 0)
+            views = HamiltonianLCU(n, terms)
+            by_views = pauli_sum_apply(views, v)
+        by_stack = pauli_sum_apply(stacked, v)
+        assert stacked._stack is not None and views._stack is None
+        assert by_stack.shape == by_views.shape == v.shape
+        assert by_stack.tobytes() == by_views.tobytes()  # the signs of zero too
+        dense = v @ to_matrix(stacked).T
+        tol = 1e-12 * l1_norm(stacked) * np.abs(v).sum(axis=-1, keepdims=True)
+        for out in (by_stack, by_views):
+            assert (np.abs(out - dense) <= tol).all()
+
+    def test_a_sum_of_negative_zeros_stays_negative(self):
+        # both groups' rows have imaginary parts -0, whose sum is -0; numpy starts a
+        # reduction at +0, and +0 + -0 + -0 is +0
+        raw, v = [(1.0, "I"), (1.0, "X")], _pack(np.array([-0.0, -0.0]), np.array([-0.0, -0.0]))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hamiltonian, "_MAX_STACK_ENTRIES", 0)
+            by_views = pauli_sum_apply(canonicalize(1, raw), v)
+        assert np.signbit(by_views.imag).all()
+        assert pauli_sum_apply(canonicalize(1, raw), v).tobytes() == by_views.tobytes()
+
+    @pytest.mark.parametrize("budget, stacked", [(5 << 4, True), ((5 << 4) - 1, False)])
+    def test_the_budget_is_inclusive(self, monkeypatch, budget, stacked):
+        # Ising n = 4 has 5 groups of 2^4 entries: x = 0 (the couplings) and one X per site
+        monkeypatch.setattr(hamiltonian, "_MAX_STACK_ENTRIES", budget)
+        H = build_ising(4, 1.0, 0.5)
+        v = _signed_zeros(np.random.default_rng(1), (16,))
+        assert np.abs(pauli_sum_apply(H, v) - to_matrix(H) @ v).max() < 1e-12
+        assert len(H._groups) == 5 and (H._stack is not None) is stacked
+        assert all(type(key) is (int if stacked else tuple) for key, _ in H._groups)
+
+    def test_the_budget_covers_ising_to_12_qubits_and_the_bundled_hubbard_file(self):
+        fermions, _ = load_fermionic(Path(hamiltonian.__file__).parent / "data" / "hubbard_4site.txt")
+        for H, stacked in ((build_ising(12, 1.0, 0.5), True), (build_ising(13, 1.0, 0.5), False),
+                           (jordan_wigner(fermions), True)):
+            assert (H._stack is not None) is stacked
+
+    def test_numpy_reduces_rows_in_order(self):
+        # the stack sums its rows with np.add.reduce(..., axis=-2, initial=-0j), which must be
+        # the views' sequential out += tmp to the bit: a numpy release that reorders it, as
+        # np.add.reduceat does, fails here
+        rng = np.random.default_rng(40)
+        reordered = 0
+        for G in range(1, 16):
+            for shape in ((G, 64), (3, G, 64)):
+                rows = _signed_zeros(rng, shape)
+                rows.real *= 10.0 ** rng.integers(-8, 9, size=shape)  # so the order shows
+                ordered = _sequential(rows)
+                assert np.add.reduce(rows, axis=-2, initial=-0j).tobytes() == ordered.tobytes()
+                reordered += _sequential(rows[..., ::-1, :]).tobytes() != ordered.tobytes()
+        assert reordered > 20  # the order shows in the bits of these rows
+
+
 def z_carrying_masks(n: int, masks: int) -> HamiltonianLCU:
     """Z_0 X_k on n qubits for k = 0 .. masks - 1 (X_0 read as I): ``masks`` distinct X masks,
     each with a Z, so ``masks`` diagonals of 2^n amplitudes."""
@@ -303,10 +398,13 @@ class TestInvariants:
             PauliTerm(weight, phase, "X")
 
     @pytest.mark.parametrize("weight,phase", [(None, 0.0), (1.0, None), ("1", 0.0), (1j, 0.0),
-                                              (1.0, 10**400)],
-                             ids=["None-0.0", "1.0-None", "'1'-0.0", "1j-0.0", "1.0-10**400"])
+                                              (1.0, 10**400), (True, 0.0), (1.0, False),
+                                              (10**400, 0.0)],
+                             ids=["None-0.0", "1.0-None", "'1'-0.0", "1j-0.0", "1.0-10**400",
+                                  "True-0.0", "1.0-False", "10**400-0.0"])
     def test_a_weight_or_phase_that_is_not_a_number_is_refused(self, weight, phase):
-        # None, "1" and 1j raised TypeError, and a phase past the float range OverflowError
+        # None, "1" and 1j raised TypeError, and a phase past the float range OverflowError;
+        # a bool weight or phase was kept, and a weight of 10**400 raised OverflowError in l1
         with pytest.raises(InvalidHamiltonianError, match=r"^term 'X': bad weight or phase$"):
             PauliTerm(weight, phase, "X")
 
@@ -322,8 +420,9 @@ class TestInvariants:
         with pytest.raises(InvalidHamiltonianError, match="bad Pauli letters"):
             PauliTerm(1.0, 0.0, letters)
 
-    @pytest.mark.parametrize("weights", [(0.0, 0.0), (1e308, 1e308)])
+    @pytest.mark.parametrize("weights", [(0.0, 0.0), (1e308, 1e308), (10**308, 10**308)])
     def test_l1_norm_zero_or_overflowing_rejected(self, weights):
+        # two ints in the float range whose sum is past it raised OverflowError
         terms = tuple(PauliTerm(w, 0.0, letters) for w, letters in zip(weights, "XZ"))
         with pytest.raises(InvalidHamiltonianError, match="l1 norm must be positive and finite"):
             HamiltonianLCU(1, terms)

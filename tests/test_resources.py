@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 from itertools import accumulate, repeat
 
 import numpy as np
@@ -306,6 +308,29 @@ class TestExpectedCost:
                      lambda: mean_cost(RunStats(2, 1, {1: 1}), (bad, 1.0))):
             with pytest.raises(DomainError, match="^a shot cost must be a nonnegative number$"):
                 call()
+
+    def test_a_decimal_is_refused(self):
+        # a Decimal compares with a float but does no float arithmetic: each raised TypeError
+        # from 1.0 - q, w * c or tau * l1; a cost of an outcome of probability 0 is read too
+        half, one = Decimal("0.5"), Decimal(1)
+        for call, message in ((lambda: expected_cost([half], [1.0]), "probability"),
+                              (lambda: runtime_bound(half, 0.5, 0.1, 1.0, 3, 1.0), "probability"),
+                              (lambda: runtime_bound(0.5, half, 0.1, 1.0, 3, 1.0), "probability"),
+                              (lambda: expected_cost([0.5], [one]), "shot cost"),
+                              (lambda: expected_cost([0.0, 1.0], [1.0, one]), "shot cost"),
+                              (lambda: mean_cost(RunStats(1, 1), (one,)), "shot cost"),
+                              (lambda: mean_cost(RunStats(1, 0, {1: 1}), (1.0, one)), "shot cost")):
+            with pytest.raises(DomainError, match=message):
+                call()
+
+    def test_other_real_types_give_the_float_result(self):
+        # the float fast path changes no value: numpy floats, ints and fractions still pass
+        q, c = [0.5, 0.25, 1.0], [1.0, 2.0, 3.0]
+        expected = expected_cost(q, c)
+        for kind in (np.float64, np.float32, Fraction):
+            assert expected_cost([kind(x) for x in q], [kind(x) for x in c]) == expected
+        assert expected_cost([1, 0], [1, 2]) == expected_cost([1.0, 0.0], [1.0, 2.0])
+        assert mean_cost(RunStats(2, 1, {1: 1}), (Fraction(1), np.float64(3.0))) == 2.0
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan])
     def test_a_negative_or_nan_cost_is_refused(self, bad):
