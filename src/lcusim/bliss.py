@@ -54,7 +54,13 @@ class FermionicOperator:
         bodies = []
         for name, value, shape in (("one_body", one_body, (N, N)),
                                    ("two_body", two_body, (N,) * 4)):
-            value = np.zeros(shape, complex) if value is None else np.asarray(value, dtype=complex)
+            try:
+                value = np.zeros(shape, complex) if value is None else np.asarray(value, complex)
+                finite = np.isfinite(value).all()
+            except (TypeError, ValueError):  # not numbers: a str, None entries, a ragged list
+                finite = False
+            if not finite:
+                raise InvalidModelError(f"{name} must hold finite numbers")
             if value.shape != shape:
                 raise InvalidModelError(f"{name} must be {' x '.join(['N'] * len(shape))}")
             bodies.append(value)

@@ -11,7 +11,7 @@ Three builders are provided:
   l-registers and a single terminal post-selection.
 
 Both Taylor-weighted builders take their amplitudes from ``taylor_prepare_amplitudes``,
-and they and the oracle's ||beta||_1 take the weights beta_0..beta_K from
+and they and analytic's ||beta||_1 take the weights beta_0..beta_K from
 ``taylor_weights``, which builds and overflow-checks those K + 1 and no more.
 
 A plan is a sequence of three instruction kinds: ``Prepare`` on a w-qubit register,
@@ -126,7 +126,7 @@ class CircuitPlan:
 
     def __init__(self, widths: dict[str, int], hamiltonian: HamiltonianLCU,
                  instructions: tuple[Instruction, ...]):
-        widths = dict(widths)
+        widths, instructions = dict(widths), tuple(instructions)
         for name, width in widths.items():
             if type(name) is not str:
                 raise LayoutError(f"register {name!r}: its name is not a str")

@@ -24,13 +24,13 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from . import oracle
-from .circuits import build_w_tilde, build_w_unary, kappa_for
+from .circuits import build_w_tilde, build_w_unary, kappa_for, taylor_weights
 from .errors import DomainError, LayoutError, LcusimError, NormalizationError, ResourceLimitError
-from .hamiltonian import HamiltonianLCU, build_ising, check_width, l1_norm, load_hamiltonian
+from .hamiltonian import (HamiltonianLCU, apply_rescaled, build_ising, check_state, check_width,
+                          l1_norm, load_hamiltonian)
 from .resources import (CostModel, _finite, count, expected_cost, mean_cost, runtime_bound,
                         shot_costs)
-from .sampler import estimate, run_shots, run_shots_many
+from .sampler import _chain, estimate, run_shots, run_shots_many
 
 
 class UsageError(Exception):
@@ -151,15 +151,15 @@ def _resolve_state(args, n: int) -> np.ndarray:
 # Bounds on what a command builds or runs, checked before it does. The unary plans of simulate
 # and resources hold 2K + 3 instructions each; a W-tilde plan's 2^(kappa+1) + 1 are bounded by
 # the width cap alone, kappa <= 24 - n. The Ising chain of resources (no state) holds 2n - 1
-# strings of n letters. analytic makes at most 2K matvecs, each reading 2^max(n, 9) amplitudes
+# strings of n letters. analytic makes K matvecs, one moment pass (no command calls the
+# oracle module, the tests' and the bench's reference), each reading 2^max(n, 9) amplitudes
 # once per distinct X mask and once more: below 2^9 a read costs its fixed overhead. At the
 # limits, on a 2-vCPU Intel Xeon: simulate --n 5 --circuit wunary --K 349998 2.2 s, 321 MB;
 # simulate --n 2 --kappa 22 5.0 s, 383 MB; sweep --n 2 --kappa-max 22 10.7 s, 773 MB; resources
-# --n 24 --K-max 834 1.3 s; --n 10000 1.2 s, 230 MB; analytic --n 2 --h 0 --K 2441406 8.5 s and
-# --n 24 --h 0 --K 74 --tau 10 26 s, 799 MB.
+# --n 24 --K-max 834 1.3 s; --n 10000 1.2 s, 230 MB; analytic: README table (BENCH_41.json).
 _MAX_INSTRUCTIONS = 700_000
 _MAX_ISING_SITES = 10_000
-_MAX_AMPLITUDE_READS = 5_000_000_000
+_MAX_AMPLITUDE_READS = 2_500_000_000
 
 
 def _check_limit(value: int, limit: int, what: str) -> None:
@@ -196,16 +196,16 @@ def cmd_simulate(args) -> list[dict]:
 def cmd_analytic(args) -> list[dict]:
     H = _resolve_hamiltonian(args)
     K, kappa = _resolve_order(args, 0)  # capped as the W-tilde Taylor register of order K would be
-    reads = 2 * K * (len({x for x, _, _ in H.masks}) + 1) << max(H.n, 9)
+    reads = K * (len({x for x, _, _ in H.masks}) + 1) << max(H.n, 9)
     _check_limit(reads, _MAX_AMPLITUDE_READS, "the oracle would read {} amplitudes,")
     psi = _resolve_state(args, H.n)
     cost = CostModel(d=args.d, d_ctrl=args.d_ctrl)
-    # at most 2K matvecs: a Horner pass and a chain pass, with p1 = p_chain[0], p_hk = prod(p_chain)
-    p_w = oracle.success_prob_wtilde(H, psi, args.tau, K)
-    p_chain = oracle.chain_probabilities(H, psi, K)
-    p_hk = math.prod(p_chain)
+    # one moment pass of K matvecs gives p_wtilde and the W_{H^K} chain p_1 .. p_K, read as
+    # Python floats: p1 = p_chain[0] and p_hk = prod(p_chain)
+    p_w, p_chain = _chain(H, check_state(psi, H.n), taylor_weights(args.tau, l1_norm(H), K))
+    p_hk = math.prod(map(float, p_chain))
     # shot_costs(build_w_hk(H, K), cost), streamed: that plan would hold 2K instructions
-    mean = expected_cost(p_chain, accumulate(repeat(cost.d, K)))
+    mean = expected_cost(map(float, p_chain), accumulate(repeat(cost.d, K)))
     if p_hk and math.isinf(mean / p_hk) and math.isinf(mean / cost.d / p_hk):  # at unit costs too
         raise DomainError(f"p_hk = {p_hk!r} is too small: the W_H^k runtime overflows the float range")
     return [{
@@ -217,7 +217,8 @@ def cmd_analytic(args) -> list[dict]:
         "p_hk": p_hk,
         "expected_runtime_hk": mean,
         "total_runtime_hk": _finite(mean / p_hk) if p_hk else math.inf,  # 1 / p_hk shots
-        "runtime_upper_bound": runtime_bound(p_w, p_chain[0], args.tau, l1_norm(H), K, cost.d_ctrl),
+        "runtime_upper_bound": runtime_bound(p_w, float(p_chain[0]), args.tau, l1_norm(H), K,
+                                             cost.d_ctrl),
     }]
 
 
@@ -265,7 +266,8 @@ def cmd_bliss(args) -> list[dict]:
     after = result.hamiltonian
 
     def block_success(H):  # <psi| H~^dag H~ |psi>, psi the JW state filling the lowest ne orbitals
-        return oracle.success_prob_hk(H, _basis_state(H.n, (1 << ne) - 1), 1)
+        v = apply_rescaled(H, _basis_state(H.n, (1 << ne) - 1))
+        return float(np.vdot(v, v).real)
 
     return [{
         "n_orb": F.n_orb,

@@ -281,8 +281,9 @@ def _group_diagonals(H: HamiltonianLCU) -> list:
     return out
 
 
-def pauli_sum_apply(H: HamiltonianLCU, v: np.ndarray) -> np.ndarray:
-    """``H v`` without a matrix; ``v`` holds 2^n amplitudes along its last axis.
+def pauli_sum_apply(H: HamiltonianLCU, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``H v`` without a matrix; ``v`` holds 2^n amplitudes along its last axis. The result
+    goes into ``out`` when given, a complex array of v's shape that is not v.
 
     Two forms, chosen by size and equal to the bit. A stacked H (G groups, G 2^n at most
     ``_MAX_STACK_ENTRIES``: Ising to n = 12 and the bundled Hubbard file) gathers v(b ^ x_g)
@@ -303,10 +304,10 @@ def pauli_sum_apply(H: HamiltonianLCU, v: np.ndarray) -> np.ndarray:
         rows = v[idx] if v.ndim == 1 else np.take(v, idx, axis=-1)
         np.multiply(D, rows, out=rows)
         # row after row, as the views' out += tmp; from -0j, not numpy's +0, so a -0 stays
-        return np.add.reduce(rows, axis=-2, initial=-0j)
+        return np.add.reduce(rows, axis=-2, initial=-0j, out=out)
     groups = H._groups
     shape = v.shape[:-1] + (2,) * H.n
-    out = np.empty(v.shape, dtype=complex)
+    out = np.empty(v.shape, dtype=complex) if out is None else out
     tmp = np.empty_like(out) if len(groups) > 1 else out
     v, outs, tmps = v.reshape(shape), out.reshape(shape), tmp.reshape(shape)
     for i, (index, d) in enumerate(groups):
@@ -316,9 +317,10 @@ def pauli_sum_apply(H: HamiltonianLCU, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_rescaled(H: HamiltonianLCU, v: np.ndarray) -> np.ndarray:
-    """H~ v, H~ = (-i / l1) H: what every post-selected LCU block applies to its rows."""
-    out = pauli_sum_apply(H, v)
+def apply_rescaled(H: HamiltonianLCU, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """H~ v, H~ = (-i / l1) H: what every post-selected LCU block applies to its rows; into
+    ``out`` as ``pauli_sum_apply``'s."""
+    out = pauli_sum_apply(H, v, out)
     out *= -1j / l1_norm(H)
     return out
 

@@ -1,7 +1,9 @@
-"""Closed-form references: success probabilities.
+"""Closed-form references: success probabilities, for the tests and the bench.
 
 They are squared norms of H~^k psi or sum_k beta_k H~^k psi, H~ = (-i / l1) H, so they take
-Pauli-sum matvecs and no 2^n x 2^n matrix. ``resources`` prices what they weigh.
+Pauli-sum matvecs and no 2^n x 2^n matrix. No command calls them: every printed probability
+comes from the moment pass (``sampler._krylov``), and these passes, Horner's and the
+normalized chain, are its independent matrix-free reference.
 """
 from __future__ import annotations
 

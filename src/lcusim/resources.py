@@ -143,14 +143,17 @@ def expected_cost(cond_probs: Iterable[float], costs: Iterable[float]) -> float:
 
 
 def runtime_bound(p_w: float, p1: float, tau: float, l1: float, K: int, d_ctrl: float) -> float:
-    """First-order upper bound on the average successful-run cost of the shorter-width
-    circuit, (K d_ctrl / p_w) [1 - (tau l1 / ||beta||_1) (1 - p1)], from p_w = p_wtilde and
-    p1 = <psi| Htilde^dag Htilde |psi>; inf at p_w = 0."""
+    """Upper bound on the mean cost per success of the shorter-width circuit,
+    (d_ctrl / p_w) [K - (K - 1) (tau l1 / ||beta||_1) (1 - p1)], from p_w = p_wtilde and
+    p1 = <psi| Htilde^dag Htilde |psi>; inf at p_w = 0. Every shot pays the first block and
+    only those past the first measurement pay the other K - 1, and that measurement aborts
+    with probability (sum_{k odd} beta_k / ||beta||_1)(1 - p1) >= (tau l1 / ||beta||_1)(1 - p1);
+    exact at K = 1."""
     _check_real(d_ctrl, "d_ctrl", 0)
     p_w, p1 = _probability(p_w), _probability(p1)
     beta_norm = float(taylor_weights(tau, l1, K).sum())  # checks tau and l1 before their product
-    correction = (tau * l1 / beta_norm) * (1.0 - p1)
-    return math.inf if p_w == 0.0 else _finite((K * d_ctrl / p_w) * (1.0 - correction))
+    saving = (K - 1) * (tau * l1 / beta_norm) * (1.0 - p1)
+    return math.inf if p_w == 0.0 else _finite((d_ctrl / p_w) * (K - saving))
 
 
 def count(plan: CircuitPlan) -> GateCounts:

@@ -14,6 +14,7 @@ multinomial over the M + 1 outcomes, with exactly the law of one Bernoulli draw 
 and measurement. ``run_shots`` makes one binomial draw per measurement, so its cost does
 not grow with the number of shots. What a shot costs depends on the plan and on where it
 stopped, not on psi: the sampler draws outcomes only, and ``resources`` prices them.
+The same pass gives ``analytic`` its p_wtilde and W_{H^k} chain (``_chain``).
 """
 from __future__ import annotations
 
@@ -103,24 +104,30 @@ def _krylov(H, phi: np.ndarray, coeffs: list[np.ndarray]):
     """(nu, e, sums, refs): nu_d 4^-e_d = ||H~^d phi||^2 up to the longest c's degree, and
     2^ref sum_d c_d H~^d phi for each c of ``coeffs``, ref = e at c's lowest degree: one
     matvec per degree for all of them. The int e_d is 0 until nu_d falls below ``_TINY``; then
-    H~^d phi is held times a power of 2, so nu stays in the float range past 2^-1074."""
-    c = np.zeros((len(coeffs), max(ci.shape[0] for ci in coeffs)), complex)
+    H~^d phi is held times a power of 2, so nu stays in the float range past 2^-1074. The
+    sums stop at the last nonzero coefficient of any c (``top``), the nu run on."""
+    top = 1 + max(np.flatnonzero(ci).max(initial=0) for ci in coeffs)
+    c = np.zeros((len(coeffs), top), complex)
     for i, ci in enumerate(coeffs):
-        c[i, : ci.shape[0]] = ci
-    nu, e, lo = np.empty(c.shape[1]), np.zeros(c.shape[1], np.int64), (c != 0).argmax(axis=1)
-    sums, v, scale = c[:, :1] * phi, phi, 0
+        c[i, : min(ci.shape[0], top)] = ci[:top]
+    degrees = max(ci.shape[0] for ci in coeffs)
+    nu, e, lo = np.empty(degrees), np.zeros(degrees, np.int64), (c != 0).argmax(axis=1)
+    sums, v, spare = c[:, :1] * phi, phi, None  # spare: a dead vector, reused as a buffer
     nu[0] = np.vdot(v, v).real
-    for d in range(1, c.shape[1]):
-        v = apply_rescaled(H, v)
-        nu[d] = n = np.vdot(v, v).real
-        if 0 < n < _TINY:  # scale v by 2^k, exactly: nu_d 4^k is near 1
-            k = -math.frexp(n)[1] // 2
-            v *= 2.0**k
-            nu[d] = np.vdot(v, v).real
-            scale += k
-            e[d:] = scale
+    for d in range(1, degrees):
+        w = apply_rescaled(H, v, spare)
+        nu[d] = n = np.vdot(w, w).real
+        if 0 < n < _TINY:  # scale w by 2^k, exactly: nu_d 4^k is near 1
+            e[d] = k = -math.frexp(n)[1] // 2
+            w *= 2.0**k
+            nu[d] = np.vdot(w, w).real
             c[lo < d, d:] *= 2.0**-k  # a sum begun below d stays at the scale of its start
-        sums += c[:, d : d + 1] * v
+        spare = None if v is phi else v
+        if d < top:
+            one = c.shape[0] == 1 and spare is not None  # one sum: its new term goes into spare
+            sums += np.multiply(c[:, d : d + 1], w, out=spare[None] if one else None)
+        v = w
+    e = np.cumsum(e)  # each degree's scale: the rescales at or below it
     return nu, e, sums, e[lo]
 
 
@@ -154,6 +161,18 @@ def _probs(specs: list, nu: np.ndarray, e: np.ndarray) -> list[float]:
             prev, n = _weighted(nu, e, d, w, ref), _weighted(nu, e, d + hit, w, ref)
             out.append(n / prev if prev > 0 else 0.0)
     return out
+
+
+def _chain(H, psi: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray]:
+    """(p_wtilde, p) from one ``_krylov`` pass of K = len(beta) - 1 matvecs: p_wtilde =
+    ||sum_k beta_k H~^k psi||^2 / ||beta||_1^2, and p the W_{H^K} chain's conditional
+    probabilities p_d = nu_d / nu_{d-1} 4^(e_{d-1} - e_d), d = 1 .. K, 0 where nu_{d-1} = 0.
+    p is an array: as K Python floats it would take 32 bytes a degree."""
+    nu, e, (s,), _ = _krylov(H, psi, [beta])
+    prev = nu[:-1]
+    p = np.divide(nu[1:], prev, out=np.zeros(prev.shape[0]), where=prev > 0)
+    p = np.ldexp(p, 2 * (e[:-1] - e[1:]), out=p)
+    return float(np.vdot(s, s).real) / float(beta.sum()) ** 2, p
 
 
 def _traces(plans: list[CircuitPlan], psi: np.ndarray) -> list[PlanTrace]:

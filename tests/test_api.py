@@ -89,6 +89,12 @@ def test_cli_start_up_loads_neither_bliss_nor_dataclasses():
     assert "dataclasses" not in _loaded_by("lcusim.bliss")
 
 
+def test_no_command_module_loads_the_oracle():
+    # every printed probability comes from the moment pass (sampler._krylov); lcusim.oracle
+    # is the matrix-free reference of the tests and the bench
+    assert "lcusim.oracle" not in _loaded_by("lcusim.cli") | _loaded_by("lcusim.bliss")
+
+
 # The names bench/tracer.py keys whose functions have left src: each hook or span on them
 # records nothing. Mending the benchmark (ROADMAP item 1) empties this set.
 TRACER_GONE = {
@@ -137,6 +143,11 @@ UNREACHED = {
                    "check in test_7_bliss build; optimize_bliss reads its coefficients off a - B x",
     "save_hamiltonian": "public I/O, the writer of the --hamiltonian format",
     "PauliTerm.coefficient": "read by the dense to_matrix reference and bench/test_bench.py",
+    "success_prob_hk": "the matrix-free reference for nu_k; bench/tracer.py keys it",
+    "chain_probabilities": "the matrix-free reference for the W_{H^k} chain that analytic reads "
+                           "off the moment pass; bench/tracer.py keys it",
+    "success_prob_wtilde": "the Horner reference for p_wtilde, against which bench/workloads.py "
+                           "checks every sweep and simulate job",
 }
 
 

@@ -630,6 +630,46 @@ def test_orbitals_past_the_cap_are_refused_before_the_tensor(n_orb):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "one_body, two_body, name",
+    [
+        (np.full((2, 2), np.nan), None, "one_body"),  # was built; optimize_bliss ran its sweeps
+        (np.diag([1.0, np.inf]), None, "one_body"),
+        ("x", None, "one_body"),  # complex("x"): a bare ValueError
+        ([[1.0, None], [None, 1.0]], None, "one_body"),  # a bare TypeError
+        ([[1.0, 0.0], [0.0]], None, "one_body"),  # ragged
+        (None, np.full((2,) * 4, np.nan), "two_body"),
+        (None, "x", "two_body"),
+    ],
+    ids=["nan", "inf", "str", "None entries", "ragged", "nan two_body", "str two_body"],
+)
+def test_a_body_that_is_not_finite_numbers_is_refused_at_construction(one_body, two_body, name):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidModelError, match=f"^{name} must hold finite numbers$"):
+            FermionicOperator(2, 0.0, one_body, two_body)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_a_nan_body_at_the_cap_is_refused_before_the_two_body_tensor():
+    # the 24^4 zero tensor takes 5.3 MB; a bad one_body is refused before it is built
+    import tracemalloc
+
+    one_body = np.full((24, 24), np.nan)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidModelError, match="^one_body must hold finite numbers$"):
+            FermionicOperator(24, 0.0, one_body)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
 class TestFileFormat:
     def test_roundtrip(self, tmp_path):
         F = build_hubbard_chain(3, 1.0, 2.0)

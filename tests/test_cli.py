@@ -10,11 +10,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcusim import cli, hamiltonian, oracle, sampler
+from lcusim.circuits import taylor_weights
 from lcusim.cli import main
 from lcusim.errors import InvalidHamiltonianError, InvalidModelError
-from lcusim.hamiltonian import build_ising, canonicalize, load_hamiltonian, save_hamiltonian
+from lcusim.hamiltonian import (build_ising, canonicalize, l1_norm, load_hamiltonian,
+                                save_hamiltonian)
+from conftest import random_hamiltonian, random_state
+from reference import rescaled_matrix, truncated_taylor_matrix
 
 
 def _counting(calls, name, fn):
@@ -52,7 +57,7 @@ README_COMMANDS = {
     ),
     'analytic --model ising --tau 0.05 --K 7': (
         'K,kappa,tau,l1_norm,p_wtilde,p_hk,expected_runtime_hk,total_runtime_hk,runtime_upper_bound\n'
-        '7,3,0.05,5.0,0.606530660063536,0.0035599432089600076,1.7212417290239999,483.502580797304,10.192822201073124\n'
+        '7,3,0.05,5.0,0.606530660063536,0.0035599432089600046,1.721241729024,483.5025807973045,10.385426013523238\n'
     ),
     'resources --model ising --n 4 --K-max 7 --format json': (
         '[\n'
@@ -1231,15 +1236,15 @@ class TestIsingSites:
 
 
 class TestAnalyticWork:
-    # analytic's at most 2K matvecs read 2^max(n, 9) amplitudes once per distinct X mask and
-    # once more; past _MAX_AMPLITUDE_READS it exits 2 before the first matvec
+    # analytic's K matvecs read 2^max(n, 9) amplitudes once per distinct X mask and once
+    # more; past _MAX_AMPLITUDE_READS it exits 2 before the first matvec
     @pytest.mark.parametrize(
         "argv, reads",
         [
-            (["--n", "12", "--kappa", "18"], 2 * (2**18 - 1) * 14 << 12),
-            (["--n", "2", "--kappa", "22"], 2 * (2**22 - 1) * 4 << 9),
-            (["--n", "2", "--h", "0", "--kappa", "24"], 2 * (2**24 - 1) * 2 << 9),  # every q is 1
-            (["--n", "24", "--K", "6"], 2 * 6 * 26 << 24),
+            (["--n", "12", "--kappa", "18"], (2**18 - 1) * 14 << 12),
+            (["--n", "2", "--kappa", "22"], (2**22 - 1) * 4 << 9),
+            (["--n", "2", "--h", "0", "--kappa", "24"], (2**24 - 1) * 2 << 9),  # every q is 1
+            (["--n", "24", "--K", "6"], 6 * 26 << 24),
         ],
     )
     def test_past_the_limit_exit_2_before_a_matvec(self, capsys, monkeypatch, argv, reads):
@@ -1251,13 +1256,13 @@ class TestAnalyticWork:
         finally:
             tracemalloc.stop()
         assert (code, out) == (2, "")
-        assert err == f"error: the oracle would read {reads} amplitudes, over the limit of 5000000000\n"
+        assert err == f"error: the oracle would read {reads} amplitudes, over the limit of 2500000000\n"
         assert peak < 1 << 20
 
     def test_the_limit_itself_is_accepted(self, capsys, monkeypatch):
         argv = "analytic --model ising --tau 0.05 --K 7".split()
         expected = _run(capsys, *argv)[1]
-        monkeypatch.setattr(cli, "_MAX_AMPLITUDE_READS", 2 * 7 * (4 + 1 + 1) << 9)
+        monkeypatch.setattr(cli, "_MAX_AMPLITUDE_READS", 7 * (4 + 1 + 1) << 9)
         assert _run(capsys, *argv) == (0, expected, "")
         assert _run(capsys, *argv[:-1], "8")[0] == 2
 
@@ -1275,7 +1280,7 @@ class TestAnalyticWork:
     def test_a_file_counts_its_distinct_x_masks(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "h.json"
         save_hamiltonian(canonicalize(2, [(1.0, "XI"), (0.5, "YZ"), (0.3, "ZZ"), (0.2, "IX")]), path)
-        monkeypatch.setattr(cli, "_MAX_AMPLITUDE_READS", 2 * 3 * (3 + 1) << 9)  # x = 1, 0, 2
+        monkeypatch.setattr(cli, "_MAX_AMPLITUDE_READS", 3 * (3 + 1) << 9)  # x = 1, 0, 2
         argv = ["analytic", "--hamiltonian", str(path), "--K", "3"]
         assert _run(capsys, *argv)[0] == 0
         assert _run(capsys, *argv[:-1], "4")[0] == 2
@@ -1333,7 +1338,7 @@ class TestCostOverflow:
         # blamed the cost units, as it still does for --d 1e308
         code, out, err = _run(capsys, "analytic", "--model", "ising", "--n", "2", "--K", "1030")
         assert (code, out) == (2, "")
-        assert err == ("error: p_hk = 4.3458473798964e-311 is too small: the W_H^k runtime "
+        assert err == ("error: p_hk = 4.345847379897e-311 is too small: the W_H^k runtime "
                        "overflows the float range\n")
         code, out, err = _run(capsys, "analytic", "--model", "ising", "--n", "2", "--d", "1e308")
         assert (code, out) == (2, "")
@@ -1407,7 +1412,8 @@ class TestMalformedHamiltonianFile:
 
 
 # ``analytic --model ising --n 9 --tau 0.05 --K 7`` on the seeded state of
-# ``test_values_are_pinned``, as printed when every value had its own matvec passes
+# ``test_values_are_pinned``, as printed when every value had its own matvec passes; the
+# runtime bound since it takes (K - 1), not K, blocks off at the first measurement
 ANALYTIC_N9_PIN = {
     "K": 7,
     "expected_runtime_hk": 1.090254831438661,
@@ -1415,7 +1421,7 @@ ANALYTIC_N9_PIN = {
     "l1_norm": 12.5,
     "p_hk": 7.575744433105355e-05,
     "p_wtilde": 0.2865049867228017,
-    "runtime_upper_bound": 16.84455041412345,
+    "runtime_upper_bound": 17.928526713711925,
     "tau": 0.05,
     "total_runtime_hk": 14391.388741604584,
 }
@@ -1443,15 +1449,79 @@ class TestAnalyticPasses:
             assert row[key] == pytest.approx(pinned, rel=1e-14, abs=0), key
 
     def test_each_value_is_computed_once(self, capsys, monkeypatch, tmp_path):
-        # one Horner pass (p_wtilde) and one chain pass (p1, p_hk, runtimes): 2K matvecs
-        calls = {"matvec": 0, "diagonals": 0}
-        monkeypatch.setattr(oracle, "apply_rescaled", _counting(calls, "matvec", oracle.apply_rescaled))
+        # one moment pass of K matvecs gives p_wtilde, p1, p_hk and the runtimes; a Horner
+        # pass and a chain pass took 2K
+        calls = {"sampler": 0, "oracle": 0, "diagonals": 0}
+        monkeypatch.setattr(sampler, "apply_rescaled",
+                            _counting(calls, "sampler", sampler.apply_rescaled))
+        monkeypatch.setattr(oracle, "apply_rescaled",
+                            _counting(calls, "oracle", oracle.apply_rescaled))
         monkeypatch.setattr(hamiltonian, "_group_diagonals",
                             _counting(calls, "diagonals", hamiltonian._group_diagonals))
         code, _, _ = _run(capsys, *self.ARGV, "--state", self._state(tmp_path))
         assert code == 0
-        assert calls["matvec"] <= 3 * 7
-        assert calls["diagonals"] == 1
+        assert calls == {"sampler": 7, "oracle": 0, "diagonals": 1}
+
+
+def _analytic(H, psi, tau, K):
+    """``analytic``'s p_wtilde, p1 and p_hk for H and psi, which no flag can name: the
+    command with its Hamiltonian and state resolved to them, p1 read where the bound takes it."""
+    argv = ["analytic", "--tau", repr(tau), "--K", str(K)]
+    p1 = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_resolve_hamiltonian", lambda args: H)
+        mp.setattr(cli, "_resolve_state", lambda args, n: psi)
+        mp.setattr(cli, "runtime_bound", lambda p_w, p, *rest: p1.append(p) or 0.0)
+        (row,) = cli.cmd_analytic(cli.build_parser(argv).parse_args(argv))
+    return row["p_wtilde"], p1[0], row["p_hk"]
+
+
+class TestAnalyticMomentPass:
+    # the one moment pass against the two matrix-free passes of lcusim.oracle (Horner and the
+    # normalized chain) and against dense matrices
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), L=st.integers(1, 6), hermitian=st.booleans(),
+           x=st.floats(0.0, 2.0), K=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_p_wtilde_p1_and_p_hk_match_the_references(self, n, L, hermitian, x, K, seed):
+        rng = np.random.default_rng(seed)
+        H = random_hamiltonian(n, min(L, 4**n - 1), rng, hermitian=hermitian)
+        psi, tau = random_state(n, rng), x / l1_norm(H)
+        p_w, p1, p_hk = _analytic(H, psi, tau, K)
+        assert all(type(p) is float for p in (p_w, p1, p_hk))  # repr prints no np.float64(...)
+        chain = oracle.chain_probabilities(H, psi, K)
+        assert p_w == pytest.approx(oracle.success_prob_wtilde(H, psi, tau, K), rel=1e-12)
+        assert p1 == pytest.approx(chain[0], rel=1e-12)
+        assert p_hk == pytest.approx(math.prod(chain), rel=1e-12)
+        beta = taylor_weights(tau, l1_norm(H), K)
+        u, ht = truncated_taylor_matrix(H, tau, K) @ psi, rescaled_matrix(H)
+        v = np.linalg.matrix_power(ht, K) @ psi
+        assert p_w == pytest.approx(np.vdot(u, u).real / beta.sum() ** 2, rel=1e-12)
+        assert p1 == pytest.approx(np.linalg.norm(ht @ psi) ** 2, rel=1e-12)
+        assert p_hk == pytest.approx(np.vdot(v, v).real, rel=1e-12)
+
+    @pytest.mark.parametrize("K", [1030, 1061])
+    def test_a_rescaled_pass_matches_the_chain(self, K):
+        # nu_K near 2^-970: the pass rescales past 2^-900, and p_hk stays a normal float
+        H, psi = build_ising(2, 1.0, 0.3), random_state(2, np.random.default_rng(K))
+        p_w, p1, p_hk = _analytic(H, psi, 0.4, K)
+        chain = oracle.chain_probabilities(H, psi, K)
+        assert 2.0**-1022 < p_hk < 2.0**-900
+        assert p_w == pytest.approx(oracle.success_prob_wtilde(H, psi, 0.4, K), rel=1e-12)
+        assert p1 == pytest.approx(chain[0], rel=1e-12)
+        assert p_hk == pytest.approx(math.prod(chain), rel=1e-12)
+
+    # p_wtilde of Ising n = 4 from |0000>: ||sum_{k<=K} (-i tau)^k H^k psi / k!||^2 over
+    # ||beta||_1^2, summed in 80-digit mpmath (mp.dps = 80) on the integer matrix of
+    # reference.to_matrix and rounded to 17 digits
+    EXACT_P_WTILDE = {(1, 74): 4.5399929762484852e-05, (5, 60): 1.9287498569841458e-22}
+
+    @pytest.mark.parametrize("tau, K", list(EXACT_P_WTILDE))
+    def test_p_wtilde_is_no_further_from_the_exact_value_than_horner(self, capsys, tau, K):
+        code, out, _ = _run(capsys, "analytic", "--model", "ising", "--tau", str(tau), "--K", str(K))
+        assert code == 0
+        exact, p = self.EXACT_P_WTILDE[tau, K], float(_csv_rows(out)[0]["p_wtilde"])
+        horner = oracle.success_prob_wtilde(build_ising(4, 1.0, 0.5), np.eye(16)[0], tau, K)
+        assert abs(p - exact) <= abs(horner - exact)
 
 
 # Full stdout of each command as printed while every LCU block was three plan
@@ -1504,20 +1574,20 @@ STDOUT_PINS = {
     ),
     'analytic --model ising --n 6 --tau 0.3 --K 5 --d 0.3 --d-ctrl 0.7': (
         'K,kappa,tau,l1_norm,p_wtilde,p_hk,expected_runtime_hk,total_runtime_hk,runtime_upper_bound\n'
-        '5,3,0.3,8.0,0.008919395373935535,0.019610645482316596,0.5198115617036819,26.506601334076887,340.4917461698339\n'
+        '5,3,0.3,8.0,0.008919395373935537,0.019610645482316613,0.5198115617036818,26.506601334076855,350.8740529280384\n'
     ),
     'analytic --model ising --n 6 --tau 0.3 --K 5 --d 0.3 --d-ctrl 0.7 --format json': (
         '[\n'
         ' {\n'
         '  "K": 5,\n'
-        '  "expected_runtime_hk": 0.5198115617036819,\n'
+        '  "expected_runtime_hk": 0.5198115617036818,\n'
         '  "kappa": 3,\n'
         '  "l1_norm": 8.0,\n'
-        '  "p_hk": 0.019610645482316596,\n'
-        '  "p_wtilde": 0.008919395373935535,\n'
-        '  "runtime_upper_bound": 340.4917461698339,\n'
+        '  "p_hk": 0.019610645482316613,\n'
+        '  "p_wtilde": 0.008919395373935537,\n'
+        '  "runtime_upper_bound": 350.8740529280384,\n'
         '  "tau": 0.3,\n'
-        '  "total_runtime_hk": 26.506601334076887\n'
+        '  "total_runtime_hk": 26.506601334076855\n'
         ' }\n'
         ']\n'
     ),
@@ -1525,11 +1595,11 @@ STDOUT_PINS = {
     # shot_costs, and both runtimes are the exact mean and its restart quotient
     'analytic --model ising --n 6 --tau 0.3 --K 15 --d 0.1 --d-ctrl 0.7': (
         'K,kappa,tau,l1_norm,p_wtilde,p_hk,expected_runtime_hk,total_runtime_hk,runtime_upper_bound\n'
-        '15,4,0.3,8.0,0.008229747149530038,1.1286863068393415e-05,0.17699472830665922,15681.480960134732,1113.0952806128441\n'
+        '15,4,0.3,8.0,0.008229747149530042,1.1286863068393427e-05,0.1769947283066592,15681.480960134713,1123.946219796296\n'
     ),
     'analytic --model ising --n 3 --tau 0.05 --K 15 --d 0.1 --d-ctrl 0.7': (
         'K,kappa,tau,l1_norm,p_wtilde,p_hk,expected_runtime_hk,total_runtime_hk,runtime_upper_bound\n'
-        '15,4,0.05,3.5,0.7046880897187136,5.801810064685757e-06,0.16896443052545734,29122.709747756788,13.560057266540296\n'
+        '15,4,0.05,3.5,0.7046880897187133,5.801810064685756e-06,0.16896443052545734,29122.70974775679,13.649400732786226\n'
     ),
     'resources --model ising --K-max 7': (
         'family,K,kappa,qubits,two_qubit,measurements\n'

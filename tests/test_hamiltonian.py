@@ -290,6 +290,9 @@ class TestStackedKernel:
         assert stacked._stack is not None and views._stack is None
         assert by_stack.shape == by_views.shape == v.shape
         assert by_stack.tobytes() == by_views.tobytes()  # the signs of zero too
+        for H in (stacked, views):  # into a given buffer, as the moment pass reuses one
+            buf = np.full(v.shape, np.nan, complex)
+            assert pauli_sum_apply(H, v, buf) is buf and buf.tobytes() == by_stack.tobytes()
         dense = v @ to_matrix(stacked).T
         tol = 1e-12 * l1_norm(stacked) * np.abs(v).sum(axis=-1, keepdims=True)
         for out in (by_stack, by_views):

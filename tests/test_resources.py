@@ -16,10 +16,11 @@ from lcusim.circuits import (
     build_w_tilde,
     build_w_unary,
 )
-from lcusim.hamiltonian import build_ising, canonicalize
+from lcusim.hamiltonian import build_ising, canonicalize, l1_norm
 from lcusim.errors import DomainError, LcusimError
 from lcusim.resources import (CostModel, _cx_count, count, expected_cost, mean_cost, runtime_bound,
                               shot_costs)
+from lcusim.oracle import success_prob_hk
 from lcusim.sampler import RunStats, run_shots, trace_plan
 from conftest import random_hamiltonian, random_state
 from reference import (
@@ -340,6 +341,41 @@ class TestExpectedCost:
                      lambda: mean_cost(RunStats(shots=2, successes=2), (1.0, bad))):
             with pytest.raises(LcusimError, match="nonnegative number"):
                 call()
+
+
+class TestRuntimeBound:
+    """``runtime_bound`` against the exact mean cost per success of the W-tilde circuit it
+    bounds, at the prices ``analytic`` uses: d_ctrl per block, Prepares and Measures free."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), L=st.integers(1, 8), hermitian=st.booleans(),
+           x=st.floats(0.0, 3.0), kappa=st.integers(1, 4), d_ctrl=st.floats(0.01, 100.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_it_bounds_the_exact_cost_per_success(self, n, L, hermitian, x, kappa, d_ctrl, seed):
+        rng = np.random.default_rng(seed)
+        H = random_hamiltonian(n, min(L, 4**n - 1), rng, hermitian=hermitian)
+        psi, tau = random_state(n, rng), x / l1_norm(H)
+        plan = build_w_tilde(H, tau, kappa)
+        trace = trace_plan(plan, psi)
+        p = trace.success_prob
+        exact = expected_cost(trace.cond_probs, shot_costs(plan, CostModel(d_ctrl=d_ctrl))) / p
+        bound = runtime_bound(p, success_prob_hk(H, psi, 1), tau, l1_norm(H), plan.select_count,
+                              d_ctrl)
+        assert bound >= exact * (1 - 1e-12)
+        if kappa == 1:  # every shot pays its one block
+            assert bound == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("kappa, exact", [(1, 1.5243902439024393), (2, 4.531), (3, 10.212)])
+    def test_the_readme_settings(self, ising4, psi0_4, kappa, exact):
+        # the K form printed 1.3415, 4.367 and 10.193 here: below the cost it bounds
+        plan = build_w_tilde(ising4, 0.05, kappa)
+        trace = trace_plan(plan, psi0_4)
+        p = trace.success_prob
+        cost = expected_cost(trace.cond_probs, shot_costs(plan, CostModel())) / p
+        assert cost == pytest.approx(exact, abs=1e-3)
+        bound = runtime_bound(p, success_prob_hk(ising4, psi0_4, 1), 0.05, 5.0, plan.select_count,
+                              1.0)
+        assert bound >= cost * (1 - 1e-12)
 
 
 def _plans(H, K):

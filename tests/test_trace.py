@@ -151,6 +151,18 @@ class TestPlanShape:
         plan = _one_block(self.H, LcuBlock("l"), Measure("l"))
         assert_same_trace(plan, self.psi)
 
+    def test_a_list_plan_keeps_a_tuple_and_traces_as_its_tuple_twin(self):
+        # the plan kept the list itself, and _walk's `instructions + (None,)` raised a bare
+        # TypeError (can only concatenate list (not "tuple") to list)
+        twin = build_w_tilde(self.H, 0.3, 2)
+        instructions = list(twin.instructions)
+        plan = CircuitPlan(twin.widths, self.H, instructions)
+        instructions.clear()  # the plan holds its own copy
+        assert plan.instructions == twin.instructions
+        got, want = trace_plan(plan, self.psi), trace_plan(twin, self.psi)
+        assert got.cond_probs == want.cond_probs and got.success_prob == want.success_prob
+        assert np.array_equal(got.final_system_state, want.final_system_state)
+
     def test_control_inside_l_register(self):
         self._raises(LcuBlock("l", control=("l", 0)), Measure("l"), match="instruction 0")
 
