@@ -1,32 +1,23 @@
-"""Circuit plans for the truncated-Taylor LCU time-evolution families.
+"""Circuit plans for the truncated-Taylor LCU time-evolution families: ``build_w_hk``, k
+post-selected LCU blocks, the k-th power of the rescaled Hamiltonian; ``build_w_tilde``, the
+shorter-width circuit, a binary Taylor register of width kappa controlling K = 2^kappa - 1
+blocks, each followed by a mid-circuit measurement; and ``build_w_unary``, the unary
+reference circuit, K l-registers and one terminal post-selection. Both Taylor builders take
+their amplitudes from ``taylor_prepare_amplitudes``, and they and analytic's ||beta||_1 the
+weights beta_0..beta_K from ``taylor_weights``, which builds and checks those K + 1 alone.
 
-Three builders are provided:
-
-* ``build_w_hk``   -- k post-selected LCU blocks implementing the k-th power
-  of the rescaled Hamiltonian.
-* ``build_w_tilde`` -- the shorter-width circuit: binary-encoded Taylor
-  register of width kappa, K = 2^kappa - 1 singly-controlled LCU blocks,
-  each followed by a mid-circuit measurement of the l-register.
-* ``build_w_unary`` -- the unary-encoded reference circuit with K separate
-  l-registers and a single terminal post-selection.
-
-Both Taylor-weighted builders take their amplitudes from ``taylor_prepare_amplitudes``,
-and they and analytic's ||beta||_1 take the weights beta_0..beta_K from
-``taylor_weights``, which builds and overflow-checks those K + 1 and no more.
-
-A plan is a sequence of three instruction kinds: ``Prepare`` on a w-qubit register,
-whose amplitude count names the encoding, 2^w binary and w + 1 unary
-(``amplitude_values``), and its adjoint, which closes the register; ``LcuBlock``,
-PREPARE, SELECT and PREPARE^dag on an l-register, a block-encoding of H~ = (-i / l1) H
-(Berry et al., PRL 114, 090502, 2015); and ``Measure``, an all-zero post-selection. Only
-the SELECT of a block carries the control: on the control-|0> branch Prepare followed by
-its adjoint is the identity and the l-measurement succeeds with certainty, so
-post-selected results match a fully controlled block at lower cost.
+A plan is a sequence of steps: a ``Run``, ``times`` blocks each post-selected right after
+it, or a ``Prepared``, a Prepare on a w-qubit register (2^w amplitudes binary, w + 1 unary:
+``amplitude_values``), runs controlled by its bits, the adjoint and the Measures. The plan's
+``instructions`` spell the steps out: ``Prepare`` and its adjoint; ``LcuBlock``, PREPARE,
+SELECT and PREPARE^dag on an l-register, a block-encoding of H~ = (-i / l1) H (Berry et
+al., PRL 114, 090502, 2015); and ``Measure``, an all-zero post-selection. Only the SELECT
+carries the control: on the control-|0> branch PREPARE and its adjoint are the identity and
+the l-measurement succeeds, so post-selected results match a fully controlled block.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import NamedTuple
 
 import numpy as np
@@ -87,9 +78,8 @@ def amplitude_values(amps: np.ndarray, width: int) -> tuple[np.ndarray, list[int
 
 class LcuBlock(NamedTuple):
     """PREPARE, SELECT and PREPARE^dag on ``l_register``, PREPARE holding sqrt(w_l / l1) on
-    value l < L and 0 past it; ``control``, a (register, bit), gates the SELECT. With the
-    amplitudes zero-padded and the l-register post-selected on |0>, the block is exactly
-    H~ = (-i / l1) H on the system, where the control bit is set."""
+    value l < L and 0 past it; ``control``, a (register, bit), gates the SELECT. Post-selected
+    on |0>, the block is exactly H~ = (-i / l1) H on the system where the control bit is set."""
 
     l_register: str = "l"
     control: tuple[str, int] | None = None
@@ -104,29 +94,92 @@ class Measure(NamedTuple):
 Instruction = Prepare | LcuBlock | Measure
 
 
-class CircuitPlan:
-    """A plan that every consumer can run; any other raises ``LayoutError`` (unnormalized
-    Prepare amplitudes ``NormalizationError``), naming the first offending instruction.
+class Run(NamedTuple):
+    """``times`` ``LcuBlock``s on ``l_register``, each measured next (deferred: after the
+    adjoint); ``control``, None or a bit of the enclosing register, gates their SELECTs."""
 
-    ``widths`` (the plan keeps a copy) maps each ancilla register's name to its width, a
-    positive int; the system is the Hamiltonian's n qubits, no register an instruction can
-    name. An l-register (one an ``LcuBlock`` uses) is never prepared, and is measured after
-    each of its blocks and before the next; pending blocks are measured in block order and
-    before any other register. A control is None or a tuple (register, int bit) of a register
-    other than an l-register. Any other register is opened by a Prepare of 2^width (binary) or
-    width + 1 (unary) normalized amplitudes, closed by the adjoint of those same amplitudes
-    and then measured, with only the Measures of l-registers between its adjoint and its
-    Measure. One register at a time is open, from its Prepare to its Measure. So a post-selected result depends on
-    a Prepare only through the column it puts on |0>, not on the unitary that completes it:
-    the form the moment trace runs (``sampler._walk``). A plan is equal only to itself.
+    l_register: str = "l"
+    control: int | None = None
+    times: int = 1
+
+
+class Prepared:
+    """The Prepare of ``amps`` on ``register``, its ``runs``, the adjoint and the Measures:
+    each block's right after it or, ``deferred`` (the unary circuit's terminal
+    post-selection), all after the adjoint, in run order. Equal only to itself."""
+
+    __slots__ = ("register", "amps", "runs", "deferred")
+
+    def __init__(self, register: str, amps: np.ndarray, runs: tuple[Run, ...] = (), *,
+                 deferred: bool = False):
+        self.register, self.amps, self.runs, self.deferred = register, amps, runs, deferred
+
+
+def _check_type(value, kinds: tuple[type, ...], what: str) -> None:
+    if not isinstance(value, kinds):
+        raise LayoutError(f"{what} is a {type(value).__name__}, not a "
+                          + " or ".join(kind.__name__ for kind in kinds))
+
+
+def _check_run(run, where: str, widths: dict[str, int], narrow: set[str],
+               owner: str | None) -> None:
+    """Refuse all but a ``Run`` of a named l-register wide enough for the terms, int ``times``
+    >= 1 and a control None or an int bit of ``owner``, the enclosing register (or None)."""
+    _check_type(run, (Run,), where)
+    name, control, times = run
+    if type(name) is not str or name not in widths:  # every name in widths is a str
+        raise LayoutError(f"{where}: no register named {name!r}")
+    if name in narrow:
+        raise LayoutError(f"{where}: {name} is too narrow for the terms")
+    if control is not None and (owner is None or type(control) is not int
+                                or not 0 <= control < widths[owner]):
+        raise LayoutError(f"{where}: control {control!r} is not a bit of {owner or 'a Prepared'}")
+    if type(times) is not int or times < 1:
+        raise LayoutError(f"{where}: times {times!r} is not a positive int")
+
+
+def _instructions(steps: tuple[Run | Prepared, ...]) -> tuple[Instruction, ...]:
+    """The circuit checked steps stand for, from one ``LcuBlock`` and ``Measure`` per run."""
+    out: list[Instruction] = []
+    for step in steps:
+        if isinstance(step, Run):
+            out += (LcuBlock(step.l_register), Measure(step.l_register)) * step.times
+            continue
+        reg, adjoint = step.register, Prepare(step.register, step.amps, adjoint=True)
+        blocks = [LcuBlock(name, None if bit is None else (reg, bit)) for name, bit, _ in step.runs]
+        measures = [Measure(name) for name, _, _ in step.runs]
+        if step.deferred:  # every block, the adjoint, then the blocks' Measures
+            out += [Prepare(reg, step.amps), *blocks, adjoint, *measures, Measure(reg)]
+            continue
+        out.append(Prepare(reg, step.amps))
+        for block, measure, run in zip(blocks, measures, step.runs):
+            out += (block, measure) * run.times
+        out += [adjoint, Measure(reg)]
+    return tuple(out)
+
+
+class CircuitPlan:
+    """A plan of ``steps``, each a ``Run`` or a ``Prepared``; any other raises ``LayoutError``
+    (unnormalized amplitudes ``NormalizationError``), naming the offending step.
+
+    ``widths`` (the plan keeps a copy) maps each ancilla register's name to a positive int
+    width; the system is the Hamiltonian's n qubits, no register a step can name. A run's
+    l-register is wide enough for the terms and never prepared, and only a run in a
+    ``Prepared`` has a control. A ``Prepared`` holds 2^width or width + 1 normalized
+    amplitudes; where ``deferred``, each run is one block on an l-register of its own. So a
+    result depends on a Prepare only through its column on |0>: the form the moment trace
+    runs (``sampler._walk``). A plan is equal only to itself.
     """
 
-    __slots__ = ("widths", "hamiltonian", "instructions",
-                 "l_registers", "select_count", "measure_count")  # the last three derived
+    __slots__ = ("widths", "hamiltonian", "steps", "instructions",
+                 "l_registers", "select_count", "measure_count")  # the last four derived
 
     def __init__(self, widths: dict[str, int], hamiltonian: HamiltonianLCU,
-                 instructions: tuple[Instruction, ...]):
-        widths, instructions = dict(widths), tuple(instructions)
+                 steps: tuple[Run | Prepared, ...]):
+        _check_type(widths, (dict,), "widths")
+        _check_type(hamiltonian, (HamiltonianLCU,), "hamiltonian")
+        _check_type(steps, (tuple, list), "steps")
+        widths, steps = dict(widths), tuple(steps)
         for name, width in widths.items():
             if type(name) is not str:
                 raise LayoutError(f"register {name!r}: its name is not a str")
@@ -134,106 +187,60 @@ class CircuitPlan:
                 raise LayoutError(f"register {name!r}: width {width!r} is not a positive int")
         terms = (hamiltonian.num_terms - 1).bit_length()  # 2^width < num_terms below it
         narrow = {name for name, width in widths.items() if width < terms}
-        l_regs = frozenset(ins.l_register for ins in instructions  # a non-str is refused below
-                           if isinstance(ins, LcuBlock) and type(ins.l_register) is str)
-        pending: deque[str] = deque()  # l-registers of the blocks awaiting their measurement
-        unmeasured: set[str] = set()  # the same names, for the membership test
-        live = opening = None  # the open register and its Prepare's amplitudes
-        closed, selects, measures = False, 0, 0  # closed: live's adjoint came
-        for i, ins in enumerate(instructions):
-            if not isinstance(ins, Instruction):
-                raise LayoutError(f"instruction {i}: {ins!r} is not a Prepare, LcuBlock or Measure")
-            block = isinstance(ins, LcuBlock)
-            control = ins.control if block else None
-            if control is not None and not (type(control) is tuple and len(control) == 2):
-                raise LayoutError(f"instruction {i}: control {control!r} is not a (register, bit)")
-            name = ins.l_register if block else ins.register  # and a block's control register
-            # every name in widths is a str, so a name of another type is none of them
-            if (type(name) is not str or name not in widths
-                    or control and (type(name := control[0]) is not str or name not in widths)):
-                raise LayoutError(f"instruction {i}: no register named {name!r}")
-            if closed and not (
-                isinstance(ins, Measure) and (ins.register == live or ins.register in l_regs)
-            ):
-                raise LayoutError(f"instruction {i}: only term-register Measures may come between "
-                                  f"{live}'s adjoint and its Measure")
-            if block:
-                name = ins.l_register
-                if name in narrow:
-                    raise LayoutError(f"instruction {i}: {name} is too narrow for the terms")
-                if control is not None and (control[0] in l_regs or type(control[1]) is not int
-                                            or not 0 <= control[1] < widths[control[0]]):
-                    raise LayoutError(f"instruction {i}: control {control} is an l-register bit "
-                                      "or out of range")
-                if name in unmeasured:
-                    raise LayoutError(f"instruction {i}: {name} still holds an unmeasured block")
-                pending.append(name)
-                unmeasured.add(name)
-                selects += 1
-            elif isinstance(ins, Measure):
-                name = ins.register
-                if (pending[0] if pending else None) != (name if name in l_regs else None):
-                    raise LayoutError(f"instruction {i}: {name} measured, pending: {list(pending)}")
-                if pending:
-                    unmeasured.remove(pending.popleft())
-                elif name == live and closed:
-                    live, closed = None, False
-                else:
-                    raise LayoutError(f"instruction {i}: {name} is measured before its adjoint")
-                measures += 1
-            else:
-                reg, width = ins.register, widths[ins.register]
-                if reg in l_regs:
-                    raise LayoutError(f"instruction {i}: {reg} is an l-register")
-                if live not in (None, reg):
-                    raise LayoutError(f"instruction {i}: {reg} prepared while {live} is live")
-                if live == reg:  # closes it
-                    if not ins.adjoint:
-                        raise LayoutError(f"instruction {i}: {reg} is reopened before its adjoint")
-                    if not (ins.amps is opening or np.array_equal(ins.amps, opening)):
-                        raise LayoutError(f"instruction {i}: {reg}'s adjoint has other amplitudes")
-                    closed = True
-                elif ins.adjoint:
-                    raise LayoutError(f"instruction {i}: {reg} is opened by an adjoint")
-                elif np.shape(ins.amps) not in ((1 << width,), (width + 1,)):
-                    raise LayoutError(f"instruction {i}: needs 2^{width} or {width + 1} amplitudes")
-                else:
-                    check_norm(np.linalg.norm(ins.amps),
-                               f"instruction {i}: amplitudes are not normalized")
-                    live, opening = reg, ins.amps
-        if pending or live:
-            raise LayoutError(f"{pending[0] if pending else live} is never measured after its "
-                              "last block or Prepare")
-        self.widths, self.hamiltonian, self.instructions = widths, hamiltonian, instructions
-        self.l_registers, self.select_count, self.measure_count = l_regs, selects, measures
+        runs, prepared = [], []  # every run, and (step, register) of each Prepared
+        for i, step in enumerate(steps):
+            _check_type(step, (Run, Prepared), f"step {i}")
+            if isinstance(step, Run):
+                _check_run(step, f"step {i}", widths, narrow, None)
+                runs.append(step)
+                continue
+            reg, amps = step.register, step.amps
+            if type(reg) is not str or reg not in widths:
+                raise LayoutError(f"step {i}: no register named {reg!r}")
+            width = widths[reg]
+            if np.shape(amps) not in ((1 << width,), (width + 1,)):
+                raise LayoutError(f"step {i}: needs 2^{width} or {width + 1} amplitudes")
+            check_norm(np.linalg.norm(amps), f"step {i}: amplitudes are not normalized")
+            _check_type(step.runs, (tuple,), f"step {i}: runs")  # immutable, as each Run is
+            for j, run in enumerate(step.runs):
+                _check_run(run, f"step {i} run {j}", widths, narrow, reg)
+            if step.deferred and (len({run.l_register for run in step.runs}) < len(step.runs)
+                                  or any(run.times > 1 for run in step.runs)):
+                raise LayoutError(f"step {i}: a deferred run is one block on an l-register of "
+                                  "its own")
+            runs += step.runs
+            prepared.append((i, reg))
+        l_regs = frozenset(run.l_register for run in runs)
+        for i, reg in prepared:
+            if reg in l_regs:
+                raise LayoutError(f"step {i}: {reg} is an l-register")
+        self.widths, self.hamiltonian, self.steps = widths, hamiltonian, steps
+        self.instructions, self.l_registers = _instructions(steps), l_regs
+        self.select_count = sum(run.times for run in runs)
+        self.measure_count = self.select_count + len(prepared)
 
 
 def build_w_hk(H: HamiltonianLCU, k: int) -> CircuitPlan:
-    """k repetitions of [LcuBlock, Measure] on one l-register."""
-    return CircuitPlan({"l": H.l_width}, H, (LcuBlock("l"), Measure("l")) * _check_int(k, "k", 1))
+    """One run of k post-selected blocks on one l-register."""
+    return CircuitPlan({"l": H.l_width}, H, (Run("l", None, _check_int(k, "k", 1)),))
 
 
 def build_w_tilde(H: HamiltonianLCU, tau: float, kappa: int) -> CircuitPlan:
-    """Shorter-width plan: kappa + ceil(log2 L) + n qubits, K = 2^kappa - 1 blocks. A Taylor
-    register over the simulation cap is refused before its 2^kappa amplitudes are built."""
+    """Shorter-width plan: kappa + ceil(log2 L) + n qubits, K = 2^kappa - 1 blocks, run i the
+    2^i blocks controlled by Taylor bit i. A Taylor register over the simulation cap is
+    refused before its 2^kappa amplitudes are built."""
     check_width(_check_int(kappa, "kappa", 1))
     k_amps = taylor_prepare_amplitudes(tau, l1_norm(H), (1 << kappa) - 1)
-    instructions: list[Instruction] = [Prepare("k", k_amps)]
-    for i in range(kappa):  # run i: 2^i blocks controlled by k-qubit i
-        instructions += [LcuBlock("l", ("k", i)), Measure("l")] * (1 << i)
-    instructions += [Prepare("k", k_amps, adjoint=True), Measure("k")]
-    return CircuitPlan({"l": H.l_width, "k": kappa}, H, tuple(instructions))
+    runs = tuple(Run("l", i, 1 << i) for i in range(kappa))
+    return CircuitPlan({"l": H.l_width, "k": kappa}, H, (Prepared("k", k_amps, runs),))
 
 
 def build_w_unary(H: HamiltonianLCU, tau: float, K: int) -> CircuitPlan:
-    """Unary-encoded reference plan with deferred (terminal) measurements: K l-registers, then
-    a K-qubit unary Taylor register whose K + 1 amplitudes sqrt(beta_k/||beta||_1) sit on the
-    one-hot-prefix states |1^k 0^{K-k}>. The K blocks act on distinct l-registers and all
-    come before the measurements."""
+    """Unary-encoded reference plan with deferred (terminal) measurements: a K-qubit unary
+    Taylor register whose K + 1 amplitudes sqrt(beta_k/||beta||_1) sit on the one-hot-prefix
+    states |1^k 0^{K-k}>, and block j on its own l-register l{j}, controlled by bit j. The
+    K blocks all come before the measurements."""
     unary_amps = taylor_prepare_amplitudes(tau, l1_norm(H), K)  # refuses K < 1
-    instructions: list[Instruction] = [Prepare("unary", unary_amps)]
-    instructions += [LcuBlock(f"l{j}", ("unary", j)) for j in range(K)]
-    instructions.append(Prepare("unary", unary_amps, adjoint=True))
-    instructions += [Measure(f"l{j}") for j in range(K)]
-    instructions.append(Measure("unary"))
-    return CircuitPlan({f"l{j}": H.l_width for j in range(K)} | {"unary": K}, H, tuple(instructions))
+    runs = tuple(Run(f"l{j}", j) for j in range(K))
+    return CircuitPlan({f"l{j}": H.l_width for j in range(K)} | {"unary": K}, H,
+                       (Prepared("unary", unary_amps, runs, deferred=True),))

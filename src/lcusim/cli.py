@@ -148,15 +148,14 @@ def _resolve_state(args, n: int) -> np.ndarray:
     return _basis_state(n)
 
 
-# Bounds on what a command builds or runs, checked before it does. The unary plans of simulate
-# and resources hold 2K + 3 instructions each; a W-tilde plan's 2^(kappa+1) + 1 are bounded by
-# the width cap alone, kappa <= 24 - n. The Ising chain of resources (no state) holds 2n - 1
-# strings of n letters. analytic makes K matvecs, one moment pass (no command calls the
-# oracle module, the tests' and the bench's reference), each reading 2^max(n, 9) amplitudes
-# once per distinct X mask and once more: below 2^9 a read costs its fixed overhead. At the
-# limits, on a 2-vCPU Intel Xeon: simulate --n 5 --circuit wunary --K 349998 2.2 s, 321 MB;
-# simulate --n 2 --kappa 22 5.0 s, 383 MB; sweep --n 2 --kappa-max 22 10.7 s, 773 MB; resources
-# --n 24 --K-max 834 1.3 s; --n 10000 1.2 s, 230 MB; analytic: README table (BENCH_41.json).
+# Bounds on what a command builds or runs, checked before it does. A unary plan is one step of
+# K runs (2K + 3 instructions); a W-tilde plan, one step of kappa runs (2^(kappa+1) + 1), is
+# bounded by the width cap alone, kappa <= 24 - n. resources' Ising chain (no state) holds 2n - 1
+# strings of n letters. analytic's moment pass makes K matvecs, each reading 2^max(n, 9)
+# amplitudes once per distinct X mask and once more. At the limits (BENCH_43.json, 2-vCPU Xeon):
+# simulate --n 5 --circuit wunary --K 349998 4.2 s, 247 MB; simulate --n 2 --kappa 22 4.5 s,
+# 314 MB; sweep --n 2 --kappa-max 22 --shots 1000 9.5 s, 523 MB; resources --n 24 --K-max 834
+# 1.9 s; --n 10000 1.8 s, 229 MB; analytic: README table (BENCH_41.json).
 _MAX_INSTRUCTIONS = 700_000
 _MAX_ISING_SITES = 10_000
 _MAX_AMPLITUDE_READS = 2_500_000_000
@@ -197,7 +196,7 @@ def cmd_analytic(args) -> list[dict]:
     H = _resolve_hamiltonian(args)
     K, kappa = _resolve_order(args, 0)  # capped as the W-tilde Taylor register of order K would be
     reads = K * (len({x for x, _, _ in H.masks}) + 1) << max(H.n, 9)
-    _check_limit(reads, _MAX_AMPLITUDE_READS, "the oracle would read {} amplitudes,")
+    _check_limit(reads, _MAX_AMPLITUDE_READS, "the moment pass would read {} amplitudes,")
     psi = _resolve_state(args, H.n)
     cost = CostModel(d=args.d, d_ctrl=args.d_ctrl)
     # one moment pass of K matvecs gives p_wtilde and the W_{H^K} chain p_1 .. p_K, read as

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import CircuitPlan, LcuBlock, Measure, amplitude_values
+from .circuits import CircuitPlan, Run, amplitude_values
 from .errors import DomainError
 from .hamiltonian import _check_int, apply_rescaled, check_state, check_width
 
@@ -54,44 +54,37 @@ def _sums(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.bincount(m, x.real) + 1j * np.bincount(m, x.imag)
 
 
-_ONE_ROW = (np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1))
+_ONE_ROW = (np.zeros(1, np.int64), np.ones(1))  # m and w while no register is open
 
 
 def _walk(plan: CircuitPlan):
     """The plan's success path as segments, each from a base state phi to its collapse.
 
-    Between collapses the rows of the one open register, over the values v of its Prepare's
-    nonzero amplitudes a (one row v = 0 while none is open), are a_v H~^{m_v} phi and stay
-    orthogonal: each q is a ratio of sums N = sum_v w_v nu_{m_v}, w = |a|^2 and
-    nu_m = ||H~^m phi||^2. A run of L blocks on one control adds 1 .. L to the m_v of the
-    rows it selects; its ``specs`` entry is (m, w, hit, L) at its start, hit 1 on those rows,
-    and an int L stands for L q's of 1. A segment is (specs, m, w, c, collapses), m and w at
-    its end and c = ``_sums(m, w)`` the coefficients of its collapsed state: the adjoint
-    takes row v to |0> with amplitude conj(a_v), so the Measure keeps sum_v w_v H~^{m_v} phi.
-    """
-    l_regs, segments, specs, run = plan.l_registers, [], [], 0
-    live = control = None  # the open register, a run's control
-    vals, m, w = _ONE_ROW
-    for ins in plan.instructions + (None,):  # None: the plan's end
-        is_block = isinstance(ins, LcuBlock)
-        if run and not (is_block and ins.control == control or getattr(ins, "register", 0) in l_regs):
-            hit = control is None  # 1 on the rows the run's control selects
-            if control and control[0] == live and control[1] < int(vals[-1]).bit_length():
-                hit = (vals >> control[1] & 1).astype(np.int64, copy=False)
-            specs.append((m, w, hit, run) if hit is not False else run)
-            m, run = m + run * hit, 0
-        if is_block:
-            control, run = ins.control, run + 1
-        elif isinstance(ins, Measure):
-            if ins.register == live:  # the collapse; an l-register's Measure is in the runs
-                segments.append((specs, m, w, _sums(m, w), True))
-                specs, live, (vals, m, w) = [], None, _ONE_ROW
-        elif ins is not None and not ins.adjoint:  # opens a register in |0>: the column a
-            width = plan.widths[ins.register]
-            amps, at = amplitude_values(ins.amps, width)
-            check_width(plan.hamiltonian.n + (len(at) - 1).bit_length())  # circuit width
-            live, vals = ins.register, np.array(at, dtype=object if width > 62 else np.int64)
-            m, w = np.full(len(at), m[0]), (amps * amps.conj()).real
+    The rows of a ``Prepared``, over the values v of its nonzero amplitudes a (one row v = 0
+    outside one), are a_v H~^{m_v} phi and stay orthogonal: each q is a ratio of sums
+    N = sum_v w_v nu_{m_v}, w = |a|^2 and nu_m = ||H~^m phi||^2. A ``Run`` of L blocks, read
+    alike where deferred, adds 1 .. L to the m_v of the rows its control selects; its spec is
+    (m, w, hit, L) at its start, hit 1 on those rows, or the int L for L q's of 1 where no
+    row has the bit. A segment is (specs, m, w, c, collapses), m and w at its end and
+    c = ``_sums(m, w)``: the adjoint takes row v to |0> with amplitude conj(a_v), so the
+    Measure keeps sum_v w_v H~^{m_v} phi."""
+    segments, specs, (m, w) = [], [], _ONE_ROW
+    for step in plan.steps:
+        if isinstance(step, Run):
+            specs.append((m, w, True, step.times))
+            m = m + step.times
+            continue
+        width = plan.widths[step.register]
+        amps, at = amplitude_values(step.amps, width)
+        check_width(plan.hamiltonian.n + (len(at) - 1).bit_length())  # circuit width
+        vals = np.array(at, dtype=object if width > 62 else np.int64)
+        m, w, top = np.full(len(at), m[0]), (amps * amps.conj()).real, at[-1].bit_length()
+        for _, bit, times in step.runs:  # hit: True, False past the top bit, or 1 where set
+            hit = bit is None or bit < top and (vals >> bit & 1).astype(np.int64, copy=False)
+            specs.append((m, w, hit, times) if hit is not False else times)
+            m = m + times * hit
+        segments.append((specs, m, w, _sums(m, w), True))
+        specs, (m, w) = [], _ONE_ROW
     if specs or m[0] or not segments:  # not where the state at the end is the last collapse's
         segments.append((specs, m, w, _sums(m, w), False))
     return segments

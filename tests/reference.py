@@ -4,7 +4,8 @@ Each function here is the obvious dense or register-level construction of
 something the package computes another way: full registers, or a state per
 register value, instead of the moment trace, and a small W-tilde chain in exact
 Gaussian-rational arithmetic; dense matrices instead of Pauli-mask matvecs, gate-by-gate
-compilation and execution instead of closed-form counts, one Bernoulli draw per
+compilation and execution instead of closed-form counts, the builders' circuits one
+instruction at a time instead of runs of steps, one Bernoulli draw per
 shot and measurement from numpy's Philox generator instead of one binomial draw
 per measurement, and a BLISS line search that sorts and sums its weights afresh on
 every call. None of them imports the fast
@@ -19,7 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from lcusim.bliss import FermionicOperator
-from lcusim.circuits import CircuitPlan, LcuBlock, Measure, Prepare, amplitude_values
+from lcusim.circuits import (CircuitPlan, Instruction, LcuBlock, Measure, Prepare,
+                             amplitude_values, taylor_prepare_amplitudes)
 from lcusim.errors import (
     DomainError,
     InvalidHamiltonianError,
@@ -29,7 +31,8 @@ from lcusim.errors import (
     NormalizationError,
     ResourceLimitError,
 )
-from lcusim.hamiltonian import HamiltonianLCU, check_norm, check_state, check_width, l1_norm
+from lcusim.hamiltonian import (HamiltonianLCU, _check_int, check_norm, check_state, check_width,
+                                l1_norm)
 from lcusim.resources import GateCounts
 from lcusim.sampler import PlanTrace
 
@@ -550,6 +553,36 @@ def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
     reference loop of the sampler tests."""
     key = np.array([seed, shot_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+# --- flat circuits -------------------------------------------------------------------
+
+
+def flat_w_hk(H: HamiltonianLCU, k: int) -> tuple[Instruction, ...]:
+    """k repetitions of [LcuBlock, Measure] on one l-register."""
+    return (LcuBlock("l"), Measure("l")) * _check_int(k, "k", 1)
+
+
+def flat_w_tilde(H: HamiltonianLCU, tau: float, kappa: int) -> tuple[Instruction, ...]:
+    """The W-tilde circuit in the paper's order, one instruction at a time."""
+    check_width(_check_int(kappa, "kappa", 1))
+    k_amps = taylor_prepare_amplitudes(tau, l1_norm(H), (1 << kappa) - 1)
+    instructions: list[Instruction] = [Prepare("k", k_amps)]
+    for i in range(kappa):  # run i: 2^i blocks controlled by k-qubit i
+        instructions += [LcuBlock("l", ("k", i)), Measure("l")] * (1 << i)
+    instructions += [Prepare("k", k_amps, adjoint=True), Measure("k")]
+    return tuple(instructions)
+
+
+def flat_w_unary(H: HamiltonianLCU, tau: float, K: int) -> tuple[Instruction, ...]:
+    """The unary circuit: K blocks on distinct l-registers, all before the measurements."""
+    unary_amps = taylor_prepare_amplitudes(tau, l1_norm(H), K)  # refuses K < 1
+    instructions: list[Instruction] = [Prepare("unary", unary_amps)]
+    instructions += [LcuBlock(f"l{j}", ("unary", j)) for j in range(K)]
+    instructions.append(Prepare("unary", unary_amps, adjoint=True))
+    instructions += [Measure(f"l{j}") for j in range(K)]
+    instructions.append(Measure("unary"))
+    return tuple(instructions)
 
 
 # --- gate-level compilation -----------------------------------------------------------

@@ -27,8 +27,8 @@ PUBLIC = {
     "bliss": ["BlissParams", "BlissResult", "FermionicOperator", "apply_bliss",
               "build_hubbard_chain", "fermionic_to_pauli_dict", "jordan_wigner", "load_fermionic",
               "optimize_bliss"],
-    "circuits": ["CircuitPlan", "LcuBlock", "Measure", "Prepare", "amplitude_values",
-                 "build_w_hk", "build_w_tilde", "build_w_unary", "kappa_for",
+    "circuits": ["CircuitPlan", "LcuBlock", "Measure", "Prepare", "Prepared", "Run",
+                 "amplitude_values", "build_w_hk", "build_w_tilde", "build_w_unary", "kappa_for",
                  "taylor_prepare_amplitudes", "taylor_weights"],
     "cli": ["UsageError", "build_parser", "cmd_analytic", "cmd_bliss", "cmd_resources",
             "cmd_simulate", "cmd_sweep", "emit", "main"],

@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lcusim import circuits, sampler
 from lcusim.circuits import (
     CircuitPlan,
     LcuBlock,
     Measure,
     Prepare,
+    Prepared,
+    Run,
     amplitude_values,
     build_w_hk,
     build_w_tilde,
@@ -30,6 +33,7 @@ from lcusim.oracle import chain_probabilities, success_prob_hk, success_prob_wti
 from lcusim.resources import CostModel, count, runtime_bound
 from lcusim.sampler import run_shots
 from conftest import basis_state, random_hamiltonian
+from reference import flat_w_hk, flat_w_tilde, flat_w_unary
 
 
 class TestTaylorCoefficients:
@@ -286,7 +290,7 @@ class TestPlanWidths:
     def test_a_width_that_is_not_a_positive_int_is_refused(self, ising4, width):
         message = f"register 'c': width {width!r} is not a positive int"
         with pytest.raises(LayoutError, match=re.escape(message)):
-            CircuitPlan({"l": 3, "c": width}, ising4, (LcuBlock("l"), Measure("l")))
+            CircuitPlan({"l": 3, "c": width}, ising4, (Run("l"),))
 
     def test_a_register_name_that_is_not_a_str_is_refused(self, ising4):
         with pytest.raises(LayoutError, match=re.escape("register ('l',): its name is not a str")):
@@ -298,14 +302,14 @@ class TestPlanWidths:
         num_terms = HamiltonianLCU.num_terms
         monkeypatch.setattr(HamiltonianLCU, "num_terms",
                             property(lambda H: reads.append(1) or num_terms.fget(H)))
-        CircuitPlan(plan.widths, ising4, plan.instructions)
+        CircuitPlan(plan.widths, ising4, plan.steps)
         assert len(reads) == 1
-        with pytest.raises(LayoutError, match="^instruction 0: l is too narrow for the terms$"):
-            CircuitPlan({"l": 2}, ising4, (LcuBlock("l"), Measure("l")))
+        with pytest.raises(LayoutError, match="^step 0: l is too narrow for the terms$"):
+            CircuitPlan({"l": 2}, ising4, (Run("l"),))
 
     def test_the_plan_keeps_its_own_copy(self, ising4):
         widths = {"l": 3, "k": 2}
-        plan = CircuitPlan(widths, ising4, (LcuBlock("l"), Measure("l")))
+        plan = CircuitPlan(widths, ising4, (Run("l"),))
         widths["l"], widths["c"] = 1, 4
         del widths["k"]
         assert plan.widths == {"l": 3, "k": 2} and count(plan).qubits == 9
@@ -403,3 +407,54 @@ class TestWhkPlan:
     def test_invalid_k(self, ising4):
         with pytest.raises(InvalidModelError):
             build_w_hk(ising4, 0)
+
+
+def _same_instructions(got, want):
+    """LcuBlocks and Measures equal by value, Prepares by amplitudes and adjoint."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        if isinstance(a, Prepare):
+            assert (a.register, a.adjoint) == (b.register, b.adjoint)
+            assert np.array_equal(a.amps, b.amps)
+        else:
+            assert a == b
+
+
+class TestStepsSpellTheCircuit:
+    """``plan.instructions`` is the circuit the builders emitted one instruction at a time:
+    the flat loops of ``reference`` (``flat_w_hk``, ``flat_w_tilde``, ``flat_w_unary``)."""
+
+    @pytest.mark.parametrize("tau", [0.0, 0.3])
+    def test_each_builder_in_the_papers_order(self, ising4, tau):
+        for k in range(1, 5):
+            _same_instructions(build_w_hk(ising4, k).instructions, flat_w_hk(ising4, k))
+        for kappa in range(1, 6):
+            _same_instructions(build_w_tilde(ising4, tau, kappa).instructions,
+                               flat_w_tilde(ising4, tau, kappa))
+        for K in range(1, 7):
+            _same_instructions(build_w_unary(ising4, tau, K).instructions,
+                               flat_w_unary(ising4, tau, K))
+
+    def test_the_builders_steps(self, ising4):
+        assert build_w_hk(ising4, 3).steps == (Run("l", None, 3),)
+        (step,) = build_w_tilde(ising4, 0.05, 3).steps
+        assert type(step) is Prepared and (step.register, step.runs, step.deferred) == (
+            "k", (Run("l", 0, 1), Run("l", 1, 2), Run("l", 2, 4)), False)
+        (step,) = build_w_unary(ising4, 0.05, 3).steps
+        assert (step.register, step.runs, step.deferred) == (
+            "unary", (Run("l0", 0), Run("l1", 1), Run("l2", 2)), True)
+
+    def test_plan_work_grows_with_the_steps(self, monkeypatch):
+        # kappa = 20: 2^20 - 1 blocks in 20 runs. The plan checks its one Prepare's norm
+        # once and the trace reads one spec per run, not one per instruction
+        H, kappa = build_ising(2, 1.0, 0.5), 20
+        norms, check = [], circuits.check_norm
+        monkeypatch.setattr(circuits, "check_norm", lambda *a: norms.append(1) or check(*a))
+        plan = build_w_tilde(H, 0.05, kappa)
+        assert len(norms) == 1 and plan.select_count == (1 << kappa) - 1
+        (segment,) = sampler._walk(plan)
+        specs = segment[0]
+        assert len(specs) == kappa
+        assert [spec if type(spec) is int else spec[3] for spec in specs] == [
+            1 << i for i in range(kappa)]

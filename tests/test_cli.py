@@ -1256,7 +1256,8 @@ class TestAnalyticWork:
         finally:
             tracemalloc.stop()
         assert (code, out) == (2, "")
-        assert err == f"error: the oracle would read {reads} amplitudes, over the limit of 2500000000\n"
+        assert err == (f"error: the moment pass would read {reads} amplitudes, "
+                       "over the limit of 2500000000\n")
         assert peak < 1 << 20
 
     def test_the_limit_itself_is_accepted(self, capsys, monkeypatch):

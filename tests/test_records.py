@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lcusim.bliss import BlissParams, BlissResult, FermionicOperator
-from lcusim.circuits import CircuitPlan, LcuBlock, Measure, Prepare, build_w_tilde
+from lcusim.circuits import CircuitPlan, LcuBlock, Measure, Prepare, Prepared, Run, build_w_tilde
 from lcusim.errors import InvalidHamiltonianError, InvalidModelError, LayoutError
 from lcusim.hamiltonian import HamiltonianLCU, PauliTerm, build_ising
 from lcusim.resources import CostModel, GateCounts, count
@@ -20,6 +20,7 @@ H2 = build_ising(2, 1.0, 0.5)
 @pytest.mark.parametrize("make,other", [
     (lambda: LcuBlock("l", ("k", 0)), lambda: LcuBlock("l", ("k", 1))),
     (lambda: Measure("l"), lambda: Measure("k")),
+    (lambda: Run("l", 0, 2), lambda: Run("l", 0, 3)),
     (lambda: PauliTerm(0.5, 0.0, "XZ"), lambda: PauliTerm(0.5, math.pi, "XZ")),
     (lambda: build_ising(2, 1.0, 0.5), lambda: build_ising(2, 1.0, 0.25)),
     (lambda: GateCounts(5, 12, 3), lambda: GateCounts(5, 12, 4)),
@@ -34,6 +35,7 @@ def test_value_records_compare_and_hash_by_their_fields(make, other):
 def test_plans_and_prepares_are_equal_only_to_themselves():
     amps = np.array([1.0, 0.0])
     assert Prepare("k", amps) != Prepare("k", amps)
+    assert Prepared("k", amps) != Prepared("k", amps)
     plan = build_w_tilde(H2, 0.1, 1)
     assert plan == plan and plan != build_w_tilde(H2, 0.1, 1)
     assert len({plan, build_w_tilde(H2, 0.1, 1)}) == 2
@@ -45,11 +47,17 @@ def test_constructor_signatures():
     with pytest.raises(TypeError):
         Prepare("k", amps, True)  # adjoint is keyword-only
     assert LcuBlock() == LcuBlock(l_register="l", control=None)
+    assert Run() == Run(l_register="l", control=None, times=1)
+    step = Prepared("k", amps, (Run("l", 0),), deferred=True)
+    assert (step.register, step.runs, step.deferred) == ("k", (Run("l", 0),), True)
+    assert Prepared("k", amps).runs == () and not Prepared("k", amps).deferred
+    with pytest.raises(TypeError):
+        Prepared("k", amps, (), True)  # deferred is keyword-only
     assert CostModel() == CostModel(1.0, 1.0, 0.0) == CostModel(m=0.0, d_ctrl=1.0)
     assert PauliTerm(letters="X", phase=0.0, weight=1.0) == PauliTerm(1.0, 0.0, "X")
     assert HamiltonianLCU(n=2, terms=H2.terms) == H2
-    plan = CircuitPlan(widths={"l": 2}, hamiltonian=H2, instructions=(LcuBlock(), Measure("l")))
-    assert (plan.select_count, plan.measure_count, plan.l_registers) == (1, 1, {"l"})
+    plan = CircuitPlan(widths={"l": 2, "k": 1}, hamiltonian=H2, steps=(Run(times=2), step))
+    assert (plan.select_count, plan.measure_count, plan.l_registers) == (3, 4, {"l"})
     F = FermionicOperator(2, constant=0.5)
     assert F.one_body.shape == (2, 2) and F.two_body.shape == (2,) * 4 and F.constant == 0.5
     params = BlissParams(xi0=0.1, xi=np.eye(2), n_electrons=1)
@@ -87,6 +95,7 @@ def test_run_stats_are_mutable_values_with_a_histogram_each():
     (InvalidHamiltonianError, lambda: HamiltonianLCU(2, ())),
     (InvalidModelError, lambda: CostModel(d_ctrl=-1.0)),
     (LayoutError, lambda: CircuitPlan({"l": 2}, H2, (LcuBlock(),))),
+    (LayoutError, lambda: CircuitPlan({"l": 2}, H2, (Run(times=0),))),
     (InvalidModelError, lambda: FermionicOperator(0)),
     (InvalidModelError, lambda: FermionicOperator(2, one_body=np.ones((3, 3)))),
     (InvalidModelError, lambda: BlissParams(0.0, np.array([[0.0, 1.0], [0.0, 0.0]]), 1)),

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from lcusim.circuits import (
     CircuitPlan,
-    LcuBlock,
     Measure,
-    Prepare,
+    Prepared,
+    Run,
     build_w_hk,
     build_w_tilde,
     build_w_unary,
@@ -205,9 +205,7 @@ class TestCounts:
         plan = build_w_hk(H, 1)
         a = prepare_amplitudes(H)
         only_prep = type(plan)(  # a Prepare is closed by its adjoint, then measured
-            plan.widths, plan.hamiltonian,
-            (Prepare("l", a), Prepare("l", a, adjoint=True), Measure("l")),
-        )
+            plan.widths, plan.hamiltonian, (Prepared("l", a),))
         assert count(only_prep).two_qubit == 0  # width-1 l register: Ry and its adjoint, no CX
 
 
@@ -416,16 +414,15 @@ class TestCountMatchesReference:
     def test_wider_l_register_is_a_distinct_select(self):
         plans = []
         for width in (_H_REAL.l_width, _H_REAL.l_width + 1):
-            plans.append(CircuitPlan({"l": width}, _H_REAL, (LcuBlock("l"), Measure("l"))))
+            plans.append(CircuitPlan({"l": width}, _H_REAL, (Run("l"),)))
         reference = [compile_plan(p).counts() for p in plans]
         assert reference[0].two_qubit != reference[1].two_qubit
         assert [count(p) for p in plans] == reference
 
     def test_each_distinct_prepare_vector_is_validated(self, ising4):
         plan = build_w_tilde(ising4, 0.05, 2)
-        amps = plan.instructions[0].amps
-        for bad_amps in (-amps, 1j * amps):
-            bad = ((Prepare("k", bad_amps),) + plan.instructions[1:-2]
-                   + (Prepare("k", bad_amps, adjoint=True), Measure("k")))
+        (step,) = plan.steps
+        for bad_amps in (-step.amps, 1j * step.amps):
+            bad = (Prepared("k", bad_amps, step.runs),)
             with pytest.raises(LcusimError, match="nonnegative"):
                 count(type(plan)(plan.widths, ising4, bad))

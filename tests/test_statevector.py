@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcusim.circuits import CircuitPlan, LcuBlock, Measure, Prepare, build_w_hk
+from lcusim.circuits import CircuitPlan, Prepared, Run, build_w_hk
 from lcusim.errors import LayoutError, NormalizationError, ResourceLimitError
 from lcusim.hamiltonian import canonicalize, check_state, l1_norm
 from lcusim.oracle import success_prob_hk
@@ -109,8 +109,7 @@ class TestRegisterOps:
         # a Prepare and its adjoint on an ancilla (7 of its 8 values) leave it in |0>
         psi = random_state(4, np.random.default_rng(7))
         a = prepare_amplitudes(ising4)
-        ins = (Prepare("c", a), Prepare("c", a, adjoint=True), Measure("c"))
-        plan = CircuitPlan({"c": 3}, ising4, ins)
+        plan = CircuitPlan({"c": 3}, ising4, (Prepared("c", a),))
         trace = trace_plan(plan, psi)
         assert trace.cond_probs == pytest.approx((1.0,), abs=1e-12)
         assert np.abs(trace.final_system_state - psi).max() < 1e-12
@@ -165,7 +164,7 @@ class TestPrepareReflection:
     def test_wrong_width_rejected(self, ising4):
         # the plan refuses amplitudes of the wrong length, the reflection unnormalized ones
         with pytest.raises(LayoutError):
-            CircuitPlan({"c": 2}, ising4, (Prepare("c", np.array([0.6, 0.8])), Measure("c")))
+            CircuitPlan({"c": 2}, ising4, (Prepared("c", np.array([0.6, 0.8])),))
         with pytest.raises(NormalizationError):
             householder(np.ones(4))
         with pytest.raises(NormalizationError):
@@ -202,14 +201,10 @@ class TestLcuBlock:
         # the traces or by the first trace
         rng = np.random.default_rng(23)
         H = canonicalize(3, raw)
-        ctrl = None if control is None else ("c", control - H.n)  # c follows the system
+        bit = None if control is None else control - H.n  # c follows the system
         ac, at = random_state(1, rng), random_state(1, rng)
         plan = CircuitPlan({"c": 1, "t": 1, "l": H.l_width}, H, (
-            Prepare("c", ac), *(LcuBlock("l", ctrl), Measure("l")) * 3,
-            Prepare("c", ac, adjoint=True), Measure("c"),
-            Prepare("t", at), LcuBlock("l", ("t", 0)), Measure("l"),
-            Prepare("t", at, adjoint=True), Measure("t"),
-        ))
+            Prepared("c", ac, (Run("l", bit, 3),)), Prepared("t", at, (Run("l", 0),))))
         F = (-1j / l1_norm(H)) * to_matrix(H)
         on = np.diag([0.0, 1.0])
         controlled = np.kron(on, F) + np.kron(np.eye(2) - on, np.eye(8))  # on (register, system)
@@ -241,12 +236,12 @@ class TestLcuBlock:
         assert trace.final_system_state is None
 
     def test_bad_arguments(self, ising4):
-        # a block controlled by a system qubit or on a term register too narrow for the
-        # terms is refused by the plan; an unnormalized state by the trace
+        # a block controlled by a system qubit (no register is open) or on a term register
+        # too narrow for the terms is refused by the plan; an unnormalized state by the trace
         with pytest.raises(LayoutError):
-            CircuitPlan({"l": 3}, ising4, (LcuBlock("l", ("system", 3)), Measure("l")))
+            CircuitPlan({"l": 3}, ising4, (Run("l", 3),))
         with pytest.raises(LayoutError):
-            CircuitPlan({"l": 1}, ising4, (LcuBlock("l"), Measure("l")))
+            CircuitPlan({"l": 1}, ising4, (Run("l"),))
         with pytest.raises(NormalizationError):
             trace_plan(build_w_hk(ising4, 1), np.ones(16))
         with pytest.raises(NormalizationError):

@@ -12,6 +12,8 @@ from lcusim.circuits import (
     LcuBlock,
     Measure,
     Prepare,
+    Prepared,
+    Run,
     build_w_hk,
     build_w_tilde,
     build_w_unary,
@@ -131,298 +133,295 @@ class TestAgainstRegisterTrace:
 _C = np.array([0.6, 0.8])
 
 
-def _one_block(H, *ins, extra=()):
-    """A W_{H^k}-style plan on l (and the extra (name, width) registers) with the given
-    instructions."""
-    return CircuitPlan({"l": H.l_width, **dict(extra)}, H, tuple(ins))
+def _one_block(H, *steps, extra=()):
+    """A plan on l (and the extra (name, width) registers) with the given steps."""
+    return CircuitPlan({"l": H.l_width, **dict(extra)}, H, tuple(steps))
+
+
+def _naming(role, name):
+    """A second step that names register ``name`` in ``role``, and the place it is refused."""
+    return {"Prepared": (Prepared(name, _C), "step 1"),
+            "run": (Run(name), "step 1"),
+            "inner run": (Prepared("c", _C, (Run(name, 0),)), "step 1 run 0")}[role]
 
 
 class TestPlanShape:
-    """``CircuitPlan`` refuses every plan that no success-path trace can run."""
+    """``CircuitPlan`` refuses every step that no success-path trace can run."""
 
     H = canonicalize(1, [(1.0, "X"), (0.5, "Z")])
     psi = np.array([0.6, 0.8], dtype=complex)
 
-    def _raises(self, *ins, match, extra=()):
+    def _raises(self, *steps, match, extra=()):
         with pytest.raises(LayoutError, match=match):
-            _one_block(self.H, *ins, extra=extra)
+            _one_block(self.H, *steps, extra=extra)
 
     def test_builder_shape_accepted(self):
-        plan = _one_block(self.H, LcuBlock("l"), Measure("l"))
+        plan = _one_block(self.H, Run("l"))
+        assert plan.instructions == (LcuBlock("l"), Measure("l"))
         assert_same_trace(plan, self.psi)
 
     def test_a_list_plan_keeps_a_tuple_and_traces_as_its_tuple_twin(self):
         # the plan kept the list itself, and _walk's `instructions + (None,)` raised a bare
         # TypeError (can only concatenate list (not "tuple") to list)
         twin = build_w_tilde(self.H, 0.3, 2)
-        instructions = list(twin.instructions)
-        plan = CircuitPlan(twin.widths, self.H, instructions)
-        instructions.clear()  # the plan holds its own copy
-        assert plan.instructions == twin.instructions
+        steps = list(twin.steps)
+        plan = CircuitPlan(twin.widths, self.H, steps)
+        steps.clear()  # the plan holds its own copy
+        assert plan.steps == twin.steps and len(plan.instructions) == len(twin.instructions)
         got, want = trace_plan(plan, self.psi), trace_plan(twin, self.psi)
         assert got.cond_probs == want.cond_probs and got.success_prob == want.success_prob
         assert np.array_equal(got.final_system_state, want.final_system_state)
 
-    def test_control_inside_l_register(self):
-        self._raises(LcuBlock("l", control=("l", 0)), Measure("l"), match="instruction 0")
+    @pytest.mark.parametrize("arg, value, message", [
+        ("widths", None, "widths is a NoneType, not a dict"),
+        ("widths", [1, 2], "widths is a list, not a dict"),
+        ("hamiltonian", None, "hamiltonian is a NoneType, not a HamiltonianLCU"),
+        ("steps", None, "steps is a NoneType, not a tuple or list"),
+        ("steps", Run("l"), "step 0 is a str, not a Run or Prepared"),  # a Run is a tuple
+    ], ids=["widths-None", "widths-list", "hamiltonian-None", "steps-None", "steps-a-Run"])
+    def test_a_malformed_plan_argument_is_refused(self, arg, value, message):
+        # None or a list as widths and None as steps raised a bare TypeError, None as the
+        # Hamiltonian AttributeError
+        args = {"widths": {"l": 1}, "hamiltonian": self.H, "steps": ()} | {arg: value}
+        with pytest.raises(LayoutError, match=f"^{re.escape(message)}$"):
+            CircuitPlan(**args)
+
+    @pytest.mark.parametrize("step", [None, LcuBlock("l"), Measure("l"), Prepare("c", _C)],
+                             ids=repr)
+    def test_a_step_of_no_kind_is_refused(self, step):
+        # a flat instruction is not a step; a None instruction raised AttributeError
+        name = type(step).__name__
+        self._raises(Run("l"), step, extra=[("c", 1)],
+                     match=f"^step 1 is a {name}, not a Run or Prepared$")
+
+    @pytest.mark.parametrize("run", [None, LcuBlock("l"), ("l", 0, 1)], ids=repr)
+    def test_a_run_of_no_kind_is_refused(self, run):
+        name = type(run).__name__
+        self._raises(Prepared("c", _C, (Run("l", 0), run)), extra=[("c", 1)],
+                     match=f"^step 0 run 1 is a {name}, not a Run$")
+
+    @pytest.mark.parametrize("runs", [None, {Run("l", 0)}, [Run("l", 0)], Run("l", 0)], ids=repr)
+    def test_runs_that_are_not_a_tuple_are_refused(self, runs):
+        # a list could change after the plan checked it; a Run is itself a tuple: its fields
+        # are read as runs, and "l" is none
+        match = "^step 0: runs is a (NoneType|set|list), not a tuple$|^step 0 run 0 is a str"
+        self._raises(Prepared("c", _C, runs), extra=[("c", 1)], match=match)
 
     @pytest.mark.parametrize("name", ["system", "k", "l "])
-    @pytest.mark.parametrize("role", ["Prepare", "Measure", "block", "control"])
-    def test_a_register_not_in_widths_is_refused_at_its_instruction(self, role, name):
+    @pytest.mark.parametrize("role", ["Prepared", "run", "inner run"])
+    def test_a_register_not_in_widths_is_refused_at_its_step(self, role, name):
         # one rule for every role. The system is the Hamiltonian's qubits, not a register:
         # the trace's amplitude axis, not an axis of values, and no bit a block can read
-        named = {"Prepare": [Prepare(name, _C), Prepare(name, _C, adjoint=True), Measure(name)],
-                 "Measure": [Measure(name)],
-                 "block": [LcuBlock(name), Measure(name)],
-                 "control": [LcuBlock("l", (name, 0)), Measure("l")]}[role]
-        self._raises(Prepare("c", _C), Prepare("c", _C, adjoint=True), Measure("c"), *named,
-                     extra=[("c", 1)], match=f"^instruction 3: no register named {name!r}$")
+        step, where = _naming(role, name)
+        self._raises(Prepared("c", _C), step, extra=[("c", 1)],
+                     match=f"^{where}: no register named {name!r}$")
 
     @pytest.mark.parametrize("name", [["l"], ["c"], 3], ids=repr)
-    @pytest.mark.parametrize("role", ["Prepare", "Measure", "block", "control"])
+    @pytest.mark.parametrize("role", ["Prepared", "run", "inner run"])
     def test_a_register_name_that_is_not_a_str_is_refused(self, role, name):
         # a list name raised a bare TypeError (unhashable) before the plan was read
-        named = {"Prepare": [Prepare(name, _C), Prepare(name, _C, adjoint=True), Measure(name)],
-                 "Measure": [Measure(name)],
-                 "block": [LcuBlock(name), Measure(name)],
-                 "control": [LcuBlock("l", (name, 0)), Measure("l")]}[role]
+        step, where = _naming(role, name)
         tracemalloc.start()
         try:
-            self._raises(Prepare("c", _C), Prepare("c", _C, adjoint=True), Measure("c"), *named,
-                         extra=[("c", 1)],
-                         match=f"^instruction 3: no register named {re.escape(repr(name))}$")
+            self._raises(Prepared("c", _C), step, extra=[("c", 1)],
+                         match=f"^{where}: no register named {re.escape(repr(name))}$")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("control", [(), ("c",), ("c", 0, 1), ["c", 0]], ids=repr)
-    def test_a_control_that_is_not_a_register_bit_pair_is_refused(self, control):
-        # () and ("c",) raised a bare IndexError; a triple and a list were accepted
-        self._raises(Prepare("c", _C), LcuBlock("l", control), Measure("l"),
-                     Prepare("c", _C, adjoint=True), Measure("c"), extra=[("c", 1)],
-                     match=re.escape(f"instruction 1: control {control!r} is not a (register, bit)"))
-
-    def test_an_instruction_of_no_kind_is_refused(self):
-        # a None instruction raised AttributeError
-        self._raises(LcuBlock("l"), None, Measure("l"),
-                     match="^instruction 1: None is not a Prepare, LcuBlock or Measure$")
-
-    @pytest.mark.parametrize("bit", [1, -1, 0.0, 0.5, True])
+    @pytest.mark.parametrize("bit", [1, -1, 0.0, 0.5, True, ("c", 0)], ids=repr)
     def test_control_bit_outside_its_register(self, bit):
-        # a float bit passed the range check and failed in the trace's shift
-        self._raises(Prepare("c", _C), LcuBlock("l", ("c", bit)), Measure("l"),
-                     Prepare("c", _C, adjoint=True), Measure("c"), extra=[("c", 1)],
-                     match=f"instruction 1: control \\('c', {bit}\\) is an l-register bit or out")
+        # a float bit passed the range check and failed in the trace's shift; a control is a
+        # bit of the enclosing register, not the (register, bit) pair of an LcuBlock
+        self._raises(Prepared("c", _C, (Run("l", bit),)), extra=[("c", 1)],
+                     match=f"^step 0 run 0: control {re.escape(repr(bit))} is not a bit of c$")
 
-    def test_plan_ends_inside_cycle(self):
-        # a block whose l-register is never measured
-        self._raises(LcuBlock("l"), Measure("l"), LcuBlock("l"), match="never measured")
+    @pytest.mark.parametrize("control", [0, ("c", 0)], ids=repr)
+    def test_a_run_outside_a_prepared_has_no_control(self, control):
+        # no register is open, so no bit can gate the block
+        self._raises(Run("l", control), extra=[("c", 1)],
+                     match=f"^step 0: control {re.escape(repr(control))} is not a bit of a "
+                           "Prepared$")
 
-    def test_second_block_before_the_first_is_measured(self):
-        self._raises(
-            LcuBlock("l"), LcuBlock("l"), Measure("l"), Measure("l"), match="instruction 1"
-        )
+    @pytest.mark.parametrize("times", [0, -1, 1.5, True, "2", None], ids=repr)
+    def test_times_that_is_not_a_positive_int_is_refused(self, times):
+        for step, where in ((Run("l", None, times), "step 0"),
+                            (Prepared("c", _C, (Run("l", 0, times),)), "step 0 run 0")):
+            self._raises(step, extra=[("c", 1)],
+                         match=f"^{where}: times {re.escape(repr(times))} is not a positive int$")
 
-    def test_l_register_measured_with_no_block_pending(self):
-        self._raises(Measure("l"), LcuBlock("l"), Measure("l"), match="instruction 0")
+    @pytest.mark.parametrize("runs", [(Run("l", 0, 2),), (Run("l", 0), Run("l", None))],
+                             ids=["two-blocks", "one-register-twice"])
+    def test_a_deferred_run_is_one_block_on_an_l_register_of_its_own(self, runs):
+        # every deferred block precedes every measurement, so a second block on one
+        # l-register would find the first unmeasured
+        self._raises(Prepared("c", _C, runs, deferred=True), extra=[("c", 1)],
+                     match="^step 0: a deferred run is one block on an l-register of its own$")
+        _one_block(self.H, Prepared("c", _C, runs), extra=[("c", 1)])  # measured at once: runs
 
     def test_wrong_amplitude_length(self):
         # three terms need a 2-qubit l-register; a 4-entry Prepare does not fit a 1-qubit one
         H = canonicalize(1, [(1.0, "X"), (0.5, "Z"), (0.25, "Y")])
-        with pytest.raises(LayoutError, match="too narrow"):
-            CircuitPlan({"l": 1}, H, (LcuBlock("l"), Measure("l")))
-        self._raises(Prepare("c", np.full(4, 0.5)), Measure("c"), match="2\\^1", extra=[("c", 1)])
+        with pytest.raises(LayoutError, match="^step 0: l is too narrow for the terms$"):
+            CircuitPlan({"l": 1}, H, (Run("l"),))
+        with pytest.raises(LayoutError, match="^step 0 run 0: l is too narrow for the terms$"):
+            CircuitPlan({"l": 1, "c": 1}, H, (Prepared("c", _C, (Run("l"),)),))
+        self._raises(Prepared("c", np.full(4, 0.5)), match="^step 0: needs 2\\^1 or 2 amplitudes$",
+                     extra=[("c", 1)])
 
     def test_amplitude_count_neither_binary_nor_unary(self):
         # a 3-qubit register takes 8 (binary) or 4 (unary) amplitudes, not 3
         amps = np.full(3, 1 / np.sqrt(3))
-        self._raises(Prepare("c", amps), Measure("c"), match="0: needs 2\\^3 or 4", extra=[("c", 3)])
+        self._raises(Prepared("c", amps), match="^step 0: needs 2\\^3 or 4", extra=[("c", 3)])
 
-    def test_adjoint_is_keyword_only(self):
-        # an old positional style argument cannot read as an adjoint
+    def test_adjoint_and_deferred_are_keyword_only(self):
+        # an old positional style argument cannot read as an adjoint or as deferred
         with pytest.raises(TypeError):
             Prepare("c", np.array([0.6, 0.8]), "dense")
+        with pytest.raises(TypeError):
+            Prepared("c", _C, (), True)
 
     def test_prepare_on_an_l_register(self):
-        c = np.array([0.6, 0.8])
-        self._raises(Prepare("l", c), LcuBlock("l"), Measure("l"), match="is an l-register")
+        for step in (Prepared("l", _C, (Run("l", 0),)), Prepared("l", _C)):
+            self._raises(step, Run("l"), match="^step 0: l is an l-register$")
+        self._raises(Prepared("c", _C), Prepared("c", _C, (Run("c", 0),)), extra=[("c", 1)],
+                     match="^step 0: c is an l-register$")
 
     def test_unnormalized_prepare(self):
-        with pytest.raises(NormalizationError, match="instruction 0"):
-            _one_block(self.H, Prepare("c", np.array([0.6, 0.6])), Measure("c"), extra=[("c", 1)])
+        with pytest.raises(NormalizationError, match="^step 0: amplitudes are not normalized$"):
+            _one_block(self.H, Prepared("c", np.array([0.6, 0.6])), extra=[("c", 1)])
 
     def test_unary_prepare_on_the_unary_values(self):
         # 3 amplitudes on a 2-qubit register are unary, on |00>, |10> and |11> (values 0, 1
         # and 3): bit 1 is set on value 3 alone, so the block acts on the rows of weight 0.64^2
         amps = np.array([0.6, 0.48, 0.64])
-        plan = _one_block(self.H, Prepare("c", amps), LcuBlock("l", ("c", 1)), Measure("l"),
-                          Prepare("c", amps, adjoint=True), Measure("c"), extra=[("c", 2)])
+        plan = _one_block(self.H, Prepared("c", amps, (Run("l", 1),)), extra=[("c", 2)])
         trace = assert_same_trace(plan, self.psi)
         h = np.array([[0.5, 1.0], [1.0, -0.5]]) * (-1j / 1.5)  # H~ = (-i / l1)(X + Z / 2)
         p = np.linalg.norm((0.36 + 0.2304) * self.psi + 0.4096 * h @ self.psi) ** 2
         assert trace.success_prob == pytest.approx(p, abs=1e-12)
         assert simulate_compiled(compile_plan(plan), self.psi)[1] == pytest.approx(p, abs=1e-12)
 
-    def test_prepared_ancilla_never_measured(self):
-        self._raises(Prepare("c", np.array([0.6, 0.8])), match="c is never", extra=[("c", 1)])
-
-    def test_other_register_measured_while_a_select_is_pending(self):
-        c = np.array([0.6, 0.8])
-        self._raises(
-            Prepare("c", c), LcuBlock("l", ("c", 0)), Prepare("c", c, adjoint=True),
-            Measure("c"), Measure("l"), extra=[("c", 1)], match="instruction 3",
-        )
-
-    def test_second_register_prepared_while_one_is_live(self):
-        # the moment trace holds the rows of one register at a time
-        c = np.array([0.6, 0.8])
-        self._raises(Prepare("c", c), Prepare("t", c), Measure("t"), Measure("c"),
-                     extra=[("c", 1), ("t", 1)], match="instruction 1: t prepared while c is live")
-
-    @pytest.mark.parametrize("after", ["block", "measure-of-another-register", "third-prepare"])
-    def test_state_changed_between_the_second_prepare_and_its_measure(self, after):
-        # only the Measures of l-registers may come between; the unary plan's come there
-        c = np.array([0.6, 0.8])
-        between = {
-            "block": [LcuBlock("l", ("c", 0)), Measure("l")],
-            "measure-of-another-register": [Measure("t")],
-            "third-prepare": [Prepare("c", c)],
-        }[after]
-        self._raises(Prepare("c", c), Prepare("c", c, adjoint=True), *between, Measure("c"),
-                     extra=[("c", 1), ("t", 1)],
-                     match="instruction 2: only term-register Measures may come between c's adjoint")
-
     def test_l_measures_between_the_second_prepare_and_its_measure(self):
-        c = np.array([0.6, 0.8])
-        plan = _one_block(self.H, Prepare("c", c), LcuBlock("l", ("c", 0)),
-                          Prepare("c", c, adjoint=True), Measure("l"), Measure("c"),
+        plan = _one_block(self.H, Prepared("c", _C, (Run("l", 0),), deferred=True),
                           extra=[("c", 1)])
+        assert plan.instructions[1] == LcuBlock("l", ("c", 0)) and plan.instructions[2].adjoint
+        assert plan.instructions[3:] == (Measure("l"), Measure("c"))
         assert_same_trace(plan, self.psi)
 
-    def test_adjoint_opens_a_register(self):
-        self._raises(Prepare("c", _C, adjoint=True), Measure("c"), extra=[("c", 1)],
-                     match="instruction 0: c is opened by an adjoint")
 
-    def test_register_reopened_before_its_adjoint(self):
-        self._raises(Prepare("c", _C), Prepare("c", _C), Prepare("c", _C, adjoint=True),
-                     Measure("c"), extra=[("c", 1)],
-                     match="instruction 1: c is reopened before its adjoint")
-
-    @pytest.mark.parametrize("other", [[0.8, 0.6], [-0.6, -0.8], [0.6j, 0.8], [0.6, 0.8, 0.0]])
-    def test_adjoint_of_other_amplitudes(self, other):
-        # of other values, phases or length than the opening column
-        self._raises(Prepare("c", _C), LcuBlock("l", ("c", 0)), Measure("l"),
-                     Prepare("c", np.array(other), adjoint=True), Measure("c"), extra=[("c", 1)],
-                     match="instruction 3: c's adjoint has other amplitudes")
-
-    def test_adjoint_of_an_equal_copy_accepted(self):
-        plan = _one_block(self.H, Prepare("c", _C), LcuBlock("l", ("c", 0)), Measure("l"),
-                          Prepare("c", _C.copy(), adjoint=True), Measure("c"), extra=[("c", 1)])
-        assert_same_trace(plan, self.psi)
-
-    @pytest.mark.parametrize("ins, at", [
-        ((Prepare("c", _C), Measure("c")), 1),
-        ((Prepare("c", _C), LcuBlock("l", ("c", 0)), Measure("l"), Measure("c")), 3),
-        ((Prepare("c", _C), Measure("t"), Prepare("c", _C, adjoint=True), Measure("c")), 1),
-    ], ids=["no-adjoint", "after-a-block", "another-register"])
-    def test_measured_before_the_adjoint(self, ins, at):
-        self._raises(*ins, extra=[("c", 1), ("t", 1)],
-                     match=f"instruction {at}: {ins[at].register} is measured before its adjoint")
-
-    def test_measure_of_a_never_prepared_ancilla(self):
-        self._raises(LcuBlock("l"), Measure("l"), Measure("c"), extra=[("c", 1)],
-                     match="instruction 2: c is measured before its adjoint")
-
-    def test_l_registers_measured_out_of_select_order(self, ising4):
-        plan = build_w_unary(ising4, 0.05, 2)
-        ins = list(plan.instructions)
-        i0 = ins.index(Measure("l0"))
-        ins[i0], ins[i0 + 1] = ins[i0 + 1], ins[i0]
-        with pytest.raises(LayoutError, match=f"instruction {i0}"):
-            CircuitPlan(plan.widths, plan.hamiltonian, tuple(ins))
-
-
-_REGISTERS = ["system", "l0", "l1", "c", "u"]
 _DENSE = np.sqrt([0.4, 0.3, 0.2, 0.1])
 _SPARSE = np.array([0.0, 0.6, 0.0, 0.8])  # values 1 and 3 only
 _UNARY = np.array([0.6, 0.48, 0.64])  # on |00>, |10> and |11>
 _U_PREPARES = [_DENSE, _SPARSE, _UNARY]  # 2-qubit registers: binary and unary amplitudes
-_CONTROLS = [None, ("c", 0), ("c", 1), ("u", 0), ("u", 1), ("system", 1), ("l0", 0), ("l1", 1)]
-_INSTRUCTION = st.one_of(
-    st.builds(LcuBlock, st.sampled_from(_REGISTERS), st.sampled_from(_CONTROLS)),
-    st.builds(Measure, st.sampled_from(_REGISTERS)),
-    st.builds(
-        lambda register, amps, adjoint: Prepare(register, amps, adjoint=adjoint),
-        st.sampled_from(_REGISTERS),
-        st.sampled_from(_U_PREPARES + [_C]),
-        st.booleans(),
-    ),
-)
+_L = st.sampled_from(["l0", "l1"])
 
 
-def _cycle(register, amps, name, bit):
-    """A W-tilde-style cycle: Prepare, one controlled block and its measurement, the adjoint
-    Prepare and the measurement of the control register."""
-    return [Prepare(register, amps), LcuBlock(name, (register, bit)), Measure(name),
-            Prepare(register, amps, adjoint=True), Measure(register)]
+def _runs(bits):
+    """Runs of 1 .. 3 blocks on l0 or l1, each controlled by one of ``bits``."""
+    return st.lists(st.builds(Run, _L, st.sampled_from(bits), st.integers(1, 3)),
+                    max_size=3).map(tuple)
 
 
-# single instructions, blocks followed by their measurement, and whole W-tilde-style
-# cycles on the control registers, so that many draws are plans that run
-_INSTRUCTIONS = st.lists(
+def _deferred_runs(bits):
+    """Runs of one block each, on distinct l-registers."""
+    return st.lists(st.builds(Run, _L, st.sampled_from(bits), st.just(1)), max_size=2,
+                    unique_by=lambda run: run.l_register).map(tuple)
+
+
+def _prepared(register, amps, bits):
+    return st.one_of(
+        st.builds(lambda a, runs: Prepared(register, a, runs), amps, _runs(bits)),
+        st.builds(lambda a, runs: Prepared(register, a, runs, deferred=True), amps,
+                  _deferred_runs(bits)),
+    )
+
+
+# top-level runs, and a Taylor-style register c (one qubit) and u (two, binary and unary
+# amplitudes) with immediate or deferred runs on any of their bits or none
+_STEPS = st.lists(
     st.one_of(
-        _INSTRUCTION.map(lambda ins: [ins]),
-        st.builds(
-            lambda name, control: [LcuBlock(name, control), Measure(name)],
-            st.sampled_from(["l0", "l1"]),
-            st.sampled_from(_CONTROLS),
-        ),
-        st.builds(lambda name: _cycle("c", _C, name, 0), st.sampled_from(["l0", "l1"])),
-        st.builds(
-            lambda amps, name, bit: _cycle("u", amps, name, bit),
-            st.sampled_from(_U_PREPARES),
-            st.sampled_from(["l0", "l1"]),
-            st.integers(0, 1),
-        ),
+        st.builds(Run, _L, st.none(), st.integers(1, 3)),
+        _prepared("c", st.just(_C), [None, 0]),
+        _prepared("u", st.sampled_from(_U_PREPARES), [None, 0, 1]),
     ),
-    max_size=5,
-).map(lambda units: [ins for unit in units for ins in unit])
+    max_size=4,
+)
+_BAD_NAMES = ["system", "k", 3, ["l0"]]
+
+
+def _bad_run(run, bad_controls):
+    """``run`` with one field out of its range."""
+    return st.one_of(
+        st.sampled_from(_BAD_NAMES).map(lambda name: run._replace(l_register=name)),
+        st.sampled_from(bad_controls).map(lambda bit: run._replace(control=bit)),
+        st.sampled_from([0, -1, 1.5, True, None]).map(lambda times: run._replace(times=times)),
+    )
+
+
+def _bad_step(step):
+    """``step`` with one field out of its range: a name, a width, a control bit, ``times``,
+    an amplitude count, the runs, or the step itself."""
+    if isinstance(step, Run):
+        return _bad_run(step, [0, 1])
+    register, amps, runs, deferred = step.register, step.amps, step.runs, step.deferred
+    width = {"c": 1, "u": 2}[register]
+    bad = [
+        st.sampled_from(_BAD_NAMES + ["l0"]).map(lambda name: Prepared(name, amps, runs)),
+        st.sampled_from([np.ones(1), np.full(5, 5**-0.5), np.eye(2) / 2**0.5]).map(
+            lambda a: Prepared(register, a, runs, deferred=deferred)),
+        st.sampled_from([None, {Run()}, [Run()], 3]).map(lambda r: Prepared(register, amps, r)),
+        st.just(Prepared(register, amps, (Run("l0", 0), Run("l0", 0)), deferred=True)),
+        st.sampled_from([None, LcuBlock("l0"), Measure("l0"), Prepare(register, amps)]),
+    ]
+    if runs:  # one run out of range
+        bad.append(st.integers(0, len(runs) - 1).flatmap(lambda j: _bad_run(
+            runs[j], [width, -1, 0.5, True, (register, 0)]).map(
+            lambda run: Prepared(register, amps, runs[:j] + (run,) + runs[j + 1:],
+                                 deferred=deferred))))
+    return st.one_of(bad)
 
 
 class TestPlanValidity:
-    """A plan is refused by ``CircuitPlan`` or run alike by the trace, the register-level
-    reference and ``count``."""
+    """Every well-formed list of steps is a plan that the trace, the register-level and the
+    array references run alike and that ``count`` counts as compiled; every step with one
+    field out of range is refused with ``LayoutError``."""
 
     H = canonicalize(2, [(0.7, "XZ"), (-0.4, "ZI"), (0.3, "YY")])  # 2-qubit l-registers
     WIDTHS = {"l0": 2, "l1": 2, "c": 1, "u": 2}
 
     @settings(max_examples=300, deadline=None)
-    @given(_INSTRUCTIONS, st.integers(0, 2**32 - 1))
-    @example([LcuBlock("l0", ("system", 0)), Measure("l0")], 0)
-    @example(_cycle("u", _UNARY, "l0", 1) + _cycle("u", _SPARSE, "l1", 0), 0)
-    @example(_cycle("c", _C, "l0", 0) + _cycle("u", _UNARY, "l1", 0), 1)
-    def test_refused_or_run_by_every_consumer(self, instructions, seed):
-        try:
-            plan = CircuitPlan(self.WIDTHS, self.H, tuple(instructions))
-        except LayoutError:
-            return
+    @given(_STEPS, st.integers(0, 2**32 - 1))
+    @example([Prepared("u", _UNARY, (Run("l0", 1),)), Prepared("u", _SPARSE, (Run("l1", 0),))], 0)
+    @example([Prepared("c", _C, (Run("l0", 0),)), Prepared("u", _UNARY, (Run("l1", 0),))], 1)
+    @example([Run("l1", None, 2), Prepared("u", _DENSE, (Run("l0", 1), Run("l1", 0)),
+                                           deferred=True), Run("l0")], 2)
+    def test_run_alike_by_every_consumer(self, steps, seed):
+        plan = CircuitPlan(self.WIDTHS, self.H, steps)
+        assert plan.select_count == sum(isinstance(ins, LcuBlock) for ins in plan.instructions)
+        assert plan.measure_count == sum(isinstance(ins, Measure) for ins in plan.instructions)
         assert_same_trace(plan, random_state(2, np.random.default_rng(seed)))
         assert count(plan) == compile_plan(plan).counts()
 
     @settings(max_examples=300, deadline=None)
-    @given(_INSTRUCTIONS, st.integers(0, 2**32 - 1))
-    @example([Prepare("c", _C), Prepare("c", _C), Measure("c")], 0)
-    @example([Prepare("u", _DENSE, adjoint=True), LcuBlock("l0", ("u", 0)), Measure("l0"),
-              Prepare("u", _DENSE, adjoint=True), Measure("u")], 1)
-    @example(_cycle("u", _UNARY, "l0", 1) + _cycle("u", _DENSE, "l1", 0), 2)
-    def test_trace_does_not_depend_on_the_completion(self, instructions, seed):
+    @given(st.data(), _STEPS.filter(bool), st.integers(0, 2**32 - 1))
+    @example(None, [Run("l0", ("system", 0))], 0).via("a top-level control, as in the flat form")
+    def test_one_bad_field_is_refused(self, data, steps, seed):
+        # the l-registers l0 and l1 are in use, so a Prepared on one is refused too
+        if data is not None:
+            j = data.draw(st.integers(0, len(steps) - 1))
+            steps = steps[:j] + [data.draw(_bad_step(steps[j]))] + steps[j + 1:]
+        with pytest.raises(LayoutError):
+            CircuitPlan(self.WIDTHS, self.H, steps + [Run("l0"), Run("l1")])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_STEPS, st.integers(0, 2**32 - 1))
+    @example([Prepared("u", _UNARY, (Run("l0", 1),)), Prepared("u", _DENSE, (Run("l1", 0),))], 2)
+    def test_trace_does_not_depend_on_the_completion(self, steps, seed):
         # the reference's Prepares become U diag(1, e^{i theta_1}, ..): column 0, all that a
-        # Prepare closed by its own adjoint shows, is kept, and every accepted plan runs alike
-        try:
-            plan = CircuitPlan(self.WIDTHS, self.H, tuple(instructions))
-        except LayoutError:
-            return
+        # Prepare closed by its own adjoint shows, is kept, and every plan runs alike
+        plan = CircuitPlan(self.WIDTHS, self.H, steps)
         completion = reference.completion_unitary
 
         def rephased(amps):
