@@ -7,13 +7,15 @@ their amplitudes from ``taylor_prepare_amplitudes``, and they and analytic's ||b
 weights beta_0..beta_K from ``taylor_weights``, which builds and checks those K + 1 alone.
 
 A plan is a sequence of steps: a ``Run``, ``times`` blocks each post-selected right after
-it, or a ``Prepared``, a Prepare on a w-qubit register (2^w amplitudes binary, w + 1 unary:
-``amplitude_values``), runs controlled by its bits, the adjoint and the Measures. The plan's
-``instructions`` spell the steps out: ``Prepare`` and its adjoint; ``LcuBlock``, PREPARE,
-SELECT and PREPARE^dag on an l-register, a block-encoding of H~ = (-i / l1) H (Berry et
-al., PRL 114, 090502, 2015); and ``Measure``, an all-zero post-selection. Only the SELECT
-carries the control: on the control-|0> branch PREPARE and its adjoint are the identity and
-the l-measurement succeeds, so post-selected results match a fully controlled block.
+it, or a ``Prepared``, a state preparation on a w-qubit register (2^w amplitudes binary,
+w + 1 unary: ``amplitude_values``), runs controlled by its bits, the adjoint and the
+measurements. A block is PREPARE, SELECT and PREPARE^dag on an l-register, a block-encoding
+of H~ = (-i / l1) H (Berry et al., PRL 114, 090502, 2015), and a measurement an all-zero
+post-selection of one register. Only the SELECT carries the control: on the control-|0>
+branch PREPARE and its adjoint are the identity and the l-measurement succeeds, so
+post-selected results match a fully controlled block. The steps are the one form of the
+circuit: the trace (``sampler._walk``) and the prices (``resources.shot_costs``) read one
+spec per run.
 """
 from __future__ import annotations
 
@@ -22,8 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidModelError, LayoutError
-from .hamiltonian import HamiltonianLCU, _check_int, _check_real, check_norm, check_width, l1_norm
+from .errors import InvalidModelError, LayoutError, ResourceLimitError
+from .hamiltonian import (TOTAL_QUBIT_CAP, HamiltonianLCU, _check_int, _check_real, check_norm,
+                          check_width, l1_norm)
 
 
 def taylor_weights(tau: float, alpha_norm: float, K: int) -> np.ndarray:
@@ -56,18 +59,8 @@ def taylor_prepare_amplitudes(tau: float, alpha_norm: float, K: int) -> np.ndarr
     return np.sqrt(beta / beta.sum())
 
 
-class Prepare:
-    """PREPARE of ``amps`` (binary or unary, ``amplitude_values``) from |0..0>, or its adjoint.
-    Equal only to itself."""
-
-    __slots__ = ("register", "amps", "adjoint")
-
-    def __init__(self, register: str, amps: np.ndarray, *, adjoint: bool = False):
-        self.register, self.amps, self.adjoint = register, amps, adjoint
-
-
 def amplitude_values(amps: np.ndarray, width: int) -> tuple[np.ndarray, list[int]]:
-    """The nonzero amplitudes of a Prepare on a ``width``-qubit register and the value each
+    """The nonzero amplitudes of a preparation on a ``width``-qubit register and the value each
     sits on: of 2^width amplitudes (binary) k sits on k, of width + 1 (unary) on
     |1^k 0^(width-k)>, 2^k - 1. The readings coincide at width 1, the only shared count."""
     amps = np.asarray(amps)
@@ -76,26 +69,8 @@ def amplitude_values(amps: np.ndarray, width: int) -> tuple[np.ndarray, list[int
     return amps[k], values
 
 
-class LcuBlock(NamedTuple):
-    """PREPARE, SELECT and PREPARE^dag on ``l_register``, PREPARE holding sqrt(w_l / l1) on
-    value l < L and 0 past it; ``control``, a (register, bit), gates the SELECT. Post-selected
-    on |0>, the block is exactly H~ = (-i / l1) H on the system where the control bit is set."""
-
-    l_register: str = "l"
-    control: tuple[str, int] | None = None
-
-
-class Measure(NamedTuple):
-    """All-zero post-selection of a register."""
-
-    register: str
-
-
-Instruction = Prepare | LcuBlock | Measure
-
-
 class Run(NamedTuple):
-    """``times`` ``LcuBlock``s on ``l_register``, each measured next (deferred: after the
+    """``times`` blocks on ``l_register``, each measured next (deferred: after the
     adjoint); ``control``, None or a bit of the enclosing register, gates their SELECTs."""
 
     l_register: str = "l"
@@ -104,8 +79,8 @@ class Run(NamedTuple):
 
 
 class Prepared:
-    """The Prepare of ``amps`` on ``register``, its ``runs``, the adjoint and the Measures:
-    each block's right after it or, ``deferred`` (the unary circuit's terminal
+    """The preparation of ``amps`` on ``register``, its ``runs``, the adjoint and the
+    measurements: each block's right after it or, ``deferred`` (the unary circuit's terminal
     post-selection), all after the adjoint, in run order. Equal only to itself."""
 
     __slots__ = ("register", "amps", "runs", "deferred")
@@ -117,8 +92,9 @@ class Prepared:
 
 def _check_type(value, kinds: tuple[type, ...], what: str) -> None:
     if not isinstance(value, kinds):
-        raise LayoutError(f"{what} is a {type(value).__name__}, not a "
-                          + " or ".join(kind.__name__ for kind in kinds))
+        names = " or ".join(kind.__name__ for kind in kinds)
+        article = "an" if names[0] in "AEIOU" else "a"
+        raise LayoutError(f"{what} is a {type(value).__name__}, not {article} {names}")
 
 
 def _check_run(run, where: str, widths: dict[str, int], narrow: set[str],
@@ -138,26 +114,6 @@ def _check_run(run, where: str, widths: dict[str, int], narrow: set[str],
         raise LayoutError(f"{where}: times {times!r} is not a positive int")
 
 
-def _instructions(steps: tuple[Run | Prepared, ...]) -> tuple[Instruction, ...]:
-    """The circuit checked steps stand for, from one ``LcuBlock`` and ``Measure`` per run."""
-    out: list[Instruction] = []
-    for step in steps:
-        if isinstance(step, Run):
-            out += (LcuBlock(step.l_register), Measure(step.l_register)) * step.times
-            continue
-        reg, adjoint = step.register, Prepare(step.register, step.amps, adjoint=True)
-        blocks = [LcuBlock(name, None if bit is None else (reg, bit)) for name, bit, _ in step.runs]
-        measures = [Measure(name) for name, _, _ in step.runs]
-        if step.deferred:  # every block, the adjoint, then the blocks' Measures
-            out += [Prepare(reg, step.amps), *blocks, adjoint, *measures, Measure(reg)]
-            continue
-        out.append(Prepare(reg, step.amps))
-        for block, measure, run in zip(blocks, measures, step.runs):
-            out += (block, measure) * run.times
-        out += [adjoint, Measure(reg)]
-    return tuple(out)
-
-
 class CircuitPlan:
     """A plan of ``steps``, each a ``Run`` or a ``Prepared``; any other raises ``LayoutError``
     (unnormalized amplitudes ``NormalizationError``), naming the offending step.
@@ -167,12 +123,12 @@ class CircuitPlan:
     l-register is wide enough for the terms and never prepared, and only a run in a
     ``Prepared`` has a control. A ``Prepared`` holds 2^width or width + 1 normalized
     amplitudes; where ``deferred``, each run is one block on an l-register of its own. So a
-    result depends on a Prepare only through its column on |0>: the form the moment trace
-    runs (``sampler._walk``). A plan is equal only to itself.
+    result depends on a preparation only through its column on |0>: the form the moment
+    trace runs (``sampler._walk``). A plan of more than 2^24 blocks, those of a W-tilde
+    plan at the width cap, raises ``ResourceLimitError``. A plan is equal only to itself.
     """
 
-    __slots__ = ("widths", "hamiltonian", "steps", "instructions",
-                 "l_registers", "select_count", "measure_count")  # the last four derived
+    __slots__ = ("widths", "hamiltonian", "steps", "select_count", "measure_count")  # 2 derived
 
     def __init__(self, widths: dict[str, int], hamiltonian: HamiltonianLCU,
                  steps: tuple[Run | Prepared, ...]):
@@ -214,10 +170,12 @@ class CircuitPlan:
         for i, reg in prepared:
             if reg in l_regs:
                 raise LayoutError(f"step {i}: {reg} is an l-register")
+        blocks = sum(run.times for run in runs)
+        if blocks > 1 << TOTAL_QUBIT_CAP:  # every price and trace walks the blocks
+            raise ResourceLimitError(f"a plan of {blocks} blocks exceeds the cap of "
+                                     f"{1 << TOTAL_QUBIT_CAP}")
         self.widths, self.hamiltonian, self.steps = widths, hamiltonian, steps
-        self.instructions, self.l_registers = _instructions(steps), l_regs
-        self.select_count = sum(run.times for run in runs)
-        self.measure_count = self.select_count + len(prepared)
+        self.select_count, self.measure_count = blocks, blocks + len(prepared)
 
 
 def build_w_hk(H: HamiltonianLCU, k: int) -> CircuitPlan:

@@ -152,10 +152,10 @@ def _resolve_state(args, n: int) -> np.ndarray:
 # K runs (2K + 3 instructions); a W-tilde plan, one step of kappa runs (2^(kappa+1) + 1), is
 # bounded by the width cap alone, kappa <= 24 - n. resources' Ising chain (no state) holds 2n - 1
 # strings of n letters. analytic's moment pass makes K matvecs, each reading 2^max(n, 9)
-# amplitudes once per distinct X mask and once more. At the limits (BENCH_43.json, 2-vCPU Xeon):
-# simulate --n 5 --circuit wunary --K 349998 4.2 s, 247 MB; simulate --n 2 --kappa 22 4.5 s,
-# 314 MB; sweep --n 2 --kappa-max 22 --shots 1000 9.5 s, 523 MB; resources --n 24 --K-max 834
-# 1.9 s; --n 10000 1.8 s, 229 MB; analytic: README table (BENCH_41.json).
+# amplitudes once per distinct X mask and once more. At the limits (BENCH_44.json, 2-vCPU Xeon):
+# simulate --n 5 --circuit wunary --K 349998 3.3 s, 178 MB; simulate --n 2 --kappa 22 2.0 s,
+# 250 MB; sweep --n 2 --kappa-max 22 --shots 1000 3.9 s, 390 MB; resources --n 24 --K-max 834
+# 2.0 s; --n 10000 1.8 s, 229 MB (BENCH_43.json); analytic: README table (BENCH_41.json).
 _MAX_INSTRUCTIONS = 700_000
 _MAX_ISING_SITES = 10_000
 _MAX_AMPLITUDE_READS = 2_500_000_000
@@ -203,7 +203,7 @@ def cmd_analytic(args) -> list[dict]:
     # Python floats: p1 = p_chain[0] and p_hk = prod(p_chain)
     p_w, p_chain = _chain(H, check_state(psi, H.n), taylor_weights(args.tau, l1_norm(H), K))
     p_hk = math.prod(map(float, p_chain))
-    # shot_costs(build_w_hk(H, K), cost), streamed: that plan would hold 2K instructions
+    # shot_costs(build_w_hk(H, K), cost), streamed: its K running sums are never held
     mean = expected_cost(map(float, p_chain), accumulate(repeat(cost.d, K)))
     if p_hk and math.isinf(mean / p_hk) and math.isinf(mean / cost.d / p_hk):  # at unit costs too
         raise DomainError(f"p_hk = {p_hk!r} is too small: the W_H^k runtime overflows the float range")

@@ -1,35 +1,39 @@
-"""Instruction prices, the sampled and exact mean price of a shot, the runtime bound, and the
-qubit, CX and measurement counts of circuit plans.
+"""Prices of a plan's parts, the sampled and exact mean price of a shot, the runtime bound, and
+the qubit, CX and measurement counts of circuit plans.
+
+A price is ``price(plan, part)`` of a part: a ``Run``, one of its blocks (controlled iff its
+``control`` is not None); a register name, one measurement of it; or a ``Prepared``, its
+preparation or the adjoint. ``shot_costs`` prices each part once, then sums run-length.
 
 The counts are those of a compilation to a {single-qubit unitary, CX} basis, and
 depend only on register widths. A uniformly controlled rotation with m controls
-costs 2^m CX (Möttönen et al., PRL 93, 130502, 2004). Hence, per instruction:
+costs 2^m CX (Möttönen et al., PRL 93, 130502, 2004). Hence, per part:
 
-* a binary ``Prepare`` (2^w amplitudes) on w qubits, the multiplexed-Ry
+* a binary preparation (2^w amplitudes) on w qubits, the multiplexed-Ry
   recursion (real, nonnegative amplitudes), costs 2^w - 2;
-* a unary ``Prepare`` (K + 1 amplitudes) on K qubits, a staircase of K - 1
+* a unary preparation (K + 1 amplitudes) on K qubits, a staircase of K - 1
   controlled Ry rotations, costs 2(K - 1);
-* an ``LcuBlock`` on a w-qubit term register costs its PREPARE and PREPARE^dag,
+* a block on a w-qubit term register costs its PREPARE and PREPARE^dag,
   2(2^w - 2), and a SELECT of n multiplexed single-qubit gates with
   m = w + [controlled] controls: three uniformly controlled rotations (ZYZ) and
   a diagonal on the controls (2^m - 2) each, so n(2^{m+2} - 2);
-* a ``Measure`` costs no CX and measures its register's width.
+* a measurement costs no CX and measures its register's width.
 
 So W-tilde costs 2(2^kappa - 2) + (2^kappa - 1) x block CX and the unary
 circuit 4(K - 1) + K x block. ``compile_plan`` in ``tests/reference.py``
-compiles each instruction gate by gate and is the check on these formulas.
+compiles the circuit gate by gate and is the check on these formulas.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from collections.abc import Callable, Iterable
-from itertools import accumulate, zip_longest
+from itertools import accumulate, chain, compress, repeat, zip_longest
 from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import CircuitPlan, Instruction, LcuBlock, Measure, taylor_weights
+from .circuits import CircuitPlan, Prepared, Run, _check_type, taylor_weights
 from .errors import DomainError
 from .hamiltonian import _check_real, _Validated
 from .sampler import RunStats
@@ -43,7 +47,7 @@ class _CostFields(NamedTuple):
 
 class CostModel(_Validated, _CostFields):
     """Cost units, a price as ``_cx_count`` is: an uncontrolled block costs ``d``, a
-    controlled one ``d_ctrl``, a ``Measure`` ``m`` and a ``Prepare`` nothing."""
+    controlled one ``d_ctrl``, a measurement ``m`` and a preparation nothing."""
 
     __slots__ = ()
 
@@ -52,10 +56,10 @@ class CostModel(_Validated, _CostFields):
             _check_real(unit, name, 0)
         return super().__new__(cls, d, d_ctrl, m)
 
-    def __call__(self, plan: CircuitPlan, i: int, ins: Instruction) -> float:
-        if isinstance(ins, LcuBlock):
-            return self.d if ins.control is None else self.d_ctrl
-        return self.m if isinstance(ins, Measure) else 0.0
+    def __call__(self, plan: CircuitPlan, part: Run | str | Prepared) -> float:
+        if isinstance(part, Run):
+            return self.d if part.control is None else self.d_ctrl
+        return self.m if isinstance(part, str) else 0.0
 
 
 class GateCounts(NamedTuple):  # the field order is the resources CSV column order
@@ -64,28 +68,53 @@ class GateCounts(NamedTuple):  # the field order is the resources CSV column ord
     measurements: int
 
 
-def _cx_count(plan: CircuitPlan, i: int, ins: Instruction) -> int:
-    """CX gates of instruction ``i`` of ``plan``."""
-    if isinstance(ins, Measure):
+def _cx_count(plan: CircuitPlan, part: Run | str | Prepared) -> int:
+    """CX gates of ``part`` of ``plan``."""
+    if isinstance(part, str):
         return 0
-    if isinstance(ins, LcuBlock):
-        w = plan.widths[ins.l_register]
-        m = w + (ins.control is not None)
+    if isinstance(part, Run):
+        w = plan.widths[part.l_register]
+        m = w + (part.control is not None)
         return 2 * ((1 << w) - 2) + plan.hamiltonian.n * ((1 << (m + 2)) - 2)
-    w = plan.widths[ins.register]
-    amps = np.asarray(ins.amps)
+    w = plan.widths[part.register]
+    amps = np.asarray(part.amps)
     if amps.shape[0] != 1 << w:  # unary: the staircase
         return 2 * (w - 1)
     if np.abs(amps.imag).max() > 1e-12 or amps.real.min() < -1e-12:
-        raise DomainError(f"instruction {i}: dense Prepare needs real, nonnegative amplitudes")
+        raise DomainError(f"{part.register}: dense amplitudes must be real and nonnegative")
     return (1 << w) - 2
 
 
+def _pieces(plan: CircuitPlan) -> list[tuple[tuple, int]]:
+    """``plan``'s parts in circuit order, run-length: (parts, times). A deferred ``Prepared``
+    runs every block, the adjoint, then their measurements."""
+    pieces = []
+    for step in plan.steps:
+        if isinstance(step, Run):
+            pieces.append(((step, step.l_register), step.times))
+        elif step.deferred:
+            pieces.append(((step, *step.runs, step, *(run.l_register for run in step.runs),
+                            step.register), 1))
+        else:
+            pieces += [((step,), 1), *(((run, run.l_register), run.times) for run in step.runs),
+                       ((step, step.register), 1)]
+    return pieces
+
+
 def shot_costs(plan: CircuitPlan, price: Callable[..., float]) -> tuple[float, ...]:
-    """The price of a shot that stops at each measurement: ``price(plan, i, ins)`` of the
-    instructions up to and including it, summed in plan order. A success pays the last."""
-    running = accumulate(price(plan, i, ins) for i, ins in enumerate(plan.instructions))
-    return tuple(c for c, ins in zip(running, plan.instructions) if isinstance(ins, Measure))
+    """The price of a shot that stops at each measurement: ``price(plan, part)`` of the
+    parts up to and including it, summed one instruction at a time in circuit order. A run's
+    parts are priced once, not once per repeat. A success pays the last."""
+    _check_type(plan, (CircuitPlan,), "plan")
+    _check_type(price, (Callable,), "price")
+    pieces = _pieces(plan)
+
+    def spelled(f):  # f of each part, each piece repeated
+        return chain.from_iterable(chain.from_iterable(
+            repeat(tuple(map(f, parts)), times) for parts, times in pieces))
+
+    prices = spelled(lambda part: price(plan, part))
+    return tuple(compress(accumulate(prices), spelled(lambda part: isinstance(part, str))))
 
 
 def _finite(cost: float) -> float:
@@ -118,6 +147,7 @@ def _mean(outcomes: Iterable[tuple[float, float]]) -> float:
 def mean_cost(stats: RunStats, costs: tuple[float, ...]) -> float:
     """The mean price of the shots of ``stats``, each priced by ``costs`` (``shot_costs``):
     the aborts summed in measurement order, then the successes at the last entry."""
+    _check_type(stats, (RunStats,), "stats")
     if stats.shots < 1:
         raise DomainError("no shots recorded")
     aborts = [(k, costs[j - 1]) for j, k in sorted(stats.abort_histogram.items())]
@@ -129,6 +159,8 @@ def expected_cost(cond_probs: Iterable[float], costs: Iterable[float]) -> float:
     zero-probabilities q_j of each measurement (``PlanTrace.cond_probs``) and ``costs``
     (``shot_costs``) of one length, sum_j (1 - q_j) prod_{i<j} q_i costs[j] + prod q costs[-1],
     each read once, in order, and not held."""
+    _check_type(cond_probs, (Iterable,), "cond_probs")
+    _check_type(costs, (Iterable,), "costs")
 
     def outcomes():
         surviving, cost, end = 1.0, 0.0, object()  # end pads the shorter input
@@ -158,8 +190,8 @@ def runtime_bound(p_w: float, p1: float, tau: float, l1: float, K: int, d_ctrl: 
 
 def count(plan: CircuitPlan) -> GateCounts:
     """Qubits (the system's and the ancillas'), a successful shot's CX and measured qubits."""
-    cx = shot_costs(plan, _cx_count)
+    cx = shot_costs(plan, _cx_count)  # refuses all but a plan
     return GateCounts(qubits=plan.hamiltonian.n + sum(plan.widths.values()),
                       two_qubit=cx[-1] if cx else 0,
-                      measurements=sum(plan.widths[ins.register]
-                                       for ins in plan.instructions if isinstance(ins, Measure)))
+                      measurements=sum(plan.widths[part] * times for parts, times in _pieces(plan)
+                                       for part in parts if isinstance(part, str)))

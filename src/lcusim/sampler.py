@@ -6,7 +6,7 @@ On that path an LCU block whose l-register is measured |0> acts as (singly contr
 H~ = (-i / l1) H, because PREPARE is zero-padded (Berry et al., PRL 114, 090502, 2015). So
 each row of the one register open at a time is a multiple of a power H~^m of a base state
 phi, and every q is a ratio of weighted sums of nu_m = ||H~^m phi||^2. The register closes
-with the adjoint of its Prepare's column a, so its Measure collapses the rows onto
+with the adjoint of its preparation's column a, so its measurement collapses the rows onto
 sum_v |a_v|^2 H~^{m_v} phi, whatever unitary completes a: one Krylov pass per collapse,
 not a state per row. Every shot runs the same chain q_1 .. q_M, so of the r_j shots that
 reach measurement j, Binomial(r_j, 1 - q_j) abort there: the chain-rule form of the
@@ -67,7 +67,7 @@ def _walk(plan: CircuitPlan):
     (m, w, hit, L) at its start, hit 1 on those rows, or the int L for L q's of 1 where no
     row has the bit. A segment is (specs, m, w, c, collapses), m and w at its end and
     c = ``_sums(m, w)``: the adjoint takes row v to |0> with amplitude conj(a_v), so the
-    Measure keeps sum_v w_v H~^{m_v} phi."""
+    measurement keeps sum_v w_v H~^{m_v} phi."""
     segments, specs, (m, w) = [], [], _ONE_ROW
     for step in plan.steps:
         if isinstance(step, Run):

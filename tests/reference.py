@@ -16,12 +16,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from lcusim.bliss import FermionicOperator
-from lcusim.circuits import (CircuitPlan, Instruction, LcuBlock, Measure, Prepare,
-                             amplitude_values, taylor_prepare_amplitudes)
+from lcusim.circuits import CircuitPlan, Run, amplitude_values, taylor_prepare_amplitudes
 from lcusim.errors import (
     DomainError,
     InvalidHamiltonianError,
@@ -330,7 +330,7 @@ def register_trace(plan: CircuitPlan, psi: np.ndarray) -> PlanTrace:
     state = init_state(layout, psi)
     cond = []
     dead = False
-    runs = itertools.groupby(plan.instructions, key=lambda ins: isinstance(ins, LcuBlock))
+    runs = itertools.groupby(spell(plan), key=lambda ins: isinstance(ins, LcuBlock))
     for is_block, run in runs:
         run = list(run)
         if is_block:
@@ -424,11 +424,12 @@ def array_trace(plan: CircuitPlan, psi: np.ndarray) -> PlanTrace:
     is a_0 itself, not the rounded difference that forms it, so an a_0 below 1e-16 (at
     large tau l1) keeps its digits.
     """
-    H, l_regs = plan.hamiltonian, plan.l_registers
+    H, instructions = plan.hamiltonian, spell(plan)
+    l_regs = {ins.l_register for ins in instructions if isinstance(ins, LcuBlock)}
     psi = check_state(psi, H.n)
     regs = [name for name in plan.widths if name not in l_regs]
     support = {name: {0} for name in regs}
-    for ins in plan.instructions:
+    for ins in instructions:
         if isinstance(ins, Prepare):
             width = plan.widths[ins.register]
             support[ins.register].update(amplitude_values(ins.amps, width)[1])
@@ -444,7 +445,7 @@ def array_trace(plan: CircuitPlan, psi: np.ndarray) -> PlanTrace:
     pending: list[float] = []  # block probabilities awaiting their measurement
     cond: list[float] = []
     dead = False
-    for ins in plan.instructions:
+    for ins in instructions:
         if isinstance(ins, LcuBlock):
             if not dead:
                 target, index = _rows(state, axes, ins.control)
@@ -556,6 +557,67 @@ def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
 
 
 # --- flat circuits -------------------------------------------------------------------
+
+
+class Prepare:
+    """PREPARE of ``amps`` (binary or unary, ``amplitude_values``) from |0..0>, or its adjoint.
+    Equal only to itself."""
+
+    __slots__ = ("register", "amps", "adjoint")
+
+    def __init__(self, register: str, amps: np.ndarray, *, adjoint: bool = False):
+        self.register, self.amps, self.adjoint = register, amps, adjoint
+
+
+class LcuBlock(NamedTuple):
+    """PREPARE, SELECT and PREPARE^dag on ``l_register``, PREPARE holding sqrt(w_l / l1) on
+    value l < L and 0 past it; ``control``, a (register, bit), gates the SELECT. Post-selected
+    on |0>, the block is exactly H~ = (-i / l1) H on the system where the control bit is set."""
+
+    l_register: str = "l"
+    control: tuple[str, int] | None = None
+
+
+class Measure(NamedTuple):
+    """All-zero post-selection of a register."""
+
+    register: str
+
+
+Instruction = Prepare | LcuBlock | Measure
+
+
+def spell(plan: CircuitPlan) -> tuple[Instruction, ...]:
+    """The circuit a plan's steps stand for, one instruction at a time: each run's
+    ``LcuBlock`` and ``Measure`` ``times`` over, a ``Prepared``'s Prepare, runs, adjoint and
+    Measure (where deferred, every block, the adjoint, then the blocks' Measures)."""
+    out: list[Instruction] = []
+    for step in plan.steps:
+        if isinstance(step, Run):
+            out += (LcuBlock(step.l_register), Measure(step.l_register)) * step.times
+            continue
+        reg, adjoint = step.register, Prepare(step.register, step.amps, adjoint=True)
+        blocks = [LcuBlock(name, None if bit is None else (reg, bit)) for name, bit, _ in step.runs]
+        measures = [Measure(name) for name, _, _ in step.runs]
+        if step.deferred:
+            out += [Prepare(reg, step.amps), *blocks, adjoint, *measures, Measure(reg)]
+            continue
+        out.append(Prepare(reg, step.amps))
+        for block, measure, run in zip(blocks, measures, step.runs):
+            out += (block, measure) * run.times
+        out += [adjoint, Measure(reg)]
+    return tuple(out)
+
+
+def flat_shot_costs(plan: CircuitPlan, units) -> tuple[float, ...]:
+    """``resources.shot_costs(plan, units)`` one instruction at a time: the running sum of
+    the cost units ``units`` (d, d_ctrl, m) over ``spell(plan)``, a block d or d_ctrl, a
+    Measure m and a Prepare 0.0, read at each Measure."""
+    instructions = spell(plan)
+    prices = (units.m if isinstance(ins, Measure) else 0.0 if isinstance(ins, Prepare)
+              else units.d if ins.control is None else units.d_ctrl for ins in instructions)
+    running = itertools.accumulate(prices)
+    return tuple(c for c, ins in zip(running, instructions) if isinstance(ins, Measure))
 
 
 def flat_w_hk(H: HamiltonianLCU, k: int) -> tuple[Instruction, ...]:
@@ -844,7 +906,7 @@ class CompiledCircuit:
 def compile_plan(plan: CircuitPlan) -> CompiledCircuit:
     """Compile every instruction, one at a time."""
     layout = plan_layout(plan)
-    ops = tuple(op for ins in plan.instructions for op in _compile_instruction(plan, layout, ins))
+    ops = tuple(op for ins in spell(plan) for op in _compile_instruction(plan, layout, ins))
     return CompiledCircuit(plan, layout, ops)
 
 

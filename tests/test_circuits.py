@@ -12,9 +12,6 @@ from hypothesis import given, strategies as st
 from lcusim import circuits, sampler
 from lcusim.circuits import (
     CircuitPlan,
-    LcuBlock,
-    Measure,
-    Prepare,
     Prepared,
     Run,
     amplitude_values,
@@ -33,7 +30,7 @@ from lcusim.oracle import chain_probabilities, success_prob_hk, success_prob_wti
 from lcusim.resources import CostModel, count, runtime_bound
 from lcusim.sampler import run_shots
 from conftest import basis_state, random_hamiltonian
-from reference import flat_w_hk, flat_w_tilde, flat_w_unary
+from reference import LcuBlock, Measure, Prepare, flat_w_hk, flat_w_tilde, flat_w_unary, spell
 
 
 class TestTaylorCoefficients:
@@ -203,9 +200,9 @@ _REAL_SITES = {  # each public real argument: (call, the argument's name, values
                                   "at least 5e-324"),
     "taylor_prepare_amplitudes": (lambda v: tuple(taylor_prepare_amplitudes(v, 1.0, 3)), "tau",
                                   [-1.0], "at least 0"),
-    "build_w_tilde": (lambda v: tuple(build_w_tilde(_H2, v, 2).instructions[0].amps), "tau",
+    "build_w_tilde": (lambda v: tuple(build_w_tilde(_H2, v, 2).steps[0].amps), "tau",
                       [-1.0], "at least 0"),
-    "build_w_unary": (lambda v: tuple(build_w_unary(_H2, v, 2).instructions[0].amps), "tau",
+    "build_w_unary": (lambda v: tuple(build_w_unary(_H2, v, 2).steps[0].amps), "tau",
                       [-1.0], "at least 0"),
     "success_prob_wtilde": (lambda v: success_prob_wtilde(_H2, _PSI2, v, 3), "tau", [-1.0],
                             "at least 0"),
@@ -324,10 +321,10 @@ class TestWtildePlan:
 
     def test_run_i_is_2_to_the_i_blocks_on_k_bit_i(self, ising4):
         plan = build_w_tilde(ising4, 0.05, 3)
-        controls = [ins.control for ins in plan.instructions if isinstance(ins, LcuBlock)]
+        controls = [ins.control for ins in spell(plan) if isinstance(ins, LcuBlock)]
         assert controls == [("k", 0), ("k", 1), ("k", 1)] + [("k", 2)] * 4
         plan = build_w_tilde(ising4, 0.05, 4)
-        bits = [ins.control[1] for ins in plan.instructions if isinstance(ins, LcuBlock)]
+        bits = [ins.control[1] for ins in spell(plan) if isinstance(ins, LcuBlock)]
         assert bits == [i for i in range(4) for _ in range(1 << i)] and plan.select_count == 15
 
     @pytest.mark.parametrize("kappa", [0, -1])
@@ -349,11 +346,11 @@ class TestWtildePlan:
 
     def test_block_structure(self, ising4):
         plan = build_w_tilde(ising4, 0.05, 2)
-        assert plan.instructions[1:-2] == (
+        assert spell(plan)[1:-2] == (
             LcuBlock("l", ("k", 0)), Measure("l"), LcuBlock("l", ("k", 1)), Measure("l"),
             LcuBlock("l", ("k", 1)), Measure("l"),
         )
-        first, unprepare, last = plan.instructions[0], plan.instructions[-2], plan.instructions[-1]
+        first, unprepare, last = spell(plan)[0], spell(plan)[-2], spell(plan)[-1]
         assert (first.register, first.adjoint, unprepare.register, unprepare.adjoint) == (
             "k", False, "k", True
         )
@@ -369,11 +366,11 @@ class TestUnaryPlan:
         assert plan.widths == {"l0": 3, "l1": 3, "l2": 3, "unary": 3}
         assert count(plan).qubits == 16
         assert plan.select_count == 3
-        assert plan.instructions[-1] == Measure("unary")
+        assert spell(plan)[-1] == Measure("unary")
 
     def test_unary_amplitudes_one_hot_prefix(self, ising4):
         plan = build_w_unary(ising4, 0.05, 3)
-        prep = plan.instructions[0]
+        prep = spell(plan)[0]
         # K + 1 amplitudes on a K-qubit register: the unary encoding, on |1^k 0^(K-k)>
         assert isinstance(prep, Prepare) and prep.amps.shape == (4,)
         assert amplitude_values(prep.amps, 3)[1] == [0, 1, 3, 7]
@@ -382,10 +379,10 @@ class TestUnaryPlan:
 
     def test_measurements_deferred_to_end(self, ising4):
         plan = build_w_unary(ising4, 0.05, 2)
-        kinds = [type(ins).__name__ for ins in plan.instructions]
+        kinds = [type(ins).__name__ for ins in spell(plan)]
         assert kinds == ["Prepare", "LcuBlock", "LcuBlock", "Prepare"] + ["Measure"] * 3
-        assert plan.instructions[3].adjoint
-        assert plan.instructions[4:] == (Measure("l0"), Measure("l1"), Measure("unary"))
+        assert spell(plan)[3].adjoint
+        assert spell(plan)[4:] == (Measure("l0"), Measure("l1"), Measure("unary"))
 
     def test_K_40000_validates_in_linear_time(self):
         # all K blocks precede their K measurements, so K l-registers are pending at
@@ -401,7 +398,7 @@ class TestWhkPlan:
         plan = build_w_hk(ising4, 3)
         assert plan.select_count == 3
         assert plan.widths == {"l": 3} and count(plan).qubits == 7  # n + ceil(log L)
-        controls = [ins.control for ins in plan.instructions if isinstance(ins, LcuBlock)]
+        controls = [ins.control for ins in spell(plan) if isinstance(ins, LcuBlock)]
         assert controls == [None, None, None]
 
     def test_invalid_k(self, ising4):
@@ -422,18 +419,19 @@ def _same_instructions(got, want):
 
 
 class TestStepsSpellTheCircuit:
-    """``plan.instructions`` is the circuit the builders emitted one instruction at a time:
-    the flat loops of ``reference`` (``flat_w_hk``, ``flat_w_tilde``, ``flat_w_unary``)."""
+    """``reference.spell`` of a plan's steps is the circuit the builders emitted one
+    instruction at a time: the flat loops of ``reference`` (``flat_w_hk``, ``flat_w_tilde``,
+    ``flat_w_unary``)."""
 
     @pytest.mark.parametrize("tau", [0.0, 0.3])
     def test_each_builder_in_the_papers_order(self, ising4, tau):
         for k in range(1, 5):
-            _same_instructions(build_w_hk(ising4, k).instructions, flat_w_hk(ising4, k))
+            _same_instructions(spell(build_w_hk(ising4, k)), flat_w_hk(ising4, k))
         for kappa in range(1, 6):
-            _same_instructions(build_w_tilde(ising4, tau, kappa).instructions,
+            _same_instructions(spell(build_w_tilde(ising4, tau, kappa)),
                                flat_w_tilde(ising4, tau, kappa))
         for K in range(1, 7):
-            _same_instructions(build_w_unary(ising4, tau, K).instructions,
+            _same_instructions(spell(build_w_unary(ising4, tau, K)),
                                flat_w_unary(ising4, tau, K))
 
     def test_the_builders_steps(self, ising4):
@@ -458,3 +456,37 @@ class TestStepsSpellTheCircuit:
         assert len(specs) == kappa
         assert [spec if type(spec) is int else spec[3] for spec in specs] == [
             1 << i for i in range(kappa)]
+
+
+_HK = build_ising(2, 1.0, 0.5)
+
+
+class TestBlockCap:
+    """A plan holds at most 2^24 blocks, those of a W-tilde plan at the width cap: each price
+    and trace walks them, so a longer plan is refused where it is built."""
+
+    @pytest.mark.parametrize("blocks, make", [
+        (2**62, lambda: build_w_hk(_HK, 2**62)),
+        (2**70, lambda: build_w_hk(_HK, 2**70)),
+        (2**62 + 1, lambda: CircuitPlan({"l": _HK.l_width, "k": 1}, _HK, (
+            Prepared("k", np.array([0.6, 0.8]), (Run("l", 0, 1), Run("l", None, 2**62))),))),
+    ], ids=["w_hk-2^62", "w_hk-2^70", "a-run-in-a-prepared"])
+    def test_a_plan_over_the_cap_is_refused_before_allocating(self, blocks, make):
+        # the flat instruction tuple raised a bare MemoryError at 2^62 blocks and
+        # OverflowError at 2^70 while it was built; with no tuple, they would build and
+        # shot_costs and count would walk them for ever
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError,
+                               match=f"^a plan of {blocks} blocks exceeds the cap of 16777216$"):
+                make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_the_largest_command_plans_are_accepted(self):
+        # simulate's limits: W-tilde at kappa = 23 on one qubit, unary at K = 349998
+        H = canonicalize(1, [(1.0, "Z"), (0.5, "X")])
+        assert build_w_tilde(H, 0.05, 23).select_count == (1 << 23) - 1
+        assert build_w_unary(_HK, 0.05, 349998).select_count == 349998

@@ -19,7 +19,7 @@ from lcusim.errors import InvalidHamiltonianError, InvalidModelError
 from lcusim.hamiltonian import (build_ising, canonicalize, l1_norm, load_hamiltonian,
                                 save_hamiltonian)
 from conftest import random_hamiltonian, random_state
-from reference import rescaled_matrix, truncated_taylor_matrix
+from reference import rescaled_matrix, spell, truncated_taylor_matrix
 
 
 def _counting(calls, name, fn):
@@ -1162,14 +1162,14 @@ class TestIsingFlags:
 
 
 class TestPlanLength:
-    # a unary plan of order K holds 2K + 3 instructions, a W-tilde plan of width kappa
-    # 2^(kappa+1) + 1; past the limit a command exits 2 before building any unary plan, and
+    # a unary plan of order K spells 2K + 3 instructions (reference.spell), a W-tilde plan of
+    # width kappa 2^(kappa+1) + 1; past the limit a command exits 2 before building any unary plan, and
     # only the width cap bounds W-tilde plans
     def test_unary_plan_holds_2K_plus_3_instructions(self):
         from lcusim.circuits import build_w_unary
 
         H = build_ising(2, 1.0, 0.5)
-        sizes = [len(build_w_unary(H, 0.05, K).instructions) for K in range(1, 9)]
+        sizes = [len(spell(build_w_unary(H, 0.05, K))) for K in range(1, 9)]
         assert sizes == [2 * K + 3 for K in range(1, 9)]
         assert [sum(sizes[:k]) for k in range(1, 9)] == [k * (k + 4) for k in range(1, 9)]
 
@@ -1177,7 +1177,7 @@ class TestPlanLength:
         from lcusim.circuits import build_w_tilde
 
         H = build_ising(2, 1.0, 0.5)
-        sizes = [len(build_w_tilde(H, 0.05, kappa).instructions) for kappa in range(1, 9)]
+        sizes = [len(spell(build_w_tilde(H, 0.05, kappa))) for kappa in range(1, 9)]
         assert sizes == [2 ** (kappa + 1) + 1 for kappa in range(1, 9)]
         assert [sum(sizes[:k]) for k in range(1, 9)] == [2 ** (k + 2) - 4 + k for k in range(1, 9)]
 

@@ -1,5 +1,5 @@
 """What callers rely on in the package's records: value records compare and hash by their
-fields, plans and Prepares only by identity, the Hamiltonian's fields are read-only under
+fields, plans and Prepareds only by identity, the Hamiltonian's fields are read-only under
 its cached masks, and each constructor keeps its signature and its refusals."""
 import math
 import re
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lcusim.bliss import BlissParams, BlissResult, FermionicOperator
-from lcusim.circuits import CircuitPlan, LcuBlock, Measure, Prepare, Prepared, Run, build_w_tilde
+from lcusim.circuits import CircuitPlan, Prepared, Run, build_w_tilde
 from lcusim.errors import InvalidHamiltonianError, InvalidModelError, LayoutError
 from lcusim.hamiltonian import HamiltonianLCU, PauliTerm, build_ising
 from lcusim.resources import CostModel, GateCounts, count
@@ -18,8 +18,6 @@ H2 = build_ising(2, 1.0, 0.5)
 
 
 @pytest.mark.parametrize("make,other", [
-    (lambda: LcuBlock("l", ("k", 0)), lambda: LcuBlock("l", ("k", 1))),
-    (lambda: Measure("l"), lambda: Measure("k")),
     (lambda: Run("l", 0, 2), lambda: Run("l", 0, 3)),
     (lambda: PauliTerm(0.5, 0.0, "XZ"), lambda: PauliTerm(0.5, math.pi, "XZ")),
     (lambda: build_ising(2, 1.0, 0.5), lambda: build_ising(2, 1.0, 0.25)),
@@ -34,7 +32,6 @@ def test_value_records_compare_and_hash_by_their_fields(make, other):
 
 def test_plans_and_prepares_are_equal_only_to_themselves():
     amps = np.array([1.0, 0.0])
-    assert Prepare("k", amps) != Prepare("k", amps)
     assert Prepared("k", amps) != Prepared("k", amps)
     plan = build_w_tilde(H2, 0.1, 1)
     assert plan == plan and plan != build_w_tilde(H2, 0.1, 1)
@@ -43,10 +40,6 @@ def test_plans_and_prepares_are_equal_only_to_themselves():
 
 def test_constructor_signatures():
     amps = np.array([1.0, 0.0])
-    assert Prepare("k", amps, adjoint=True).adjoint and not Prepare("k", amps).adjoint
-    with pytest.raises(TypeError):
-        Prepare("k", amps, True)  # adjoint is keyword-only
-    assert LcuBlock() == LcuBlock(l_register="l", control=None)
     assert Run() == Run(l_register="l", control=None, times=1)
     step = Prepared("k", amps, (Run("l", 0),), deferred=True)
     assert (step.register, step.runs, step.deferred) == ("k", (Run("l", 0),), True)
@@ -57,7 +50,8 @@ def test_constructor_signatures():
     assert PauliTerm(letters="X", phase=0.0, weight=1.0) == PauliTerm(1.0, 0.0, "X")
     assert HamiltonianLCU(n=2, terms=H2.terms) == H2
     plan = CircuitPlan(widths={"l": 2, "k": 1}, hamiltonian=H2, steps=(Run(times=2), step))
-    assert (plan.select_count, plan.measure_count, plan.l_registers) == (3, 4, {"l"})
+    l_registers = {run.l_register for s in plan.steps for run in getattr(s, "runs", (s,))}
+    assert (plan.select_count, plan.measure_count, l_registers) == (3, 4, {"l"})
     F = FermionicOperator(2, constant=0.5)
     assert F.one_body.shape == (2, 2) and F.two_body.shape == (2,) * 4 and F.constant == 0.5
     params = BlissParams(xi0=0.1, xi=np.eye(2), n_electrons=1)
@@ -94,7 +88,7 @@ def test_run_stats_are_mutable_values_with_a_histogram_each():
     (InvalidHamiltonianError, lambda: HamiltonianLCU(3, H2.terms)),
     (InvalidHamiltonianError, lambda: HamiltonianLCU(2, ())),
     (InvalidModelError, lambda: CostModel(d_ctrl=-1.0)),
-    (LayoutError, lambda: CircuitPlan({"l": 2}, H2, (LcuBlock(),))),
+    (LayoutError, lambda: CircuitPlan({"l": 2}, H2, (None,))),
     (LayoutError, lambda: CircuitPlan({"l": 2}, H2, (Run(times=0),))),
     (InvalidModelError, lambda: FermionicOperator(0)),
     (InvalidModelError, lambda: FermionicOperator(2, one_body=np.ones((3, 3)))),

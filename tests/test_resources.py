@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -9,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from lcusim.circuits import (
     CircuitPlan,
-    Measure,
     Prepared,
     Run,
     build_w_hk,
@@ -17,7 +17,7 @@ from lcusim.circuits import (
     build_w_unary,
 )
 from lcusim.hamiltonian import build_ising, canonicalize, l1_norm
-from lcusim.errors import DomainError, LcusimError
+from lcusim.errors import DomainError, LayoutError, LcusimError
 from lcusim.resources import (CostModel, _cx_count, count, expected_cost, mean_cost, runtime_bound,
                               shot_costs)
 from lcusim.oracle import success_prob_hk
@@ -26,6 +26,7 @@ from conftest import random_hamiltonian, random_state
 from reference import (
     Gate1Q,
     GateCX,
+    Measure,
     Register,
     compile_plan,
     diagonal_gates,
@@ -204,7 +205,7 @@ class TestCounts:
         H = canonicalize(1, [(1.0, "X"), (0.5, "Z")])
         plan = build_w_hk(H, 1)
         a = prepare_amplitudes(H)
-        only_prep = type(plan)(  # a Prepare is closed by its adjoint, then measured
+        only_prep = type(plan)(  # a preparation is closed by its adjoint, then measured
             plan.widths, plan.hamiltonian, (Prepared("l", a),))
         assert count(only_prep).two_qubit == 0  # width-1 l register: Ry and its adjoint, no CX
 
@@ -238,6 +239,13 @@ class TestShotCosts:
             want.append(running)
         running += 0.1
         assert shot_costs(build_w_tilde(ising4, 0.05, 2), self.COST) == tuple(want + [running])
+
+    def test_each_part_is_priced_once(self):
+        # kappa = 20: 2^20 - 1 blocks in 20 runs. The flat walk called the price once per
+        # instruction, 2^21 + 1 times
+        plan, parts = build_w_tilde(build_ising(2, 1.0, 0.5), 0.05, 20), []
+        costs = shot_costs(plan, lambda plan, part: parts.append(part) or self.COST(plan, part))
+        assert len(parts) <= 2 * 20 + 3 and len(costs) == plan.measure_count == 1 << 20
 
     def test_no_measurement_costs_nothing(self, ising4):
         plan = CircuitPlan({}, ising4, ())
@@ -424,5 +432,25 @@ class TestCountMatchesReference:
         (step,) = plan.steps
         for bad_amps in (-step.amps, 1j * step.amps):
             bad = (Prepared("k", bad_amps, step.runs),)
-            with pytest.raises(LcusimError, match="nonnegative"):
+            with pytest.raises(DomainError,
+                               match="^k: dense amplitudes must be real and nonnegative$"):
                 count(type(plan)(plan.widths, ising4, bad))
+
+
+_PLAN = build_w_hk(build_ising(2, 1.0, 0.5), 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: count(None), "plan is a NoneType, not a CircuitPlan"),
+    (lambda: shot_costs(None, CostModel()), "plan is a NoneType, not a CircuitPlan"),
+    (lambda: shot_costs(_PLAN, None), "price is a NoneType, not a Callable"),
+    (lambda: mean_cost(None, ()), "stats is a NoneType, not a RunStats"),
+    (lambda: expected_cost(None, None), "cond_probs is a NoneType, not an Iterable"),
+    (lambda: expected_cost((0.5,), 3), "costs is a int, not an Iterable"),
+], ids=["count", "shot_costs-plan", "shot_costs-price", "mean_cost", "expected_cost",
+        "expected_cost-costs"])
+def test_an_argument_of_another_type_is_refused_with_one_line(call, message):
+    # count(None) and mean_cost(None, ()) raised AttributeError, shot_costs(plan, None) and
+    # expected_cost(None, None) TypeError
+    with pytest.raises(LayoutError, match=f"^{re.escape(message)}$"):
+        call()

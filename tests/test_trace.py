@@ -9,9 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from lcusim.circuits import (
     CircuitPlan,
-    LcuBlock,
-    Measure,
-    Prepare,
     Prepared,
     Run,
     build_w_hk,
@@ -23,11 +20,11 @@ from lcusim.errors import LayoutError, NormalizationError, ResourceLimitError
 from lcusim.hamiltonian import build_ising, canonicalize
 from lcusim.oracle import chain_probabilities, success_prob_wtilde
 from lcusim.sampler import trace_plan
-from lcusim.resources import count
+from lcusim.resources import CostModel, count, shot_costs
 import reference
 from conftest import random_hamiltonian, random_state
-from reference import (array_trace, compile_plan, exact_wtilde_chain, fidelity, register_trace,
-                       simulate_compiled)
+from reference import (LcuBlock, Measure, Prepare, array_trace, compile_plan, exact_wtilde_chain,
+                       fidelity, flat_shot_costs, register_trace, simulate_compiled, spell)
 
 
 def assert_same_trace(plan, psi):
@@ -94,7 +91,7 @@ class TestAgainstRegisterTrace:
         # at tau * l1 = 2e-60 the weights beta_6 and beta_7 underflow to 0, so the trace
         # keeps 6 of the 8 values of k and gathers the rows of each control bit
         plan = build_w_tilde(ising4, 1e-60 / 2.5, 3)
-        assert np.count_nonzero(plan.instructions[0].amps) == 6
+        assert np.count_nonzero(plan.steps[0].amps) == 6
         assert_same_trace(plan, random_state(4, np.random.default_rng(5)))
 
     def test_collapsed_width(self):
@@ -157,17 +154,18 @@ class TestPlanShape:
 
     def test_builder_shape_accepted(self):
         plan = _one_block(self.H, Run("l"))
-        assert plan.instructions == (LcuBlock("l"), Measure("l"))
+        assert spell(plan) == (LcuBlock("l"), Measure("l"))
         assert_same_trace(plan, self.psi)
 
     def test_a_list_plan_keeps_a_tuple_and_traces_as_its_tuple_twin(self):
         # the plan kept the list itself, and _walk's `instructions + (None,)` raised a bare
-        # TypeError (can only concatenate list (not "tuple") to list)
+        # TypeError (can only concatenate list (not "tuple") to list) when plans held a flat
+        # instruction tuple
         twin = build_w_tilde(self.H, 0.3, 2)
         steps = list(twin.steps)
         plan = CircuitPlan(twin.widths, self.H, steps)
         steps.clear()  # the plan holds its own copy
-        assert plan.steps == twin.steps and len(plan.instructions) == len(twin.instructions)
+        assert plan.steps == twin.steps and plan.measure_count == twin.measure_count
         got, want = trace_plan(plan, self.psi), trace_plan(twin, self.psi)
         assert got.cond_probs == want.cond_probs and got.success_prob == want.success_prob
         assert np.array_equal(got.final_system_state, want.final_system_state)
@@ -306,8 +304,9 @@ class TestPlanShape:
     def test_l_measures_between_the_second_prepare_and_its_measure(self):
         plan = _one_block(self.H, Prepared("c", _C, (Run("l", 0),), deferred=True),
                           extra=[("c", 1)])
-        assert plan.instructions[1] == LcuBlock("l", ("c", 0)) and plan.instructions[2].adjoint
-        assert plan.instructions[3:] == (Measure("l"), Measure("c"))
+        instructions = spell(plan)
+        assert instructions[1] == LcuBlock("l", ("c", 0)) and instructions[2].adjoint
+        assert instructions[3:] == (Measure("l"), Measure("c"))
         assert_same_trace(plan, self.psi)
 
 
@@ -383,6 +382,9 @@ def _bad_step(step):
     return st.one_of(bad)
 
 
+_UNITS = [0.1, 0.3, 1 / 3, 0.7, 2.0, 1e308]  # 1e308 overflows to inf in a sum
+
+
 class TestPlanValidity:
     """Every well-formed list of steps is a plan that the trace, the register-level and the
     array references run alike and that ``count`` counts as compiled; every step with one
@@ -399,10 +401,20 @@ class TestPlanValidity:
                                            deferred=True), Run("l0")], 2)
     def test_run_alike_by_every_consumer(self, steps, seed):
         plan = CircuitPlan(self.WIDTHS, self.H, steps)
-        assert plan.select_count == sum(isinstance(ins, LcuBlock) for ins in plan.instructions)
-        assert plan.measure_count == sum(isinstance(ins, Measure) for ins in plan.instructions)
+        instructions = spell(plan)
+        assert plan.select_count == sum(isinstance(ins, LcuBlock) for ins in instructions)
+        assert plan.measure_count == sum(isinstance(ins, Measure) for ins in instructions)
         assert_same_trace(plan, random_state(2, np.random.default_rng(seed)))
         assert count(plan) == compile_plan(plan).counts()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_STEPS, st.lists(st.sampled_from(_UNITS), min_size=3, max_size=3))
+    @example([Run("l1", None, 2)], [0.3, 0.7, 0.1]).via("0.3 + 0.1 + 0.3 + 0.1 != 2 * 0.4")
+    def test_shot_costs_sum_the_spelled_circuit(self, steps, units):
+        # each part priced once and carried across its run's repeats: every entry is the
+        # float the flat walk sums one instruction at a time, to the bit
+        plan, model = CircuitPlan(self.WIDTHS, self.H, steps), CostModel(*units)
+        assert shot_costs(plan, model) == flat_shot_costs(plan, model)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), _STEPS.filter(bool), st.integers(0, 2**32 - 1))
@@ -485,7 +497,7 @@ class TestMomentTrace:
         # k = 121 are 0, so no row reaches a higher power of H~ and the pass stops there
         H = build_ising(2, 1.0, 0.5)
         plan, psi = build_w_tilde(H, 0.05, 17), random_state(2, np.random.default_rng(17))
-        last = int(np.flatnonzero(plan.instructions[0].amps)[-1])
+        last = int(np.flatnonzero(plan.steps[0].amps)[-1])
         calls, apply = [], sampler.apply_rescaled
         monkeypatch.setattr(sampler, "apply_rescaled", lambda *a: calls.append(1) or apply(*a))
         trace = trace_plan(plan, psi)
